@@ -29,6 +29,7 @@ __all__ = [
     "pack_candidates",
     "candidate_beats",
     "encode_mask",
+    "decode_mask",
     "categorical_children_layout",
 ]
 
@@ -80,6 +81,12 @@ def encode_mask(mask: np.ndarray) -> float:
         if b:
             bits |= 1 << i
     return float(bits)
+
+
+def decode_mask(code: float, n_values: int) -> np.ndarray:
+    """The boolean subset mask :func:`encode_mask` packed into ``code``."""
+    bits = int(code)
+    return np.array([(bits >> i) & 1 for i in range(n_values)], dtype=bool)
 
 
 def categorical_children_layout(

@@ -109,6 +109,40 @@ def continuous_local_cube(
     return cube
 
 
+def score_boundaries(
+    out: np.ndarray,
+    attr_index: int,
+    nodes: np.ndarray,
+    left: np.ndarray,
+    thresholds: np.ndarray,
+    totals: np.ndarray,
+    criterion: str,
+) -> np.ndarray:
+    """Fold one continuous attribute's candidate boundaries into ``out``.
+
+    Boundary ``k`` belongs to node ``nodes[k]`` (a row of ``totals`` and
+    ``out``; non-decreasing — the segment contract), has left-partition
+    class counts ``left[k]`` and splits at ``thresholds[k]``.  Per node
+    the lowest score wins (ties → smallest threshold) and replaces the
+    node's ``out`` row only when strictly better — folding attributes in
+    schema order therefore keeps the canonical (score, attribute,
+    threshold) order.  Shared by the histogram strategy's bin boundaries
+    and the streaming driver's sketch boundaries.
+    """
+    if len(nodes) == 0:
+        return out
+    scores = kernels.split_scores(left, totals[nodes], criterion)
+    winners, best_scores, best_thr = kernels.segment_argmin(
+        nodes, scores, thresholds
+    )
+    better = best_scores < out[winners, 0]
+    upd = winners[better]
+    out[upd, 0] = best_scores[better]
+    out[upd, 1] = float(attr_index)
+    out[upd, 2] = best_thr[better]
+    return out
+
+
 def score_continuous_cube(
     alist: LocalAttributeList,
     cube: np.ndarray,
@@ -140,25 +174,13 @@ def score_continuous_cube(
     nxt = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
     bstar = nxt[:, 1:]                                # per boundary b: ≥ b+1
     valid = (left_tot > 0) & (left_tot < node_tot[:, None]) & (bstar < n_bins)
-    if not valid.any():
-        return out
+    # np.nonzero on the 2-D mask is row-major, so cand[rows] is
+    # non-decreasing — the segment contract score_boundaries requires
     rows, bounds = np.nonzero(valid)
-    # np.nonzero on the 2-D mask is row-major, so v_nodes is
-    # non-decreasing — the segment contract segment_argmin requires
-    v_nodes = cand[rows]
-    v_thr = edges[bstar[rows, bounds] - 1]
-    scores = kernels.split_scores(
-        left[rows, bounds], totals[v_nodes], config.criterion
+    return score_boundaries(
+        out, alist.attr_index, cand[rows], left[rows, bounds],
+        edges[bstar[rows, bounds] - 1], totals, config.criterion,
     )
-    winners, best_scores, best_thr = kernels.segment_argmin(
-        v_nodes, scores, v_thr
-    )
-    better = best_scores < out[winners, 0]
-    upd = winners[better]
-    out[upd, 0] = best_scores[better]
-    out[upd, 1] = float(alist.attr_index)
-    out[upd, 2] = best_thr[better]
-    return out
 
 
 class HistogramSplitStrategy(SplitStrategy):

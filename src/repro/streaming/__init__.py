@@ -10,6 +10,8 @@ mass — with every epoch boundary a sealed checkpoint cut.
 * :mod:`repro.streaming.sketch` — padded mergeable value/class-count
   sketches and the :data:`SKETCH_MERGE` allreduce operator;
 * :mod:`repro.streaming.source` — record-order epoch chunking;
+* :mod:`repro.streaming.frontier` — one rank's state: retained records,
+  the frontier registry and the padded local sketch blocks;
 * :mod:`repro.streaming.induction` — the epoch-loop SPMD worker
   (:func:`stream_induce_worker`), batch-exact when sketches are
   lossless and growth is finalize-only.

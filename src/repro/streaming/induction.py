@@ -26,19 +26,25 @@ replication argument.  With ``stream_grow_records == 0`` (the default:
 growth only at finalize) and lossless sketches, the streamed tree is
 **bit-identical** to batch ScalParC's on the same record prefix; the
 differential suite pins this with ``structurally_equal``.
+
+A grow round is level-synchronous like the batch driver's: the whole
+frontier is scored (:func:`_score_nodes`) and split
+(:func:`_split_nodes`) in array passes through the segment kernels;
+only tree-object creation walks the nodes one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core import kernels
 from ..core.config import InductionConfig
 from ..core.criteria import best_categorical_split, impurity
-from ..core.kernels import split_scores
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
-from ..core.splits import BEST_SPLIT, NO_CANDIDATE, candidate_beats, \
-    categorical_children_layout, encode_mask, pack_candidates
+from ..core.splits import BEST_SPLIT, categorical_children_layout, \
+    decode_mask, encode_mask, pack_candidates
+from ..core.strategies.histogram import score_boundaries
 from ..datagen.schema import Dataset, Schema
 from ..runtime import Communicator
 from ..runtime.checkpoint import (
@@ -58,8 +64,8 @@ from ..tree.model import (
     Leaf,
     TreeNode,
 )
-from .sketch import SKETCH_MERGE, build_sketch, empty_sketch, \
-    merge_sketches, sketch_entries, sketch_from_entries
+from .frontier import StreamState, transport_capacity
+from .sketch import SKETCH_MERGE, sketch_identity_like
 from .source import ChunkSource
 
 __all__ = ["stream_induce_worker"]
@@ -96,111 +102,50 @@ def _config_fingerprint(config: InductionConfig) -> str:
 
 
 # ----------------------------------------------------------------------
-# frontier registry
-# ----------------------------------------------------------------------
-# The tree under construction is always complete and valid: every
-# frontier position is materialized as a Leaf.  ``entries[fid]``
-# describes leaf fid (open = may still grow; closed = terminal unless a
-# distribution shift reopens it); retained records carry their fid in
-# ``node_of``.  Entries of nodes that have split keep their row (so fids
-# stay stable) with ``leaf=None``.
-
-
-def _new_entry(leaf: Leaf, parent: TreeNode | None, slot: int,
-               depth: int, open_: bool) -> dict:
-    return {"leaf": leaf, "parent": parent, "slot": slot, "depth": depth,
-            "open": open_, "closed_dist": None}
-
-
-def _attach(root_holder: list, entry: dict, node: TreeNode) -> None:
-    if entry["parent"] is None:
-        root_holder[0] = node
-    else:
-        entry["parent"].children[entry["slot"]] = node
-
-
-def _route_to_frontier(root: TreeNode, entries: list,
-                       columns: list, n: int) -> np.ndarray:
-    """fid of the frontier leaf each of the ``n`` records lands in."""
-    leaf_fid = {id(e["leaf"]): fid for fid, e in enumerate(entries)
-                if e["leaf"] is not None}
-    out = np.empty(n, dtype=np.int64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(n))]
-    while stack:
-        node, pos = stack.pop()
-        if node.is_leaf:
-            out[pos] = leaf_fid[id(node)]
-            continue
-        child = node.route(columns[node.attr_index][pos])
-        for ci in range(len(node.children)):
-            sub = pos[child == ci]
-            if len(sub):
-                stack.append((node.children[ci], sub))
-    return out
-
-
-# ----------------------------------------------------------------------
 # collective state: globalize counts + sketches in one fused batch
 # ----------------------------------------------------------------------
 
 
-def _transport_capacity(n: int, full: int) -> int:
-    """Rows a node with *n* global records needs on the wire: the next
-    power of two covering ``n`` (bucketing keeps the number of distinct
-    stack shapes — hence fused reduces per round — logarithmic), clamped
-    to ``[8, full]``.  A node holds at most ``n`` distinct values per
-    attribute, so trimming the padded sketch to this bound is lossless.
-    """
-    cap = 8
-    while cap < min(max(n, 1), full):
-        cap <<= 1
-    return min(cap, full)
-
-
-def _globalize(comm: Communicator, entries: list, local_counts: list,
-               sketches: dict, n_attrs: int, capacity: int,
+def _globalize(comm: Communicator, state: StreamState,
                with_sketches: bool = True, tight: bool = True):
     """One fused rendezvous globalizing the whole frontier: per-entry
     class totals (SUM) and every open (node, attribute) sketch
-    (SKETCH_MERGE).  Returns ``(global_counts, global_sketches)``.
+    (SKETCH_MERGE).  Returns ``(global_counts, open_fids, group_of,
+    row_of, stacks)``: open leaf ``open_fids[i]``'s global sketches are
+    ``stacks[group_of[i]][row_of[i]]``, an ``(n_attrs, cap, 1+c)`` slab.
 
     ``with_sketches=False`` reduces only the class totals — the cheap
     epoch heartbeat when no growth can happen this round (finalize-only
     mode mid-stream), where shipping frontier sketches would buy nothing.
 
     ``tight=True`` trims each open node's sketch stack to its
-    :func:`_transport_capacity` before the reduce — ``leaf.n_records``
-    is a *global* total (set from prior reductions) so every rank
-    derives the same grouping, and deep frontier nodes (few records,
-    mostly-NaN padding) stop paying full-capacity freight.  Callers must
-    pass ``tight=False`` when records were ingested since the counts
-    were last refreshed (the first round of a mid-stream grow pass):
-    a stale bound could force compression the full capacity would not.
+    :func:`transport_capacity` before the reduce — ``n_global`` holds
+    *global* totals (set from prior reductions) so every rank derives
+    the same grouping, and deep frontier nodes (few records, mostly-NaN
+    padding) stop paying full-capacity freight.  Callers must pass
+    ``tight=False`` when records were ingested since the counts were
+    last refreshed (the first round of a mid-stream grow pass): a stale
+    bound could force compression the full capacity would not.
     """
-    open_fids = [fid for fid, e in enumerate(entries) if e["open"]]
-    counts_stack = np.stack(local_counts)
-    groups: dict[int, list[int]] = {}
-    if with_sketches and open_fids:
-        for fid in open_fids:
-            cap = _transport_capacity(entries[fid]["leaf"].n_records,
-                                      capacity) if tight else capacity
-            groups.setdefault(cap, []).append(fid)
+    open_fids = np.flatnonzero(state.open_) if with_sketches \
+        else np.empty(0, dtype=np.int64)
+    caps = transport_capacity(state.n_global[open_fids], state.capacity) \
+        if tight else np.full(len(open_fids), state.capacity)
+    group_caps, group_of = np.unique(caps, return_inverse=True)
+    row_of = np.empty(len(open_fids), dtype=np.int64)
+    width = 1 + state.n_classes
     with comm.fused() as batch:
-        fut_counts = batch.allreduce(counts_stack, SUM)
-        fut_groups = []
-        for cap in sorted(groups):
-            fids = groups[cap]
-            sk_stack = np.stack([sketches[fid][a][:cap]
-                                 for fid in fids
-                                 for a in range(n_attrs)])
-            fut_groups.append((fids, batch.allreduce(sk_stack, SKETCH_MERGE)))
-    g_counts = fut_counts.result()
-    g_sk: dict[int, list[np.ndarray]] = {}
-    for fids, fut in fut_groups:
-        stack = fut.result()
-        for j, fid in enumerate(fids):
-            g_sk[fid] = [stack[j * n_attrs + a] for a in range(n_attrs)]
-    return g_counts, g_sk
+        fut_counts = batch.allreduce(state.local_counts, SUM)
+        futures = []
+        for g, cap in enumerate(group_caps.tolist()):
+            members = np.flatnonzero(group_of == g)
+            row_of[members] = np.arange(len(members))
+            futures.append(batch.allreduce(
+                state.gather(open_fids[members], cap).reshape(
+                    -1, cap, width), SKETCH_MERGE))
+    stacks = [fut.result().reshape(-1, state.n_attrs, cap, width)
+              for fut, cap in zip(futures, group_caps.tolist())]
+    return fut_counts.result(), open_fids, group_of, row_of, stacks
 
 
 # ----------------------------------------------------------------------
@@ -208,51 +153,58 @@ def _globalize(comm: Communicator, entries: list, local_counts: list,
 # ----------------------------------------------------------------------
 
 
-def _best_from_sketches(node_sketches: list, totals: np.ndarray,
-                        schema: Schema, config: InductionConfig):
-    """Best candidate split of one node, scored from its global sketches.
+def _count_cubes(cells: np.ndarray, n_values: int) -> np.ndarray:
+    """``(k, n_values, c)`` integer count matrices of ``k`` categorical
+    sketches ``cells`` (``(k, cap, 1+c)``)."""
+    rows, slots = np.nonzero(np.isfinite(cells[:, :, 0]))
+    cubes = np.zeros((len(cells), n_values, cells.shape[2] - 1),
+                     dtype=np.int64)
+    cubes[rows, np.rint(cells[rows, slots, 0]).astype(np.int64)] = \
+        np.rint(cells[rows, slots, 1:]).astype(np.int64)
+    return cubes
+
+
+def _score_nodes(stack: np.ndarray, rows: np.ndarray, totals: np.ndarray,
+                 schema: Schema, config: InductionConfig) -> np.ndarray:
+    """Best candidate split ``[score, attr, third]`` of every node
+    ``stack[rows]``, scored from its global sketches in one pass per
+    attribute.
 
     Reproduces the batch FindSplit semantics exactly when the sketches
     are lossless: continuous candidates are the distinct values with a
     strictly smaller predecessor, the threshold is the value itself, the
-    left partition counts everything strictly below it; candidates are
-    ordered by the canonical (score, attribute, threshold) key.
-    Returns ``(candidate_row, categorical_state)``.
+    left partition counts everything strictly below it.  Attributes fold
+    in schema order and replace a node's best only when strictly better,
+    which is the canonical (score, attribute, threshold) order.
     """
-    best = np.array(NO_CANDIDATE, dtype=np.float64)
-    best_cat: tuple[np.ndarray, np.ndarray | None] | None = None
-    totals_f = totals.astype(np.float64)
+    out = pack_candidates(len(rows))
+    totals = totals.astype(np.float64)
     for attr, spec in enumerate(schema):
-        rows = sketch_entries(node_sketches[attr])
+        cells = stack[rows, attr]
         if spec.is_continuous:
-            if len(rows) < 2:
-                continue
-            left = np.cumsum(rows[:, 1:], axis=0)[:-1]
-            thr = rows[1:, 0]
-            scores = split_scores(left, totals_f, config.criterion)
-            smin = scores.min()
-            tie = np.flatnonzero(scores == smin)
-            j = tie[np.argmin(thr[tie])]
-            cand = np.array([scores[j], float(attr), thr[j]])
-            cat = None
-        else:
-            matrix = np.zeros((spec.n_values, len(totals)), dtype=np.int64)
-            codes = np.rint(rows[:, 0]).astype(np.int64)
-            matrix[codes] = np.rint(rows[:, 1:]).astype(np.int64)
-            score, mask = best_categorical_split(
-                matrix, config.criterion,
-                binary_subsets=config.categorical_binary_subsets,
-                exhaustive_limit=config.subset_exhaustive_limit,
-            )
-            third = encode_mask(mask) if mask is not None else 0.0
-            cand = np.array([score, float(attr), third])
-            cat = (matrix, mask)
-        if not np.isfinite(cand[0]):
+            # boundary b splits below row b+1's value: valid iff occupied
+            node, b = np.nonzero(np.isfinite(cells[:, 1:, 0]))
+            left = np.cumsum(cells[:, :, 1:], axis=1)
+            score_boundaries(out, attr, node, left[node, b],
+                             cells[node, b + 1, 0], totals,
+                             config.criterion)
             continue
-        if candidate_beats(cand, best):
-            best = cand
-            best_cat = cat
-    return best, best_cat
+        cubes = _count_cubes(cells, spec.n_values)
+        if config.categorical_binary_subsets:   # a search per node
+            found = [best_categorical_split(
+                m, config.criterion, binary_subsets=True,
+                exhaustive_limit=config.subset_exhaustive_limit)
+                for m in cubes]
+            scores = np.array([score for score, _ in found])
+            third = np.array([encode_mask(mask) for _, mask in found])
+        else:
+            scores = kernels.multiway_scores(cubes, config.criterion)
+            third = np.zeros(len(rows))
+        better = scores < out[:, 0]
+        out[better, 0] = scores[better]
+        out[better, 1] = float(attr)
+        out[better, 2] = third[better]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -260,289 +212,213 @@ def _best_from_sketches(node_sketches: list, totals: np.ndarray,
 # ----------------------------------------------------------------------
 
 
-def _terminal(depth: int, totals: np.ndarray, config: InductionConfig) -> bool:
+def _terminal(depth: np.ndarray, totals: np.ndarray,
+              config: InductionConfig) -> np.ndarray:
     """The batch termination rules: purity, minimum mass, depth cap."""
-    n = int(totals.sum())
-    return (
-        int(totals.max()) == n
-        or n < config.min_split_records
-        or (config.max_depth is not None and depth >= config.max_depth)
-    )
-
-
-def _decode_candidate(best: np.ndarray, node_sketches: list,
-                      n_classes: int, schema: Schema,
-                      config: InductionConfig):
-    """Rebuild a winning candidate's categorical state on any rank.
-
-    Split scoring is partitioned across ranks and shared as packed
-    ``[score, attr, third]`` rows, so the non-scoring ranks reconstruct
-    the ``(matrix, mask)`` pair a categorical split needs: the count
-    matrix derives from the global sketch, and the third slot carries
-    the :func:`~repro.core.splits.encode_mask` subset code (0.0 for the
-    multiway split).  Returns ``None`` for continuous attributes.
-    """
-    attr = int(best[1])
-    spec = schema[attr]
-    if spec.is_continuous:
-        return None
-    rows = sketch_entries(node_sketches[attr])
-    matrix = np.zeros((spec.n_values, n_classes), dtype=np.int64)
-    codes = np.rint(rows[:, 0]).astype(np.int64)
-    matrix[codes] = np.rint(rows[:, 1:]).astype(np.int64)
-    if not config.categorical_binary_subsets or best[2] == 0.0:
-        mask = None
-    else:
-        bits = int(best[2])
-        mask = np.array([(bits >> i) & 1 for i in range(spec.n_values)],
-                        dtype=bool)
-    return matrix, mask
-
-
-def _close_leaf(entry: dict, totals: np.ndarray) -> None:
-    leaf = entry["leaf"]
-    n = int(totals.sum())
-    if n > 0:
-        leaf.label = int(np.argmax(totals))
-        entry["closed_dist"] = totals.astype(np.float64) / n
-    leaf.n_records = n
-    leaf.class_counts = totals.astype(np.int64)
-    entry["open"] = False
-
-
-def _child_sketches(state: "_StreamState", idx: np.ndarray,
-                    child_of: np.ndarray, n_children: int,
-                    wanted: list) -> list:
-    """Local sketches for the surviving children of one split.
-
-    Equivalent to :func:`~repro.streaming.sketch.build_sketch` per
-    (child, attribute) pair, but grouped into one lexsort/reduceat pass
-    per attribute — a deep finalize round splits hundreds of nodes, so
-    per-child ``np.unique`` calls would dominate the whole pass.
-    """
-    labels = state.labels[idx]
-    cap = state.capacity
-    out: list = [[None] * state.n_attrs if w else None for w in wanted]
-    for a in range(state.n_attrs):
-        vals = state.columns[a][idx].astype(np.float64, copy=False)
-        if len(vals):
-            order = np.lexsort((vals, child_of))
-            c_s, v_s, l_s = child_of[order], vals[order], labels[order]
-            new = np.concatenate([
-                [True], (c_s[1:] != c_s[:-1]) | (v_s[1:] != v_s[:-1])])
-            gid = np.cumsum(new) - 1
-            counts = np.zeros((int(gid[-1]) + 1, state.n_classes),
-                              dtype=np.float64)
-            np.add.at(counts, (gid, l_s), 1.0)
-            starts = np.flatnonzero(new)
-            uvals, uchild = v_s[starts], c_s[starts]
-        else:
-            uvals = np.empty(0, dtype=np.float64)
-            uchild = np.empty(0, dtype=np.int64)
-            counts = np.empty((0, state.n_classes), dtype=np.float64)
-        for ci in range(n_children):
-            if not wanted[ci]:
-                continue
-            sel = uchild == ci
-            entries = np.concatenate([uvals[sel][:, None], counts[sel]],
-                                     axis=1)
-            out[ci][a] = sketch_from_entries(entries, cap)
+    n = totals.sum(axis=1)
+    out = (totals.max(axis=1) == n) | (n < config.min_split_records)
+    if config.max_depth is not None:
+        out |= depth >= config.max_depth
     return out
 
 
-def _split_entry(fid: int, best: np.ndarray, best_cat, totals: np.ndarray,
-                 node_sketches: list, state: "_StreamState",
-                 config: InductionConfig, finalize: bool) -> None:
-    """Replace leaf ``fid`` with a split node; re-route its retained
-    records; register its children as new frontier leaves with sketches
-    rebuilt from the exact retained data.
+def _sync_leaves(state: StreamState, fids: np.ndarray,
+                 totals: np.ndarray) -> np.ndarray:
+    """Write fresh global class totals into leaves ``fids`` (an empty
+    leaf keeps its label); returns their record counts."""
+    n = totals.sum(axis=1)
+    state.n_global[fids] = n
+    for fid, label, k, counts in zip(
+            fids.tolist(), np.argmax(totals, axis=1).tolist(), n.tolist(),
+            totals.astype(np.int64)):
+        leaf = state.entries[fid][0]
+        if k > 0:
+            leaf.label = label
+        leaf.n_records = k
+        leaf.class_counts = counts
+    return n
+
+
+def _close_leaves(state: StreamState, fids: np.ndarray,
+                  totals: np.ndarray) -> None:
+    n = _sync_leaves(state, fids, totals)
+    has = n > 0
+    state.closed_dist[fids[has]] = totals[has] / n[has, None]
+    state.open_[fids] = False
+    state.sk_blk[fids] = -1
+
+
+def _refresh_frontier(state: StreamState, g_counts: np.ndarray,
+                      reopen_delta: float) -> None:
+    """Sync leaf labels/counts with the fresh global totals; reopen
+    closed leaves whose class distribution drifted past the threshold."""
+    fids = np.flatnonzero(state.open_)
+    _sync_leaves(state, fids, g_counts[fids])
+    n = g_counts.sum(axis=1)
+    fids = np.flatnonzero(~np.isnan(state.closed_dist[:, 0]) & (n > 0))
+    dist = g_counts[fids] / n[fids, None]
+    shift = 0.5 * np.abs(dist - state.closed_dist[fids]).sum(axis=1)
+    fids = fids[shift > reopen_delta]
+    if len(fids):
+        state.open_[fids] = True
+        state.closed_dist[fids] = np.nan
+        _sync_leaves(state, fids, g_counts[fids])
+        state.adopt([(fids, state.local_sketches(fids))])
+
+
+def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
+                 totals: np.ndarray, cells: np.ndarray,
+                 config: InductionConfig, finalize: bool, order):
+    """Replace leaves ``fids`` with split nodes in one pass: re-route
+    their retained records, register every child as a new frontier leaf
+    and build the open children's sketches from the exact retained data.
+
+    ``best``/``totals``/``cells`` are aligned with ``fids``: the winning
+    candidate row, the global class totals and the global sketch of the
+    winning attribute (``(cap, 1+c)``, NaN-padded).  ``order`` is the
+    grow pass's presort — ``(covered fids, per-attribute record order
+    sorted by (node, value))`` or ``None`` — and the updated presort is
+    returned: a split only regroups it (stable, so value order survives).
 
     During finalize the child totals are final, so a child the batch
     rules would close next round (pure, under-mass, at the depth cap)
     closes *now* — identical labels and reopen state, but it never pays
-    sketch construction or transport."""
-    entry = state.entries[fid]
-    attr = int(best[1])
-    spec = state.schema[attr]
-    depth = entry["depth"]
-    n = int(totals.sum())
-    if spec.is_continuous:
-        thr = float(best[2])
-        rows = sketch_entries(node_sketches[attr])
-        below = rows[:, 0] < thr
-        left = np.rint(rows[below, 1:].sum(axis=0)).astype(np.int64)
-        child_counts = [left, totals.astype(np.int64) - left]
-        node: TreeNode = ContinuousSplit(
-            attr_index=attr, threshold=thr, n_records=n,
-            class_counts=totals.astype(np.int64), depth=depth,
-            children=[None, None],
-        )
-        n_children = 2
-    else:
-        matrix, mask = best_cat
-        v2c, n_children, default = categorical_children_layout(matrix, mask)
-        child_counts = [
-            matrix[v2c == ci].sum(axis=0).astype(np.int64)
-            for ci in range(n_children)
-        ]
-        node = CategoricalSplit(
-            attr_index=attr, value_to_child=v2c, n_records=n,
-            class_counts=totals.astype(np.int64), depth=depth,
-            children=[None] * n_children, default_child=default,
-        )
-    _attach(state.root_holder, entry, node)
-    entry["leaf"] = None
-    entry["open"] = False
-    entry["closed_dist"] = None
-    state.sketches.pop(fid, None)
+    sketch construction or transport.
+    """
+    schema, c = state.schema, state.n_classes
+    attr = best[:, 1].astype(np.int64)
+    thr = best[:, 2]
+    cont = np.array([spec.is_continuous for spec in schema])[attr]
 
-    idx = np.flatnonzero(state.node_of == fid)
-    child_of = node.route(state.columns[attr][idx]) if len(idx) \
-        else np.empty(0, dtype=np.int64)
+    # categorical winners: child layout per node, then one dense
+    # (node, value) → child table shared by counting and routing
+    cat = np.flatnonzero(~cont)
+    widths = [schema[a].n_values for a in attr[cat].tolist()]
+    cubes = _count_cubes(cells[cat], max(widths, default=0))
+    v2c = np.full((len(fids), cubes.shape[1]), -1, dtype=np.int64)
+    default = np.zeros(len(fids), dtype=np.int64)
+    n_children = np.full(len(fids), 2, dtype=np.int64)
+    for matrix, i, width in zip(cubes, cat.tolist(), widths):
+        # a binary-subset winner carries its mask in the third slot
+        # (0.0: the multiway split), so every rank rebuilds the layout
+        mask = decode_mask(thr[i], width) \
+            if config.categorical_binary_subsets and thr[i] != 0.0 else None
+        v2c[i, :width], n_children[i], default[i] = \
+            categorical_children_layout(matrix[:width], mask)
+    off = np.concatenate([[0], np.cumsum(n_children)])
+    n_new = int(off[-1])
+    child_counts = np.zeros((n_new, c), dtype=np.int64)
+    k = np.flatnonzero(cont)
+    below = cells[k, :, 0] < thr[k, None]
+    child_counts[off[k]] = np.rint(
+        (cells[k, :, 1:] * below[:, :, None]).sum(axis=1))
+    child_counts[off[k] + 1] = totals[k] - child_counts[off[k]]
+    hit = v2c[cat] >= 0
+    np.add.at(child_counts, (off[cat, None] + v2c[cat])[hit], cubes[hit])
+
+    # route the retained records of every splitting node at once
     base = len(state.entries)
-    state.node_of[idx] = base + child_of
-    parent_counts = totals
-    wanted: list[bool] = []
-    local_cc = np.zeros((n_children, state.n_classes), dtype=np.int64)
-    np.add.at(local_cc, (child_of, state.labels[idx]), 1)
-    for ci in range(n_children):
-        cc = child_counts[ci]
-        cn = int(cc.sum())
-        empty = cn == 0
-        label = int(np.argmax(parent_counts)) if empty else int(np.argmax(cc))
-        leaf = Leaf(label=label, n_records=cn,
-                    class_counts=cc.copy(), depth=depth + 1)
-        node.children[ci] = leaf
-        # an empty child (possible only with lossy sketches) closes
-        # immediately, inheriting the parent majority like the batch
-        # path; a finalize child the termination rules would close next
-        # round closes now, with the same label and reopen distribution
-        closed_now = empty or (finalize and _terminal(depth + 1, cc, config))
-        state.entries.append(
-            _new_entry(leaf, node, ci, depth + 1, open_=not closed_now))
-        if closed_now and not empty:
-            state.entries[-1]["closed_dist"] = cc.astype(np.float64) / cn
-        state.local_counts.append(local_cc[ci].copy())
-        wanted.append(not closed_now)
-    if any(wanted):
-        sketches = _child_sketches(state, idx, child_of, n_children, wanted)
-        for ci in range(n_children):
-            if wanted[ci]:
-                state.sketches[base + ci] = sketches[ci]
+    index = np.full(base, -1, dtype=np.int64)
+    index[fids] = np.arange(len(fids))
+    node = index[state.node_of]
+    recs = np.flatnonzero(node >= 0)
+    node = node[recs]
+    values = np.empty(len(recs))
+    for a in np.flatnonzero(np.bincount(attr)).tolist():
+        sel = np.flatnonzero(attr[node] == a)
+        values[sel] = state.columns[a][recs[sel]]
+    child = (values >= thr[node]).astype(np.int64)
+    sel = np.flatnonzero(~cont[node])
+    child[sel] = np.where(v2c < 0, default[:, None], v2c).ravel().take(
+        node[sel] * v2c.shape[1] + values[sel].astype(np.int64))
+    child += off[node]
+    state.node_of[recs] = base + child
+    local_counts = np.bincount(child * c + state.labels[recs],
+                               minlength=n_new * c).reshape(n_new, c)
+
+    # an empty child (possible only with lossy sketches) closes at once,
+    # inheriting the parent majority like the batch path
+    parent = np.repeat(np.arange(len(fids)), n_children)
+    n = child_counts.sum(axis=1)
+    empty = n == 0
+    labels = np.where(empty, np.argmax(totals, axis=1)[parent],
+                      np.argmax(child_counts, axis=1))
+    depth = state.depth[fids]
+    child_depth = depth[parent] + 1
+    closed = empty.copy()
+    if finalize:
+        closed |= _terminal(child_depth, child_counts, config)
+    dist = np.full((n_new, c), np.nan)
+    has = closed & ~empty
+    dist[has] = child_counts[has] / n[has, None]
+    state.open_[fids] = False
+    state.sk_blk[fids] = -1
+    state.append_leaves(child_depth, ~closed, dist, n, local_counts)
+
+    # tree objects: the one per-node loop
+    leaves = [Leaf(label=label, n_records=k, class_counts=counts, depth=d)
+              for label, k, counts, d in zip(
+                  labels.tolist(), n.tolist(), child_counts,
+                  child_depth.tolist())]
+    for i, (fid, a, lo, hi) in enumerate(zip(
+            fids.tolist(), attr.tolist(), off[:-1].tolist(),
+            off[1:].tolist())):
+        shared = dict(attr_index=a, n_records=int(totals[i].sum()),
+                      class_counts=totals[i], depth=int(depth[i]),
+                      children=leaves[lo:hi])
+        if cont[i]:
+            split: TreeNode = ContinuousSplit(threshold=float(thr[i]),
+                                              **shared)
+        else:
+            split = CategoricalSplit(
+                value_to_child=v2c[i, :schema[a].n_values].astype(np.int32),
+                default_child=int(default[i]), **shared)
+        _, parent_node, parent_slot = state.entries[fid]
+        if parent_node is None:
+            state.root = split
+        else:
+            parent_node.children[parent_slot] = split
+        state.entries[fid] = None
+        state.entries.extend(
+            (leaf, split, ci) for ci, leaf in enumerate(split.children))
+
+    # sketches of the open children, one block per transport capacity
+    # (the layout the next round sends): regroup the presort by child
+    wanted = np.flatnonzero(~closed)
+    if len(wanted) == 0:
+        state.adopt([])
+        return None
+    caps = transport_capacity(n[wanted], state.capacity)
+    by_cap = np.argsort(caps, kind="stable")
+    wanted, caps = wanted[by_cap], caps[by_cap]
+    if order is None or not np.isin(fids, order[0]).all():
+        order = (fids, [recs[np.lexsort((col[recs], node))]
+                        for col in state.columns])
+    key = np.full(len(state.node_of), -1, dtype=np.int64)
+    rank = np.full(n_new, -1, dtype=np.int64)
+    rank[wanted] = np.arange(len(wanted))
+    key[recs] = rank[child]
+    regrouped = []
+    for a_order in order[1]:
+        take, offsets = kernels.stable_regroup(key[a_order], len(wanted))
+        regrouped.append(a_order[take])
+    cuts = np.flatnonzero(np.diff(caps, prepend=0, append=0))
+    blocks = []
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        nodes = np.repeat(np.arange(hi - lo), np.diff(offsets[lo:hi + 1]))
+        blocks.append((base + wanted[lo:hi], state.sketch_block(
+            nodes, [o[offsets[lo]:offsets[hi]] for o in regrouped],
+            hi - lo, int(caps[lo]))))
+    state.adopt(blocks)
+    return base + wanted, regrouped
 
 
-class _StreamState:
-    """One rank's streaming-fit state (retained records + frontier)."""
-
-    def __init__(self, schema: Schema, capacity: int):
-        self.schema = schema
-        self.n_attrs = len(schema)
-        self.n_classes = schema.n_classes
-        self.capacity = capacity
-        root_leaf = Leaf(label=0, n_records=0,
-                         class_counts=np.zeros(self.n_classes,
-                                               dtype=np.int64), depth=0)
-        self.root_holder: list[TreeNode] = [root_leaf]
-        self.entries: list[dict] = [_new_entry(root_leaf, None, 0, 0, True)]
-        self.local_counts: list[np.ndarray] = [
-            np.zeros(self.n_classes, dtype=np.int64)]
-        self.columns: list[np.ndarray] = [
-            np.empty(0, dtype=(np.float64 if spec.is_continuous
-                               else np.int32))
-            for spec in schema
-        ]
-        self.labels: np.ndarray = np.empty(0, dtype=np.int64)
-        self.node_of: np.ndarray = np.empty(0, dtype=np.int64)
-        self.sketches: dict[int, list[np.ndarray]] = {
-            0: [empty_sketch(capacity, self.n_classes)
-                for _ in range(self.n_attrs)]
-        }
-
-    def rebuild_sketches(self) -> None:
-        """Deterministically rebuild every open node's local sketches
-        from the retained records (resume, reopen)."""
-        self.sketches = {}
-        for fid, entry in enumerate(self.entries):
-            if not entry["open"]:
-                continue
-            idx = np.flatnonzero(self.node_of == fid)
-            self.sketches[fid] = [
-                build_sketch(self.columns[a][idx], self.labels[idx],
-                             self.n_classes, self.capacity)
-                for a in range(self.n_attrs)
-            ]
-
-    def ingest(self, block: Dataset) -> None:
-        """Route one epoch block into the frontier, extending the
-        retained set, per-entry local counts and open-node sketches."""
-        n_new = block.n_records
-        if n_new == 0:
-            return
-        fids = _route_to_frontier(self.root_holder[0], self.entries,
-                                  block.columns, n_new)
-        labels = block.labels.astype(np.int64)
-        add = np.zeros((len(self.entries), self.n_classes), dtype=np.int64)
-        np.add.at(add, (fids, labels), 1)
-        for fid in np.flatnonzero(add.sum(axis=1)):
-            self.local_counts[fid] = self.local_counts[fid] + add[fid]
-        for fid in np.unique(fids):
-            fid = int(fid)
-            if fid not in self.sketches:
-                continue        # closed leaf: rebuilt on reopen
-            sel = fids == fid
-            self.sketches[fid] = [
-                merge_sketches(
-                    self.sketches[fid][a],
-                    build_sketch(block.columns[a][sel], labels[sel],
-                                 self.n_classes, self.capacity))
-                for a in range(self.n_attrs)
-            ]
-        base = len(self.labels)
-        for a in range(self.n_attrs):
-            self.columns[a] = np.concatenate(
-                [self.columns[a], block.columns[a]])
-        self.labels = np.concatenate([self.labels, labels])
-        self.node_of = np.concatenate([self.node_of, fids])
-        assert len(self.node_of) == base + n_new
-
-
-def _refresh_frontier(state: _StreamState, g_counts: np.ndarray,
-                      reopen_delta: float) -> None:
-    """Sync leaf labels/counts with the fresh global totals; reopen
-    closed leaves whose class distribution drifted past the threshold."""
-    for fid, entry in enumerate(state.entries):
-        leaf = entry["leaf"]
-        if leaf is None:
-            continue
-        totals = g_counts[fid]
-        n = int(totals.sum())
-        if entry["open"]:
-            if n > 0:
-                leaf.label = int(np.argmax(totals))
-            leaf.n_records = n
-            leaf.class_counts = totals.astype(np.int64)
-        elif entry["closed_dist"] is not None and n > 0:
-            dist = totals.astype(np.float64) / n
-            shift = 0.5 * float(np.abs(dist - entry["closed_dist"]).sum())
-            if shift > reopen_delta:
-                entry["open"] = True
-                entry["closed_dist"] = None
-                leaf.label = int(np.argmax(totals))
-                leaf.n_records = n
-                leaf.class_counts = totals.astype(np.int64)
-                idx = np.flatnonzero(state.node_of == fid)
-                state.sketches[fid] = [
-                    build_sketch(state.columns[a][idx], state.labels[idx],
-                                 state.n_classes, state.capacity)
-                    for a in range(state.n_attrs)
-                ]
-
-
-def _grow_rounds(comm: Communicator, state: _StreamState,
+def _grow_rounds(comm: Communicator, state: StreamState,
                  config: InductionConfig, *, finalize: bool,
                  grow_threshold: int, reopen_delta: float) -> None:
     """Globalize, then split every qualifying frontier node; repeat on
-    the fresh children until a round makes no split.
+    the fresh children until a round makes no split.  Each round handles
+    the whole frontier in array passes.
 
     ``finalize`` applies the batch termination rules (purity, minimum
     records, depth cap, minimum improvement) and closes failing nodes —
@@ -556,66 +432,62 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
     # heartbeat refreshed it); mid-stream the first round follows an
     # ingest, so its counts are stale and the transport stays untrimmed
     tight = finalize
+    order = None
     while True:
         with timed_phase(comm, STREAM_SKETCH):
-            g_counts, g_sk = _globalize(
-                comm, state.entries, state.local_counts, state.sketches,
-                state.n_attrs, state.capacity, with_sketches=growing,
-                tight=tight)
+            g_counts, fids, group_of, row_of, stacks = _globalize(
+                comm, state, with_sketches=growing, tight=tight)
         tight = True    # refresh below re-syncs every count; no ingest
         with timed_phase(comm, STREAM_GROW):
+            # leaves reopened here were not globalized: sketch next round
             _refresh_frontier(state, g_counts, reopen_delta)
             if not growing:
                 # finalize-only growth: the epoch heartbeat reduces just
                 # the class totals (leaf refresh + reopen checks); the
                 # frontier sketches stay local until end of stream
                 return
-            to_score: list[int] = []
-            for fid in [f for f, e in enumerate(state.entries) if e["open"]]:
-                entry = state.entries[fid]
-                if fid not in g_sk:
-                    continue        # reopened this round: sketch next round
-                totals = g_counts[fid]
-                n = int(totals.sum())
-                if not finalize and n < max(grow_threshold,
-                                            config.min_split_records):
-                    continue
-                if _terminal(entry["depth"], totals, config):
-                    _close_leaf(entry, totals)
-                else:
-                    to_score.append(fid)
-            if not to_score:
+            totals = g_counts[fids]
+            ready = np.ones(len(fids), dtype=bool) if finalize else \
+                totals.sum(axis=1) >= max(grow_threshold,
+                                          config.min_split_records)
+            done = ready & _terminal(state.depth[fids], totals, config)
+            _close_leaves(state, fids[done], totals[done])
+            scored = np.flatnonzero(ready & ~done)
+            if len(scored) == 0:
                 return
+            fids, totals = fids[scored], totals[scored]
+            group_of, row_of = group_of[scored], row_of[scored]
             # scoring reads only globalized state, so each rank scores a
             # round-robin share of the frontier and one BEST_SPLIT
             # allreduce shares the winners — replicating the scoring
-            # loop on every rank would serialize it p times over
-            cand = pack_candidates(len(to_score))
-            for j, fid in enumerate(to_score):
-                if j % comm.size == comm.rank:
-                    cand[j], _ = _best_from_sketches(
-                        g_sk[fid], g_counts[fid], state.schema, config)
+            # pass on every rank would serialize it p times over
+            cand = pack_candidates(len(fids))
+            mine = np.arange(comm.rank, len(fids), comm.size)
+            for g, stack in enumerate(stacks):
+                j = mine[group_of[mine] == g]
+                if len(j):
+                    cand[j] = _score_nodes(stack, row_of[j], totals[j],
+                                           state.schema, config)
             cand = comm.allreduce(cand, BEST_SPLIT)
-            did_split = False
-            for j, fid in enumerate(to_score):
-                entry = state.entries[fid]
-                totals = g_counts[fid]
-                best = cand[j]
-                parent_imp = float(impurity(totals.astype(np.float64),
-                                            config.criterion))
-                ok = bool(np.isfinite(best[0])) and \
-                    parent_imp - float(best[0]) >= config.min_improvement
-                if ok:
-                    best_cat = _decode_candidate(
-                        best, g_sk[fid], state.n_classes, state.schema,
-                        config)
-                    _split_entry(fid, best, best_cat, totals, g_sk[fid],
-                                 state, config, finalize)
-                    did_split = True
-                elif finalize:
-                    _close_leaf(entry, totals)
-            if not did_split:
+            gain = impurity(totals.astype(np.float64), config.criterion) \
+                - cand[:, 0]
+            ok = np.isfinite(cand[:, 0]) & (gain >= config.min_improvement)
+            if finalize:
+                _close_leaves(state, fids[~ok], totals[~ok])
+            if not ok.any():
                 return
+            split = np.flatnonzero(ok)
+            attr = cand[split, 1].astype(np.int64)
+            cells = sketch_identity_like(np.empty(
+                (len(split), max(s.shape[2] for s in stacks),
+                 1 + state.n_classes)))
+            for g, stack in enumerate(stacks):
+                j = np.flatnonzero(group_of[split] == g)
+                cells[j, : stack.shape[2]] = \
+                    stack[row_of[split[j]], attr[j]]
+            order = _split_nodes(state, fids[split], cand[split],
+                                 totals[split], cells, config, finalize,
+                                 order)
 
 
 # ----------------------------------------------------------------------
@@ -624,7 +496,7 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
 
 
 def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
-              state: _StreamState, cursor: int, n_seen: int,
+              state: StreamState, cursor: int, n_seen: int,
               config: InductionConfig) -> None:
     from ..core.induction import _rank_extras
 
@@ -632,14 +504,16 @@ def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
         "columns": [col.copy() for col in state.columns],
         "labels": state.labels.copy(),
         "node_of": state.node_of.copy(),
-        "local_counts": [c.copy() for c in state.local_counts],
+        "local_counts": state.local_counts.copy(),
         **_rank_extras(comm),
     }
     shared_payload = {
         "algo": _CKPT_ALGO,
         "schema": _schema_fingerprint(state.schema),
         "config": _config_fingerprint(config),
-        "tree": (state.root_holder[0], state.entries),
+        "tree": (state.root, state.entries),
+        "frontier": (state.depth, state.open_, state.closed_dist,
+                     state.n_global),
         "cursor": int(cursor),
         "n_seen": int(n_seen),
     }
@@ -665,6 +539,11 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
             f"checkpoint {loaded.manifest_path!r} was not written by the "
             f"streaming driver (algo={shared.get('algo')!r})"
         )
+    if "frontier" not in shared:
+        raise CheckpointError(
+            f"checkpoint {loaded.manifest_path!r} predates the array "
+            "frontier registry of this streaming driver; restart the stream"
+        )
     if shared["schema"] != _schema_fingerprint(schema):
         raise CheckpointError(
             "checkpoint schema does not match the stream's; resume needs "
@@ -676,10 +555,12 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
             "resume with the original InductionConfig"
         )
 
-    state = _StreamState(schema, capacity)
+    state = StreamState(schema, capacity)
     root, entries = shared["tree"]
-    state.root_holder[0] = root
+    state.root = root
     state.entries = entries
+    state.depth, state.open_, state.closed_dist, state.n_global = \
+        shared["frontier"]
 
     payloads = loaded.all_rank_payloads()
     if loaded.n_ranks == comm.size:
@@ -687,7 +568,7 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         state.columns = [np.asarray(col) for col in mine["columns"]]
         state.labels = np.asarray(mine["labels"])
         state.node_of = np.asarray(mine["node_of"])
-        state.local_counts = [np.asarray(c) for c in mine["local_counts"]]
+        state.local_counts = np.asarray(mine["local_counts"])
         _restore_rank_extras(comm, mine)
     else:
         all_labels = np.concatenate([p["labels"] for p in payloads])
@@ -702,10 +583,10 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         ]
         state.labels = all_labels[lo:hi]
         state.node_of = all_node_of[lo:hi]
-        counts = np.zeros((len(entries), state.n_classes), dtype=np.int64)
-        if hi > lo:
-            np.add.at(counts, (state.node_of, state.labels), 1)
-        state.local_counts = [counts[fid] for fid in range(len(entries))]
+        state.local_counts = np.bincount(
+            state.node_of * state.n_classes + state.labels,
+            minlength=len(entries) * state.n_classes,
+        ).reshape(len(entries), state.n_classes)
     state.rebuild_sketches()
     return state, loaded.level, int(shared["cursor"]), int(shared["n_seen"])
 
@@ -754,7 +635,7 @@ def stream_induce_worker(
         if fresh_cursor:
             cursor = 0
     else:
-        state = _StreamState(schema, capacity)
+        state = StreamState(schema, capacity)
         epoch, cursor, n_seen = 0, 0, 0
 
     source = ChunkSource(dataset, chunk_records)
@@ -793,4 +674,4 @@ def stream_induce_worker(
             # anyway so no ingested work is ever lost
             _save_cut(comm, ckpt, epoch, state, cursor, n_seen, config)
         ckpt.finalize(comm)
-    return DecisionTree(schema=schema, root=state.root_holder[0])
+    return DecisionTree(schema=schema, root=state.root)

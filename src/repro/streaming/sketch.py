@@ -33,6 +33,7 @@ from ..runtime.reduction import ReduceOp
 __all__ = [
     "SKETCH_MERGE",
     "build_sketch",
+    "build_sketch_stack",
     "empty_sketch",
     "merge_sketches",
     "sketch_entries",
@@ -99,6 +100,58 @@ def build_sketch(
     return sketch_from_entries(entries, capacity)
 
 
+def _scatter_cells(cell_of: np.ndarray, entries: np.ndarray, n_cells: int,
+                   capacity: int, rows: int | None = None) -> np.ndarray:
+    """Padded ``(n_cells, rows, 1+c)`` stack from one entry table sorted
+    by (cell, value) with distinct values per cell; ``cell_of`` names
+    each row's cell.  Cells holding more than *capacity* entries go
+    through :func:`_compress` one by one (rare: the lossy regime).
+    ``rows`` (default: *capacity*) trims every cell to its first ``rows``
+    entries — the transport trim of a sketch block, applied at build."""
+    rows = capacity if rows is None else rows
+    out = np.zeros((n_cells, rows, entries.shape[1]), dtype=np.float64)
+    out[..., 0] = np.nan
+    if len(cell_of) == 0:
+        return out
+    cell_starts = np.flatnonzero(np.concatenate(
+        [[True], cell_of[1:] != cell_of[:-1]]))
+    sizes = np.diff(np.concatenate([cell_starts, [len(cell_of)]]))
+    # position of each distinct value within its cell
+    slot = np.arange(len(cell_of)) - np.repeat(cell_starts, sizes)
+    fits = np.repeat(sizes <= capacity, sizes) & (slot < rows)
+    out[cell_of[fits], slot[fits]] = entries[fits]
+    for k in np.flatnonzero(sizes > capacity):
+        lo = cell_starts[k]
+        kept = _compress(entries[lo:lo + sizes[k]], capacity)[:rows]
+        out[cell_of[lo], : len(kept)] = kept
+    return out
+
+
+def build_sketch_stack(
+    nodes: np.ndarray, values: np.ndarray, labels: np.ndarray,
+    n_nodes: int, n_classes: int, capacity: int, rows: int | None = None,
+) -> np.ndarray:
+    """One attribute's sketches of ``n_nodes`` nodes in one pass.
+
+    The record-aligned inputs must be sorted by (node, value); row ``k``
+    of the ``(n_nodes, rows, 1+c)`` result equals the first ``rows``
+    (default: *capacity*) rows of :func:`build_sketch` of node ``k``'s
+    records: run-length encode the (node, value) runs, ``bincount`` their
+    class counts, scatter.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = (nodes[1:] != nodes[:-1]) | (values[1:] != values[:-1])
+    starts = np.flatnonzero(new)
+    entries = np.empty((len(starts), 1 + n_classes), dtype=np.float64)
+    entries[:, 0] = values[starts]
+    entries[:, 1:] = np.bincount(
+        (np.cumsum(new) - 1) * n_classes + labels,
+        minlength=len(starts) * n_classes,
+    ).reshape(len(starts), n_classes)
+    return _scatter_cells(nodes[starts], entries, n_nodes, capacity, rows)
+
+
 def merge_sketches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Merge two padded sketches of one (node, attribute) pair: union of
     values with summed counts, re-compressed if the union overflows."""
@@ -124,7 +177,7 @@ def _fold_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
     folds per collective, so a per-cell Python loop — or a per-rank
     pairwise chain that re-sorts its accumulator p−1 times — would
     dominate the whole epoch); only cells whose union overflows capacity
-    fall back to per-cell compression.  Union-with-summed-counts is
+    fall back to per-cell compression (:func:`_scatter_cells`).  Union-with-summed-counts is
     order-independent, so the n-way result matches the pairwise fold
     exactly whenever no intermediate union overflows (the lossless
     regime the differential tests pin).
@@ -147,27 +200,12 @@ def _fold_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
         (cells[1:] != cells[:-1]) | (rows[1:, 0] != rows[:-1, 0]),
     ])) if len(rows) else np.empty(0, dtype=np.int64)
 
-    out = np.zeros_like(flats[0])
-    out[..., 0] = np.nan
-    if len(starts) == 0:
-        return out.reshape(first.shape)
     merged = np.empty((len(starts), width), dtype=np.float64)
-    merged[:, 0] = rows[starts, 0]
-    merged[:, 1:] = np.add.reduceat(rows[:, 1:], starts, axis=0)
-    cell_of = cells[starts]
-    # position of each distinct value within its cell
-    cell_starts = np.flatnonzero(np.concatenate(
-        [[True], cell_of[1:] != cell_of[:-1]]))
-    sizes = np.diff(np.concatenate([cell_starts, [len(cell_of)]]))
-    slot = np.arange(len(cell_of)) - np.repeat(cell_starts, sizes)
-
-    fits = np.repeat(sizes <= capacity, sizes)
-    out[cell_of[fits], slot[fits]] = merged[fits]
-    for k in np.flatnonzero(sizes > capacity):      # rare: lossy cells
-        lo = cell_starts[k]
-        entries = _compress(merged[lo:lo + sizes[k]], capacity)
-        out[cell_of[lo], : len(entries)] = entries
-    return out.reshape(first.shape)
+    if len(starts):
+        merged[:, 0] = rows[starts, 0]
+        merged[:, 1:] = np.add.reduceat(rows[:, 1:], starts, axis=0)
+    return _scatter_cells(cells[starts], merged, n_cells,
+                          capacity).reshape(first.shape)
 
 
 def _combine(acc: np.ndarray, contrib: np.ndarray) -> np.ndarray:

@@ -22,8 +22,9 @@ __all__ = ["ChunkSource"]
 class ChunkSource:
     """Record-order epoch chunks over a materialized dataset.
 
-    ``offset`` skips records already consumed (a resumed stream continues
-    at its checkpoint's cursor).
+    The source is stateless: every accessor takes the stream ``offset``
+    of the chunk it serves, so a resumed stream simply continues at its
+    checkpoint's cursor.
     """
 
     def __init__(self, dataset: Dataset, chunk_records: int):
@@ -49,5 +50,9 @@ class ChunkSource:
         return self.dataset.take(np.arange(offset, hi))
 
     def rank_block(self, offset: int, rank: int, size: int) -> Dataset:
-        """Rank ``rank``'s contiguous block of the chunk at ``offset``."""
-        return self.chunk(offset).block(rank, size)
+        """Rank ``rank``'s contiguous ⌈n/p⌉ block of the chunk at
+        ``offset`` — only that range of the stream is read."""
+        n = min(self.chunk_records, max(self.dataset.n_records - offset, 0))
+        block = -(-n // size)
+        return self.dataset.take(np.arange(
+            offset + min(rank * block, n), offset + min((rank + 1) * block, n)))

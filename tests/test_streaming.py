@@ -13,11 +13,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InductionConfig, ScalParC
 from repro.core.config import SKETCH_SIZE_ENV, STREAM_CHUNK_ENV
+from repro.core.criteria import best_categorical_split
+from repro.core.kernels import forced_kernel_mode, split_scores
+from repro.core.splits import NO_CANDIDATE, candidate_beats, encode_mask
 from repro.datagen import paper_dataset
-from repro.runtime import CheckpointConfig
+from repro.datagen.schema import (
+    CATEGORICAL,
+    CONTINUOUS,
+    AttributeSpec,
+    Dataset,
+    Schema,
+)
+from repro.runtime import CheckpointConfig, TraceCollector, run_spmd
 from repro.streaming import (
     ChunkSource,
     build_sketch,
@@ -25,6 +37,9 @@ from repro.streaming import (
     merge_sketches,
     sketch_entries,
 )
+from repro.streaming import induction
+from repro.streaming.frontier import StreamState
+from repro.streaming.sketch import build_sketch_stack
 
 from tests.conftest import assert_trees_equal
 
@@ -89,6 +104,224 @@ def test_chunk_source_partitions_in_record_order():
     sizes = [src.chunk(off).n_records for off in (0, 300, 600, 900)]
     assert sizes == [300, 300, 300, 100]
     np.testing.assert_array_equal(src.chunk(300).labels, ds.labels[300:600])
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_rank_blocks_tile_the_chunk(size):
+    """The per-rank range take must equal the old "materialize the whole
+    chunk, then slice" blocks — including the short tail chunk and ranks
+    that get nothing."""
+    ds = paper_dataset(1000, "F2", seed=1)
+    src = ChunkSource(ds, 300)
+    for offset in (0, 300, 900, 1000):
+        whole = src.chunk(offset)
+        for rank in range(size):
+            want = whole.block(rank, size)
+            got = src.rank_block(offset, rank, size)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            for a, b in zip(got.columns, want.columns):
+                np.testing.assert_array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# batched scorer and sketch builder vs their per-node oracles
+# ----------------------------------------------------------------------
+
+
+# The per-node scorer the streaming driver used before its grow rounds
+# were batched, moved here verbatim as the oracle of ``_score_nodes``.
+def _best_from_sketches(node_sketches: list, totals: np.ndarray,
+                        schema: Schema, config: InductionConfig):
+    """Best candidate split of one node, scored from its global sketches.
+
+    Reproduces the batch FindSplit semantics exactly when the sketches
+    are lossless: continuous candidates are the distinct values with a
+    strictly smaller predecessor, the threshold is the value itself, the
+    left partition counts everything strictly below it; candidates are
+    ordered by the canonical (score, attribute, threshold) key.
+    Returns ``(candidate_row, categorical_state)``.
+    """
+    best = np.array(NO_CANDIDATE, dtype=np.float64)
+    best_cat: tuple[np.ndarray, np.ndarray | None] | None = None
+    totals_f = totals.astype(np.float64)
+    for attr, spec in enumerate(schema):
+        rows = sketch_entries(node_sketches[attr])
+        if spec.is_continuous:
+            if len(rows) < 2:
+                continue
+            left = np.cumsum(rows[:, 1:], axis=0)[:-1]
+            thr = rows[1:, 0]
+            scores = split_scores(left, totals_f, config.criterion)
+            smin = scores.min()
+            tie = np.flatnonzero(scores == smin)
+            j = tie[np.argmin(thr[tie])]
+            cand = np.array([scores[j], float(attr), thr[j]])
+            cat = None
+        else:
+            matrix = np.zeros((spec.n_values, len(totals)), dtype=np.int64)
+            codes = np.rint(rows[:, 0]).astype(np.int64)
+            matrix[codes] = np.rint(rows[:, 1:]).astype(np.int64)
+            score, mask = best_categorical_split(
+                matrix, config.criterion,
+                binary_subsets=config.categorical_binary_subsets,
+                exhaustive_limit=config.subset_exhaustive_limit,
+            )
+            third = encode_mask(mask) if mask is not None else 0.0
+            cand = np.array([score, float(attr), third])
+            cat = (matrix, mask)
+        if not np.isfinite(cand[0]):
+            continue
+        if candidate_beats(cand, best):
+            best = cand
+            best_cat = cat
+    return best, best_cat
+
+
+#: x2 duplicates x (exact score ties across attributes), values come from
+#: a six-point grid (ties across thresholds), g2 duplicates g
+_SCORER_ATTRS = (
+    AttributeSpec("x", CONTINUOUS), AttributeSpec("x2", CONTINUOUS),
+    AttributeSpec("g", CATEGORICAL, 4), AttributeSpec("y", CONTINUOUS),
+    AttributeSpec("g2", CATEGORICAL, 4), AttributeSpec("h", CATEGORICAL, 3),
+)
+
+
+def _random_sketch_stack(rng, n_nodes, n_classes, cap):
+    """``(stack, totals)``: a ``(n_nodes, n_attrs, cap, 1+c)`` global
+    sketch stack built per (node, attribute) by ``build_sketch`` from
+    tiny record sets — empty nodes, single-value attributes and
+    single-class nodes included."""
+    stack = np.empty((n_nodes, len(_SCORER_ATTRS), cap, 1 + n_classes))
+    totals = np.zeros((n_nodes, n_classes), dtype=np.int64)
+    for k in range(n_nodes):
+        n = int(rng.integers(0, 13))
+        labels = rng.integers(0, int(rng.integers(1, n_classes + 1)), n)
+        x = rng.integers(0, int(rng.integers(1, 7)), n).astype(np.float64)
+        g = rng.integers(0, 4, n)
+        columns = [x, x, g, rng.integers(0, 6, n) / 4.0, g,
+                   rng.integers(0, int(rng.integers(1, 4)), n)]
+        for a, col in enumerate(columns):
+            stack[k, a] = build_sketch(col, labels, n_classes, cap)
+        totals[k] = np.bincount(labels, minlength=n_classes)
+    return stack, totals
+
+
+@pytest.mark.parametrize("mode", ["fast", "reference"])
+@pytest.mark.parametrize("subsets", [False, True])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_classes=st.integers(2, 3),
+       cap=st.sampled_from([8, 16, 64]))
+def test_batched_scorer_matches_per_node_oracle(criterion, subsets, mode,
+                                                seed, n_classes, cap):
+    rng = np.random.default_rng(seed)
+    schema = Schema(attributes=_SCORER_ATTRS, n_classes=n_classes)
+    config = InductionConfig(criterion=criterion,
+                             categorical_binary_subsets=subsets)
+    stack, totals = _random_sketch_stack(rng, 9, n_classes, cap)
+    rows = rng.permutation(len(stack))[:7]      # a rank's share, any order
+    with forced_kernel_mode(mode):
+        got = induction._score_nodes(stack, rows, totals[rows], schema,
+                                     config)
+        want = np.array([
+            _best_from_sketches(list(stack[k]), totals[k], schema, config)[0]
+            for k in rows])
+    np.testing.assert_array_equal(got, want)
+
+
+def test_batched_scorer_tie_breaks():
+    """Hand-made ties: equal scores across thresholds take the smaller
+    threshold, across attributes the smaller index; a one-value and an
+    empty node have no candidate."""
+    schema = Schema(attributes=_SCORER_ATTRS[:2], n_classes=2)
+    config = InductionConfig()
+    sym = build_sketch(np.array([0., 1., 2., 3.]), np.array([0, 1, 1, 0]),
+                       2, 8)
+    one = build_sketch(np.array([5., 5.]), np.array([0, 1]), 2, 8)
+    stack = np.stack([np.stack([sym, sym]), np.stack([one, one]),
+                      np.stack([empty_sketch(8, 2)] * 2)])
+    totals = np.array([[2, 2], [1, 1], [0, 0]])
+    got = induction._score_nodes(stack, np.arange(3), totals, schema, config)
+    assert got[0, 1] == 0.0 and got[0, 2] == 1.0    # attr 0, threshold 1
+    assert np.all(np.isinf(got[1:]))
+    for k in range(3):
+        np.testing.assert_array_equal(
+            got[k], _best_from_sketches(list(stack[k]), totals[k], schema,
+                                        config)[0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_classes=st.integers(2, 3),
+       capacity=st.sampled_from([8, 16]), trim=st.booleans())
+def test_sketch_stack_builder_matches_build_sketch(seed, n_classes, capacity,
+                                                   trim):
+    """One pass over (node, value)-sorted records ≡ ``build_sketch`` per
+    node — empty nodes and cells that overflow capacity included."""
+    rng = np.random.default_rng(seed)
+    n_nodes = 6
+    n = int(rng.integers(0, 120))
+    nodes = rng.integers(0, n_nodes, n)
+    nodes[nodes == 2] = 3                       # node 2 stays empty
+    values = rng.integers(0, int(rng.integers(2, 40)), n) / 8.0
+    labels = rng.integers(0, n_classes, n)
+    order = np.lexsort((values, nodes))
+    rows = capacity // 2 if trim else None
+    got = build_sketch_stack(nodes[order], values[order], labels[order],
+                             n_nodes, n_classes, capacity, rows=rows)
+    for k in range(n_nodes):
+        want = build_sketch(values[nodes == k], labels[nodes == k],
+                            n_classes, capacity)[:rows]
+        np.testing.assert_array_equal(got[k], want)
+
+
+def _check_local_sketches(comm, ds, cfg, lossless):
+    """Worker: ingest and grow eagerly for four epochs; after the first
+    ingest and after the last grow pass, require stored leaf sketches to
+    equal ``build_sketch`` of the leaf's retained records (trimmed to the
+    block's rows).  Ingest merges compress incrementally, so under lossy
+    sketches only leaves built since the last ingest are comparable."""
+    state = StreamState(ds.schema, cfg.resolved_sketch_size())
+    source = ChunkSource(ds, cfg.resolved_stream_chunk_records())
+    checked = 0
+    for epoch in range(4):
+        state.ingest(source.rank_block(epoch * source.chunk_records,
+                                       comm.rank, comm.size))
+        fresh = len(state.entries)
+        if epoch:
+            induction._grow_rounds(
+                comm, state, cfg, finalize=False,
+                grow_threshold=cfg.resolved_stream_grow_records(),
+                reopen_delta=cfg.resolved_stream_reopen_delta())
+        elif not lossless:
+            fresh = 0       # one ingest into empty sketches: still exact
+        if epoch not in (0, 3):
+            continue
+        for fid in np.flatnonzero(state.open_):
+            if fid < fresh and not lossless:
+                continue
+            block = state.blocks[state.sk_blk[fid]][1]
+            mine = state.node_of == fid
+            for a in range(state.n_attrs):
+                want = build_sketch(
+                    state.columns[a][mine], state.labels[mine],
+                    state.n_classes, state.capacity)[: block.shape[2]]
+                np.testing.assert_array_equal(
+                    block[state.sk_row[fid], a], want)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("sketch_size", [16, 4096])
+def test_grow_rounds_child_sketches_match_build_sketch(sketch_size):
+    """The presort-regroup builder inside the grow rounds, over several
+    split rounds, in the lossless and in the overflowing regime."""
+    ds = paper_dataset(1600, "F5", seed=7)
+    cfg = _stream_cfg(sketch_size=sketch_size, stream_chunk_records=400,
+                      stream_grow_records=150)
+    for checked in run_spmd(2, _check_local_sketches,
+                            args=(ds, cfg, sketch_size == 4096),
+                            backend="thread"):
+        assert checked > 4
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +464,26 @@ def test_resume_rejects_different_stream_settings(tmp_path):
     assert "settings" in str(err.getrepr(style="short")).lower()
 
 
+def test_resume_rejects_cut_without_frontier_arrays(tmp_path, monkeypatch):
+    """A cut written before the frontier registry moved into arrays has
+    no ``frontier`` payload: the resume must say so, typed."""
+    from repro.runtime.checkpoint import LoadedCheckpoint
+
+    ds = paper_dataset(900, "F2", seed=1)
+    clf = ScalParC(2, _stream_cfg(), machine=None, backend="thread")
+    clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path)),
+                   max_epochs=1)
+    payload = LoadedCheckpoint.shared_payload
+    monkeypatch.setattr(
+        LoadedCheckpoint, "shared_payload",
+        lambda self: {k: v for k, v in payload(self).items()
+                      if k != "frontier"})
+    with pytest.raises(Exception) as err:
+        clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path),
+                                                       resume=True))
+    assert "predates" in str(err.getrepr(style="short"))
+
+
 # ----------------------------------------------------------------------
 # lossy sketches and eager growth: graceful degradation
 # ----------------------------------------------------------------------
@@ -257,6 +510,121 @@ def test_eager_growth_splits_before_end_of_stream(tmp_path):
         dir=str(tmp_path), resume=True))
     accuracy = float((resumed.tree.predict(ds) == ds.labels).mean())
     assert accuracy > 0.80
+
+
+def _drift_stream() -> Dataset:
+    """600 records labelled ``x > 0.5``, then 1200 labelled
+    ``(x > 0.5) xor (y > 0.5)``: leaves that closed pure on the first
+    concept drift past the reopen threshold on the second."""
+    rng = np.random.default_rng(3)
+    n_before, n = 600, 1800
+    x, y = rng.random(n).round(3), rng.random(n).round(3)
+    labels = (x > 0.5).astype(np.int64)
+    labels[n_before:] ^= y[n_before:] > 0.5
+    schema = Schema(attributes=(
+        AttributeSpec("x", CONTINUOUS), AttributeSpec("y", CONTINUOUS),
+        AttributeSpec("g", CATEGORICAL, 3)), n_classes=2)
+    return Dataset(schema=schema,
+                   columns=[x, y, rng.integers(0, 3, n).astype(np.int32)],
+                   labels=labels, name="drift")
+
+
+#: scenario → (dataset, config, structure digest per world size).  The
+#: digests were recorded from the per-node grow loop this suite replaced
+#: (PR 12's tree), so they pin the batched rounds to it bit for bit.
+#: Lossless scenarios are world-size independent; lossy sketches compress
+#: per rank, so their tree legitimately depends on p.
+_MODES = {
+    "eager": (
+        lambda: paper_dataset(2000, "F5", seed=7),
+        dict(stream_grow_records=500),
+        dict.fromkeys((1, 2, 3), "45272adfd2f47d9e6456458ee19dd3ce")),
+    "lossy": (
+        lambda: paper_dataset(2000, "F5", seed=7),
+        dict(sketch_size=16),
+        {1: "13041caa656dd23ca6355019ace5809e",
+         2: "194b2a993c09918aa47a6b2d3479c039",
+         3: "9fe46cf0385ee9af8c3570507a56506c"}),
+    "drift": (
+        _drift_stream,
+        dict(max_depth=5, sketch_size=2048, stream_chunk_records=150,
+             stream_grow_records=100, stream_reopen_delta=0.1),
+        dict.fromkeys((1, 2, 3), "6f56a76cba5d366a5408c4a505644c74")),
+}
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_eager_lossy_and_drift_trees_are_pinned(mode, nprocs, backend):
+    make, over, digests = _MODES[mode]
+    tree = ScalParC(nprocs, _stream_cfg(**over), machine=None,
+                    backend=backend).fit_stream(make()).tree
+    assert tree.compiled().structure_digest == digests[nprocs], \
+        (mode, nprocs, backend)
+
+
+def test_drift_stream_reopens_and_resplits(monkeypatch):
+    """The drift scenario is not vacuous: leaves do reopen, and a
+    reopened leaf splits in a round whose presort does not cover it (the
+    grow pass must then sort its records afresh)."""
+    seen = {"reopened": 0, "uncovered": 0}
+    refresh, split = induction._refresh_frontier, induction._split_nodes
+
+    def spy_refresh(state, g_counts, reopen_delta):
+        before = state.open_.copy()
+        refresh(state, g_counts, reopen_delta)
+        seen["reopened"] += int((state.open_[: len(before)] & ~before).sum())
+
+    def spy_split(state, fids, *args):
+        order = args[-1]
+        if order is not None and not np.isin(fids, order[0]).all():
+            seen["uncovered"] += 1
+        return split(state, fids, *args)
+
+    monkeypatch.setattr(induction, "_refresh_frontier", spy_refresh)
+    monkeypatch.setattr(induction, "_split_nodes", spy_split)
+    make, over, _ = _MODES["drift"]
+    ScalParC(1, _stream_cfg(**over), machine=None,
+             backend="thread").fit_stream(make())
+    assert seen["reopened"] > 0 and seen["uncovered"] > 0, seen
+
+
+def test_traced_stream_payloads_match_across_backends():
+    """Same collectives, same bytes: per rank, the thread and process
+    engines see identical payload and result digests for every Stream.*
+    collective, and both traces pass the conformance checker."""
+    ds = paper_dataset(1500, "F5", seed=9)
+    cfg = _stream_cfg(sketch_size=64, stream_grow_records=400)
+    digests = {}
+    for backend in ("thread", "process"):
+        collector = TraceCollector()
+        ScalParC(2, cfg, machine=None, backend=backend).fit_stream(
+            ds, trace=collector)
+        collector.check().raise_if_failed()
+        digests[backend] = [
+            [(ev.op, ev.phase, ev.level, ev.payload_digest,
+              ev.result_digest) for ev in collector.events_of(rank)]
+            for rank in range(2)]
+    assert digests["thread"][0], "no collectives traced"
+    assert digests["thread"] == digests["process"]
+
+
+def test_midgrow_kill_and_resume_matches_one_shot(tmp_path):
+    """Eager growth (lossless sketches): a cut taken while the tree is
+    half grown resumes into exactly the one-shot tree."""
+    ds = paper_dataset(2000, "F5", seed=7)
+    cfg = _stream_cfg(stream_grow_records=500)
+    one_shot = ScalParC(3, cfg, machine=None).fit_stream(ds)
+    clf = ScalParC(3, cfg, machine=None)
+    killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
+        dir=str(tmp_path)), max_epochs=4)
+    assert 1 < sum(1 for _ in killed.tree.leaves()) < \
+        sum(1 for _ in one_shot.tree.leaves())
+    resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
+        dir=str(tmp_path), resume=True))
+    assert_trees_equal(one_shot.tree.root, resumed.tree.root,
+                       "eager: kill at epoch 4 + resume")
 
 
 # ----------------------------------------------------------------------
