@@ -702,50 +702,6 @@ def test_reshard_resume_before_after(benchmark):
     _merge_kernel_rows(rows, lines, {"reshard_resume"})
 
 
-def test_presort_single_vs_multi_level(benchmark):
-    """The presort under the single-level and multi-level (AMS) splitter
-    schedules.  On the simulated single-host backends both move the same
-    bytes, so wall-clock parity is the expectation — these rows record
-    the schedules' costs (the multi-level win is smaller splitter
-    gathers, a latency/scalability property), with no speedup floor."""
-    rng = np.random.default_rng(17)
-    n, p = int(200_000 * SCALE), 8
-    values = rng.normal(0, 1, n)
-    rids = np.arange(n, dtype=np.int64)
-    labels = rng.integers(0, 2, n).astype(np.int64)
-    chunk = -(-n // p)
-
-    def run(levels):
-        def worker(comm):
-            lo, hi = comm.rank * chunk, min((comm.rank + 1) * chunk, n)
-            out = parallel_sample_sort(
-                comm, values[lo:hi], labels[lo:hi], rids=rids[lo:hi],
-                levels=levels,
-            )
-            return len(out[0])
-
-        return sum(run_spmd(p, worker))
-
-    assert run(1) == n and run(2) == n
-    t_single = _best_of(lambda: run(1), rounds=3)
-    t_multi = _best_of(lambda: run(2), rounds=3)
-    assert benchmark(lambda: run(2)) == n
-
-    rows = [
-        {"kernel": "presort_levels", "variant": "single-level (levels=1)",
-         "n": n, "p": p, "best_seconds": t_single},
-        {"kernel": "presort_levels", "variant": "multi-level AMS (levels=2)",
-         "n": n, "p": p, "best_seconds": t_multi},
-    ]
-    lines = [
-        f"{r['kernel']:14s} {r['variant']:30s} n={r['n']} "
-        f"p={r['p']} best={r['best_seconds'] * 1e3:8.2f} ms"
-        for r in rows
-    ] + [f"presort_levels multi/single wall ratio: "
-         f"{t_multi / t_single:.2f}x (schedule comparison, no floor)"]
-    _merge_kernel_rows(rows, lines, {"presort_levels"})
-
-
 def test_end_to_end_fit_kernel_modes(benchmark, monkeypatch):
     """End-to-end thread-backend fit on the serving-scale F5 dataset,
     before versus after the kernel overhaul.  The ``before`` run forces

@@ -131,14 +131,11 @@ class ParallelSPRINT:
 
     def fit(self, dataset: Dataset):
         """Train on the simulated machine; returns tree + priced stats."""
-        from ..core.classifier import FitResult
-        from ..perfmodel import PerfRun
-        from ..runtime import run_spmd
+        from ..core.classifier import FitResult, run_priced
 
-        perf = PerfRun(self.n_processors, self.machine)
-        trees = run_spmd(
-            self.n_processors, sprint_worker, args=(dataset, self.config),
-            observer=perf, rank_perf=perf.trackers, backend=self.backend,
+        trees, stats = run_priced(
+            self.machine, self.n_processors, sprint_worker,
+            (dataset, self.config), backend=self.backend,
         )
-        return FitResult(tree=trees[0], stats=perf.stats(),
+        return FitResult(tree=trees[0], stats=stats,
                          n_processors=self.n_processors)

@@ -32,7 +32,7 @@ from ..core.splits import (
     pack_candidates,
 )
 from ..datagen.schema import Dataset
-from ..runtime import Communicator, reduction, run_spmd
+from ..runtime import Communicator, reduction
 from ..tree.model import (
     CategoricalSplit,
     ContinuousSplit,
@@ -263,14 +263,11 @@ class VerticalSliqClassifier:
 
     def fit(self, dataset: Dataset):
         """Train on the simulated machine; returns tree + priced stats."""
-        from ..core.classifier import FitResult
-        from ..perfmodel import PerfRun
+        from ..core.classifier import FitResult, run_priced
 
-        perf = PerfRun(self.n_processors, self.machine)
-        trees = run_spmd(
-            self.n_processors, vertical_sliq_worker,
-            args=(dataset, self.config),
-            observer=perf, rank_perf=perf.trackers, backend=self.backend,
+        trees, stats = run_priced(
+            self.machine, self.n_processors, vertical_sliq_worker,
+            (dataset, self.config), backend=self.backend,
         )
-        return FitResult(tree=trees[0], stats=perf.stats(),
+        return FitResult(tree=trees[0], stats=stats,
                          n_processors=self.n_processors)

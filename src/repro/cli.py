@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--vote-top-k", type=int, default=2, metavar="K",
                        help="voted: attributes each rank votes for per "
                             "node (default 2)")
-    train.add_argument("--sort-levels", type=int, default=None, metavar="L",
-                       help="presort splitter-selection recursion depth: "
-                            "1 = single-level sample sort, L>1 = "
-                            "multi-level AMS schedule (bit-identical "
-                            "output); default: REPRO_SPMD_SORT_LEVELS "
-                            "env var, then 1")
     train.add_argument("--criterion", choices=("gini", "entropy"),
                        default="gini")
     train.add_argument("--subset-splits", action="store_true",
@@ -264,7 +258,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         split_mode=args.split_mode,
         n_bins=args.bins,
         vote_top_k=args.vote_top_k,
-        sort_levels=args.sort_levels,
         stream_chunk_records=args.stream_chunk,
         sketch_size=args.sketch_size,
         stream_grow_records=args.stream_grow,

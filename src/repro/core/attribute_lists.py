@@ -30,7 +30,6 @@ from ..datagen.schema import AttributeSpec, Dataset
 from ..runtime import Communicator
 from ..sort import parallel_sample_sort
 from . import kernels
-from .config import InductionConfig
 
 __all__ = ["LocalAttributeList", "build_local_lists", "restore_local_lists"]
 
@@ -169,21 +168,15 @@ class LocalAttributeList:
 
 
 def build_local_lists(
-    comm: Communicator, dataset: Dataset,
-    config: InductionConfig | None = None,
+    comm: Communicator, dataset: Dataset
 ) -> tuple[list[LocalAttributeList], int]:
     """Build this rank's attribute lists, presorting continuous attributes.
 
     Each rank takes its ⌈N/p⌉ record block, forms (value, rid, label)
     lists per attribute, and runs the parallel sample sort once per
-    continuous attribute (the Presort phase of Figure 2).  ``config``
-    selects the presort schedule: ``sort_levels > 1`` runs the multi-level
-    AMS-style sample sort (same output, splitter selection recursed over
-    rank groups) with ``sort_oversample`` samples per splitter.  Returns
-    the lists and the global record count N.
+    continuous attribute (the Presort phase of Figure 2).  Returns the
+    lists and the global record count N.
     """
-    sort_levels = config.resolved_sort_levels() if config is not None else 1
-    sort_oversample = config.sort_oversample if config is not None else 2
     n_total = dataset.n_records
     block = dataset.block(comm.rank, comm.size)
     chunk = -(-n_total // comm.size) if n_total else 0
@@ -197,8 +190,7 @@ def build_local_lists(
         if spec.is_continuous:
             values = col.astype(np.float64, copy=True)
             s_values, s_rids, s_labels = parallel_sample_sort(
-                comm, values, labels, rids=rids,
-                levels=sort_levels, oversample=sort_oversample,
+                comm, values, labels, rids=rids
             )
         else:
             s_values = col.astype(np.int32, copy=True)

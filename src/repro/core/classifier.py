@@ -13,6 +13,7 @@ The one-stop API most users want::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from ..datagen.schema import Dataset
 from ..perfmodel import CRAY_T3D, MachineSpec, PerfRun, SimulatedRunStats
@@ -21,7 +22,29 @@ from ..tree.model import DecisionTree
 from .config import InductionConfig
 from .induction import induce_worker
 
-__all__ = ["ScalParC", "FitResult", "fit_scalparc"]
+__all__ = ["ScalParC", "FitResult", "fit_scalparc", "run_priced"]
+
+
+def run_priced(
+    machine: MachineSpec | None,
+    size: int,
+    worker: Callable[..., Any],
+    args: Sequence[Any] = (),
+    **run_kwargs: Any,
+) -> tuple[list, SimulatedRunStats | None]:
+    """Run ``worker`` on ``size`` ranks (:func:`~repro.runtime.run_spmd`
+    with ``run_kwargs``), priced on ``machine`` when one is given.
+
+    Returns ``(per-rank results, run statistics)``; the statistics are
+    ``None`` when ``machine`` is ``None`` — no observer or trackers are
+    attached, so an unpriced run pays nothing for the model.
+    """
+    if machine is None:
+        return run_spmd(size, worker, args, **run_kwargs), None
+    perf = PerfRun(size, machine)
+    results = run_spmd(size, worker, args, observer=perf,
+                       rank_perf=perf.trackers, **run_kwargs)
+    return results, perf.stats()
 
 
 @dataclass(frozen=True)
@@ -50,8 +73,9 @@ class ScalParC:
         pricing entirely.  Defaults to the Cray-T3D-like preset.
     backend:
         SPMD execution engine (``"thread"``, ``"process"``,
-        ``"cooperative"``); ``None`` defers to ``config.backend``, then
-        the ``REPRO_SPMD_BACKEND`` environment variable, then thread.
+        ``"cooperative"``, ``"tcp"``); ``None`` defers to
+        ``config.backend``, then the ``REPRO_SPMD_BACKEND`` environment
+        variable, then thread.
 
     Under the default ``config.split_mode`` (exact) the induced tree is
     *independent of* both ``n_processors`` and ``backend``: any
@@ -100,22 +124,11 @@ class ScalParC:
         """
         if checkpoint is None:
             checkpoint = self.config.checkpoint
-        if self.machine is not None:
-            perf = PerfRun(self.n_processors, self.machine)
-            trees = run_spmd(
-                self.n_processors, induce_worker,
-                args=(dataset, self.config),
-                observer=perf, rank_perf=perf.trackers,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = perf.stats()
-        else:
-            trees = run_spmd(
-                self.n_processors, induce_worker,
-                args=(dataset, self.config), backend=self.backend,
-                trace=trace, checkpoint=checkpoint,
-            )
-            stats = None
+        trees, stats = run_priced(
+            self.machine, self.n_processors, induce_worker,
+            (dataset, self.config), backend=self.backend,
+            trace=trace, checkpoint=checkpoint,
+        )
         return FitResult(tree=trees[0], stats=stats,
                          n_processors=self.n_processors)
 
@@ -177,24 +190,13 @@ class ScalParC:
 
         if checkpoint is None:
             checkpoint = self.config.checkpoint
-        kwargs = {"max_epochs": max_epochs, "finalize": finalize,
-                  "fresh_cursor": fresh_cursor}
-        if self.machine is not None:
-            perf = PerfRun(self.n_processors, self.machine)
-            trees = run_spmd(
-                self.n_processors, stream_induce_worker,
-                args=(dataset, self.config), kwargs=kwargs,
-                observer=perf, rank_perf=perf.trackers,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = perf.stats()
-        else:
-            trees = run_spmd(
-                self.n_processors, stream_induce_worker,
-                args=(dataset, self.config), kwargs=kwargs,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = None
+        trees, stats = run_priced(
+            self.machine, self.n_processors, stream_induce_worker,
+            (dataset, self.config),
+            kwargs={"max_epochs": max_epochs, "finalize": finalize,
+                    "fresh_cursor": fresh_cursor},
+            backend=self.backend, trace=trace, checkpoint=checkpoint,
+        )
         return FitResult(tree=trees[0], stats=stats,
                          n_processors=self.n_processors)
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..runtime.envutil import env_float, env_int
+from ..datagen.schema import Schema
+from ..runtime.envutil import env_choice, env_float, env_int
+from ..runtime.tracing.events import payload_digest
 from .criteria import CRITERIA, GINI
 
 __all__ = ["InductionConfig", "SPLIT_MODES", "SPLIT_MODE_ENV",
-           "SORT_LEVELS_ENV", "STREAM_CHUNK_ENV", "SKETCH_SIZE_ENV",
-           "STREAM_GROW_ENV", "STREAM_REOPEN_ENV"]
+           "STREAM_CHUNK_ENV", "SKETCH_SIZE_ENV",
+           "STREAM_GROW_ENV", "STREAM_REOPEN_ENV", "schema_fingerprint"]
 
 #: recognized FindSplit strategies (see :mod:`repro.core.strategies`)
 SPLIT_MODES = ("exact", "histogram", "voted")
@@ -24,17 +26,23 @@ SPLIT_MODES = ("exact", "histogram", "voted")
 #: ``InductionConfig.split_mode`` is None (mirrors ``REPRO_SPMD_BACKEND``)
 SPLIT_MODE_ENV = "REPRO_SPMD_SPLIT_MODE"
 
-#: environment variable selecting the presort recursion depth when
-#: ``InductionConfig.sort_levels`` is None (same precedence pattern)
-SORT_LEVELS_ENV = "REPRO_SPMD_SORT_LEVELS"
-
 #: environment variables backing the streaming-induction knobs when the
 #: corresponding ``InductionConfig`` field is None (same precedence
-#: pattern as ``REPRO_SPMD_BACKEND`` / ``REPRO_SPMD_SORT_LEVELS``)
+#: pattern as ``REPRO_SPMD_BACKEND`` / ``REPRO_SPMD_SPLIT_MODE``)
 STREAM_CHUNK_ENV = "REPRO_STREAM_CHUNK_RECORDS"
 SKETCH_SIZE_ENV = "REPRO_STREAM_SKETCH_SIZE"
 STREAM_GROW_ENV = "REPRO_STREAM_GROW_RECORDS"
 STREAM_REOPEN_ENV = "REPRO_STREAM_REOPEN_DELTA"
+
+
+def schema_fingerprint(schema: Schema) -> str:
+    """Content digest of the tree-shaping dataset shape (same digest
+    family as the collective tracer, so it is stable across processes)."""
+    return payload_digest([
+        int(schema.n_classes),
+        [(spec.name, bool(spec.is_continuous), int(spec.n_values))
+         for spec in schema],
+    ])
 
 
 @dataclass(frozen=True)
@@ -107,20 +115,6 @@ class InductionConfig:
         Voted mode: number of attributes each rank votes for per node,
         and the number of globally elected attributes whose statistics
         are globalized (PV-Tree's k).
-    sort_levels:
-        Presort splitter-selection recursion depth (the multi-level AMS
-        sample sort of arXiv:1410.6754): 1 = classic single-level sample
-        sort; ``L > 1`` recurses splitter selection over rank groups in L
-        rounds so no round gathers ``p²`` samples or cuts ``p − 1`` ways.
-        ``None`` defers to ``REPRO_SPMD_SORT_LEVELS`` (default 1).  The
-        sorted output — and hence every induced tree — is bit-identical
-        for any value (the presort's *collective schedule* differs, the
-        data it produces does not), so this knob does *not* join the
-        checkpoint compatibility fingerprint.  Parallel only.
-    sort_oversample:
-        Multi-level presort only: regular samples per rank per round, as
-        a multiple of the round's split factor.  Never changes the
-        output, only the splitter balance.
     backend:
         SPMD execution engine for the parallel run: ``"thread"``,
         ``"process"``, ``"cooperative"``, ``"tcp"``, or ``None`` to
@@ -177,8 +171,6 @@ class InductionConfig:
     split_mode: str | None = None
     n_bins: int = 32
     vote_top_k: int = 2
-    sort_levels: int | None = None
-    sort_oversample: int = 2
     backend: str | None = None
     checkpoint: object | None = None
     stream_chunk_records: int | None = None
@@ -190,24 +182,9 @@ class InductionConfig:
         """The effective FindSplit strategy name: ``split_mode`` when set,
         else ``REPRO_SPMD_SPLIT_MODE``, else ``"exact"`` (the same
         precedence ``backend`` / ``REPRO_SPMD_BACKEND`` uses)."""
-        mode = self.split_mode
-        if mode is None:
-            mode = os.environ.get(SPLIT_MODE_ENV, "").strip() or "exact"
-        if mode not in SPLIT_MODES:
-            raise ValueError(
-                f"split mode must be one of {SPLIT_MODES}, got {mode!r}"
-            )
-        return mode
-
-    def resolved_sort_levels(self) -> int:
-        """The effective presort recursion depth: ``sort_levels`` when
-        set, else ``REPRO_SPMD_SORT_LEVELS``, else 1."""
-        levels = self.sort_levels
-        if levels is None:
-            levels = env_int(SORT_LEVELS_ENV, 1)
-        if levels < 1:
-            raise ValueError(f"sort levels must be >= 1, got {levels}")
-        return levels
+        if self.split_mode is not None:
+            return self.split_mode      # validated in __post_init__
+        return env_choice(SPLIT_MODE_ENV, SPLIT_MODES, "exact")
 
     def resolved_stream_chunk_records(self) -> int:
         """The effective per-epoch global chunk size: the field when
@@ -253,10 +230,57 @@ class InductionConfig:
                 f"stream reopen delta must be in [0, 1], got {delta}")
         return delta
 
+    def fingerprint(self, streaming: bool = False) -> str:
+        """Digest of the knobs that shape the induced tree — the
+        checkpoint-compatibility rule of both induction drivers
+        (communication scheduling knobs are free to differ between the
+        original run and a resume: they never change the tree).
+
+        Batch (``streaming=False``): the *resolved* split mode joins the
+        digest — histogram/voted splits are approximations, so resuming a
+        histogram run in exact mode (or under a different bin budget /
+        vote width) would silently graft differently-shaped subtrees;
+        that resume must fail loudly instead.  Mode-irrelevant knobs are
+        masked out, so e.g. an exact checkpoint resumes regardless of
+        the (unused) ``n_bins`` default.
+
+        Streaming: the schedule itself shapes the tree whenever growth
+        is eager or sketches compress, so the resolved
+        chunk/sketch/grow/reopen knobs join the digest instead.
+        """
+        shaping = [
+            self.max_depth, self.min_split_records,
+            float(self.min_improvement), self.criterion,
+            self.categorical_binary_subsets, self.subset_exhaustive_limit,
+        ]
+        if streaming:
+            shaping += [
+                self.resolved_stream_chunk_records(),
+                self.resolved_sketch_size(),
+                self.resolved_stream_grow_records(),
+                float(self.resolved_stream_reopen_delta()),
+            ]
+        else:
+            mode = self.resolved_split_mode()
+            shaping += [
+                mode,
+                self.n_bins if mode in ("histogram", "voted") else None,
+                self.vote_top_k if mode == "voted" else None,
+            ]
+        return payload_digest(shaping)
+
+    def cut_header(self, algo: str, schema: Schema,
+                   streaming: bool = False) -> dict:
+        """The compatibility header an induction driver tagged ``algo``
+        writes into a checkpoint cut's shared payload — and the
+        expectation :meth:`LoadedCheckpoint.expect
+        <repro.runtime.checkpoint.LoadedCheckpoint.expect>` checks a cut
+        against on resume."""
+        return {"algo": algo, "schema": schema_fingerprint(schema),
+                "config": self.fingerprint(streaming)}
+
     def __post_init__(self):
         if self.checkpoint is not None:
-            import os
-
             from ..runtime.checkpoint import CheckpointConfig
 
             if not isinstance(self.checkpoint,
@@ -294,10 +318,6 @@ class InductionConfig:
             raise ValueError("n_bins must be >= 2")
         if self.vote_top_k < 1:
             raise ValueError("vote_top_k must be >= 1")
-        if self.sort_levels is not None and self.sort_levels < 1:
-            raise ValueError("sort_levels must be >= 1 or None")
-        if self.sort_oversample < 1:
-            raise ValueError("sort_oversample must be >= 1")
         if self.stream_chunk_records is not None \
                 and self.stream_chunk_records < 1:
             raise ValueError("stream_chunk_records must be >= 1 or None")

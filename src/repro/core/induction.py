@@ -19,21 +19,20 @@ copies (and the serial reference's tree) are structurally equal.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 
-from ..datagen.schema import Dataset, Schema
+from ..datagen.schema import Dataset
 from ..runtime import Communicator
 from ..runtime.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     LevelCheckpointer,
     LoadedCheckpoint,
+    rank_extras,
     resolve_checkpoint,
+    restore_rank_extras,
 )
 from ..runtime.tracing import tag_level
-from ..runtime.tracing.events import payload_digest
 from ..tree.model import (
     CategoricalSplit,
     ContinuousSplit,
@@ -54,63 +53,6 @@ __all__ = ["induce_worker"]
 
 #: manifest tag identifying induction checkpoints (vs. other workers')
 _CKPT_ALGO = "scalparc-induction"
-
-
-def _schema_fingerprint(schema: Schema) -> str:
-    """Content digest of the tree-shaping dataset shape (same digest
-    family as the collective tracer, so it is stable across processes)."""
-    return payload_digest([
-        int(schema.n_classes),
-        [(spec.name, bool(spec.is_continuous), int(spec.n_values))
-         for spec in schema],
-    ])
-
-
-def _config_fingerprint(config: InductionConfig) -> str:
-    """Digest of the knobs that shape the induced tree (communication
-    scheduling knobs are free to differ between the original run and a
-    resume — they never change the tree).
-
-    The *resolved* split mode is part of the digest: histogram/voted
-    splits are approximations, so resuming a histogram run in exact mode
-    (or under a different bin budget / vote width) would silently graft
-    differently-shaped subtrees — that resume must fail loudly instead.
-    Mode-irrelevant knobs are masked out so e.g. an exact checkpoint
-    resumes regardless of the (unused) ``n_bins`` default.
-    """
-    mode = config.resolved_split_mode()
-    return payload_digest([
-        config.max_depth, config.min_split_records,
-        float(config.min_improvement), config.criterion,
-        config.categorical_binary_subsets, config.subset_exhaustive_limit,
-        mode,
-        config.n_bins if mode in ("histogram", "voted") else None,
-        config.vote_top_k if mode == "voted" else None,
-    ])
-
-
-def _rank_extras(comm: Communicator) -> dict:
-    """Best-effort per-rank runtime state (tracker + RNG) for a cut."""
-    perf = comm.perf
-    try:
-        pickle.dumps(perf)
-    except Exception:
-        perf = None
-    return {"perf": perf, "rng": np.random.get_state()}
-
-
-def _restore_rank_extras(comm: Communicator, payload: dict) -> None:
-    """Restore tracker clock/counters and RNG saved by the same rank of
-    an equal-size run (skipped entirely on p → p′ resume)."""
-    perf = payload.get("perf")
-    if perf is not None and type(perf).__name__ == type(comm.perf).__name__:
-        try:
-            vars(comm.perf).update(vars(perf))
-        except TypeError:
-            pass
-    rng = payload.get("rng")
-    if rng is not None:
-        np.random.set_state(rng)
 
 
 def induce_worker(
@@ -165,7 +107,7 @@ def induce_worker(
     else:
         # Presort + initial distribution
         with timed_phase(comm, PRESORT):
-            lists, n_total = build_local_lists(comm, dataset, config)
+            lists, n_total = build_local_lists(comm, dataset)
             strategy.prepare(comm, lists, config, n_classes, n_total)
             split_phase.setup(comm, n_total)
         # pending[k] = (parent node, child slot, depth) of active node k
@@ -342,13 +284,11 @@ def _save_checkpoint(
     rank_payload = {
         "lists": [alist.snapshot_state(compact=compact) for alist in lists],
         "split_phase": split_phase.snapshot_state(),
-        **_rank_extras(comm),
+        **rank_extras(comm),
     }
     shared_payload = {
-        "algo": _CKPT_ALGO,
+        **config.cut_header(_CKPT_ALGO, dataset.schema),
         "n_total": int(n_total),
-        "schema": _schema_fingerprint(dataset.schema),
-        "config": _config_fingerprint(config),
         "tree": (root, list(pending)),
     }
     ckpt.save(comm, level, rank_payload, shared_payload,
@@ -372,26 +312,11 @@ def _resume_from_checkpoint(
     matches (it is meaningless per-rank otherwise).
     """
     loaded = LoadedCheckpoint.open(source)
-    shared = loaded.shared_payload()
-    if shared.get("algo") != _CKPT_ALGO:
-        raise CheckpointError(
-            f"checkpoint {loaded.manifest_path!r} was not written by the "
-            f"induction driver (algo={shared.get('algo')!r})"
-        )
+    shared = loaded.expect(**config.cut_header(_CKPT_ALGO, dataset.schema))
     if int(shared["n_total"]) != dataset.n_records:
         raise CheckpointError(
             f"checkpoint holds {shared['n_total']} records but the dataset "
             f"has {dataset.n_records}; resume needs the same training set"
-        )
-    if shared["schema"] != _schema_fingerprint(dataset.schema):
-        raise CheckpointError(
-            "checkpoint schema does not match the dataset's; resume needs "
-            "the same training set"
-        )
-    if shared["config"] != _config_fingerprint(config):
-        raise CheckpointError(
-            "checkpoint was written under different tree-shaping settings; "
-            "resume with the original InductionConfig"
         )
 
     payloads = loaded.all_rank_payloads()
@@ -400,7 +325,7 @@ def _resume_from_checkpoint(
     )
     split_phase.restore_state(comm, [p["split_phase"] for p in payloads])
     if loaded.n_ranks == comm.size:
-        _restore_rank_extras(comm, payloads[comm.rank])
+        restore_rank_extras(comm, payloads[comm.rank])
 
     root, pending = shared["tree"]
     root_holder[0] = root

@@ -39,6 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..runtime.envutil import env_choice
 from .criteria import split_score_from_left, split_score_multiway
 
 __all__ = [
@@ -71,12 +72,7 @@ def kernel_mode() -> str:
     """The active kernel family: ``"fast"`` unless ``REPRO_KERNELS``
     says ``reference``.  Read per call (it guards per-level work, not
     per-record work), so tests and benchmarks can flip it at runtime."""
-    mode = os.environ.get(KERNEL_MODE_ENV, "").strip() or "fast"
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"{KERNEL_MODE_ENV} must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    return mode
+    return env_choice(KERNEL_MODE_ENV, KERNEL_MODES, "fast")
 
 
 @contextmanager

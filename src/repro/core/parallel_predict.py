@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..datagen.schema import Dataset
-from ..perfmodel import CRAY_T3D, MachineSpec, PerfRun
-from ..runtime import Communicator, reduction, run_spmd
+from ..perfmodel import CRAY_T3D, MachineSpec
+from ..runtime import Communicator, reduction
 from ..tree.model import DecisionTree
+from .classifier import run_priced
 
 __all__ = ["predict_worker", "parallel_predict", "parallel_score"]
 
@@ -59,15 +60,8 @@ def parallel_predict(
     """Predict labels for every record using ``n_processors`` ranks."""
     if dataset.n_records == 0:
         return np.empty(0, dtype=np.int32)
-    if machine is not None:
-        perf = PerfRun(n_processors, machine)
-        results = run_spmd(n_processors, predict_worker,
-                           args=(tree, dataset),
-                           observer=perf, rank_perf=perf.trackers,
-                           backend=backend)
-    else:
-        results = run_spmd(n_processors, predict_worker,
-                           args=(tree, dataset), backend=backend)
+    results, _ = run_priced(machine, n_processors, predict_worker,
+                            (tree, dataset), backend=backend)
     return results[0]
 
 
@@ -81,12 +75,6 @@ def parallel_score(
     """Accuracy of ``tree`` on ``dataset``, computed in parallel."""
     if dataset.n_records == 0:
         return float("nan")
-    if machine is not None:
-        perf = PerfRun(n_processors, machine)
-        results = run_spmd(n_processors, score_worker, args=(tree, dataset),
-                           observer=perf, rank_perf=perf.trackers,
-                           backend=backend)
-    else:
-        results = run_spmd(n_processors, score_worker, args=(tree, dataset),
-                           backend=backend)
+    results, _ = run_priced(machine, n_processors, score_worker,
+                            (tree, dataset), backend=backend)
     return results[0]

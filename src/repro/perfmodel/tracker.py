@@ -14,7 +14,7 @@ Every rank owns a :class:`RankTracker` (exposed to algorithm code as
   buffers growing with p).
 
 The :class:`PerfRun` object doubles as the engine's
-:class:`~repro.runtime.thread_engine.CommObserver`: every collective is a
+:class:`~repro.runtime.engines.base.CommObserver`: every collective is a
 synchronization point, so it advances all ranks' clocks to
 ``max(clocks) + collective_cost`` — a bulk-synchronous time simulation that
 naturally charges load imbalance as waiting time.

@@ -39,6 +39,7 @@ from .checkpoint import (
 )
 from .communicator import ANY_TAG, Communicator, NullPerf, Request
 from .engines import (
+    CommObserver,
     DEFAULT_BACKEND,
     DEFAULT_TIMEOUT,
     SpmdEngine,
@@ -83,7 +84,7 @@ from .shm import (
     encode_payload,
     resolve_shm_threshold,
 )
-from .thread_engine import CommObserver, ThreadCommunicator
+from .engines.thread import ThreadCommunicator
 from .tracing import (
     LogicalOp,
     TraceCollector,

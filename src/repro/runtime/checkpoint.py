@@ -53,6 +53,8 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "CHECKPOINT_ENV",
     "CheckpointConfig",
@@ -60,7 +62,9 @@ __all__ = [
     "LevelCheckpointer",
     "LoadedCheckpoint",
     "latest_manifest",
+    "rank_extras",
     "resolve_checkpoint",
+    "restore_rank_extras",
 ]
 
 #: environment override enabling checkpointing (value = directory)
@@ -571,6 +575,58 @@ class LoadedCheckpoint:
     def shared_payload(self) -> Any:
         """The replicated payload (written by old rank 0)."""
         return self._load("shared.ckpt")
+
+    def expect(self, *, algo: str, schema: str, config: str) -> dict:
+        """The shared payload, after checking its compatibility header.
+
+        A cut may only be resumed by the driver that wrote it (``algo``
+        tag), on the same record schema and under the same tree-shaping
+        settings (content digests; see
+        :meth:`repro.core.config.InductionConfig.cut_header`).  Raises
+        :class:`CheckpointError` naming the first field that differs.
+        """
+        shared = self.shared_payload()
+        if shared.get("algo") != algo:
+            raise CheckpointError(
+                f"checkpoint {self.manifest_path!r} was written by another "
+                f"driver (algo={shared.get('algo')!r}, expected {algo!r})"
+            )
+        if shared.get("schema") != schema:
+            raise CheckpointError(
+                f"checkpoint {self.manifest_path!r} holds a different "
+                "record schema than this run's; resume needs the same data"
+            )
+        if shared.get("config") != config:
+            raise CheckpointError(
+                f"checkpoint {self.manifest_path!r} was written under "
+                "different tree-shaping settings (config); resume with "
+                "the original InductionConfig"
+            )
+        return shared
+
+
+def rank_extras(comm) -> dict:
+    """Best-effort per-rank runtime state (tracker + RNG) for a cut."""
+    perf = comm.perf
+    try:
+        pickle.dumps(perf)
+    except Exception:
+        perf = None
+    return {"perf": perf, "rng": np.random.get_state()}
+
+
+def restore_rank_extras(comm, payload: dict) -> None:
+    """Restore tracker clock/counters and RNG saved by the same rank of
+    an equal-size run (callers skip this on p → p′ resume)."""
+    perf = payload.get("perf")
+    if perf is not None and type(perf).__name__ == type(comm.perf).__name__:
+        try:
+            vars(comm.perf).update(vars(perf))
+        except TypeError:
+            pass
+    rng = payload.get("rng")
+    if rng is not None:
+        np.random.set_state(rng)
 
 
 def shrink_size(size: int, config: CheckpointConfig) -> int:

@@ -15,6 +15,7 @@ tcp        one OS process per rank, grouped into loopback        multi-host jobs
 """
 
 from .base import (
+    CommObserver,
     DEFAULT_BACKEND,
     DEFAULT_TIMEOUT,
     SpmdEngine,
@@ -27,6 +28,7 @@ from .base import (
 )
 
 __all__ = [
+    "CommObserver",
     "DEFAULT_BACKEND",
     "DEFAULT_TIMEOUT",
     "SpmdEngine",

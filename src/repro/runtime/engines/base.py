@@ -17,6 +17,9 @@ observer/performance hooks — but engines differ in *how* ranks execute:
     All ranks multiplexed by a deterministic round-robin scheduler with
     exactly one rank runnable at a time: no lock contention, no timed
     waits, and structural (instant) deadlock detection.
+``tcp``
+    One OS process per rank, grouped into loopback "hosts" coordinated
+    over CRC-framed TCP sockets (the multi-host engine).
 
 The registry is lazy: backends are registered as factories and only
 imported when first requested, so e.g. ``multiprocessing`` machinery is
@@ -26,13 +29,13 @@ never touched by thread-only runs.
 from __future__ import annotations
 
 import inspect
-import os
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
-from ..envutil import env_float
+from ..envutil import env_choice, env_float
 
 __all__ = [
+    "CommObserver",
     "DEFAULT_BACKEND",
     "DEFAULT_TIMEOUT",
     "SpmdEngine",
@@ -74,10 +77,24 @@ def resolve_timeout(timeout: float | None = None) -> float:
 
 def resolve_backend(backend: str | None = None) -> str:
     """Pick the effective backend name: explicit argument, then the
-    ``REPRO_SPMD_BACKEND`` environment variable, then ``"thread"``."""
+    ``REPRO_SPMD_BACKEND`` environment variable (which must name a
+    registered backend), then ``"thread"``."""
     if backend is not None:
         return backend
-    return os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+    return env_choice(BACKEND_ENV, available_backends(), DEFAULT_BACKEND)
+
+
+class CommObserver(Protocol):
+    """Callbacks invoked by the engine, always under the engine lock and
+    exactly once per communication event (regardless of rank count)."""
+
+    def on_collective(
+        self, op: str, sent: list[int], recv: list[int], size: int
+    ) -> None:
+        """One collective step completed; byte counts are per rank."""
+
+    def on_ptp(self, source: int, dest: int, nbytes: int) -> None:
+        """One point-to-point message was delivered."""
 
 
 class SpmdEngine(ABC):
@@ -103,7 +120,7 @@ class SpmdEngine(ABC):
         args: Sequence[Any] = (),
         kwargs: dict | None = None,
         *,
-        observer: Any | None = None,
+        observer: CommObserver | None = None,
         rank_perf: Sequence[Any] | None = None,
         timeout: float | None = None,
         trace: Any | None = None,
@@ -112,6 +129,10 @@ class SpmdEngine(ABC):
         """Execute ``worker(comm, *args, **kwargs)`` on ``size`` ranks and
         return the per-rank results in rank order; raise
         :class:`~repro.runtime.errors.SpmdWorkerError` if any rank failed.
+
+        Engines are entered through :func:`run_spmd`, which has already
+        validated ``size`` / ``rank_perf`` and resolved ``timeout`` to a
+        positive number of seconds — engines do not repeat either.
 
         ``checkpoint`` is an optional
         :class:`~repro.runtime.checkpoint.CheckpointConfig` the dispatcher
@@ -192,7 +213,7 @@ def run_spmd(
     args: Sequence[Any] = (),
     kwargs: dict | None = None,
     *,
-    observer: Any | None = None,
+    observer: CommObserver | None = None,
     rank_perf: Sequence[Any] | None = None,
     backend: str | None = None,
     timeout: float | None = None,
@@ -212,14 +233,13 @@ def run_spmd(
         Extra arguments passed *identically* to every rank (like argv of
         an MPI job).  Per-rank data must be derived from ``comm.rank``.
     observer:
-        Optional :class:`~repro.runtime.thread_engine.CommObserver`
-        (e.g. the perf model's clock); invoked exactly once per
-        communication event on every backend.
+        Optional :class:`CommObserver` (e.g. the perf model's clock);
+        invoked exactly once per communication event on every backend.
     rank_perf:
         Optional per-rank tracker objects exposed as ``comm.perf``.
     backend:
-        Engine name (``"thread"``, ``"process"``, ``"cooperative"``, or
-        any registered extension); ``None`` defers to the
+        Engine name (``"thread"``, ``"process"``, ``"cooperative"``,
+        ``"tcp"``, or any registered extension); ``None`` defers to the
         ``REPRO_SPMD_BACKEND`` environment variable, then ``"thread"``.
     timeout:
         Seconds a rank may wait inside one communication call before the

@@ -396,10 +396,6 @@ class CooperativeEngine(SpmdEngine):
         trace: Any | None = None,
         checkpoint: Any | None = None,  # write path only; no retry
     ) -> list:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        if rank_perf is not None and len(rank_perf) != size:
-            raise ValueError("rank_perf must supply one tracker per rank")
         kwargs = kwargs or {}
 
         sched = _Scheduler(size, observer)

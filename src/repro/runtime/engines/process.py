@@ -78,6 +78,7 @@ from ..checkpoint import (
     with_resume,
 )
 from ..communicator import ANY_TAG, Communicator
+from ..envutil import env_choice
 from ..errors import (
     CollectiveAbortedError,
     CollectiveMismatchError,
@@ -96,7 +97,7 @@ from ..shm import (
     unlink_segment,
 )
 from ..tracing import TraceRecorder
-from .base import SpmdEngine, resolve_timeout
+from .base import SpmdEngine
 
 __all__ = ["ProcessEngine", "ProcessCommunicator"]
 
@@ -114,13 +115,10 @@ _JOB_SEQ = itertools.count()
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
-    method = os.environ.get(START_METHOD_ENV)
-    if method:
-        return multiprocessing.get_context(method)
-    for method in ("fork", "spawn"):
-        if method in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context(method)
-    return multiprocessing.get_context()
+    available = multiprocessing.get_all_start_methods()
+    preferred = next((m for m in ("fork", "spawn") if m in available), None)
+    return multiprocessing.get_context(
+        env_choice(START_METHOD_ENV, available, preferred))
 
 
 # ----------------------------------------------------------------------
@@ -947,12 +945,7 @@ class ProcessEngine(SpmdEngine):
         trace: Any | None = None,
         checkpoint: Any | None = None,
     ) -> list:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        if rank_perf is not None and len(rank_perf) != size:
-            raise ValueError("rank_perf must supply one tracker per rank")
         kwargs = dict(kwargs or {})
-        timeout = resolve_timeout(timeout)
         cfg = checkpoint if isinstance(checkpoint, CheckpointConfig) else None
         if cfg is None and isinstance(kwargs.get("checkpoint"),
                                       CheckpointConfig):
@@ -1009,7 +1002,6 @@ class ProcessEngine(SpmdEngine):
         trace: Any | None = None,
     ) -> list:
         kwargs = kwargs or {}
-        timeout = resolve_timeout(timeout)
         trace_on = trace is not None
         if trace_on:
             trace.begin(size, backend=self.name)

@@ -69,7 +69,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-from ..envutil import env_float, env_int
+from ..envutil import EnvVarError, env_float, env_int
 from ..errors import (
     CollectiveAbortedError,
     SpmdError,
@@ -85,7 +85,6 @@ from ..framing import (
     resolve_max_frame,
 )
 from ..tracing import TraceRecorder
-from .base import resolve_timeout
 from .process import (
     _ABORT_GRACE,
     _ROOT_CTX,
@@ -141,7 +140,9 @@ def resolve_tcp_hosts(size: int, n_hosts: int | None = None) -> int:
     ``REPRO_SPMD_TCP_HOSTS`` env var, then 2 (clamped to [1, size])."""
     if n_hosts is None:
         n_hosts = env_int(HOSTS_ENV, 2)
-    if n_hosts <= 0:
+        if n_hosts <= 0:
+            raise EnvVarError(HOSTS_ENV, str(n_hosts), "a positive integer")
+    elif n_hosts <= 0:
         raise ValueError(f"host count must be positive, got {n_hosts}")
     return min(n_hosts, size)
 
@@ -836,7 +837,6 @@ class TcpEngine(ProcessEngine):
         trace: Any | None = None,
     ) -> list:
         kwargs = kwargs or {}
-        timeout = resolve_timeout(timeout)
         trace_on = trace is not None
         if trace_on:
             trace.begin(size, backend=self.name)

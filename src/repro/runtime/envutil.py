@@ -1,22 +1,25 @@
-"""Shared helpers for parsing numeric environment variables.
+"""Shared helpers for parsing environment variables.
 
-Several runtime knobs (sort levels, collective timeouts, TCP host
-grouping, heartbeat intervals, frame limits) are read from environment
-variables.  Parsing them with a bare ``int(raw)`` / ``float(raw)``
-surfaces a cryptic ``ValueError: invalid literal ...`` deep inside the
-engine; these helpers name the variable and the offending value so a
-typo in a deployment manifest fails loudly and legibly.
+Several runtime knobs (collective timeouts, TCP host grouping, heartbeat
+intervals, frame limits, sketch sizes; backend, split-mode, kernel-family
+and start-method names) are read from environment variables.  Parsing
+them with a bare ``int(raw)`` / ``float(raw)`` / membership test
+surfaces a cryptic ``ValueError`` deep inside the engine that never says
+which variable was bad; these helpers name the variable and the
+offending value so a typo in a deployment manifest fails loudly and
+legibly.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
-__all__ = ["EnvVarError", "env_int", "env_float"]
+__all__ = ["EnvVarError", "env_choice", "env_int", "env_float"]
 
 
 class EnvVarError(ValueError):
-    """A numeric environment variable holds an unparseable value."""
+    """An environment variable holds an unparseable or unknown value."""
 
     def __init__(self, name: str, raw: str, expected: str) -> None:
         self.name = name
@@ -54,3 +57,18 @@ def env_float(name: str, default: float | None = None) -> float | None:
         return float(raw)
     except ValueError:
         raise EnvVarError(name, raw, "a number") from None
+
+
+def env_choice(name: str, choices: Sequence[str], default: str) -> str:
+    """Read ``name`` as one of ``choices``, or return ``default`` when
+    unset/blank.
+
+    Raises :class:`EnvVarError` (a ``ValueError``) naming the variable and
+    the bad value when the content is not a recognized choice.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    if raw not in choices:
+        raise EnvVarError(name, raw, f"one of {tuple(choices)}")
+    return raw

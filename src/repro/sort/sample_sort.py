@@ -16,23 +16,6 @@ paper's reference [6]) followed by a parallel shift:
 Entries are (value, rid, payload…) tuples ordered by the total key
 (value, rid) — see :mod:`repro.sort.keys` — so the result is unique and
 deterministic for any processor count.
-
-**Multi-level mode** (``levels > 1``) follows the AMS sample sort of
-"Practical Massively Parallel Sorting" (arXiv:1410.6754): instead of one
-round with ``p − 1`` splitters, the ranks recurse over groups — each
-round splits every group of ``q`` ranks into ``g = ⌈q^(1/remaining)⌉``
-contiguous subgroups with ``g − 1`` splitters chosen from
-``oversample·g`` regular samples per rank, routes each rank's g-way
-partition to its subgroup (spread evenly over the subgroup's members),
-and re-merges locally.  After ``levels`` rounds every group is a
-singleton and rank-order concatenation is the global order, exactly as
-in the single-level scheme; the final parallel shift is shared.  The
-exchange stays on the world communicator — out-of-group destinations
-just receive empty chunks, so every backend sees a uniform collective
-schedule (1 allgather + one alltoallv per payload array per round) with
-no sub-communicators.  Because the (value, rid) key is a *total* order,
-the globally sorted result — and hence every downstream tree — is
-bit-identical to the single-level path for any ``levels``.
 """
 
 from __future__ import annotations
@@ -41,7 +24,7 @@ import math
 
 import numpy as np
 
-from ..runtime import Communicator, reduction
+from ..runtime import Communicator
 from .keys import count_below, lexsort_values_rids
 from .shift import redistribute_blocks
 
@@ -73,102 +56,11 @@ def choose_splitters(
     return sv[idx], sr[idx]
 
 
-def _split_factor(group_size: int, remaining: int) -> int:
-    """Smallest ``g`` with ``g**remaining >= group_size`` (the AMS rule:
-    equal split factors across the remaining rounds)."""
-    if group_size <= 1 or remaining <= 1:
-        return group_size
-    g = max(1, math.ceil(group_size ** (1.0 / remaining)))
-    while g ** remaining < group_size:
-        g += 1
-    while g > 1 and (g - 1) ** remaining >= group_size:
-        g -= 1  # float-pow overshoot guard
-    return min(g, group_size)
-
-
-def _multi_level_exchange(
-    comm: Communicator,
-    arrays: list[np.ndarray],
-    levels: int,
-    oversample: int,
-) -> list[np.ndarray]:
-    """The AMS-style multi-round exchange: locally sorted fragments in,
-    group-recursively exchanged and re-merged fragments out (rank-order
-    concatenation is the global order on return).
-
-    Every round runs exactly one world allgather (each rank's group tag +
-    regular samples) and one world alltoallv per payload array — uniform
-    on every rank regardless of group shape, which keeps all engine
-    backends deadlock-free without sub-communicators.
-    """
-    lo, hi = 0, comm.size
-    for round_idx in range(levels):
-        remaining = levels - round_idx
-        group_size = hi - lo
-        g = _split_factor(group_size, remaining)
-        bounds = lo + (group_size * np.arange(g + 1, dtype=np.int64)) // g
-        n_local = len(arrays[0])
-
-        # regular samples, tagged with the group id (= its first rank)
-        n_samples = min(oversample * g, n_local)
-        if n_samples > 0:
-            pick = np.linspace(0, n_local - 1, num=n_samples, dtype=np.int64)
-            my_samples = (lo, arrays[0][pick], arrays[1][pick])
-        else:
-            my_samples = (lo, arrays[0][:0], arrays[1][:0])
-        gathered = comm.allgather(my_samples)
-        group_sv = np.concatenate([s[1] for s in gathered if s[0] == lo])
-        group_sr = np.concatenate([s[2] for s in gathered if s[0] == lo])
-        split_v, split_r = choose_splitters(group_sv, group_sr, g)
-
-        # g-way partition; missing trailing splitters behave as +inf
-        cuts = np.full(g + 1, n_local, dtype=np.int64)
-        cuts[0] = 0
-        for i in range(len(split_v)):
-            cuts[i + 1] = count_below(arrays[0], arrays[1],
-                                      split_v[i], int(split_r[i]))
-        comm.perf.add_compute("split", n_local)
-
-        # route part j to subgroup j, spread evenly over its members;
-        # destinations outside my group receive empty chunks
-        plan: list[tuple[int, int, int]] = []  # (dest, start, stop)
-        for j in range(g):
-            part_lo, part_hi = int(cuts[j]), int(cuts[j + 1])
-            members = range(int(bounds[j]), int(bounds[j + 1]))
-            sub = len(members)
-            length = part_hi - part_lo
-            for t, dest in enumerate(members):
-                plan.append((
-                    dest,
-                    part_lo + (length * t) // sub,
-                    part_lo + (length * (t + 1)) // sub,
-                ))
-        starts = {dest: (s0, s1) for dest, s0, s1 in plan}
-        merged: list[np.ndarray] = []
-        for arr in arrays:
-            chunks = [
-                arr[starts[d][0]:starts[d][1]] if d in starts else arr[:0]
-                for d in range(comm.size)
-            ]
-            received = comm.alltoallv(chunks)
-            merged.append(np.concatenate(received))
-        order = lexsort_values_rids(merged[0], merged[1])
-        arrays = [a[order] for a in merged]
-        comm.perf.add_compute("sort", _nlogn(len(arrays[0])))
-
-        # descend into my subgroup
-        j = int(np.searchsorted(bounds, comm.rank, side="right") - 1)
-        lo, hi = int(bounds[j]), int(bounds[j + 1])
-    return arrays
-
-
 def parallel_sample_sort(
     comm: Communicator,
     values: np.ndarray,
     *aligned: np.ndarray,
     rids: np.ndarray,
-    levels: int = 1,
-    oversample: int = 2,
 ) -> tuple[np.ndarray, ...]:
     """Globally sort entry-aligned arrays by (value, rid).
 
@@ -184,14 +76,6 @@ def parallel_sample_sort(
     rids:
         Local record ids — the tiebreak component of the sort key; must be
         globally unique.
-    levels:
-        Splitter-selection recursion depth.  1 (default) is the classic
-        single-level sample sort; ``levels > 1`` runs the multi-level
-        AMS-style schedule (see module docstring).  The sorted output is
-        bit-identical either way.
-    oversample:
-        Multi-level only: regular samples contributed per rank per round,
-        as a multiple of the round's split factor.
 
     Returns
     -------
@@ -199,10 +83,6 @@ def parallel_sample_sort(
         ``(values, rids, *aligned)`` for this rank, globally sorted and
         re-balanced to the exact ⌈N/p⌉ block distribution.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
     arrays = [np.asarray(values), np.asarray(rids)] + [np.asarray(a) for a in aligned]
     n_local = len(arrays[0])
     for a in arrays:
@@ -216,11 +96,6 @@ def parallel_sample_sort(
 
     if comm.size == 1:
         return tuple(arrays)
-
-    if levels > 1:
-        arrays = _multi_level_exchange(comm, arrays, levels, oversample)
-        balanced = redistribute_blocks(comm, arrays)
-        return tuple(balanced)
 
     # 2. regular sampling — p samples per rank, allgathered everywhere
     if n_local > 0:

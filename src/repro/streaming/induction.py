@@ -52,11 +52,12 @@ from ..runtime.checkpoint import (
     CheckpointError,
     LevelCheckpointer,
     LoadedCheckpoint,
+    rank_extras,
     resolve_checkpoint,
+    restore_rank_extras,
 )
 from ..runtime.reduction import SUM
 from ..runtime.tracing import tag_level
-from ..runtime.tracing.events import payload_digest
 from ..tree.model import (
     CategoricalSplit,
     ContinuousSplit,
@@ -72,33 +73,6 @@ __all__ = ["stream_induce_worker"]
 
 #: manifest tag identifying streaming-induction checkpoints
 _CKPT_ALGO = "scalparc-streaming"
-
-
-def _schema_fingerprint(schema: Schema) -> str:
-    return payload_digest([
-        int(schema.n_classes),
-        [(spec.name, bool(spec.is_continuous), int(spec.n_values))
-         for spec in schema],
-    ])
-
-
-def _config_fingerprint(config: InductionConfig) -> str:
-    """Digest of the knobs that shape a streamed tree.
-
-    Beyond the batch tree-shaping knobs, the streaming schedule itself
-    shapes the tree whenever growth is eager or sketches compress, so the
-    resolved chunk/sketch/grow/reopen knobs all join the digest — a
-    resume under different streaming settings must fail loudly.
-    """
-    return payload_digest([
-        config.max_depth, config.min_split_records,
-        float(config.min_improvement), config.criterion,
-        config.categorical_binary_subsets, config.subset_exhaustive_limit,
-        config.resolved_stream_chunk_records(),
-        config.resolved_sketch_size(),
-        config.resolved_stream_grow_records(),
-        float(config.resolved_stream_reopen_delta()),
-    ])
 
 
 # ----------------------------------------------------------------------
@@ -498,19 +472,15 @@ def _grow_rounds(comm: Communicator, state: StreamState,
 def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
               state: StreamState, cursor: int, n_seen: int,
               config: InductionConfig) -> None:
-    from ..core.induction import _rank_extras
-
     rank_payload = {
         "columns": [col.copy() for col in state.columns],
         "labels": state.labels.copy(),
         "node_of": state.node_of.copy(),
         "local_counts": state.local_counts.copy(),
-        **_rank_extras(comm),
+        **rank_extras(comm),
     }
     shared_payload = {
-        "algo": _CKPT_ALGO,
-        "schema": _schema_fingerprint(state.schema),
-        "config": _config_fingerprint(config),
+        **config.cut_header(_CKPT_ALGO, state.schema, streaming=True),
         "tree": (state.root, state.entries),
         "frontier": (state.depth, state.open_, state.closed_dist,
                      state.n_global),
@@ -530,29 +500,13 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
     re-blocked contiguously in old-rank order, and sketches are rebuilt
     deterministically from the exact retained data either way.
     """
-    from ..core.induction import _restore_rank_extras
-
     loaded = LoadedCheckpoint.open(source)
-    shared = loaded.shared_payload()
-    if shared.get("algo") != _CKPT_ALGO:
-        raise CheckpointError(
-            f"checkpoint {loaded.manifest_path!r} was not written by the "
-            f"streaming driver (algo={shared.get('algo')!r})"
-        )
+    shared = loaded.expect(
+        **config.cut_header(_CKPT_ALGO, schema, streaming=True))
     if "frontier" not in shared:
         raise CheckpointError(
             f"checkpoint {loaded.manifest_path!r} predates the array "
             "frontier registry of this streaming driver; restart the stream"
-        )
-    if shared["schema"] != _schema_fingerprint(schema):
-        raise CheckpointError(
-            "checkpoint schema does not match the stream's; resume needs "
-            "the same record schema"
-        )
-    if shared["config"] != _config_fingerprint(config):
-        raise CheckpointError(
-            "checkpoint was written under different streaming settings; "
-            "resume with the original InductionConfig"
         )
 
     state = StreamState(schema, capacity)
@@ -569,7 +523,7 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         state.labels = np.asarray(mine["labels"])
         state.node_of = np.asarray(mine["node_of"])
         state.local_counts = np.asarray(mine["local_counts"])
-        _restore_rank_extras(comm, mine)
+        restore_rank_extras(comm, mine)
     else:
         all_labels = np.concatenate([p["labels"] for p in payloads])
         all_node_of = np.concatenate([p["node_of"] for p in payloads])

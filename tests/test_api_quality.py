@@ -3,9 +3,12 @@ accidental public surface drift."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -92,3 +95,47 @@ def test_top_level_surface_is_stable():
     }
     missing = required - set(repro.__all__)
     assert not missing, f"top-level API lost: {sorted(missing)}"
+
+
+# ----------------------------------------------------------------------
+# knob parity: config fields / env vars vs the two documentation tables
+# ----------------------------------------------------------------------
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def _table_names(path: pathlib.Path, heading: str) -> set[str]:
+    """Backticked identifiers in the first column of the markdown table
+    under ``heading`` (up to the next heading)."""
+    section = path.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    section = re.split(r"\n#{1,6} ", section, maxsplit=1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows, f"no table rows under {heading!r} in {path.name}"
+    return {name for row in rows
+            for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+
+
+def _env_names_in(*paths: pathlib.Path) -> set[str]:
+    return {name for path in paths
+            for name in _ENV_NAME.findall(path.read_text(encoding="utf-8"))}
+
+
+def test_config_fields_match_readme_table():
+    fields = {f.name for f in dataclasses.fields(repro.InductionConfig)}
+    documented = _table_names(_ROOT / "README.md",
+                              "### Induction configuration")
+    assert fields - documented == set(), "fields missing from README's table"
+    assert documented - fields == set(), "README documents unknown fields"
+
+
+def test_env_vars_match_runtime_doc_table():
+    in_src = _env_names_in(*(_ROOT / "src" / "repro").rglob("*.py"))
+    runtime_md = _ROOT / "docs" / "runtime.md"
+    documented = _table_names(runtime_md, "## Environment variables")
+    assert in_src - documented == set(), "variables missing from the table"
+    assert documented - in_src == set(), "table documents unknown variables"
+    # prose outside the tables must not name a variable src/ lacks either;
+    # REPRO_SCALE is the benchmarks' knob (benchmarks/conftest.py)
+    named = _env_names_in(runtime_md, _ROOT / "README.md")
+    assert named - in_src - {"REPRO_SCALE"} == set()

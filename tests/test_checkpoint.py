@@ -231,6 +231,74 @@ def test_resume_rejects_mismatched_run(tmp_path):
                for e in excinfo.value.failures.values())
 
 
+@pytest.mark.parametrize("field", ["algo", "schema", "config"])
+@pytest.mark.parametrize("driver", ["batch", "stream"])
+def test_resume_names_the_mismatched_header_field(tmp_path, driver, field):
+    """Both induction drivers share one cut-compatibility rule: a cut is
+    refused, typed, naming which of ``algo`` / ``schema`` / ``config``
+    differs — including a cut written by the *other* driver."""
+    ds = generate_quest(600, "F2", seed=5)
+    cfg = InductionConfig(max_depth=6, stream_chunk_records=300)
+
+    def run(how, dataset, config, checkpoint):
+        clf = ScalParC(2, config, machine=None, backend="thread")
+        if how == "batch":
+            return clf.fit(dataset, checkpoint=checkpoint)
+        return clf.fit_stream(dataset, checkpoint=checkpoint, max_epochs=1)
+
+    other = {"batch": "stream", "stream": "batch"}[driver]
+    run(other if field == "algo" else driver, ds, cfg,
+        CheckpointConfig(dir=str(tmp_path)))
+    if field == "schema":
+        ds = generate_quest(600, "F2", seed=5,
+                            attributes=("salary", "age", "elevel"))
+    if field == "config":
+        cfg = InductionConfig(max_depth=5, stream_chunk_records=300)
+    with pytest.raises(Exception) as excinfo:
+        run(driver, ds, cfg, CheckpointConfig(dir=str(tmp_path), resume=True))
+    errors = [e for e in excinfo.value.failures.values()
+              if isinstance(e, CheckpointError)]
+    assert errors and all(field in str(e) for e in errors)
+
+
+@pytest.mark.parametrize("streaming, knobs, digest", [
+    (False, {}, "8ad62517fca9b25d"),
+    (False, {"n_bins": 7}, "8ad62517fca9b25d"),     # masked in exact mode
+    (False, {"split_mode": "histogram", "n_bins": 16}, "53464025eac66b3c"),
+    (False, {"split_mode": "voted", "n_bins": 16, "vote_top_k": 1},
+     "bb090856fb16f7fa"),
+    (False, {"max_depth": 8, "criterion": "entropy"}, "666edd7acd2bcb93"),
+    (True, {}, "07e1780975c48336"),
+    (True, {"max_depth": 8, "stream_chunk_records": 500, "sketch_size": 128},
+     "675a4194c2a4cad7"),
+    (True, {"stream_grow_records": 500, "stream_reopen_delta": 0.1},
+     "1c569498ad2db970"),
+])
+def test_config_fingerprints_are_pinned(monkeypatch, streaming, knobs, digest):
+    """Literal pins, computed before the two drivers' fingerprint code
+    was unified: a moved digest strands every cut already on disk."""
+    from repro.core.config import (
+        SKETCH_SIZE_ENV,
+        SPLIT_MODE_ENV,
+        STREAM_CHUNK_ENV,
+        STREAM_GROW_ENV,
+        STREAM_REOPEN_ENV,
+    )
+
+    for env in (SPLIT_MODE_ENV, STREAM_CHUNK_ENV, SKETCH_SIZE_ENV,
+                STREAM_GROW_ENV, STREAM_REOPEN_ENV):
+        monkeypatch.delenv(env, raising=False)
+    assert InductionConfig(**knobs).fingerprint(streaming) == digest
+
+
+def test_schema_fingerprint_is_pinned():
+    from repro.core.config import schema_fingerprint
+    from repro.datagen import paper_dataset
+
+    assert schema_fingerprint(paper_dataset(10, "F2").schema) \
+        == "276d0bc14e46402f"
+
+
 def test_fit_api_and_env_parity(tmp_path, monkeypatch):
     ds = generate_quest(300, "F3", seed=2)
     golden = induce_serial(ds)

@@ -11,10 +11,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SORT_LEVELS_ENV, InductionConfig
-from repro.runtime.engines.base import TIMEOUT_ENV, resolve_timeout
-from repro.runtime.engines.tcp import HB_ENV, resolve_hb_interval
-from repro.runtime.envutil import EnvVarError, env_float, env_int
+from repro.core import kernels
+from repro.core.config import SKETCH_SIZE_ENV, SPLIT_MODE_ENV, InductionConfig
+from repro.runtime.engines.base import (
+    BACKEND_ENV,
+    TIMEOUT_ENV,
+    resolve_backend,
+    resolve_timeout,
+)
+from repro.runtime.engines.process import START_METHOD_ENV, _mp_context
+from repro.runtime.engines.tcp import (
+    HB_ENV,
+    HOSTS_ENV,
+    resolve_hb_interval,
+    resolve_tcp_hosts,
+)
+from repro.runtime.envutil import EnvVarError, env_choice, env_float, env_int
 from repro.runtime.framing import MAX_FRAME_ENV, resolve_max_frame
 
 
@@ -56,6 +68,16 @@ def test_env_float_names_variable_and_value(monkeypatch):
         env_float("REPRO_TEST_KNOB")
 
 
+def test_env_choice_default_strip_and_error(monkeypatch):
+    monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+    assert env_choice("REPRO_TEST_KNOB", ("a", "b"), "a") == "a"
+    monkeypatch.setenv("REPRO_TEST_KNOB", " b ")
+    assert env_choice("REPRO_TEST_KNOB", ("a", "b"), "a") == "b"
+    monkeypatch.setenv("REPRO_TEST_KNOB", "c")
+    with pytest.raises(EnvVarError, match="REPRO_TEST_KNOB='c'.*'a', 'b'"):
+        env_choice("REPRO_TEST_KNOB", ("a", "b"), "a")
+
+
 # -- every knob resolver routes through the helpers --------------------
 
 
@@ -77,7 +99,28 @@ def test_heartbeat_resolver_reports_variable(monkeypatch):
         resolve_hb_interval()
 
 
-def test_sort_levels_resolver_reports_variable(monkeypatch):
-    monkeypatch.setenv(SORT_LEVELS_ENV, "many")
-    with pytest.raises(EnvVarError, match=SORT_LEVELS_ENV):
-        InductionConfig().resolved_sort_levels()
+def test_sketch_size_resolver_reports_variable(monkeypatch):
+    monkeypatch.setenv(SKETCH_SIZE_ENV, "many")
+    with pytest.raises(EnvVarError, match=SKETCH_SIZE_ENV):
+        InductionConfig().resolved_sketch_size()
+
+
+@pytest.mark.parametrize("env, resolve", [
+    (START_METHOD_ENV, _mp_context),
+    (SPLIT_MODE_ENV, lambda: InductionConfig().resolved_split_mode()),
+    (BACKEND_ENV, resolve_backend),
+    (kernels.KERNEL_MODE_ENV, kernels.kernel_mode),
+], ids=["start_method", "split_mode", "backend", "kernels"])
+def test_choice_resolver_reports_variable(monkeypatch, env, resolve):
+    monkeypatch.setenv(env, "bogus")
+    with pytest.raises(EnvVarError, match=f"{env}='bogus'"):
+        resolve()
+
+
+def test_tcp_hosts_range_error_names_variable_only_from_env(monkeypatch):
+    monkeypatch.setenv(HOSTS_ENV, "0")
+    with pytest.raises(EnvVarError, match=f"{HOSTS_ENV}='0'"):
+        resolve_tcp_hosts(4)
+    with pytest.raises(ValueError) as err:      # explicit argument: no env
+        resolve_tcp_hosts(4, 0)
+    assert not isinstance(err.value, EnvVarError)

@@ -105,104 +105,6 @@ def test_mismatched_lengths_raise():
 
 
 # ---------------------------------------------------------------------------
-# multi-level (AMS) mode
-# ---------------------------------------------------------------------------
-
-def _scatter_sort_levels(values, rids, labels, size, levels, oversample=2):
-    n = len(values)
-    chunk = -(-n // size) if n else 0
-
-    def worker(comm):
-        lo, hi = comm.rank * chunk, min((comm.rank + 1) * chunk, n)
-        return parallel_sample_sort(
-            comm, values[lo:hi], labels[lo:hi], rids=rids[lo:hi],
-            levels=levels, oversample=oversample,
-        )
-
-    return run_spmd(size, worker)
-
-
-@pytest.mark.parametrize("size", [2, 3, 5, 8])
-@pytest.mark.parametrize("levels", [2, 3])
-def test_multi_level_equals_single_level(size, levels):
-    """The multi-level AMS schedule must reproduce the single-level
-    output *per rank* — the (value, rid) total order is unique, so any
-    correct schedule lands every entry on the same rank at the same
-    position.  Duplicate-heavy values stress the splitter tie-breaking."""
-    rng = np.random.default_rng(41 * size + levels)
-    n = 1200
-    values = rng.integers(0, 12, n).astype(np.float64)
-    rids = rng.permutation(n).astype(np.int64)
-    labels = rng.integers(0, 3, n).astype(np.int64)
-    base = _scatter_sort_levels(values, rids, labels, size, levels=1)
-    multi = _scatter_sort_levels(values, rids, labels, size, levels=levels)
-    for rank in range(size):
-        for a, b in zip(base[rank], multi[rank]):
-            np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("n", [0, 1, 5])
-def test_multi_level_tiny_inputs(n):
-    """Fewer records than ranks (some rounds see empty groups/samples)."""
-    rng = np.random.default_rng(n)
-    values = rng.normal(0, 1, n)
-    rids = np.arange(n, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    results = _scatter_sort_levels(values, rids, labels, 8, levels=3)
-    got_v = np.concatenate([r[0] for r in results])
-    np.testing.assert_array_equal(got_v, np.sort(values))
-
-
-@pytest.mark.parametrize("oversample", [1, 4])
-def test_multi_level_oversample_never_changes_output(oversample):
-    rng = np.random.default_rng(77)
-    n = 700
-    values = rng.normal(0, 1, n)
-    rids = rng.permutation(n).astype(np.int64)
-    labels = rng.integers(0, 2, n).astype(np.int64)
-    base = _scatter_sort_levels(values, rids, labels, 5, levels=2,
-                                oversample=2)
-    other = _scatter_sort_levels(values, rids, labels, 5, levels=2,
-                                 oversample=oversample)
-    for rank in range(5):
-        for a, b in zip(base[rank], other[rank]):
-            np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("nprocs", [2, 3, 5])
-def test_multi_level_presort_induces_identical_tree(nprocs):
-    """End to end: an exact-mode fit presorted with the multi-level
-    schedule grows the serial reference's tree bit for bit."""
-    from repro.baselines import induce_serial
-    from repro.core import InductionConfig, ScalParC
-    from repro.datagen import generate_quest
-
-    from tests.conftest import assert_trees_equal
-
-    ds = generate_quest(350, "F2", seed=7)
-    ref = induce_serial(ds)
-    result = ScalParC(
-        n_processors=nprocs, machine=None, backend="thread",
-        config=InductionConfig(sort_levels=2),
-    ).fit(ds)
-    assert_trees_equal(result.tree, ref, f"(sort_levels=2 p={nprocs})")
-
-
-def test_invalid_levels_and_oversample_raise():
-    from repro.runtime import SpmdWorkerError
-
-    for kwargs in ({"levels": 0}, {"oversample": 0}):
-        def worker(comm):
-            parallel_sample_sort(
-                comm, np.zeros(3), rids=np.arange(3, dtype=np.int64),
-                **kwargs,
-            )
-
-        with pytest.raises(SpmdWorkerError):
-            run_spmd(2, worker)
-
-
-# ---------------------------------------------------------------------------
 # key helpers (property-based)
 # ---------------------------------------------------------------------------
 
