@@ -55,6 +55,8 @@ from typing import Any
 
 import numpy as np
 
+from .envutil import env_str
+
 __all__ = [
     "CHECKPOINT_ENV",
     "CheckpointConfig",
@@ -184,10 +186,8 @@ def resolve_checkpoint(
     finally to "checkpointing off" (returns ``None``).
     """
     if checkpoint is None:
-        env = os.environ.get(CHECKPOINT_ENV)
-        if not env:
-            return None
-        return CheckpointConfig(dir=env)
+        env = env_str(CHECKPOINT_ENV)
+        return None if env is None else CheckpointConfig(dir=env)
     if isinstance(checkpoint, CheckpointConfig):
         return checkpoint
     if isinstance(checkpoint, (str, os.PathLike)):

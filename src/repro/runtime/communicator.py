@@ -179,11 +179,30 @@ class Communicator(ABC):
         )
 
     def split(self, color: int, key: int | None = None) -> "Communicator | None":
-        """Partition the communicator into sub-communicators
-        (MPI_Comm_split); negative colors opt out and return ``None``."""
+        """Partition the communicator into sub-communicators (MPI_Comm_split).
+
+        Ranks passing the same ``color`` form a new communicator; within
+        it they are re-ranked by ``(key, old rank)`` ascending (``key``
+        defaults to the old rank).  Passing a negative color opts out and
+        returns ``None`` (the MPI_UNDEFINED convention).
+
+        Each sub-communicator gets private collective and mailbox state,
+        so collectives and point-to-point messages on it cannot interfere
+        with the parent's; an abort of the job still releases ranks
+        blocked on it.  The parent communicator remains usable; as in
+        MPI, all ranks must agree on which communicator each operation
+        targets.  Sub-communicator traffic is not priced by the parent's
+        performance observer (the lock-step clock is defined over the full
+        machine); ``comm.perf`` compute accounting still works.
+        """
         raise NotImplementedError(
             f"{type(self).__name__} does not support sub-communicators"
         )
+
+    def _check_peer(self, rank: int, role: str) -> None:
+        """Validate a point-to-point ``source`` / ``dest`` argument."""
+        if not 0 <= rank < self.size:
+            raise InvalidRankError(f"{role} {rank} outside [0, {self.size})")
 
     # ------------------------------------------------------------------
     # nonblocking point-to-point (engine-independent, via _try_recv)
@@ -191,8 +210,7 @@ class Communicator(ABC):
 
     def iprobe(self, source: int, tag: int = 0) -> bool:
         """Non-destructively test whether a matching message is waiting."""
-        if not 0 <= source < self.size:
-            raise InvalidRankError(f"source {source} outside [0, {self.size})")
+        self._check_peer(source, "source")
         return self._probe(source, tag)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
@@ -205,8 +223,7 @@ class Communicator(ABC):
     def irecv(self, source: int, tag: int = 0) -> "Request":
         """Nonblocking receive; poll with :meth:`Request.test` or block
         with :meth:`Request.wait`."""
-        if not 0 <= source < self.size:
-            raise InvalidRankError(f"source {source} outside [0, {self.size})")
+        self._check_peer(source, "source")
         return Request(_comm=self, _source=source, _tag=tag)
 
     # ------------------------------------------------------------------

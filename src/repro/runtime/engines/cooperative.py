@@ -28,44 +28,20 @@ scheduling order) are fully deterministic.
 from __future__ import annotations
 
 import threading
-import traceback
 from collections import deque
 from typing import Any, Callable, Sequence
 
-from ..communicator import ANY_TAG, Communicator
-from ..errors import (
-    CollectiveAbortedError,
-    CollectiveMismatchError,
-    InvalidRankError,
-    SpmdWorkerError,
-)
+from ..communicator import Communicator
+from ..errors import CollectiveAbortedError, CollectiveMismatchError
 from ..payload import payload_nbytes
 from ..tracing import TraceRecorder
 from .base import SpmdEngine
+from .group import Group, abort_error, raise_failures, run_worker
 
 __all__ = ["CooperativeEngine", "CooperativeCommunicator"]
 
 # rank lifecycle states
 _RUNNABLE, _RUNNING, _BLOCKED, _FINISHED = range(4)
-
-
-class _Group:
-    """Collective + mailbox state for one communicator (split creates
-    private sub-groups, exactly like the thread engine)."""
-
-    __slots__ = ("members", "size", "observer", "op", "contribs",
-                 "arrived", "waiting", "error", "boxes")
-
-    def __init__(self, members: list[int], observer: Any | None):
-        self.members = members          # group rank -> global rank
-        self.size = len(members)
-        self.observer = observer
-        self.op: str | None = None
-        self.contribs: list = [None] * self.size
-        self.arrived = 0
-        self.waiting: list[int] = []    # group ranks parked in the step
-        self.error: BaseException | None = None
-        self.boxes: list[deque] = [deque() for _ in members]
 
 
 class _RankState:
@@ -97,8 +73,9 @@ class _Scheduler:
         self.states = [_RankState() for _ in range(size)]
         self.runq: deque[int] = deque(range(size))
         self.sched_sem = threading.Semaphore(0)
-        self.root = _Group(list(range(size)), observer)
-        self.error: BaseException | None = None
+        self.root = Group(list(range(size)))
+        self.observer = observer        # prices the root group only
+        self.error: CollectiveAbortedError | None = None
         self.results: list = [None] * size
         self.failures: dict[int, BaseException] = {}
         self.tracebacks: dict[int, str] = {}
@@ -148,14 +125,10 @@ class _Scheduler:
         st.status = _RUNNABLE
         self.runq.append(grank)
 
-    def abort_from(self, grank: int, exc: BaseException) -> None:
-        """A rank died: release every parked rank with the abort error."""
+    def abort(self, err: CollectiveAbortedError) -> None:
+        """The job failed (first error wins): release every parked rank,
+        whichever communicator it is blocked on."""
         if self.error is None:
-            err = CollectiveAbortedError(
-                f"rank {grank} aborted: {type(exc).__name__}: {exc}",
-                origin_rank=grank,
-            )
-            err.__cause__ = exc
             self.error = err
         for g, st in enumerate(self.states):
             if st.status == _BLOCKED:
@@ -168,22 +141,17 @@ class _Scheduler:
         st = self.states[grank]
         st.sem.acquire()                # wait for the first schedule
         st.status = _RUNNING
-        try:
-            self.results[grank] = worker(comm, *args, **kwargs)
-        except CollectiveAbortedError as exc:
-            # secondary failure caused by another rank (origin records
-            # the root cause in abort_from)
-            if grank not in self.failures:
-                self.failures[grank] = exc
-                self.tracebacks[grank] = traceback.format_exc()
-        except BaseException as exc:
-            self.failures[grank] = exc
-            self.tracebacks[grank] = traceback.format_exc()
-            self.abort_from(grank, exc)
-        finally:
-            st.status = _FINISHED
-            self.finished += 1
-            self._handoff()
+        kind, value, tb = run_worker(worker, comm, args, kwargs)
+        if kind == "done":
+            self.results[grank] = value
+        else:
+            self.failures[grank] = value
+            self.tracebacks[grank] = tb
+            if kind == "error":
+                self.abort(abort_error(grank, value))
+        st.status = _FINISHED
+        self.finished += 1
+        self._handoff()
 
     def run(self, worker, args, kwargs,
             comms: list["CooperativeCommunicator"]) -> None:
@@ -212,9 +180,7 @@ class _Scheduler:
             detail = "; ".join(
                 f"rank {g} in {self.states[g].where}" for g in blocked
             )
-            err = CollectiveAbortedError(f"deadlock detected: {detail}")
-            for g in blocked:
-                self.wake(g, exc=err)
+            self.abort(CollectiveAbortedError(f"deadlock detected: {detail}"))
             self._handoff()
         for t in carriers:
             t.join()
@@ -223,115 +189,78 @@ class _Scheduler:
 class CooperativeCommunicator(Communicator):
     """Per-rank communicator handle backed by the cooperative scheduler."""
 
-    def __init__(self, sched: _Scheduler, group: _Group, rank: int,
+    def __init__(self, sched: _Scheduler, group: Group, rank: int,
                  perf: Any | None = None):
         super().__init__(rank, group.size, perf=perf)
         self._sched = sched
         self._group = group
         #: this rank's global id (group rank == global rank only pre-split)
         self._grank = group.members[rank]
+        #: sub-communicator traffic is not priced
+        self._observer = sched.observer if group is sched.root else None
 
     # -- engine primitives ---------------------------------------------
 
-    def _check_errors(self, check_group: bool = True) -> None:
-        if self._sched.error is not None:
-            raise self._sched.error
-        if check_group and self._group.error is not None:
-            raise self._group.error
-
     def _exchange_impl(self, op, payload, combine, comm_bytes=None):
         sched, grp = self._sched, self._group
-        self._check_errors()
-        if grp.arrived == 0:
-            grp.op = op
-        elif op != grp.op:
-            exc = CollectiveMismatchError(
-                f"rank {self.rank} called {op!r} while peers are in {grp.op!r}"
-            )
-            grp.error = exc
-            waiting, grp.waiting = grp.waiting, []
-            for r in waiting:
+        if sched.error is not None:
+            raise sched.error
+        try:
+            last = grp.arrive(self.rank, op, payload)
+        except CollectiveMismatchError as exc:
+            for r in grp.take_step()[2]:        # the parked peers raise too
                 sched.wake(grp.members[r], exc=exc)
-            raise exc
-        grp.contribs[self.rank] = payload
-        grp.arrived += 1
-        if grp.arrived < grp.size:
-            grp.waiting.append(self.rank)
+            raise
+        if not last:
             return sched.block(
                 self._grank,
-                f"collective {op!r} ({grp.arrived}/{grp.size} ranks arrived)",
+                f"collective {op!r} "
+                f"({len(grp.arrived)}/{grp.size} ranks arrived)",
             )
         # last arriving rank: execute the step inline
-        contribs = grp.contribs
-        waiting, grp.waiting = grp.waiting, []
-        grp.contribs = [None] * grp.size
-        grp.arrived = 0
-        grp.op = None
+        waiting = grp.arrived[:-1]
+        observer = self._observer
         try:
-            results = combine(contribs)
-            if len(results) != grp.size:
-                raise AssertionError(
-                    f"combine for {op!r} returned {len(results)} results"
-                )
-            if grp.observer is not None:
-                if comm_bytes is not None:
-                    sent, recv = comm_bytes(contribs)
-                else:
-                    sent = recv = [0] * grp.size
-                grp.observer.on_collective(op, sent, recv, grp.size)
-        except BaseException as exc:    # propagate to every rank
-            err = CollectiveAbortedError(
-                f"collective {op!r} failed on combining rank {self.rank}: {exc}",
-                origin_rank=self.rank,
+            results, sent, recv = grp.finish_step(
+                self.rank, combine,
+                comm_bytes if observer is not None else None,
             )
-            err.__cause__ = exc
-            grp.error = err
-            for r in waiting:
-                sched.wake(grp.members[r], exc=err)
-            raise err
+        except CollectiveAbortedError as err:
+            sched.abort(err)
+            raise
+        if observer is not None:
+            observer.on_collective(op, sent, recv, grp.size)
         for r in waiting:
             sched.wake(grp.members[r], value=results[r])
         return results[self.rank]
 
     # -- point-to-point -------------------------------------------------
 
-    def _deliver(self, payload: Any, src: int) -> None:
-        if self._group.observer is not None:
-            self._group.observer.on_ptp(src, self.rank,
-                                        payload_nbytes(payload))
+    def _match(self, rank: int, source: int, tag: int, *,
+               pop: bool) -> tuple[bool, Any]:
+        """Look in group rank ``rank``'s mailbox, pricing a delivery."""
+        found, payload = self._group.match(rank, source, tag, pop=pop)
+        if found and pop and self._observer is not None:
+            self._observer.on_ptp(source, rank, payload_nbytes(payload))
+        return found, payload
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise InvalidRankError(f"dest {dest} outside [0, {self.size})")
-        self._check_errors(check_group=False)
+        self._check_peer(dest, "dest")
         sched, grp = self._sched, self._group
+        if sched.error is not None:
+            raise sched.error
+        grp.post(self.rank, dest, tag, obj)
+        # hand the message straight to a receiver parked waiting for it
         dest_g = grp.members[dest]
         wait = sched.states[dest_g].recv_wait
-        if wait is not None:
-            wgrp, wsource, wtag = wait
-            if wgrp is grp and wsource == self.rank and \
-                    (wtag == ANY_TAG or wtag == tag):
-                if grp.observer is not None:
-                    grp.observer.on_ptp(self.rank, dest, payload_nbytes(obj))
-                sched.wake(dest_g, value=obj)
-                return
-        grp.boxes[dest].append((self.rank, tag, obj))
-
-    def _match_box(self, source: int, tag: int, *, pop: bool) -> tuple:
-        box = self._group.boxes[self.rank]
-        for idx, (src, msg_tag, payload) in enumerate(box):
-            if src == source and (tag == ANY_TAG or msg_tag == tag):
-                if pop:
-                    del box[idx]
-                    self._deliver(payload, src)
-                return True, payload
-        return False, None
+        if wait is not None and wait[0] is grp:
+            found, payload = self._match(dest, wait[1], wait[2], pop=True)
+            if found:
+                sched.wake(dest_g, value=payload)
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        if not 0 <= source < self.size:
-            raise InvalidRankError(f"source {source} outside [0, {self.size})")
-        self._check_errors(check_group=False)
-        found, payload = self._match_box(source, tag, pop=True)
+        self._check_peer(source, "source")
+        found, payload = self._try_recv(source, tag)
         if found:
             return payload
         self._sched.states[self._grank].recv_wait = (self._group, source, tag)
@@ -340,40 +269,28 @@ class CooperativeCommunicator(Communicator):
         )
 
     def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        self._check_errors(check_group=False)
-        return self._match_box(source, tag, pop=True)
+        if self._sched.error is not None:
+            raise self._sched.error
+        return self._match(self.rank, source, tag, pop=True)
 
     def _probe(self, source: int, tag: int) -> bool:
-        self._check_errors(check_group=False)
-        return self._match_box(source, tag, pop=False)[0]
+        if self._sched.error is not None:
+            raise self._sched.error
+        return self._match(self.rank, source, tag, pop=False)[0]
 
     # -- sub-communicators ----------------------------------------------
 
     def split(self, color: int, key: int | None = None) \
             -> "CooperativeCommunicator | None":
-        """Partition the communicator MPI-style (same semantics as the
-        thread engine's :meth:`ThreadCommunicator.split`)."""
-        me = (color, key if key is not None else self.rank, self.rank)
-        parent = self._group
-
-        def combine(contribs: list) -> list:
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for c, k, r in contribs:
-                if c >= 0:
-                    groups.setdefault(c, []).append((k, r))
-            plans: list = [None] * len(contribs)
-            for c, members in groups.items():
-                members.sort()
-                grp = _Group([parent.members[r] for _k, r in members], None)
-                for new_rank, (_k, old_rank) in enumerate(members):
-                    plans[old_rank] = (new_rank, grp)
-            return plans
-
-        plan = self._exchange("split", me, combine)
+        """MPI_Comm_split (see :meth:`Communicator.split`)."""
+        plan = self._exchange(
+            "split", (color, key if key is not None else self.rank),
+            lambda contribs: self._group.split(contribs)[1],
+        )
         if plan is None:
             return None
-        new_rank, grp = plan
-        return CooperativeCommunicator(self._sched, grp, new_rank,
+        group, new_rank = plan
+        return CooperativeCommunicator(self._sched, group, new_rank,
                                        perf=self.perf)
 
 
@@ -406,21 +323,14 @@ class CooperativeEngine(SpmdEngine):
             )
             for r in range(size)
         ]
-        recorders: list[TraceRecorder] | None = None
         if trace is not None:
             trace.begin(size, backend="cooperative")
-            recorders = [TraceRecorder(r, size) for r in range(size)]
-            for comm, rec in zip(comms, recorders):
-                comm._tracer = rec
+            for comm in comms:
+                comm._tracer = TraceRecorder(comm.rank, size)
         sched.run(worker, args, kwargs, comms)
-        if recorders is not None:
-            for rank, rec in enumerate(recorders):
-                trace.deliver(rank, rec.events)
+        if trace is not None:
+            for comm in comms:
+                trace.deliver(comm.rank, comm._tracer.events)
 
-        if sched.failures:
-            roots = {
-                r: e for r, e in sched.failures.items()
-                if not isinstance(e, CollectiveAbortedError)
-            }
-            raise SpmdWorkerError(roots or sched.failures, sched.tracebacks)
+        raise_failures(sched.failures, sched.tracebacks)
         return sched.results

@@ -2,11 +2,12 @@
 
 Topology: the parent process runs a single-threaded *router* and owns the
 observer plus the per-rank performance trackers; each rank is a child
-process connected to the router by one duplex pipe.  Children never talk
-to each other directly — every collective, point-to-point message, probe
-and split flows through the router, which applies exactly the same
-rendezvous/mailbox semantics as the thread engine (order-checked
-collectives, FIFO per-(source, tag) channels, abort on failure).
+process connected to the router by one duplex :class:`Channel` (a pipe
+here, a framed socket on the tcp backend, which reuses everything
+below).  Children never talk to each other directly — every collective,
+point-to-point message, probe and split flows through the router, which
+matches them with the same :class:`~.group.Group` core as the in-process
+engines (order-checked collectives, FIFO per-(source, tag) mailboxes).
 
 Combine functions are per-call closures that exist only inside the rank
 processes, so the router cannot run them.  Instead, when the last member
@@ -21,20 +22,14 @@ read — abort notifications included, which are delivered as the reply to
 each rank's pending or next request, never unsolicited.  Hence the two
 sides are never blocked writing to each other simultaneously.
 
-Shared-memory data plane (see :mod:`repro.runtime.shm`): numpy payloads
-at or above ``REPRO_SPMD_SHM_THRESHOLD`` bytes do not travel through the
-pipes at all.  The sending child copies the array once into a pooled
-``multiprocessing.shared_memory`` segment and ships a tiny descriptor;
-the combiner maps the segment and reads in place; receivers materialize
-one private copy.  Lease recycling is piggybacked on the existing
-protocol: the combiner reports consumed contribution leases on its
-``combined`` message (so each contributor's very next ``result`` reply
-already carries its reclaimed token), and receivers report consumed
-result/ptp leases lazily ahead of their next request (``shm_free``).
-Children announce newly created segments (``shm_new``) so the router can
-guarantee cleanup: owners only ever *close* their mappings — the parent
-unlinks every announced segment when the job ends, normally or not,
-which covers aborts and hard-killed ranks.
+Shared-memory data plane (:mod:`repro.runtime.shm` has the full story):
+numpy payloads at or above ``REPRO_SPMD_SHM_THRESHOLD`` bytes travel as
+tiny descriptors of pooled shared segments.  Lease recycling rides the
+existing protocol — consumed contribution leases on the combiner's
+``combined`` message, consumed result/ptp leases ahead of the receiver's
+next request (``shm_free``) — and children announce new segments
+(``shm_new``) so the parent can unlink every one when the job ends,
+normally or not, which covers aborts and hard-killed ranks.
 
 Perf-model fidelity: compute time is burned inside the children, comm
 time is priced by the observer inside the router, and the simulated
@@ -67,7 +62,7 @@ import random
 import sys
 import time
 import traceback
-from collections import deque
+from abc import ABC, abstractmethod
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
@@ -77,16 +72,17 @@ from ..checkpoint import (
     shrink_size,
     with_resume,
 )
-from ..communicator import ANY_TAG, Communicator
+from ..communicator import Communicator
 from ..envutil import env_choice
 from ..errors import (
     CollectiveAbortedError,
     CollectiveMismatchError,
-    InvalidRankError,
     RemoteTraceback,
+    SpmdError,
     SpmdWorkerError,
     WorkerCrashError,
 )
+from ..framing import FrameError
 from ..payload import payload_logical_nbytes
 from ..shm import (
     ShmAttachCache,
@@ -98,8 +94,15 @@ from ..shm import (
 )
 from ..tracing import TraceRecorder
 from .base import SpmdEngine
+from .group import Group, raise_failures, run_combine, run_worker
 
-__all__ = ["ProcessEngine", "ProcessCommunicator"]
+__all__ = [
+    "Channel",
+    "ChannelClosedError",
+    "PipeChannel",
+    "ProcessCommunicator",
+    "ProcessEngine",
+]
 
 #: env var overriding the multiprocessing start method (fork/spawn/forkserver)
 START_METHOD_ENV = "REPRO_SPMD_START_METHOD"
@@ -119,6 +122,86 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     preferred = next((m for m in ("fork", "spawn") if m in available), None)
     return multiprocessing.get_context(
         env_choice(START_METHOD_ENV, available, preferred))
+
+
+# ----------------------------------------------------------------------
+# transport
+# ----------------------------------------------------------------------
+
+
+class ChannelClosedError(SpmdError):
+    """The other end of a :class:`Channel` is gone (EOF, reset, broken
+    connection) or this end was closed locally."""
+
+
+class Channel(ABC):
+    """One duplex connection carrying whole protocol messages.  Ranks,
+    hosts and the router all speak through it, so both ends of every
+    link share one implementation.  Byte counts are what really crossed (they feed the trackers'
+    ``add_transport``).  A gone peer raises :class:`ChannelClosedError`,
+    a damaged or oversize frame :class:`~repro.runtime.framing.FrameError`,
+    and ``recv`` lets a socket read bound surface as ``TimeoutError``.
+    """
+
+    __slots__ = ()
+
+    @abstractmethod
+    def send(self, msg: Any) -> int:
+        """Block until ``msg`` is written; returns its wire bytes."""
+
+    @abstractmethod
+    def recv(self) -> tuple[Any, int]:
+        """Block for the next message; returns it and its wire bytes."""
+
+    @abstractmethod
+    def recv_ready(self) -> list[tuple[Any, int]]:
+        """After ``fileno()`` polled readable: every message one read
+        completes — none (a partial frame) up to several."""
+
+    @abstractmethod
+    def fileno(self) -> int:
+        """The descriptor to poll for readability."""
+
+    @abstractmethod
+    def close(self) -> None:
+        """Close this end (idempotent); the peer sees EOF."""
+
+
+class PipeChannel(Channel):
+    """A :class:`Channel` over one end of a ``multiprocessing.Pipe``:
+    each message is one ``ForkingPickler`` blob."""
+
+    __slots__ = ("_conn",)
+
+    def __init__(self, conn: multiprocessing.connection.Connection):
+        self._conn = conn
+
+    def send(self, msg: Any) -> int:
+        # explicit dumps + send_bytes (what Connection.send does inside)
+        # so the serialized volume is measured exactly, for free
+        buf = ForkingPickler.dumps(msg)
+        try:
+            self._conn.send_bytes(buf)
+        except (OSError, ValueError) as exc:
+            raise ChannelClosedError(f"pipe closed: {exc}") from exc
+        return len(buf)
+
+    def recv(self) -> tuple[Any, int]:
+        try:
+            buf = self._conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise ChannelClosedError(
+                f"pipe closed: {str(exc) or type(exc).__name__}") from exc
+        return pickle.loads(buf), len(buf)
+
+    def recv_ready(self) -> list[tuple[Any, int]]:
+        return [self.recv()]            # pipes are message-oriented
+
+    def fileno(self) -> int:
+        return self._conn.fileno()
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -162,9 +245,10 @@ class _ShmState:
 
 
 class ProcessCommunicator(Communicator):
-    """Child-side communicator: one duplex pipe to the router."""
+    """Rank-side communicator: one :class:`Channel` to the router (a pipe
+    on the process backend, a framed socket on tcp)."""
 
-    def __init__(self, conn: Any, ctx: int, rank: int, size: int,
+    def __init__(self, conn: Channel, ctx: int, rank: int, size: int,
                  perf: Any | None = None, shm: _ShmState | None = None):
         super().__init__(rank, size, perf=perf)
         self._conn = conn
@@ -183,7 +267,7 @@ class ProcessCommunicator(Communicator):
             if fn is not None:
                 fn(state)
 
-    # -- transport accounting + framed pipe IO -------------------------
+    # -- transport accounting + channel IO ------------------------------
 
     def _count_transport(self, pickled: int, shared: int) -> None:
         fn = getattr(self.perf, "add_transport", None)
@@ -193,16 +277,28 @@ class ProcessCommunicator(Communicator):
                phase=tracer.phase if tracer is not None else None)
 
     def _raw_send(self, msg: tuple) -> None:
-        # explicit dumps + send_bytes (what Connection.send does inside)
-        # so the serialized volume is measured exactly, for free
-        buf = ForkingPickler.dumps(msg)
-        self._count_transport(len(buf), 0)
-        self._conn.send_bytes(buf)
+        try:
+            nbytes = self._conn.send(msg)
+        except ChannelClosedError as exc:
+            raise CollectiveAbortedError(
+                f"connection to the job coordinator lost: {exc}"
+            ) from exc
+        self._count_transport(nbytes, 0)
 
     def _recv_msg(self) -> tuple:
-        buf = self._conn.recv_bytes()
-        self._count_transport(len(buf), 0)
-        return pickle.loads(buf)
+        try:
+            msg, nbytes = self._conn.recv()
+        except TimeoutError as exc:      # socket read bound expired
+            raise CollectiveAbortedError(
+                "no reply from the job coordinator within the read "
+                "bound — coordinator unreachable?"
+            ) from exc
+        except ChannelClosedError as exc:
+            raise CollectiveAbortedError(
+                f"connection to the job coordinator lost: {exc}"
+            ) from exc
+        self._count_transport(nbytes, 0)
+        return msg
 
     def _send_msg(self, msg: tuple) -> None:
         """Send one request, preceded by any pending data-plane control
@@ -301,16 +397,9 @@ class ProcessCommunicator(Communicator):
                 try:
                     contribs = self._decode(enc_contribs, copy=False,
                                             consumed=consumed)
-                    results = combine(contribs)
-                    if len(results) != self.size:
-                        raise AssertionError(
-                            f"combine returned {len(results)} results for "
-                            f"{self.size} ranks"
-                        )
-                    if comm_bytes is not None:
-                        sent, recv = comm_bytes(contribs)
-                    else:
-                        sent = recv = [0] * self.size
+                    # msg is the "coll" request this rank is parked in
+                    results, sent, recv = run_combine(
+                        msg[2], self.rank, contribs, combine, comm_bytes)
                     enc_results = [self._encode(r) for r in results]
                 except BaseException as exc:
                     self._send_msg((
@@ -348,22 +437,18 @@ class ProcessCommunicator(Communicator):
         )
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise InvalidRankError(f"dest {dest} outside [0, {self.size})")
+        self._check_peer(dest, "dest")
         # fire-and-forget: buffered send, no reply expected
         self._send_msg(("send", self._ctx, dest, tag, self._encode(obj),
                         self._cstate()))
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        if not 0 <= source < self.size:
-            raise InvalidRankError(f"source {source} outside [0, {self.size})")
+        self._check_peer(source, "source")
         return self._request(("recv", self._ctx, source, tag, self._cstate()))
 
     def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        found, payload = self._request(
-            ("tryrecv", self._ctx, source, tag, self._cstate())
-        )
-        return found, payload
+        return self._request(
+            ("tryrecv", self._ctx, source, tag, self._cstate()))
 
     def _probe(self, source: int, tag: int) -> bool:
         return self._request(("probe", self._ctx, source, tag, self._cstate()))
@@ -379,46 +464,43 @@ class ProcessCommunicator(Communicator):
         if plan is None:
             return None
         new_ctx, new_rank, new_size = plan
-        # type(self): subclasses (the TCP backend's communicator) split
-        # into their own kind, sharing the same transport handle
-        return type(self)(self._conn, new_ctx, new_rank, new_size,
-                          perf=self.perf, shm=self._shm)
+        return ProcessCommunicator(self._conn, new_ctx, new_rank, new_size,
+                                   perf=self.perf, shm=self._shm)
 
 
-def _run_worker(conn: Any, comm: ProcessCommunicator, worker: Callable,
+def _run_worker(conn: Channel, comm: ProcessCommunicator, worker: Callable,
                 args: tuple, kwargs: dict, perf: Any | None,
-                recorder: Any | None) -> None:
+                trace_on: bool) -> None:
     """Run ``worker`` on one rank and report its outcome over ``conn``
-    using the final-message protocol every engine router understands
-    (``done`` / ``aborted`` / ``error``, each carrying the perf tracker
-    and the trace events).  Shared by the process and TCP backends."""
+    using the final-message protocol the router understands (``done`` /
+    ``aborted`` / ``error``, each carrying the perf tracker and the trace
+    events).  Shared by the process and TCP backends."""
     # traces ride home on the final protocol message, whatever its kind,
     # so a worker abort still delivers the events recorded before it
-    events = recorder.events if recorder is not None else None
+    events = None
+    if trace_on:
+        comm._tracer = TraceRecorder(comm.rank, comm.size)
+        events = comm._tracer.events
 
     def final(msg: tuple) -> None:
         try:
             conn.send(msg)
-        except (OSError, ValueError):
+        except ChannelClosedError:
             pass                # router already gone; nobody left to tell
 
-    try:
-        result = worker(comm, *args, **kwargs)
-    except CollectiveAbortedError as exc:
-        final(("aborted", str(exc), exc.origin_rank,
-               traceback.format_exc(), perf, events))
-    except BaseException as exc:
+    kind, value, tb = run_worker(worker, comm, args, kwargs)
+    if kind == "aborted":
+        final(("aborted", str(value), value.origin_rank, tb, perf, events))
+    elif kind == "error":
         try:
-            blob = pickle.dumps(exc)
+            blob = pickle.dumps(value)
         except Exception:
             blob = None
-        final(("error", f"{type(exc).__name__}: {exc}",
-               traceback.format_exc(), blob, perf, events))
+        final(("error", f"{type(value).__name__}: {value}", tb, blob,
+               perf, events))
     else:
         try:
-            conn.send(("done", result, perf, events))
-        except (OSError, ValueError):
-            pass
+            final(("done", value, perf, events))
         except Exception as exc:      # unpicklable worker result
             final(("error",
                    f"worker result not transferable: "
@@ -431,14 +513,11 @@ def _child_main(conn: Any, rank: int, size: int, worker: Callable,
                 trace_on: bool = False,
                 shm_cfg: tuple[str, int] | None = None) -> None:
     shm = _ShmState(rank, shm_cfg[0], shm_cfg[1]) if shm_cfg else None
+    conn = PipeChannel(conn)
     comm = ProcessCommunicator(conn, _ROOT_CTX, rank, size, perf=perf,
                                shm=shm)
-    recorder = None
-    if trace_on:
-        recorder = TraceRecorder(rank, size)
-        comm._tracer = recorder
     try:
-        _run_worker(conn, comm, worker, args, kwargs, perf, recorder)
+        _run_worker(conn, comm, worker, args, kwargs, perf, trace_on)
     finally:
         if shm is not None:
             shm.shutdown()
@@ -465,28 +544,6 @@ def _child_main_fork(child_ends: list, parent_ends: list, rank: int,
 # ----------------------------------------------------------------------
 
 
-class _Ctx:
-    """Router-side state of one communicator (collective step + mailboxes)."""
-
-    __slots__ = ("members", "index", "size", "op", "contribs", "arrived",
-                 "error", "boxes")
-
-    def __init__(self, members: list[int]):
-        self.members = members                      # group rank -> global
-        self.index = {m: g for g, m in enumerate(members)}
-        self.size = len(members)
-        self.op: str | None = None
-        self.contribs: list = [None] * self.size
-        self.arrived: set[int] = set()
-        self.error: str | None = None               # sticky mismatch
-        self.boxes: list[deque] = [deque() for _ in members]
-
-    def reset_step(self) -> None:
-        self.op = None
-        self.contribs = [None] * self.size
-        self.arrived = set()
-
-
 class _Pending:
     """One child's outstanding blocking request."""
 
@@ -501,19 +558,27 @@ class _Pending:
 
 
 class _Router:
-    """Single-threaded event loop matching requests across rank pipes."""
+    """Single-threaded event loop serving requests from rank channels.
+    Matching is the shared :class:`~.group.Group` core, one per
+    communicator; here live the request/reply protocol around it, the
+    job-wide abort, deadlines, and the shm/tracker piggybacking."""
+
+    #: longest the loop may sleep between ticks (None: until a deadline)
+    tick_interval: float | None = None
 
     def __init__(self, size: int, conns: list, procs: list,
                  observer: Any | None, rank_perf: Sequence[Any] | None,
                  timeout: float):
         self.size = size
-        self.conns = conns
+        self.conns = conns              # rank -> Channel
+        #: channels watched for EOF only (no rank behind them)
+        self.control: list[Channel] = []
         self.procs = procs
         self.observer = observer
         self.rank_perf = rank_perf
         self.timeout = timeout
-        self.rank_of = {id(c): r for r, c in enumerate(conns)}
-        self.ctxs: dict[int, _Ctx] = {_ROOT_CTX: _Ctx(list(range(size)))}
+        self.root = Group(list(range(size)))
+        self.ctxs: dict[int, Group] = {_ROOT_CTX: self.root}
         self.next_ctx = _ROOT_CTX + 1
         self.pending: dict[int, _Pending] = {}
         self.alive: set[int] = set(range(size))
@@ -558,7 +623,7 @@ class _Router:
     def _reply(self, rank: int, msg: tuple) -> None:
         try:
             self.conns[rank].send(msg)
-        except (OSError, ValueError):
+        except ChannelClosedError:
             pass                        # child already gone; EOF handles it
 
     def _take_reclaim(self, rank: int) -> list[int]:
@@ -599,83 +664,50 @@ class _Router:
 
     # -- per-message handling ------------------------------------------
 
-    def _mismatch(self, ctx_id: int, ctx: _Ctx, rank: int, op: str) -> None:
-        g = ctx.index[rank]
-        message = (
-            f"rank {g} called {op!r} while peers are in {ctx.op!r}"
-        )
-        ctx.error = message
-        stuck = [m for m in ctx.members
-                 if m in self.pending and self.pending[m].ctx == ctx_id
-                 and self.pending[m].kind in ("coll", "split")]
-        ctx.reset_step()
-        self._reply(rank, ("mismatch", message))
-        self.pending.pop(rank, None)
-        for m in stuck:
-            self.pending.pop(m, None)
-            self._reply(m, ("mismatch", message))
-
-    def _ptp_observe(self, ctx: _Ctx, src_g: int, dest_g: int,
-                     payload: Any) -> None:
-        if ctx is self.ctxs[_ROOT_CTX] and self.observer is not None:
-            # logical size: a shm descriptor is priced as the array it
-            # stands for, so the model is independent of the transport
-            self.observer.on_ptp(src_g, dest_g,
-                                 payload_logical_nbytes(payload))
-
     def _arrive(self, rank: int, ctx_id: int, op: str, payload: Any,
                 kind: str) -> None:
         """Common arrival bookkeeping for 'coll' and 'split' requests."""
-        ctx = self.ctxs[ctx_id]
         if self.error is not None:
-            self._reply(rank, ("abort", str(self.error),
-                               self.error.origin_rank, self.error_tb))
+            self._reply_abort(rank)
             return
-        if ctx.error is not None:
-            self._reply(rank, ("mismatch", ctx.error))
+        ctx = self.ctxs[ctx_id]
+        try:
+            last = ctx.arrive(ctx.index[rank], op, payload)
+        except CollectiveMismatchError as exc:
+            # the offender and every peer parked in the step raise it
+            parked = [ctx.members[g] for g in ctx.take_step()[2]]
+            for member in [rank] + parked:
+                self.pending.pop(member, None)
+                self._reply(member, ("mismatch", str(exc)))
             return
-        if not ctx.arrived:
-            ctx.op = op
-        elif op != ctx.op:
-            self._mismatch(ctx_id, ctx, rank, op)
-            return
-        g = ctx.index[rank]
-        ctx.contribs[g] = payload
-        ctx.arrived.add(g)
         self.pending[rank] = _Pending(
             kind, ctx_id, time.monotonic() + self.timeout, op
         )
-        if len(ctx.arrived) < ctx.size:
+        if not last:
             return
         if kind == "split":
-            self._finish_split(ctx_id, ctx)
+            self._finish_split(ctx)
         else:
-            # ship contributions to the group's combiner (its rank 0)
+            # ship contributions to the group's combiner (its rank 0);
+            # the step stays open until its "combined" comes back
             combiner = ctx.members[0]
             self._reply(combiner, ("combine", list(ctx.contribs),
                                    self._take_reclaim(combiner)))
 
-    def _finish_split(self, ctx_id: int, ctx: _Ctx) -> None:
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for g, (color, key) in enumerate(ctx.contribs):
-            if color >= 0:
-                groups.setdefault(color, []).append((key, g))
-        plans: list = [None] * ctx.size
-        for color, members in sorted(groups.items()):
-            members.sort()
-            new_ctx = self.next_ctx
-            self.next_ctx += 1
-            self.ctxs[new_ctx] = _Ctx(
-                [ctx.members[g] for _k, g in members]
-            )
-            for new_rank, (_k, g) in enumerate(members):
-                plans[g] = (new_ctx, new_rank, len(members))
-        if ctx is self.ctxs[_ROOT_CTX] and self.observer is not None:
+    def _finish_split(self, ctx: Group) -> None:
+        _, contribs, _ = ctx.take_step()
+        children, plans = ctx.split(contribs)
+        ids = {child: self.next_ctx + i for i, child in enumerate(children)}
+        self.next_ctx += len(children)
+        self.ctxs.update((ctx_id, child) for child, ctx_id in ids.items())
+        if ctx is self.root and self.observer is not None:
             zeros = [0] * ctx.size
             self.observer.on_collective("split", zeros, zeros, ctx.size)
-        ctx.reset_step()
-        for g, member in enumerate(ctx.members):
-            self._reply_result(member, plans[g])
+        for member, plan in zip(ctx.members, plans):
+            if plan is not None:
+                child, new_rank = plan
+                plan = (ids[child], new_rank, child.size)
+            self._reply_result(member, plan)
 
     def _on_combined(self, rank: int, msg: tuple) -> None:
         if self.error is not None:
@@ -686,11 +718,22 @@ class _Router:
         for owner, token in freed:
             self.shm_reclaim.setdefault(owner, []).append(token)
         ctx = self.ctxs[ctx_id]
-        if ctx is self.ctxs[_ROOT_CTX] and self.observer is not None:
-            self.observer.on_collective(ctx.op, sent, recv, ctx.size)
-        ctx.reset_step()
-        for g, member in enumerate(ctx.members):
-            self._reply_result(member, results[g])
+        op, _, _ = ctx.take_step()
+        if ctx is self.root and self.observer is not None:
+            self.observer.on_collective(op, sent, recv, ctx.size)
+        for member, result in zip(ctx.members, results):
+            self._reply_result(member, result)
+
+    def _match(self, ctx: Group, dest_g: int, source: int, tag: int, *,
+               pop: bool) -> tuple[bool, Any]:
+        """Look in ``dest_g``'s mailbox, pricing a delivery."""
+        found, payload = ctx.match(dest_g, source, tag, pop=pop)
+        if found and pop and ctx is self.root and self.observer is not None:
+            # logical size: a shm descriptor is priced as the array it
+            # stands for, so the model is independent of the transport
+            self.observer.on_ptp(source, dest_g,
+                                 payload_logical_nbytes(payload))
+        return found, payload
 
     def _on_send(self, rank: int, msg: tuple) -> None:
         _, ctx_id, dest, tag, payload, cstate = msg
@@ -698,91 +741,57 @@ class _Router:
         if self.error is not None:
             return
         ctx = self.ctxs[ctx_id]
-        src_g = ctx.index[rank]
+        ctx.post(ctx.index[rank], dest, tag, payload)
+        # hand the message straight to a receiver parked waiting for it
         dest_global = ctx.members[dest]
         p = self.pending.get(dest_global)
         if p is not None and p.kind == "recv" and p.ctx == ctx_id:
-            want_src, want_tag = p.extra
-            if want_src == src_g and (want_tag == ANY_TAG or want_tag == tag):
-                self._ptp_observe(ctx, src_g, dest, payload)
+            found, payload = self._match(ctx, dest, *p.extra, pop=True)
+            if found:
                 self._reply_result(dest_global, payload)
-                return
-        ctx.boxes[dest].append((src_g, tag, payload))
 
-    def _match_box(self, ctx: _Ctx, dest_g: int, source: int, tag: int,
-                   *, pop: bool) -> tuple[bool, Any]:
-        box = ctx.boxes[dest_g]
-        for idx, (src, msg_tag, payload) in enumerate(box):
-            if src == source and (tag == ANY_TAG or msg_tag == tag):
-                if pop:
-                    del box[idx]
-                return True, payload
-        return False, None
-
-    def _on_recv(self, rank: int, msg: tuple) -> None:
-        _, ctx_id, source, tag, cstate = msg
+    def _on_query(self, rank: int, msg: tuple) -> None:
+        """'recv' / 'tryrecv' / 'probe': one mailbox lookup, three ways
+        of answering it."""
+        kind, ctx_id, source, tag, cstate = msg
         self._apply_cstate(rank, cstate)
         if self.error is not None:
-            self._reply(rank, ("abort", str(self.error),
-                               self.error.origin_rank, self.error_tb))
+            self._reply_abort(rank)
             return
         ctx = self.ctxs[ctx_id]
-        dest_g = ctx.index[rank]
-        found, payload = self._match_box(ctx, dest_g, source, tag, pop=True)
-        if found:
-            self._ptp_observe(ctx, source, dest_g, payload)
+        found, payload = self._match(ctx, ctx.index[rank], source, tag,
+                                     pop=kind != "probe")
+        if kind == "probe":
+            self._reply_result(rank, found)
+        elif kind == "tryrecv":
+            self._reply_result(rank, (found, payload))
+        elif found:
             self._reply_result(rank, payload)
-            return
-        self.pending[rank] = _Pending(
-            "recv", ctx_id, time.monotonic() + self.timeout, (source, tag)
-        )
-
-    def _on_tryrecv(self, rank: int, msg: tuple) -> None:
-        _, ctx_id, source, tag, cstate = msg
-        self._apply_cstate(rank, cstate)
-        if self.error is not None:
-            self._reply(rank, ("abort", str(self.error),
-                               self.error.origin_rank, self.error_tb))
-            return
-        ctx = self.ctxs[ctx_id]
-        dest_g = ctx.index[rank]
-        found, payload = self._match_box(ctx, dest_g, source, tag, pop=True)
-        if found:
-            self._ptp_observe(ctx, source, dest_g, payload)
-        self._reply_result(rank, (found, payload))
-
-    def _on_probe(self, rank: int, msg: tuple) -> None:
-        _, ctx_id, source, tag, cstate = msg
-        self._apply_cstate(rank, cstate)
-        if self.error is not None:
-            self._reply(rank, ("abort", str(self.error),
-                               self.error.origin_rank, self.error_tb))
-            return
-        ctx = self.ctxs[ctx_id]
-        dest_g = ctx.index[rank]
-        found, _ = self._match_box(ctx, dest_g, source, tag, pop=False)
-        self._reply_result(rank, found)
+        else:
+            self.pending[rank] = _Pending(
+                "recv", ctx_id, time.monotonic() + self.timeout,
+                (source, tag)
+            )
 
     def _on_final(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
         self.finished.add(rank)
         self.alive.discard(rank)
         self.pending.pop(rank, None)
-        if msg[-1] is not None:         # trace events ride the final message
+        # every final message ends (…, perf tracker, trace events)
+        self._merge_tracker(rank, msg[-2])
+        if msg[-1] is not None:
             self.traces[rank] = msg[-1]
         if kind == "done":
-            _, result, blob, _events = msg
-            self.results[rank] = result
-            self._merge_tracker(rank, blob)
+            self.results[rank] = msg[1]
         elif kind == "aborted":
-            _, message, origin, tb, blob, _events = msg
+            _, message, origin, tb, _perf, _events = msg
             self.failures[rank] = CollectiveAbortedError(
                 message, origin_rank=origin
             )
             self.tracebacks[rank] = tb
-            self._merge_tracker(rank, blob)
         else:                           # "error"
-            _, message, tb, blob_exc, blob, _events = msg
+            _, message, tb, blob_exc, _perf, _events = msg
             exc: BaseException | None = None
             if blob_exc is not None:
                 try:
@@ -797,7 +806,6 @@ class _Router:
             exc.__cause__ = RemoteTraceback(tb)
             self.failures[rank] = exc
             self.tracebacks[rank] = tb
-            self._merge_tracker(rank, blob)
             self._set_error(f"rank {rank} aborted: {message}", rank, tb)
 
     def _handle(self, rank: int, msg: tuple) -> None:
@@ -818,12 +826,8 @@ class _Router:
             self._set_error(f"rank {rank} aborted: {message}", rank, tb)
         elif kind == "send":
             self._on_send(rank, msg)
-        elif kind == "recv":
-            self._on_recv(rank, msg)
-        elif kind == "tryrecv":
-            self._on_tryrecv(rank, msg)
-        elif kind == "probe":
-            self._on_probe(rank, msg)
+        elif kind in ("recv", "tryrecv", "probe"):
+            self._on_query(rank, msg)
         elif kind == "shm_new":
             self.shm_owned.setdefault(rank, set()).update(msg[1])
         elif kind == "shm_free":
@@ -831,12 +835,16 @@ class _Router:
                 self.shm_reclaim.setdefault(owner, []).append(token)
         elif kind in ("done", "aborted", "error"):
             self._on_final(rank, msg)
+        elif kind == "hb":
+            pass    # tcp heartbeat: reading it already refreshed liveness
         else:
             raise RuntimeError(f"unexpected engine request {kind!r}")
 
     # -- timeouts -------------------------------------------------------
 
-    def _fire_timeout(self) -> None:
+    def _tick(self) -> None:
+        """Once per loop round, after the ready channels were served:
+        enforce the abort grace period and the per-request deadlines."""
         now = time.monotonic()
         if self.kill_deadline is not None and now >= self.kill_deadline:
             # children ignored the abort: force-terminate the stragglers
@@ -868,34 +876,64 @@ class _Router:
         deadlines = [p.deadline for p in self.pending.values()]
         if self.kill_deadline is not None:
             deadlines.append(self.kill_deadline)
+        if self.tick_interval is not None:
+            deadlines.append(time.monotonic() + self.tick_interval)
         if not deadlines:
             return None
         return max(0.0, min(deadlines) - time.monotonic())
 
     # -- main loop ------------------------------------------------------
 
+    def _on_eof(self, chan: Channel, rank: int | None,
+                exc: Exception) -> None:
+        """``chan`` (``rank``'s, or a control channel when ``None``)
+        closed or delivered a broken frame."""
+        if rank is not None:
+            self._on_crash(rank)
+
     def run(self) -> None:
+        rank_of = {chan: rank for rank, chan in enumerate(self.conns)}
         while self.alive:
             ready = multiprocessing.connection.wait(
-                [self.conns[r] for r in self.alive],
+                [self.conns[r] for r in self.alive] + self.control,
                 timeout=self._wait_timeout(),
             )
-            if not ready:
-                self._fire_timeout()
-                continue
-            for conn in ready:
-                rank = self.rank_of[id(conn)]
-                if rank not in self.alive:
-                    continue
+            for chan in ready:
+                rank = rank_of.get(chan)
+                if rank is not None and rank not in self.alive:
+                    continue            # died earlier in this round
                 try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    self._on_crash(rank)
+                    msgs = chan.recv_ready()
+                except (ChannelClosedError, FrameError) as exc:
+                    self._on_eof(chan, rank, exc)
                     continue
-                self._handle(rank, msg)
+                if rank is not None:    # control channels only carry hb
+                    for msg, _nbytes in msgs:
+                        self._handle(rank, msg)
+            self._tick()
 
     def all_shm_segments(self) -> list[str]:
         return sorted(n for names in self.shm_owned.values() for n in names)
+
+    def outcome(self, trace: Any | None) -> list:
+        """After :meth:`run`: deliver the traces, then the per-rank
+        results — or the job's :class:`SpmdWorkerError`."""
+        if trace is not None:
+            # a hard-killed rank never sends its final message, so it is
+            # simply absent here — the checker reports the truncation
+            for rank, events in sorted(self.traces.items()):
+                trace.deliver(rank, events)
+        raise_failures(self.failures, self.tracebacks)
+        return self.results
+
+
+def _join_or_terminate(procs: list) -> None:
+    """Join finished processes, terminating any that outlive the grace."""
+    for p in procs:
+        p.join(timeout=_ABORT_GRACE)
+        if p.is_alive():
+            p.terminate()
+            p.join(timeout=1.0)
 
 
 def _is_recoverable(err: SpmdWorkerError) -> bool:
@@ -959,11 +997,9 @@ class ProcessEngine(SpmdEngine):
             type(self).last_attempts = tuple(attempts)
             try:
                 return self._run_once(
-                    cur_size, worker, args, kwargs,
-                    observer=observer,
-                    rank_perf=rank_perf[:cur_size]
-                    if rank_perf is not None else None,
-                    timeout=timeout, trace=trace,
+                    cur_size, worker, tuple(args), kwargs, observer,
+                    rank_perf[:cur_size] if rank_perf is not None else None,
+                    timeout, trace,
                 )
             except SpmdWorkerError as err:
                 if cfg is None or attempt >= cfg.max_restarts \
@@ -989,23 +1025,22 @@ class ProcessEngine(SpmdEngine):
                     time.sleep(delay)
                 kwargs = {**kwargs, "checkpoint": with_resume(cfg, manifest)}
 
-    def _run_once(
-        self,
-        size: int,
-        worker: Callable[..., Any],
-        args: Sequence[Any] = (),
-        kwargs: dict | None = None,
-        *,
-        observer: Any | None = None,
-        rank_perf: Sequence[Any] | None = None,
-        timeout: float | None = None,
-        trace: Any | None = None,
-    ) -> list:
-        kwargs = kwargs or {}
-        trace_on = trace is not None
-        if trace_on:
+    def _run_once(self, size: int, worker: Callable[..., Any], args: tuple,
+                  kwargs: dict, observer: Any | None,
+                  rank_perf: Sequence[Any] | None, timeout: float,
+                  trace: Any | None) -> list:
+        """One attempt: launch a world, route it to completion, tear it
+        down, and report its outcome."""
+        if trace is not None:
             trace.begin(size, backend=self.name)
+        router = self._route(size, worker, args, kwargs, observer,
+                             rank_perf, timeout, trace is not None)
+        return router.outcome(trace)
 
+    def _route(self, size: int, worker: Callable[..., Any], args: tuple,
+               kwargs: dict, observer: Any | None,
+               rank_perf: Sequence[Any] | None, timeout: float,
+               trace_on: bool) -> _Router:
         threshold = resolve_shm_threshold()
         shm_cfg = None
         if threshold is not None:
@@ -1032,12 +1067,12 @@ class ProcessEngine(SpmdEngine):
             if fork:
                 target, pargs = _child_main_fork, (
                     child_ends, parent_ends, rank, size,
-                    worker, tuple(args), kwargs, perf, trace_on, shm_cfg,
+                    worker, args, kwargs, perf, trace_on, shm_cfg,
                 )
             else:
                 target, pargs = _child_main, (
                     child_ends[rank], rank, size,
-                    worker, tuple(args), kwargs, perf, trace_on, shm_cfg,
+                    worker, args, kwargs, perf, trace_on, shm_cfg,
                 )
             procs.append(ctx.Process(
                 target=target, args=pargs,
@@ -1048,17 +1083,13 @@ class ProcessEngine(SpmdEngine):
         for c in child_ends:
             c.close()
 
-        router = _Router(size, parent_ends, procs, observer, rank_perf,
-                         timeout)
+        chans = [PipeChannel(p) for p in parent_ends]
+        router = _Router(size, chans, procs, observer, rank_perf, timeout)
         try:
             router.run()
         finally:
-            for p in procs:
-                p.join(timeout=_ABORT_GRACE)
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
-            for c in parent_ends:
+            _join_or_terminate(procs)
+            for c in chans:
                 c.close()
             # guaranteed data-plane cleanup: owners only closed their
             # mappings, so the parent unlinks every announced segment —
@@ -1067,19 +1098,4 @@ class ProcessEngine(SpmdEngine):
             for name in segments:
                 unlink_segment(name)
             type(self).last_shm_segments = tuple(segments)
-
-        if trace_on:
-            # a hard-killed rank never sends its final message, so it is
-            # simply absent here — the checker reports the truncation
-            for rank, events in sorted(router.traces.items()):
-                trace.deliver(rank, events)
-
-        if router.failures:
-            roots = {
-                r: e for r, e in router.failures.items()
-                if not isinstance(e, (CollectiveAbortedError,
-                                      WorkerCrashError))
-            }
-            raise SpmdWorkerError(roots or router.failures,
-                                  router.tracebacks)
-        return router.results
+        return router

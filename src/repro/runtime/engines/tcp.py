@@ -20,77 +20,61 @@ the router has assembled the whole world and answers with the *world
 manifest* (job id, size, host→ranks map, pids).  Only then do workers
 start, so the handshake doubles as the bootstrap barrier.
 
-The router is the process backend's router verbatim (same collective
-rendezvous, mailboxes, combiner shipping, abort discipline) over a
-``selectors`` loop instead of pipes: children write only requests, the
-router writes only replies, so neither side ever blocks writing while
-the other also writes.  The shared-memory data plane is deliberately
-*off* — hosts model separate machines, so every payload honestly crosses
-the socket and ``transport_pickled_bytes`` measures true wire bytes
-(header included), while the simulated cost model keeps pricing logical
-payload sizes exactly as on every other backend.
+The router is the process backend's router — same event loop, same
+:class:`~.group.Group` rendezvous core, combiner shipping and abort
+discipline — and ranks speak to it through the same
+:class:`~.process.ProcessCommunicator`; only the
+:class:`~.process.Channel` differs (:class:`SocketChannel` here, a pipe
+there).  The shared-memory data plane is deliberately *off* — hosts
+model separate machines, so every payload honestly crosses the socket
+and ``transport_pickled_bytes`` measures true wire bytes (header
+included), while the simulated cost model keeps pricing logical payload
+sizes exactly as on every other backend.
 
-Failure detection is two-tiered:
-
-* **EOF** — a dying rank (or an ``os._exit``) closes its socket; the
-  router converts the EOF into :class:`WorkerCrashError` and aborts the
-  survivors, exactly like a pipe EOF on the process backend.
-* **Heartbeats** — each rank (and each host) runs a daemon thread that
-  sends a tiny ``hb`` frame every ``REPRO_SPMD_TCP_HB`` seconds.  A peer
-  whose frames stop for ``REPRO_SPMD_TCP_HB_TIMEOUT`` seconds is
-  declared dead even though its socket never delivered a FIN — the
-  "host fell off the network" case loopback EOFs cannot model.  A dead
-  *host* takes all of its local ranks with it (the router kills the
-  orphans by pid).
-
-Crash recovery reuses the process backend's supervisor unchanged: with a
-:class:`~repro.runtime.checkpoint.CheckpointConfig` attached, rank/host
-death tears the job down, the world is respawned (optionally elastically
-shrunk, p → p′) and resumes from the last sealed cut.  Traces ship home
-on final frames, so partial traces survive aborts and the conformance
-checker can pin a hard-killed rank.
-
-All socket waits are bounded: connect retries and the rendezvous give up
-after a budget derived from ``REPRO_SPMD_TIMEOUT``, rank-side reads
-carry a socket timeout above the router's collective deadline, and the
-router's selector loop wakes periodically for heartbeat accounting — a
-hung peer always fails loudly instead of stalling the job.
+Failure detection is two-tiered (``docs/runtime.md`` "TCP engine" has
+the long form).  **EOF**: a dying rank closes its socket and the router
+turns that into :class:`WorkerCrashError`, exactly like a pipe EOF.
+**Heartbeats**: every rank and host beats a tiny ``hb`` frame each
+``REPRO_SPMD_TCP_HB`` seconds; a peer silent for
+``REPRO_SPMD_TCP_HB_TIMEOUT`` seconds is declared dead although its
+socket never delivered a FIN, and a dead *host* takes its local ranks
+with it (the router kills the orphans by pid).  Crash recovery is the
+inherited process-backend supervisor; traces ship home on final frames,
+so partial traces survive aborts.  Every socket wait is bounded by a
+value derived from ``REPRO_SPMD_TIMEOUT`` — a hung peer always fails
+loudly instead of stalling the job.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing.connection
 import os
 import random
-import selectors
 import signal
 import socket
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Sequence
 
 from ..envutil import EnvVarError, env_float, env_int
-from ..errors import (
-    CollectiveAbortedError,
-    SpmdError,
-    SpmdWorkerError,
-    WorkerCrashError,
-)
+from ..errors import SpmdError
 from ..framing import (
     FrameAssembler,
     FrameError,
-    FrameTruncatedError,
-    decode_frame,
     encode_frame,
     resolve_max_frame,
 )
-from ..tracing import TraceRecorder
 from .process import (
     _ABORT_GRACE,
     _ROOT_CTX,
     _mp_context,
+    _join_or_terminate,
     _Router,
     _run_worker,
+    Channel,
+    ChannelClosedError,
     ProcessCommunicator,
     ProcessEngine,
 )
@@ -100,7 +84,7 @@ __all__ = [
     "HB_TIMEOUT_ENV",
     "HOSTS_ENV",
     "RendezvousError",
-    "TcpCommunicator",
+    "SocketChannel",
     "TcpEngine",
     "check_hello",
     "host_topology",
@@ -242,45 +226,59 @@ def check_hello(obj: Any, *, job_id: str, size: int, n_hosts: int,
 # ----------------------------------------------------------------------
 
 
-class _FramedConn:
-    """Blocking framed-message transport over one TCP socket.
+class SocketChannel(Channel):
+    """A :class:`Channel` over one TCP socket: each message is one
+    CRC-framed pickle (:mod:`repro.runtime.framing`).  ``send`` is
+    thread-safe (one lock serializes whole frames), so the heartbeat
+    thread never splices bytes into the worker thread's frame.  Reads
+    honour the socket timeout; :attr:`last_rx` is when bytes last
+    arrived — the liveness signal the router's heartbeat check reads."""
 
-    ``send`` is thread-safe (one lock serializes whole frames), so the
-    heartbeat thread can interleave with the worker thread without ever
-    splicing bytes mid-frame.  ``recv_frame`` returns ``(obj, nbytes)``
-    with the exact wire size, honours the socket timeout, and raises
-    ``EOFError`` on a clean close.
-    """
-
-    __slots__ = ("sock", "_wlock", "_rbuf", "_max")
+    __slots__ = ("sock", "last_rx", "_wlock", "_assembler", "_ready", "_max")
 
     def __init__(self, sock: socket.socket, *, max_frame: int | None = None):
         self.sock = sock
+        self.last_rx = time.monotonic()
         self._wlock = threading.Lock()
-        self._rbuf = bytearray()
         self._max = resolve_max_frame(max_frame)
+        self._assembler = FrameAssembler(max_frame=self._max)
+        self._ready: deque[tuple[Any, int]] = deque()   # decoded, undelivered
 
-    def send_frame(self, frame: bytes) -> None:
-        with self._wlock:
-            self.sock.sendall(frame)
+    def send(self, msg: Any) -> int:
+        frame = encode_frame(msg, max_frame=self._max)
+        try:
+            with self._wlock:
+                self.sock.sendall(frame)
+        except OSError as exc:
+            raise ChannelClosedError(f"socket closed: {exc}") from exc
+        return len(frame)
 
-    def send(self, obj: Any) -> None:
-        self.send_frame(encode_frame(obj, max_frame=self._max))
-
-    def recv_frame(self) -> tuple[Any, int]:
-        while True:
-            if self._rbuf:
-                try:
-                    obj, used = decode_frame(self._rbuf, max_frame=self._max)
-                except FrameTruncatedError:
-                    pass                # need more bytes
-                else:
-                    del self._rbuf[:used]
-                    return obj, used
+    def _fill(self) -> None:
+        """One socket read, parsed into :attr:`_ready`."""
+        try:
             chunk = self.sock.recv(1 << 16)
-            if not chunk:
-                raise EOFError("connection closed by peer")
-            self._rbuf += chunk
+        except TimeoutError:
+            raise
+        except OSError as exc:
+            raise ChannelClosedError(f"socket broken: {exc}") from exc
+        if not chunk:
+            raise ChannelClosedError("socket closed by peer")
+        self.last_rx = time.monotonic()
+        self._ready.extend(self._assembler.feed(chunk))
+
+    def recv(self) -> tuple[Any, int]:
+        while not self._ready:
+            self._fill()
+        return self._ready.popleft()
+
+    def recv_ready(self) -> list[tuple[Any, int]]:
+        self._fill()
+        frames = list(self._ready)
+        self._ready.clear()
+        return frames
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
 
     def close(self) -> None:
         try:
@@ -290,10 +288,10 @@ class _FramedConn:
 
 
 class _Heartbeat:
-    """Daemon thread beating ``hb`` frames onto a framed connection so
-    the router can tell "computing" from "vanished"."""
+    """Daemon thread beating ``hb`` frames onto a channel so the router
+    can tell "computing" from "vanished"."""
 
-    def __init__(self, conn: _FramedConn, interval: float):
+    def __init__(self, conn: SocketChannel, interval: float):
         self._conn = conn
         self._interval = interval
         self._stop = threading.Event()
@@ -308,7 +306,7 @@ class _Heartbeat:
         while not self._stop.wait(self._interval):
             try:
                 self._conn.send(("hb",))
-            except (OSError, ValueError, FrameError):
+            except (ChannelClosedError, FrameError):
                 return              # connection gone; the router knows
 
     def stop(self) -> None:
@@ -347,49 +345,6 @@ def _connect_with_retry(addr: tuple[str, int], timeout: float,
 # ----------------------------------------------------------------------
 
 
-class TcpCommunicator(ProcessCommunicator):
-    """Rank-side communicator speaking framed TCP to the router.
-
-    Identical request/reply protocol to the process backend's pipe
-    communicator; only the transport differs.  Transport accounting
-    counts whole frames (header included) — the bytes that really hit
-    the wire.  The shared-memory data plane is never attached: on a
-    multi-host transport every payload must actually travel.
-    """
-
-    #: the world communicator's heartbeat thread (None on split comms)
-    _heartbeat: _Heartbeat | None = None
-
-    def _raw_send(self, msg: tuple) -> None:
-        frame = encode_frame(msg)
-        self._count_transport(len(frame), 0)
-        try:
-            self._conn.send_frame(frame)
-        except OSError as exc:
-            raise CollectiveAbortedError(
-                f"connection to the tcp coordinator lost: {exc}"
-            ) from exc
-
-    def _recv_msg(self) -> tuple:
-        try:
-            obj, nbytes = self._conn.recv_frame()
-        except TimeoutError as exc:      # socket read bound expired
-            raise CollectiveAbortedError(
-                "no reply from the tcp coordinator within the socket "
-                "read bound — coordinator unreachable?"
-            ) from exc
-        except EOFError as exc:
-            raise CollectiveAbortedError(
-                "connection to the tcp coordinator closed"
-            ) from exc
-        except OSError as exc:
-            raise CollectiveAbortedError(
-                f"connection to the tcp coordinator broken: {exc}"
-            ) from exc
-        self._count_transport(nbytes, 0)
-        return obj
-
-
 def _expect_welcome(obj: Any, job_id: str, size: int) -> dict:
     if not (isinstance(obj, tuple) and len(obj) == 2
             and obj[0] == "welcome"):
@@ -410,22 +365,20 @@ def _rank_main(addr: tuple[str, int], job_id: str, rank: int, size: int,
                hb_interval: float, max_frame: int) -> None:
     sock = _connect_with_retry(addr, timeout, f"rank {rank}")
     sock.settimeout(_read_bound(timeout))
-    conn = _FramedConn(sock, max_frame=max_frame)
+    conn = SocketChannel(sock, max_frame=max_frame)
     hb = None
     try:
         conn.send(("hello", job_id, rank, os.getpid()))
-        obj, _ = conn.recv_frame()      # blocks until the world assembled
+        obj, _ = conn.recv()            # blocks until the world assembled
         _expect_welcome(obj, job_id, size)
-        comm = TcpCommunicator(conn, _ROOT_CTX, rank, size, perf=perf,
-                               shm=None)
+        # no shm data plane: on a multi-host transport every payload
+        # must actually travel, and transport accounting counts whole
+        # frames (header included) — the bytes that really hit the wire
+        comm = ProcessCommunicator(conn, _ROOT_CTX, rank, size, perf=perf)
         hb = _Heartbeat(conn, hb_interval)
-        comm._heartbeat = hb
+        comm._heartbeat = hb            # the world communicator's only
         hb.start()
-        recorder = None
-        if trace_on:
-            recorder = TraceRecorder(rank, size)
-            comm._tracer = recorder
-        _run_worker(conn, comm, worker, args, kwargs, perf, recorder)
+        _run_worker(conn, comm, worker, args, kwargs, perf, trace_on)
     finally:
         if hb is not None:
             hb.stop()
@@ -473,23 +426,23 @@ def _host_main(addr: tuple[str, int], job_id: str, host_id: int,
     conn = None
     try:
         sock = _connect_with_retry(addr, timeout, f"host {host_id}")
-        conn = _FramedConn(sock, max_frame=max_frame)
+        conn = SocketChannel(sock, max_frame=max_frame)
         sock.settimeout(_read_bound(timeout))
         conn.send(("host_hello", job_id, host_id, os.getpid(),
                    {r: p.pid for r, p in zip(ranks, procs)}))
-        obj, _ = conn.recv_frame()      # the bootstrap barrier
+        obj, _ = conn.recv()            # the bootstrap barrier
         _expect_welcome(obj, job_id, size)
         sock.settimeout(max(0.05, hb_interval))
         while True:
             try:
-                obj, _ = conn.recv_frame()
+                obj, _ = conn.recv()
             except TimeoutError:
                 try:
                     conn.send(("hb",))
-                except (OSError, FrameError):
+                except (ChannelClosedError, FrameError):
                     break
                 continue
-            except (EOFError, OSError):
+            except ChannelClosedError:
                 break                   # router gone: tear down
             if obj and obj[0] == "shutdown":
                 break
@@ -531,47 +484,12 @@ class _PidHandle:
             except OSError:
                 pass
 
-    def join(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.is_alive():
-            if deadline is not None and time.monotonic() >= deadline:
-                return
-            time.sleep(0.02)
-
-
-class _Peer:
-    """Router-side state of one accepted connection (rank or host)."""
-
-    __slots__ = ("sock", "assembler", "kind", "ident", "last_seen",
-                 "closed")
-
-    def __init__(self, sock: socket.socket, max_frame: int):
-        self.sock = sock
-        self.assembler = FrameAssembler(max_frame=max_frame)
-        self.kind: str | None = None      # "rank" | "host"
-        self.ident: int | None = None
-        self.last_seen = time.monotonic()
-        self.closed = False
-
-    def send(self, msg: tuple) -> None:
-        """Frame + blocking send (the protocol discipline guarantees the
-        peer is reading whenever the router writes)."""
-        if self.closed:
-            raise OSError("peer connection closed")
-        self.sock.sendall(encode_frame(msg))
-
-    def close(self) -> None:
-        self.closed = True
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
 
 class _TcpRouter(_Router):
-    """The process backend's router over a selector loop of framed
-    sockets, plus rendezvous bootstrap, heartbeat liveness, and
-    host-death fan-out."""
+    """The process backend's router with what is genuinely tcp added:
+    the rendezvous bootstrap over a listener, host control channels,
+    heartbeat liveness, and host-death fan-out.  The event loop is the
+    inherited one — this class only hooks its EOF and per-round tick."""
 
     def __init__(self, size: int, observer: Any | None,
                  rank_perf: Sequence[Any] | None, timeout: float, *,
@@ -584,16 +502,15 @@ class _TcpRouter(_Router):
         self.listener = listener
         self.job_id = job_id
         self.topo = topo
-        self.host_of = {r: h for h, ranks in enumerate(topo) for r in ranks}
         self.hb_timeout = hb_timeout
         self.max_frame = max_frame
-        self.sel = selectors.DefaultSelector()
-        self.peers: set[_Peer] = set()
-        self.host_conns: dict[int, _Peer] = {}
-        self.dead_hosts: set[int] = set()
+        # wake often enough for heartbeat accounting
+        self.tick_interval = max(0.05, min(hb_timeout / 4.0, 0.25))
+        #: every accepted connection -> ("rank" | "host", ordinal), or
+        #: None until its hello claimed one
+        self.peers: dict[SocketChannel, tuple[str, int] | None] = {}
         self.manifest: dict = {}
         self._host_pids: dict[int, int] = {}
-        self._shutting_down = False
 
     # -- bootstrap ------------------------------------------------------
 
@@ -603,7 +520,6 @@ class _TcpRouter(_Router):
         deadline = time.monotonic() + budget
         need_ranks = set(range(self.size))
         need_hosts = set(range(len(self.topo)))
-        self.sel.register(self.listener, selectors.EVENT_READ, "listener")
         while need_ranks or need_hosts:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -612,25 +528,29 @@ class _TcpRouter(_Router):
                     f"missing rank(s) {sorted(need_ranks)} and host(s) "
                     f"{sorted(need_hosts)}"
                 )
-            for key, _ in self.sel.select(min(remaining, 0.5)):
-                if key.data == "listener":
+            for chan in multiprocessing.connection.wait(
+                    [self.listener, *self.peers], min(remaining, 0.5)):
+                if chan is self.listener:
                     self._accept()
                     continue
-                peer = key.data
-                chunk = self._recv_chunk(peer)
-                if chunk is None:
-                    self._unregister(peer)
-                    if peer.kind is not None:
+                try:
+                    frames = chan.recv_ready()
+                except ChannelClosedError:
+                    claimed = self.peers.pop(chan)
+                    chan.close()
+                    if claimed is not None:
                         raise RendezvousError(
-                            f"{peer.kind} {peer.ident} disconnected "
+                            f"{claimed[0]} {claimed[1]} disconnected "
                             f"during rendezvous"
                         )
                     continue
-                for obj, _n in peer.assembler.feed(chunk):
+                for obj, _n in frames:
                     if obj and obj[0] == "hb":
                         continue
-                    self._hello(peer, obj, need_ranks, need_hosts)
+                    self._hello(chan, obj, need_ranks, need_hosts)
         port = self.listener.getsockname()[1]
+        # the world is complete: a late knock is refused, not parked
+        self.listener.close()
         self.manifest = {
             "job": self.job_id,
             "size": self.size,
@@ -641,12 +561,10 @@ class _TcpRouter(_Router):
             "rank_pids": {r: self.procs[r].pid for r in range(self.size)},
         }
         welcome = ("welcome", self.manifest)
-        for peer in self.host_conns.values():
-            peer.send(welcome)
-        for rank in range(self.size):
-            self.conns[rank].send(welcome)
+        for chan in self.control + self.conns:
+            chan.send(welcome)
 
-    def _hello(self, peer: _Peer, obj: Any, need_ranks: set[int],
+    def _hello(self, chan: SocketChannel, obj: Any, need_ranks: set[int],
                need_hosts: set[int]) -> None:
         kind, ident, pid, extra = check_hello(
             obj, job_id=self.job_id, size=self.size,
@@ -654,13 +572,13 @@ class _TcpRouter(_Router):
             taken_ranks=set(range(self.size)) - need_ranks,
             taken_hosts=set(range(len(self.topo))) - need_hosts,
         )
-        peer.kind, peer.ident = kind, ident
+        self.peers[chan] = (kind, ident)
         if kind == "rank":
-            self.conns[ident] = peer
+            self.conns[ident] = chan
             self.procs[ident].pid = pid
             need_ranks.discard(ident)
         else:
-            self.host_conns[ident] = peer
+            self.control.append(chan)
             self._host_pids[ident] = pid
             for rank, rank_pid in (extra or {}).items():
                 if 0 <= rank < self.size and self.procs[rank].pid is None:
@@ -672,55 +590,43 @@ class _TcpRouter(_Router):
             sock, _addr = self.listener.accept()
         except OSError:
             return
-        if self.manifest:               # late knock after bootstrap
-            sock.close()
-            return
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        peer = _Peer(sock, self.max_frame)
-        self.peers.add(peer)
-        self.sel.register(sock, selectors.EVENT_READ, peer)
+        self.peers[SocketChannel(sock, max_frame=self.max_frame)] = None
 
-    # -- selector plumbing ---------------------------------------------
+    # -- liveness (the inherited loop's two hooks) ----------------------
 
-    def _recv_chunk(self, peer: _Peer) -> bytes | None:
-        """One non-blocking-ish read; ``None`` means EOF/broken."""
-        try:
-            chunk = peer.sock.recv(1 << 16)
-        except (OSError, ValueError):
-            return None
-        return chunk or None
+    def _on_eof(self, chan: Channel, rank: int | None,
+                exc: Exception) -> None:
+        reason = (f"sent a broken frame ({exc})" if isinstance(exc, FrameError)
+                  else "connection closed unexpectedly")
+        chan.close()
+        if rank is not None:
+            self._on_crash(rank, f"rank {rank} {reason}")
+        else:
+            self._host_down(chan, reason)
 
-    def _unregister(self, peer: _Peer) -> None:
-        try:
-            self.sel.unregister(peer.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        peer.close()
-        self.peers.discard(peer)
+    def _tick(self) -> None:
+        super()._tick()
+        now = time.monotonic()
+        silent = f"went silent (no frames for {self.hb_timeout:.1f}s)"
+        for rank in sorted(self.alive):
+            if now - self.conns[rank].last_rx > self.hb_timeout:
+                self.procs[rank].terminate()
+                self.conns[rank].close()
+                self._on_crash(rank, f"rank {rank} {silent}")
+        for chan in list(self.control):
+            if now - chan.last_rx > self.hb_timeout:
+                self._host_down(chan, silent)
 
-    # -- liveness -------------------------------------------------------
-
-    def _peer_eof(self, peer: _Peer, reason: str) -> None:
-        self._unregister(peer)
-        if peer.kind == "rank":
-            rank = peer.ident
-            if rank in self.finished:
-                self.alive.discard(rank)
-            else:
-                self._on_crash(rank, f"rank {rank} {reason}")
-        elif peer.kind == "host":
-            self._host_down(peer.ident, reason)
-
-    def _host_down(self, host_id: int, reason: str) -> None:
+    def _host_down(self, chan: SocketChannel, reason: str) -> None:
         """A host died: every local rank not already finished dies with
         it (their processes are killed — they are orphans now)."""
-        if self._shutting_down or host_id in self.dead_hosts:
-            return
-        self.dead_hosts.add(host_id)
-        peer = self.host_conns.get(host_id)
-        if peer is not None:
-            self._unregister(peer)
+        if chan not in self.control:
+            return                      # already handled
+        chan.close()
+        self.control.remove(chan)
+        host_id = self.peers[chan][1]
         for rank in self.topo[host_id]:
             if rank in self.finished:
                 continue
@@ -729,78 +635,23 @@ class _TcpRouter(_Router):
                 rank, f"rank {rank} lost: host {host_id} {reason}"
             )
 
-    def _check_heartbeats(self, now: float) -> None:
-        for peer in list(self.peers):
-            if peer.kind is None or peer.closed:
-                continue
-            if now - peer.last_seen <= self.hb_timeout:
-                continue
-            silent = f"went silent (no frames for {self.hb_timeout:.1f}s)"
-            if peer.kind == "rank" and peer.ident not in self.finished:
-                self.procs[peer.ident].terminate()
-                self._unregister(peer)
-                self._on_crash(peer.ident, f"rank {peer.ident} {silent}")
-            elif peer.kind == "host":
-                self._host_down(peer.ident, silent)
-
-    # -- main loop ------------------------------------------------------
-
-    def _loop_timeout(self) -> float:
-        cap = max(0.05, min(self.hb_timeout / 4.0, 0.25))
-        wait = self._wait_timeout()
-        return cap if wait is None else max(0.0, min(wait, cap))
-
-    def run(self) -> None:
-        while self.alive:
-            events = self.sel.select(self._loop_timeout())
-            now = time.monotonic()
-            for key, _ in events:
-                if key.data == "listener":
-                    self._accept()
-                    continue
-                peer = key.data
-                chunk = self._recv_chunk(peer)
-                if chunk is None:
-                    self._peer_eof(peer, "connection closed unexpectedly")
-                    continue
-                peer.last_seen = now
-                try:
-                    frames = peer.assembler.feed(chunk)
-                except FrameError as exc:
-                    self._peer_eof(peer, f"sent a broken frame ({exc})")
-                    continue
-                for obj, _n in frames:
-                    if obj and obj[0] == "hb":
-                        continue
-                    if peer.kind == "rank":
-                        self._handle(peer.ident, obj)
-                    # hosts only ever send hb after bootstrap
-            self._fire_timeout()
-            self._check_heartbeats(time.monotonic())
-
     # -- teardown helpers (called by the engine) ------------------------
 
-    def shutdown_hosts(self) -> None:
-        self._shutting_down = True
-        for peer in self.host_conns.values():
-            if not peer.closed:
-                try:
-                    peer.send(("shutdown",))
-                except (OSError, FrameError):
-                    pass
+    def close(self) -> None:
+        """Tell the hosts to shut down, then slam every socket: EOF
+        releases anything still parked."""
+        for chan in self.control:
+            try:
+                chan.send(("shutdown",))
+            except (ChannelClosedError, FrameError):
+                pass
+        for chan in self.peers:
+            chan.close()
 
     def kill_stragglers(self) -> None:
         for handle in self.procs:
             if handle.is_alive():
                 handle.terminate()
-
-    def close(self) -> None:
-        for peer in list(self.peers):
-            self._unregister(peer)
-        try:
-            self.sel.close()
-        except Exception:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -824,23 +675,10 @@ class TcpEngine(ProcessEngine):
     #: (job id, port, host→ranks map, pids); tests assert topology here
     last_world: dict = {}
 
-    def _run_once(
-        self,
-        size: int,
-        worker: Callable[..., Any],
-        args: Sequence[Any] = (),
-        kwargs: dict | None = None,
-        *,
-        observer: Any | None = None,
-        rank_perf: Sequence[Any] | None = None,
-        timeout: float | None = None,
-        trace: Any | None = None,
-    ) -> list:
-        kwargs = kwargs or {}
-        trace_on = trace is not None
-        if trace_on:
-            trace.begin(size, backend=self.name)
-
+    def _route(self, size: int, worker: Callable[..., Any], args: tuple,
+               kwargs: dict, observer: Any | None,
+               rank_perf: Sequence[Any] | None, timeout: float,
+               trace_on: bool) -> _Router:
         topo = host_topology(size, resolve_tcp_hosts(size))
         hb_interval = resolve_hb_interval()
         hb_timeout = resolve_hb_timeout(hb_interval)
@@ -864,7 +702,7 @@ class TcpEngine(ProcessEngine):
             hosts.append(ctx.Process(
                 target=_host_main,
                 args=(addr, job_id, host_id, list(ranks), size, worker,
-                      tuple(args), kwargs, perf_by_rank, trace_on,
+                      args, kwargs, perf_by_rank, trace_on,
                       timeout, hb_interval, max_frame),
                 name=f"spmd-tcp-host-{host_id}",
             ))
@@ -881,29 +719,8 @@ class TcpEngine(ProcessEngine):
             type(self).last_world = dict(router.manifest)
             router.run()
         finally:
-            router.shutdown_hosts()
-            # slam remaining sockets: EOF releases anything still parked
             router.close()
             listener.close()
-            for p in hosts:
-                p.join(timeout=_ABORT_GRACE)
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
+            _join_or_terminate(hosts)
             router.kill_stragglers()
-
-        if trace_on:
-            # a hard-killed rank never sent its final frame, so it is
-            # simply absent here — the checker reports the truncation
-            for rank, events in sorted(router.traces.items()):
-                trace.deliver(rank, events)
-
-        if router.failures:
-            roots = {
-                r: e for r, e in router.failures.items()
-                if not isinstance(e, (CollectiveAbortedError,
-                                      WorkerCrashError))
-            }
-            raise SpmdWorkerError(roots or router.failures,
-                                  router.tracebacks)
-        return router.results
+        return router

@@ -1,13 +1,14 @@
 """Shared helpers for parsing environment variables.
 
 Several runtime knobs (collective timeouts, TCP host grouping, heartbeat
-intervals, frame limits, sketch sizes; backend, split-mode, kernel-family
-and start-method names) are read from environment variables.  Parsing
+intervals, frame limits, sketch sizes, the shm threshold; backend,
+split-mode, kernel-family and start-method names; the trace switch and
+the checkpoint directory) are read from environment variables.  Parsing
 them with a bare ``int(raw)`` / ``float(raw)`` / membership test
 surfaces a cryptic ``ValueError`` deep inside the engine that never says
-which variable was bad; these helpers name the variable and the
-offending value so a typo in a deployment manifest fails loudly and
-legibly.
+which variable was bad — or, for an on/off switch, silently reads a typo
+as *off*; these helpers name the variable and the offending value so a
+typo in a deployment manifest fails loudly and legibly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-__all__ = ["EnvVarError", "env_choice", "env_int", "env_float"]
+__all__ = ["EnvVarError", "env_choice", "env_flag", "env_float", "env_int",
+           "env_str"]
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 class EnvVarError(ValueError):
@@ -29,14 +34,37 @@ class EnvVarError(ValueError):
         )
 
 
+def env_str(name: str, default: str | None = None) -> str | None:
+    """The stripped content of ``name``, or ``default`` when unset/blank."""
+    return os.environ.get(name, "").strip() or default
+
+
+def env_flag(name: str, default: bool = False) -> bool:
+    """Read ``name`` as an on/off switch (``1/true/yes/on`` or
+    ``0/false/no/off``, any case), or return ``default`` when
+    unset/blank.
+
+    Raises :class:`EnvVarError` (a ``ValueError``) naming the variable and
+    the bad value for anything else — ``ture`` must not mean *off*.
+    """
+    raw = env_str(name)
+    if raw is None:
+        return default
+    if raw.lower() in _TRUE:
+        return True
+    if raw.lower() in _FALSE:
+        return False
+    raise EnvVarError(name, raw, f"one of {_TRUE + _FALSE}")
+
+
 def env_int(name: str, default: int | None = None) -> int | None:
     """Parse ``name`` as an integer, or return ``default`` when unset/blank.
 
     Raises :class:`EnvVarError` (a ``ValueError``) naming the variable and
     the bad value when the content does not parse.
     """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
+    raw = env_str(name)
+    if raw is None:
         return default
     try:
         return int(raw)
@@ -50,8 +78,8 @@ def env_float(name: str, default: float | None = None) -> float | None:
     Raises :class:`EnvVarError` (a ``ValueError``) naming the variable and
     the bad value when the content does not parse.
     """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
+    raw = env_str(name)
+    if raw is None:
         return default
     try:
         return float(raw)
@@ -66,8 +94,8 @@ def env_choice(name: str, choices: Sequence[str], default: str) -> str:
     Raises :class:`EnvVarError` (a ``ValueError``) naming the variable and
     the bad value when the content is not a recognized choice.
     """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
+    raw = env_str(name)
+    if raw is None:
         return default
     if raw not in choices:
         raise EnvVarError(name, raw, f"one of {tuple(choices)}")

@@ -40,12 +40,13 @@ overridable via ``REPRO_SPMD_SHM_THRESHOLD`` (an integer byte count, or
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
 import numpy as np
+
+from .envutil import env_float, env_str
 
 __all__ = [
     "DEFAULT_SHM_THRESHOLD",
@@ -75,7 +76,8 @@ SHM_DESCRIPTOR_NBYTES = 64
 #: smallest segment ever allocated; size classes are powers of two above it
 _MIN_SEGMENT = 4096
 
-_OFF_VALUES = {"off", "none", "no", "false", "disable", "disabled", "0"}
+#: words that turn the data plane off (so do zero and negative counts)
+_OFF_WORDS = {"off", "none", "no", "false", "disable", "disabled"}
 
 
 def resolve_shm_threshold(threshold: int | None = None) -> int | None:
@@ -85,21 +87,13 @@ def resolve_shm_threshold(threshold: int | None = None) -> int | None:
     Precedence: explicit ``threshold`` argument, then the
     ``REPRO_SPMD_SHM_THRESHOLD`` environment variable, then
     :data:`DEFAULT_SHM_THRESHOLD`.  Zero/negative values and the words
-    ``off``/``none``/``disable`` turn the plane off.
+    ``off``/``none``/``disable`` turn the plane off; anything else that
+    is not a number is an :class:`~repro.runtime.envutil.EnvVarError`.
     """
     if threshold is None:
-        env = os.environ.get(SHM_THRESHOLD_ENV, "").strip().lower()
-        if not env:
-            return DEFAULT_SHM_THRESHOLD
-        if env in _OFF_VALUES:
+        if env_str(SHM_THRESHOLD_ENV, "").lower() in _OFF_WORDS:
             return None
-        try:
-            threshold = int(float(env))
-        except ValueError:
-            raise ValueError(
-                f"{SHM_THRESHOLD_ENV} must be a byte count or 'off', "
-                f"got {env!r}"
-            ) from None
+        threshold = env_float(SHM_THRESHOLD_ENV, DEFAULT_SHM_THRESHOLD)
     if threshold <= 0:
         return None
     return int(threshold)

@@ -12,11 +12,11 @@ delivers nothing, which the checker reports as a truncated sequence).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable
 
 import numpy as np
 
+from ..envutil import env_flag
 from ..payload import payload_nbytes
 from .checker import ConformanceReport, check_traces
 from .events import TRACE_ENV, TraceEvent, parse_op, payload_digest
@@ -31,12 +31,11 @@ __all__ = [
     "trace_enabled",
 ]
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
 def trace_enabled() -> bool:
-    """True when ``REPRO_SPMD_TRACE`` requests tracing for every job."""
-    return os.environ.get(TRACE_ENV, "").strip().lower() in _TRUTHY
+    """True when ``REPRO_SPMD_TRACE`` requests tracing for every job (an
+    unrecognised value is an :class:`~repro.runtime.envutil.EnvVarError`,
+    not a silent *off*)."""
+    return env_flag(TRACE_ENV)
 
 
 #: collector of the most recent traced job (for post-mortem inspection

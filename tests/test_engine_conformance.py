@@ -134,6 +134,22 @@ def _failing_worker(comm):
     return comm.rank
 
 
+def _subcomm_abort_worker(comm, blocked_in):
+    """Rank 2 fails while ranks 0-1 are parked inside a call on a
+    sub-communicator (the sleep makes sure they are parked *there*, not
+    still in the world communicator's split step)."""
+    import time
+
+    sub = comm.split(0)
+    if comm.rank == 2:
+        time.sleep(0.2)
+        raise RuntimeError("boom")
+    if blocked_in == "collective":
+        sub.barrier()
+    else:
+        sub.recv(2, tag=1)
+
+
 def _deadlock_worker(comm):
     comm.recv((comm.rank + 1) % comm.size, tag=99)
 
@@ -222,9 +238,20 @@ def test_split(backend):
 def test_mismatch_detected(backend):
     with pytest.raises(SpmdWorkerError) as exc_info:
         run_spmd(3, _mismatch_worker, backend=backend)
-    kinds = {type(e) for e in exc_info.value.failures.values()}
+    failures = exc_info.value.failures
+    kinds = {type(e) for e in failures.values()}
     assert CollectiveMismatchError in kinds
     assert kinds <= {CollectiveMismatchError, CollectiveAbortedError}
+    # the wording comes from the one group core, whatever the engine;
+    # which of the two calls counts as the offender is up to scheduling
+    texts = {str(e) for e in failures.values()
+             if isinstance(e, CollectiveMismatchError)}
+    assert len(texts) == 1
+    assert texts <= {
+        "rank 0 called 'barrier' while peers are in 'allgather'",
+        "rank 1 called 'allgather' while peers are in 'barrier'",
+        "rank 2 called 'allgather' while peers are in 'barrier'",
+    }
 
 
 def test_worker_failure_aborts_job(backend):
@@ -235,6 +262,23 @@ def test_worker_failure_aborts_job(backend):
     assert set(err.failures) == {1}
     assert isinstance(err.failures[1], RuntimeError)
     assert "deliberate failure on rank 1" in str(err)
+
+
+@pytest.mark.parametrize("blocked_in", ["collective", "recv"])
+def test_failure_releases_peers_blocked_on_subcommunicator(backend,
+                                                           blocked_in):
+    """An abort is job-wide: it releases ranks blocked on *any*
+    communicator of the job at once, not after the wait timeout."""
+    import time
+
+    start = time.monotonic()
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(3, _subcomm_abort_worker, args=(blocked_in,),
+                 backend=backend, timeout=30.0)
+    assert time.monotonic() - start < 5.0
+    err = exc_info.value
+    assert set(err.failures) == {2}
+    assert isinstance(err.failures[2], RuntimeError)
 
 
 def test_traceback_preserved(backend):

@@ -1,0 +1,185 @@
+"""The rendezvous core on its own: no threads, no processes.
+
+``repro.runtime.engines.group`` is plain state plus pure transitions, so
+everything the four engines share — step completion, the mismatch rule,
+mailbox matching, split planning, the combine wrapper, outcome
+classification — is checked here by calling it directly.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.runtime import (
+    ANY_TAG,
+    CollectiveAbortedError,
+    CollectiveMismatchError,
+    SpmdWorkerError,
+    WorkerCrashError,
+)
+from repro.runtime.engines.group import (
+    Group,
+    abort_error,
+    raise_failures,
+    run_combine,
+    run_worker,
+)
+
+
+def test_arrival_completes_exactly_at_size():
+    grp = Group([0, 1, 2])
+    assert grp.arrive(1, "barrier", "b") is False
+    assert grp.arrive(0, "barrier", "a") is False
+    assert grp.arrive(2, "barrier", "c") is True
+    op, contribs, arrived = grp.take_step()
+    assert (op, contribs, arrived) == ("barrier", ["a", "b", "c"], [1, 0, 2])
+    # reset: the next step starts from nothing
+    assert grp.arrive(0, "bcast", None) is False
+    assert grp.take_step() == ("bcast", [None, None, None], [0])
+
+
+def test_single_member_group_completes_on_first_arrival():
+    assert Group([7]).arrive(0, "allreduce", 1) is True
+
+
+def test_different_op_is_a_sticky_mismatch():
+    grp = Group([0, 1, 2])
+    grp.arrive(0, "barrier", None)
+    with pytest.raises(CollectiveMismatchError) as first:
+        grp.arrive(2, "allgather", 5)
+    assert str(first.value) == \
+        "rank 2 called 'allgather' while peers are in 'barrier'"
+    # the parked peer is still reported so the engine can release it …
+    assert grp.take_step()[2] == [0]
+    # … and the group stays unusable, even for the op that was expected
+    with pytest.raises(CollectiveMismatchError) as again:
+        grp.arrive(1, "barrier", None)
+    assert again.value is first.value
+
+
+def test_mailbox_is_fifo_per_source_and_tag():
+    grp = Group([0, 1, 2])
+    grp.post(0, 2, 20, "second")
+    grp.post(0, 2, 10, "first")
+    grp.post(1, 2, 10, "other-source")
+    grp.post(0, 2, 10, "third")
+    assert grp.match(2, 0, 99, pop=True) == (False, None)
+    assert grp.match(2, 0, 10, pop=True) == (True, "first")
+    assert grp.match(2, 0, ANY_TAG, pop=True) == (True, "second")
+    assert grp.match(2, 0, ANY_TAG, pop=True) == (True, "third")
+    assert grp.match(2, 0, ANY_TAG, pop=True) == (False, None)
+    assert grp.match(2, 1, 10, pop=True) == (True, "other-source")
+    assert grp.match(1, 0, ANY_TAG, pop=True) == (False, None)
+
+
+def test_probe_leaves_the_box_intact():
+    grp = Group([0, 1])
+    grp.post(1, 0, 3, "msg")
+    assert grp.match(0, 1, 3, pop=False) == (True, "msg")
+    assert grp.match(0, 1, 3, pop=False) == (True, "msg")
+    assert grp.match(0, 1, 3, pop=True) == (True, "msg")
+    assert grp.match(0, 1, 3, pop=False) == (False, None)
+
+
+def test_split_orders_by_key_then_old_rank():
+    grp = Group([0, 1, 2, 3, 4])
+    # colours 1/0 by parity; rank 4 opts out; keys reverse colour 0
+    children, plans = grp.split(
+        [(0, 9), (1, 5), (0, 1), (1, 5), (-1, 0)]
+    )
+    even, odd = children                                     # colour order
+    assert (even.members, odd.members) == ([2, 0], [1, 3])
+    assert plans == [(even, 1), (odd, 0), (even, 0), (odd, 1), None]
+    assert all(c.size == 2 and not c.arrived for c in children)
+
+
+def test_nested_split_maps_to_global_ranks():
+    world = Group(list(range(6)))
+    odds = world.split([(r % 2, -r) for r in range(6)])[0][1]
+    assert odds.members == [5, 3, 1]
+    assert odds.index == {5: 0, 3: 1, 1: 2}
+    (inner,), plans = odds.split([(0, 0), (-1, 0), (0, 0)])
+    assert inner.members == [5, 1]
+    assert plans == [(inner, 0), None, (inner, 1)]
+
+
+def test_finish_step_runs_combine_and_accounts_bytes():
+    grp = Group([0, 1])
+    grp.arrive(1, "allgather", "y")
+    grp.arrive(0, "allgather", "x")
+    results, sent, recv = grp.finish_step(
+        0, lambda c: [c, c], lambda c: ([1, 2], [3, 4]))
+    assert results == [["x", "y"], ["x", "y"]]
+    assert (sent, recv) == ([1, 2], [3, 4])
+    assert grp.take_step() == (None, [None, None], [])     # step detached
+    # nobody listening: no accounting callback, zeros reported
+    assert run_combine("barrier", 0, [None] * 3, lambda c: c, None)[1:] == \
+        ([0, 0, 0], [0, 0, 0])
+
+
+def test_finish_step_rejects_wrong_length_results():
+    grp = Group([0, 1])
+    grp.arrive(0, "gather", 1)
+    grp.arrive(1, "gather", 2)
+    with pytest.raises(CollectiveAbortedError) as err:
+        grp.finish_step(1, lambda c: [sum(c)], None)
+    assert err.value.origin_rank == 1
+    assert "'gather'" in str(err.value) and "1 results" in str(err.value)
+    assert isinstance(err.value.__cause__, AssertionError)
+
+
+@pytest.mark.parametrize("where", ["combine", "comm_bytes"])
+def test_finish_step_wraps_failures_with_combining_rank(where):
+    def boom(_contribs):
+        raise ValueError("bad payload")
+
+    grp = Group([0, 1, 2])
+    for g in (2, 0, 1):
+        grp.arrive(g, "scatter", None)
+    combine, comm_bytes = (boom, None) if where == "combine" else \
+        (lambda c: list(c), boom)
+    with pytest.raises(CollectiveAbortedError) as err:
+        grp.finish_step(1, combine, comm_bytes)
+    assert str(err.value) == \
+        "collective 'scatter' failed on combining rank 1: bad payload"
+    assert err.value.origin_rank == 1
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_run_worker_classifies_outcomes():
+    def ok(comm, a, b=0):
+        return comm + a + b
+
+    def echo_abort(_comm):
+        raise CollectiveAbortedError("rank 3 aborted: boom", origin_rank=3)
+
+    def own_error(_comm):
+        raise KeyError("mine")
+
+    assert run_worker(ok, 1, (2,), {"b": 3}) == ("done", 6, "")
+    kind, exc, tb = run_worker(echo_abort, None, (), {})
+    assert kind == "aborted" and exc.origin_rank == 3 and "echo_abort" in tb
+    kind, exc, tb = run_worker(own_error, None, (), {})
+    assert kind == "error" and isinstance(exc, KeyError) and "own_error" in tb
+
+
+def test_abort_error_names_origin_and_keeps_cause():
+    cause = RuntimeError("boom")
+    err = abort_error(4, cause)
+    assert str(err) == "rank 4 aborted: RuntimeError: boom"
+    assert err.origin_rank == 4 and err.__cause__ is cause
+
+
+def test_raise_failures_prefers_root_causes():
+    raise_failures({}, {})                                   # no failure
+    root = RuntimeError("boom")
+    echo = CollectiveAbortedError("rank 1 aborted", origin_rank=1)
+    crash = WorkerCrashError("rank 2 died")
+    with pytest.raises(SpmdWorkerError) as err:
+        raise_failures({0: echo, 1: root, 2: crash}, {1: "tb-1", 0: "tb-0"})
+    assert err.value.failures == {1: root}
+    assert err.value.tracebacks == {1: "tb-1"}
+    # only echoes and crashes: nothing to prefer, report them all
+    with pytest.raises(SpmdWorkerError) as err:
+        raise_failures({0: echo, 2: crash}, {})
+    assert err.value.failures == {0: echo, 2: crash}

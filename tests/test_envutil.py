@@ -26,8 +26,18 @@ from repro.runtime.engines.tcp import (
     resolve_hb_interval,
     resolve_tcp_hosts,
 )
-from repro.runtime.envutil import EnvVarError, env_choice, env_float, env_int
+from repro.runtime.checkpoint import CHECKPOINT_ENV, resolve_checkpoint
+from repro.runtime.envutil import (
+    EnvVarError,
+    env_choice,
+    env_flag,
+    env_float,
+    env_int,
+    env_str,
+)
 from repro.runtime.framing import MAX_FRAME_ENV, resolve_max_frame
+from repro.runtime.shm import SHM_THRESHOLD_ENV, resolve_shm_threshold
+from repro.runtime.tracing import TRACE_ENV, trace_enabled
 
 
 def test_env_int_default_when_unset_or_blank(monkeypatch):
@@ -78,7 +88,58 @@ def test_env_choice_default_strip_and_error(monkeypatch):
         env_choice("REPRO_TEST_KNOB", ("a", "b"), "a")
 
 
+def test_env_str_strips_and_defaults(monkeypatch):
+    monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+    assert env_str("REPRO_TEST_KNOB") is None
+    assert env_str("REPRO_TEST_KNOB", "dflt") == "dflt"
+    monkeypatch.setenv("REPRO_TEST_KNOB", "  ")
+    assert env_str("REPRO_TEST_KNOB", "dflt") == "dflt"
+    monkeypatch.setenv("REPRO_TEST_KNOB", " /some/dir ")
+    assert env_str("REPRO_TEST_KNOB") == "/some/dir"
+
+
+def test_env_flag_words_default_and_error(monkeypatch):
+    monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+    assert env_flag("REPRO_TEST_KNOB") is False
+    assert env_flag("REPRO_TEST_KNOB", True) is True
+    for raw in ("1", "true", " Yes ", "ON"):
+        monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+        assert env_flag("REPRO_TEST_KNOB") is True
+    for raw in ("0", "false", "No", " off"):
+        monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+        assert env_flag("REPRO_TEST_KNOB", True) is False
+    monkeypatch.setenv("REPRO_TEST_KNOB", "ture")
+    with pytest.raises(EnvVarError, match="REPRO_TEST_KNOB='ture'"):
+        env_flag("REPRO_TEST_KNOB")
+
+
 # -- every knob resolver routes through the helpers --------------------
+
+
+def test_trace_switch_rejects_a_typo_instead_of_reading_off(monkeypatch):
+    monkeypatch.setenv(TRACE_ENV, "true")
+    assert trace_enabled() is True
+    monkeypatch.setenv(TRACE_ENV, "ture")
+    with pytest.raises(EnvVarError, match=f"{TRACE_ENV}='ture'"):
+        trace_enabled()
+
+
+def test_shm_threshold_resolver_reports_variable(monkeypatch):
+    monkeypatch.setenv(SHM_THRESHOLD_ENV, "lots")
+    with pytest.raises(EnvVarError, match=f"{SHM_THRESHOLD_ENV}='lots'"):
+        resolve_shm_threshold()
+    monkeypatch.setenv(SHM_THRESHOLD_ENV, " Disable ")       # words still work
+    assert resolve_shm_threshold() is None
+    monkeypatch.setenv(SHM_THRESHOLD_ENV, "1e6")
+    assert resolve_shm_threshold() == 1_000_000
+
+
+def test_checkpoint_dir_is_read_through_envutil(monkeypatch):
+    monkeypatch.setenv(CHECKPOINT_ENV, "   ")                # blank is unset
+    assert resolve_checkpoint(None) is None
+    monkeypatch.setenv(CHECKPOINT_ENV, " /tmp/cuts ")
+    assert resolve_checkpoint(None).dir == "/tmp/cuts"
+
 
 
 def test_timeout_resolver_reports_variable(monkeypatch):
