@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.attribute_lists import LocalAttributeList
+from ..core.classifier import FitResult, SpmdClassifier
 from ..core.config import InductionConfig
 from ..core.induction import induce_worker
 from ..core.splitter import LevelDecisions, SplitPhase, _local_children
@@ -111,31 +112,11 @@ def sprint_worker(
     )
 
 
-class ParallelSPRINT:
+class ParallelSPRINT(SpmdClassifier):
     """Drop-in counterpart of :class:`~repro.core.classifier.ScalParC`
-    running the parallel SPRINT formulation (comparison baseline)."""
+    (same constructor) running the parallel SPRINT formulation
+    (comparison baseline)."""
 
-    def __init__(self, n_processors: int = 4,
-                 config: InductionConfig | None = None,
-                 machine=None, backend: str | None = None):
-        from ..perfmodel import CRAY_T3D
-
-        if n_processors <= 0:
-            raise ValueError(
-                f"n_processors must be positive, got {n_processors}"
-            )
-        self.n_processors = n_processors
-        self.config = config or InductionConfig()
-        self.machine = CRAY_T3D if machine is None else machine
-        self.backend = backend if backend is not None else self.config.backend
-
-    def fit(self, dataset: Dataset):
+    def fit(self, dataset: Dataset) -> FitResult:
         """Train on the simulated machine; returns tree + priced stats."""
-        from ..core.classifier import FitResult, run_priced
-
-        trees, stats = run_priced(
-            self.machine, self.n_processors, sprint_worker,
-            (dataset, self.config), backend=self.backend,
-        )
-        return FitResult(tree=trees[0], stats=stats,
-                         n_processors=self.n_processors)
+        return self._launch(sprint_worker, dataset)

@@ -16,35 +16,31 @@ in-memory structure (the scalability wall SPRINT then removed), and every
 level re-reads *all* attribute lists even when most leaves are settled.
 Both are measured by :class:`SliqStats`.
 
-Sharing this repo's split kernels and canonical candidate order, SLIQ's
-trees are bit-identical to the serial reference's — so the three-way
-lineage (SLIQ → SPRINT → ScalParC) is comparable purely on cost.
+Sharing this repo's split kernels, canonical candidate order and level
+loop (:mod:`repro.core.frontier` — SLIQ is :class:`SliqSource` plugged
+into it), SLIQ's trees are bit-identical to the serial reference's — so
+the three-way lineage (SLIQ → SPRINT → ScalParC) is comparable purely on
+cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.config import InductionConfig
-from ..core.criteria import best_categorical_split, impurity, split_score_from_left
-from ..core.splits import (
-    candidate_beats,
-    categorical_children_layout,
-    encode_mask,
-    pack_candidates,
-)
+from ..core.criteria import split_score_from_left
+from ..core.findsplit import categorical_rows
+from ..core.frontier import CatState, LevelFrontier, LevelSource, \
+    grow_levels
+from ..core.splits import candidate_beats, pack_candidates
+from ..core.splitter import LevelDecisions
 from ..datagen.schema import Dataset
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import DecisionTree
 
-__all__ = ["SliqClassifier", "SliqStats"]
+__all__ = ["SliqClassifier", "SliqSource", "SliqStats"]
 
 
 @dataclass
@@ -62,6 +58,109 @@ class SliqStats:
     active_per_level: list = field(default_factory=list)
 
 
+class SliqSource(LevelSource):
+    """SLIQ's data layout as the :class:`~repro.core.frontier.LevelSource`
+    of the shared level loop: presorted lists of ``attrs`` (default: every
+    attribute) that are never reorganized, plus the resident class list."""
+
+    def __init__(self, dataset: Dataset, config: InductionConfig,
+                 attrs: Iterable[int] | None = None):
+        self.schema = dataset.schema
+        self.config = config
+        n = dataset.n_records
+        # presort once: (sorted values, rids) per continuous attribute;
+        # categorical lists stay in record order
+        self.lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for a in range(len(self.schema)) if attrs is None else attrs:
+            col = dataset.columns[a]
+            rids = np.arange(n, dtype=np.int64)
+            if self.schema[a].is_continuous:
+                order = np.lexsort((rids, col))
+                self.lists[a] = (col[order].astype(np.float64), rids[order])
+            else:
+                self.lists[a] = (col.astype(np.int64), rids)
+
+        # the class list: label + current leaf of every record (resident)
+        self.klass = dataset.labels.astype(np.int64)
+        self.leaf_of = np.zeros(n, dtype=np.int64)  # all records start at root
+        self.stats = SliqStats(
+            class_list_bytes=int(self.klass.nbytes + self.leaf_of.nbytes)
+        )
+
+    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
+        live = self.leaf_of >= 0
+        self.stats.levels += 1
+        self.stats.active_per_level.append(int(np.count_nonzero(live)))
+        n_classes = self.schema.n_classes
+        return np.bincount(
+            self.leaf_of[live] * n_classes + self.klass[live],
+            minlength=n_nodes * n_classes,
+        ).reshape(n_nodes, n_classes)
+
+    def best_splits(self, totals: np.ndarray, candidates: np.ndarray
+                    ) -> tuple[np.ndarray, CatState]:
+        """One full scan of every attribute list (the SLIQ level scan)."""
+        best = pack_candidates(len(totals))
+        cat_state: CatState = {}
+        for a in self.lists:
+            rows, state = self.scan_attribute(a, totals, candidates)
+            if state:
+                cat_state[a] = state
+            take = candidate_beats(rows, best)
+            best = np.where(take[:, None], rows, best)
+        return best, cat_state
+
+    def scan_attribute(
+        self, attr: int, totals: np.ndarray, candidates: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray | None]]]:
+        """One pass over one attribute list, each entry's leaf looked up
+        in the class list: ``(candidate rows, categorical scorer state)``
+        of every candidate node (no state for continuous lists)."""
+        values, rids = self.lists[attr]
+        self.stats.entries_scanned += len(values)  # SLIQ reads everything
+        nodes = self.leaf_of[rids]
+        live = nodes >= 0
+        spec = self.schema[attr]
+        if spec.is_continuous:
+            return _scan_continuous(
+                values[live], nodes[live], self.klass[rids[live]], totals,
+                candidates, attr, self.config,
+            ), {}
+        m, n_classes = totals.shape
+        matrix = np.bincount(
+            (nodes[live] * spec.n_values + values[live]) * n_classes
+            + self.klass[rids[live]],
+            minlength=m * spec.n_values * n_classes,
+        ).reshape(m, spec.n_values, n_classes)
+        cand = np.nonzero(candidates)[0]
+        return categorical_rows(attr, matrix[cand], cand, m, self.config)
+
+    def child_assignments(self, decisions: LevelDecisions
+                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(record ids, next-level node ids)`` of every splitting node
+        whose winning attribute's list is held here — read straight off
+        the decision, no data movement."""
+        for k in np.nonzero(decisions.splitting)[0]:
+            attr = int(decisions.winner_attr[k])
+            if attr not in self.lists:
+                continue
+            values, rids = self.lists[attr]
+            in_node = self.leaf_of[rids] == k
+            if self.schema[attr].is_continuous:
+                child = (values[in_node] >= decisions.threshold[k]
+                         ).astype(np.int64)
+            else:
+                child = decisions.cat_layouts[int(k)][values[in_node]]
+            yield rids[in_node], decisions.child_base[k] + child
+
+    def partition(self, decisions: LevelDecisions) -> None:
+        # the SLIQ splitting phase: pure class-list update
+        new_leaf = np.full(len(self.leaf_of), -1, dtype=np.int64)
+        for rids, ids in self.child_assignments(decisions):
+            new_leaf[rids] = ids
+        self.leaf_of = new_leaf
+
+
 class SliqClassifier:
     """Serial SLIQ with exact shared split semantics."""
 
@@ -72,221 +171,49 @@ class SliqClassifier:
         """Induce the decision tree; returns (tree, cost profile)."""
         if dataset.n_records == 0:
             raise ValueError("cannot induce a tree from an empty dataset")
-        config = self.config
-        schema = dataset.schema
-        n = dataset.n_records
-        n_classes = schema.n_classes
-        stats = SliqStats()
+        source = SliqSource(dataset, self.config)
+        tree = grow_levels(LevelFrontier(), dataset.schema, self.config,
+                           source)
+        return tree, source.stats
 
-        # presort once: (sorted values, rids) per continuous attribute;
-        # categorical lists stay in record order
-        sorted_lists: list[tuple[np.ndarray, np.ndarray]] = []
-        for a, spec in enumerate(schema):
-            col = dataset.columns[a]
-            rids = np.arange(n, dtype=np.int64)
-            if spec.is_continuous:
-                order = np.lexsort((rids, col))
-                sorted_lists.append((col[order].astype(np.float64),
-                                     rids[order]))
-            else:
-                sorted_lists.append((col.astype(np.int64), rids))
 
-        # the class list: label + current leaf of every record (resident)
-        klass = dataset.labels.astype(np.int64)
-        leaf_of = np.zeros(n, dtype=np.int64)  # all records start at root
-        stats.class_list_bytes = int(klass.nbytes + leaf_of.nbytes)
-
-        root_holder: list[TreeNode | None] = [None]
-
-        def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-            if parent is None:
-                root_holder[0] = node
-            else:
-                parent.children[slot] = node
-
-        # pending[k] = (parent, slot, depth) of active leaf k
-        pending: list[tuple[TreeNode | None, int, int]] = [(None, 0, 0)]
-
-        while pending:
-            m = len(pending)
-            stats.levels += 1
-            live = leaf_of >= 0
-            stats.active_per_level.append(int(np.count_nonzero(live)))
-
-            totals = np.bincount(
-                leaf_of[live] * n_classes + klass[live],
-                minlength=m * n_classes,
-            ).reshape(m, n_classes)
-            n_node = totals.sum(axis=1)
-            depth_of = np.array([d for (_, _, d) in pending], dtype=np.int64)
-            terminal = (totals.max(axis=1) == n_node) | (
-                n_node < config.min_split_records
-            )
-            if config.max_depth is not None:
-                terminal |= depth_of >= config.max_depth
-
-            best = pack_candidates(m)
-            cat_state: dict[tuple[int, int], tuple] = {}
-            if not terminal.all():
-                best, cat_state = self._find_splits(
-                    sorted_lists, schema, klass, leaf_of, totals, ~terminal,
-                    config, stats,
-                )
-
-            parent_imp = impurity(totals, config.criterion)
-            split_ok = (
-                ~terminal
-                & np.isfinite(best[:, 0])
-                & (parent_imp - best[:, 0] >= config.min_improvement)
-            )
-
-            # build nodes; assign next-level leaf ids
-            child_base = np.zeros(m, dtype=np.int64)
-            winner_attr = np.full(m, -1, dtype=np.int64)
-            threshold = np.full(m, np.nan)
-            layouts: dict[int, np.ndarray] = {}
-            new_pending: list[tuple[TreeNode | None, int, int]] = []
-            n_next = 0
-            freeze = np.zeros(m, dtype=bool)
-            for k in range(m):
-                parent, slot, depth = pending[k]
-                if not split_ok[k]:
-                    attach(
-                        Leaf(label=int(np.argmax(totals[k])),
-                             n_records=int(n_node[k]),
-                             class_counts=totals[k].copy(), depth=depth),
-                        parent, slot,
-                    )
-                    freeze[k] = True
-                    continue
-                attr = int(best[k, 1])
-                winner_attr[k] = attr
-                child_base[k] = n_next
-                if schema[attr].is_continuous:
-                    threshold[k] = best[k, 2]
-                    node: TreeNode = ContinuousSplit(
-                        attr_index=attr, threshold=float(best[k, 2]),
-                        n_records=int(n_node[k]),
-                        class_counts=totals[k].copy(), depth=depth,
-                        children=[None, None],
-                    )
-                    n_children = 2
-                else:
-                    matrix, mask = cat_state[(attr, k)]
-                    v2c, n_children, default = categorical_children_layout(
-                        matrix, mask
-                    )
-                    layouts[k] = v2c.astype(np.int64)
-                    node = CategoricalSplit(
-                        attr_index=attr, value_to_child=v2c,
-                        n_records=int(n_node[k]),
-                        class_counts=totals[k].copy(), depth=depth,
-                        children=[None] * n_children, default_child=default,
-                    )
-                attach(node, parent, slot)
-                for c in range(n_children):
-                    new_pending.append((node, c, depth + 1))
-                n_next += n_children
-
-            # the SLIQ splitting phase: pure class-list update
-            new_leaf = np.full(n, -1, dtype=np.int64)
-            for k in np.nonzero(split_ok)[0]:
-                attr = winner_attr[k]
-                values, rids = sorted_lists[attr]
-                mine = live.copy()
-                mine &= leaf_of == k
-                in_node = mine[rids]
-                if schema[attr].is_continuous:
-                    child = (values[in_node] >= threshold[k]).astype(np.int64)
-                else:
-                    child = layouts[k][values[in_node]]
-                new_leaf[rids[in_node]] = child_base[k] + child
-            leaf_of = new_leaf
-            pending = new_pending
-
-        assert root_holder[0] is not None
-        return DecisionTree(schema=schema, root=root_holder[0]), stats
-
-    # ------------------------------------------------------------------
-
-    def _find_splits(self, sorted_lists, schema, klass, leaf_of, totals,
-                     candidate_nodes, config, stats):
-        """One full scan of every attribute list (the SLIQ level scan)."""
-        m, n_classes = totals.shape
-        best = pack_candidates(m)
-        cat_state: dict[tuple[int, int], tuple] = {}
-
-        for a, spec in enumerate(schema):
-            values, rids = sorted_lists[a]
-            stats.entries_scanned += len(values)  # SLIQ reads everything
-            nodes = leaf_of[rids]
-            live = nodes >= 0
-            if spec.is_continuous:
-                rows = self._scan_continuous(
-                    values[live], nodes[live], klass[rids[live]],
-                    totals, candidate_nodes, a, config,
-                )
-            else:
-                rows = pack_candidates(m)
-                codes = values[live]
-                labels = klass[rids[live]]
-                matrix = np.bincount(
-                    (nodes[live] * spec.n_values + codes) * n_classes
-                    + labels,
-                    minlength=m * spec.n_values * n_classes,
-                ).reshape(m, spec.n_values, n_classes)
-                for k in np.nonzero(candidate_nodes)[0]:
-                    score, mask = best_categorical_split(
-                        matrix[k], config.criterion,
-                        binary_subsets=config.categorical_binary_subsets,
-                        exhaustive_limit=config.subset_exhaustive_limit,
-                    )
-                    if np.isfinite(score):
-                        code = encode_mask(mask) if mask is not None else 0.0
-                        rows[k] = (score, float(a), code)
-                        cat_state[(a, int(k))] = (matrix[k], mask)
-            take = candidate_beats(rows, best)
-            best = np.where(take[:, None], rows, best)
-        return best, cat_state
-
-    @staticmethod
-    def _scan_continuous(values, nodes, labels, totals, candidate_nodes,
-                         attr_index, config):
-        """Per-node best (score, threshold) from one sorted-list scan."""
-        m, n_classes = totals.shape
-        out = pack_candidates(m)
-        n_live = len(values)
-        if n_live == 0:
-            return out
-        # group by node (stable keeps sorted value order inside each node)
-        perm = np.argsort(nodes, kind="stable")
-        v = values[perm]
-        lab = labels[perm]
-        node_sorted = nodes[perm]
-        # exclusive per-class cumulative counts within node segments
-        excl = np.empty((n_live, n_classes), dtype=np.int64)
-        for j in range(n_classes):
-            onehot = lab == j
-            cum = np.cumsum(onehot)
-            excl[:, j] = cum - onehot
-        starts = np.concatenate(([True], node_sorted[1:] != node_sorted[:-1]))
-        seg_start_idx = np.nonzero(starts)[0]
-        seg_of = np.cumsum(starts) - 1
-        seg_base = excl[seg_start_idx]
-        left = excl - seg_base[seg_of]
-        valid = np.concatenate(([False], v[1:] > v[:-1])) & ~starts
-        valid &= candidate_nodes[node_sorted]
-        if not valid.any():
-            return out
-        v_nodes = node_sorted[valid]
-        v_thr = v[valid]
-        scores = split_score_from_left(left[valid], totals[v_nodes],
-                                       config.criterion)
-        order = np.lexsort((v_thr, scores, v_nodes))
-        first = np.unique(v_nodes[order], return_index=True)[1]
-        pick = order[first]
-        winners = v_nodes[order][first]
-        out[winners, 0] = scores[pick]
-        out[winners, 1] = float(attr_index)
-        out[winners, 2] = v_thr[pick]
+def _scan_continuous(values, nodes, labels, totals, candidate_nodes,
+                     attr_index, config):
+    """Per-node best (score, threshold) from one sorted-list scan."""
+    m, n_classes = totals.shape
+    out = pack_candidates(m)
+    n_live = len(values)
+    if n_live == 0:
         return out
+    # group by node (stable keeps sorted value order inside each node)
+    perm = np.argsort(nodes, kind="stable")
+    v = values[perm]
+    lab = labels[perm]
+    node_sorted = nodes[perm]
+    # exclusive per-class cumulative counts within node segments
+    excl = np.empty((n_live, n_classes), dtype=np.int64)
+    for j in range(n_classes):
+        onehot = lab == j
+        cum = np.cumsum(onehot)
+        excl[:, j] = cum - onehot
+    starts = np.concatenate(([True], node_sorted[1:] != node_sorted[:-1]))
+    seg_start_idx = np.nonzero(starts)[0]
+    seg_of = np.cumsum(starts) - 1
+    seg_base = excl[seg_start_idx]
+    left = excl - seg_base[seg_of]
+    valid = np.concatenate(([False], v[1:] > v[:-1])) & ~starts
+    valid &= candidate_nodes[node_sorted]
+    if not valid.any():
+        return out
+    v_nodes = node_sorted[valid]
+    v_thr = v[valid]
+    scores = split_score_from_left(left[valid], totals[v_nodes],
+                                   config.criterion)
+    order = np.lexsort((v_thr, scores, v_nodes))
+    first = np.unique(v_nodes[order], return_index=True)[1]
+    pick = order[first]
+    winners = v_nodes[order][first]
+    out[winners, 0] = scores[pick]
+    out[winners, 1] = float(attr_index)
+    out[winners, 2] = v_thr[pick]
+    return out

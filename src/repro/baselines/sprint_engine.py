@@ -25,6 +25,7 @@ split semantics.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,13 +141,13 @@ class SprintClassifier:
             else:
                 parent.children[slot] = node
 
-        queue: list[_NodeLists] = [
-            _NodeLists(root_lists, depth=0, parent=None, slot=0)
-        ]
+        queue: deque[_NodeLists] = deque(
+            [_NodeLists(root_lists, depth=0, parent=None, slot=0)]
+        )
         level_acc: dict[int, list[tuple[int, int]]] = {}
 
         while queue:
-            work = queue.pop(0)
+            work = queue.popleft()
             counts = np.bincount(work.per_attr[0][2], minlength=n_classes)
             n = work.n_records
             terminal = (

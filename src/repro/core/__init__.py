@@ -12,7 +12,10 @@ Submodules map one-to-one onto the paper's structure:
   exscan schedule plus histogram/voted approximations (beyond the paper);
 * :mod:`~repro.core.splitter` — PerformSplitI/II over the distributed node
   table (§3.3);
-* :mod:`~repro.core.induction` — the level-synchronous driver (Figure 2);
+* :mod:`~repro.core.frontier` — Figure 2's level loop and the
+  tree-shaping rules, shared by every level-synchronous inducer;
+* :mod:`~repro.core.induction` — ScalParC's side of that loop: Presort,
+  per-level statistics, record partitioning, checkpoint cuts;
 * :mod:`~repro.core.classifier` — the :class:`ScalParC` facade.
 """
 

@@ -22,7 +22,8 @@ from ..tree.model import DecisionTree
 from .config import InductionConfig
 from .induction import induce_worker
 
-__all__ = ["ScalParC", "FitResult", "fit_scalparc", "run_priced"]
+__all__ = ["ScalParC", "SpmdClassifier", "FitResult", "fit_scalparc",
+           "run_priced"]
 
 
 def run_priced(
@@ -57,8 +58,10 @@ class FitResult:
     n_processors: int
 
 
-class ScalParC:
-    """Scalable Parallel Classifier (the paper's algorithm).
+class SpmdClassifier:
+    """The constructor and launch every SPMD inducer's facade shares
+    (:class:`ScalParC` and the parallel comparators in
+    :mod:`repro.baselines`).
 
     Parameters
     ----------
@@ -76,15 +79,6 @@ class ScalParC:
         ``"cooperative"``, ``"tcp"``); ``None`` defers to
         ``config.backend``, then the ``REPRO_SPMD_BACKEND`` environment
         variable, then thread.
-
-    Under the default ``config.split_mode`` (exact) the induced tree is
-    *independent of* both ``n_processors`` and ``backend``: any
-    combination produces exactly the serial reference's tree.  The
-    histogram/voted split strategies (see :mod:`repro.core.strategies`)
-    trade that exactness for communication volume — their trees stay
-    backend-independent at a fixed ``n_processors`` but may differ from
-    the serial reference (and, for voted, across processor counts: the
-    ballot is cast from per-rank local data).
     """
 
     def __init__(
@@ -102,6 +96,32 @@ class ScalParC:
         self.config = config or InductionConfig()
         self.machine = machine
         self.backend = backend if backend is not None else self.config.backend
+
+    def _launch(self, worker: Callable[..., DecisionTree], dataset: Dataset,
+                **run_kwargs: Any) -> FitResult:
+        """Run ``worker(comm, dataset, config)`` on every rank
+        (:func:`run_priced`) and wrap rank 0's tree with the run stats."""
+        trees, stats = run_priced(
+            self.machine, self.n_processors, worker,
+            (dataset, self.config), backend=self.backend, **run_kwargs,
+        )
+        return FitResult(tree=trees[0], stats=stats,
+                         n_processors=self.n_processors)
+
+
+class ScalParC(SpmdClassifier):
+    """Scalable Parallel Classifier (the paper's algorithm); parameters
+    as in :class:`SpmdClassifier`.
+
+    Under the default ``config.split_mode`` (exact) the induced tree is
+    *independent of* both ``n_processors`` and ``backend``: any
+    combination produces exactly the serial reference's tree.  The
+    histogram/voted split strategies (see :mod:`repro.core.strategies`)
+    trade that exactness for communication volume — their trees stay
+    backend-independent at a fixed ``n_processors`` but may differ from
+    the serial reference (and, for voted, across processor counts: the
+    ballot is cast from per-rank local data).
+    """
 
     def fit(self, dataset: Dataset, trace: object | None = None,
             checkpoint: object | None = None) -> FitResult:
@@ -124,13 +144,8 @@ class ScalParC:
         """
         if checkpoint is None:
             checkpoint = self.config.checkpoint
-        trees, stats = run_priced(
-            self.machine, self.n_processors, induce_worker,
-            (dataset, self.config), backend=self.backend,
-            trace=trace, checkpoint=checkpoint,
-        )
-        return FitResult(tree=trees[0], stats=stats,
-                         n_processors=self.n_processors)
+        return self._launch(induce_worker, dataset, trace=trace,
+                            checkpoint=checkpoint)
 
     def fit_stream(self, dataset: Dataset, trace: object | None = None,
                    checkpoint: object | None = None,
@@ -190,15 +205,12 @@ class ScalParC:
 
         if checkpoint is None:
             checkpoint = self.config.checkpoint
-        trees, stats = run_priced(
-            self.machine, self.n_processors, stream_induce_worker,
-            (dataset, self.config),
+        return self._launch(
+            stream_induce_worker, dataset,
             kwargs={"max_epochs": max_epochs, "finalize": finalize,
                     "fresh_cursor": fresh_cursor},
-            backend=self.backend, trace=trace, checkpoint=checkpoint,
+            trace=trace, checkpoint=checkpoint,
         )
-        return FitResult(tree=trees[0], stats=stats,
-                         n_processors=self.n_processors)
 
 
 def fit_scalparc(

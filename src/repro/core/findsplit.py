@@ -29,7 +29,7 @@ from ..runtime import Communicator, ReduceOp, reduction
 from . import kernels
 from .attribute_lists import LocalAttributeList
 from .config import InductionConfig
-from .criteria import best_categorical_split
+from .criteria import best_binary_subset
 from .phases import FINDSPLIT1, FINDSPLIT2, timed_phase
 from .splits import BEST_SPLIT, candidate_beats, encode_mask, pack_candidates
 
@@ -38,6 +38,8 @@ __all__ = [
     "node_class_totals",
     "continuous_candidates",
     "categorical_candidates",
+    "categorical_rows",
+    "score_categorical_cubes",
     "level_candidates",
     "global_best_splits",
     "coordinator_of",
@@ -233,6 +235,56 @@ def _categorical_local_cube(
     return local
 
 
+def score_categorical_cubes(
+    cubes: np.ndarray, config: InductionConfig
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Best categorical split of every (n_values, c) count matrix in the
+    ``(k, n_values, c)`` stack ``cubes`` under the config's categorical
+    policy: ``(scores, masks)`` with ``inf`` where fewer than two values
+    occur.  ``masks[i]`` is the left-subset mask of a binary-subset
+    split, ``None`` for the multiway (paper-default) split.
+
+    Multiway scoring is one batched
+    :func:`~repro.core.kernels.multiway_scores` pass (itself the scalar
+    per-node formula in reference kernel mode); the per-node loop
+    survives only for binary subsets, a combinatorial search per node.
+    """
+    if not config.categorical_binary_subsets:
+        return (kernels.multiway_scores(cubes, config.criterion),
+                [None] * len(cubes))
+    found = [
+        best_binary_subset(
+            matrix, config.criterion,
+            exhaustive_limit=config.subset_exhaustive_limit,
+        )
+        for matrix in cubes
+    ]
+    return (np.array([score for score, _ in found], dtype=np.float64),
+            [mask for _, mask in found])
+
+
+def categorical_rows(
+    attr_index: int, matrices: np.ndarray, cand: np.ndarray, n_nodes: int,
+    config: InductionConfig,
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray | None]]]:
+    """Candidate rows of one categorical attribute from its global count
+    matrices — ``matrices[i]`` belongs to node ``cand[i]``.
+
+    Returns ``(rows, state)``: the (n_nodes, 3) candidate matrix
+    ``[score, attr, subset code]`` (``inf`` rows where no valid split
+    exists; multiway splits carry code 0) and node → (count matrix, mask)
+    for the nodes that have one — what the later child layout needs.
+    """
+    rows = pack_candidates(n_nodes)
+    scores, masks = score_categorical_cubes(matrices, config)
+    fin = np.flatnonzero(np.isfinite(scores)).tolist()
+    hit = cand[fin]
+    rows[hit, 0] = scores[fin]
+    rows[hit, 1] = float(attr_index)
+    rows[hit, 2] = [encode_mask(masks[i]) for i in fin]
+    return rows, {int(cand[i]): (matrices[i], masks[i]) for i in fin}
+
+
 def _score_categorical(
     comm: Communicator,
     alist: LocalAttributeList,
@@ -243,49 +295,12 @@ def _score_categorical(
 ) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray | None]]]:
     """Coordinator-side scoring of one categorical attribute's reduced
     count cubes; non-coordinators (``matrices is None``) return empty
-    candidate rows.
-
-    Multiway (paper-default) scoring runs as one batched
-    :func:`~repro.core.kernels.multiway_scores` pass over every candidate
-    node's count matrix at once; the per-node loop survives only for the
-    binary-subset configuration (a combinatorial search per node) and for
-    reference kernel mode.
-    """
-    out = pack_candidates(len(candidate_nodes))
-    state: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    candidate rows."""
     if comm.rank != root or matrices is None:
-        return out, state
+        return pack_candidates(len(candidate_nodes)), {}
     cand = np.nonzero(candidate_nodes)[0]
-    if len(cand) == 0:
-        return out, state
-    if (
-        not config.categorical_binary_subsets
-        and kernels.kernel_mode() != "reference"
-    ):
-        scores = kernels.multiway_scores(matrices[cand], config.criterion)
-        fin = np.isfinite(scores)
-        hit = cand[fin]
-        out[hit, 0] = scores[fin]
-        out[hit, 1] = float(alist.attr_index)
-        out[hit, 2] = 0.0  # multiway splits carry no subset mask
-        for k in hit:
-            state[int(k)] = (matrices[k], None)
-        return out, state
-    for k in cand:
-        score, mask = best_categorical_split(
-            matrices[k],
-            config.criterion,
-            binary_subsets=config.categorical_binary_subsets,
-            exhaustive_limit=config.subset_exhaustive_limit,
-        )
-        if np.isfinite(score):
-            out[k] = (
-                score,
-                float(alist.attr_index),
-                encode_mask(mask) if mask is not None else 0.0,
-            )
-            state[int(k)] = (matrices[k], mask)
-    return out, state
+    return categorical_rows(alist.attr_index, matrices[cand], cand,
+                            len(candidate_nodes), config)
 
 
 def categorical_candidates(

@@ -15,9 +15,16 @@ totals, winning splits, categorical child layouts) is global after the
 level's reductions, so every rank builds an identical copy of the decision
 tree — the driver returns rank 0's copy, and the test suite asserts the
 copies (and the serial reference's tree) are structurally equal.
+
+The loop and every tree-shaping rule live in :mod:`repro.core.frontier`
+(shared with the SLIQ comparators); this module supplies ScalParC's side
+of it — Presort, the :class:`_ListSource` of per-level statistics and
+record partitioning, and the checkpoint cut/resume path.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +40,16 @@ from ..runtime.checkpoint import (
     restore_rank_extras,
 )
 from ..runtime.tracing import tag_level
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
-from .attribute_lists import build_local_lists, restore_local_lists
+from ..tree.model import DecisionTree
+from .attribute_lists import LocalAttributeList, build_local_lists, \
+    restore_local_lists
 from .config import InductionConfig
-from .criteria import impurity
 from .findsplit import node_class_totals
+from .frontier import CatState, Layouts, LevelFrontier, LevelSource, \
+    grow_levels
 from .phases import FINDSPLIT1, FINDSPLIT2, PRESORT, timed_phase
-from .splits import categorical_children_layout, pack_candidates
 from .splitter import LevelDecisions, ScalParCSplitPhase, SplitPhase
-from .strategies import make_strategy
+from .strategies import SplitStrategy, make_strategy
 
 __all__ = ["induce_worker"]
 
@@ -86,214 +88,123 @@ def induce_worker(
     if len(dataset.schema) == 0:
         raise ValueError("dataset has no attributes")
     schema = dataset.schema
-    n_classes = schema.n_classes
 
     ckpt_cfg = resolve_checkpoint(checkpoint)
     ckpt = LevelCheckpointer(ckpt_cfg) if ckpt_cfg is not None else None
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 
-    root_holder: list[TreeNode | None] = [None]
-
-    def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-        if parent is None:
-            root_holder[0] = node
-        else:
-            parent.children[slot] = node
-
     if resume_src is not None:
-        lists, n_total, pending, level = _resume_from_checkpoint(
-            comm, resume_src, dataset, config, split_phase, root_holder
+        lists, n_total, frontier, level = _resume_from_checkpoint(
+            comm, resume_src, dataset, config, split_phase
         )
     else:
         # Presort + initial distribution
         with timed_phase(comm, PRESORT):
             lists, n_total = build_local_lists(comm, dataset)
-            strategy.prepare(comm, lists, config, n_classes, n_total)
+            strategy.prepare(comm, lists, config, schema.n_classes, n_total)
             split_phase.setup(comm, n_total)
-        # pending[k] = (parent node, child slot, depth) of active node k
-        pending = [(None, 0, 0)]
-        level = 0
+        frontier, level = LevelFrontier(), 0
 
-    while pending:
-        m = len(pending)
-        tag_level(comm, level)
-        with timed_phase(comm, FINDSPLIT1):
-            totals = node_class_totals(comm, lists[0], m, n_classes)
-        n_node = totals.sum(axis=1)
-        depth_of = np.array([d for (_, _, d) in pending], dtype=np.int64)
+    tree = grow_levels(frontier, schema, config, _ListSource(
+        comm, dataset, config, lists, n_total, strategy, split_phase, ckpt
+    ), level)
 
-        terminal = (totals.max(axis=1) == n_node) | (
-            n_node < config.min_split_records
-        )
-        if config.max_depth is not None:
-            terminal |= depth_of >= config.max_depth
-        candidate_nodes = ~terminal
+    if ckpt is not None:
+        ckpt.finalize(comm)   # drain pipelined writes; seal the last cut
+    return tree
 
-        # ---- FindSplitI + FindSplitII ---------------------------------
+
+@dataclass
+class _ListSource(LevelSource):
+    """The :class:`~repro.core.frontier.LevelSource` of ScalParC and
+    parallel SPRINT: statistics from the presorted distributed attribute
+    lists through the split strategy's collectives, records partitioned
+    by the splitting phase, cuts taken at level boundaries."""
+
+    comm: Communicator
+    dataset: Dataset
+    config: InductionConfig
+    lists: list[LocalAttributeList]
+    n_total: int
+    strategy: SplitStrategy
+    split_phase: SplitPhase
+    ckpt: LevelCheckpointer | None
+
+    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
+        tag_level(self.comm, level)
+        with timed_phase(self.comm, FINDSPLIT1):
+            return node_class_totals(self.comm, self.lists[0], n_nodes,
+                                     self.dataset.schema.n_classes)
+
+    def best_splits(self, totals: np.ndarray, candidates: np.ndarray
+                    ) -> tuple[np.ndarray, CatState]:
         # the split strategy owns local statistics, the collective plan
         # and candidate scoring (see repro.core.strategies); exact keeps
         # the pre-strategy schedule bit for bit, histogram/voted swap the
         # per-attribute exscans for count-cube allreduces
-        local_best = pack_candidates(m)
-        cat_state: dict[int, dict[int, tuple[np.ndarray, np.ndarray | None]]] = {}
-        if bool(candidate_nodes.any()):
-            local_best, cat_state = strategy.level_candidates(
-                comm, lists, totals, candidate_nodes, config
-            )
-            with timed_phase(comm, FINDSPLIT2):
-                best = strategy.global_best(comm, local_best, config)
-        else:
-            best = local_best
-
-        parent_imp = impurity(totals, config.criterion)
-        split_ok = (
-            candidate_nodes
-            & np.isfinite(best[:, 0])
-            & (parent_imp - best[:, 0] >= config.min_improvement)
+        local_best, cat_state = self.strategy.level_candidates(
+            self.comm, self.lists, totals, candidates, self.config
         )
+        with timed_phase(self.comm, FINDSPLIT2):
+            best = self.strategy.global_best(self.comm, local_best,
+                                             self.config)
+        return best, cat_state
 
-        # ---- categorical child layouts from the coordinators -----------
-        my_layouts: dict[int, tuple[list[int], int, int]] = {}
-        for k in np.nonzero(split_ok)[0]:
-            attr = int(best[k, 1])
-            if not schema[attr].is_continuous and attr in cat_state \
-                    and int(k) in cat_state[attr]:
-                matrix, mask = cat_state[attr][int(k)]
-                v2c, n_children, default = categorical_children_layout(
-                    matrix, mask
-                )
-                my_layouts[int(k)] = (v2c.tolist(), n_children, default)
-        merged_layouts: dict[int, tuple[list[int], int, int]] = {}
-        if bool(split_ok.any()):
-            with timed_phase(comm, FINDSPLIT2):
-                for part in comm.allgather(my_layouts):
-                    merged_layouts.update(part)
+    def share_layouts(self, layouts: Layouts) -> Layouts:
+        # each categorical winner's layout comes from its coordinator
+        merged: Layouts = {}
+        with timed_phase(self.comm, FINDSPLIT2):
+            for part in self.comm.allgather(layouts):
+                merged.update(part)
+        return merged
 
-        # ---- build this level's tree nodes (identically on every rank) --
-        winner_attr = np.full(m, -1, dtype=np.int64)
-        threshold = np.full(m, np.nan, dtype=np.float64)
-        cat_layout_arrays: dict[int, np.ndarray] = {}
-        child_base = np.zeros(m, dtype=np.int64)
-        n_next = 0
-        new_pending: list[tuple[TreeNode | None, int, int]] = []
+    def partition(self, decisions: LevelDecisions) -> None:
+        self.split_phase.execute(self.comm, self.lists, decisions,
+                                 self.config)
 
-        for k in range(m):
-            parent, slot, depth = pending[k]
-            counts_k = totals[k]
-            if not split_ok[k]:
-                if int(n_node[k]) == 0 and parent is not None:
-                    # an empty child (a multiway categorical value with no
-                    # records at this node) has all-zero counts: argmax
-                    # would always say class 0 — inherit the parent's
-                    # majority instead
-                    label = int(np.argmax(parent.class_counts))
-                else:
-                    label = int(np.argmax(counts_k))
-                attach(
-                    Leaf(label=label,
-                         n_records=int(n_node[k]),
-                         class_counts=counts_k.copy(), depth=depth),
-                    parent, slot,
-                )
-                continue
-            attr = int(best[k, 1])
-            winner_attr[k] = attr
-            child_base[k] = n_next
-            if schema[attr].is_continuous:
-                threshold[k] = best[k, 2]
-                node: TreeNode = ContinuousSplit(
-                    attr_index=attr, threshold=float(best[k, 2]),
-                    n_records=int(n_node[k]), class_counts=counts_k.copy(),
-                    depth=depth, children=[None, None],
-                )
-                n_children = 2
-            else:
-                v2c_list, n_children, default = merged_layouts[k]
-                v2c = np.asarray(v2c_list, dtype=np.int32)
-                cat_layout_arrays[k] = v2c.astype(np.int64)
-                node = CategoricalSplit(
-                    attr_index=attr, value_to_child=v2c,
-                    n_records=int(n_node[k]), class_counts=counts_k.copy(),
-                    depth=depth, children=[None] * n_children,
-                    default_child=default,
-                )
-            attach(node, parent, slot)
-            for c in range(n_children):
-                new_pending.append((node, c, depth + 1))
-            n_next += n_children
-
-        # ---- PerformSplitI + PerformSplitII -----------------------------
-        if n_next:
-            decisions = LevelDecisions(
-                splitting=split_ok,
-                winner_attr=winner_attr,
-                threshold=threshold,
-                cat_layouts=cat_layout_arrays,
-                child_base=child_base,
-                n_next=n_next,
-            )
-            split_phase.execute(comm, lists, decisions, config)
-
-        pending = new_pending
-        comm.perf.mark_level(level)
-        level += 1
-
+    def end_level(self, level: int, frontier: LevelFrontier,
+                  n_active: int) -> None:
+        self.comm.perf.mark_level(level)
         # Records still in play next level = everything inside splitting
         # nodes.  Once that drops below min_frontier_frac of the training
         # set, cuts cost more (the partial tree keeps growing) than the
         # cheap tail levels they would protect, so stop taking them.
-        n_active = int(n_node[split_ok].sum())
-        if (ckpt is not None and pending and ckpt.should_save(level - 1)
-                and n_active >= ckpt.config.min_frontier_frac * n_total):
-            _save_checkpoint(comm, ckpt, level, lists, split_phase,
-                             root_holder[0], pending, n_total, dataset,
-                             config)
+        ckpt = self.ckpt
+        if (ckpt is not None and frontier.pending and ckpt.should_save(level)
+                and n_active >= ckpt.config.min_frontier_frac * self.n_total):
+            self._save_cut(ckpt, level + 1, frontier)
 
-    if ckpt is not None:
-        ckpt.finalize(comm)   # drain pipelined writes; seal the last cut
-    assert root_holder[0] is not None
-    return DecisionTree(schema=schema, root=root_holder[0])
+    def _save_cut(self, ckpt: LevelCheckpointer, level: int,
+                  frontier: LevelFrontier) -> None:
+        """Write one consistent cut at a level boundary (collective).
 
+        The per-rank payload carries everything distribution-dependent
+        (attribute-list fragments, the split strategy's table share,
+        tracker and RNG state); the replicated payload carries the partial
+        tree and the pending frontier — one pickle, so the frontier's
+        parent references resolve into the same tree object graph on load.
 
-def _save_checkpoint(
-    comm: Communicator,
-    ckpt: LevelCheckpointer,
-    level: int,
-    lists,
-    split_phase: SplitPhase,
-    root: TreeNode | None,
-    pending,
-    n_total: int,
-    dataset: Dataset,
-    config: InductionConfig,
-) -> None:
-    """Write one consistent cut at a level boundary (collective).
-
-    The per-rank payload carries everything distribution-dependent
-    (attribute-list fragments, the split strategy's table share, tracker
-    and RNG state); the replicated payload carries the partial tree and
-    the pending frontier — one pickle, so the frontier's parent
-    references resolve into the same tree object graph on load.
-
-    List snapshots are *compact* (rids + offsets only; values and labels
-    re-derived from the dataset on resume) whenever the dataset holds
-    materialized columns; generate-on-demand sources cannot serve random
-    access by record id, so their snapshots embed the arrays verbatim.
-    """
-    compact = getattr(dataset, "columns", None) is not None
-    rank_payload = {
-        "lists": [alist.snapshot_state(compact=compact) for alist in lists],
-        "split_phase": split_phase.snapshot_state(),
-        **rank_extras(comm),
-    }
-    shared_payload = {
-        **config.cut_header(_CKPT_ALGO, dataset.schema),
-        "n_total": int(n_total),
-        "tree": (root, list(pending)),
-    }
-    ckpt.save(comm, level, rank_payload, shared_payload,
-              meta={"algo": _CKPT_ALGO, "n_total": int(n_total),
-                    "n_pending": len(pending)})
+        List snapshots are *compact* (rids + offsets only; values and
+        labels re-derived from the dataset on resume) whenever the dataset
+        holds materialized columns; generate-on-demand sources cannot
+        serve random access by record id, so their snapshots embed the
+        arrays verbatim.
+        """
+        compact = getattr(self.dataset, "columns", None) is not None
+        rank_payload = {
+            "lists": [alist.snapshot_state(compact=compact)
+                      for alist in self.lists],
+            "split_phase": self.split_phase.snapshot_state(),
+            **rank_extras(self.comm),
+        }
+        shared_payload = {
+            **self.config.cut_header(_CKPT_ALGO, self.dataset.schema),
+            "n_total": int(self.n_total),
+            "tree": (frontier.root, list(frontier.pending)),
+        }
+        ckpt.save(self.comm, level, rank_payload, shared_payload,
+                  meta={"algo": _CKPT_ALGO, "n_total": int(self.n_total),
+                        "n_pending": len(frontier.pending)})
 
 
 def _resume_from_checkpoint(
@@ -302,9 +213,8 @@ def _resume_from_checkpoint(
     dataset: Dataset,
     config: InductionConfig,
     split_phase: SplitPhase,
-    root_holder: list,
-) -> tuple[list, int, list, int]:
-    """Reload a cut and return ``(lists, n_total, pending, level)``.
+) -> tuple[list, int, LevelFrontier, int]:
+    """Reload a cut and return ``(lists, n_total, frontier, level)``.
 
     Every rank reads all old ranks' payloads (digest-validated), so the
     p == p′ fast path and the p → p′ re-blocked path share one code
@@ -327,6 +237,5 @@ def _resume_from_checkpoint(
     if loaded.n_ranks == comm.size:
         restore_rank_extras(comm, payloads[comm.rank])
 
-    root, pending = shared["tree"]
-    root_holder[0] = root
-    return lists, int(shared["n_total"]), list(pending), loaded.level
+    return (lists, int(shared["n_total"]), LevelFrontier(*shared["tree"]),
+            loaded.level)

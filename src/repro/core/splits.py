@@ -70,12 +70,15 @@ BEST_SPLIT = ReduceOp(
 )
 
 
-def encode_mask(mask: np.ndarray) -> float:
+def encode_mask(mask: np.ndarray | None) -> float:
     """Pack a ≤52-value boolean subset mask into an exact float64 code.
 
     Used as the canonical key's third slot for binary-subset categorical
     candidates, so distinct subsets of one attribute stay totally ordered.
+    ``None`` — the multiway split, which has no mask — encodes as 0.
     """
+    if mask is None:
+        return 0.0
     bits = 0
     for i, b in enumerate(np.asarray(mask).tolist()):
         if b:

@@ -36,11 +36,13 @@ from __future__ import annotations
 import numpy as np
 
 from ...runtime import reduction
-from .. import kernels
-from ..criteria import best_categorical_split
-from ..findsplit import _categorical_local_cube
+from ..findsplit import (
+    _categorical_local_cube,
+    categorical_rows,
+    score_categorical_cubes,
+)
 from ..phases import FINDSPLIT1_HIST, FINDSPLIT1_VOTE, timed_phase
-from ..splits import candidate_beats, encode_mask, pack_candidates
+from ..splits import candidate_beats, pack_candidates
 from .base import categorical_ordinals
 from .histogram import (
     HistogramSplitStrategy,
@@ -49,16 +51,6 @@ from .histogram import (
 )
 
 __all__ = ["VotedSplitStrategy"]
-
-
-def _score_categorical_matrix(matrix: np.ndarray, config):
-    """(score, mask) of one node's (value, class) count matrix."""
-    return best_categorical_split(
-        matrix,
-        config.criterion,
-        binary_subsets=config.categorical_binary_subsets,
-        exhaustive_limit=config.subset_exhaustive_limit,
-    )
 
 
 class VotedSplitStrategy(HistogramSplitStrategy):
@@ -95,25 +87,11 @@ class VotedSplitStrategy(HistogramSplitStrategy):
                 cube = _categorical_local_cube(
                     comm, alist, m, n_classes
                 )[cand].astype(np.int32)
-                if (config.categorical_binary_subsets
-                        or kernels.kernel_mode() == "reference"):
-                    # per-node combinatorial search (or reference mode):
-                    # the loop survives only here
-                    for i in range(n_cand):
-                        score, _mask = _score_categorical_matrix(
-                            cube[i].astype(np.int64), config
-                        )
-                        if np.isfinite(score):
-                            local_scores[i, a] = score
-                else:
-                    # the ballot scores every categorical attribute on
-                    # every rank — including attributes that will lose
-                    # every election — so this must not be a per-node
-                    # Python loop; one batched multiway pass covers all
-                    # candidate nodes (invalid nodes stay inf)
-                    local_scores[:, a] = kernels.multiway_scores(
-                        cube.astype(np.int64), config.criterion
-                    )
+                # the ballot scores every categorical attribute on every
+                # rank — including attributes that will lose every
+                # election — so one batched pass covers all candidate
+                # nodes (invalid nodes stay inf)
+                local_scores[:, a] = score_categorical_cubes(cube, config)[0]
             cubes.append(cube)
             widths[a] = cube.shape[1] * n_classes
 
@@ -163,30 +141,19 @@ class VotedSplitStrategy(HistogramSplitStrategy):
                       int(starts[i * k + j]) + widths[a]]
                 for i, j in zip(idx, slot)
             ]
+            cube = np.stack(sections).reshape(len(idx), -1, n_classes)
             if alist.spec.is_continuous:
-                cube = np.stack(sections).reshape(
-                    len(idx), int(widths[a]) // n_classes, n_classes
-                )
                 rows = score_continuous_cube(
                     alist, cube, cand[idx], totals, config
                 )
             else:
-                rows = pack_candidates(m)
-                root = self.coordinator_of(alist, ordinals, comm.size)
-                for sec, i in zip(sections, idx):
-                    node = int(cand[i])
-                    matrix = sec.reshape(-1, n_classes).astype(np.int64)
-                    score, mask = _score_categorical_matrix(matrix, config)
-                    if np.isfinite(score):
-                        rows[node] = (
-                            score,
-                            float(alist.attr_index),
-                            encode_mask(mask) if mask is not None else 0.0,
-                        )
-                        if comm.rank == root:
-                            cat_state.setdefault(
-                                alist.attr_index, {}
-                            )[node] = (matrix, mask)
+                rows, state = categorical_rows(
+                    alist.attr_index, cube.astype(np.int64), cand[idx], m,
+                    config,
+                )
+                if state and comm.rank == self.coordinator_of(
+                        alist, ordinals, comm.size):
+                    cat_state[alist.attr_index] = state
             take = candidate_beats(rows, local_best)
             local_best = np.where(take[:, None], rows, local_best)
         return local_best, cat_state

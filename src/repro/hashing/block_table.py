@@ -51,7 +51,7 @@ class DistributedNodeTable:
         stop = min(start + self.chunk, self.total_keys)
         self.local_start = start
         self.local = np.full(stop - start, fill, dtype=np.int32)
-        comm.perf.register_bytes(f"node_table", self.local.nbytes)
+        comm.perf.register_bytes("node_table", self.local.nbytes)
 
     # -- hash function ------------------------------------------------------
 

@@ -39,7 +39,8 @@ import numpy as np
 
 from ..core import kernels
 from ..core.config import InductionConfig
-from ..core.criteria import best_categorical_split, impurity
+from ..core.findsplit import score_categorical_cubes
+from ..core.frontier import accepted_splits, terminal_nodes
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
 from ..core.splits import BEST_SPLIT, categorical_children_layout, \
@@ -164,16 +165,8 @@ def _score_nodes(stack: np.ndarray, rows: np.ndarray, totals: np.ndarray,
                              config.criterion)
             continue
         cubes = _count_cubes(cells, spec.n_values)
-        if config.categorical_binary_subsets:   # a search per node
-            found = [best_categorical_split(
-                m, config.criterion, binary_subsets=True,
-                exhaustive_limit=config.subset_exhaustive_limit)
-                for m in cubes]
-            scores = np.array([score for score, _ in found])
-            third = np.array([encode_mask(mask) for _, mask in found])
-        else:
-            scores = kernels.multiway_scores(cubes, config.criterion)
-            third = np.zeros(len(rows))
+        scores, masks = score_categorical_cubes(cubes, config)
+        third = np.array([encode_mask(mask) for mask in masks])
         better = scores < out[:, 0]
         out[better, 0] = scores[better]
         out[better, 1] = float(attr)
@@ -184,16 +177,6 @@ def _score_nodes(stack: np.ndarray, rows: np.ndarray, totals: np.ndarray,
 # ----------------------------------------------------------------------
 # frontier mutation
 # ----------------------------------------------------------------------
-
-
-def _terminal(depth: np.ndarray, totals: np.ndarray,
-              config: InductionConfig) -> np.ndarray:
-    """The batch termination rules: purity, minimum mass, depth cap."""
-    n = totals.sum(axis=1)
-    out = (totals.max(axis=1) == n) | (n < config.min_split_records)
-    if config.max_depth is not None:
-        out |= depth >= config.max_depth
-    return out
 
 
 def _sync_leaves(state: StreamState, fids: np.ndarray,
@@ -321,7 +304,7 @@ def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
     child_depth = depth[parent] + 1
     closed = empty.copy()
     if finalize:
-        closed |= _terminal(child_depth, child_counts, config)
+        closed |= terminal_nodes(child_counts, child_depth, config)
     dist = np.full((n_new, c), np.nan)
     has = closed & ~empty
     dist[has] = child_counts[has] / n[has, None]
@@ -424,7 +407,7 @@ def _grow_rounds(comm: Communicator, state: StreamState,
             ready = np.ones(len(fids), dtype=bool) if finalize else \
                 totals.sum(axis=1) >= max(grow_threshold,
                                           config.min_split_records)
-            done = ready & _terminal(state.depth[fids], totals, config)
+            done = ready & terminal_nodes(totals, state.depth[fids], config)
             _close_leaves(state, fids[done], totals[done])
             scored = np.flatnonzero(ready & ~done)
             if len(scored) == 0:
@@ -443,9 +426,8 @@ def _grow_rounds(comm: Communicator, state: StreamState,
                     cand[j] = _score_nodes(stack, row_of[j], totals[j],
                                            state.schema, config)
             cand = comm.allreduce(cand, BEST_SPLIT)
-            gain = impurity(totals.astype(np.float64), config.criterion) \
-                - cand[:, 0]
-            ok = np.isfinite(cand[:, 0]) & (gain >= config.min_improvement)
+            ok = accepted_splits(cand, totals,
+                                 np.ones(len(fids), dtype=bool), config)
             if finalize:
                 _close_leaves(state, fids[~ok], totals[~ok])
             if not ok.any():

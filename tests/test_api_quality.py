@@ -139,3 +139,27 @@ def test_env_vars_match_runtime_doc_table():
     # REPRO_SCALE is the benchmarks' knob (benchmarks/conftest.py)
     named = _env_names_in(runtime_md, _ROOT / "README.md")
     assert named - in_src - {"REPRO_SCALE"} == set()
+
+
+# ----------------------------------------------------------------------
+# one level loop: who may build tree nodes
+# ----------------------------------------------------------------------
+
+
+def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
+    """Every level-synchronous inducer emits its nodes through
+    ``core/frontier.py``; a second inline copy of node emission (and with
+    it the termination / acceptance / empty-child rules) shows up here as
+    a new module constructing split nodes."""
+    src = _ROOT / "src" / "repro"
+    builds = re.compile(r"\b(?:ContinuousSplit|CategoricalSplit)\(")
+    found = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+             if builds.search(path.read_text(encoding="utf-8"))}
+    assert found == {
+        "core/frontier.py",                  # the shared level loop
+        "streaming/induction.py",            # array-form frontier
+        "baselines/serial_reference.py",     # the oracle
+        "baselines/sprint_engine.py",        # node-at-a-time SPRINT
+        "tree/export.py",                    # deserialization
+        "tree/compile.py",                   # decompilation
+    }

@@ -19,7 +19,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import induce_serial
+from repro.baselines import (
+    SliqClassifier,
+    VerticalSliqClassifier,
+    induce_serial,
+    sprint_worker,
+)
 from repro.core import InductionConfig, ScalParC, induce_worker
 from repro.core.phases import FINDSPLIT1, FINDSPLIT2
 from repro.core.splitter import LevelDecisions
@@ -417,9 +422,10 @@ def test_held_out_category_matches_serial():
 
 def test_empty_child_inherits_parent_majority(monkeypatch):
     """Force a genuinely empty child (map the held-out value to its own
-    child slot) in both the serial reference and the parallel driver: the
-    empty leaf must inherit the parent's majority class — the historical
-    behaviour labeled it argmax of all-zero counts, i.e. always class 0."""
+    child slot) in the serial reference and in every level-synchronous
+    inducer — ScalParC, parallel SPRINT, SLIQ, SLIQ/R: the empty leaf must
+    inherit the parent's majority class — the historical behaviour labeled
+    it argmax of all-zero counts, i.e. always class 0."""
     from repro.core import splits as real_splits
 
     def layout_with_empty_child(matrix, mask):
@@ -433,16 +439,22 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
         return v2c, n_children, default
 
     import repro.baselines.serial_reference as serial_mod
-    import repro.core.induction as induction_mod
+    import repro.core.frontier as frontier_mod
     monkeypatch.setattr(serial_mod, "categorical_children_layout",
                         layout_with_empty_child)
-    monkeypatch.setattr(induction_mod, "categorical_children_layout",
+    monkeypatch.setattr(frontier_mod, "categorical_children_layout",
                         layout_with_empty_child)
 
     ds = _held_out_category_dataset()
     golden = induce_serial(ds)
-    trees = run_spmd(3, induce_worker, args=(ds, None))
-    assert trees[0].structurally_equal(golden)
+    trees = {
+        "serial reference": golden,
+        "induce_worker": run_spmd(3, induce_worker, args=(ds, None))[0],
+        "sprint_worker": run_spmd(3, sprint_worker, args=(ds, None))[0],
+        "SliqClassifier": SliqClassifier().fit(ds)[0],
+        "VerticalSliqClassifier":
+            VerticalSliqClassifier(3, machine=None).fit(ds).tree,
+    }
 
     def find_empty_leaves(node, parent=None, found=None):
         found = [] if found is None else found
@@ -454,13 +466,15 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
                 find_empty_leaves(child, node, found)
         return found
 
-    for tree in (golden, trees[0]):
+    for name, tree in trees.items():
+        assert tree.structurally_equal(golden), name
         empties = find_empty_leaves(tree.root)
-        assert empties, "the forced layout should create an empty child"
+        assert empties, f"{name}: the forced layout should create an " \
+            "empty child"
         for leaf, parent in empties:
-            assert leaf.class_counts.sum() == 0
-            assert leaf.label == int(np.argmax(parent.class_counts))
-            assert leaf.label == 1                  # class 0 was the bug
+            assert leaf.class_counts.sum() == 0, name
+            assert leaf.label == int(np.argmax(parent.class_counts)), name
+            assert leaf.label == 1, name            # class 0 was the bug
 
 
 # ----------------------------------------------------------------------

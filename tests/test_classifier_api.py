@@ -12,6 +12,7 @@ from repro import (
     fit_scalparc,
     paper_dataset,
 )
+from repro.baselines import ParallelSPRINT, VerticalSliqClassifier
 from repro.datagen import make_dataset
 from repro.perfmodel import ZERO_LATENCY
 
@@ -33,6 +34,21 @@ def test_fit_returns_tree_and_stats(small_ds):
 def test_machine_none_skips_stats(small_ds):
     result = ScalParC(n_processors=2, machine=None).fit(small_ds)
     assert result.stats is None
+
+
+@pytest.mark.parametrize("facade", [ParallelSPRINT, VerticalSliqClassifier])
+def test_comparator_facades_share_the_machine_contract(facade, small_ds):
+    """One constructor for all three facades: ``machine=None`` means an
+    unpriced run (it used to be silently turned back into the T3D), the
+    default is priced, and ``n_processors`` is validated the same way."""
+    unpriced = facade(2, machine=None).fit(small_ds)
+    assert unpriced.stats is None
+    priced = facade(2).fit(small_ds)
+    assert priced.stats is not None and priced.stats.size == 2
+    assert priced.stats.machine_name == CRAY_T3D.name
+    assert priced.tree.structurally_equal(unpriced.tree)
+    with pytest.raises(ValueError):
+        facade(0)
 
 
 def test_custom_machine_is_used(small_ds):
