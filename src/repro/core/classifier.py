@@ -48,6 +48,22 @@ def run_priced(
     return results, perf.stats()
 
 
+class _RankZeroResult:
+    """``worker``, returning its result on rank 0 and ``None`` elsewhere:
+    every rank ends with the same replicated tree and the facade keeps
+    one, so the others need not ship theirs home.  A module-level class
+    so it pickles under the ``spawn`` start method; ``__wrapped__`` lets
+    ``run_spmd`` read the worker's own signature (whether it takes
+    ``checkpoint=``), and keywords pass straight through."""
+
+    def __init__(self, worker: Callable[..., Any]):
+        self.__wrapped__ = worker
+
+    def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
+        result = self.__wrapped__(comm, *args, **kwargs)
+        return result if comm.rank == 0 else None
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one ScalParC training run."""
@@ -100,9 +116,10 @@ class SpmdClassifier:
     def _launch(self, worker: Callable[..., DecisionTree], dataset: Dataset,
                 **run_kwargs: Any) -> FitResult:
         """Run ``worker(comm, dataset, config)`` on every rank
-        (:func:`run_priced`) and wrap rank 0's tree with the run stats."""
+        (:func:`run_priced`) and wrap rank 0's tree — the only one sent
+        back — with the run stats."""
         trees, stats = run_priced(
-            self.machine, self.n_processors, worker,
+            self.machine, self.n_processors, _RankZeroResult(worker),
             (dataset, self.config), backend=self.backend, **run_kwargs,
         )
         return FitResult(tree=trees[0], stats=stats,

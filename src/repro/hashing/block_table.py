@@ -55,13 +55,21 @@ class DistributedNodeTable:
 
     # -- hash function ------------------------------------------------------
 
+    def _hash(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``h(j)`` as ``(owner, slot)`` from one division; record ids that
+        fit travel and divide as int32."""
+        keys = np.asarray(keys)
+        if self.total_keys <= np.iinfo(np.int32).max:
+            keys = keys.astype(np.int32, copy=False)
+        return np.divmod(keys, keys.dtype.type(self.chunk))
+
     def owner_of(self, keys: np.ndarray) -> np.ndarray:
         """Destination rank of each key: ``j div ⌈N/p⌉``."""
-        return np.asarray(keys) // self.chunk
+        return self._hash(keys)[0]
 
     def slot_of(self, keys: np.ndarray) -> np.ndarray:
         """Local slot of each key: ``j mod ⌈N/p⌉``."""
-        return np.asarray(keys) % self.chunk
+        return self._hash(keys)[1]
 
     def _check_keys(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys)
@@ -93,13 +101,10 @@ class DistributedNodeTable:
         def apply_fn(slots: np.ndarray, vals: np.ndarray) -> None:
             self.local[slots] = vals
 
+        owner, slot = self._hash(keys)
         return exchange_update(
-            self.comm,
-            self.owner_of(keys),
-            self.slot_of(keys).astype(np.int32),
-            values,
-            apply_fn,
-            max_block=block,
+            self.comm, owner, slot.astype(np.int32, copy=False), values,
+            apply_fn, max_block=block,
         )
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -113,12 +118,9 @@ class DistributedNodeTable:
         def lookup_fn(slots: np.ndarray) -> np.ndarray:
             return self.local[slots]
 
+        owner, slot = self._hash(keys)
         out = exchange_enquire(
-            self.comm,
-            self.owner_of(keys),
-            self.slot_of(keys).astype(np.int32),
-            lookup_fn,
-        )
+            self.comm, owner, slot.astype(np.int32, copy=False), lookup_fn)
         return out.astype(np.int32, copy=False)
 
     # -- checkpoint support ---------------------------------------------------

@@ -34,16 +34,54 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import InvalidRankError
-from .payload import payload_nbytes
+from .payload import payload_logical_nbytes, payload_nbytes
 from .reduction import ReduceOp
 
-__all__ = ["ANY_TAG", "Communicator", "NullPerf", "Request"]
+__all__ = [
+    "ALLTOALL_OPS",
+    "ANY_TAG",
+    "Communicator",
+    "NullPerf",
+    "Request",
+    "alltoall_bytes",
+    "alltoall_transpose",
+]
 
 #: any tag matches in recv/probe when passed as the tag argument
 ANY_TAG = -1
 
 # type of the byte-accounting callback: contributions -> (sent, recv) per rank
 _BytesFn = Callable[[list], tuple[list[int], list[int]]]
+
+
+#: the collectives that only *move* blocks: their result is
+#: :func:`alltoall_transpose` of the contributions, whoever computes it
+ALLTOALL_OPS = frozenset({"alltoall", "alltoallv"})
+
+
+def alltoall_transpose(contribs: list) -> list:
+    """The all-to-all itself: rank j's result is block j of every rank's
+    contribution, in source-rank order.  Blocks are moved, never looked
+    into, so this runs equally on payloads and on their encoded stand-ins
+    — as the in-process engines' ``combine`` and inside the process/tcp
+    router."""
+    size = len(contribs)
+    return [[contribs[i][j] for i in range(size)] for j in range(size)]
+
+
+def alltoall_bytes(contribs: list) -> tuple[list[int], list[int]]:
+    """Per-rank ``(sent, recv)`` bytes of an all-to-all; a rank's block to
+    itself does not travel and is not counted."""
+    size = len(contribs)
+    sent = [0] * size
+    recv = [0] * size
+    for i, blocks in enumerate(contribs):
+        for j, block in enumerate(blocks):
+            if i != j:
+                n = payload_logical_nbytes(block)
+                sent[i] += n
+                recv[j] += n
+    return sent, recv
 
 
 class NullPerf:
@@ -448,48 +486,16 @@ class Communicator(ABC):
         j; returns the list indexed by source rank."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} items")
-
-        def combine(contribs: list) -> list:
-            return [[contribs[i][j] for i in range(self.size)]
-                    for j in range(self.size)]
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sent = [0] * self.size
-            recv = [0] * self.size
-            for i in range(self.size):
-                for j in range(self.size):
-                    if i == j:
-                        continue
-                    n = payload_nbytes(contribs[i][j])
-                    sent[i] += n
-                    recv[j] += n
-            return sent, recv
-
-        return self._exchange("alltoall", list(objs), combine, comm_bytes)
+        return self._exchange("alltoall", list(objs), alltoall_transpose,
+                              alltoall_bytes)
 
     def alltoallv(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Personalized exchange of numpy arrays (MPI_Alltoallv): rank i's
         ``arrays[j]`` goes to rank j; returns arrays indexed by source."""
         if len(arrays) != self.size:
             raise ValueError(f"alltoallv needs exactly {self.size} arrays")
-
-        def combine(contribs: list) -> list:
-            return [[contribs[i][j] for i in range(self.size)]
-                    for j in range(self.size)]
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sent = [0] * self.size
-            recv = [0] * self.size
-            for i in range(self.size):
-                for j in range(self.size):
-                    if i == j:
-                        continue
-                    n = int(np.asarray(contribs[i][j]).nbytes)
-                    sent[i] += n
-                    recv[j] += n
-            return sent, recv
-
-        return self._exchange("alltoallv", list(arrays), combine, comm_bytes)
+        return self._exchange("alltoallv", [np.asarray(a) for a in arrays],
+                              alltoall_transpose, alltoall_bytes)
 
 
 class Request:

@@ -14,7 +14,13 @@ processes, so the router cannot run them.  Instead, when the last member
 of a collective arrives, the router ships the contribution list to the
 group's rank-0 child (which is parked inside the same ``_exchange`` call
 and therefore holds the right closure), lets it compute the result list
-and the byte accounting, and distributes the per-rank results.
+and the byte accounting, and distributes the per-rank results: four
+hops.  The all-to-alls need no closure — their result is the
+transposition of the contributions
+(:func:`~repro.runtime.communicator.alltoall_transpose`) — so the router
+finishes those itself on the still-encoded blocks and replies at once:
+two hops, no rank ever holds another pair's blocks, and the block a rank
+addresses to itself never leaves it (a placeholder travels instead).
 
 Protocol discipline (deadlock freedom on the pipes): children write only
 requests, the router writes only *replies* to a request it has already
@@ -27,9 +33,11 @@ numpy payloads at or above ``REPRO_SPMD_SHM_THRESHOLD`` bytes travel as
 tiny descriptors of pooled shared segments.  Lease recycling rides the
 existing protocol — consumed contribution leases on the combiner's
 ``combined`` message, consumed result/ptp leases ahead of the receiver's
-next request (``shm_free``) — and children announce new segments
-(``shm_new``) so the parent can unlink every one when the job ends,
-normally or not, which covers aborts and hard-killed ranks.
+next request (``shm_free``); an all-to-all block is such a result, read
+by its receiver straight from the sender's segment — and children
+announce new segments (``shm_new``) so the parent can unlink every one
+when the job ends, normally or not, which covers aborts and hard-killed
+ranks.
 
 Perf-model fidelity: compute time is burned inside the children, comm
 time is priced by the observer inside the router, and the simulated
@@ -72,7 +80,12 @@ from ..checkpoint import (
     shrink_size,
     with_resume,
 )
-from ..communicator import Communicator
+from ..communicator import (
+    ALLTOALL_OPS,
+    Communicator,
+    alltoall_bytes,
+    alltoall_transpose,
+)
 from ..envutil import env_choice
 from ..errors import (
     CollectiveAbortedError,
@@ -431,10 +444,19 @@ class ProcessCommunicator(Communicator):
     # -- engine primitives ---------------------------------------------
 
     def _exchange_impl(self, op, payload, combine, comm_bytes=None):
-        return self._request(
+        if op in ALLTOALL_OPS:
+            # the block addressed to this rank stays where it is: a
+            # placeholder travels and the router's transposition hands it
+            # back in the same place
+            own, payload = payload[self.rank], list(payload)
+            payload[self.rank] = None
+        result = self._request(
             ("coll", self._ctx, op, self._encode(payload), self._cstate()),
             combine=combine, comm_bytes=comm_bytes,
         )
+        if op in ALLTOALL_OPS:
+            result[self.rank] = own
+        return result
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")
@@ -687,6 +709,12 @@ class _Router:
             return
         if kind == "split":
             self._finish_split(ctx)
+        elif op in ALLTOALL_OPS:
+            # blocks only change hands: no closure needed, so the router
+            # finishes the step itself, on the still-encoded blocks
+            _, contribs, _ = ctx.take_step()
+            self._finish_coll(ctx, op, alltoall_transpose(contribs),
+                              *alltoall_bytes(contribs))
         else:
             # ship contributions to the group's combiner (its rank 0);
             # the step stays open until its "combined" comes back
@@ -719,6 +747,11 @@ class _Router:
             self.shm_reclaim.setdefault(owner, []).append(token)
         ctx = self.ctxs[ctx_id]
         op, _, _ = ctx.take_step()
+        self._finish_coll(ctx, op, results, sent, recv)
+
+    def _finish_coll(self, ctx: Group, op: str, results: list,
+                     sent: list[int], recv: list[int]) -> None:
+        """Price a completed collective step and release its ranks."""
         if ctx is self.root and self.observer is not None:
             self.observer.on_collective(op, sent, recv, ctx.size)
         for member, result in zip(ctx.members, results):

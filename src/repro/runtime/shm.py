@@ -10,7 +10,9 @@ segment and travel over the pipes as a tiny :class:`ShmDescriptor`
 ``(segment, offset, dtype, shape)`` control record; the combiner maps the
 segment and reads the array *in place*, and receivers materialize one
 private copy — so collectives, point-to-point sends and the hashing
-paradigm's all-to-alls become effectively zero-copy.
+paradigm's all-to-alls become effectively zero-copy (an all-to-all block
+never meets a combiner: the router passes its descriptor straight on to
+the rank it is addressed to).
 
 Building blocks (the process engine wires them together):
 

@@ -31,6 +31,29 @@ def test_fit_returns_tree_and_stats(small_ds):
     assert result.stats.parallel_time > 0
 
 
+def test_fit_brings_home_rank_zeros_tree_only(small_ds, monkeypatch):
+    """Every rank ends with the same tree and the facade keeps one, so
+    only rank 0 returns it; a direct ``run_spmd`` of the worker still
+    yields every rank's."""
+    from repro.core import classifier
+    from repro.core.induction import induce_worker
+    from repro.runtime import run_spmd
+
+    per_rank = []
+
+    def spy(*args, **kwargs):
+        per_rank.extend(run_spmd(*args, **kwargs))
+        return per_rank
+
+    monkeypatch.setattr(classifier, "run_spmd", spy)
+    tree = ScalParC(n_processors=2, backend="process").fit(small_ds).tree
+    assert per_rank == [tree, None]
+    trees = run_spmd(2, induce_worker, args=(small_ds, InductionConfig()),
+                     backend="process")
+    assert trees[0].structurally_equal(trees[1])
+    assert tree.structurally_equal(trees[0])
+
+
 def test_machine_none_skips_stats(small_ds):
     result = ScalParC(n_processors=2, machine=None).fit(small_ds)
     assert result.stats is None

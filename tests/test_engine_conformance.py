@@ -11,6 +11,8 @@ accounting, perf-model fidelity, and end-to-end induction equivalence.
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.runtime import (
     CollectiveAbortedError,
     CollectiveMismatchError,
     SpmdWorkerError,
+    WorkerCrashError,
     available_backends,
     get_engine,
     reduction,
@@ -30,6 +33,7 @@ from repro.runtime import (
     run_spmd,
 )
 from repro.runtime.engines.base import DEFAULT_TIMEOUT, TIMEOUT_ENV
+from repro.runtime.tracing.events import payload_digest
 
 from tests.conftest import assert_trees_equal
 
@@ -169,6 +173,55 @@ def _priced_worker(comm):
 
 def _timeout_echo_worker(comm):
     return resolve_timeout(None)
+
+
+def _alltoall_blocks_worker(comm):
+    """Empty, small, above-shm-threshold and large blocks in one ragged
+    ``alltoallv``, then objects — with an own block no transport could
+    carry, so it must come back without ever having been shipped."""
+    rank, size = comm.rank, comm.size
+    lengths = [0, 3, 5_000, 70_000]
+    arrays = [np.full(lengths[(rank + j) % len(lengths)], rank * size + j,
+                      dtype=np.float64) for j in range(size)]
+    got = comm.alltoallv(arrays)
+    objs = [{"to": j, "data": np.arange(j * 3_000) + rank}
+            if (rank + j) % 2 else None for j in range(size)]
+    objs[rank] = threading.Lock()
+    got_objs = comm.alltoall(objs)
+    own_kept = got[rank] is arrays[rank] and got_objs[rank] is objs[rank]
+    got_objs[rank] = None
+    # on a sub-communicator blocks are addressed by *group* rank
+    sub = comm.split(rank % 2, key=-rank)
+    sub_got = sub.alltoallv([np.full(2, rank * size + j, dtype=np.int64)
+                             for j in range(sub.size)])
+    return got, got_objs, own_kept, sub_got
+
+
+def _alltoallv_vs_allreduce_worker(comm):
+    if comm.rank == 0:
+        comm.alltoallv([np.zeros(3)] * comm.size)
+    else:
+        comm.allreduce(np.int64(1), reduction.SUM)
+
+
+class _ExitWhenPickled:
+    """A block whose sender's process dies while putting it on the wire."""
+
+    def __reduce__(self):
+        os._exit(13)
+
+
+def _death_inside_alltoall_worker(comm):
+    comm.alltoallv([np.zeros(2)] * comm.size)
+    block = _ExitWhenPickled() if comm.rank == 1 else 0
+    comm.alltoall([block] * comm.size)
+
+
+def _alltoallv_rounds_worker(comm, rounds, n):
+    blocks = [np.full(n, float(comm.rank)) for _ in range(comm.size)]
+    for _ in range(rounds):
+        got = comm.alltoallv(blocks)
+    return [float(b[0]) for b in got]
 
 
 # ----------------------------------------------------------------------
@@ -363,3 +416,65 @@ def test_induction_identical_across_backends(backend, tiny_quest):
     assert perf.stats().parallel_time == ref_perf.stats().parallel_time
     assert perf.stats().memory_per_rank_max == \
         ref_perf.stats().memory_per_rank_max
+
+
+# ----------------------------------------------------------------------
+# all-to-all: blocks change hands once, the own block not at all
+# ----------------------------------------------------------------------
+
+
+def test_alltoall_blocks_match_the_thread_engine(backend):
+    size = 3
+    results = run_spmd(size, _alltoall_blocks_worker, backend=backend)
+    reference = run_spmd(size, _alltoall_blocks_worker, backend="thread")
+    for got, want in zip(results, reference):
+        # content, dtype and shape of every block, however nested
+        assert payload_digest(got) == payload_digest(want)
+        assert got[2], "own block did not come back as the caller's object"
+
+
+def test_alltoallv_against_allreduce_is_a_mismatch_on_both(backend):
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(2, _alltoallv_vs_allreduce_worker, backend=backend)
+    kinds = {rank: type(exc)
+             for rank, exc in exc_info.value.failures.items()}
+    assert CollectiveMismatchError in kinds.values()
+    if backend in ("process", "tcp"):
+        # the router answers the offender and the parked rank alike; an
+        # in-process peer may be released by the offender's abort first
+        assert kinds == {0: CollectiveMismatchError,
+                         1: CollectiveMismatchError}
+
+
+def test_rank_death_inside_alltoall_releases_peers(backend):
+    if backend not in ("process", "tcp"):
+        pytest.skip("an in-process rank would take the test run with it")
+    start = time.monotonic()
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(3, _death_inside_alltoall_worker, backend=backend,
+                 timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    failures = exc_info.value.failures
+    assert isinstance(failures[1], WorkerCrashError)
+    for rank in (0, 2):
+        assert isinstance(failures[rank], CollectiveAbortedError)
+        assert failures[rank].origin_rank == 1
+
+
+def test_alltoallv_block_crosses_the_transport_once(backend):
+    """A block is handed over by its sender and taken by its receiver —
+    nobody else reads it on the way, and the own block never leaves."""
+    size, rounds, n = 2, 5, 32_768
+    perf = PerfRun(size, CRAY_T3D)
+    results = run_spmd(size, _alltoallv_rounds_worker, args=(rounds, n),
+                       backend=backend, observer=perf,
+                       rank_perf=perf.trackers)
+    assert results == [[0.0, 1.0]] * size
+    stats = perf.stats()
+    moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
+    away = size * (size - 1) * rounds * n * 8
+    assert stats.total_bytes == away
+    if backend in ("process", "tcp"):
+        assert 2 * away <= moved <= 2.1 * away
+    else:
+        assert moved == 0

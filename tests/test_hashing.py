@@ -13,7 +13,12 @@ from repro.hashing import (
     group_by_destination,
     multiplicative_hash,
 )
-from repro.runtime import SpmdWorkerError, run_spmd
+from repro.runtime import (
+    SpmdWorkerError,
+    TraceCollector,
+    payload_nbytes,
+    run_spmd,
+)
 
 
 def _frag(arr, rank, size):
@@ -140,9 +145,22 @@ def test_blocked_updates_bound_round_size():
         )
         return rounds, check
 
-    results = run_spmd(size, worker)
-    assert all(r[0] == n // block for r in results)  # 16 rounds everywhere
+    trace = TraceCollector()
+    results = run_spmd(size, worker, trace=trace)
+    rounds = n // block
+    assert all(r[0] == rounds for r in results)  # 16 rounds everywhere
     np.testing.assert_array_equal(results[1][1], np.arange(n))
+    # ... and no rank puts more than max_block (slot, value) pairs into
+    # any one of them; rank 0's 100 home pairs never enter a buffer
+    pair_nbytes, no_pairs = 2 * 4, payload_nbytes([])
+    for rank in range(size):
+        updates = [ev.payload_nbytes - no_pairs
+                   for ev in trace.events_of(rank)
+                   if ev.kind == "alltoallv"][:rounds]
+        assert len(updates) == rounds
+        assert max(updates) <= block * pair_nbytes
+        assert sum(updates) == \
+            ((n - n // size) * pair_nbytes if rank == 0 else 0)
 
 
 def test_unblocked_update_single_round():
@@ -309,3 +327,103 @@ def test_node_table_vs_dict_model(ops, size):
     for k, v in ops:
         model[k] = v
     np.testing.assert_array_equal(got, model)
+
+
+# ---------------------------------------------------------------------------
+# property-based: the paradigm vs a dict model, home and away made explicit
+# ---------------------------------------------------------------------------
+
+def _spy_alltoallv(comm) -> list[int]:
+    """Log the length of the block a rank addresses to itself in every
+    ``alltoallv`` it issues from now on."""
+    own_blocks: list[int] = []
+    alltoallv = comm.alltoallv
+
+    def spy(arrays):
+        own_blocks.append(len(arrays[comm.rank]))
+        return alltoallv(arrays)
+
+    comm.alltoallv = spy
+    return own_blocks
+
+
+def _place(draw, owners: np.ndarray, size: int, where: str) -> np.ndarray:
+    """For each key, the rank that touches it: its owner (``home``), some
+    other rank (``away``; the owner again when there is no other), or any
+    rank (``mixed``)."""
+    if where == "home" or size == 1:
+        return owners
+    ranks = np.array(draw(st.lists(st.integers(0, size - 1),
+                                   min_size=len(owners),
+                                   max_size=len(owners))), dtype=np.int64)
+    if where == "mixed":
+        return ranks
+    return (owners + 1 + ranks % (size - 1)) % size
+
+
+_WHERE = st.sampled_from(["home", "away", "mixed"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.sampled_from([1, 2, 3, 5]), st.integers(0, 12),
+       _WHERE, _WHERE, st.sampled_from([np.int32, np.int64]),
+       st.sampled_from([None, 1, 3]))
+def test_node_table_vs_dict_model_home_and_away(
+        data, size, n, write_from, read_from, key_dtype, max_block):
+    """``lookup(update(...))`` equals a dict, whoever owns the keys —
+    N < p and empty ranks included — and no key travels to its own rank:
+    the all-to-alls (one per update round, two per lookup) carry an empty
+    own block."""
+    draw = data.draw
+    chunk = -(-n // size) if n else 1
+    keys = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    keys = keys[:draw(st.integers(0, n))]
+    values = (keys * 7 + 3).astype(np.int32)
+    writers = _place(draw, keys // chunk, size, write_from)
+    queries = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                     max_size=2 * n if n else 0)),
+                       dtype=np.int64)
+    readers = _place(draw, queries // chunk, size, read_from)
+
+    def worker(comm):
+        table = DistributedNodeTable(comm, n)
+        own_blocks = _spy_alltoallv(comm)
+        mine = writers == comm.rank
+        rounds = table.update(keys[mine].astype(key_dtype), values[mine],
+                              blocked=max_block is not None,
+                              max_block=max_block)
+        asked = queries[readers == comm.rank]
+        got = table.lookup(asked.astype(key_dtype))
+        return asked, got, rounds, own_blocks
+
+    model = dict(zip(keys.tolist(), values.tolist()))
+    for asked, got, rounds, own_blocks in run_spmd(size, worker):
+        assert got.dtype == np.int32
+        assert got.tolist() == [model.get(k, -1) for k in asked.tolist()]
+        assert own_blocks == [0] * (rounds + 2)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.sampled_from([1, 2, 3, 5]))
+def test_chained_table_later_source_rank_wins_home_or_away(data, size):
+    """A key inserted by two ranks in one call ends with the higher source
+    rank's value, whether or not one of the two is the key's owner."""
+    draw = data.draw
+    n_slots = 16
+    keys = np.array(draw(st.lists(st.integers(0, 10_000), min_size=1,
+                                  max_size=12, unique=True)), dtype=np.int64)
+    owners = multiplicative_hash(keys, n_slots) // -(-n_slots // size)
+    first = _place(draw, owners, size, draw(_WHERE))
+    second = _place(draw, owners, size, draw(_WHERE))
+
+    def worker(comm):
+        table = DistributedChainedHashTable(comm, n_slots)
+        own_blocks = _spy_alltoallv(comm)
+        mine = (first == comm.rank) | (second == comm.rank)
+        table.insert(keys[mine], keys[mine] * size + comm.rank)
+        return table.get(keys), own_blocks
+
+    expected = keys * size + np.maximum(first, second)
+    for got, own_blocks in run_spmd(size, worker):
+        np.testing.assert_array_equal(got, expected)
+        assert own_blocks == [0, 0, 0]

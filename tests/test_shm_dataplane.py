@@ -9,6 +9,7 @@ the job ends.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing
 import os
 from multiprocessing import shared_memory
@@ -30,6 +31,8 @@ from repro.runtime.shm import (
     resolve_shm_threshold,
     unlink_segment,
 )
+
+from tests.test_engine_conformance import _alltoallv_rounds_worker
 
 pytestmark = pytest.mark.skipif(
     "process" not in __import__("repro.runtime", fromlist=["x"])
@@ -218,6 +221,26 @@ def test_plane_off_uses_no_segments(monkeypatch):
     monkeypatch.setenv(SHM_THRESHOLD_ENV, "off")
     run_spmd(3, _collective_worker, backend="process")
     assert ProcessEngine.last_shm_segments == ()
+
+
+def test_alltoallv_rounds_recycle_their_leases(monkeypatch):
+    """The router hands all-to-all blocks on as descriptors and their
+    receivers send the leases home (``shm_free`` → reclaim on the owner's
+    next reply), so many rounds run in a fixed set of segments."""
+    monkeypatch.delenv(SHM_THRESHOLD_ENV, raising=False)
+    size = 3
+    got = run_spmd(size, _alltoallv_rounds_worker, args=(200, 8192),
+                   backend="process")
+    assert got == [[0.0, 1.0, 2.0]] * size
+    segments = ProcessEngine.last_shm_segments
+    # a lease is back one round after the block it carried was read: two
+    # generations of one block per peer, per rank
+    assert 0 < len(segments) <= 2 * size * (size - 1)
+    for name in segments:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+    if os.path.isdir("/dev/shm"):
+        assert not glob.glob(f"/dev/shm/rp{os.getpid()}j*")
 
 
 def _transport_worker(comm):
