@@ -31,6 +31,7 @@ from ..core.induction import induce_worker
 from ..core.splitter import LevelDecisions, SplitPhase, _local_children
 from ..datagen.schema import Dataset
 from ..runtime import Communicator
+from ..runtime.checkpoint import resolve_checkpoint
 from ..tree.model import DecisionTree
 
 __all__ = ["ReplicatedSprintSplitPhase", "sprint_worker", "ParallelSPRINT"]
@@ -118,5 +119,14 @@ class ParallelSPRINT(SpmdClassifier):
     (comparison baseline)."""
 
     def fit(self, dataset: Dataset) -> FitResult:
-        """Train on the simulated machine; returns tree + priced stats."""
+        """Train on the simulated machine; returns tree + priced stats.
+
+        The replicated table cannot be checkpointed: with a checkpoint
+        policy in force (``config.checkpoint`` or
+        ``REPRO_SPMD_CHECKPOINT``) the fit is refused here with a
+        :class:`~repro.runtime.checkpoint.CheckpointError`, before any
+        rank is launched.
+        """
+        if resolve_checkpoint(self.config.checkpoint) is not None:
+            ReplicatedSprintSplitPhase().require_checkpointable()
         return self._launch(sprint_worker, dataset)

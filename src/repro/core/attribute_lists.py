@@ -28,7 +28,7 @@ import numpy as np
 
 from ..datagen.schema import AttributeSpec, Dataset
 from ..runtime import Communicator
-from ..sort import parallel_sample_sort
+from ..sort import presort_columns
 from . import kernels
 
 __all__ = ["LocalAttributeList", "build_local_lists", "restore_local_lists"]
@@ -173,8 +173,8 @@ def build_local_lists(
     """Build this rank's attribute lists, presorting continuous attributes.
 
     Each rank takes its ⌈N/p⌉ record block, forms (value, rid, label)
-    lists per attribute, and runs the parallel sample sort once per
-    continuous attribute (the Presort phase of Figure 2).  Returns the
+    lists per attribute, and runs the parallel sample sort once over all
+    continuous attributes (the Presort phase of Figure 2).  Returns the
     lists and the global record count N.
     """
     n_total = dataset.n_records
@@ -184,14 +184,19 @@ def build_local_lists(
     rids = np.arange(rid_start, rid_start + block.n_records, dtype=np.int64)
     labels = block.labels.astype(np.int64)
 
+    # one schedule for every continuous column; a column's data moves when
+    # its list is built below, so earlier lists are registered by then
+    presorted = presort_columns(
+        comm,
+        [block.columns[a].astype(np.float64, copy=False)
+         for a, spec in enumerate(dataset.schema) if spec.is_continuous],
+        labels, rids=rids,
+    )
     lists: list[LocalAttributeList] = []
     for a, spec in enumerate(dataset.schema):
         col = block.columns[a]
         if spec.is_continuous:
-            values = col.astype(np.float64, copy=True)
-            s_values, s_rids, s_labels = parallel_sample_sort(
-                comm, values, labels, rids=rids
-            )
+            s_values, s_rids, s_labels = next(presorted)
         else:
             s_values = col.astype(np.int32, copy=True)
             s_rids = rids.copy()

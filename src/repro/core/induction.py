@@ -90,6 +90,8 @@ def induce_worker(
     schema = dataset.schema
 
     ckpt_cfg = resolve_checkpoint(checkpoint)
+    if ckpt_cfg is not None:
+        split_phase.require_checkpointable()
     ckpt = LevelCheckpointer(ckpt_cfg) if ckpt_cfg is not None else None
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..hashing import DistributedNodeTable
-from ..runtime import Communicator
+from ..runtime import CheckpointError, Communicator
 from . import kernels
 from .attribute_lists import LocalAttributeList
 from .config import InductionConfig
@@ -288,6 +288,19 @@ class SplitPhase:
     ) -> None:
         """Collective PerformSplitI+II for one level."""
         raise NotImplementedError
+
+    def require_checkpointable(self) -> None:
+        """Refuse a checkpointed fit this strategy cannot snapshot: raises
+        :class:`~repro.runtime.checkpoint.CheckpointError` unless both
+        state hooks are overridden.  Called before Presort (and by the
+        facades before launch), so nothing is sorted first."""
+        cls = type(self)
+        if (cls.snapshot_state is SplitPhase.snapshot_state
+                or cls.restore_state is SplitPhase.restore_state):
+            raise CheckpointError(
+                f"{cls.__name__} does not support checkpointing: unset "
+                f"REPRO_SPMD_CHECKPOINT / checkpoint= for this model"
+            )
 
     def snapshot_state(self) -> dict:
         """This rank's picklable share of the strategy's state, for the

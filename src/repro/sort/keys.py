@@ -15,7 +15,20 @@ __all__ = ["lexsort_values_rids", "count_below", "is_sorted_pairs"]
 
 
 def lexsort_values_rids(values: np.ndarray, rids: np.ndarray) -> np.ndarray:
-    """Permutation sorting entries by (value, rid) ascending."""
+    """Permutation sorting entries by (value, rid) ascending.
+
+    Tries one run-aware stable sort on the value alone first: whenever
+    equal values already appear in rid order — a fragment in record
+    order, or sorted runs concatenated in rid-block order, which is all
+    Presort ever sorts — that *is* the (value, rid) order, and a stable
+    sort of p sorted runs is a merge.  Ascending input rids guarantee it;
+    otherwise :func:`is_sorted_pairs` confirms it, and only when that
+    fails (permuted rids, NaNs) are both keys sorted.
+    """
+    order = np.argsort(values, kind="stable")
+    if np.all(rids[:-1] < rids[1:]) \
+            or is_sorted_pairs(values[order], rids[order]):
+        return order
     # np.lexsort sorts by the LAST key as primary
     return np.lexsort((rids, values))
 

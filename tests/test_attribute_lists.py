@@ -7,8 +7,11 @@ import pytest
 
 from repro.core.attribute_lists import LocalAttributeList, build_local_lists
 from repro.datagen import AttributeSpec, generate_quest
-from repro.runtime import run_spmd
-from repro.sort import is_sorted_pairs
+from repro.runtime import TraceCollector, available_backends, run_spmd
+from repro.sort import block_bounds, is_sorted_pairs
+
+BACKENDS = [b for b in ("thread", "process", "cooperative", "tcp")
+            if b in available_backends()]
 
 
 def _mklist(values, nodes=None, kind="continuous", n_values=0):
@@ -119,3 +122,50 @@ def test_build_local_lists_invariants(size):
             np.testing.assert_array_equal(values, ds.columns[a][rids])
         else:
             np.testing.assert_array_equal(rids, np.arange(200))  # original order
+
+
+def _lists_worker(comm, ds):
+    lists, _ = build_local_lists(comm, ds)
+    return [(alist.values, alist.rids, alist.labels) for alist in lists]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_presorted_lists_are_the_global_lexsort_blocks(backend):
+    """Every continuous list is exactly this rank's ⌈N/p⌉ block of the
+    column's global (value, rid) order — values, rids, labels and their
+    dtypes — whatever engine moved the entries."""
+    ds = generate_quest(700, "F7", seed=3)
+    size = 3
+    results = run_spmd(size, _lists_worker, args=(ds,), backend=backend)
+    rids = np.arange(ds.n_records, dtype=np.int64)
+    for a in ds.schema.continuous_indices:
+        column = np.asarray(ds.columns[a], dtype=np.float64)
+        order = np.lexsort((rids, column))
+        for rank in range(size):
+            lo, hi = block_bounds(ds.n_records, size, rank)
+            values, got_rids, labels = results[rank][a]
+            assert (values.dtype, got_rids.dtype, labels.dtype) == (
+                np.float64, np.int64, np.int64)
+            np.testing.assert_array_equal(got_rids, order[lo:hi])
+            np.testing.assert_array_equal(values, column[order[lo:hi]])
+            np.testing.assert_array_equal(labels, ds.labels[order[lo:hi]])
+
+
+@pytest.mark.parametrize("attributes", [
+    ("salary", "elevel"),
+    ("salary", "commission", "age", "car"),
+    None,   # the full Quest schema: six continuous attributes
+])
+def test_presort_schedule_two_small_collectives_plus_two_alltoalls_per_column(
+        attributes):
+    """Presort's small collectives — the sample allgather and the count
+    allreduce — are issued once whatever the number of attributes; each
+    continuous column then costs its two data steps."""
+    ds = generate_quest(400, "F2", seed=5, attributes=attributes)
+    n_continuous = len(ds.schema.continuous_indices)
+    collector = TraceCollector()
+    run_spmd(3, _lists_worker, args=(ds,), trace=collector)
+    for rank in range(3):
+        kinds = [ev.kind for ev in collector.events_of(rank)]
+        assert kinds == ["allgather", "allreduce"] \
+            + ["alltoall", "alltoall"] * n_continuous

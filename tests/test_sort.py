@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import run_spmd
+from repro.datagen import paper_dataset
+from repro.perfmodel import CRAY_T3D, RankTracker
+from repro.runtime import TraceCollector, run_spmd
 from repro.sort import (
     block_bounds,
     block_owner_of,
@@ -17,7 +19,10 @@ from repro.sort import (
     is_sorted_pairs,
     lexsort_values_rids,
     parallel_sample_sort,
+    presort_columns,
     redistribute_blocks,
+    sample_positions,
+    splitter_cuts,
 )
 
 
@@ -102,6 +107,167 @@ def test_mismatched_lengths_raise():
 
     with pytest.raises(SpmdWorkerError):
         run_spmd(2, worker)
+
+
+# ---------------------------------------------------------------------------
+# the exchange is balanced: every rank receives about N/p
+# ---------------------------------------------------------------------------
+
+def _block_fragments(values, size):
+    n = len(values)
+    return [(values[lo:hi], np.arange(lo, hi, dtype=np.int64))
+            for lo, hi in (block_bounds(n, size, r) for r in range(size))]
+
+
+def _entries_after_exchange(fragments, size):
+    """Entries each rank holds after the splitter exchange, computed from
+    the same pieces :func:`presort_columns` uses (no ranks needed)."""
+    runs, samples, weights = [], [], []
+    for values, rids in fragments:
+        order = lexsort_values_rids(values, rids)
+        values, rids = values[order], rids[order]
+        runs.append((values, rids))
+        pick = sample_positions(len(values), size)
+        samples.append((values[pick], rids[pick]))
+        weights.append(np.full(len(pick), len(values) / max(len(pick), 1)))
+    split_v, split_r = choose_splitters(
+        np.concatenate([v for v, _ in samples]),
+        np.concatenate([r for _, r in samples]),
+        size, np.concatenate(weights),
+    )
+    return sum(np.diff(splitter_cuts(v, r, split_v, split_r, size))
+               for v, r in runs)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 8])
+def test_exchange_is_balanced_on_quest_columns(size):
+    """No rank receives more than 1.15·⌈N/p⌉ entries of any continuous
+    Quest column (the min/max sampling this replaced left N − 2 of N on
+    rank 0 at p = 2) — measured on the wire, from rank-side traces."""
+    ds = paper_dataset(100_000, "F7", seed=1)
+    continuous = ds.schema.continuous_indices
+    assert len(continuous) == 4
+    columns = [np.asarray(ds.columns[a], dtype=np.float64)
+               for a in continuous]
+    n = ds.n_records
+
+    def worker(comm):
+        lo, hi = block_bounds(n, comm.size, comm.rank)
+        rids = np.arange(lo, hi, dtype=np.int64)
+        for _ in presort_columns(comm, [c[lo:hi] for c in columns],
+                                 ds.labels[lo:hi], rids=rids):
+            pass
+
+    collector = TraceCollector()
+    run_spmd(size, worker, trace=collector)
+    full_block = None
+    for rank in range(size):
+        moves = [ev for ev in collector.events_of(rank)
+                 if ev.kind == "alltoall"]
+        assert len(moves) == 2 * len(columns)
+        exchanges = moves[0::2]
+        if rank == 0:   # rank 0 sends a full ⌈N/p⌉ block
+            full_block = exchanges[0].payload_nbytes
+        for ev in exchanges:
+            assert ev.result_nbytes <= 1.15 * full_block, (rank, ev)
+
+    for column in columns:
+        held = _entries_after_exchange(_block_fragments(column, size), size)
+        assert held.sum() == n
+        assert held.max() <= 1.15 * -(-n // size)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([2, 3, 4, 8]),
+    st.lists(st.integers(0, 90), min_size=8, max_size=8),
+    st.sampled_from([1, 3, 1000]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exchange_never_piles_up(size, lengths, n_distinct, seed):
+    """Degenerate inputs — heavy duplicates, all-equal values, N < p,
+    empty and unequal ranks: never more than 2·⌈N/p⌉ on one rank."""
+    rng = np.random.default_rng(seed)
+    lengths = lengths[:size]
+    n = sum(lengths)
+    values = rng.integers(0, n_distinct, n).astype(np.float64)
+    rids = np.arange(n, dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    fragments = [(values[a:b], rids[a:b])
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+    held = _entries_after_exchange(fragments, size)
+    assert held.sum() == n
+    assert held.max() <= 2 * -(-n // size)
+
+
+# ---------------------------------------------------------------------------
+# wire records: narrowed for the trip, widened on receipt
+# ---------------------------------------------------------------------------
+
+def _wire_record_bytes(collector, n_local):
+    """Bytes per entry rank 0 put on the wire in its first exchange."""
+    ev = next(ev for ev in collector.events_of(0) if ev.kind == "alltoall")
+    return ev.payload_nbytes // n_local
+
+
+@pytest.mark.parametrize("rid_base,label_top,record_bytes", [
+    (0, 1, 8 + 2 + 1),             # the paper's profile at small N
+    (70_000, 1, 8 + 4 + 1),        # N ≥ 2¹⁶: four-byte rids, 13 in all
+    (2**31, 300, 8 + 4 + 2),       # still four bytes; n_classes > 255
+    (2**32, 70_000, 8 + 8 + 4),    # int64 rids stay int64 on the wire
+    (-5, 1, 8 + 8 + 1),            # negative ids are never narrowed
+])
+@pytest.mark.parametrize("arrangement", ["ascending", "reversed", "permuted"])
+def test_wire_narrowing_round_trips(rid_base, label_top, record_bytes,
+                                    arrangement):
+    n, size = 1200, 3
+    rng = np.random.default_rng(n + label_top)
+    values = rng.integers(0, 40, n).astype(np.float64)   # heavy ties
+    rids = rid_base + np.arange(n, dtype=np.int64)
+    if arrangement == "reversed":
+        rids = rids[::-1].copy()
+    elif arrangement == "permuted":
+        rids = rng.permutation(rids)
+    labels = rng.integers(0, label_top + 1, n).astype(np.int64)
+    labels[0] = label_top
+    weights = rng.normal(0, 1, n)   # a float payload travels untouched
+    chunk = -(-n // size)
+
+    def worker(comm):
+        lo, hi = comm.rank * chunk, min((comm.rank + 1) * chunk, n)
+        return parallel_sample_sort(
+            comm, values[lo:hi], labels[lo:hi], weights[lo:hi],
+            rids=rids[lo:hi],
+        )
+
+    collector = TraceCollector()
+    results = run_spmd(size, worker, trace=collector)
+    order = np.lexsort((rids, values))
+    for k, expected in enumerate((values, rids, labels, weights)):
+        got = np.concatenate([r[k] for r in results])
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected[order])
+    assert _wire_record_bytes(collector, chunk) == record_bytes + 8
+
+
+def test_presort_registers_its_transient_buffers():
+    """The in-flight receive + merge buffers reach the memory tracker."""
+    n, size = 4000, 2
+    values = np.random.default_rng(4).normal(0, 1, n)
+    labels = np.zeros(n, dtype=np.int64)
+    trackers = [RankTracker(r, CRAY_T3D) for r in range(size)]
+
+    def worker(comm):
+        lo, hi = block_bounds(n, comm.size, comm.rank)
+        parallel_sample_sort(comm, values[lo:hi], labels[lo:hi],
+                             rids=np.arange(lo, hi, dtype=np.int64))
+
+    run_spmd(size, worker, rank_perf=trackers)
+    for tracker in trackers:
+        # the sent run, the received runs and their merge: three copies
+        # of ≈ N/p thirteen-byte records at least
+        assert tracker.memory_watermark >= 3 * 0.9 * (n // size) * 11
+        assert tracker.persistent_total == 0
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,49 @@ def test_sprint_per_rank_traffic_stays_high(scaling_runs):
 def test_sprint_validates_processor_count():
     with pytest.raises(ValueError):
         ParallelSPRINT(n_processors=0)
+
+
+# ---------------------------------------------------------------------------
+# checkpointing: the replicated table cannot snapshot — refuse at launch
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_sprint_refuses_checkpointing_before_launch(monkeypatch, tmp_path,
+                                                    backend):
+    """Under REPRO_SPMD_CHECKPOINT the fit used to die inside the worker
+    at the first level boundary, after Presort and a level of work; it is
+    refused typed in the caller instead, and nothing is written."""
+    from repro.runtime import CheckpointError
+
+    ckpt_dir = tmp_path / "cuts"
+    monkeypatch.setenv("REPRO_SPMD_CHECKPOINT", str(ckpt_dir))
+    ds = paper_dataset(400, "F2", seed=1)
+    with pytest.raises(CheckpointError, match="ReplicatedSprintSplitPhase"):
+        ParallelSPRINT(2, backend=backend).fit(ds)
+    assert not ckpt_dir.exists()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_unsnapshottable_split_phase_is_refused_before_presort(
+        monkeypatch, tmp_path, backend):
+    """Any SplitPhase without the state hooks is turned away by the worker
+    itself before it sorts anything: no collective is ever issued."""
+    from repro.baselines import sprint_worker
+    from repro.runtime import (CheckpointError, SpmdWorkerError,
+                               TraceCollector, run_spmd)
+
+    monkeypatch.setenv("REPRO_SPMD_CHECKPOINT", str(tmp_path / "cuts"))
+    ds = paper_dataset(400, "F2", seed=1)
+    collector = TraceCollector()
+    with pytest.raises(SpmdWorkerError) as err:
+        run_spmd(2, sprint_worker, args=(ds, InductionConfig(max_depth=3)),
+                 backend=backend, trace=collector)
+    assert all(isinstance(exc, CheckpointError)
+               for exc in err.value.failures.values())
+    assert all(not collector.events_of(rank) for rank in range(2))
+
+
+def test_scalparc_split_phase_is_checkpointable():
+    from repro.core.splitter import ScalParCSplitPhase
+
+    ScalParCSplitPhase().require_checkpointable()   # does not raise
