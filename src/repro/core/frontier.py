@@ -19,9 +19,14 @@ their next-level node, so that — and nothing else — sits behind
 :func:`terminal_nodes` (the stopping rule), :func:`accepted_splits` (the
 acceptance rule), :meth:`LevelFrontier.grow` (node emission, the
 empty-child label rule, child numbering) and :func:`grow_levels` (the
-loop).  The streaming driver keeps its own array-form frontier but calls
-the same two rule functions; the serial reference and the node-at-a-time
-SPRINT engine stay independent on purpose — they are the oracles.
+loop).  Nothing here costs per node: a level is emitted as one block of
+columns in the breadth-first layout of
+:class:`~repro.tree.compile.CompiledTree`, the finished tree is those
+blocks concatenated, and node objects are built from the table only
+where somebody reads ``tree.root``.  The streaming driver keeps its own
+array-form frontier but calls the same two rule functions; the serial
+reference and the node-at-a-time SPRINT engine stay independent on
+purpose — they are the oracles.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..datagen.schema import Schema
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
+from ..tree.compile import (
+    KIND_CATEGORICAL,
+    KIND_CONTINUOUS,
+    KIND_LEAF,
+    CompiledTree,
+    assemble_table,
 )
+from ..tree.model import DecisionTree
 from .config import InductionConfig
 from .criteria import impurity
 from .splits import categorical_children_layout, pack_candidates
@@ -83,80 +89,90 @@ def accepted_splits(best: np.ndarray, totals: np.ndarray,
 
 
 class LevelFrontier:
-    """The partial tree plus its open nodes: ``pending[k] = (parent node,
-    child slot, depth)`` of the level's node ``k``.  ``(root, pending)``
-    is one object graph — pickled together (the checkpoint cut's ``tree``
-    payload), the parents in ``pending`` stay nodes of ``root``."""
+    """The partial tree as a table, plus its open level.
 
-    def __init__(self, root: TreeNode | None = None,
-                 pending: list[tuple[TreeNode | None, int, int]] | None = None):
-        self.root = root
-        self.pending = [(None, 0, 0)] if pending is None else list(pending)
+    ``blocks[l]`` holds level ``l``'s nodes as the per-node columns
+    :func:`~repro.tree.compile.assemble_table` takes (``class_counts`` is
+    the level's ``totals``); levels are breadth-first and so are the
+    nodes within one, so the finished tree is the blocks concatenated.
+    The open level is ``n_open`` nodes at depth ``len(blocks)``, each
+    with ``open_label`` — its parent's majority class, which an empty
+    child is labelled with.  The whole object is plain arrays: it pickles
+    as the checkpoint cut's replicated payload and grows on after a
+    reload."""
 
-    def depths(self) -> np.ndarray:
-        """Depth of every open node."""
-        return np.array([d for (_, _, d) in self.pending], dtype=np.int64)
+    def __init__(self) -> None:
+        self.blocks: list[dict[str, np.ndarray]] = []
+        self.n_open = 1
+        self.open_label = np.zeros(1, dtype=np.int64)
+
+    @property
+    def depth(self) -> int:
+        """Depth of the open level's nodes."""
+        return len(self.blocks)
 
     def grow(self, schema: Schema, totals: np.ndarray, best: np.ndarray,
              split_ok: np.ndarray, layouts: Layouts) -> LevelDecisions:
-        """Emit this level's tree nodes — a split where ``split_ok``, a
-        leaf elsewhere — and open the splits' children as the next level,
+        """Emit this level's block — a split where ``split_ok``, a leaf
+        elsewhere — and open the splits' children as the next level,
         numbered in node order.  Returns the decisions the splitting phase
-        partitions the records by."""
-        m = len(self.pending)
-        n_node = totals.sum(axis=1).tolist()
-        winner_attr = np.full(m, -1, dtype=np.int64)
-        threshold = np.full(m, np.nan, dtype=np.float64)
-        child_base = np.zeros(m, dtype=np.int64)
+        partitions the records by.  ``totals`` is kept, not copied."""
+        winner_attr = np.where(split_ok, best[:, 1], -1).astype(np.int64)
+        continuous = np.array([spec.is_continuous for spec in schema])
+        cont = split_ok & continuous[winner_attr]
+        n_children = np.where(cont, 2, 0)
+        fanout = n_children.copy()
+        default_child = np.zeros(len(totals), dtype=np.int32)
         cat_layouts: dict[int, np.ndarray] = {}
-        n_next = 0
-        opened: list[tuple[TreeNode | None, int, int]] = []
-        for k, (parent, slot, depth) in enumerate(self.pending):
-            counts = totals[k].copy()
-            if not split_ok[k]:
-                # an empty child (a multiway categorical value with no
-                # records at this node) has all-zero counts: argmax would
-                # always say class 0 — inherit the parent's majority
-                vote = parent.class_counts \
-                    if n_node[k] == 0 and parent is not None else counts
-                node: TreeNode = Leaf(
-                    label=int(np.argmax(vote)), n_records=n_node[k],
-                    class_counts=counts, depth=depth,
-                )
-            else:
-                attr = int(best[k, 1])
-                winner_attr[k] = attr
-                child_base[k] = n_next
-                if schema[attr].is_continuous:
-                    threshold[k] = best[k, 2]
-                    n_children = 2
-                    node = ContinuousSplit(
-                        attr_index=attr, threshold=float(best[k, 2]),
-                        n_records=n_node[k], class_counts=counts,
-                        depth=depth, children=[None, None],
-                    )
-                else:
-                    v2c_list, n_children, default = layouts[k]
-                    v2c = np.asarray(v2c_list, dtype=np.int32)
-                    cat_layouts[k] = v2c.astype(np.int64)
-                    node = CategoricalSplit(
-                        attr_index=attr, value_to_child=v2c,
-                        n_records=n_node[k], class_counts=counts,
-                        depth=depth, children=[None] * n_children,
-                        default_child=default,
-                    )
-                for c in range(n_children):
-                    opened.append((node, c, depth + 1))
-                n_next += n_children
-            if parent is None:
-                self.root = node
-            else:
-                parent.children[slot] = node
-        self.pending = opened
+        for k in np.flatnonzero(split_ok & ~cont).tolist():
+            v2c_list, n_children[k], default_child[k] = layouts[k]
+            cat_layouts[k] = np.asarray(v2c_list, dtype=np.int64)
+            fanout[k] = len(v2c_list)
+        slot_base = np.cumsum(fanout) - fanout
+        slot_child = np.zeros(int(fanout.sum()), dtype=np.int32)
+        slot_child[slot_base[cont] + 1] = 1             # [left, right]
+        for k, v2c in cat_layouts.items():
+            slot_child[slot_base[k]:slot_base[k] + len(v2c)] = v2c
+
+        # an empty child (a multiway categorical value with no records at
+        # this node) has all-zero counts: argmax would always say class 0
+        # — it inherits the parent's majority
+        n_records = totals.sum(axis=1)
+        majority = np.argmax(totals, axis=1)
+        self.blocks.append({
+            "kind": np.where(cont, KIND_CONTINUOUS,
+                             np.where(split_ok, KIND_CATEGORICAL, KIND_LEAF)
+                             ).astype(np.uint8),
+            "feature": winner_attr.astype(np.int32),
+            "threshold": np.where(cont, best[:, 2], np.nan),
+            "class_counts": totals,
+            "n_records": n_records,
+            "leaf_label": np.where(
+                split_ok, -1,
+                np.where(n_records == 0, self.open_label, majority)),
+            "default_child": default_child,
+            "n_children": n_children,
+            "fanout": fanout,
+            "slot_child": slot_child,
+        })
+        self.n_open = int(n_children.sum())
+        self.open_label = np.repeat(majority, n_children)
         return LevelDecisions(
-            splitting=split_ok, winner_attr=winner_attr, threshold=threshold,
-            cat_layouts=cat_layouts, child_base=child_base, n_next=n_next,
+            splitting=split_ok, winner_attr=winner_attr,
+            threshold=self.blocks[-1]["threshold"], cat_layouts=cat_layouts,
+            child_base=np.where(split_ok,
+                                np.cumsum(n_children) - n_children, 0),
+            n_next=self.n_open,
         )
+
+    def table(self, schema: Schema) -> CompiledTree:
+        """The tree grown so far as a :class:`CompiledTree` — bit for bit
+        what ``compile_tree`` makes of the same tree's node objects.  Only
+        meaningful once no level is open."""
+        return assemble_table(schema, **{
+            name: np.concatenate([block[name] for block in self.blocks])
+            for name in self.blocks[0]
+        })
 
 
 class LevelSource:
@@ -199,10 +215,11 @@ def grow_levels(frontier: LevelFrontier, schema: Schema,
     """Grow ``frontier`` to completion, one level per iteration, reading
     statistics from and partitioning records through ``source``; returns
     the finished tree."""
-    while frontier.pending:
-        m = len(frontier.pending)
+    while frontier.n_open:
+        m = frontier.n_open
         totals = source.class_totals(level, m)
-        candidates = ~terminal_nodes(totals, frontier.depths(), config)
+        candidates = ~terminal_nodes(totals, np.full(m, frontier.depth),
+                                     config)
         best, cat_state = pack_candidates(m), {}
         if candidates.any():
             best, cat_state = source.best_splits(totals, candidates)
@@ -210,11 +227,13 @@ def grow_levels(frontier: LevelFrontier, schema: Schema,
 
         # child layouts of categorical winners, from whoever scored them
         layouts: Layouts = {}
-        for k in np.nonzero(split_ok)[0].tolist():
-            state = cat_state.get(int(best[k, 1]), {}).get(k)
-            if state is not None:
-                v2c, n_children, default = categorical_children_layout(*state)
-                layouts[k] = (v2c.tolist(), n_children, default)
+        for attr, scored in cat_state.items():
+            won = split_ok & (best[:, 1] == attr)
+            for k in np.flatnonzero(won).tolist():
+                if k in scored:
+                    v2c, n_children, default = \
+                        categorical_children_layout(*scored[k])
+                    layouts[k] = (v2c.tolist(), n_children, default)
         if split_ok.any():
             layouts = source.share_layouts(layouts)
 
@@ -223,4 +242,4 @@ def grow_levels(frontier: LevelFrontier, schema: Schema,
             source.partition(decisions)
         source.end_level(level, frontier, int(totals[split_ok].sum()))
         level += 1
-    return DecisionTree(schema=schema, root=frontier.root)
+    return frontier.table(schema).to_tree()

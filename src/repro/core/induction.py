@@ -169,10 +169,10 @@ class _ListSource(LevelSource):
         self.comm.perf.mark_level(level)
         # Records still in play next level = everything inside splitting
         # nodes.  Once that drops below min_frontier_frac of the training
-        # set, cuts cost more (the partial tree keeps growing) than the
-        # cheap tail levels they would protect, so stop taking them.
+        # set, a cut's barrier and fsync cost more than the cheap tail
+        # levels it would protect, so stop taking them.
         ckpt = self.ckpt
-        if (ckpt is not None and frontier.pending and ckpt.should_save(level)
+        if (ckpt is not None and frontier.n_open and ckpt.should_save(level)
                 and n_active >= ckpt.config.min_frontier_frac * self.n_total):
             self._save_cut(ckpt, level + 1, frontier)
 
@@ -182,9 +182,9 @@ class _ListSource(LevelSource):
 
         The per-rank payload carries everything distribution-dependent
         (attribute-list fragments, the split strategy's table share,
-        tracker and RNG state); the replicated payload carries the partial
-        tree and the pending frontier — one pickle, so the frontier's
-        parent references resolve into the same tree object graph on load.
+        tracker and RNG state); the replicated payload carries the
+        frontier — the partial tree's level blocks and the open level,
+        a few arrays per level however many nodes they describe.
 
         List snapshots are *compact* (rids + offsets only; values and
         labels re-derived from the dataset on resume) whenever the dataset
@@ -202,11 +202,11 @@ class _ListSource(LevelSource):
         shared_payload = {
             **self.config.cut_header(_CKPT_ALGO, self.dataset.schema),
             "n_total": int(self.n_total),
-            "tree": (frontier.root, list(frontier.pending)),
+            "frontier": frontier,
         }
         ckpt.save(self.comm, level, rank_payload, shared_payload,
                   meta={"algo": _CKPT_ALGO, "n_total": int(self.n_total),
-                        "n_pending": len(frontier.pending)})
+                        "n_pending": frontier.n_open})
 
 
 def _resume_from_checkpoint(
@@ -225,6 +225,12 @@ def _resume_from_checkpoint(
     """
     loaded = LoadedCheckpoint.open(source)
     shared = loaded.expect(**config.cut_header(_CKPT_ALGO, dataset.schema))
+    if "frontier" not in shared:
+        raise CheckpointError(
+            f"checkpoint {loaded.manifest_path!r} predates the table "
+            "frontier of this driver (its partial tree is a node graph); "
+            "restart the fit"
+        )
     if int(shared["n_total"]) != dataset.n_records:
         raise CheckpointError(
             f"checkpoint holds {shared['n_total']} records but the dataset "
@@ -239,5 +245,4 @@ def _resume_from_checkpoint(
     if loaded.n_ranks == comm.size:
         restore_rank_extras(comm, payloads[comm.rank])
 
-    return (lists, int(shared["n_total"]), LevelFrontier(*shared["tree"]),
-            loaded.level)
+    return lists, int(shared["n_total"]), shared["frontier"], loaded.level

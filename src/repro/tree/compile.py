@@ -10,9 +10,16 @@ kernel advances *every* record one level per numpy step::
 
     node = child_table[child_base[node] + route(node, value)]
 
-with no Python recursion and no per-node dispatch.  The same node-table
-layout is the groundwork the streaming-induction workload will refine
-in place.
+with no Python recursion and no per-node dispatch.
+
+The table is also the form a tree is *grown, shipped and stored* in: the
+level loop (:mod:`repro.core.frontier`) appends one column block per
+level and assembles them through :func:`assemble_table` — the same
+function :func:`compile_tree` finishes with, so both produce the same
+arrays bit for bit — and a pickled :class:`DecisionTree` is its table
+(no node object crosses a pipe, a socket or a checkpoint).  Node objects
+are a view: :meth:`CompiledTree.build_root` makes them in one iterative
+pass when something first asks for ``tree.root``.
 
 Layout
 ------
@@ -54,7 +61,7 @@ exact routing tables it answered with).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,12 +75,14 @@ from .model import (
     TreeNode,
 )
 
-__all__ = ["CompiledTree", "compile_tree", "KIND_LEAF", "KIND_CONTINUOUS",
-           "KIND_CATEGORICAL"]
+__all__ = ["CompiledTree", "assemble_table", "compile_tree", "KIND_LEAF",
+           "KIND_CONTINUOUS", "KIND_CATEGORICAL"]
 
 KIND_LEAF = 0
 KIND_CONTINUOUS = 1
 KIND_CATEGORICAL = 2
+#: a continuous split's slot → child-ordinal row
+_LEFT_RIGHT = np.array([0, 1], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -111,12 +120,19 @@ class CompiledTree:
         return int(depth[self.kind == KIND_LEAF].max())
 
     def _node_depths(self) -> np.ndarray:
+        """Depth of every node (root = 0).  Breadth-first numbering makes
+        a level one contiguous id range whose slots are contiguous too
+        and whose children are the next range, so one sweep per *level*
+        finds every boundary: the next level ends at the largest child id
+        this level's slots name."""
         depth = np.zeros(self.n_nodes, dtype=np.int64)
-        for v in range(self.n_nodes):          # parents precede children (BFS)
-            if self.kind[v] != KIND_LEAF:
-                base, k = self.child_base[v], self.fanout[v]
-                children = np.unique(self.child_table[base:base + k])
-                depth[children] = depth[v] + 1
+        slot_end = np.cumsum(self.fanout, dtype=np.int64).tolist()
+        first, hi, level = 0, 1, 0
+        while slot_end[hi - 1] > first:
+            last = slot_end[hi - 1]
+            lo, hi = hi, int(self.child_table[first:last].max()) + 1
+            first, level = last, level + 1
+            depth[lo:hi] = level
         return depth
 
     @cached_property
@@ -255,117 +271,149 @@ class CompiledTree:
 
     # -- round trip ----------------------------------------------------------
 
-    def to_tree(self) -> DecisionTree:
-        """Reconstruct the pointer-form :class:`DecisionTree` exactly.
+    def __reduce__(self):
+        # the twelve arrays and the schema, positionally: no cached
+        # routing tables or digests ride along
+        return CompiledTree, tuple(
+            getattr(self, f.name) for f in fields(self))
 
-        Depths are recomputed from the table structure (root = 0); all
-        other node data round-trips from the stored arrays, so
-        ``compile_tree(t).to_tree()`` is structurally equal to ``t``.
+    def to_tree(self) -> DecisionTree:
+        """The :class:`DecisionTree` over this table.  Its node objects
+        are built (:meth:`build_root`) when ``tree.root`` is first read,
+        so ``compile_tree(t).to_tree()`` is structurally equal to ``t``."""
+        return DecisionTree(self.schema, table=self)
+
+    def build_root(self) -> TreeNode:
+        """Build the pointer-form nodes exactly; returns the root.
+
+        One iterative pass, children before parents (their ids are
+        larger), over plain lists — no recursion, so any depth builds.
+        Depths come from the table structure (root = 0); all other node
+        data round-trips from the stored arrays.  Every node's
+        ``class_counts`` is its own row of one fresh copy.
         """
-        depth = self._node_depths()
+        kind, feature = self.kind.tolist(), self.feature.tolist()
+        threshold, n_records = self.threshold.tolist(), self.n_records.tolist()
+        label, default = self.leaf_label.tolist(), self.default_child.tolist()
+        base, fanout = self.child_base.tolist(), self.fanout.tolist()
+        table, slots = self.child_table.tolist(), self.slot_child.tolist()
+        depth = self._node_depths().tolist()
+        counts = list(self.class_counts.copy())
         nodes: list[TreeNode | None] = [None] * self.n_nodes
-        for v in range(self.n_nodes - 1, -1, -1):   # children before parents
-            counts = self.class_counts[v].copy()
-            if self.kind[v] == KIND_LEAF:
-                nodes[v] = Leaf(
-                    label=int(self.leaf_label[v]),
-                    n_records=int(self.n_records[v]),
-                    class_counts=counts, depth=int(depth[v]),
-                )
+        for v in range(self.n_nodes - 1, -1, -1):
+            if kind[v] == KIND_LEAF:
+                nodes[v] = Leaf(label[v], n_records[v], counts[v], depth[v])
                 continue
-            base, k = int(self.child_base[v]), int(self.fanout[v])
-            slots = self.slot_child[base:base + k]
-            table = self.child_table[base:base + k]
-            if self.kind[v] == KIND_CONTINUOUS:
+            lo = base[v]
+            if kind[v] == KIND_CONTINUOUS:
                 nodes[v] = ContinuousSplit(
-                    attr_index=int(self.feature[v]),
-                    threshold=float(self.threshold[v]),
-                    n_records=int(self.n_records[v]),
-                    class_counts=counts, depth=int(depth[v]),
-                    children=[nodes[table[0]], nodes[table[1]]],
+                    feature[v], threshold[v], n_records[v], counts[v],
+                    depth[v], [nodes[table[lo]], nodes[table[lo + 1]]],
                 )
                 continue
-            n_children = int(slots.max()) + 1
-            children: list[TreeNode | None] = [None] * n_children
-            for slot, ordinal in enumerate(slots):
+            hi = lo + fanout[v]
+            ordinals = slots[lo:hi]
+            children: list[TreeNode | None] = [None] * (max(ordinals) + 1)
+            for child, ordinal in zip(table[lo:hi], ordinals):
                 if ordinal >= 0:
-                    children[ordinal] = nodes[table[slot]]
+                    children[ordinal] = nodes[child]
             nodes[v] = CategoricalSplit(
-                attr_index=int(self.feature[v]),
-                value_to_child=slots.astype(np.int32).copy(),
-                n_records=int(self.n_records[v]),
-                class_counts=counts, depth=int(depth[v]),
-                children=children,
-                default_child=int(self.default_child[v]),
+                feature[v], self.slot_child[lo:hi].copy(), n_records[v],
+                counts[v], depth[v], children, default[v],
             )
-        return DecisionTree(schema=self.schema, root=nodes[0])
+        return nodes[0]
+
+
+def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
+                   threshold: np.ndarray, class_counts: np.ndarray,
+                   n_records: np.ndarray, leaf_label: np.ndarray,
+                   default_child: np.ndarray, n_children: np.ndarray,
+                   fanout: np.ndarray, slot_child: np.ndarray
+                   ) -> CompiledTree:
+    """The :class:`CompiledTree` of per-node columns in breadth-first
+    order — the one place the layout's derived arrays are computed, for
+    :func:`compile_tree` (columns read off node objects) and the level
+    loop (columns emitted level by level) alike.
+
+    ``n_children`` is the node's child count, ``fanout`` its slot count
+    and ``slot_child`` every node's raw slot → child-ordinal row, node
+    after node (``[0, 1]`` for a continuous split, ``value_to_child`` for
+    a categorical one).  Breadth-first order numbers the children of
+    nodes 0, 1, 2 … consecutively from id 1, which gives every node's
+    first child; ``child_table`` is that plus the slot's ordinal, absent
+    codes baked to the default child.
+    """
+    n_children = np.asarray(n_children, dtype=np.int64)
+    fanout = np.asarray(fanout, dtype=np.int32)
+    default_child = np.asarray(default_child, dtype=np.int32)
+    slot_child = np.asarray(slot_child, dtype=np.int32)
+    class_counts = np.asarray(class_counts, dtype=np.int64)
+    first_child = 1 + np.cumsum(n_children) - n_children
+    slot_end = np.cumsum(fanout, dtype=np.int64)
+    owner = np.repeat(np.arange(len(fanout)), fanout)
+    ordinal = np.where(slot_child < 0, default_child[owner], slot_child)
+    leaf = np.asarray(kind) == KIND_LEAF
+    # same expression as the recursive predictor → bit-identical
+    proba = class_counts / np.maximum(class_counts.sum(axis=1), 1)[:, None]
+    return CompiledTree(
+        schema=schema,
+        kind=np.asarray(kind, dtype=np.uint8),
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        child_base=np.where(fanout > 0, slot_end - fanout, 0),
+        fanout=fanout,
+        child_table=(first_child[owner] + ordinal).astype(np.int32),
+        slot_child=slot_child,
+        default_child=default_child,
+        leaf_label=np.asarray(leaf_label, dtype=np.int32),
+        leaf_proba=np.where(leaf[:, None], proba, 0.0),
+        n_records=np.asarray(n_records, dtype=np.int64),
+        class_counts=class_counts,
+    )
 
 
 def compile_tree(tree: DecisionTree) -> CompiledTree:
-    """Lower a fitted :class:`DecisionTree` into its flat-array form."""
-    order: list[TreeNode] = []
-    queue: list[TreeNode] = [tree.root]
-    while queue:                              # breadth-first numbering
-        node = queue.pop(0)
-        order.append(node)
+    """Lower a fitted :class:`DecisionTree` into its flat-array form,
+    from its node objects (``tree.compiled()`` is the cached way to ask;
+    this always walks ``tree.root``)."""
+    order: list[TreeNode] = [tree.root]
+    for node in order:                        # breadth-first numbering
         if not node.is_leaf:
-            queue.extend(node.children)
-    ids: dict[int, int] = {id(node): v for v, node in enumerate(order)}
+            order.extend(node.children)
 
     n = len(order)
-    n_classes = tree.schema.n_classes
-    kind = np.zeros(n, dtype=np.uint8)
-    feature = np.full(n, -1, dtype=np.int32)
-    threshold = np.full(n, np.nan, dtype=np.float64)
-    child_base = np.zeros(n, dtype=np.int64)
-    fanout = np.zeros(n, dtype=np.int32)
-    default_child = np.zeros(n, dtype=np.int32)
-    leaf_label = np.full(n, -1, dtype=np.int32)
-    leaf_proba = np.zeros((n, n_classes), dtype=np.float64)
-    n_records = np.zeros(n, dtype=np.int64)
-    class_counts = np.zeros((n, n_classes), dtype=np.int64)
-    table: list[np.ndarray] = []
+    kind = [KIND_LEAF] * n
+    feature = [-1] * n
+    threshold = [np.nan] * n
+    leaf_label = [-1] * n
+    default_child = [0] * n
+    n_children = [0] * n
+    fanout = [0] * n
     slots: list[np.ndarray] = []
-
-    base = 0
     for v, node in enumerate(order):
-        n_records[v] = node.n_records
-        class_counts[v] = node.class_counts
         if isinstance(node, Leaf):
-            kind[v] = KIND_LEAF
             leaf_label[v] = node.label
-            total = max(int(node.class_counts.sum()), 1)
-            # same expression as the recursive predictor → bit-identical
-            leaf_proba[v] = node.class_counts / total
             continue
         feature[v] = node.attr_index
-        child_ids = np.array([ids[id(c)] for c in node.children],
-                             dtype=np.int32)
+        n_children[v] = len(node.children)
         if isinstance(node, ContinuousSplit):
             kind[v] = KIND_CONTINUOUS
             threshold[v] = node.threshold
-            routed = child_ids                      # slots = [left, right]
-            raw = np.array([0, 1], dtype=np.int32)
+            raw = _LEFT_RIGHT                       # slots = [left, right]
         else:
             kind[v] = KIND_CATEGORICAL
             default_child[v] = node.default_child
             raw = np.asarray(node.value_to_child, dtype=np.int32)
-            ordinals = np.where(raw < 0, node.default_child, raw)
-            routed = child_ids[ordinals]
-        child_base[v] = base
-        fanout[v] = len(routed)
-        table.append(routed)
+        fanout[v] = len(raw)
         slots.append(raw)
-        base += len(routed)
 
-    empty = np.empty(0, dtype=np.int32)
-    return CompiledTree(
-        schema=tree.schema,
-        kind=kind, feature=feature, threshold=threshold,
-        child_base=child_base, fanout=fanout,
-        child_table=np.concatenate(table) if table else empty,
-        slot_child=np.concatenate(slots) if slots else empty,
-        default_child=default_child,
-        leaf_label=leaf_label, leaf_proba=leaf_proba,
-        n_records=n_records, class_counts=class_counts,
+    return assemble_table(
+        tree.schema, kind=kind, feature=feature, threshold=threshold,
+        class_counts=np.concatenate(
+            [node.class_counts for node in order]
+        ).reshape(n, tree.schema.n_classes),
+        n_records=[node.n_records for node in order],
+        leaf_label=leaf_label, default_child=default_child,
+        n_children=n_children, fanout=fanout,
+        slot_child=np.concatenate(slots) if slots else (),
     )

@@ -19,11 +19,14 @@ structural equality — the repo's primary correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
 from ..datagen.schema import Schema
+
+if TYPE_CHECKING:
+    from .compile import CompiledTree
 
 __all__ = ["Leaf", "ContinuousSplit", "CategoricalSplit", "DecisionTree",
            "TreeNode"]
@@ -137,16 +140,37 @@ class CategoricalSplit:
 TreeNode = Union[Leaf, ContinuousSplit, CategoricalSplit]
 
 
-@dataclass
 class DecisionTree:
-    """An induced classification tree bound to its schema."""
+    """An induced classification tree bound to its schema.
 
-    schema: Schema
-    root: TreeNode
+    A tree lives in two forms that describe the same structure: the node
+    objects under :attr:`root`, and the breadth-first column table
+    (:class:`~repro.tree.compile.CompiledTree`).  Either can be given;
+    the other is derived on first use and kept.  The level-synchronous
+    inducers hand over a ``table`` and so does unpickling — the table is
+    the pickled form, so no node object ever crosses a pipe, a socket or
+    a checkpoint and depth is no obstacle — and such a tree builds its
+    nodes only when ``root`` is first read.  The oracles, the streaming
+    driver, export and pruning construct ``root`` and compile on demand.
+    """
 
-    def __post_init__(self):
-        if self.root is None:
+    def __init__(self, schema: Schema, root: TreeNode | None = None,
+                 table: CompiledTree | None = None):
+        if root is None and table is None:
             raise ValueError("tree must have a root")
+        self.schema = schema
+        self._root = root
+        self._compiled = table
+
+    @property
+    def root(self) -> TreeNode:
+        """The root node object (built from the table on first access)."""
+        if self._root is None:
+            self._root = self._compiled.build_root()
+        return self._root
+
+    def __reduce__(self):
+        return DecisionTree, (self.schema, None, self.compiled())
 
     # -- traversal ----------------------------------------------------------
 
@@ -165,19 +189,25 @@ class DecisionTree:
             if node.is_leaf:
                 yield node
 
-    # -- measures -----------------------------------------------------------
+    # -- measures (read off the table when there is one) ----------------------
 
     @property
     def n_nodes(self) -> int:
+        if self._compiled is not None:
+            return self._compiled.n_nodes
         return sum(1 for _ in self.nodes())
 
     @property
     def n_leaves(self) -> int:
+        if self._compiled is not None:
+            return self._compiled.n_leaves
         return sum(1 for _ in self.leaves())
 
     @property
     def depth(self) -> int:
         """Maximum leaf depth (root = 0)."""
+        if self._compiled is not None:
+            return self._compiled.max_depth
         return max(n.depth for n in self.leaves())
 
     def structurally_equal(self, other: "DecisionTree") -> bool:
@@ -186,33 +216,24 @@ class DecisionTree:
 
     # -- prediction (see predict.py / compile.py for the implementation) -----
 
-    def compiled(self):
+    def compiled(self) -> CompiledTree:
         """The flat-array compiled form of this tree (cached).
 
-        Compilation is pure and the cache is keyed to this instance; it
-        is dropped on pickling (each process compiles its own copy) and
-        can be cleared explicitly with :meth:`invalidate_compiled` after
-        in-place structural surgery on the nodes.
+        Compilation is pure and the table is kept with this instance —
+        it travels with a pickle — so after in-place structural surgery
+        on the nodes call :meth:`invalidate_compiled`.
         """
-        compiled = getattr(self, "_compiled", None)
-        if compiled is None:
+        if self._compiled is None:
             from .compile import compile_tree
 
-            compiled = compile_tree(self)
-            self._compiled = compiled
-        return compiled
+            self._compiled = compile_tree(self)
+        return self._compiled
 
     def invalidate_compiled(self) -> None:
-        """Drop the cached compiled form (call after mutating nodes)."""
-        self.__dict__.pop("_compiled", None)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)     # arrays are cheap to rebuild
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        """Drop the table (call after mutating nodes): the nodes become
+        the only truth, and the next use compiles them afresh."""
+        self._root = self.root      # built first when only the table exists
+        self._compiled = None
 
     def predict_columns(self, columns: list[np.ndarray]) -> np.ndarray:
         """Predict class labels from raw per-attribute columns."""

@@ -147,19 +147,19 @@ def test_env_vars_match_runtime_doc_table():
 
 
 def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
-    """Every level-synchronous inducer emits its nodes through
-    ``core/frontier.py``; a second inline copy of node emission (and with
-    it the termination / acceptance / empty-child rules) shows up here as
-    a new module constructing split nodes."""
+    """Every level-synchronous inducer emits its levels through
+    ``core/frontier.py`` as table blocks — no node object at all — and
+    their nodes come from ``tree/compile.py``; a second inline copy of
+    node emission (and with it the termination / acceptance / empty-child
+    rules) shows up here as a new module constructing split nodes."""
     src = _ROOT / "src" / "repro"
     builds = re.compile(r"\b(?:ContinuousSplit|CategoricalSplit)\(")
     found = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
              if builds.search(path.read_text(encoding="utf-8"))}
     assert found == {
-        "core/frontier.py",                  # the shared level loop
         "streaming/induction.py",            # array-form frontier
         "baselines/serial_reference.py",     # the oracle
         "baselines/sprint_engine.py",        # node-at-a-time SPRINT
         "tree/export.py",                    # deserialization
-        "tree/compile.py",                   # decompilation
+        "tree/compile.py",                   # the table's node view
     }

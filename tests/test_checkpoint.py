@@ -236,6 +236,34 @@ def test_resume_rejects_mismatched_run(tmp_path):
                for e in excinfo.value.failures.values())
 
 
+def test_resume_rejects_cut_that_predates_the_table_frontier(tmp_path,
+                                                           monkeypatch):
+    """A cut written while the partial tree was a node graph carries
+    ``"tree": (root, pending)`` and no ``"frontier"``: resume must refuse
+    it typed, naming the format — not fail unpacking inside the level
+    loop."""
+    ds = generate_quest(300, "F2", seed=5)
+    d = str(tmp_path / "run")
+    run_spmd(2, induce_worker, args=(ds, None),
+             kwargs={"checkpoint": CheckpointConfig(dir=d)})
+    root = induce_serial(ds, InductionConfig(max_depth=1)).root
+    payload = LoadedCheckpoint.shared_payload
+
+    def old_format(self):
+        shared = {k: v for k, v in payload(self).items() if k != "frontier"}
+        shared["tree"] = (root, [(root, c, 1)
+                                 for c in range(len(root.children))])
+        return shared
+
+    monkeypatch.setattr(LoadedCheckpoint, "shared_payload", old_format)
+    with pytest.raises(Exception) as excinfo:
+        run_spmd(2, induce_worker, args=(ds, None),
+                 kwargs={"checkpoint": CheckpointConfig(dir=d, resume=True)})
+    errors = list(excinfo.value.failures.values())
+    assert errors and all(isinstance(e, CheckpointError) for e in errors)
+    assert all("predates the table frontier" in str(e) for e in errors)
+
+
 @pytest.mark.parametrize("field", ["algo", "schema", "config"])
 @pytest.mark.parametrize("driver", ["batch", "stream"])
 def test_resume_names_the_mismatched_header_field(tmp_path, driver, field):

@@ -16,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import generate_quest, paper_dataset
 from repro.datagen.schema import AttributeSpec, Schema
 from repro.tree import (
+    CategoricalSplit,
     CompiledTree,
     ContinuousSplit,
     DecisionTree,
@@ -158,13 +161,31 @@ def test_compiled_cache_on_tree_instance():
     first = tree.compiled()
     assert isinstance(first, CompiledTree)
     assert tree.compiled() is first                    # cached
+    # the table *is* the pickled form: the clone arrives holding it, with
+    # no node object on the wire, and builds nodes when root is first read
+    blob = pickle.dumps(tree)
+    assert b"Leaf" not in blob and b"Split" not in blob
+    clone = pickle.loads(blob)
+    assert clone._root is None
+    assert clone.compiled().structure_digest == first.structure_digest
+    assert (clone.n_nodes, clone.n_leaves, clone.depth) == \
+        (first.n_nodes, first.n_leaves, first.max_depth)
+    assert clone._root is None                         # answered by the table
+    assert clone.structurally_equal(tree)
+    # invalidate_compiled() drops the table: the (mutated) nodes are the
+    # only truth, for the measures and for the next compile
+    kept = clone.compiled()
+    clone.root.children[0] = Leaf(
+        label=0, n_records=1, class_counts=np.array([1, 0]), depth=1)
+    assert clone.n_nodes == first.n_nodes              # stale until told
+    clone.invalidate_compiled()
+    assert clone._compiled is None
+    assert clone.n_nodes == sum(1 for _ in clone.nodes()) < first.n_nodes
+    assert clone.compiled() is not kept
+    assert clone.compiled().n_nodes == clone.n_nodes
     tree.invalidate_compiled()
     assert tree.compiled() is not first
-    # pickling drops the cache (each process compiles its own copy)
-    clone = pickle.loads(pickle.dumps(tree))
-    assert "_compiled" not in clone.__dict__
-    np.testing.assert_array_equal(
-        clone.compiled().leaf_label, tree.compiled().leaf_label)
+    assert tree.compiled().structure_digest == first.structure_digest
 
 
 def test_predict_proba_columns_validates_width():
@@ -218,3 +239,97 @@ def test_compiled_agrees_on_fresh_paper_trees():
             predict_proba_columns(tree, test.columns),
             predict_proba_columns_recursive(tree, test.columns),
         )
+
+
+# ----------------------------------------------------------------------
+# the table is the stored form: generated round trips, deep trees
+# ----------------------------------------------------------------------
+
+_GEN_SCHEMA = Schema(attributes=(
+    AttributeSpec("x", "continuous"),
+    AttributeSpec("g", "categorical", n_values=5),
+    AttributeSpec("y", "continuous"),
+    AttributeSpec("h", "categorical", n_values=3),
+), n_classes=3)
+_GEN_CATEGORICAL = (1, 3)
+
+
+@st.composite
+def _generated_trees(draw, max_depth: int = 4):
+    """Arbitrary well-formed trees over ``_GEN_SCHEMA``: single leaves,
+    continuous and binary-subset splits, multiway nodes with absent codes
+    (``-1`` slots), empty children (all-zero counts), mixed fan-out."""
+
+    def node(depth: int):
+        counts = np.array(draw(st.lists(st.integers(0, 9), min_size=3,
+                                        max_size=3)), dtype=np.int64)
+        stats = dict(n_records=int(counts.sum()), class_counts=counts,
+                     depth=depth)
+        kind = "leaf" if depth == max_depth else draw(st.sampled_from(
+            ["leaf", "leaf", "continuous", "multiway", "subset"]))
+        if kind == "leaf":
+            return Leaf(label=draw(st.integers(0, 2)), **stats)
+        if kind == "continuous":
+            return ContinuousSplit(
+                attr_index=draw(st.sampled_from((0, 2))),
+                threshold=draw(st.floats(-1e6, 1e6, allow_nan=False)),
+                children=[node(depth + 1), node(depth + 1)], **stats)
+        attr = draw(st.sampled_from(_GEN_CATEGORICAL))
+        n_values = _GEN_SCHEMA[attr].n_values
+        n_children = 2 if kind == "subset" \
+            else draw(st.integers(1, n_values))
+        # every child is some code's; the other codes go anywhere or are
+        # absent from the training records at this node
+        v2c = draw(st.permutations(
+            list(range(n_children)) + draw(st.lists(
+                st.integers(-1, n_children - 1),
+                min_size=n_values - n_children,
+                max_size=n_values - n_children))))
+        return CategoricalSplit(
+            attr_index=attr, value_to_child=np.array(v2c, dtype=np.int32),
+            children=[node(depth + 1) for _ in range(n_children)],
+            default_child=draw(st.integers(0, n_children - 1)), **stats)
+
+    return DecisionTree(schema=_GEN_SCHEMA, root=node(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=st.one_of(_generated_trees(),
+                      st.integers(0, 40).map(lambda d: _chain_tree(d))))
+def test_generated_trees_round_trip_through_table_and_pickle(tree):
+    digest = compile_tree(tree).structure_digest
+    rebuilt = compile_tree(tree).to_tree()
+    assert rebuilt.structurally_equal(tree)
+    assert to_dict(rebuilt) == to_dict(tree)           # incl. depths
+    assert compile_tree(rebuilt).structure_digest == digest
+
+    blob = pickle.dumps(tree)
+    assert b"Leaf" not in blob and b"Split" not in blob    # no node object
+    clone = pickle.loads(blob)
+    assert clone.structurally_equal(tree)
+    assert compile_tree(clone).structure_digest == digest
+    assert (clone.n_nodes, clone.n_leaves, clone.depth) == (
+        sum(1 for _ in tree.nodes()), sum(1 for _ in tree.leaves()),
+        max(leaf.depth for leaf in tree.leaves()))
+
+
+def _chain_from_rank_zero(comm, depth):
+    return _chain_tree(depth) if comm.rank == 0 else None
+
+
+def test_depth_1000_tree_survives_pickle_and_the_final_frame():
+    """A node graph this deep cannot be pickled (``RecursionError`` —
+    "worker result not transferable" from a process rank); the table
+    can, and nothing on the way recurses."""
+    from repro.runtime import run_spmd
+
+    tree = _chain_tree(1000)
+    digest = compile_tree(tree).structure_digest
+    for clone in (pickle.loads(pickle.dumps(tree)),
+                  run_spmd(2, _chain_from_rank_zero, args=(1000,),
+                           backend="process")[0]):
+        assert clone._root is None                      # table only
+        assert (clone.n_nodes, clone.n_leaves, clone.depth) == \
+            (2001, 1001, 1000)
+        assert clone.compiled().structure_digest == digest
+        assert compile_tree(clone).structure_digest == digest   # via nodes

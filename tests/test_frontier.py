@@ -1,10 +1,12 @@
-"""The shared level loop (repro.core.frontier): rule tables, node
-emission, the cut payload's shape and a tiny in-memory source — all
-without a communicator, a thread or a process."""
+"""The shared level loop (repro.core.frontier): rule tables, level-block
+emission, the cut payload's round trip and a tiny in-memory source — all
+without a communicator, a thread or a process — and, last, the table the
+real inducers bring home against the oracle's, on every backend."""
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from repro.baselines.serial_reference import (
     _continuous_candidate,
     best_split_for_counts,
 )
-from repro.core import InductionConfig
+from repro.core import InductionConfig, ScalParC
 from repro.core.frontier import (
     LevelFrontier,
     LevelSource,
@@ -23,11 +25,18 @@ from repro.core.frontier import (
     terminal_nodes,
 )
 from repro.core.splits import candidate_beats, encode_mask, pack_candidates
-from repro.datagen import random_dataset
+from repro.datagen import generate_quest, random_dataset
 from repro.datagen.schema import AttributeSpec, Schema
+from repro.tree import compile_tree
+from repro.tree.compile import (
+    KIND_CATEGORICAL,
+    KIND_CONTINUOUS,
+    KIND_LEAF,
+)
 from repro.tree.model import CategoricalSplit, ContinuousSplit, Leaf
 
 from tests.conftest import assert_trees_equal
+from tests.test_golden_trees import FIXTURES
 
 
 # ----------------------------------------------------------------------
@@ -72,18 +81,19 @@ _SCHEMA = Schema(attributes=(
     AttributeSpec("x", "continuous"),
     AttributeSpec("g", "categorical", n_values=4),
     AttributeSpec("h", "categorical", n_values=3),
+    AttributeSpec("r", "categorical", n_values=5),
 ), n_classes=2)
 
 
 def _mixed_level():
-    """Five open nodes under one parent: continuous winner, empty leaf,
-    multiway winner, pure leaf, binary-subset winner."""
-    parent = CategoricalSplit(
-        attr_index=1, value_to_child=np.arange(5, dtype=np.int32),
-        n_records=40, class_counts=np.array([10, 30]), depth=0,
-        children=[None] * 5,
-    )
-    frontier = LevelFrontier(parent, [(parent, c, 1) for c in range(5)])
+    """A five-way categorical root, then its five children: continuous
+    winner, empty leaf, multiway winner, pure leaf, binary-subset
+    winner."""
+    frontier = LevelFrontier()
+    root_best = pack_candidates(1)
+    root_best[0] = (0.4, 3.0, 0.0)
+    frontier.grow(_SCHEMA, np.array([[10, 30]]), root_best,
+                  np.array([True]), {0: ([0, 1, 2, 3, 4], 5, 2)})
     totals = np.array([[6, 4], [0, 0], [5, 5], [7, 0], [3, 5]])
     best = pack_candidates(5)
     best[0] = (0.1, 0.0, 2.5)
@@ -92,23 +102,38 @@ def _mixed_level():
     split_ok = np.array([True, False, True, False, True])
     layouts = {2: ([0, -1, 1, 2], 3, 2), 4: ([0, 1, 0], 2, 0)}
     decisions = frontier.grow(_SCHEMA, totals, best, split_ok, layouts)
-    return parent, frontier, decisions
+    return frontier, decisions
+
+
+def _close(frontier, totals):
+    """Grow one all-leaf level over ``frontier``'s open nodes."""
+    m = frontier.n_open
+    decisions = frontier.grow(_SCHEMA, np.asarray(totals),
+                              pack_candidates(m), np.zeros(m, dtype=bool),
+                              {})
+    assert decisions.n_next == 0 and frontier.n_open == 0
 
 
 def test_grow_emits_the_level_and_numbers_the_children():
-    parent, frontier, decisions = _mixed_level()
-    kinds = [type(child) for child in parent.children]
-    assert kinds == [ContinuousSplit, Leaf, CategoricalSplit, Leaf,
-                     CategoricalSplit]
-    cont, empty, multi, pure, subset = parent.children
-    assert (cont.attr_index, cont.threshold, cont.n_records) == (0, 2.5, 10)
-    assert empty.label == 1 and empty.n_records == 0    # parent majority
-    assert pure.label == 0 and pure.class_counts.tolist() == [7, 0]
-    assert multi.value_to_child.tolist() == [0, -1, 1, 2]
-    assert multi.value_to_child.dtype == np.int32
-    assert (len(multi.children), multi.default_child) == (3, 2)
-    assert (len(subset.children), subset.default_child) == (2, 0)
-    assert all(child.depth == 1 for child in parent.children)
+    frontier, decisions = _mixed_level()
+    assert frontier.depth == 2 and len(frontier.blocks) == 2
+    block = frontier.blocks[1]
+    assert block["kind"].tolist() == [
+        KIND_CONTINUOUS, KIND_LEAF, KIND_CATEGORICAL, KIND_LEAF,
+        KIND_CATEGORICAL]
+    assert block["kind"].dtype == np.uint8
+    assert block["feature"].tolist() == [0, -1, 1, -1, 2]
+    assert block["threshold"][0] == 2.5
+    assert np.isnan(block["threshold"][1:]).all()
+    assert block["n_records"].tolist() == [10, 0, 10, 7, 8]
+    assert block["class_counts"].tolist() == \
+        [[6, 4], [0, 0], [5, 5], [7, 0], [3, 5]]
+    # the empty child takes the parent's majority, the pure one its own
+    assert block["leaf_label"].tolist() == [-1, 1, -1, 0, -1]
+    assert block["n_children"].tolist() == [2, 0, 3, 0, 2]
+    assert block["fanout"].tolist() == [2, 0, 4, 0, 3]
+    assert block["default_child"].tolist() == [0, 0, 2, 0, 0]
+    assert block["slot_child"].tolist() == [0, 1, 0, -1, 1, 2, 0, 1, 0]
 
     assert decisions.splitting.tolist() == [True, False, True, False, True]
     assert decisions.winner_attr.tolist() == [0, -1, 1, -1, 2]
@@ -121,41 +146,73 @@ def test_grow_emits_the_level_and_numbers_the_children():
     assert decisions.cat_layouts[4].dtype == np.int64
     decisions.validate()
 
-    assert [(node, slot) for node, slot, _ in frontier.pending] == [
-        (cont, 0), (cont, 1), (multi, 0), (multi, 1), (multi, 2),
-        (subset, 0), (subset, 1),
+    # the open level: seven children, each carrying its parent's majority
+    assert frontier.n_open == 7
+    assert frontier.open_label.tolist() == [0, 0, 0, 0, 0, 1, 1]
+
+
+def test_blocks_assemble_into_the_tree_the_nodes_compile_to():
+    frontier, _ = _mixed_level()
+    _close(frontier, [[1, 0]] * 4 + [[0, 0]] + [[0, 2]] * 2)
+    table = frontier.table(_SCHEMA)
+    assert table.n_nodes == 1 + 5 + 7 and table.max_depth == 2
+    # children are numbered breadth-first, in node order within a level
+    assert table.child_table.tolist() == [
+        1, 2, 3, 4, 5,              # root: one child per code
+        6, 7,                       # continuous: left, right
+        8, 10, 9, 10,               # multiway: absent code -> default
+        11, 12, 11,                 # subset: two codes share child 0
     ]
-    assert [depth for _, _, depth in frontier.pending] == [2] * 7
-    assert frontier.depths().tolist() == [2] * 7
-    assert frontier.root is parent
+    assert table.leaf_label.tolist()[6:] == [0, 0, 0, 0, 0, 1, 1]
+
+    tree = table.to_tree()
+    root = tree.root
+    assert [type(child) for child in root.children] == [
+        ContinuousSplit, Leaf, CategoricalSplit, Leaf, CategoricalSplit]
+    cont, empty, multi, pure, subset = root.children
+    assert (cont.attr_index, cont.threshold, cont.n_records) == (0, 2.5, 10)
+    assert empty.label == 1 and empty.n_records == 0    # parent majority
+    assert pure.label == 0 and pure.class_counts.tolist() == [7, 0]
+    assert multi.value_to_child.tolist() == [0, -1, 1, 2]
+    assert multi.value_to_child.dtype == np.int32
+    assert (len(multi.children), multi.default_child) == (3, 2)
+    assert (len(subset.children), subset.default_child) == (2, 0)
+    assert all(child.depth == 1 for child in root.children)
+    # an empty grandchild inherits *its* parent's majority ([5, 5] -> 0)
+    assert multi.children[2].n_records == 0 and multi.children[2].label == 0
+    rebuilt = compile_tree(tree)
+    assert rebuilt.structure_digest == table.structure_digest
 
 
 def test_root_level_sets_the_root():
     frontier = LevelFrontier()
-    assert frontier.pending == [(None, 0, 0)]
+    assert (frontier.n_open, frontier.depth, frontier.blocks) == (1, 0, [])
     decisions = frontier.grow(_SCHEMA, np.array([[3, 1]]), pack_candidates(1),
                               np.array([False]), {})
-    assert isinstance(frontier.root, Leaf) and frontier.root.label == 0
-    assert decisions.n_next == 0 and frontier.pending == []
+    assert decisions.n_next == 0 and frontier.n_open == 0
+    root = frontier.table(_SCHEMA).to_tree().root
+    assert isinstance(root, Leaf) and root.label == 0 and root.depth == 0
 
 
 def test_cut_payload_round_trip_keeps_parent_identity():
-    """``(root, pending)`` pickled as one object — the checkpoint cut's
-    ``tree`` payload — reloads with the frontier's parents still being
-    nodes of the reloaded tree, so growth continues into that tree."""
-    _, frontier, _ = _mixed_level()
-    root, pending = pickle.loads(
-        pickle.dumps((frontier.root, list(frontier.pending))))
-    assert pending[0][0] is root.children[0]
-    assert pending[2][0] is pending[4][0] is root.children[2]
-    assert pending[6][0] is root.children[4]
+    """The frontier pickled mid-growth — the checkpoint cut's replicated
+    payload — holds arrays only and reloads with every open node still
+    under its parent: the parent's majority travels with it (the empty
+    child's label) and growth continues into the same tree."""
+    frontier, _ = _mixed_level()
+    blob = pickle.dumps(frontier)
+    assert b"Leaf" not in blob and b"Split" not in blob
+    resumed = pickle.loads(blob)
+    assert (resumed.n_open, resumed.depth) == (7, 2)
+    assert resumed.open_label.tolist() == frontier.open_label.tolist()
 
-    resumed = LevelFrontier(root, pending)
-    totals = np.array([[1, 0]] * 7)
-    resumed.grow(_SCHEMA, totals, pack_candidates(7),
-                 np.zeros(7, dtype=bool), {})
-    assert resumed.root is root and resumed.pending == []
-    assert all(isinstance(leaf, Leaf) for leaf in root.children[2].children)
+    tail = [[1, 0]] * 4 + [[0, 0]] + [[0, 2]] * 2
+    _close(frontier, tail)
+    _close(resumed, tail)
+    assert resumed.table(_SCHEMA).structure_digest == \
+        frontier.table(_SCHEMA).structure_digest
+    assert_trees_equal(resumed.table(_SCHEMA).to_tree(),
+                       frontier.table(_SCHEMA).to_tree(), "(reloaded)")
 
 
 # ----------------------------------------------------------------------
@@ -228,5 +285,34 @@ def test_memory_source_grows_the_serial_tree(subsets):
     frontier = LevelFrontier()
     tree = grow_levels(frontier, schema, config, _MemorySource(ds, config))
     assert_trees_equal(tree, induce_serial(ds, config), "(memory source)")
-    assert tree.root is frontier.root and frontier.pending == []
+    assert frontier.n_open == 0 and frontier.depth == tree.depth + 1
+    assert tree.compiled().structure_digest == \
+        compile_tree(induce_serial(ds, config)).structure_digest
     assert tree.depth > 2
+
+
+# ----------------------------------------------------------------------
+# the table a fit brings home is the oracle's tree, compiled
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("subsets", [False, True])
+@pytest.mark.parametrize("backend",
+                         ["thread", "process", "cooperative", "tcp"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fitted_table_is_the_serial_trees_compiled_form(name, backend,
+                                                        subsets):
+    """On the golden configurations, both categorical policies, every
+    backend and p in {1, 2, 3, 5}: the fitted tree arrives as the table
+    the level loop assembled — no node built on the way — and that table
+    is, array for array, ``compile_tree`` of the serial reference's node
+    tree."""
+    fn, n, seed, config, _ = FIXTURES[name]
+    config = replace(config, categorical_binary_subsets=subsets)
+    ds = generate_quest(n, fn, seed=seed)
+    oracle = compile_tree(induce_serial(ds, config))
+    for p in (1, 2, 3, 5):
+        tree = ScalParC(p, config, machine=None, backend=backend).fit(ds).tree
+        assert tree._root is None, (backend, p)
+        assert tree.compiled().structure_digest == oracle.structure_digest, \
+            (backend, p)
