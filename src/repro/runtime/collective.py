@@ -1,0 +1,237 @@
+"""Every collective, defined once: a picklable spec and one pure ``finish``.
+
+MPI names its collectives and its operators (``MPI_Allreduce`` + an
+``MPI_Op`` handle), so any node of the machine can carry one out.  A
+:class:`Collective` is that name — kind, operator *name*, root and, for a
+fused group, its section layout — and :meth:`Collective.finish` is the
+whole of what the collective computes: per-rank results plus the per-rank
+``(sent, recv)`` bytes the cost model prices.  It runs wherever the
+contributions meet: on the last arriving rank of the in-process engines,
+inside the router of ``process`` / ``tcp`` (so a step is two hops: rank →
+router → rank).  The communicator methods, the fusion layer and the
+engines only *name* a collective; nothing else knows what one computes.
+
+Byte accounting is by *logical* size
+(:func:`~repro.runtime.payload.payload_logical_nbytes`): a shared-memory
+descriptor counts as the array it stands for, so the numbers are the same
+whether ``finish`` sees payloads or their encoded stand-ins.
+"""
+
+from __future__ import annotations
+
+from typing import Any, NamedTuple
+
+import numpy as np
+
+from .payload import payload_logical_nbytes
+from .reduction import lookup
+
+__all__ = ["Collective", "section_views"]
+
+_Bytes = tuple[list[int], list[int]]
+
+
+def section_views(packed: Any, sections: tuple) -> list[np.ndarray]:
+    """Slice a fused group's packed buffer back into its logical
+    sections — ``sections`` as in :attr:`Collective.sections` — each
+    restored to its original shape."""
+    packed = np.asarray(packed)
+    views, start = [], 0
+    for stop, shape, _root in sections:
+        views.append(np.ascontiguousarray(packed[start:stop]).reshape(shape))
+        start = stop
+    return views
+
+
+class Collective(NamedTuple):
+    """What one collective call is, as data.  :attr:`name` is the op
+    string every rank must agree on; it also appears in traces, timeout
+    reports and the cost model."""
+
+    kind: str
+    #: :class:`~repro.runtime.reduction.ReduceOp` name (reductions only)
+    op: str | None = None
+    root: int | None = None
+    #: fused groups: ``(stop, shape, root)`` per packed logical op — the
+    #: end of its rows in the packed buffer, its original shape, and the
+    #: rank its result goes to (segmented ``fused_reduce`` only)
+    sections: tuple = ()
+
+    @property
+    def name(self) -> str:
+        params = []
+        if self.op is not None:
+            params.append(f"op={self.op}")
+        if self.root is not None:
+            params.append(f"root={self.root}")
+        if self.sections:
+            params.append(f"n={len(self.sections)}")
+        return f"{self.kind}({','.join(params)})" if params else self.kind
+
+    @property
+    def transposes(self) -> bool:
+        """True for the all-to-alls: blocks only change hands, one
+        receiver each, so they can stay encoded end to end and the block a
+        rank addresses to itself need not travel at all."""
+        return self.kind in ("alltoall", "alltoallv")
+
+    def finish(self, contribs: list,
+               priced: bool = True) -> tuple[list, list[int], list[int]]:
+        """``(results, sent, recv)`` for one complete step: one result per
+        rank, plus per-rank bytes (zeros when nobody prices them)."""
+        kind = self.kind.removeprefix("fused_")     # same fold, packed
+        results = _RESULTS[kind](self, contribs)
+        if priced and kind in _BYTES:
+            sent, recv = _BYTES[kind](self, contribs)
+        else:
+            sent = recv = [0] * len(contribs)
+        return results, sent, recv
+
+
+# ----------------------------------------------------------------------
+# results
+# ----------------------------------------------------------------------
+
+
+def _at_root(spec: Collective, size: int, value: Any) -> list:
+    out: list = [None] * size
+    out[spec.root] = value
+    return out
+
+
+def _scatter(spec: Collective, contribs: list) -> list:
+    items = contribs[spec.root]
+    if items is None or len(items) != len(contribs):
+        raise ValueError(
+            f"scatter root must supply exactly {len(contribs)} items")
+    return list(items)
+
+
+def _transpose(_spec: Collective, contribs: list) -> list:
+    # rank j's result is block j of every rank's contribution, in
+    # source-rank order; blocks are moved, never looked into
+    size = len(contribs)
+    return [[contribs[i][j] for i in range(size)] for j in range(size)]
+
+
+def _reduce(spec: Collective, contribs: list) -> list:
+    total = lookup(spec.op).reduce(contribs)
+    if not spec.sections:
+        return _at_root(spec, len(contribs), total)
+    # segmented: each section goes to its own root, None elsewhere
+    views = section_views(total, spec.sections)
+    return [[view if root == r else None
+             for view, (_stop, _shape, root) in zip(views, spec.sections)]
+            for r in range(len(contribs))]
+
+
+def _allreduce(spec: Collective, contribs: list) -> list:
+    total = lookup(spec.op).reduce(contribs)
+    return [total.copy() for _ in contribs]         # private copies
+
+
+def _reduce_scatter(spec: Collective, contribs: list) -> list:
+    total = lookup(spec.op).reduce(contribs)
+    return [total[r].copy() for r in range(len(contribs))]
+
+
+_RESULTS = {
+    "barrier": lambda spec, c: [None] * len(c),
+    "bcast": lambda spec, c: [c[spec.root]] * len(c),
+    "gather": lambda spec, c: _at_root(spec, len(c), list(c)),
+    "allgather": lambda spec, c: [list(c)] * len(c),
+    "allgatherv": lambda spec, c: [
+        np.concatenate([np.asarray(x) for x in c])] * len(c),
+    "scatter": _scatter,
+    "alltoall": _transpose,
+    "alltoallv": _transpose,
+    "reduce": _reduce,
+    "allreduce": _allreduce,
+    "exscan": lambda spec, c: lookup(spec.op).exscan(c),
+    "scan": lambda spec, c: lookup(spec.op).scan(c),
+    "reduce_scatter": _reduce_scatter,
+}
+
+
+# ----------------------------------------------------------------------
+# byte accounting
+# ----------------------------------------------------------------------
+
+
+def _sizes(contribs: list) -> list[int]:
+    return [payload_logical_nbytes(c) for c in contribs]
+
+
+def _bcast_bytes(spec: Collective, contribs: list) -> _Bytes:
+    size = len(contribs)
+    n = payload_logical_nbytes(contribs[spec.root])
+    sent = [0] * size
+    sent[spec.root] = n * (size - 1)
+    recv = [n] * size
+    recv[spec.root] = 0
+    return sent, recv
+
+
+def _gather_bytes(spec: Collective, contribs: list) -> _Bytes:
+    sent = _sizes(contribs)
+    recv = [0] * len(contribs)
+    recv[spec.root] = sum(sent) - sent[spec.root]
+    sent[spec.root] = 0
+    return sent, recv
+
+
+def _allgather_bytes(_spec: Collective, contribs: list) -> _Bytes:
+    sizes = _sizes(contribs)
+    total = sum(sizes)
+    return ([s * (len(contribs) - 1) for s in sizes],
+            [total - s for s in sizes])
+
+
+def _scatter_bytes(spec: Collective, contribs: list) -> _Bytes:
+    recv = _sizes(contribs[spec.root])
+    sent = [0] * len(contribs)
+    sent[spec.root] = sum(recv) - recv[spec.root]
+    recv[spec.root] = 0
+    return sent, recv
+
+
+def _reduce_bytes(_spec: Collective, contribs: list) -> _Bytes:
+    # tree reduction: every rank sends/receives O(log p) messages of its
+    # (packed) payload size; one up-edge and one down-edge per rank are
+    # accounted, and the cost model prices the log-p latency factor —
+    # once per fused group
+    sizes = _sizes(contribs)
+    return sizes, list(sizes)
+
+
+def _reduce_scatter_bytes(_spec: Collective, contribs: list) -> _Bytes:
+    sizes = _sizes(contribs)
+    return sizes, [sizes[0] // len(contribs)] * len(contribs)
+
+
+def _transpose_bytes(_spec: Collective, contribs: list) -> _Bytes:
+    # a rank's block to itself does not travel and is not counted
+    size = len(contribs)
+    sent = [0] * size
+    recv = [0] * size
+    for i, blocks in enumerate(contribs):
+        for j, block in enumerate(blocks):
+            if i != j:
+                n = payload_logical_nbytes(block)
+                sent[i] += n
+                recv[j] += n
+    return sent, recv
+
+
+#: kinds absent here (``barrier``) move no payload
+_BYTES = {
+    "bcast": _bcast_bytes,
+    "gather": _gather_bytes,
+    "allgather": _allgather_bytes,
+    "allgatherv": _allgather_bytes,
+    "scatter": _scatter_bytes,
+    "alltoall": _transpose_bytes,
+    "alltoallv": _transpose_bytes,
+    "reduce_scatter": _reduce_scatter_bytes,
+    **dict.fromkeys(("reduce", "allreduce", "exscan", "scan"), _reduce_bytes),
+}

@@ -9,79 +9,47 @@ blocking point-to-point, with numpy arrays as the preferred payload type
 Engines implement two primitives:
 
 * :meth:`Communicator._exchange_impl` — a synchronous, order-checked
-  rendezvous of all ranks, with a combine function applied once per step;
-  and
+  rendezvous of all ranks in one *named* collective; and
 * :meth:`Communicator.send` / :meth:`Communicator.recv` — blocking
   point-to-point.
 
-Everything else (bcast, gather, allgather(v), scatter, reduce, allreduce,
-scan, exscan, alltoall(v), barrier) is built here on top of
-:meth:`Communicator._exchange` — a thin wrapper over the engine primitive
-that also records collective-trace events when the job runs with tracing
-enabled (see :mod:`repro.runtime.tracing`) — so semantics, accounting and
-tracing are engine-independent.  Engines additionally
-provide ``_try_recv`` / ``_probe`` (non-blocking point-to-point probes),
-from which the nonblocking :class:`Request` API is derived here, and
-``split`` (sub-communicators).
+Every collective method here (bcast, gather, allgather(v), scatter,
+reduce, allreduce, scan, exscan, reduce_scatter, alltoall(v), barrier)
+only validates its arguments and names a
+:class:`~repro.runtime.collective.Collective`; what that collective
+computes and how its bytes are accounted is defined once, in
+:mod:`repro.runtime.collective`, and runs wherever an engine lets the
+contributions meet.  :meth:`Communicator._exchange` is the thin wrapper
+over the engine primitive that also records collective-trace events when
+the job runs with tracing enabled (see :mod:`repro.runtime.tracing`), so
+semantics, accounting and tracing are engine-independent.  Engines
+additionally provide ``_try_recv`` / ``_probe`` (non-blocking
+point-to-point probes), from which the nonblocking :class:`Request` API
+is derived here, and ``split`` (sub-communicators).
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from .collective import Collective
 from .errors import InvalidRankError
-from .payload import payload_logical_nbytes, payload_nbytes
+from .fusion import FusedBatch
 from .reduction import ReduceOp
 
 __all__ = [
-    "ALLTOALL_OPS",
     "ANY_TAG",
     "Communicator",
     "NullPerf",
     "Request",
-    "alltoall_bytes",
-    "alltoall_transpose",
 ]
 
 #: any tag matches in recv/probe when passed as the tag argument
 ANY_TAG = -1
-
-# type of the byte-accounting callback: contributions -> (sent, recv) per rank
-_BytesFn = Callable[[list], tuple[list[int], list[int]]]
-
-
-#: the collectives that only *move* blocks: their result is
-#: :func:`alltoall_transpose` of the contributions, whoever computes it
-ALLTOALL_OPS = frozenset({"alltoall", "alltoallv"})
-
-
-def alltoall_transpose(contribs: list) -> list:
-    """The all-to-all itself: rank j's result is block j of every rank's
-    contribution, in source-rank order.  Blocks are moved, never looked
-    into, so this runs equally on payloads and on their encoded stand-ins
-    — as the in-process engines' ``combine`` and inside the process/tcp
-    router."""
-    size = len(contribs)
-    return [[contribs[i][j] for i in range(size)] for j in range(size)]
-
-
-def alltoall_bytes(contribs: list) -> tuple[list[int], list[int]]:
-    """Per-rank ``(sent, recv)`` bytes of an all-to-all; a rank's block to
-    itself does not travel and is not counted."""
-    size = len(contribs)
-    sent = [0] * size
-    recv = [0] * size
-    for i, blocks in enumerate(contribs):
-        for j, block in enumerate(blocks):
-            if i != j:
-                n = payload_logical_nbytes(block)
-                sent[i] += n
-                recv[j] += n
-    return sent, recv
 
 
 class NullPerf:
@@ -153,46 +121,34 @@ class Communicator(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def _exchange_impl(
-        self,
-        op: str,
-        payload: Any,
-        combine: Callable[[list], list],
-        comm_bytes: _BytesFn | None = None,
-    ) -> Any:
-        """Rendezvous all ranks; ``combine(contributions)`` runs exactly once
-        per step (on the last arriving rank) and returns the per-rank result
-        list.  Returns this rank's entry."""
+    def _exchange_impl(self, spec: Collective, payload: Any) -> Any:
+        """Rendezvous all ranks in the collective ``spec`` names;
+        ``spec.finish(contributions)`` runs exactly once per step, where
+        the contributions meet.  Returns this rank's result."""
 
-    def _exchange(
-        self,
-        op: str,
-        payload: Any,
-        combine: Callable[[list], list],
-        comm_bytes: _BytesFn | None = None,
-        fused_manifest: Callable[[Any], tuple] | None = None,
-    ) -> Any:
+    def _exchange(self, spec: Collective, payload: Any,
+                  fused: Any | None = None) -> Any:
         """Engine-independent collective front door: dispatches to the
         engine's :meth:`_exchange_impl` and, when this rank carries a
         trace recorder, records one event per completed collective.  A
         collective that aborts records nothing — the truncation is the
         evidence the conformance checker reports.
 
-        ``fused_manifest`` is supplied by the fusion layer: called with
-        this rank's result, it expands a fused collective back into its
-        per-logical-op digest records.  It is only invoked when a tracer
-        is attached, so untraced fused runs pay nothing for it.
+        ``fused`` is the fusion layer's group behind a fused collective:
+        its ``manifest(spec, result)`` expands the event back into per-logical-op
+        digest records.  It is only consulted when a tracer is attached,
+        so untraced fused runs pay nothing for it.
         """
         tracer = self._tracer
         if tracer is None:
-            return self._exchange_impl(op, payload, combine, comm_bytes)
+            return self._exchange_impl(spec, payload)
         clock = self.perf.clock
         start = time.perf_counter()
-        result = self._exchange_impl(op, payload, combine, comm_bytes)
-        tracer.record(op, payload, result,
+        result = self._exchange_impl(spec, payload)
+        tracer.record(spec.name, payload, result,
                       time.perf_counter() - start, clock, self.perf,
-                      fused_from=None if fused_manifest is None
-                      else fused_manifest(result))
+                      fused_from=None if fused is None
+                      else fused.manifest(spec, result))
         return result
 
     @abstractmethod
@@ -274,7 +230,7 @@ class Communicator(ABC):
 
     def barrier(self) -> None:
         """Block until every rank has entered the barrier."""
-        self._exchange("barrier", None, lambda c: [None] * len(c))
+        self._exchange(Collective("barrier"), None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast *obj* from *root*; every rank returns root's object.
@@ -282,101 +238,32 @@ class Communicator(ABC):
         Non-root ranks' ``obj`` argument is ignored (pass ``None``).
         """
         self._check_root(root)
-
-        def combine(contribs: list) -> list:
-            return [contribs[root]] * len(contribs)
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            n = payload_nbytes(contribs[root])
-            sent = [0] * self.size
-            sent[root] = n * (self.size - 1)
-            recv = [n] * self.size
-            recv[root] = 0
-            return sent, recv
-
-        return self._exchange(f"bcast(root={root})", obj, combine, comm_bytes)
+        return self._exchange(Collective("bcast", root=root), obj)
 
     def gather(self, obj: Any, root: int = 0) -> list | None:
         """Gather one object per rank to *root*; root returns the list in
         rank order, others return ``None``."""
         self._check_root(root)
-
-        def combine(contribs: list) -> list:
-            out: list = [None] * len(contribs)
-            out[root] = list(contribs)
-            return out
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sizes = [payload_nbytes(c) for c in contribs]
-            sent = list(sizes)
-            sent[root] = 0
-            recv = [0] * self.size
-            recv[root] = sum(sizes) - sizes[root]
-            return sent, recv
-
-        return self._exchange(f"gather(root={root})", obj, combine, comm_bytes)
+        return self._exchange(Collective("gather", root=root), obj)
 
     def allgather(self, obj: Any) -> list:
         """Gather one object per rank onto every rank (rank order)."""
-
-        def combine(contribs: list) -> list:
-            shared = list(contribs)
-            return [shared] * len(contribs)
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sizes = [payload_nbytes(c) for c in contribs]
-            total = sum(sizes)
-            sent = [s * (self.size - 1) for s in sizes]
-            recv = [total - s for s in sizes]
-            return sent, recv
-
-        return self._exchange("allgather", obj, combine, comm_bytes)
+        return self._exchange(Collective("allgather"), obj)
 
     def allgatherv(self, arr: np.ndarray) -> np.ndarray:
         """Concatenate per-rank 1-D (or same-trailing-shape) arrays onto
         every rank, in rank order."""
-        arr = np.asarray(arr)
-
-        def combine(contribs: list) -> list:
-            merged = np.concatenate([np.asarray(c) for c in contribs])
-            return [merged] * len(contribs)
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sizes = [int(np.asarray(c).nbytes) for c in contribs]
-            total = sum(sizes)
-            sent = [s * (self.size - 1) for s in sizes]
-            recv = [total - s for s in sizes]
-            return sent, recv
-
-        return self._exchange("allgatherv", arr, combine, comm_bytes)
+        return self._exchange(Collective("allgatherv"), np.asarray(arr))
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter ``objs[i]`` from *root* to rank ``i``; returns this
         rank's item.  Non-root ranks pass ``None``."""
         self._check_root(root)
-
-        def combine(contribs: list) -> list:
-            items = contribs[root]
-            if items is None or len(items) != self.size:
-                raise ValueError(
-                    f"scatter root must supply exactly {self.size} items"
-                )
-            return list(items)
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            items = contribs[root]
-            sizes = [payload_nbytes(x) for x in items]
-            sent = [0] * self.size
-            sent[root] = sum(sizes) - sizes[root]
-            recv = list(sizes)
-            recv[root] = 0
-            return sent, recv
-
-        return self._exchange(f"scatter(root={root})", objs, combine, comm_bytes)
+        return self._exchange(Collective("scatter", root=root), objs)
 
     # -- reductions -----------------------------------------------------
 
-    def fused(self) -> "Any":
+    def fused(self) -> FusedBatch:
         """Open a deferred-collective batch (see :mod:`repro.runtime.fusion`).
 
         Within the returned context, ``exscan``/``allreduce``/``reduce``
@@ -388,63 +275,25 @@ class Communicator(ABC):
                 f = batch.exscan(counts, reduction.SUM)
             prefix = f.result()
         """
-        from .fusion import FusedBatch  # local import: fusion imports us
-
         return FusedBatch(self)
-
-    def _reduce_bytes(self, contribs: list) -> tuple[list[int], list[int]]:
-        # tree reduction: every rank sends/receives O(log p) messages of its
-        # payload size; we account one up-edge per non-root rank (the cost
-        # model separately prices the log-p latency factor).
-        sizes = [payload_nbytes(c) for c in contribs]
-        return list(sizes), list(sizes)
 
     def reduce(self, value: Any, op: ReduceOp, root: int = 0) -> Any:
         """Reduce numpy values elementwise with *op*; result only at root."""
         self._check_root(root)
-
-        def combine(contribs: list) -> list:
-            total = op.reduce(contribs)
-            out: list = [None] * len(contribs)
-            out[root] = total
-            return out
-
-        return self._exchange(
-            f"reduce(op={op.name},root={root})", value, combine, self._reduce_bytes
-        )
+        return self._exchange(Collective("reduce", op.name, root), value)
 
     def allreduce(self, value: Any, op: ReduceOp) -> Any:
         """Reduce with *op*; every rank gets the result (a private copy)."""
-
-        def combine(contribs: list) -> list:
-            total = op.reduce(contribs)
-            return [total.copy() if isinstance(total, np.ndarray) else total
-                    for _ in contribs]
-
-        return self._exchange(
-            f"allreduce(op={op.name})", value, combine, self._reduce_bytes
-        )
+        return self._exchange(Collective("allreduce", op.name), value)
 
     def exscan(self, value: Any, op: ReduceOp) -> Any:
         """Exclusive prefix reduction: rank r gets fold of ranks < r
         (rank 0 gets the operator identity)."""
-
-        def combine(contribs: list) -> list:
-            return op.exscan(contribs)
-
-        return self._exchange(
-            f"exscan(op={op.name})", value, combine, self._reduce_bytes
-        )
+        return self._exchange(Collective("exscan", op.name), value)
 
     def scan(self, value: Any, op: ReduceOp) -> Any:
         """Inclusive prefix reduction: rank r gets fold of ranks <= r."""
-
-        def combine(contribs: list) -> list:
-            return op.scan(contribs)
-
-        return self._exchange(
-            f"scan(op={op.name})", value, combine, self._reduce_bytes
-        )
+        return self._exchange(Collective("scan", op.name), value)
 
     def reduce_scatter(self, value: np.ndarray, op: ReduceOp) -> np.ndarray:
         """Elementwise-reduce a (size, …) array over ranks, then scatter:
@@ -458,19 +307,7 @@ class Communicator(ABC):
             raise ValueError(
                 f"reduce_scatter needs a leading axis of length {self.size}"
             )
-
-        def combine(contribs: list) -> list:
-            total = op.reduce(contribs)
-            return [total[r].copy() for r in range(self.size)]
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            sizes = [payload_nbytes(c) for c in contribs]
-            row = sizes[0] // self.size if self.size else 0
-            return list(sizes), [row] * self.size
-
-        return self._exchange(
-            f"reduce_scatter(op={op.name})", value, combine, comm_bytes
-        )
+        return self._exchange(Collective("reduce_scatter", op.name), value)
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
         """Combined send+receive (MPI_Sendrecv): ship ``obj`` to ``dest``
@@ -486,16 +323,15 @@ class Communicator(ABC):
         j; returns the list indexed by source rank."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} items")
-        return self._exchange("alltoall", list(objs), alltoall_transpose,
-                              alltoall_bytes)
+        return self._exchange(Collective("alltoall"), list(objs))
 
     def alltoallv(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Personalized exchange of numpy arrays (MPI_Alltoallv): rank i's
         ``arrays[j]`` goes to rank j; returns arrays indexed by source."""
         if len(arrays) != self.size:
             raise ValueError(f"alltoallv needs exactly {self.size} arrays")
-        return self._exchange("alltoallv", [np.asarray(a) for a in arrays],
-                              alltoall_transpose, alltoall_bytes)
+        return self._exchange(Collective("alltoallv"),
+                              [np.asarray(a) for a in arrays])
 
 
 class Request:

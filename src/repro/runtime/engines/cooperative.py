@@ -4,8 +4,8 @@ All ranks of the job are multiplexed by a single round-robin scheduler
 with **exactly one rank runnable at any instant**.  A rank runs until it
 *blocks* — an incomplete collective or an unmatched ``recv`` — then the
 scheduler hands control to the next runnable rank in deterministic
-round-robin order.  The last rank arriving at a collective performs the
-combine inline and releases every waiter, so a p-rank collective costs
+round-robin order.  The last rank arriving at a collective finishes the
+step inline and releases every waiter, so a p-rank collective costs
 exactly p−1 targeted handoffs: no condition-variable thundering herd, no
 lock contention, and no timed waits at all.
 
@@ -31,6 +31,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Sequence
 
+from ..collective import Collective
 from ..communicator import Communicator
 from ..errors import CollectiveAbortedError, CollectiveMismatchError
 from ..payload import payload_nbytes
@@ -201,8 +202,9 @@ class CooperativeCommunicator(Communicator):
 
     # -- engine primitives ---------------------------------------------
 
-    def _exchange_impl(self, op, payload, combine, comm_bytes=None):
+    def _exchange_impl(self, spec, payload):
         sched, grp = self._sched, self._group
+        op = spec.name
         if sched.error is not None:
             raise sched.error
         try:
@@ -222,9 +224,7 @@ class CooperativeCommunicator(Communicator):
         observer = self._observer
         try:
             results, sent, recv = grp.finish_step(
-                self.rank, combine,
-                comm_bytes if observer is not None else None,
-            )
+                self.rank, spec, priced=observer is not None)
         except CollectiveAbortedError as err:
             sched.abort(err)
             raise
@@ -284,9 +284,8 @@ class CooperativeCommunicator(Communicator):
             -> "CooperativeCommunicator | None":
         """MPI_Comm_split (see :meth:`Communicator.split`)."""
         plan = self._exchange(
-            "split", (color, key if key is not None else self.rank),
-            lambda contribs: self._group.split(contribs)[1],
-        )
+            Collective("split"),
+            (color, key if key is not None else self.rank))
         if plan is None:
             return None
         group, new_rank = plan

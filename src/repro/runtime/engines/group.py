@@ -4,9 +4,11 @@ ScalParC's runtime is two primitives — order-checked collectives and
 FIFO point-to-point channels — whose *matching semantics* are the same
 whichever way ranks execute.  They live here once, as plain state plus
 pure transitions: :class:`Group` (one communicator's collective step,
-mailboxes and sticky mismatch), :func:`run_combine` (a step's combine
-with its checks), and :func:`run_worker` / :func:`raise_failures` (how a
-rank ended; which failures a job reports).  Nothing here locks or
+mailboxes and sticky mismatch), :func:`finish_error` (how a step whose
+``finish`` raised is reported), and :func:`run_worker` /
+:func:`raise_failures` (how a rank ended; which failures a job reports).
+*What* a step computes is not here: that is
+:meth:`repro.runtime.collective.Collective.finish`.  Nothing here locks or
 blocks — the caller already owns whatever makes access exclusive (the
 thread engine's job-wide condition, the cooperative engine's baton, the
 router's single thread).  An engine keeps only *how a rank waits* and
@@ -19,6 +21,7 @@ import traceback
 from collections import deque
 from typing import Any, Callable
 
+from ..collective import Collective
 from ..communicator import ANY_TAG
 from ..errors import (
     CollectiveAbortedError,
@@ -30,13 +33,10 @@ from ..errors import (
 __all__ = [
     "Group",
     "abort_error",
+    "finish_error",
     "raise_failures",
-    "run_combine",
     "run_worker",
 ]
-
-# type of the byte-accounting callback: contributions -> (sent, recv) per rank
-_BytesFn = Callable[[list], tuple[list[int], list[int]]]
 
 
 class Group:
@@ -91,13 +91,20 @@ class Group:
         self.arrived = []
         return step
 
-    def finish_step(self, g: int, combine: Callable[[list], list],
-                    comm_bytes: _BytesFn | None,
+    def finish_step(self, g: int, spec: Collective, priced: bool = True,
                     ) -> tuple[list, list[int], list[int]]:
         """Complete the step on rank ``g`` (the last to arrive): detach it
-        and :func:`run_combine` its contributions."""
+        and ``spec.finish`` its contributions — ``(results, sent, recv)``.
+        A ``split`` is the one step only the group itself can finish.  Any
+        failure is a :func:`finish_error` whose origin is ``g``."""
         op, contribs, _ = self.take_step()
-        return run_combine(op, g, contribs, combine, comm_bytes)
+        try:
+            if spec.kind == "split":
+                zeros = [0] * self.size
+                return self.split(contribs)[1], zeros, zeros
+            return spec.finish(contribs, priced)
+        except BaseException as exc:        # propagate to every rank
+            raise finish_error(op, g, exc) from exc
 
     # -- point-to-point -------------------------------------------------
 
@@ -141,35 +148,15 @@ class Group:
         return children, plans
 
 
-def run_combine(op: str | None, rank: int, contribs: list,
-                combine: Callable[[list], list],
-                comm_bytes: _BytesFn | None,
-                ) -> tuple[list, list[int], list[int]]:
-    """Run one collective step's ``combine`` on group rank ``rank``:
-    ``(results, sent, recv)`` — one result per rank plus the per-rank byte
-    accounting (zeros for ``comm_bytes=None``, i.e. nobody listening).
-    Any failure, a wrong-length result list included, is wrapped in a
-    :class:`CollectiveAbortedError` whose origin is the combining rank."""
-    size = len(contribs)
-    try:
-        results = combine(contribs)
-        if len(results) != size:
-            raise AssertionError(
-                f"combine for {op!r} returned {len(results)} results "
-                f"for {size} ranks"
-            )
-        if comm_bytes is not None:
-            sent, recv = comm_bytes(contribs)
-        else:
-            sent = recv = [0] * size
-    except BaseException as exc:        # propagate to every rank
-        err = CollectiveAbortedError(
-            f"collective {op!r} failed on combining rank {rank}: {exc}",
-            origin_rank=rank,
-        )
-        err.__cause__ = exc
-        raise err
-    return results, sent, recv
+def finish_error(op: str | None, rank: int,
+                 exc: BaseException) -> CollectiveAbortedError:
+    """The job-wide abort for a collective whose ``finish`` raised once
+    rank ``rank``'s arrival had completed the step."""
+    return CollectiveAbortedError(
+        f"collective {op!r} failed when rank {rank} completed it: "
+        f"{type(exc).__name__}: {exc}",
+        origin_rank=rank,
+    )
 
 
 def abort_error(origin: int, exc: BaseException) -> CollectiveAbortedError:

@@ -9,18 +9,17 @@ point-to-point message, probe and split flows through the router, which
 matches them with the same :class:`~.group.Group` core as the in-process
 engines (order-checked collectives, FIFO per-(source, tag) mailboxes).
 
-Combine functions are per-call closures that exist only inside the rank
-processes, so the router cannot run them.  Instead, when the last member
-of a collective arrives, the router ships the contribution list to the
-group's rank-0 child (which is parked inside the same ``_exchange`` call
-and therefore holds the right closure), lets it compute the result list
-and the byte accounting, and distributes the per-rank results: four
-hops.  The all-to-alls need no closure — their result is the
-transposition of the contributions
-(:func:`~repro.runtime.communicator.alltoall_transpose`) — so the router
-finishes those itself on the still-encoded blocks and replies at once:
-two hops, no rank ever holds another pair's blocks, and the block a rank
-addresses to itself never leaves it (a placeholder travels instead).
+A collective travels as its name — a
+:class:`~repro.runtime.collective.Collective` spec — so the router itself
+finishes every step: when the last member arrives it calls
+``spec.finish`` on the contributions, prices the result and replies to
+every member at once.  Two hops (rank → router → rank), no rank ever
+holds another rank's contributions, and reduction operators are resolved
+by name in the router process, which therefore must know them (they must
+exist at import time, before the ranks fork).  The all-to-alls only move
+blocks, one receiver each, so those stay encoded end to end, and the
+block a rank addresses to itself never leaves it (a placeholder travels
+instead).
 
 Protocol discipline (deadlock freedom on the pipes): children write only
 requests, the router writes only *replies* to a request it has already
@@ -30,14 +29,17 @@ sides are never blocked writing to each other simultaneously.
 
 Shared-memory data plane (:mod:`repro.runtime.shm` has the full story):
 numpy payloads at or above ``REPRO_SPMD_SHM_THRESHOLD`` bytes travel as
-tiny descriptors of pooled shared segments.  Lease recycling rides the
-existing protocol — consumed contribution leases on the combiner's
-``combined`` message, consumed result/ptp leases ahead of the receiver's
-next request (``shm_free``); an all-to-all block is such a result, read
-by its receiver straight from the sender's segment — and children
-announce new segments (``shm_new``) so the parent can unlink every one
-when the job ends, normally or not, which covers aborts and hard-killed
-ranks.
+tiny descriptors of pooled shared segments.  The router is a
+data-plane participant too: it reads contribution descriptors in place
+(read-only views) and places large results through a pool of its own.
+Lease recycling rides the existing protocol — the router credits the
+contribution leases it consumed to their owners on the very result reply
+that ends the step; consumed result/ptp leases travel ahead of the
+receiver's next request (``shm_free``); an all-to-all block is such a
+result, read by its receiver straight from the sender's segment — and
+children announce new segments (``shm_new``) so the parent can unlink
+every one, its own included, when the job ends, normally or not, which
+covers aborts and hard-killed ranks.
 
 Perf-model fidelity: compute time is burned inside the children, comm
 time is priced by the observer inside the router, and the simulated
@@ -62,12 +64,12 @@ data plane itself is start-method-agnostic (attach is by name).
 from __future__ import annotations
 
 import itertools
+import logging
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
 import random
-import sys
 import time
 import traceback
 from abc import ABC, abstractmethod
@@ -80,12 +82,8 @@ from ..checkpoint import (
     shrink_size,
     with_resume,
 )
-from ..communicator import (
-    ALLTOALL_OPS,
-    Communicator,
-    alltoall_bytes,
-    alltoall_transpose,
-)
+from ..collective import Collective
+from ..communicator import Communicator
 from ..envutil import env_choice
 from ..errors import (
     CollectiveAbortedError,
@@ -107,7 +105,7 @@ from ..shm import (
 )
 from ..tracing import TraceRecorder
 from .base import SpmdEngine
-from .group import Group, raise_failures, run_combine, run_worker
+from .group import Group, finish_error, raise_failures, run_worker
 
 __all__ = [
     "Channel",
@@ -125,6 +123,11 @@ START_METHOD_ENV = "REPRO_SPMD_START_METHOD"
 _ABORT_GRACE = 10.0
 
 _ROOT_CTX = 0
+
+#: the router's ``owner`` id in shm descriptors (ranks are 0 … size−1)
+_ROUTER = -1
+
+_log = logging.getLogger("repro.runtime")
 
 #: per-parent job counter, part of the shm segment name prefix
 _JOB_SEQ = itertools.count()
@@ -223,8 +226,9 @@ class PipeChannel(Channel):
 
 
 class _ShmState:
-    """One rank process's data-plane state, shared by the world
-    communicator and every sub-communicator split from it."""
+    """One process's data-plane state: a rank's (shared by its world
+    communicator and every sub-communicator split from it) or the
+    router's."""
 
     __slots__ = ("owner", "prefix", "threshold", "pool", "cache",
                  "pending_free")
@@ -346,115 +350,59 @@ class ProcessCommunicator(Communicator):
             self._count_transport(0, shared[0])
         return enc
 
-    def _decode(self, obj: Any, *, copy: bool,
-                consumed: list | None = None) -> Any:
-        """Materialize descriptors.  With ``consumed=None`` the leases are
-        settled immediately (the result/ptp path); otherwise the raw
-        descriptors are collected for the caller to settle once it is
-        really done with the data (the combiner path)."""
+    def _decode(self, obj: Any) -> Any:
+        """Materialize descriptors as private copies and settle their
+        leases: own ones go straight back to the pool, foreign ones ride
+        ahead of the next request for the router to credit their owners."""
         shm = self._shm
         if shm is None:
             return obj
-        settle = consumed is None
-        if settle:
-            consumed = []
-        out = decode_payload(obj, shm.get_cache(), copy=copy,
+        consumed: list = []
+        out = decode_payload(obj, shm.get_cache(), copy=True,
                              consumed=consumed)
-        if settle and consumed:
-            shm.pending_free.extend(self._settle_consumed(consumed))
-        return out
-
-    def _settle_consumed(self, consumed: list) -> list[tuple[int, int]]:
-        """Account consumed descriptors and route their lease releases:
-        own leases go straight back to the pool, foreign ones are
-        returned for the router to credit to their owners."""
-        shm = self._shm
-        shared = 0
-        freed: list[tuple[int, int]] = []
         for desc in consumed:
-            shared += desc.nbytes
             if desc.owner == shm.owner:
                 shm.get_pool().release((desc.token,))
             else:
-                freed.append((desc.owner, desc.token))
-        if shared:
-            self._count_transport(0, shared)
-        return freed
-
-    def _shm_reclaim(self, tokens) -> None:
-        """Apply a reply's piggybacked lease reclamations."""
-        if tokens and self._shm is not None and self._shm.pool is not None:
-            self._shm.pool.release(tokens)
+                shm.pending_free.append((desc.owner, desc.token))
+        if consumed:
+            self._count_transport(0, sum(d.nbytes for d in consumed))
+        return out
 
     # -- request/reply core --------------------------------------------
 
-    def _request(self, msg: tuple, combine: Callable | None = None,
-                 comm_bytes: Callable | None = None) -> Any:
+    def _request(self, msg: tuple) -> Any:
         self._send_msg(msg)
-        while True:
-            reply = self._recv_msg()
-            kind = reply[0]
-            if kind == "result":
-                _, value, comm_state, reclaim = reply
-                self._apply_comm(comm_state)
-                self._shm_reclaim(reclaim)
-                # leases consumed here are settled by _decode (via
-                # _settle_consumed): own tokens return to the pool at
-                # once, foreign ones ride ahead of the next request
-                return self._decode(value, copy=True)
-            if kind == "combine":
-                # this rank is the group's combiner for the current step
-                _, enc_contribs, reclaim = reply
-                self._shm_reclaim(reclaim)
-                consumed: list = []
-                try:
-                    contribs = self._decode(enc_contribs, copy=False,
-                                            consumed=consumed)
-                    # msg is the "coll" request this rank is parked in
-                    results, sent, recv = run_combine(
-                        msg[2], self.rank, contribs, combine, comm_bytes)
-                    enc_results = [self._encode(r) for r in results]
-                except BaseException as exc:
-                    self._send_msg((
-                        "combine_error", self._ctx,
-                        f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc(),
-                    ))
-                    raise
-                # contribution views are fully copied out by _encode, so
-                # the leases can be settled now; foreign tokens ride the
-                # combined message and reach each owner on the very
-                # result reply that ends its step
-                freed = self._settle_consumed(consumed)
-                self._send_msg((
-                    "combined", self._ctx, enc_results, list(sent),
-                    list(recv), freed,
-                ))
-                continue
-            if kind == "mismatch":
-                raise CollectiveMismatchError(reply[1])
-            if kind == "abort":
-                _, message, origin, tb = reply
-                err = CollectiveAbortedError(message, origin_rank=origin)
-                if tb:
-                    err.__cause__ = RemoteTraceback(tb)
-                raise err
-            raise RuntimeError(f"unexpected engine reply {kind!r}")
+        reply = self._recv_msg()
+        kind = reply[0]
+        if kind == "result":
+            _, value, comm_state, reclaim = reply
+            self._apply_comm(comm_state)
+            if reclaim:         # own leases the router saw consumed
+                self._shm.pool.release(reclaim)
+            return self._decode(value)
+        if kind == "mismatch":
+            raise CollectiveMismatchError(reply[1])
+        if kind == "abort":
+            _, message, origin, tb = reply
+            err = CollectiveAbortedError(message, origin_rank=origin)
+            if tb:
+                err.__cause__ = RemoteTraceback(tb)
+            raise err
+        raise RuntimeError(f"unexpected engine reply {kind!r}")
 
     # -- engine primitives ---------------------------------------------
 
-    def _exchange_impl(self, op, payload, combine, comm_bytes=None):
-        if op in ALLTOALL_OPS:
+    def _exchange_impl(self, spec, payload):
+        if spec.transposes:
             # the block addressed to this rank stays where it is: a
             # placeholder travels and the router's transposition hands it
             # back in the same place
             own, payload = payload[self.rank], list(payload)
             payload[self.rank] = None
         result = self._request(
-            ("coll", self._ctx, op, self._encode(payload), self._cstate()),
-            combine=combine, comm_bytes=comm_bytes,
-        )
-        if op in ALLTOALL_OPS:
+            ("coll", self._ctx, spec, self._encode(payload), self._cstate()))
+        if spec.transposes:
             result[self.rank] = own
         return result
 
@@ -480,8 +428,8 @@ class ProcessCommunicator(Communicator):
         """Partition the communicator (MPI_Comm_split); the router computes
         the grouping, so no user closure crosses the process boundary."""
         plan = self._request((
-            "split", self._ctx, color,
-            key if key is not None else self.rank, self._cstate(),
+            "coll", self._ctx, Collective("split"),
+            (color, key if key is not None else self.rank), self._cstate(),
         ))
         if plan is None:
             return None
@@ -590,7 +538,7 @@ class _Router:
 
     def __init__(self, size: int, conns: list, procs: list,
                  observer: Any | None, rank_perf: Sequence[Any] | None,
-                 timeout: float):
+                 timeout: float, shm_cfg: tuple[str, int] | None = None):
         self.size = size
         self.conns = conns              # rank -> Channel
         #: channels watched for EOF only (no rank behind them)
@@ -612,8 +560,11 @@ class _Router:
         self.error: CollectiveAbortedError | None = None
         self.error_tb: str = ""
         self.kill_deadline: float | None = None
+        #: the router's own data-plane state (None: plane off): it reads
+        #: contributions in place and places large results itself
+        self.shm = _ShmState(_ROUTER, *shm_cfg) if shm_cfg else None
         #: shm segments announced by each rank (rank -> names); the parent
-        #: unlinks every one of these when the job ends
+        #: unlinks every one of these, and the router's own, at job end
         self.shm_owned: dict[int, set[str]] = {}
         #: lease tokens consumed by peers, awaiting piggyback delivery to
         #: their owner on its next reply
@@ -648,13 +599,10 @@ class _Router:
         except ChannelClosedError:
             pass                        # child already gone; EOF handles it
 
-    def _take_reclaim(self, rank: int) -> list[int]:
-        return self.shm_reclaim.pop(rank, [])
-
     def _reply_result(self, rank: int, value: Any) -> None:
         self.pending.pop(rank, None)
         self._reply(rank, ("result", value, self._comm_state(rank),
-                           self._take_reclaim(rank)))
+                           self.shm_reclaim.pop(rank, [])))
 
     def _reply_abort(self, rank: int) -> None:
         self.pending.pop(rank, None)
@@ -686,13 +634,14 @@ class _Router:
 
     # -- per-message handling ------------------------------------------
 
-    def _arrive(self, rank: int, ctx_id: int, op: str, payload: Any,
-                kind: str) -> None:
-        """Common arrival bookkeeping for 'coll' and 'split' requests."""
+    def _arrive(self, rank: int, ctx_id: int, spec: Collective,
+                payload: Any) -> None:
+        """A rank entered a collective; the last one in finishes it."""
         if self.error is not None:
             self._reply_abort(rank)
             return
         ctx = self.ctxs[ctx_id]
+        op = spec.name
         try:
             last = ctx.arrive(ctx.index[rank], op, payload)
         except CollectiveMismatchError as exc:
@@ -703,27 +652,41 @@ class _Router:
                 self._reply(member, ("mismatch", str(exc)))
             return
         self.pending[rank] = _Pending(
-            kind, ctx_id, time.monotonic() + self.timeout, op
+            "coll", ctx_id, time.monotonic() + self.timeout, op
         )
         if not last:
             return
-        if kind == "split":
-            self._finish_split(ctx)
-        elif op in ALLTOALL_OPS:
-            # blocks only change hands: no closure needed, so the router
-            # finishes the step itself, on the still-encoded blocks
-            _, contribs, _ = ctx.take_step()
-            self._finish_coll(ctx, op, alltoall_transpose(contribs),
-                              *alltoall_bytes(contribs))
-        else:
-            # ship contributions to the group's combiner (its rank 0);
-            # the step stays open until its "combined" comes back
-            combiner = ctx.members[0]
-            self._reply(combiner, ("combine", list(ctx.contribs),
-                                   self._take_reclaim(combiner)))
-
-    def _finish_split(self, ctx: Group) -> None:
         _, contribs, _ = ctx.take_step()
+        if spec.kind == "split":
+            self._finish_split(ctx, contribs)
+            return
+        priced = ctx is self.root and self.observer is not None
+        # all-to-all blocks pass through still encoded, one receiver
+        # each; everything else is read in place and re-placed from here
+        shm = None if spec.transposes else self.shm
+        consumed: list = []
+        try:
+            if shm is not None:
+                contribs = decode_payload(contribs, shm.get_cache(),
+                                          copy=False, consumed=consumed)
+            results, sent, recv = spec.finish(contribs, priced)
+            if shm is not None:
+                results = [encode_payload(r, shm.get_pool(), shm.threshold)
+                           for r in results]
+        except Exception as exc:        # a job-wide typed abort
+            self._set_error(str(finish_error(op, rank, exc)), rank,
+                            traceback.format_exc())
+            return
+        # results hold no view of a contribution any more, so each owner
+        # gets its lease back on the very reply that ends its step
+        for desc in consumed:
+            self.shm_reclaim.setdefault(desc.owner, []).append(desc.token)
+        if priced:
+            self.observer.on_collective(op, sent, recv, ctx.size)
+        for member, result in zip(ctx.members, results):
+            self._reply_result(member, result)
+
+    def _finish_split(self, ctx: Group, contribs: list) -> None:
         children, plans = ctx.split(contribs)
         ids = {child: self.next_ctx + i for i, child in enumerate(children)}
         self.next_ctx += len(children)
@@ -736,26 +699,6 @@ class _Router:
                 child, new_rank = plan
                 plan = (ids[child], new_rank, child.size)
             self._reply_result(member, plan)
-
-    def _on_combined(self, rank: int, msg: tuple) -> None:
-        if self.error is not None:
-            return                      # stale; combiner already aborted
-        _, ctx_id, results, sent, recv, freed = msg
-        # credit consumed contribution leases first, so each owner's
-        # token rides the very result reply that completes its step
-        for owner, token in freed:
-            self.shm_reclaim.setdefault(owner, []).append(token)
-        ctx = self.ctxs[ctx_id]
-        op, _, _ = ctx.take_step()
-        self._finish_coll(ctx, op, results, sent, recv)
-
-    def _finish_coll(self, ctx: Group, op: str, results: list,
-                     sent: list[int], recv: list[int]) -> None:
-        """Price a completed collective step and release its ranks."""
-        if ctx is self.root and self.observer is not None:
-            self.observer.on_collective(op, sent, recv, ctx.size)
-        for member, result in zip(ctx.members, results):
-            self._reply_result(member, result)
 
     def _match(self, ctx: Group, dest_g: int, source: int, tag: int, *,
                pop: bool) -> tuple[bool, Any]:
@@ -844,19 +787,9 @@ class _Router:
     def _handle(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
         if kind == "coll":
-            _, ctx_id, op, payload, cstate = msg
+            _, ctx_id, spec, payload, cstate = msg
             self._apply_cstate(rank, cstate)
-            self._arrive(rank, ctx_id, op, payload, "coll")
-        elif kind == "split":
-            _, ctx_id, color, key, cstate = msg
-            self._apply_cstate(rank, cstate)
-            self._arrive(rank, ctx_id, "split", (color, key), "split")
-        elif kind == "combined":
-            self._on_combined(rank, msg)
-        elif kind == "combine_error":
-            _, ctx_id, message, tb = msg
-            self.pending.pop(rank, None)
-            self._set_error(f"rank {rank} aborted: {message}", rank, tb)
+            self._arrive(rank, ctx_id, spec, payload)
         elif kind == "send":
             self._on_send(rank, msg)
         elif kind in ("recv", "tryrecv", "probe"):
@@ -865,7 +798,10 @@ class _Router:
             self.shm_owned.setdefault(rank, set()).update(msg[1])
         elif kind == "shm_free":
             for owner, token in msg[1]:
-                self.shm_reclaim.setdefault(owner, []).append(token)
+                if owner == _ROUTER:
+                    self.shm.get_pool().release((token,))
+                else:
+                    self.shm_reclaim.setdefault(owner, []).append(token)
         elif kind in ("done", "aborted", "error"):
             self._on_final(rank, msg)
         elif kind == "hb":
@@ -945,8 +881,16 @@ class _Router:
                         self._handle(rank, msg)
             self._tick()
 
-    def all_shm_segments(self) -> list[str]:
-        return sorted(n for names in self.shm_owned.values() for n in names)
+    def close_shm(self) -> list[str]:
+        """Close the router's own mappings; every segment name of the
+        job — the ranks' announced ones and the router's — for the engine
+        to unlink."""
+        names = {n for owned in self.shm_owned.values() for n in owned}
+        if self.shm is not None:
+            if self.shm.pool is not None:
+                names.update(self.shm.pool.segment_names())
+            self.shm.shutdown()
+        return sorted(names)
 
     def outcome(self, trace: Any | None) -> list:
         """After :meth:`run`: deliver the traces, then the per-rank
@@ -1048,12 +992,10 @@ class ProcessEngine(SpmdEngine):
                             cfg.backoff_base * 2 ** (attempt - 1))
                 if delay > 0 and cfg.jitter:
                     delay *= 1 + cfg.jitter * (2 * random.random() - 1)
-                print(
-                    f"repro.runtime: job failed ({err}); restart "
-                    f"{attempt}/{cfg.max_restarts} on {cur_size} rank(s) "
-                    f"from {manifest} in {delay:.2f}s",
-                    file=sys.stderr,
-                )
+                _log.warning(
+                    "job failed (%s); restart %d/%d on %d rank(s) from %s "
+                    "in %.2fs", err, attempt, cfg.max_restarts, cur_size,
+                    manifest, delay)
                 if delay > 0:
                     time.sleep(delay)
                 kwargs = {**kwargs, "checkpoint": with_resume(cfg, manifest)}
@@ -1117,7 +1059,8 @@ class ProcessEngine(SpmdEngine):
             c.close()
 
         chans = [PipeChannel(p) for p in parent_ends]
-        router = _Router(size, chans, procs, observer, rank_perf, timeout)
+        router = _Router(size, chans, procs, observer, rank_perf, timeout,
+                         shm_cfg)
         try:
             router.run()
         finally:
@@ -1127,7 +1070,8 @@ class ProcessEngine(SpmdEngine):
             # guaranteed data-plane cleanup: owners only closed their
             # mappings, so the parent unlinks every announced segment —
             # including those of ranks that died without a finally block
-            segments = router.all_shm_segments()
+            # — and the router's own
+            segments = router.close_shm()
             for name in segments:
                 unlink_segment(name)
             type(self).last_shm_segments = tuple(segments)

@@ -21,8 +21,10 @@ manifest* (job id, size, host→ranks map, pids).  Only then do workers
 start, so the handshake doubles as the bootstrap barrier.
 
 The router is the process backend's router — same event loop, same
-:class:`~.group.Group` rendezvous core, combiner shipping and abort
-discipline — and ranks speak to it through the same
+:class:`~.group.Group` rendezvous core, same abort discipline, and every
+collective step finished inside it by the step's own
+``Collective.finish`` (two hops: one frame up, one frame down per rank)
+— and ranks speak to it through the same
 :class:`~.process.ProcessCommunicator`; only the
 :class:`~.process.Channel` differs (:class:`SocketChannel` here, a pipe
 there).  The shared-memory data plane is deliberately *off* — hosts

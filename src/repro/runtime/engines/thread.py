@@ -33,6 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence
 
+from ..collective import Collective
 from ..communicator import Communicator
 from ..errors import CollectiveAbortedError, CollectiveMismatchError
 from ..payload import payload_nbytes
@@ -88,8 +89,9 @@ class ThreadCommunicator(Communicator):
         #: sub-communicators no observer
         self._observer = observer
 
-    def _exchange_impl(self, op, payload, combine, comm_bytes=None):
+    def _exchange_impl(self, spec, payload):
         job, grp, rank = self._job, self._group, self.rank
+        op = spec.name
         with job.cond:
             if job.error is not None:
                 raise job.error
@@ -102,9 +104,7 @@ class ThreadCommunicator(Communicator):
                 observer = self._observer
                 try:
                     results, sent, recv = grp.finish_step(
-                        rank, combine,
-                        comm_bytes if observer is not None else None,
-                    )
+                        rank, spec, priced=observer is not None)
                 except CollectiveAbortedError as err:
                     if job.error is None:
                         job.error = err
@@ -174,9 +174,8 @@ class ThreadCommunicator(Communicator):
         """MPI_Comm_split (see :meth:`Communicator.split`): the new groups
         park on the same job-wide condition, so aborts reach them too."""
         plan = self._exchange(
-            "split", (color, key if key is not None else self.rank),
-            lambda contribs: self._group.split(contribs)[1],
-        )
+            Collective("split"),
+            (color, key if key is not None else self.rank))
         if plan is None:
             return None
         group, new_rank = plan

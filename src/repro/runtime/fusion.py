@@ -47,10 +47,11 @@ cross-validate every *logical* collective individually.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .collective import Collective, section_views
 from .payload import payload_nbytes
 from .reduction import ReduceOp
 
@@ -124,6 +125,40 @@ class _Group:
         self.op = op
         self.sections: list[_Section] = []
 
+    def spec(self) -> Collective:
+        """The one collective this group flushes as: its kind, operator
+        and section layout (row bounds in the packed buffer, original
+        shapes, and each section's root for a segmented ``reduce``)."""
+        stops = np.cumsum([len(s.packed) for s in self.sections]).tolist()
+        return Collective(f"fused_{self.kind}", self.op.name, sections=tuple(
+            (stop, s.original.shape, s.root)
+            for stop, s in zip(stops, self.sections)))
+
+    def unpack(self, spec: Collective, result: Any) -> list:
+        """This rank's result of the fused collective, per section."""
+        if self.kind == "reduce":       # already segmented, by root
+            return list(result)
+        return section_views(result, spec.sections)
+
+    def manifest(self, spec: Collective, result: Any) -> tuple:
+        """Expand the fused event back into its logical collectives so the
+        conformance checker and differential suites can cross-validate
+        each one (built only when the run is traced)."""
+        from .tracing.events import LogicalOp, payload_digest
+
+        return tuple(
+            LogicalOp(
+                op=s.logical_op,
+                dtype=str(s.original.dtype),
+                shape=tuple(s.original.shape),
+                payload_digest=payload_digest(s.original),
+                payload_nbytes=int(s.original.nbytes),
+                result_digest=payload_digest(out),
+                result_nbytes=payload_nbytes(out),
+            )
+            for s, out in zip(self.sections, self.unpack(spec, result))
+        )
+
 
 class FusedBatch:
     """Collects deferred collectives and flushes them as fused rendezvous.
@@ -179,10 +214,7 @@ class FusedBatch:
             raise ValueError(
                 f"operator {op.name!r} has no identity; cannot exscan"
             )
-        if kind == "reduce":
-            logical = f"reduce(op={op.name},root={root})"
-        else:
-            logical = f"{kind}(op={op.name})"
+        logical = Collective(kind, op.name, root).name
         future = FusedFuture(logical)
         key = (kind, op.name, str(arr.dtype), layout)
         group = self._groups.get(key)
@@ -213,83 +245,11 @@ class FusedBatch:
     # -- group execution ---------------------------------------------------
 
     def _run_group(self, group: _Group) -> None:
-        comm = self._comm
-        op = group.op
         sections = group.sections
         packed = np.concatenate([s.packed for s in sections]) \
             if len(sections) > 1 else sections[0].packed
-        bounds = np.cumsum([0] + [len(s.packed) for s in sections])
-        opname = f"fused_{group.kind}(op={op.name},n={len(sections)})"
-        comm.perf.transient_bytes(packed.nbytes)
-
-        def slice_section(result: np.ndarray, i: int) -> np.ndarray:
-            out = np.asarray(result)[bounds[i]:bounds[i + 1]]
-            return np.ascontiguousarray(out).reshape(
-                sections[i].original.shape
-            )
-
-        if group.kind == "reduce":
-            def combine(contribs: list) -> list:
-                total = op.reduce(contribs)
-                out: list = [None] * comm.size
-                for r in range(comm.size):
-                    owned = [
-                        slice_section(total, i) if s.root == r else None
-                        for i, s in enumerate(sections)
-                    ]
-                    out[r] = owned if any(
-                        x is not None for x in owned
-                    ) else [None] * len(sections)
-                return out
-
-            def unpack(result: Any) -> list:
-                return list(result)
-        elif group.kind == "allreduce":
-            def combine(contribs: list) -> list:
-                total = op.reduce(contribs)
-                return [total.copy() for _ in contribs]
-
-            def unpack(result: Any) -> list:
-                return [slice_section(result, i)
-                        for i in range(len(sections))]
-        elif group.kind == "exscan":
-            def combine(contribs: list) -> list:
-                return op.exscan(contribs)
-
-            def unpack(result: Any) -> list:
-                return [slice_section(result, i)
-                        for i in range(len(sections))]
-        else:  # pragma: no cover - guarded by _enqueue
-            raise FusionError(f"unknown fused kind {group.kind!r}")
-
-        def comm_bytes(contribs: list) -> tuple[list[int], list[int]]:
-            # same tree-reduction accounting as the unfused reduce family:
-            # each rank moves its (packed) payload size up and down; the
-            # cost model charges the collective latency once per group.
-            sizes = [payload_nbytes(c) for c in contribs]
-            return list(sizes), list(sizes)
-
-        def manifest(result: Any) -> tuple:
-            # built only when the run is traced: expand the fused event
-            # back into its logical collectives so the conformance checker
-            # and differential suites can cross-validate each one
-            from .tracing.events import LogicalOp, payload_digest
-
-            outs = unpack(result)
-            return tuple(
-                LogicalOp(
-                    op=s.logical_op,
-                    dtype=str(s.original.dtype),
-                    shape=tuple(s.original.shape),
-                    payload_digest=payload_digest(s.original),
-                    payload_nbytes=int(s.original.nbytes),
-                    result_digest=payload_digest(out),
-                    result_nbytes=payload_nbytes(out),
-                )
-                for s, out in zip(sections, outs)
-            )
-
-        result = comm._exchange(opname, packed, combine, comm_bytes,
-                                fused_manifest=manifest)
-        for section, value in zip(sections, unpack(result)):
+        spec = group.spec()
+        self._comm.perf.transient_bytes(packed.nbytes)
+        result = self._comm._exchange(spec, packed, fused=group)
+        for section, value in zip(sections, group.unpack(spec, result)):
             section.future._resolve(value)

@@ -8,6 +8,13 @@ All operators work elementwise on numpy arrays (or on scalars, which are
 treated as 0-d arrays).  The combine order is fixed: contributions are
 folded in rank order, ``((r0 ⊕ r1) ⊕ r2) …``, which makes integer reductions
 exact and floating-point reductions deterministic across runs.
+
+An operator *is* its name (the ``MPI_Op`` handle idea): a collective
+travels as a :class:`~repro.runtime.collective.Collective` carrying the
+name, and whichever process finishes the step — the last arriving rank
+in-process, the router on ``process`` / ``tcp`` — resolves it with
+:func:`lookup`.  Hence one name, one operator, and an operator must exist
+before the job forks its ranks: create it at import time.
 """
 
 from __future__ import annotations
@@ -29,8 +36,12 @@ __all__ = [
     "BOR",
     "MINLOC",
     "MAXLOC",
+    "lookup",
     "make_op",
 ]
+
+#: name -> operator; every :class:`ReduceOp` registers itself on creation
+_REGISTRY: dict[str, "ReduceOp"] = {}
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,10 @@ class ReduceOp:
     Parameters
     ----------
     name:
-        Human-readable name used in traces and error messages.
+        The operator's identity: it travels in op strings, traces and
+        collective specs, and :func:`lookup` resolves it.  Creating a
+        *different* operator under a taken name raises ``ValueError``;
+        re-creating an identical one is a no-op.
     fn:
         Binary function ``fn(acc, contribution) -> acc`` applied in rank
         order.
@@ -71,6 +85,14 @@ class ReduceOp:
     identity_like: Callable[[np.ndarray], np.ndarray] | None = None
     cellwise: bool = True
     fold_many: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if _REGISTRY.setdefault(self.name, self) != self:
+            raise ValueError(
+                f"a different reduction operator named {self.name!r} "
+                "already exists; operators are resolved by name, so every "
+                "name must denote one operator"
+            )
 
     def reduce(self, contributions: Sequence[np.ndarray]) -> np.ndarray:
         """Fold *contributions* in rank order and return the total."""
@@ -116,6 +138,18 @@ def make_op(
 ) -> ReduceOp:
     """Create a user-defined :class:`ReduceOp` (the MPI_Op_create analogue)."""
     return ReduceOp(name=name, fn=fn, identity_like=identity_like)
+
+
+def lookup(name: str) -> ReduceOp:
+    """The operator called *name*, as known to *this* process."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise LookupError(
+            f"reduction operator {name!r} is unknown to the process "
+            "finishing the collective — it must exist at import time "
+            "(create it at module level, not inside a worker)"
+        ) from None
 
 
 SUM = ReduceOp("sum", lambda a, b: a + b, lambda t: np.zeros_like(t))

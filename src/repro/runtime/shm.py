@@ -1,22 +1,24 @@
 """Shared-memory data plane for the ``process`` backend.
 
 The process engine moves every payload over pipes by pickling, and each
-collective payload crosses a pipe *twice* (child → router, router →
-combiner, results back) — a serialization tax proportional to exactly the
-O(N/p) attribute-list traffic ScalParC's design minimizes.  This module
-removes that tax for large numpy payloads: arrays at or above a size
-threshold are written once into a :mod:`multiprocessing.shared_memory`
+collective payload crosses a pipe *twice* (rank → router, where the step
+is finished, and result → rank) — a serialization tax proportional to
+exactly the O(N/p) attribute-list traffic ScalParC's design minimizes.
+This module removes that tax for large numpy payloads: arrays at or above
+a size threshold are written once into a :mod:`multiprocessing.shared_memory`
 segment and travel over the pipes as a tiny :class:`ShmDescriptor`
-``(segment, offset, dtype, shape)`` control record; the combiner maps the
-segment and reads the array *in place*, and receivers materialize one
+``(segment, offset, dtype, shape)`` control record; the router maps the
+segment and reads the array *in place* while it finishes the step, places
+large results in segments of its own pool, and receivers materialize one
 private copy — so collectives, point-to-point sends and the hashing
 paradigm's all-to-alls become effectively zero-copy (an all-to-all block
-never meets a combiner: the router passes its descriptor straight on to
-the rank it is addressed to).
+is never opened on the way: the router passes its descriptor straight on
+to the rank it is addressed to).
 
 Building blocks (the process engine wires them together):
 
-* :class:`ShmPool` — owner-side buffer pool: power-of-two size classes,
+* :class:`ShmPool` — owner-side buffer pool (one per rank, one for the
+  router): power-of-two size classes,
   free-list reuse, ref-counted leases (a lease is *in flight* from
   :meth:`ShmPool.place` until :meth:`ShmPool.release`), and
   spawn/fork-safe attach-by-name (segments are named, so a child started
@@ -31,9 +33,10 @@ Building blocks (the process engine wires them together):
 Cleanup guarantees: segment *owners* never unlink — they only close their
 mappings on exit — because an in-flight descriptor (e.g. a buffered
 point-to-point message) may outlive its sender.  The engine's parent
-process learns every segment name through ``shm_new`` announcements and
-unlinks all of them when the job ends, normally or not, so an aborted job
-or a hard-killed rank (``os._exit``) leaks nothing.
+process learns every segment name through ``shm_new`` announcements,
+adds the router pool's own, and unlinks all of them when the job ends,
+normally or not, so an aborted job or a hard-killed rank (``os._exit``)
+leaks nothing.
 
 The threshold defaults to :data:`DEFAULT_SHM_THRESHOLD` bytes and is
 overridable via ``REPRO_SPMD_SHM_THRESHOLD`` (an integer byte count, or
@@ -116,7 +119,7 @@ class ShmDescriptor:
     dtype: str            #: round-trippable dtype string (``arr.dtype.str``)
     shape: tuple          #: array shape
     nbytes: int           #: array payload bytes (the *shared*, unpickled bytes)
-    owner: int            #: world rank whose pool owns the segment
+    owner: int            #: world rank whose pool owns the segment (−1: router)
     token: int            #: lease token, unique per owner
 
 
@@ -354,7 +357,7 @@ def decode_payload(
 ) -> Any:
     """Inverse of :func:`encode_payload`: materialize every descriptor.
 
-    ``copy=False`` returns zero-copy read-only views (the combiner path —
+    ``copy=False`` returns zero-copy read-only views (the router's path —
     data consumed within the collective step); ``copy=True`` returns
     private copies (results handed to user code, which may keep them past
     the lease).  Consumed descriptors are appended to ``consumed`` so the

@@ -23,6 +23,7 @@ from repro.runtime import (
     FrameOversizeError,
     encode_frame,
 )
+from repro.runtime.collective import Collective
 from repro.runtime.engines.process import (
     ChannelClosedError,
     PipeChannel,
@@ -263,7 +264,7 @@ def test_silent_coordinator_hits_the_read_bound():
         comm = ProcessCommunicator(a, 0, 0, 2)
         with pytest.raises(CollectiveAbortedError, match="read bound"):
             comm.barrier()
-        assert b.recv()[0][:3] == ("coll", 0, "barrier")   # it did ask
+        assert b.recv()[0][:3] == ("coll", 0, Collective("barrier"))  # it asked
     finally:
         a.close()
         b.close()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from repro.runtime import (
     WorkerCrashError,
     available_backends,
     get_engine,
+    payload_nbytes,
     reduction,
     resolve_timeout,
     run_spmd,
 )
 from repro.runtime.engines.base import DEFAULT_TIMEOUT, TIMEOUT_ENV
+from repro.runtime.engines.process import ProcessEngine, _Router
 from repro.runtime.tracing.events import payload_digest
 
 from tests.conftest import assert_trees_equal
@@ -222,6 +225,55 @@ def _alltoallv_rounds_worker(comm, rounds, n):
     for _ in range(rounds):
         got = comm.alltoallv(blocks)
     return [float(b[0]) for b in got]
+
+
+def _one_collective(comm, kind, n):
+    """One call of ``kind`` on ``n``-element blocks: ``(contribution,
+    result)``."""
+    mine = np.full(n, float(comm.rank + 1))
+    if kind == "bcast":
+        return mine, comm.bcast(mine if comm.rank == 0 else None, root=0)
+    if kind == "allgather":
+        return mine, comm.allgather(mine)
+    if kind == "allgatherv":
+        return mine, comm.allgatherv(mine)
+    if kind == "allreduce":
+        return mine, comm.allreduce(mine, reduction.SUM)
+    if kind == "exscan":
+        return mine, comm.exscan(mine, reduction.SUM)
+    assert kind == "fused_reduce"       # segmented: one section per root
+    with comm.fused() as batch:
+        parts = [batch.reduce(mine, reduction.SUM, root=root)
+                 for root in range(comm.size)]
+    return [mine] * comm.size, [f.result() for f in parts]
+
+
+def _collective_rounds_worker(comm, kind, rounds, n):
+    """``(bytes contributed, bytes delivered, digest of the last result)``
+    over ``rounds`` calls; a bcast's non-roots contribute nothing."""
+    up = down = 0
+    for _ in range(rounds):
+        mine, got = _one_collective(comm, kind, n)
+        if kind != "bcast" or comm.rank == 0:
+            up += payload_nbytes(mine)
+        down += payload_nbytes(got)
+    return up, down, payload_digest(got)
+
+
+def _add(a, b):
+    return a + b
+
+
+def _late_operator_worker(comm, name):
+    """An operator first created inside the worker — after the fork."""
+    op = reduction.make_op(name, _add)
+    return int(comm.allreduce(np.int64(comm.rank + 1), op))
+
+
+def _bad_scatter_worker(comm):
+    big = np.zeros(40_000)                  # leases in flight at the abort
+    comm.allreduce(big, reduction.SUM)
+    comm.scatter([big] if comm.rank == 0 else None, root=0)
 
 
 # ----------------------------------------------------------------------
@@ -478,3 +530,82 @@ def test_alltoallv_block_crosses_the_transport_once(backend):
         assert 2 * away <= moved <= 2.1 * away
     else:
         assert moved == 0
+
+
+@pytest.mark.parametrize("kind", ["bcast", "allgather", "allgatherv",
+                                  "allreduce", "exscan", "fused_reduce"])
+def test_collective_crosses_the_transport_once(backend, kind, monkeypatch):
+    """Two hops for every kind: each contribution goes up once, each
+    result comes down once — the router finishes the step itself and
+    never asks a rank to (a detour through one doubles the bytes)."""
+    replies = set()
+    reply = _Router._reply
+
+    def spy(self, rank, msg):
+        replies.add(msg[0])
+        reply(self, rank, msg)
+
+    monkeypatch.setattr(_Router, "_reply", spy)
+    size, rounds, n = 2, 5, 32_768
+    perf = PerfRun(size, CRAY_T3D)
+    results = run_spmd(size, _collective_rounds_worker,
+                       args=(kind, rounds, n), backend=backend,
+                       observer=perf, rank_perf=perf.trackers)
+    reference = run_spmd(size, _collective_rounds_worker,
+                         args=(kind, rounds, n), backend="thread")
+    assert results == reference
+    stats = perf.stats()
+    moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
+    up = sum(r[0] for r in results)
+    down = sum(r[1] for r in results)
+    if backend in ("process", "tcp"):
+        assert up + down <= moved <= 2.1 * max(up, down)
+        assert replies == {"result"}
+    else:
+        assert moved == 0 and not replies
+
+
+def test_operator_created_after_the_fork_fails_typed(backend):
+    """Operators are resolved by name where the step is finished; one
+    the finishing process has never seen is a typed abort on every rank,
+    not a hang and not a ``KeyError`` inside the router."""
+    name = f"late_sum_{backend}"
+    if backend not in ("process", "tcp"):   # one registry, shared
+        assert run_spmd(3, _late_operator_worker, args=(name,),
+                        backend=backend) == [6, 6, 6]
+        return
+    start = time.monotonic()
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(3, _late_operator_worker, args=(name,), backend=backend,
+                 timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    failures = exc_info.value.failures
+    assert set(failures) == {0, 1, 2}
+    for exc in failures.values():
+        assert isinstance(exc, CollectiveAbortedError)
+        assert repr(name) in str(exc) and "import time" in str(exc)
+
+
+def test_failing_finish_is_a_job_wide_typed_abort(backend):
+    """A ``finish`` that raises — here a scatter root with the wrong item
+    count — aborts every rank with the same typed error, its origin and
+    the traceback of where it was raised; no shm lease outlives it."""
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(3, _bad_scatter_worker, backend=backend, timeout=30.0)
+    failures = exc_info.value.failures
+    assert set(failures) == {0, 1, 2}
+    assert len({str(exc) for exc in failures.values()}) == 1
+    assert len({exc.origin_rank for exc in failures.values()}) == 1
+    for exc in failures.values():
+        assert isinstance(exc, CollectiveAbortedError)
+        assert "'scatter(root=0)' failed when rank" in str(exc)
+        assert "ValueError: scatter root must supply exactly 3" in str(exc)
+    tracebacks = exc_info.value.tracebacks
+    assert set(tracebacks) == {0, 1, 2}
+    assert all("in _scatter" in tb for tb in tracebacks.values())
+    if backend == "process":
+        segments = ProcessEngine.last_shm_segments
+        assert any("r-1s" in name for name in segments)   # the router's
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)

@@ -2,12 +2,13 @@
 
 ``repro.runtime.engines.group`` is plain state plus pure transitions, so
 everything the four engines share — step completion, the mismatch rule,
-mailbox matching, split planning, the combine wrapper, outcome
-classification — is checked here by calling it directly.
+mailbox matching, split planning, how a step is finished and how its
+failure is wrapped, outcome classification — is checked here by calling it directly.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.runtime import (
@@ -16,12 +17,14 @@ from repro.runtime import (
     CollectiveMismatchError,
     SpmdWorkerError,
     WorkerCrashError,
+    collective,
+    reduction,
 )
+from repro.runtime.collective import Collective
 from repro.runtime.engines.group import (
     Group,
     abort_error,
     raise_failures,
-    run_combine,
     run_worker,
 )
 
@@ -105,45 +108,85 @@ def test_nested_split_maps_to_global_ranks():
 
 def test_finish_step_runs_combine_and_accounts_bytes():
     grp = Group([0, 1])
-    grp.arrive(1, "allgather", "y")
+    grp.arrive(1, "allgather", "yy")
     grp.arrive(0, "allgather", "x")
-    results, sent, recv = grp.finish_step(
-        0, lambda c: [c, c], lambda c: ([1, 2], [3, 4]))
-    assert results == [["x", "y"], ["x", "y"]]
-    assert (sent, recv) == ([1, 2], [3, 4])
+    results, sent, recv = grp.finish_step(0, Collective("allgather"))
+    assert results == [["x", "yy"], ["x", "yy"]]
+    assert (sent, recv) == ([1, 2], [2, 1])     # to / from the one peer
     assert grp.take_step() == (None, [None, None], [])     # step detached
-    # nobody listening: no accounting callback, zeros reported
-    assert run_combine("barrier", 0, [None] * 3, lambda c: c, None)[1:] == \
-        ([0, 0, 0], [0, 0, 0])
+    # nobody listening: no accounting, zeros reported; so for a barrier
+    for g in (0, 1):
+        grp.arrive(g, "allgather", "z")
+    assert grp.finish_step(1, Collective("allgather"), priced=False)[1:] \
+        == ([0, 0], [0, 0])
+    assert Collective("barrier").finish([None] * 3) == \
+        ([None] * 3, [0, 0, 0], [0, 0, 0])
+    # a split is the group's own: plans out, nothing priced
+    for g in (0, 1):
+        grp.arrive(g, "split", (g, 0))
+    plans, sent, recv = grp.finish_step(1, Collective("split"))
+    assert [(child.members, r) for child, r in plans] == [([0], 0), ([1], 0)]
+    assert (sent, recv) == ([0, 0], [0, 0])
 
 
 def test_finish_step_rejects_wrong_length_results():
+    """A scatter root with the wrong item count cannot hand every rank a
+    result: refused, with the finishing rank as origin."""
     grp = Group([0, 1])
-    grp.arrive(0, "gather", 1)
-    grp.arrive(1, "gather", 2)
+    grp.arrive(0, "scatter(root=0)", ["only one"])
+    grp.arrive(1, "scatter(root=0)", None)
     with pytest.raises(CollectiveAbortedError) as err:
-        grp.finish_step(1, lambda c: [sum(c)], None)
+        grp.finish_step(1, Collective("scatter", root=0))
     assert err.value.origin_rank == 1
-    assert "'gather'" in str(err.value) and "1 results" in str(err.value)
-    assert isinstance(err.value.__cause__, AssertionError)
+    assert "'scatter(root=0)'" in str(err.value)
+    assert "exactly 2 items" in str(err.value)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("where", ["combine", "comm_bytes"])
-def test_finish_step_wraps_failures_with_combining_rank(where):
-    def boom(_contribs):
+@pytest.mark.parametrize("where", ["results", "bytes"])
+def test_finish_step_wraps_failures_with_finishing_rank(where, monkeypatch):
+    def boom(_payload):
         raise ValueError("bad payload")
 
+    spec = Collective("allreduce", "sum")
     grp = Group([0, 1, 2])
+    if where == "bytes":
+        monkeypatch.setattr(collective, "payload_logical_nbytes", boom)
+        contribs, cause = [np.ones(2)] * 3, "ValueError: bad payload"
+    else:                               # mis-shaped contribution
+        contribs = [np.ones(2), np.ones(3), np.ones(2)]
+        cause = "ValueError: operands could not be broadcast together"
     for g in (2, 0, 1):
-        grp.arrive(g, "scatter", None)
-    combine, comm_bytes = (boom, None) if where == "combine" else \
-        (lambda c: list(c), boom)
+        grp.arrive(g, spec.name, contribs[g])
     with pytest.raises(CollectiveAbortedError) as err:
-        grp.finish_step(1, combine, comm_bytes)
-    assert str(err.value) == \
-        "collective 'scatter' failed on combining rank 1: bad payload"
+        grp.finish_step(1, spec)
+    assert str(err.value).startswith(
+        "collective 'allreduce(op=sum)' failed when rank 1 completed it: "
+        + cause)
     assert err.value.origin_rank == 1
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_unknown_operator_is_refused_by_name():
+    with pytest.raises(LookupError, match="'no_such_op'.*import time"):
+        Collective("allreduce", "no_such_op").finish([np.ones(1)])
+    assert reduction.lookup("sum") is reduction.SUM
+
+
+def test_collective_names_are_the_op_strings():
+    assert Collective("barrier").name == "barrier"
+    assert Collective("bcast", root=2).name == "bcast(root=2)"
+    assert Collective("reduce", "sum", 1).name == "reduce(op=sum,root=1)"
+    assert Collective("exscan", "keep_last").name == "exscan(op=keep_last)"
+    fused = Collective("fused_reduce", "sum",
+                       sections=((2, (2,), 0), (6, (2, 2), 1)))
+    assert fused.name == "fused_reduce(op=sum,n=2)"
+    # segmented: each root gets its sections in their original shape
+    results, sent, recv = fused.finish([np.arange(6), np.arange(6)])
+    assert results[0][1] is None and results[1][0] is None
+    assert results[0][0].tolist() == [0, 2]
+    assert results[1][1].tolist() == [[4, 6], [8, 10]]
+    assert sent == recv == [48, 48]
 
 
 def test_run_worker_classifies_outcomes():

@@ -157,6 +157,8 @@ def test_hard_death_with_shm_leases_leaks_no_segments():
     assert segments, "the run should have used the data plane"
     assert any("r1s" in name for name in segments), \
         "the dying rank should have announced segments before the kill"
+    assert any("r-1s" in name for name in segments), \
+        "the router placed the allreduce results in segments of its own"
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -339,10 +341,13 @@ def test_kill_at_level_k_then_resume_bit_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_hard_kill_recovery_on_process_backend(tmp_path):
+def test_hard_kill_recovery_on_process_backend(tmp_path, caplog):
     """A rank hard-killed mid-level (``os._exit``) on the process backend:
     the supervisor tears the job down, respawns from the last manifest,
-    and the fit completes transparently with the reference tree."""
+    and the fit completes transparently with the reference tree — saying
+    so once, as a WARNING on the ``repro.runtime`` logger."""
+    import logging
+
     from repro.runtime.engines.process import ProcessEngine
 
     ds = generate_quest(400, "F2", seed=1)
@@ -357,12 +362,17 @@ def test_hard_kill_recovery_on_process_backend(tmp_path):
             checkpoint=checkpoint,
         )
 
-    trees = run_spmd(3, worker, backend="process", timeout=30.0,
-                     checkpoint=cfg)
+    with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+        trees = run_spmd(3, worker, backend="process", timeout=30.0,
+                         checkpoint=cfg)
     assert all(t.structurally_equal(induce_serial(ds)) for t in trees)
     # one crash, one successful respawn — at the original size
     assert ProcessEngine.last_attempts == ((0, 3), (1, 3))
     assert os.path.exists(flag)
+    (notice,) = [r for r in caplog.records if r.name == "repro.runtime"]
+    assert notice.levelno == logging.WARNING
+    assert "restart 1/2 on 3 rank(s) from " in notice.getMessage()
+    assert "worker process died" in notice.getMessage()
 
 
 def test_elastic_degraded_recovery_p4_to_p2(tmp_path):

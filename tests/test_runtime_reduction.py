@@ -18,6 +18,8 @@ from repro.runtime.reduction import (
     MINLOC,
     PROD,
     SUM,
+    ReduceOp,
+    lookup,
     make_op,
 )
 
@@ -82,6 +84,21 @@ def test_make_op_custom():
     np.testing.assert_array_equal(
         concat_len.reduce([np.array([1]), np.array([2])]), [3]
     )
+
+
+def test_a_name_denotes_one_operator():
+    """Operators are resolved by name (order check, fusion grouping, the
+    router's ``finish``), so a second, different one under a taken name
+    is refused — it used to be silently fused under the first's function."""
+    first = make_op("one_name", np.maximum)
+    assert lookup("one_name") is first
+    assert make_op("one_name", np.maximum) == first         # identical: no-op
+    assert lookup("one_name") is first
+    with pytest.raises(ValueError, match="'one_name' already exists"):
+        make_op("one_name", np.minimum)
+    with pytest.raises(ValueError, match="'sum' already exists"):
+        ReduceOp("sum", np.add)
+    assert lookup("sum") is SUM
 
 
 @settings(deadline=None, max_examples=50)

@@ -212,9 +212,14 @@ def test_normal_run_unlinks_all_segments(monkeypatch):
     run_spmd(3, _collective_worker, backend="process")
     segments = ProcessEngine.last_shm_segments
     assert segments, "run should have placed arrays in shared memory"
+    # the ranks' contributions and the router's results alike
+    assert {name.split("r", 2)[2].split("s")[0] for name in segments} == \
+        {"-1", "0", "1", "2"}
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+    if os.path.isdir("/dev/shm"):
+        assert not glob.glob(f"/dev/shm/rp{os.getpid()}j*")
 
 
 def test_plane_off_uses_no_segments(monkeypatch):
