@@ -11,7 +11,8 @@ Measured on the F2 paper workload split into fixed-size epoch chunks:
 * wall-clock of one streaming pass vs the sum of per-chunk batch refits
   (best of repeats), and the resulting ingest throughput (records/s);
 * communication volume per epoch, from collective traces: bytes a
-  streaming epoch moves (sketch + class-total allreduces) vs bytes one
+  streaming epoch moves (class-total allreduces, sketches to their
+  scorers, winners back) vs bytes one
   batch refit moves — the refit re-pays the full presort + per-level
   collectives on the whole prefix every chunk;
 * end-model accuracy of both paths (the streaming tree is sketch-lossy
@@ -45,10 +46,12 @@ ACCURACY_SLACK = 0.02
 
 
 def _traced_bytes(collector: TraceCollector) -> int:
-    """Total collective payload+result bytes rank 0 moved (every rank
-    moves the same volume — conformance pins the sequences)."""
+    """Collective payload+result bytes one rank moved, averaged over the
+    ranks (a streaming rank receives the sketches of the nodes it scores,
+    so the volume differs by rank)."""
     return sum(ev.payload_nbytes + ev.result_nbytes
-               for ev in collector.events_of(0))
+               for rank in range(P)
+               for ev in collector.events_of(rank)) // P
 
 
 def test_streaming_vs_batch_refit_per_chunk():

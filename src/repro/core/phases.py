@@ -58,8 +58,8 @@ FINDSPLIT_PHASES = (FINDSPLIT1, FINDSPLIT1_HIST, FINDSPLIT1_VOTE, FINDSPLIT2)
 #: streaming induction (see :mod:`repro.streaming`): routing one epoch's
 #: chunk into the frontier and updating local sketches
 STREAM_INGEST = "Stream.ingest"
-#: streaming induction: globalizing the per-(node, attribute) sketches
-#: and per-node class totals through the fused collective layer
+#: streaming induction: the per-node class-total allreduce and the
+#: all-to-all carrying each node's sketches to the rank that scores it
 STREAM_SKETCH = "Stream.sketch"
 #: streaming induction: frontier growth rounds (split scoring from the
 #: global sketches, child sketch re-merges) and leaf-reopen checks

@@ -69,22 +69,12 @@ class ReduceOp:
         Operators that couple cells within a trailing axis (MINLOC,
         MAXLOC, lexicographic row reductions) must set False; fusion then
         only concatenates contributions sharing that trailing shape.
-    fold_many:
-        Optional n-way fold ``fold_many(contributions) -> total`` used by
-        :meth:`reduce` instead of the pairwise chain.  For operators
-        whose pairwise ``fn`` carries real per-call cost (the streaming
-        sketch merge re-sorts its accumulator on every fold), a single
-        n-way pass turns the p−1 chain into one O(total) step.  Must
-        agree with the pairwise fold wherever results are pinned (exact
-        for any commutative-and-lossless operator); scans always use the
-        pairwise chain, since their prefixes are defined by it.
     """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     identity_like: Callable[[np.ndarray], np.ndarray] | None = None
     cellwise: bool = True
-    fold_many: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if _REGISTRY.setdefault(self.name, self) != self:
@@ -98,9 +88,6 @@ class ReduceOp:
         """Fold *contributions* in rank order and return the total."""
         if not contributions:
             raise ValueError("cannot reduce zero contributions")
-        if self.fold_many is not None and len(contributions) > 1:
-            return np.asarray(
-                self.fold_many([np.asarray(c) for c in contributions]))
         acc = np.asarray(contributions[0]).copy()
         for item in contributions[1:]:
             acc = np.asarray(self.fn(acc, np.asarray(item)))

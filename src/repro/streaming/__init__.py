@@ -5,10 +5,13 @@ presort.  This package drops that assumption: records arrive in epoch
 chunks, each rank maintains mergeable per-(node, attribute) split
 sketches over what it has retained, and the level-synchronous loop
 becomes an epoch loop that grows the frontier as sketches accumulate
-mass — with every epoch boundary a sealed checkpoint cut.
+mass — with every epoch boundary a sealed checkpoint cut.  A node's
+sketches are merged only on the rank that scores it; class totals and
+winning splits are what every rank shares.
 
 * :mod:`repro.streaming.sketch` — padded mergeable value/class-count
-  sketches and the :data:`SKETCH_MERGE` allreduce operator;
+  sketches, the n-way :func:`merge_stacks` fold a scorer runs and the
+  pairwise :data:`SKETCH_MERGE` operator ingest runs;
 * :mod:`repro.streaming.source` — record-order epoch chunking;
 * :mod:`repro.streaming.frontier` — one rank's state: retained records,
   the frontier registry and the padded local sketch blocks;
@@ -23,6 +26,7 @@ from .sketch import (
     build_sketch,
     empty_sketch,
     merge_sketches,
+    merge_stacks,
     sketch_entries,
     sketch_identity_like,
 )
@@ -34,6 +38,7 @@ __all__ = [
     "build_sketch",
     "empty_sketch",
     "merge_sketches",
+    "merge_stacks",
     "sketch_entries",
     "sketch_identity_like",
     "stream_induce_worker",

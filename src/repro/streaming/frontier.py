@@ -10,9 +10,10 @@ this rank's class counts.  Retained records carry their fid in
 ``node_of``.
 
 Local sketches are held as padded blocks ``(fids, array)``, the array
-shaped ``(len(fids), n_attrs, cap, 1+c)`` — the layout one capacity group
-rides the SKETCH_MERGE allreduce in, so a finalize round sends the blocks
-the previous round built without repacking them.
+shaped ``(len(fids), n_attrs, cap, 1+c)`` — one capacity group, the
+layout a grow round sends to a scorer: :meth:`StreamState.gather` cuts
+each scorer's share of a group out of them.  Only local sketches live
+here; a node's merged sketches exist on its scorer, for one round.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ loop becomes an epoch loop::
 
     do while (records remain in the stream)
         Stream.ingest   — route this epoch's chunk, update local sketches
-        Stream.sketch   — globalize sketches + class totals (one fused
-                          allreduce batch under the SKETCH_MERGE operator)
+        Stream.sketch   — class totals of the frontier (SUM allreduce)
         Stream.grow     — split frontier nodes whose sketches have seen
                           enough mass; reopen closed leaves whose class
                           distribution shifted
@@ -20,17 +19,28 @@ loop becomes an epoch loop::
     finalize            — grow the frontier to completion under the batch
                           termination rules
 
-All tree-shaping state after the Stream.sketch reductions is global, so
-every rank builds an identical tree — exactly the batch driver's
-replication argument.  With ``stream_grow_records == 0`` (the default:
-growth only at finalize) and lossless sketches, the streamed tree is
-**bit-identical** to batch ScalParC's on the same record prefix; the
-differential suite pins this with ``structurally_equal``.
+A grow round is level-synchronous like the batch driver's, and its
+sketches go where ScalParC sends a level's count matrices — to the rank
+that scores them::
 
-A grow round is level-synchronous like the batch driver's: the whole
-frontier is scored (:func:`_score_nodes`) and split
-(:func:`_split_nodes`) in array passes through the segment kernels;
-only tree-object creation walks the nodes one by one.
+    Stream.sketch   — class totals (SUM allreduce)
+    Stream.grow     — refresh the leaves, close the terminal nodes
+    Stream.sketch   — each scored node's local sketches to its scorer
+                      (one alltoallv), folded there by merge_stacks
+    Stream.grow     — the scorer scores its share (:func:`_score_nodes`)
+                      and keeps the accepted splits; the winners reach
+                      every rank (one allgatherv) and the whole frontier
+                      splits (:func:`_split_nodes`) in array passes
+
+The class totals and the winners are global, so every rank builds an
+identical tree — exactly the batch driver's replication argument — while
+a node's merged sketches exist only on its scorer.  With
+``stream_grow_records == 0`` (the default: growth only at finalize) and
+lossless sketches, the streamed tree is **bit-identical** to batch
+ScalParC's on the same record prefix; the differential suite pins this
+with ``structurally_equal``.  Scoring, splitting and the sketch builds
+run through the segment kernels; only tree-object creation walks the
+nodes one by one.
 """
 
 from __future__ import annotations
@@ -43,8 +53,8 @@ from ..core.findsplit import score_categorical_cubes
 from ..core.frontier import accepted_splits, terminal_nodes
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
-from ..core.splits import BEST_SPLIT, categorical_children_layout, \
-    decode_mask, encode_mask, pack_candidates
+from ..core.splits import categorical_children_layout, decode_mask, \
+    encode_mask, pack_candidates
 from ..core.strategies.histogram import score_boundaries
 from ..datagen.schema import Dataset, Schema
 from ..runtime import Communicator
@@ -67,7 +77,7 @@ from ..tree.model import (
     TreeNode,
 )
 from .frontier import StreamState, transport_capacity
-from .sketch import SKETCH_MERGE, sketch_identity_like
+from .sketch import merge_stacks, sketch_identity_like
 from .source import ChunkSource
 
 __all__ = ["stream_induce_worker"]
@@ -77,50 +87,92 @@ _CKPT_ALGO = "scalparc-streaming"
 
 
 # ----------------------------------------------------------------------
-# collective state: globalize counts + sketches in one fused batch
+# sketches to their scorer, winners to everyone
 # ----------------------------------------------------------------------
 
 
-def _globalize(comm: Communicator, state: StreamState,
-               with_sketches: bool = True, tight: bool = True):
-    """One fused rendezvous globalizing the whole frontier: per-entry
-    class totals (SUM) and every open (node, attribute) sketch
-    (SKETCH_MERGE).  Returns ``(global_counts, open_fids, group_of,
-    row_of, stacks)``: open leaf ``open_fids[i]``'s global sketches are
-    ``stacks[group_of[i]][row_of[i]]``, an ``(n_attrs, cap, 1+c)`` slab.
+def _cap_runs(caps: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(lo, hi, cap)`` of every run of equal capacity in sorted
+    ``caps``: the groups a share of nodes travels and is folded in."""
+    cuts = np.flatnonzero(np.diff(caps, prepend=0, append=0)).tolist()
+    return [(lo, hi, int(caps[lo])) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    ``with_sketches=False`` reduces only the class totals — the cheap
-    epoch heartbeat when no growth can happen this round (finalize-only
-    mode mid-stream), where shipping frontier sketches would buy nothing.
 
-    ``tight=True`` trims each open node's sketch stack to its
-    :func:`transport_capacity` before the reduce — ``n_global`` holds
-    *global* totals (set from prior reductions) so every rank derives
-    the same grouping, and deep frontier nodes (few records, mostly-NaN
-    padding) stop paying full-capacity freight.  Callers must pass
-    ``tight=False`` when records were ingested since the counts were
-    last refreshed (the first round of a mid-stream grow pass): a stale
-    bound could force compression the full capacity would not.
+def _scorer_shares(caps: np.ndarray, size: int) -> list[np.ndarray]:
+    """Per rank, the positions of the scored nodes it scores — position
+    ``j`` goes to rank ``j % size`` — ordered by transport capacity
+    ``caps``, so a share travels and is folded as contiguous runs."""
+    return [j[np.argsort(caps[j], kind="stable")]
+            for j in (np.arange(r, len(caps), size) for r in range(size))]
+
+
+def _sketches_to_scorers(comm: Communicator, state: StreamState,
+                         fids: np.ndarray, caps: np.ndarray,
+                         shares: list) -> list:
+    """Send the local sketches of scored leaves ``fids`` to their
+    scorers and fold what arrives.
+
+    One ``alltoallv`` block per destination holds its share's capacity
+    runs back to back, so the block a rank sends itself never travels.
+    Returns ``(positions, stack)`` per run of this rank's share: the
+    run's positions in ``fids`` and their global ``(n, n_attrs, cap,
+    1+c)`` sketches — every rank's block folded in rank order by
+    :func:`merge_stacks`, which merges cell by cell, so these are the
+    same rows a fold of the whole frontier would give.
     """
-    open_fids = np.flatnonzero(state.open_) if with_sketches \
-        else np.empty(0, dtype=np.int64)
-    caps = transport_capacity(state.n_global[open_fids], state.capacity) \
-        if tight else np.full(len(open_fids), state.capacity)
-    group_caps, group_of = np.unique(caps, return_inverse=True)
-    row_of = np.empty(len(open_fids), dtype=np.int64)
+    got = comm.alltoallv([np.concatenate([np.empty(0)] + [
+        state.gather(fids[share[lo:hi]], cap).ravel()
+        for lo, hi, cap in _cap_runs(caps[share])]) for share in shares])
+    mine, folded, off = shares[comm.rank], [], 0
+    for lo, hi, cap in _cap_runs(caps[mine]):
+        shape = (hi - lo, state.n_attrs, cap, 1 + state.n_classes)
+        size = int(np.prod(shape))
+        folded.append((mine[lo:hi], merge_stacks(
+            [block[off:off + size].reshape(shape) for block in got])))
+        off += size
+    return folded
+
+
+def _winners_to_everyone(comm: Communicator, state: StreamState,
+                         shares: list, folded: list, caps: np.ndarray,
+                         totals: np.ndarray, config: InductionConfig):
+    """Score this rank's share, keep what :func:`accepted_splits` takes,
+    and share the winners; returns ``(split, best, cells)``: every
+    accepted position (ascending), its ``[score, attr, third]`` row and
+    its winning attribute's global sketch, padded to the largest cap.
+
+    One ``allgatherv`` carries each rank's candidate rows in share order
+    — a rejected node's as ``NO_CANDIDATE`` — followed by the winning
+    cells of its accepted nodes, each at its own capacity; the shares
+    are known everywhere, so every rank can take the result apart.
+    """
     width = 1 + state.n_classes
-    with comm.fused() as batch:
-        fut_counts = batch.allreduce(state.local_counts, SUM)
-        futures = []
-        for g, cap in enumerate(group_caps.tolist()):
-            members = np.flatnonzero(group_of == g)
-            row_of[members] = np.arange(len(members))
-            futures.append(batch.allreduce(
-                state.gather(open_fids[members], cap).reshape(
-                    -1, cap, width), SKETCH_MERGE))
-    stacks = [fut.result().reshape(-1, state.n_attrs, cap, width)
-              for fut, cap in zip(futures, group_caps.tolist())]
-    return fut_counts.result(), open_fids, group_of, row_of, stacks
+    rows, cells = [np.empty(0)], []
+    for j, stack in folded:
+        best = _score_nodes(stack, totals[j], state.schema, config)
+        ok = accepted_splits(best, totals[j], np.ones(len(j), dtype=bool),
+                             config)
+        best[~ok] = np.inf
+        rows.append(best.ravel())
+        cells.append(stack[ok, best[ok, 1].astype(np.int64)].ravel())
+    got = comm.allgatherv(np.concatenate(rows + cells))
+
+    best, pieces, off = pack_candidates(len(caps)), [], 0
+    for share in shares:
+        best[share] = got[off:off + 3 * len(share)].reshape(-1, 3)
+        off += 3 * len(share)
+        won = share[np.isfinite(best[share, 0])]
+        for lo, hi, cap in _cap_runs(caps[won]):
+            size = (hi - lo) * cap * width
+            pieces.append((won[lo:hi], got[off:off + size].reshape(
+                hi - lo, cap, width)))
+            off += size
+    split = np.flatnonzero(np.isfinite(best[:, 0]))
+    out = sketch_identity_like(np.empty((len(split), int(caps.max()),
+                                         width)))
+    for won, piece in pieces:
+        out[np.searchsorted(split, won), : piece.shape[1]] = piece
+    return split, best[split], out
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +191,10 @@ def _count_cubes(cells: np.ndarray, n_values: int) -> np.ndarray:
     return cubes
 
 
-def _score_nodes(stack: np.ndarray, rows: np.ndarray, totals: np.ndarray,
-                 schema: Schema, config: InductionConfig) -> np.ndarray:
-    """Best candidate split ``[score, attr, third]`` of every node
-    ``stack[rows]``, scored from its global sketches in one pass per
+def _score_nodes(stack: np.ndarray, totals: np.ndarray, schema: Schema,
+                 config: InductionConfig) -> np.ndarray:
+    """Best candidate split ``[score, attr, third]`` of every node of
+    ``stack``, scored from its global sketches in one pass per
     attribute.
 
     Reproduces the batch FindSplit semantics exactly when the sketches
@@ -152,10 +204,10 @@ def _score_nodes(stack: np.ndarray, rows: np.ndarray, totals: np.ndarray,
     in schema order and replace a node's best only when strictly better,
     which is the canonical (score, attribute, threshold) order.
     """
-    out = pack_candidates(len(rows))
+    out = pack_candidates(len(stack))
     totals = totals.astype(np.float64)
     for attr, spec in enumerate(schema):
-        cells = stack[rows, attr]
+        cells = stack[:, attr]
         if spec.is_continuous:
             # boundary b splits below row b+1's value: valid iff occupied
             node, b = np.nonzero(np.isfinite(cells[:, 1:, 0]))
@@ -340,7 +392,7 @@ def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
             (leaf, split, ci) for ci, leaf in enumerate(split.children))
 
     # sketches of the open children, one block per transport capacity
-    # (the layout the next round sends): regroup the presort by child
+    # (the runs the next round sends in): regroup the presort by child
     wanted = np.flatnonzero(~closed)
     if len(wanted) == 0:
         state.adopt([])
@@ -359,13 +411,12 @@ def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
     for a_order in order[1]:
         take, offsets = kernels.stable_regroup(key[a_order], len(wanted))
         regrouped.append(a_order[take])
-    cuts = np.flatnonzero(np.diff(caps, prepend=0, append=0))
     blocks = []
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    for lo, hi, cap in _cap_runs(caps):
         nodes = np.repeat(np.arange(hi - lo), np.diff(offsets[lo:hi + 1]))
         blocks.append((base + wanted[lo:hi], state.sketch_block(
             nodes, [o[offsets[lo]:offsets[hi]] for o in regrouped],
-            hi - lo, int(caps[lo]))))
+            hi - lo, cap)))
     state.adopt(blocks)
     return base + wanted, regrouped
 
@@ -373,9 +424,10 @@ def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
 def _grow_rounds(comm: Communicator, state: StreamState,
                  config: InductionConfig, *, finalize: bool,
                  grow_threshold: int, reopen_delta: float) -> None:
-    """Globalize, then split every qualifying frontier node; repeat on
-    the fresh children until a round makes no split.  Each round handles
-    the whole frontier in array passes.
+    """Reduce the class totals, score every qualifying frontier node on
+    its scorer, then split the winners everywhere; repeat on the fresh
+    children until a round makes no split.  Each round handles the whole
+    frontier in array passes.
 
     ``finalize`` applies the batch termination rules (purity, minimum
     records, depth cap, minimum improvement) and closes failing nodes —
@@ -391,12 +443,19 @@ def _grow_rounds(comm: Communicator, state: StreamState,
     tight = finalize
     order = None
     while True:
-        with timed_phase(comm, STREAM_SKETCH):
-            g_counts, fids, group_of, row_of, stacks = _globalize(
-                comm, state, with_sketches=growing, tight=tight)
+        # leaves the refresh below reopens are not in this round's set
+        fids = np.flatnonzero(state.open_)
+        # a sketch travels trimmed to the power of two covering its
+        # node's *global* count as of the last refresh — every rank
+        # derives the same caps, and deep nodes stop paying full-capacity
+        # freight; a count stale since an ingest could force compression
+        # the full capacity would not, hence ``tight``
+        caps = transport_capacity(state.n_global[fids], state.capacity) \
+            if tight else np.full(len(fids), state.capacity)
         tight = True    # refresh below re-syncs every count; no ingest
+        with timed_phase(comm, STREAM_SKETCH):
+            g_counts = comm.allreduce(state.local_counts, SUM)
         with timed_phase(comm, STREAM_GROW):
-            # leaves reopened here were not globalized: sketch next round
             _refresh_frontier(state, g_counts, reopen_delta)
             if not growing:
                 # finalize-only growth: the epoch heartbeat reduces just
@@ -412,38 +471,24 @@ def _grow_rounds(comm: Communicator, state: StreamState,
             scored = np.flatnonzero(ready & ~done)
             if len(scored) == 0:
                 return
-            fids, totals = fids[scored], totals[scored]
-            group_of, row_of = group_of[scored], row_of[scored]
-            # scoring reads only globalized state, so each rank scores a
-            # round-robin share of the frontier and one BEST_SPLIT
-            # allreduce shares the winners — replicating the scoring
-            # pass on every rank would serialize it p times over
-            cand = pack_candidates(len(fids))
-            mine = np.arange(comm.rank, len(fids), comm.size)
-            for g, stack in enumerate(stacks):
-                j = mine[group_of[mine] == g]
-                if len(j):
-                    cand[j] = _score_nodes(stack, row_of[j], totals[j],
-                                           state.schema, config)
-            cand = comm.allreduce(cand, BEST_SPLIT)
-            ok = accepted_splits(cand, totals,
-                                 np.ones(len(fids), dtype=bool), config)
+            fids, totals, caps = fids[scored], totals[scored], caps[scored]
+        # each node's sketches go to the one rank that scores it, and
+        # only the winners come back — replicating the fold and the
+        # scoring pass on every rank would serialize them p times over
+        shares = _scorer_shares(caps, comm.size)
+        with timed_phase(comm, STREAM_SKETCH):
+            folded = _sketches_to_scorers(comm, state, fids, caps, shares)
+        with timed_phase(comm, STREAM_GROW):
+            split, best, cells = _winners_to_everyone(
+                comm, state, shares, folded, caps, totals, config)
             if finalize:
-                _close_leaves(state, fids[~ok], totals[~ok])
-            if not ok.any():
+                rejected = np.ones(len(fids), dtype=bool)
+                rejected[split] = False
+                _close_leaves(state, fids[rejected], totals[rejected])
+            if len(split) == 0:
                 return
-            split = np.flatnonzero(ok)
-            attr = cand[split, 1].astype(np.int64)
-            cells = sketch_identity_like(np.empty(
-                (len(split), max(s.shape[2] for s in stacks),
-                 1 + state.n_classes)))
-            for g, stack in enumerate(stacks):
-                j = np.flatnonzero(group_of[split] == g)
-                cells[j, : stack.shape[2]] = \
-                    stack[row_of[split[j]], attr[j]]
-            order = _split_nodes(state, fids[split], cand[split],
-                                 totals[split], cells, config, finalize,
-                                 order)
+            order = _split_nodes(state, fids[split], best, totals[split],
+                                 cells, config, finalize, order)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ A *sketch* summarizes one tree node's view of one attribute as a padded
   integers carried in float64 (exact up to 2**53), so merged counts are
   bit-exact.
 
-The fixed padded shape is what lets a whole frontier's sketches ride one
-fused ``allreduce`` as a single ``(n_node·n_attr, capacity, 1+c)`` stack
-under the :data:`SKETCH_MERGE` operator — the streaming analogue of the
-batch driver's per-level FindSplit collectives.
+The fixed padded shape is what lets a group of nodes' sketches travel as
+one ``(n_node, n_attr, capacity, 1+c)`` block, and lets the rank that
+scores those nodes fold every rank's block in one :func:`merge_stacks`
+pass — the streaming analogue of ScalParC reducing a level's count
+matrices to the processor that scores them.
 
 **Losslessness.**  While every (node, attribute) pair holds at most
 ``capacity`` distinct values, merging is a pure union-with-summed-counts
@@ -36,6 +37,7 @@ __all__ = [
     "build_sketch_stack",
     "empty_sketch",
     "merge_sketches",
+    "merge_stacks",
     "sketch_entries",
     "sketch_from_entries",
     "sketch_identity_like",
@@ -166,22 +168,26 @@ def merge_sketches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pad(_compress(entries, a.shape[0]), a.shape[0])
 
 
-def _fold_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
-    """Merge any number of ``(..., capacity, 1+c)`` sketch stacks at once:
-    every leading-axis cell is one (node, attribute) pair and merges
-    independently (``cellwise=False`` — fusion keeps the trailing
-    ``(capacity, 1+c)`` layout intact).
+def merge_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
+    """Merge any number of equally shaped ``(..., capacity, 1+c)`` sketch
+    stacks at once: every leading-axis cell is one (node, attribute)
+    pair and merges independently of every other cell, so merging a
+    subset of the cells gives exactly those rows of the full merge —
+    lossy cells included.  A single stack comes back as is: a valid
+    stack (sorted distinct values within capacity) is its own merge.
 
     One flat lexsort/reduceat pass merges every cell of every rank's
-    stack together (a frontier of hundreds of (node, attribute) pairs
-    folds per collective, so a per-cell Python loop — or a per-rank
-    pairwise chain that re-sorts its accumulator p−1 times — would
-    dominate the whole epoch); only cells whose union overflows capacity
-    fall back to per-cell compression (:func:`_scatter_cells`).  Union-with-summed-counts is
-    order-independent, so the n-way result matches the pairwise fold
-    exactly whenever no intermediate union overflows (the lossless
-    regime the differential tests pin).
+    stack together (a scorer folds hundreds of (node, attribute) pairs
+    per round, so a per-cell Python loop — or a per-rank pairwise chain
+    that re-sorts its accumulator p−1 times — would dominate the whole
+    epoch); only cells whose union overflows capacity fall back to
+    per-cell compression (:func:`_scatter_cells`).  Union-with-summed-
+    counts is order-independent, so the n-way result matches the
+    pairwise fold exactly whenever no intermediate union overflows (the
+    lossless regime the differential tests pin).
     """
+    if len(stacks) == 1:
+        return stacks[0]
     first = stacks[0]
     capacity, width = first.shape[-2], first.shape[-1]
     flats = [s.reshape(-1, capacity, width) for s in stacks]
@@ -209,8 +215,8 @@ def _fold_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
 
 
 def _combine(acc: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Binary sketch-stack merge (the scan/pairwise form of the fold)."""
-    return _fold_stacks([acc, contrib])
+    """Binary sketch-stack merge (the pairwise form of the fold)."""
+    return merge_stacks([acc, contrib])
 
 
 def sketch_identity_like(template: np.ndarray) -> np.ndarray:
@@ -220,12 +226,12 @@ def sketch_identity_like(template: np.ndarray) -> np.ndarray:
     return out
 
 
-#: allreduce operator globalizing frontier sketch stacks; couples the
-#: cells of each (capacity, 1+c) summary, so fusion must not flatten it
+#: the pairwise sketch-stack merge as a reduction operator (ingest folds
+#: a chunk's sketches into the stored ones with it); couples the cells of
+#: each (capacity, 1+c) summary, so fusion must not flatten it
 SKETCH_MERGE = ReduceOp(
     "sketch_merge",
     _combine,
     identity_like=sketch_identity_like,
     cellwise=False,
-    fold_many=_fold_stacks,
 )

@@ -20,6 +20,7 @@ from repro.core import InductionConfig, ScalParC
 from repro.core.config import SKETCH_SIZE_ENV, STREAM_CHUNK_ENV
 from repro.core.criteria import best_categorical_split
 from repro.core.kernels import forced_kernel_mode, split_scores
+from repro.core.phases import STREAM_SKETCH
 from repro.core.splits import NO_CANDIDATE, candidate_beats, encode_mask
 from repro.datagen import paper_dataset
 from repro.datagen.schema import (
@@ -29,15 +30,22 @@ from repro.datagen.schema import (
     Dataset,
     Schema,
 )
-from repro.runtime import CheckpointConfig, TraceCollector, run_spmd
+from repro.runtime import (
+    CheckpointConfig,
+    TraceCollector,
+    payload_nbytes,
+    run_spmd,
+)
 from repro.streaming import (
     ChunkSource,
     build_sketch,
     empty_sketch,
     merge_sketches,
+    merge_stacks,
     sketch_entries,
+    sketch_identity_like,
 )
-from repro.streaming import induction
+from repro.streaming import induction, sketch
 from repro.streaming.frontier import StreamState
 from repro.streaming.sketch import build_sketch_stack
 
@@ -94,6 +102,35 @@ def test_empty_sketch_merges_as_identity():
     sk = build_sketch(np.array([1.0, 2.0]), np.array([0, 1]), 2, 16)
     out = merge_sketches(sk, empty_sketch(16, 2))
     assert np.array_equal(sketch_entries(out), sketch_entries(sk))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_contribs=st.integers(1, 5),
+       capacity=st.sampled_from([4, 8, 16]))
+def test_merge_stacks_merges_cell_by_cell(seed, n_contribs, capacity):
+    """Folding any subset of the leading-axis cells gives exactly those
+    rows of the whole fold — what lets a scorer fold only its own nodes.
+    Cells run from empty through lossless to over capacity (compressed
+    on build, and again where the union overflows); a contribution may
+    be empty throughout."""
+    rng = np.random.default_rng(seed)
+    n_nodes, n_attrs, c = 6, 2, 2
+    stacks = []
+    for _ in range(n_contribs):
+        stack = sketch_identity_like(
+            np.empty((n_nodes, n_attrs, capacity, 1 + c)))
+        if rng.random() >= 0.25:
+            for k, a in np.ndindex(n_nodes, n_attrs):
+                n = int(rng.integers(0, 3 * capacity))
+                values = rng.integers(0, int(rng.integers(1, 4 * capacity)),
+                                      n) / 2.0
+                stack[k, a] = build_sketch(values, rng.integers(0, c, n), c,
+                                           capacity)
+        stacks.append(stack)
+    whole = merge_stacks(stacks)
+    cells = rng.permutation(n_nodes)[: int(rng.integers(0, n_nodes + 1))]
+    np.testing.assert_array_equal(
+        merge_stacks([stack[cells] for stack in stacks]), whole[cells])
 
 
 def test_chunk_source_partitions_in_record_order():
@@ -221,7 +258,7 @@ def test_batched_scorer_matches_per_node_oracle(criterion, subsets, mode,
     stack, totals = _random_sketch_stack(rng, 9, n_classes, cap)
     rows = rng.permutation(len(stack))[:7]      # a rank's share, any order
     with forced_kernel_mode(mode):
-        got = induction._score_nodes(stack, rows, totals[rows], schema,
+        got = induction._score_nodes(stack[rows], totals[rows], schema,
                                      config)
         want = np.array([
             _best_from_sketches(list(stack[k]), totals[k], schema, config)[0]
@@ -241,7 +278,7 @@ def test_batched_scorer_tie_breaks():
     stack = np.stack([np.stack([sym, sym]), np.stack([one, one]),
                       np.stack([empty_sketch(8, 2)] * 2)])
     totals = np.array([[2, 2], [1, 1], [0, 0]])
-    got = induction._score_nodes(stack, np.arange(3), totals, schema, config)
+    got = induction._score_nodes(stack, totals, schema, config)
     assert got[0, 1] == 0.0 and got[0, 2] == 1.0    # attr 0, threshold 1
     assert np.all(np.isinf(got[1:]))
     for k in range(3):
@@ -553,7 +590,8 @@ _MODES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend",
+                         ["thread", "process", "cooperative", "tcp"])
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
 @pytest.mark.parametrize("mode", sorted(_MODES))
 def test_eager_lossy_and_drift_trees_are_pinned(mode, nprocs, backend):
@@ -590,24 +628,106 @@ def test_drift_stream_reopens_and_resplits(monkeypatch):
     assert seen["reopened"] > 0 and seen["uncovered"] > 0, seen
 
 
-def test_traced_stream_payloads_match_across_backends():
-    """Same collectives, same bytes: per rank, the thread and process
-    engines see identical payload and result digests for every Stream.*
-    collective, and both traces pass the conformance checker."""
+def _traced_stream_digests(backend: str) -> list:
+    """Per rank, ``(op, phase, level, payload digest, result digest)`` of
+    every Stream.* collective of one eager streamed fit; the trace must
+    pass the conformance checker."""
     ds = paper_dataset(1500, "F5", seed=9)
     cfg = _stream_cfg(sketch_size=64, stream_grow_records=400)
-    digests = {}
-    for backend in ("thread", "process"):
-        collector = TraceCollector()
-        ScalParC(2, cfg, machine=None, backend=backend).fit_stream(
-            ds, trace=collector)
-        collector.check().raise_if_failed()
-        digests[backend] = [
-            [(ev.op, ev.phase, ev.level, ev.payload_digest,
+    collector = TraceCollector()
+    ScalParC(2, cfg, machine=None, backend=backend).fit_stream(
+        ds, trace=collector)
+    collector.check().raise_if_failed()
+    return [[(ev.op, ev.phase, ev.level, ev.payload_digest,
               ev.result_digest) for ev in collector.events_of(rank)]
             for rank in range(2)]
-    assert digests["thread"][0], "no collectives traced"
-    assert digests["thread"] == digests["process"]
+
+
+def test_traced_stream_payloads_match_across_backends():
+    """Same collectives, same bytes: per rank, every engine sees the
+    thread engine's payload and result digests for every Stream.*
+    collective."""
+    reference = _traced_stream_digests("thread")
+    assert reference[0], "no collectives traced"
+    for backend in ("process", "cooperative"):
+        assert _traced_stream_digests(backend) == reference, backend
+
+
+@pytest.mark.tcp
+def test_traced_stream_payloads_match_on_tcp():
+    assert _traced_stream_digests("tcp") == _traced_stream_digests("thread")
+
+
+#: calls the spies of the traffic test recorded in *this* process
+_SPIED: dict[str, list] = {"merge": [], "fold": [], "score": []}
+
+
+def _spied_stream_worker(comm, ds, cfg):
+    """One streamed fit on a forked rank; returns what its spies saw."""
+    for calls in _SPIED.values():
+        calls.clear()
+    induction.stream_induce_worker(comm, ds, cfg)
+    return {key: list(calls) for key, calls in _SPIED.items()}
+
+
+def _spy(monkeypatch, module, name, key, record):
+    real = getattr(module, name)
+
+    def spy(*args):
+        _SPIED[key].append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("nprocs", [2, 3])
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
+                                                           monkeypatch):
+    """A finalize round moves sketches in exactly one all-to-all, after
+    the class-count allreduce: a rank receives one block per rank for
+    the nodes it scores and nothing else, folds them itself, and the
+    engine parent never merges a sketch (no ``sketch_merge`` reduction
+    is left for it to run)."""
+    for calls in _SPIED.values():
+        calls.clear()
+    _spy(monkeypatch, sketch, "merge_stacks", "merge", len)
+    _spy(monkeypatch, induction, "merge_stacks", "fold",
+         lambda blocks: [block.shape for block in blocks])
+    _spy(monkeypatch, induction, "_score_nodes", "score",
+         lambda stack, *rest: stack.shape)
+    ds = paper_dataset(1500, "F5", seed=9)
+    collector = TraceCollector()
+    spied = run_spmd(nprocs, _spied_stream_worker,
+                     args=(ds, _stream_cfg(sketch_size=64)),
+                     backend=backend, trace=collector)
+    collector.check().raise_if_failed()
+    assert not any(_SPIED.values()), "the engine parent merged sketches"
+
+    final = max(ev.level for ev in collector.events_of(0))
+    scored = []
+    for rank, seen in enumerate(spied):
+        events = collector.events_of(rank)
+        assert not [ev.op for ev in events if "sketch_merge" in ev.op]
+        ops = [ev.op for ev in events
+               if ev.phase == STREAM_SKETCH and ev.level == final]
+        # one count allreduce + one alltoallv per round; the last round
+        # may stop after the allreduce (nothing left to score)
+        assert len(ops) >= 2
+        assert ops == (["allreduce(op=sum)", "alltoallv"] * len(ops))[
+            :len(ops)], ops
+        received = sum(ev.result_nbytes - payload_nbytes([])
+                       for ev in events if ev.kind == "alltoallv")
+        folds = seen["fold"]
+        assert folds and all(len(f) == nprocs and len(set(f)) == 1
+                             for f in folds)
+        assert received == sum(nprocs * 8 * int(np.prod(f[0]))
+                               for f in folds)
+        assert sorted(f[0] for f in folds) == sorted(seen["score"])
+        scored.append(sum(shape[0] for shape in seen["score"]))
+    # round-robin: shares differ by at most one node per round
+    rounds = sum(ev.kind == "alltoallv" for ev in collector.events_of(0))
+    assert max(scored) - min(scored) <= rounds
 
 
 def test_midgrow_kill_and_resume_matches_one_shot(tmp_path):
