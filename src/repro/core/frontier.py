@@ -23,8 +23,8 @@ loop).  Nothing here costs per node: a level is emitted as one block of
 columns in the breadth-first layout of
 :class:`~repro.tree.compile.CompiledTree`, the finished tree is those
 blocks concatenated, and node objects are built from the table only
-where somebody reads ``tree.root``.  The streaming driver keeps its own
-array-form frontier but calls the same two rule functions; the serial
+where somebody reads ``tree.root``.  The streaming driver keeps the tree
+as per-fid rows of the same columns and calls the same two rules; the serial
 reference and the node-at-a-time SPRINT engine stay independent on
 purpose — they are the oracles.
 """

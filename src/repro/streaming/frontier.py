@@ -1,11 +1,14 @@
-"""One rank's streaming-fit state: retained records, frontier, sketches.
+"""One rank's streaming-fit state: retained records, tree rows, sketches.
 
-The tree under construction is always complete and valid: every frontier
-position is materialized as a Leaf.  Leaf ``fid`` is described by
-``entries[fid] = (leaf, parent, slot)`` (``None`` once it has split, so
-fids stay stable) plus one row of the per-fid arrays: depth, open flag
-(open = may still grow; closed = terminal unless a distribution shift
-reopens it), closing class distribution, last known global record count,
+The tree under construction is a table: node ``fid`` (the stream's
+stable node number) is one row of the columns
+:func:`~repro.tree.compile.assemble_table` takes, plus its first child's
+fid and a padded slot row (``[0, 1]`` for a continuous split,
+``value_to_child`` for a categorical one).  A split rewrites its leaf's
+row and appends its children as consecutive fids, and
+:meth:`StreamState.table` numbers the fids breadth-first.  Beside them,
+per fid: depth, the open flag (closed = terminal unless a distribution
+shift reopens it; a closed leaf keeps the counts it closed with) and
 this rank's class counts.  Retained records carry their fid in
 ``node_of``.
 
@@ -21,16 +24,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..datagen.schema import Dataset, Schema
-from ..tree.model import Leaf, TreeNode
+from ..tree.compile import KIND_CONTINUOUS, KIND_LEAF, CompiledTree, \
+    assemble_table
 from .sketch import SKETCH_MERGE, build_sketch_stack, sketch_identity_like
 
 __all__ = ["StreamState", "transport_capacity"]
+
+#: the per-fid columns every rank holds alike (an epoch cut's shared
+#: payload), assemble_table's first; ``local_counts`` is per rank
+ROWS = ("kind", "feature", "threshold", "class_counts", "n_records",
+        "leaf_label", "default_child", "n_children", "first_child", "slots",
+        "depth", "open_")
 
 
 def transport_capacity(n: np.ndarray, full: int) -> np.ndarray:
     """Rows a node with *n* global records needs on the wire: the next
     power of two covering ``n`` (bucketing keeps the number of distinct
-    stack shapes — hence fused reduces per round — logarithmic), clamped
+    stack shapes — hence capacity runs per round — logarithmic), clamped
     to ``[8, full]``.  A node holds at most ``n`` distinct values per
     attribute, so trimming the padded sketch to this bound is lossless.
     """
@@ -38,45 +48,24 @@ def transport_capacity(n: np.ndarray, full: int) -> np.ndarray:
     return np.minimum(pows[np.searchsorted(pows, np.minimum(n, full))], full)
 
 
-def _route_to_frontier(root: TreeNode, entries: list,
-                       columns: list, n: int) -> np.ndarray:
-    """fid of the frontier leaf each of the ``n`` records lands in."""
-    leaf_fid = {id(e[0]): fid for fid, e in enumerate(entries)
-                if e is not None}
-    out = np.empty(n, dtype=np.int64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(n))]
-    while stack:
-        node, pos = stack.pop()
-        if node.is_leaf:
-            out[pos] = leaf_fid[id(node)]
-            continue
-        child = node.route(columns[node.attr_index][pos])
-        for ci in range(len(node.children)):
-            sub = pos[child == ci]
-            if len(sub):
-                stack.append((node.children[ci], sub))
-    return out
-
-
 class StreamState:
-    """Retained records + frontier registry + local sketch blocks (see
-    the module docstring).  Open leaf ``fid``'s sketches sit in row
-    ``sk_row[fid]`` of block ``sk_blk[fid]`` (−1 for every other fid)."""
+    """Retained records + tree rows + local sketch blocks (see the module
+    docstring).  Open leaf ``fid``'s sketches sit in row ``sk_row[fid]``
+    of block ``sk_blk[fid]`` (−1 for every other fid)."""
 
     def __init__(self, schema: Schema, capacity: int):
         self.schema = schema
         self.n_attrs = len(schema)
         self.n_classes = c = schema.n_classes
         self.capacity = capacity
-        root_leaf = Leaf(label=0, n_records=0,
-                         class_counts=np.zeros(c, dtype=np.int64), depth=0)
-        self.root: TreeNode = root_leaf
-        self.entries: list[tuple | None] = [(root_leaf, None, 0)]
-        self.depth = np.zeros(1, dtype=np.int64)
-        self.open_ = np.ones(1, dtype=bool)
-        self.closed_dist = np.full((1, c), np.nan)
-        self.n_global = np.zeros(1, dtype=np.int64)
-        self.local_counts = np.zeros((1, c), dtype=np.int64)
+        # slots per feature: n_values if categorical, else 0 (a split's
+        # fanout is 2 then); feature −1 → a leaf's 0
+        self.widths = np.array([0 if spec.is_continuous else spec.n_values
+                                for spec in schema] + [0])
+        self.add_leaves(np.zeros((1, c), dtype=np.int64),
+                        np.zeros(1, dtype=np.int64),
+                        np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
+                        np.zeros((1, c), dtype=np.int64))
         self.columns: list[np.ndarray] = [
             np.empty(0, dtype=(np.float64 if spec.is_continuous
                                else np.int32))
@@ -88,14 +77,41 @@ class StreamState:
         self.adopt([(np.zeros(1, dtype=np.int64),
                      self.empty_block(1, capacity))])
 
-    def append_leaves(self, depth, open_, closed_dist, n_global,
-                      local_counts) -> None:
-        """Extend the per-fid arrays by a round's new children."""
-        self.depth = np.concatenate([self.depth, depth])
-        self.open_ = np.concatenate([self.open_, open_])
-        self.closed_dist = np.concatenate([self.closed_dist, closed_dist])
-        self.n_global = np.concatenate([self.n_global, n_global])
-        self.local_counts = np.concatenate([self.local_counts, local_counts])
+    def add_leaves(self, class_counts, leaf_label, depth, open_,
+                   local_counts) -> None:
+        """Append leaves as the next fids (a split's children, in child
+        order; the root on construction)."""
+        n = len(depth)
+        new = dict(
+            kind=np.full(n, KIND_LEAF, dtype=np.uint8),
+            feature=np.full(n, -1, dtype=np.int64),
+            threshold=np.full(n, np.nan), class_counts=class_counts,
+            n_records=class_counts.sum(axis=1), leaf_label=leaf_label,
+            default_child=np.zeros(n, dtype=np.int64),
+            n_children=np.zeros(n, dtype=np.int64),
+            first_child=np.zeros(n, dtype=np.int64),
+            slots=np.full((n, max(2, self.widths.max())), -1, dtype=np.int32),
+            depth=depth, open_=open_, local_counts=local_counts)
+        for name, col in new.items():
+            old = getattr(self, name, None)
+            setattr(self, name,
+                    col if old is None else np.concatenate([old, col]))
+
+    def table(self) -> tuple[CompiledTree, np.ndarray]:
+        """The tree as a :class:`CompiledTree`, and the fid of each of its
+        nodes.  A split's children are consecutive fids, so numbering
+        breadth-first is one gather per level."""
+        levels = [np.zeros(1, dtype=np.int64)]
+        while (k := self.n_children[levels[-1]]).any():
+            levels.append(np.arange(k.sum()) + np.repeat(
+                self.first_child[levels[-1]] - np.cumsum(k) + k, k))
+        fid = np.concatenate(levels)
+        rows = {name: getattr(self, name)[fid] for name in ROWS[:8]}
+        fanout = np.where(rows["kind"] == KIND_CONTINUOUS, 2,
+                          self.widths[rows["feature"]])
+        slots = self.slots[fid]
+        return assemble_table(self.schema, **rows, fanout=fanout, slot_child=(
+            slots[np.arange(slots.shape[1]) < fanout[:, None]])), fid
 
     def empty_block(self, n_nodes: int, cap: int) -> np.ndarray:
         return sketch_identity_like(np.empty(
@@ -119,7 +135,7 @@ class StreamState:
         retained records from position ``lo`` on — one lexsort per
         attribute (ingest, resume, reopen; grow rounds regroup a
         presorted order instead)."""
-        index = np.full(len(self.entries), -1, dtype=np.int64)
+        index = np.full(len(self.kind), -1, dtype=np.int64)
         index[fids] = np.arange(len(fids))
         nodes = index[self.node_of[lo:]]
         recs = lo + np.flatnonzero(nodes >= 0)
@@ -156,8 +172,8 @@ class StreamState:
                 kept.append((fids, arr) if live.all()
                             else (fids[live], arr[live]))
         self.blocks = kept + [b for b in new_blocks if len(b[0])]
-        self.sk_blk = np.full(len(self.entries), -1, dtype=np.int64)
-        self.sk_row = np.zeros(len(self.entries), dtype=np.int64)
+        self.sk_blk = np.full(len(self.kind), -1, dtype=np.int64)
+        self.sk_row = np.zeros(len(self.kind), dtype=np.int64)
         for i, (fids, _) in enumerate(self.blocks):
             self.sk_blk[fids] = i
             self.sk_row[fids] = np.arange(len(fids))
@@ -170,13 +186,14 @@ class StreamState:
         self.adopt([(fids, self.local_sketches(fids))])
 
     def ingest(self, block: Dataset) -> None:
-        """Route one epoch block into the frontier, extending the
-        retained set, per-entry local counts and open-leaf sketches."""
+        """Route one epoch block to its leaves through the tree's table,
+        extending the retained set, per-fid local counts and open-leaf
+        sketches."""
         n_new = block.n_records
         if n_new == 0:
             return
-        fids = _route_to_frontier(self.root, self.entries,
-                                  block.columns, n_new)
+        table, fid_of = self.table()
+        fids = fid_of[table.apply(np.column_stack(block.columns))]
         labels = block.labels.astype(np.int64)
         added = np.bincount(
             fids * self.n_classes + labels,

@@ -28,9 +28,10 @@ that scores them::
     Stream.sketch   — each scored node's local sketches to its scorer
                       (one alltoallv), folded there by merge_stacks
     Stream.grow     — the scorer scores its share (:func:`_score_nodes`)
-                      and keeps the accepted splits; the winners reach
-                      every rank (one allgatherv) and the whole frontier
-                      splits (:func:`_split_nodes`) in array passes
+                      and keeps the accepted splits; the winners, with
+                      the counts their splits need, reach every rank (one
+                      allgatherv) and the whole frontier splits
+                      (:func:`_split_nodes`) in array passes
 
 The class totals and the winners are global, so every rank builds an
 identical tree — exactly the batch driver's replication argument — while
@@ -39,8 +40,8 @@ a node's merged sketches exist only on its scorer.  With
 lossless sketches, the streamed tree is **bit-identical** to batch
 ScalParC's on the same record prefix; the differential suite pins this
 with ``structurally_equal``.  Scoring, splitting and the sketch builds
-run through the segment kernels; only tree-object creation walks the
-nodes one by one.
+run through the segment kernels, and the tree is per-fid table rows
+(:class:`~repro.streaming.frontier.StreamState`): no node object exists.
 """
 
 from __future__ import annotations
@@ -69,15 +70,10 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.reduction import SUM
 from ..runtime.tracing import tag_level
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
-from .frontier import StreamState, transport_capacity
-from .sketch import merge_stacks, sketch_identity_like
+from ..tree.compile import KIND_CATEGORICAL, KIND_CONTINUOUS, KIND_LEAF
+from ..tree.model import DecisionTree
+from .frontier import ROWS, StreamState, transport_capacity
+from .sketch import merge_stacks
 from .source import ChunkSource
 
 __all__ = ["stream_induce_worker"]
@@ -133,46 +129,65 @@ def _sketches_to_scorers(comm: Communicator, state: StreamState,
     return folded
 
 
+def _count_rows(state: StreamState, attr: np.ndarray) -> np.ndarray:
+    """The rows of a padded ``(n, W, c)`` count block (``W``: the slot
+    row width) that winners on attributes ``attr`` need: row 0, the left
+    child's class counts, of a continuous split; the ``n_values`` rows of
+    a categorical one's count matrix."""
+    return np.arange(state.slots.shape[1]) < np.maximum(
+        state.widths[attr], 1)[:, None]
+
+
+def _split_counts(state: StreamState, stack: np.ndarray,
+                  best: np.ndarray) -> np.ndarray:
+    """The :func:`_count_rows` of the accepted nodes of ``stack``
+    (winning rows ``best``), back to back: everything strictly below a
+    continuous threshold, or a categorical attribute's count matrix."""
+    attr = best[:, 1].astype(np.int64)
+    cells = stack[np.arange(len(stack)), attr]
+    cat = state.widths[attr] > 0
+    out = np.zeros((len(stack), state.slots.shape[1], state.n_classes))
+    out[cat] = _count_cubes(cells[cat], out.shape[1])
+    below = cells[~cat, :, 0] < best[~cat, 2, None]
+    out[~cat, 0] = (cells[~cat, :, 1:] * below[:, :, None]).sum(axis=1)
+    return out[_count_rows(state, attr)].ravel()
+
+
 def _winners_to_everyone(comm: Communicator, state: StreamState,
-                         shares: list, folded: list, caps: np.ndarray,
-                         totals: np.ndarray, config: InductionConfig):
+                         shares: list, folded: list, totals: np.ndarray,
+                         config: InductionConfig):
     """Score this rank's share, keep what :func:`accepted_splits` takes,
-    and share the winners; returns ``(split, best, cells)``: every
+    and share the winners; returns ``(split, best, counts)``: every
     accepted position (ascending), its ``[score, attr, third]`` row and
-    its winning attribute's global sketch, padded to the largest cap.
+    the ``(W, c)`` count block its split needs (:func:`_count_rows`).
 
     One ``allgatherv`` carries each rank's candidate rows in share order
-    — a rejected node's as ``NO_CANDIDATE`` — followed by the winning
-    cells of its accepted nodes, each at its own capacity; the shares
-    are known everywhere, so every rank can take the result apart.
+    — a rejected node's as ``NO_CANDIDATE`` — followed by the counts of
+    its accepted nodes, which the scorer already holds; the shares are
+    known everywhere and a row's attribute says how many counts follow,
+    so every rank can take the result apart.
     """
-    width = 1 + state.n_classes
-    rows, cells = [np.empty(0)], []
+    rows, counts = [np.empty(0)], []
     for j, stack in folded:
         best = _score_nodes(stack, totals[j], state.schema, config)
         ok = accepted_splits(best, totals[j], np.ones(len(j), dtype=bool),
                              config)
         best[~ok] = np.inf
         rows.append(best.ravel())
-        cells.append(stack[ok, best[ok, 1].astype(np.int64)].ravel())
-    got = comm.allgatherv(np.concatenate(rows + cells))
+        counts.append(_split_counts(state, stack[ok], best[ok]))
+    got = comm.allgatherv(np.concatenate(rows + counts))
 
-    best, pieces, off = pack_candidates(len(caps)), [], 0
+    best, off, c = pack_candidates(len(totals)), 0, state.n_classes
+    need = np.zeros((len(totals), state.slots.shape[1], c))
     for share in shares:
         best[share] = got[off:off + 3 * len(share)].reshape(-1, 3)
         off += 3 * len(share)
         won = share[np.isfinite(best[share, 0])]
-        for lo, hi, cap in _cap_runs(caps[won]):
-            size = (hi - lo) * cap * width
-            pieces.append((won[lo:hi], got[off:off + size].reshape(
-                hi - lo, cap, width)))
-            off += size
+        i, r = np.nonzero(_count_rows(state, best[won, 1].astype(np.int64)))
+        need[won[i], r] = got[off:off + c * len(i)].reshape(-1, c)
+        off += c * len(i)
     split = np.flatnonzero(np.isfinite(best[:, 0]))
-    out = sketch_identity_like(np.empty((len(split), int(caps.max()),
-                                         width)))
-    for won, piece in pieces:
-        out[np.searchsorted(split, won), : piece.shape[1]] = piece
-    return split, best[split], out
+    return split, best[split], np.rint(need[split]).astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -232,27 +247,18 @@ def _score_nodes(stack: np.ndarray, totals: np.ndarray, schema: Schema,
 
 
 def _sync_leaves(state: StreamState, fids: np.ndarray,
-                 totals: np.ndarray) -> np.ndarray:
+                 totals: np.ndarray) -> None:
     """Write fresh global class totals into leaves ``fids`` (an empty
-    leaf keeps its label); returns their record counts."""
+    leaf keeps its label)."""
     n = totals.sum(axis=1)
-    state.n_global[fids] = n
-    for fid, label, k, counts in zip(
-            fids.tolist(), np.argmax(totals, axis=1).tolist(), n.tolist(),
-            totals.astype(np.int64)):
-        leaf = state.entries[fid][0]
-        if k > 0:
-            leaf.label = label
-        leaf.n_records = k
-        leaf.class_counts = counts
-    return n
+    state.class_counts[fids] = totals
+    state.n_records[fids] = n
+    state.leaf_label[fids[n > 0]] = np.argmax(totals[n > 0], axis=1)
 
 
 def _close_leaves(state: StreamState, fids: np.ndarray,
                   totals: np.ndarray) -> None:
-    n = _sync_leaves(state, fids, totals)
-    has = n > 0
-    state.closed_dist[fids[has]] = totals[has] / n[has, None]
+    _sync_leaves(state, fids, totals)
     state.open_[fids] = False
     state.sk_blk[fids] = -1
 
@@ -260,73 +266,72 @@ def _close_leaves(state: StreamState, fids: np.ndarray,
 def _refresh_frontier(state: StreamState, g_counts: np.ndarray,
                       reopen_delta: float) -> None:
     """Sync leaf labels/counts with the fresh global totals; reopen
-    closed leaves whose class distribution drifted past the threshold."""
+    closed leaves whose class distribution drifted past the threshold
+    (a closed leaf keeps the counts it closed with until then)."""
     fids = np.flatnonzero(state.open_)
     _sync_leaves(state, fids, g_counts[fids])
     n = g_counts.sum(axis=1)
-    fids = np.flatnonzero(~np.isnan(state.closed_dist[:, 0]) & (n > 0))
+    fids = np.flatnonzero((state.kind == KIND_LEAF) & ~state.open_
+                          & (state.n_records > 0) & (n > 0))
     dist = g_counts[fids] / n[fids, None]
-    shift = 0.5 * np.abs(dist - state.closed_dist[fids]).sum(axis=1)
+    shift = 0.5 * np.abs(dist - state.class_counts[fids]
+                         / state.n_records[fids, None]).sum(axis=1)
     fids = fids[shift > reopen_delta]
     if len(fids):
         state.open_[fids] = True
-        state.closed_dist[fids] = np.nan
         _sync_leaves(state, fids, g_counts[fids])
         state.adopt([(fids, state.local_sketches(fids))])
 
 
 def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
-                 totals: np.ndarray, cells: np.ndarray,
+                 totals: np.ndarray, counts: np.ndarray,
                  config: InductionConfig, finalize: bool, order):
-    """Replace leaves ``fids`` with split nodes in one pass: re-route
-    their retained records, register every child as a new frontier leaf
+    """Split leaves ``fids`` in one pass: rewrite their rows as splits,
+    re-route their retained records, append every child as a new leaf
     and build the open children's sketches from the exact retained data.
 
-    ``best``/``totals``/``cells`` are aligned with ``fids``: the winning
-    candidate row, the global class totals and the global sketch of the
-    winning attribute (``(cap, 1+c)``, NaN-padded).  ``order`` is the
-    grow pass's presort — ``(covered fids, per-attribute record order
-    sorted by (node, value))`` or ``None`` — and the updated presort is
-    returned: a split only regroups it (stable, so value order survives).
+    ``best``/``totals``/``counts`` are aligned with ``fids``: the winning
+    candidate row, the global class totals and the ``(W, c)`` count block
+    the scorer sent (:func:`_count_rows`).  ``order`` is the grow pass's
+    presort — ``(covered fids, per-attribute record order sorted by
+    (node, value))`` or ``None`` — and the updated presort is returned: a
+    split only regroups it (stable, so value order survives).
 
     During finalize the child totals are final, so a child the batch
     rules would close next round (pure, under-mass, at the depth cap)
     closes *now* — identical labels and reopen state, but it never pays
     sketch construction or transport.
     """
-    schema, c = state.schema, state.n_classes
+    c = state.n_classes
     attr = best[:, 1].astype(np.int64)
     thr = best[:, 2]
-    cont = np.array([spec.is_continuous for spec in schema])[attr]
+    cont = state.widths[attr] == 0
 
     # categorical winners: child layout per node, then one dense
     # (node, value) → child table shared by counting and routing
     cat = np.flatnonzero(~cont)
-    widths = [schema[a].n_values for a in attr[cat].tolist()]
-    cubes = _count_cubes(cells[cat], max(widths, default=0))
-    v2c = np.full((len(fids), cubes.shape[1]), -1, dtype=np.int64)
+    v2c = np.full(counts.shape[:2], -1, dtype=np.int64)
     default = np.zeros(len(fids), dtype=np.int64)
     n_children = np.full(len(fids), 2, dtype=np.int64)
-    for matrix, i, width in zip(cubes, cat.tolist(), widths):
+    for i, width in zip(cat.tolist(), state.widths[attr[cat]].tolist()):
         # a binary-subset winner carries its mask in the third slot
         # (0.0: the multiway split), so every rank rebuilds the layout
         mask = decode_mask(thr[i], width) \
             if config.categorical_binary_subsets and thr[i] != 0.0 else None
         v2c[i, :width], n_children[i], default[i] = \
-            categorical_children_layout(matrix[:width], mask)
+            categorical_children_layout(counts[i, :width], mask)
     off = np.concatenate([[0], np.cumsum(n_children)])
     n_new = int(off[-1])
     child_counts = np.zeros((n_new, c), dtype=np.int64)
     k = np.flatnonzero(cont)
-    below = cells[k, :, 0] < thr[k, None]
-    child_counts[off[k]] = np.rint(
-        (cells[k, :, 1:] * below[:, :, None]).sum(axis=1))
-    child_counts[off[k] + 1] = totals[k] - child_counts[off[k]]
+    child_counts[off[k]] = counts[k, 0]
+    child_counts[off[k] + 1] = totals[k] - counts[k, 0]
     hit = v2c[cat] >= 0
-    np.add.at(child_counts, (off[cat, None] + v2c[cat])[hit], cubes[hit])
+    np.add.at(child_counts, (off[cat, None] + v2c[cat])[hit],
+              counts[cat][hit])
 
     # route the retained records of every splitting node at once
-    base = len(state.entries)
+    base = len(state.kind)
     index = np.full(base, -1, dtype=np.int64)
     index[fids] = np.arange(len(fids))
     node = index[state.node_of]
@@ -345,51 +350,32 @@ def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
     local_counts = np.bincount(child * c + state.labels[recs],
                                minlength=n_new * c).reshape(n_new, c)
 
-    # an empty child (possible only with lossy sketches) closes at once,
-    # inheriting the parent majority like the batch path
+    # each leaf row becomes its split (its counts are ``totals`` already:
+    # the round's refresh synced them); the children follow as new leaves,
+    # an empty one (possible only with lossy sketches) closed at once and
+    # labelled with the parent majority like the batch path
     parent = np.repeat(np.arange(len(fids)), n_children)
     n = child_counts.sum(axis=1)
     empty = n == 0
     labels = np.where(empty, np.argmax(totals, axis=1)[parent],
                       np.argmax(child_counts, axis=1))
-    depth = state.depth[fids]
-    child_depth = depth[parent] + 1
+    child_depth = state.depth[fids][parent] + 1
     closed = empty.copy()
     if finalize:
         closed |= terminal_nodes(child_counts, child_depth, config)
-    dist = np.full((n_new, c), np.nan)
-    has = closed & ~empty
-    dist[has] = child_counts[has] / n[has, None]
+    state.kind[fids] = np.where(cont, KIND_CONTINUOUS, KIND_CATEGORICAL)
+    state.feature[fids] = attr
+    state.threshold[fids] = np.where(cont, thr, np.nan)
+    state.leaf_label[fids] = -1
+    state.default_child[fids] = default
+    state.n_children[fids] = n_children
+    state.first_child[fids] = base + off[:-1]
+    state.slots[fids[cont], :2] = (0, 1)
+    state.slots[fids[cat]] = v2c[cat]
     state.open_[fids] = False
     state.sk_blk[fids] = -1
-    state.append_leaves(child_depth, ~closed, dist, n, local_counts)
-
-    # tree objects: the one per-node loop
-    leaves = [Leaf(label=label, n_records=k, class_counts=counts, depth=d)
-              for label, k, counts, d in zip(
-                  labels.tolist(), n.tolist(), child_counts,
-                  child_depth.tolist())]
-    for i, (fid, a, lo, hi) in enumerate(zip(
-            fids.tolist(), attr.tolist(), off[:-1].tolist(),
-            off[1:].tolist())):
-        shared = dict(attr_index=a, n_records=int(totals[i].sum()),
-                      class_counts=totals[i], depth=int(depth[i]),
-                      children=leaves[lo:hi])
-        if cont[i]:
-            split: TreeNode = ContinuousSplit(threshold=float(thr[i]),
-                                              **shared)
-        else:
-            split = CategoricalSplit(
-                value_to_child=v2c[i, :schema[a].n_values].astype(np.int32),
-                default_child=int(default[i]), **shared)
-        _, parent_node, parent_slot = state.entries[fid]
-        if parent_node is None:
-            state.root = split
-        else:
-            parent_node.children[parent_slot] = split
-        state.entries[fid] = None
-        state.entries.extend(
-            (leaf, split, ci) for ci, leaf in enumerate(split.children))
+    state.add_leaves(child_counts, labels, child_depth, ~closed,
+                     local_counts)
 
     # sketches of the open children, one block per transport capacity
     # (the runs the next round sends in): regroup the presort by child
@@ -450,7 +436,7 @@ def _grow_rounds(comm: Communicator, state: StreamState,
         # derives the same caps, and deep nodes stop paying full-capacity
         # freight; a count stale since an ingest could force compression
         # the full capacity would not, hence ``tight``
-        caps = transport_capacity(state.n_global[fids], state.capacity) \
+        caps = transport_capacity(state.n_records[fids], state.capacity) \
             if tight else np.full(len(fids), state.capacity)
         tight = True    # refresh below re-syncs every count; no ingest
         with timed_phase(comm, STREAM_SKETCH):
@@ -479,8 +465,8 @@ def _grow_rounds(comm: Communicator, state: StreamState,
         with timed_phase(comm, STREAM_SKETCH):
             folded = _sketches_to_scorers(comm, state, fids, caps, shares)
         with timed_phase(comm, STREAM_GROW):
-            split, best, cells = _winners_to_everyone(
-                comm, state, shares, folded, caps, totals, config)
+            split, best, counts = _winners_to_everyone(
+                comm, state, shares, folded, totals, config)
             if finalize:
                 rejected = np.ones(len(fids), dtype=bool)
                 rejected[split] = False
@@ -488,7 +474,7 @@ def _grow_rounds(comm: Communicator, state: StreamState,
             if len(split) == 0:
                 return
             order = _split_nodes(state, fids[split], best, totals[split],
-                                 cells, config, finalize, order)
+                                 counts, config, finalize, order)
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +494,7 @@ def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
     }
     shared_payload = {
         **config.cut_header(_CKPT_ALGO, state.schema, streaming=True),
-        "tree": (state.root, state.entries),
-        "frontier": (state.depth, state.open_, state.closed_dist,
-                     state.n_global),
+        "rows": {name: getattr(state, name) for name in ROWS},
         "cursor": int(cursor),
         "n_seen": int(n_seen),
     }
@@ -530,18 +514,16 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
     loaded = LoadedCheckpoint.open(source)
     shared = loaded.expect(
         **config.cut_header(_CKPT_ALGO, schema, streaming=True))
-    if "frontier" not in shared:
+    if "rows" not in shared:
         raise CheckpointError(
-            f"checkpoint {loaded.manifest_path!r} predates the array "
-            "frontier registry of this streaming driver; restart the stream"
+            f"checkpoint {loaded.manifest_path!r} predates the table rows "
+            "of this streaming driver (its tree is a node graph); restart "
+            "the stream"
         )
 
     state = StreamState(schema, capacity)
-    root, entries = shared["tree"]
-    state.root = root
-    state.entries = entries
-    state.depth, state.open_, state.closed_dist, state.n_global = \
-        shared["frontier"]
+    for name in ROWS:
+        setattr(state, name, shared["rows"][name])
 
     payloads = loaded.all_rank_payloads()
     if loaded.n_ranks == comm.size:
@@ -566,8 +548,8 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         state.node_of = all_node_of[lo:hi]
         state.local_counts = np.bincount(
             state.node_of * state.n_classes + state.labels,
-            minlength=len(entries) * state.n_classes,
-        ).reshape(len(entries), state.n_classes)
+            minlength=len(state.kind) * state.n_classes,
+        ).reshape(len(state.kind), state.n_classes)
     state.rebuild_sketches()
     return state, loaded.level, int(shared["cursor"]), int(shared["n_seen"])
 
@@ -655,4 +637,4 @@ def stream_induce_worker(
             # anyway so no ingested work is ever lost
             _save_cut(comm, ckpt, epoch, state, cursor, n_seen, config)
         ckpt.finalize(comm)
-    return DecisionTree(schema=schema, root=state.root)
+    return state.table()[0].to_tree()

@@ -146,12 +146,12 @@ class DecisionTree:
     A tree lives in two forms that describe the same structure: the node
     objects under :attr:`root`, and the breadth-first column table
     (:class:`~repro.tree.compile.CompiledTree`).  Either can be given;
-    the other is derived on first use and kept.  The level-synchronous
-    inducers hand over a ``table`` and so does unpickling — the table is
-    the pickled form, so no node object ever crosses a pipe, a socket or
-    a checkpoint and depth is no obstacle — and such a tree builds its
-    nodes only when ``root`` is first read.  The oracles, the streaming
-    driver, export and pruning construct ``root`` and compile on demand.
+    the other is derived on first use and kept.  Both induction drivers
+    hand over a ``table`` and so does unpickling — the table is the
+    pickled form, so no node object ever crosses a pipe, a socket or a
+    checkpoint and depth is no obstacle — and such a tree builds its
+    nodes only when ``root`` is first read.  The oracles, export and
+    pruning construct ``root`` and compile on demand.
     """
 
     def __init__(self, schema: Schema, root: TreeNode | None = None,

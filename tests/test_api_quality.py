@@ -135,9 +135,10 @@ def test_env_vars_match_runtime_doc_table():
     documented = _table_names(runtime_md, "## Environment variables")
     assert in_src - documented == set(), "variables missing from the table"
     assert documented - in_src == set(), "table documents unknown variables"
-    # prose outside the tables must not name a variable src/ lacks either;
-    # REPRO_SCALE is the benchmarks' knob (benchmarks/conftest.py)
-    named = _env_names_in(runtime_md, _ROOT / "README.md")
+    # prose outside the tables — any doc, not only this one — must not
+    # name a variable src/ lacks either; REPRO_SCALE is the benchmarks'
+    # knob (benchmarks/conftest.py)
+    named = _env_names_in(*(_ROOT / "docs").glob("*.md"), _ROOT / "README.md")
     assert named - in_src - {"REPRO_SCALE"} == set()
 
 
@@ -148,16 +149,16 @@ def test_env_vars_match_runtime_doc_table():
 
 def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
     """Every level-synchronous inducer emits its levels through
-    ``core/frontier.py`` as table blocks — no node object at all — and
-    their nodes come from ``tree/compile.py``; a second inline copy of
-    node emission (and with it the termination / acceptance / empty-child
-    rules) shows up here as a new module constructing split nodes."""
+    ``core/frontier.py`` as table blocks and the streaming driver keeps
+    per-fid table rows — no node object at all — and their nodes come
+    from ``tree/compile.py``; a second inline copy of node emission (and
+    with it the termination / acceptance / empty-child rules) shows up
+    here as a new module constructing split nodes."""
     src = _ROOT / "src" / "repro"
     builds = re.compile(r"\b(?:ContinuousSplit|CategoricalSplit)\(")
     found = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
              if builds.search(path.read_text(encoding="utf-8"))}
     assert found == {
-        "streaming/induction.py",            # array-form frontier
         "baselines/serial_reference.py",     # the oracle
         "baselines/sprint_engine.py",        # node-at-a-time SPRINT
         "tree/export.py",                    # deserialization

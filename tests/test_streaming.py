@@ -11,6 +11,10 @@ into one tree, and lossy sketches degrade gracefully.
 
 from __future__ import annotations
 
+import pathlib
+import pickle
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +36,12 @@ from repro.datagen.schema import (
 )
 from repro.runtime import (
     CheckpointConfig,
+    SpmdWorkerError,
     TraceCollector,
     payload_nbytes,
     run_spmd,
 )
+from repro.runtime.checkpoint import CheckpointError, LoadedCheckpoint
 from repro.streaming import (
     ChunkSource,
     build_sketch,
@@ -50,6 +56,8 @@ from repro.streaming.frontier import StreamState
 from repro.streaming.sketch import build_sketch_stack
 
 from tests.conftest import assert_trees_equal
+
+_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 #: lossless streaming config: generous sketch capacity, growth only at
 #: finalize — the settings under which streamed == batch, bit for bit
@@ -323,7 +331,7 @@ def _check_local_sketches(comm, ds, cfg, lossless):
     for epoch in range(4):
         state.ingest(source.rank_block(epoch * source.chunk_records,
                                        comm.rank, comm.size))
-        fresh = len(state.entries)
+        fresh = len(state.kind)
         if epoch:
             induction._grow_rounds(
                 comm, state, cfg, finalize=False,
@@ -501,24 +509,19 @@ def test_resume_rejects_different_stream_settings(tmp_path):
     assert "settings" in str(err.getrepr(style="short")).lower()
 
 
-def test_resume_rejects_cut_without_frontier_arrays(tmp_path, monkeypatch):
-    """A cut written before the frontier registry moved into arrays has
-    no ``frontier`` payload: the resume must say so, typed."""
-    from repro.runtime.checkpoint import LoadedCheckpoint
-
-    ds = paper_dataset(900, "F2", seed=1)
-    clf = ScalParC(2, _stream_cfg(), machine=None, backend="thread")
-    clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path)),
-                   max_epochs=1)
-    payload = LoadedCheckpoint.shared_payload
-    monkeypatch.setattr(
-        LoadedCheckpoint, "shared_payload",
-        lambda self: {k: v for k, v in payload(self).items()
-                      if k != "frontier"})
-    with pytest.raises(Exception) as err:
-        clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path),
-                                                       resume=True))
-    assert "predates" in str(err.getrepr(style="short"))
+def test_resume_refuses_the_committed_node_graph_cut(tmp_path):
+    """``tests/fixtures/stream_cut_node_graph`` is an epoch cut written by
+    the driver that kept its tree as node objects (``"tree": (root,
+    entries)``; F2, 600 records, p = 2, one epoch, thread backend).  The
+    table-row driver refuses it, typed, on every rank."""
+    shutil.copytree(_FIXTURES / "stream_cut_node_graph", tmp_path / "cut")
+    with pytest.raises(SpmdWorkerError) as err:
+        ScalParC(2, _stream_cfg(), machine=None, backend="thread").fit_stream(
+            paper_dataset(600, "F2", seed=1), checkpoint=CheckpointConfig(
+                dir=str(tmp_path / "cut"), resume=True))
+    assert len(err.value.failures) == 2
+    for exc in err.value.failures.values():
+        assert isinstance(exc, CheckpointError) and "predates" in str(exc)
 
 
 # ----------------------------------------------------------------------
@@ -628,6 +631,34 @@ def test_drift_stream_reopens_and_resplits(monkeypatch):
     assert seen["reopened"] > 0 and seen["uncovered"] > 0, seen
 
 
+def _streamed_on_rank(comm, ds, cfg, ckpt_dir):
+    """One checkpointed streamed fit: was the tree returned without node
+    objects, and its pickle."""
+    tree = induction.stream_induce_worker(
+        comm, ds, cfg, checkpoint=CheckpointConfig(dir=ckpt_dir))
+    return tree._root is None, pickle.dumps(tree)
+
+
+@pytest.mark.parametrize("mode", ["eager", "drift"])
+def test_streamed_trees_and_cuts_hold_no_node_objects(mode, tmp_path):
+    """The streaming tree is table rows end to end: every rank returns a
+    table-only tree, and neither its pickle nor an epoch cut's shared
+    payload (read as written) names a node class."""
+    make, over, digests = _MODES[mode]
+    results = run_spmd(2, _streamed_on_rank, backend="process", args=(
+        make(), _stream_cfg(**over), str(tmp_path)))
+    cut = LoadedCheckpoint.open(str(tmp_path))
+    blobs = [(pathlib.Path(cut.directory) / "shared.ckpt").read_bytes()]
+    for table_only, blob in results:
+        assert table_only
+        blobs.append(blob)
+    for blob in blobs:
+        for name in (b"Leaf", b"ContinuousSplit", b"CategoricalSplit"):
+            assert name not in blob
+    tree = pickle.loads(results[0][1])
+    assert tree.compiled().structure_digest == digests[2]
+
+
 def _traced_stream_digests(backend: str) -> list:
     """Per rank, ``(op, phase, level, payload digest, result digest)`` of
     every Stream.* collective of one eager streamed fit; the trace must
@@ -659,7 +690,8 @@ def test_traced_stream_payloads_match_on_tcp():
 
 
 #: calls the spies of the traffic test recorded in *this* process
-_SPIED: dict[str, list] = {"merge": [], "fold": [], "score": []}
+_SPIED: dict[str, list] = {"merge": [], "fold": [], "score": [],
+                           "split": []}
 
 
 def _spied_stream_worker(comm, ds, cfg):
@@ -688,7 +720,9 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
     the class-count allreduce: a rank receives one block per rank for
     the nodes it scores and nothing else, folds them itself, and the
     engine parent never merges a sketch (no ``sketch_merge`` reduction
-    is left for it to run)."""
+    is left for it to run).  The winners' allgatherv carries no sketch
+    either: a row per scored node, then only the counts each split
+    needs."""
     for calls in _SPIED.values():
         calls.clear()
     _spy(monkeypatch, sketch, "merge_stacks", "merge", len)
@@ -696,6 +730,8 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
          lambda blocks: [block.shape for block in blocks])
     _spy(monkeypatch, induction, "_score_nodes", "score",
          lambda stack, *rest: stack.shape)
+    _spy(monkeypatch, induction, "_split_nodes", "split",
+         lambda state, fids, best, *rest: best[:, 1].astype(int).tolist())
     ds = paper_dataset(1500, "F5", seed=9)
     collector = TraceCollector()
     spied = run_spmd(nprocs, _spied_stream_worker,
@@ -725,6 +761,19 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
                                for f in folds)
         assert sorted(f[0] for f in folds) == sorted(seen["score"])
         scored.append(sum(shape[0] for shape in seen["score"]))
+        # every rank splits the same winners
+        assert seen["split"] == spied[0]["split"]
+    # what a winner's split needs: its left child's class counts
+    # (continuous), its n_values × c count matrix (categorical)
+    c = ds.schema.n_classes
+    need = [c if spec.is_continuous else spec.n_values * c
+            for spec in ds.schema]
+    winners = [attr for attrs in spied[0]["split"] for attr in attrs]
+    for rank in range(nprocs):
+        received = sum(ev.result_nbytes for ev in collector.events_of(rank)
+                       if ev.kind == "allgatherv")
+        assert received == 8 * (3 * sum(scored)
+                                + sum(need[a] for a in winners))
     # round-robin: shares differ by at most one node per round
     rounds = sum(ev.kind == "alltoallv" for ev in collector.events_of(0))
     assert max(scored) - min(scored) <= rounds
