@@ -87,15 +87,15 @@ class SliqSource(LevelSource):
             class_list_bytes=int(self.klass.nbytes + self.leaf_of.nbytes)
         )
 
-    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
+    def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
         live = self.leaf_of >= 0
         self.stats.levels += 1
         self.stats.active_per_level.append(int(np.count_nonzero(live)))
         n_classes = self.schema.n_classes
         return np.bincount(
             self.leaf_of[live] * n_classes + self.klass[live],
-            minlength=n_nodes * n_classes,
-        ).reshape(n_nodes, n_classes)
+            minlength=len(fids) * n_classes,
+        ).reshape(len(fids), n_classes)
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:
@@ -172,7 +172,7 @@ class SliqClassifier:
         if dataset.n_records == 0:
             raise ValueError("cannot induce a tree from an empty dataset")
         source = SliqSource(dataset, self.config)
-        tree = grow_levels(LevelFrontier(), dataset.schema, self.config,
+        tree = grow_levels(LevelFrontier(dataset.schema), self.config,
                            source)
         return tree, source.stats
 

@@ -55,8 +55,8 @@ class _VerticalSource(SliqSource):
         comm.perf.register_bytes("replicated_class_list",
                                  self.stats.class_list_bytes)
 
-    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
-        totals = super().class_totals(level, n_nodes)
+    def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
+        totals = super().class_totals(level, fids)
         self.comm.perf.add_compute("scan", self.stats.active_per_level[-1])
         return totals
 
@@ -100,7 +100,7 @@ def vertical_sliq_worker(
     config = config or InductionConfig()
     if dataset.n_records == 0:
         raise ValueError("cannot induce a tree from an empty dataset")
-    return grow_levels(LevelFrontier(), dataset.schema, config,
+    return grow_levels(LevelFrontier(dataset.schema), config,
                        _VerticalSource(comm, dataset, config))
 
 

@@ -1,30 +1,35 @@
-"""Figure 2's level loop and the tree-shaping rules, written once.
+"""Figure 2's level loop, the tree-shaping rules and the frontier, written
+once.
 
-Every level-synchronous inducer here — ScalParC, parallel SPRINT (the
-same driver with another splitting phase), SLIQ and vertical SLIQ/R —
-grows its tree the same way::
+Every inducer here — ScalParC, parallel SPRINT (the same driver with
+another splitting phase), SLIQ, vertical SLIQ/R and the streaming driver
+— grows its tree the same way::
 
-    do while (there are open nodes at level l)
-        class totals of the level's nodes          -> who is terminal
+    visit every open node
+    do while (the last pass split a node)
+        class totals of the visited nodes          -> who is terminal
         best split per candidate node              -> who is accepted
         categorical child layouts, made global
-        emit the level's tree nodes, number the children
+        write the nodes' rows, append the children
         partition the records among the children
-        l = l + 1
+        visit the nodes this pass opened
     end do
 
-They differ only in where the statistics come from and how records learn
-their next-level node, so that — and nothing else — sits behind
+For a batch inducer a pass is one tree level.  A streaming one runs the
+same loop over the leaves its latest records reached, and may hold a node
+open for records still to come or reopen a closed leaf — neither needs
+anything of the loop but ``final`` (see :func:`grow_levels`).  The
+inducers differ only in where the statistics come from and how records
+learn their node, so that — and nothing else — sits behind
 :class:`LevelSource`.  What shapes the tree lives here:
 :func:`terminal_nodes` (the stopping rule), :func:`accepted_splits` (the
-acceptance rule), :meth:`LevelFrontier.grow` (node emission, the
-empty-child label rule, child numbering) and :func:`grow_levels` (the
-loop).  Nothing here costs per node: a level is emitted as one block of
-columns in the breadth-first layout of
-:class:`~repro.tree.compile.CompiledTree`, the finished tree is those
-blocks concatenated, and node objects are built from the table only
-where somebody reads ``tree.root``.  The streaming driver keeps the tree
-as per-fid rows of the same columns and calls the same two rules; the serial
+acceptance rule), :meth:`LevelFrontier.grow` (node rows, the empty-child
+label rule, child numbering) and :func:`grow_levels` (the loop).
+
+Nothing here costs per node: the partial tree is per-node rows of the
+columns :func:`~repro.tree.compile.assemble_table` takes, the finished
+tree is those rows numbered breadth-first, and node objects are built
+from the table only where somebody reads ``tree.root``.  The serial
 reference and the node-at-a-time SPRINT engine stay independent on
 purpose — they are the oracles.
 """
@@ -62,6 +67,12 @@ Layouts = dict[int, tuple[list[int], int, int]]
 #: by whichever rank scored that categorical attribute
 CatState = dict[int, dict[int, tuple[np.ndarray, np.ndarray | None]]]
 
+#: a frontier's per-node rows, assemble_table's columns first — what a
+#: checkpoint cut carries of it
+ROWS = ("kind", "feature", "threshold", "class_counts", "n_records",
+        "leaf_label", "default_child", "n_children", "first_child", "slots",
+        "depth", "open_")
+
 
 def terminal_nodes(totals: np.ndarray, depth: np.ndarray,
                    config: InductionConfig) -> np.ndarray:
@@ -89,102 +100,140 @@ def accepted_splits(best: np.ndarray, totals: np.ndarray,
 
 
 class LevelFrontier:
-    """The partial tree as a table, plus its open level.
+    """The partial tree as a table of per-node rows.
 
-    ``blocks[l]`` holds level ``l``'s nodes as the per-node columns
-    :func:`~repro.tree.compile.assemble_table` takes (``class_counts`` is
-    the level's ``totals``); levels are breadth-first and so are the
-    nodes within one, so the finished tree is the blocks concatenated.
-    The open level is ``n_open`` nodes at depth ``len(blocks)``, each
-    with ``open_label`` — its parent's majority class, which an empty
-    child is labelled with.  The whole object is plain arrays: it pickles
-    as the checkpoint cut's replicated payload and grows on after a
-    reload."""
+    Node ``fid`` — its number in creation order — is row ``fid`` of
+    :data:`ROWS`: the columns :func:`~repro.tree.compile.assemble_table`
+    takes, its first child's fid, a padded slot row (``[0, 1]`` for a
+    continuous split, ``value_to_child`` for a categorical one), its depth
+    and whether it is open (a leaf that may still split).  A split
+    rewrites its node's row and appends the children as consecutive fids,
+    each labelled with its parent's majority class until records of its
+    own say otherwise — the label an empty child keeps.  :meth:`table`
+    numbers the fids breadth-first; a batch inducer creates its nodes
+    level by level, so there the fids already are that order.  Plain
+    arrays throughout: :meth:`rows` is a checkpoint cut's payload and
+    :meth:`from_rows` grows on from it."""
 
-    def __init__(self) -> None:
-        self.blocks: list[dict[str, np.ndarray]] = []
-        self.n_open = 1
-        self.open_label = np.zeros(1, dtype=np.int64)
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        # slot-row width per feature: n_values if categorical, else 0 (a
+        # split's fanout is 2 then); feature −1 → a leaf's 0
+        self.widths = np.array([0 if spec.is_continuous else spec.n_values
+                                for spec in schema] + [0])
+        self._open(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
-    @property
-    def depth(self) -> int:
-        """Depth of the open level's nodes."""
-        return len(self.blocks)
+    @classmethod
+    def from_rows(cls, schema: Schema, rows: dict) -> "LevelFrontier":
+        frontier = cls(schema)
+        for name in ROWS:
+            setattr(frontier, name, rows[name])
+        return frontier
 
-    def grow(self, schema: Schema, totals: np.ndarray, best: np.ndarray,
-             split_ok: np.ndarray, layouts: Layouts) -> LevelDecisions:
-        """Emit this level's block — a split where ``split_ok``, a leaf
-        elsewhere — and open the splits' children as the next level,
-        numbered in node order.  Returns the decisions the splitting phase
-        partitions the records by.  ``totals`` is kept, not copied."""
+    def rows(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in ROWS}
+
+    def _open(self, label: np.ndarray, depth: np.ndarray) -> None:
+        """Append open leaves as the next fids (a split's children, in
+        child order; the root on construction)."""
+        n = len(depth)
+        new = dict(
+            kind=np.full(n, KIND_LEAF, dtype=np.uint8),
+            feature=np.full(n, -1, dtype=np.int64),
+            threshold=np.full(n, np.nan),
+            class_counts=np.zeros((n, self.schema.n_classes), dtype=np.int64),
+            n_records=np.zeros(n, dtype=np.int64), leaf_label=label,
+            default_child=np.zeros(n, dtype=np.int64),
+            n_children=np.zeros(n, dtype=np.int64),
+            first_child=np.zeros(n, dtype=np.int64),
+            slots=np.full((n, max(2, self.widths.max())), -1, dtype=np.int32),
+            depth=depth, open_=np.ones(n, dtype=bool))
+        for name, col in new.items():
+            old = getattr(self, name, None)
+            setattr(self, name,
+                    col if old is None else np.concatenate([old, col]))
+
+    def settle(self, fids: np.ndarray, totals: np.ndarray) -> None:
+        """Write fresh global class totals into nodes ``fids``; each takes
+        its majority class, an empty one keeps the label it has."""
+        n = totals.sum(axis=1)
+        self.class_counts[fids] = totals
+        self.n_records[fids] = n
+        self.leaf_label[fids] = np.where(n > 0, np.argmax(totals, axis=1),
+                                         self.leaf_label[fids])
+
+    def grow(self, fids: np.ndarray, totals: np.ndarray, best: np.ndarray,
+             split_ok: np.ndarray, layouts: Layouts,
+             closed: np.ndarray) -> LevelDecisions:
+        """Write the rows of the visited nodes ``fids`` — a split where
+        ``split_ok``, a leaf elsewhere, closed where ``closed`` — and open
+        the splits' children as new fids, numbered in node order.  Returns
+        the decisions the splitting phase partitions the records by, node
+        ``k`` being ``fids[k]``.  ``totals`` is kept, not copied."""
+        self.settle(fids, totals)
         winner_attr = np.where(split_ok, best[:, 1], -1).astype(np.int64)
-        continuous = np.array([spec.is_continuous for spec in schema])
-        cont = split_ok & continuous[winner_attr]
+        cont = split_ok & (self.widths[winner_attr] == 0)
         n_children = np.where(cont, 2, 0)
-        fanout = n_children.copy()
-        default_child = np.zeros(len(totals), dtype=np.int32)
         cat_layouts: dict[int, np.ndarray] = {}
         for k in np.flatnonzero(split_ok & ~cont).tolist():
-            v2c_list, n_children[k], default_child[k] = layouts[k]
-            cat_layouts[k] = np.asarray(v2c_list, dtype=np.int64)
-            fanout[k] = len(v2c_list)
-        slot_base = np.cumsum(fanout) - fanout
-        slot_child = np.zeros(int(fanout.sum()), dtype=np.int32)
-        slot_child[slot_base[cont] + 1] = 1             # [left, right]
-        for k, v2c in cat_layouts.items():
-            slot_child[slot_base[k]:slot_base[k] + len(v2c)] = v2c
+            v2c, n_children[k], self.default_child[fids[k]] = layouts[k]
+            cat_layouts[k] = np.asarray(v2c, dtype=np.int64)
+            self.slots[fids[k], :len(v2c)] = v2c
+        self.slots[fids[cont], :2] = (0, 1)
+        child_base = np.cumsum(n_children) - n_children
+        threshold = np.where(cont, best[:, 2], np.nan)
 
-        # an empty child (a multiway categorical value with no records at
-        # this node) has all-zero counts: argmax would always say class 0
-        # — it inherits the parent's majority
-        n_records = totals.sum(axis=1)
-        majority = np.argmax(totals, axis=1)
-        self.blocks.append({
-            "kind": np.where(cont, KIND_CONTINUOUS,
-                             np.where(split_ok, KIND_CATEGORICAL, KIND_LEAF)
-                             ).astype(np.uint8),
-            "feature": winner_attr.astype(np.int32),
-            "threshold": np.where(cont, best[:, 2], np.nan),
-            "class_counts": totals,
-            "n_records": n_records,
-            "leaf_label": np.where(
-                split_ok, -1,
-                np.where(n_records == 0, self.open_label, majority)),
-            "default_child": default_child,
-            "n_children": n_children,
-            "fanout": fanout,
-            "slot_child": slot_child,
-        })
-        self.n_open = int(n_children.sum())
-        self.open_label = np.repeat(majority, n_children)
+        split = fids[split_ok]
+        self.kind[split] = np.where(cont[split_ok], KIND_CONTINUOUS,
+                                    KIND_CATEGORICAL)
+        self.feature[split] = winner_attr[split_ok]
+        self.threshold[split] = threshold[split_ok]
+        self.leaf_label[split] = -1
+        self.n_children[split] = n_children[split_ok]
+        self.first_child[split] = len(self.kind) + child_base[split_ok]
+        self.open_[fids[split_ok | closed]] = False
+        self._open(np.repeat(np.argmax(totals, axis=1), n_children),
+                   np.repeat(self.depth[fids] + 1, n_children))
         return LevelDecisions(
-            splitting=split_ok, winner_attr=winner_attr,
-            threshold=self.blocks[-1]["threshold"], cat_layouts=cat_layouts,
-            child_base=np.where(split_ok,
-                                np.cumsum(n_children) - n_children, 0),
-            n_next=self.n_open,
+            splitting=split_ok, winner_attr=winner_attr, threshold=threshold,
+            cat_layouts=cat_layouts,
+            child_base=np.where(split_ok, child_base, 0),
+            n_next=int(n_children.sum()),
         )
 
-    def table(self, schema: Schema) -> CompiledTree:
-        """The tree grown so far as a :class:`CompiledTree` — bit for bit
-        what ``compile_tree`` makes of the same tree's node objects.  Only
-        meaningful once no level is open."""
-        return assemble_table(schema, **{
-            name: np.concatenate([block[name] for block in self.blocks])
-            for name in self.blocks[0]
-        })
+    def table(self) -> tuple[CompiledTree, np.ndarray]:
+        """The tree as a :class:`CompiledTree` — bit for bit what
+        ``compile_tree`` makes of the same tree's node objects — and the
+        fid of each of its nodes.  A split's children are consecutive fids,
+        so numbering breadth-first is one gather per level."""
+        levels = [np.zeros(1, dtype=np.int64)]
+        while (k := self.n_children[levels[-1]]).any():
+            levels.append(np.arange(k.sum()) + np.repeat(
+                self.first_child[levels[-1]] - np.cumsum(k) + k, k))
+        fid = np.concatenate(levels)
+        rows = {name: getattr(self, name)[fid] for name in ROWS[:8]}
+        fanout = np.where(rows["kind"] == KIND_CONTINUOUS, 2,
+                          self.widths[rows["feature"]])
+        slots = self.slots[fid]
+        return assemble_table(self.schema, **rows, fanout=fanout, slot_child=(
+            slots[np.arange(slots.shape[1]) < fanout[:, None]])), fid
 
 
 class LevelSource:
-    """What one inducer supplies to :func:`grow_levels`: the level's
-    statistics and the record partition.  Every method is collective
-    where the inducer is parallel — all ranks call it with identical
-    arguments and (bar ``best_splits``' categorical state) get identical
-    results."""
+    """What one inducer supplies to :func:`grow_levels`: the visited
+    nodes' statistics and the record partition.  Every method is
+    collective where the inducer is parallel — all ranks call it with
+    identical arguments and (bar ``best_splits``' categorical state) get
+    identical results.  Node ``k`` of a pass is the pass's ``fids[k]``."""
 
-    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
-        """Global (n_nodes, c) class counts of the level's open nodes."""
+    def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
+        """Global (len(fids), c) class counts of the visited nodes."""
         raise NotImplementedError
+
+    def ready(self, totals: np.ndarray) -> np.ndarray:
+        """Which visited nodes hold enough records to be examined while
+        more records may still arrive (every node is, once none will)."""
+        return np.ones(len(totals), dtype=bool)
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:
@@ -200,27 +249,39 @@ class LevelSource:
         return layouts
 
     def partition(self, decisions: LevelDecisions) -> None:
-        """Move every record of a splitting node to its next-level node."""
+        """Move every record of a splitting node to its child."""
         raise NotImplementedError
 
     def end_level(self, level: int, frontier: LevelFrontier,
                   n_active: int) -> None:
-        """Level-boundary hook (level marks, checkpoint cuts);
+        """Pass-boundary hook (level marks, checkpoint cuts);
         ``n_active`` counts the records inside splitting nodes."""
 
 
-def grow_levels(frontier: LevelFrontier, schema: Schema,
-                config: InductionConfig, source: LevelSource,
-                level: int = 0) -> DecisionTree:
-    """Grow ``frontier`` to completion, one level per iteration, reading
-    statistics from and partitioning records through ``source``; returns
-    the finished tree."""
-    while frontier.n_open:
-        m = frontier.n_open
-        totals = source.class_totals(level, m)
-        candidates = ~terminal_nodes(totals, np.full(m, frontier.depth),
-                                     config)
-        best, cat_state = pack_candidates(m), {}
+def grow_levels(frontier: LevelFrontier, config: InductionConfig,
+                source: LevelSource, level: int = 0,
+                final: bool = True) -> DecisionTree:
+    """Grow ``frontier`` until a pass splits nothing, reading statistics
+    from and partitioning records through ``source``; returns the tree
+    grown so far.  The first pass visits every open node, each later one
+    the nodes the pass before opened — its children, and any leaf the
+    source reopened.
+
+    ``final``: no record is still to come, so every visited node is
+    examined and one that does not split closes for good (batch fits, a
+    stream's finalize).  Otherwise only the nodes ``source.ready`` names
+    are examined, and of those that do not split only the terminal ones
+    close; the rest stay open for the records to come.
+    """
+    fids = np.flatnonzero(frontier.open_)
+    while True:
+        was_open = frontier.open_.copy()
+        totals = source.class_totals(level, fids)
+        ready = source.ready(totals) | final
+        terminal = ready & terminal_nodes(totals, frontier.depth[fids],
+                                          config)
+        candidates = ready & ~terminal
+        best, cat_state = pack_candidates(len(fids)), {}
         if candidates.any():
             best, cat_state = source.best_splits(totals, candidates)
         split_ok = accepted_splits(best, totals, candidates, config)
@@ -237,9 +298,14 @@ def grow_levels(frontier: LevelFrontier, schema: Schema,
         if split_ok.any():
             layouts = source.share_layouts(layouts)
 
-        decisions = frontier.grow(schema, totals, best, split_ok, layouts)
+        decisions = frontier.grow(fids, totals, best, split_ok, layouts,
+                                  ~split_ok if final else terminal)
         if decisions.n_next:
             source.partition(decisions)
         source.end_level(level, frontier, int(totals[split_ok].sum()))
         level += 1
-    return frontier.table(schema).to_tree()
+        if not decisions.n_next:
+            return frontier.table()[0].to_tree()
+        opened = frontier.open_.copy()
+        opened[:len(was_open)] &= ~was_open
+        fids = np.flatnonzero(opened)

@@ -105,9 +105,9 @@ def induce_worker(
             lists, n_total = build_local_lists(comm, dataset)
             strategy.prepare(comm, lists, config, schema.n_classes, n_total)
             split_phase.setup(comm, n_total)
-        frontier, level = LevelFrontier(), 0
+        frontier, level = LevelFrontier(schema), 0
 
-    tree = grow_levels(frontier, schema, config, _ListSource(
+    tree = grow_levels(frontier, config, _ListSource(
         comm, dataset, config, lists, n_total, strategy, split_phase, ckpt
     ), level)
 
@@ -132,10 +132,10 @@ class _ListSource(LevelSource):
     split_phase: SplitPhase
     ckpt: LevelCheckpointer | None
 
-    def class_totals(self, level: int, n_nodes: int) -> np.ndarray:
+    def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
         tag_level(self.comm, level)
         with timed_phase(self.comm, FINDSPLIT1):
-            return node_class_totals(self.comm, self.lists[0], n_nodes,
+            return node_class_totals(self.comm, self.lists[0], len(fids),
                                      self.dataset.schema.n_classes)
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
@@ -172,7 +172,8 @@ class _ListSource(LevelSource):
         # set, a cut's barrier and fsync cost more than the cheap tail
         # levels it would protect, so stop taking them.
         ckpt = self.ckpt
-        if (ckpt is not None and frontier.n_open and ckpt.should_save(level)
+        if (ckpt is not None and frontier.open_.any()
+                and ckpt.should_save(level)
                 and n_active >= ckpt.config.min_frontier_frac * self.n_total):
             self._save_cut(ckpt, level + 1, frontier)
 
@@ -183,8 +184,8 @@ class _ListSource(LevelSource):
         The per-rank payload carries everything distribution-dependent
         (attribute-list fragments, the split strategy's table share,
         tracker and RNG state); the replicated payload carries the
-        frontier — the partial tree's level blocks and the open level,
-        a few arrays per level however many nodes they describe.
+        frontier's per-node rows, a few arrays however many nodes they
+        describe.
 
         List snapshots are *compact* (rids + offsets only; values and
         labels re-derived from the dataset on resume) whenever the dataset
@@ -202,11 +203,11 @@ class _ListSource(LevelSource):
         shared_payload = {
             **self.config.cut_header(_CKPT_ALGO, self.dataset.schema),
             "n_total": int(self.n_total),
-            "frontier": frontier,
+            "rows": frontier.rows(),
         }
         ckpt.save(self.comm, level, rank_payload, shared_payload,
                   meta={"algo": _CKPT_ALGO, "n_total": int(self.n_total),
-                        "n_pending": frontier.n_open})
+                        "n_pending": int(frontier.open_.sum())})
 
 
 def _resume_from_checkpoint(
@@ -225,11 +226,11 @@ def _resume_from_checkpoint(
     """
     loaded = LoadedCheckpoint.open(source)
     shared = loaded.expect(**config.cut_header(_CKPT_ALGO, dataset.schema))
-    if "frontier" not in shared:
+    if "rows" not in shared:
         raise CheckpointError(
             f"checkpoint {loaded.manifest_path!r} predates the table "
-            "frontier of this driver (its partial tree is a node graph); "
-            "restart the fit"
+            "frontier of this driver (its partial tree is level blocks or a "
+            "node graph, not per-node rows); restart the fit"
         )
     if int(shared["n_total"]) != dataset.n_records:
         raise CheckpointError(
@@ -245,4 +246,5 @@ def _resume_from_checkpoint(
     if loaded.n_ranks == comm.size:
         restore_rank_extras(comm, payloads[comm.rank])
 
-    return lists, int(shared["n_total"]), shared["frontier"], loaded.level
+    return lists, int(shared["n_total"]), \
+        LevelFrontier.from_rows(dataset.schema, shared["rows"]), loaded.level

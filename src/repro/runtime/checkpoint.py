@@ -557,7 +557,16 @@ class LoadedCheckpoint:
                 f"manifest {self.manifest_path!r} lists no file {name!r}"
             )
         blob = _read_validated(os.path.join(self.directory, name), digest)
-        return pickle.loads(blob)
+        try:
+            return pickle.loads(blob)
+        except (AttributeError, ModuleNotFoundError,
+                pickle.UnpicklingError) as exc:
+            # a payload naming a class or module this version no longer
+            # has: a cut from an older format
+            raise CheckpointError(
+                f"checkpoint file {name!r} of {self.manifest_path!r} predates "
+                f"this version's classes and cannot be loaded: {exc}"
+            ) from exc
 
     def rank_payload(self, rank: int) -> Any:
         """The per-rank payload written by old rank ``rank``."""

@@ -10,19 +10,17 @@ sketches are merged only on the rank that scores it; class totals and
 winning splits are what every rank shares.
 
 * :mod:`repro.streaming.sketch` — padded mergeable value/class-count
-  sketches, the n-way :func:`merge_stacks` fold a scorer runs and the
-  pairwise :data:`SKETCH_MERGE` operator ingest runs;
+  sketches and the n-way :func:`merge_stacks` fold a scorer (and
+  ingest) runs;
 * :mod:`repro.streaming.source` — record-order epoch chunking;
-* :mod:`repro.streaming.frontier` — one rank's state: retained records,
-  the frontier registry and the padded local sketch blocks;
 * :mod:`repro.streaming.induction` — the epoch-loop SPMD worker
-  (:func:`stream_induce_worker`), batch-exact when sketches are
-  lossless and growth is finalize-only.
+  (:func:`stream_induce_worker`): one rank's retained records and local
+  sketches as a source of the batch drivers' level loop, batch-exact
+  when sketches are lossless and growth is finalize-only.
 """
 
 from .induction import stream_induce_worker
 from .sketch import (
-    SKETCH_MERGE,
     build_sketch,
     empty_sketch,
     merge_sketches,
@@ -34,7 +32,6 @@ from .source import ChunkSource
 
 __all__ = [
     "ChunkSource",
-    "SKETCH_MERGE",
     "build_sketch",
     "empty_sketch",
     "merge_sketches",

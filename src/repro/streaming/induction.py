@@ -3,45 +3,46 @@
 Records arrive in per-epoch chunks instead of being presorted up front
 (pdsCART, arXiv:2505.11780; stream-split estimators, arXiv:2403.19867).
 Each rank retains the records it has ingested, routes every new chunk
-down the current tree to the *frontier* (the open leaves), and maintains
-one mergeable quantile sketch per (frontier node, attribute) — see
-:mod:`repro.streaming.sketch`.  The batch driver's level-synchronous
-loop becomes an epoch loop::
+down the current tree to its leaves, and keeps mergeable quantile
+sketches per (open leaf, attribute) — see :mod:`repro.streaming.sketch`.
+The tree grows by the batch drivers' loop,
+:func:`~repro.core.frontier.grow_levels`, over the same per-node
+:class:`~repro.core.frontier.LevelFrontier`; only the statistics come
+from sketches, through :class:`_SketchSource`::
 
     do while (records remain in the stream)
         Stream.ingest   — route this epoch's chunk, update local sketches
-        Stream.sketch   — class totals of the frontier (SUM allreduce)
-        Stream.grow     — split frontier nodes whose sketches have seen
-                          enough mass; reopen closed leaves whose class
-                          distribution shifted
+        grow            — grow_levels(final=False): nodes whose global
+                          mass reached stream_grow_records are examined,
+                          a terminal one closes, a rejected one stays open
+                          (growth at finalize only: the epoch heartbeat,
+                          the class totals alone)
         checkpoint cut  — every epoch boundary is a sealed resume point
     end do
-    finalize            — grow the frontier to completion under the batch
-                          termination rules
+    finalize            — grow_levels(final=True): the batch rules
 
-A grow round is level-synchronous like the batch driver's, and its
-sketches go where ScalParC sends a level's count matrices — to the rank
+Every ``class_totals`` also refreshes the open leaves and reopens closed
+leaves whose class distribution shifted.  One pass sends a node's
+sketches where ScalParC sends a level's count matrices — to the rank
 that scores them::
 
     Stream.sketch   — class totals (SUM allreduce)
-    Stream.grow     — refresh the leaves, close the terminal nodes
-    Stream.sketch   — each scored node's local sketches to its scorer
+    Stream.grow     — build the sketches candidates do not hold yet
+    Stream.sketch   — each candidate's local sketches to its scorer
                       (one alltoallv), folded there by merge_stacks
-    Stream.grow     — the scorer scores its share (:func:`_score_nodes`)
-                      and keeps the accepted splits; the winners, with
-                      the counts their splits need, reach every rank (one
-                      allgatherv) and the whole frontier splits
-                      (:func:`_split_nodes`) in array passes
+    Stream.grow     — the scorer scores its share (:func:`_score_nodes`);
+                      the rows, with each categorical winner's count
+                      matrix, reach every rank (one allgatherv); splits
+                      re-route the retained records
 
 The class totals and the winners are global, so every rank builds an
 identical tree — exactly the batch driver's replication argument — while
-a node's merged sketches exist only on its scorer.  With
-``stream_grow_records == 0`` (the default: growth only at finalize) and
-lossless sketches, the streamed tree is **bit-identical** to batch
+a node's merged sketches exist only on its scorer.  A child's class
+counts are the next pass's exact totals, whatever the sketches lost.
+With ``stream_grow_records == 0`` (the default: growth only at finalize)
+and lossless sketches, the streamed tree is **bit-identical** to batch
 ScalParC's on the same record prefix; the differential suite pins this
-with ``structurally_equal``.  Scoring, splitting and the sketch builds
-run through the segment kernels, and the tree is per-fid table rows
-(:class:`~repro.streaming.frontier.StreamState`): no node object exists.
+with ``structurally_equal``.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ import numpy as np
 from ..core import kernels
 from ..core.config import InductionConfig
 from ..core.findsplit import score_categorical_cubes
-from ..core.frontier import accepted_splits, terminal_nodes
+from ..core.frontier import CatState, LevelFrontier, LevelSource, \
+    accepted_splits, grow_levels
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
-from ..core.splits import categorical_children_layout, decode_mask, \
-    encode_mask, pack_candidates
+from ..core.splits import decode_mask, encode_mask, pack_candidates
+from ..core.splitter import LevelDecisions
 from ..core.strategies.histogram import score_boundaries
 from ..datagen.schema import Dataset, Schema
 from ..runtime import Communicator
@@ -70,10 +72,9 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.reduction import SUM
 from ..runtime.tracing import tag_level
-from ..tree.compile import KIND_CATEGORICAL, KIND_CONTINUOUS, KIND_LEAF
+from ..tree.compile import KIND_CONTINUOUS, KIND_LEAF
 from ..tree.model import DecisionTree
-from .frontier import ROWS, StreamState, transport_capacity
-from .sketch import merge_stacks
+from .sketch import build_sketch_stack, merge_stacks, sketch_identity_like
 from .source import ChunkSource
 
 __all__ = ["stream_induce_worker"]
@@ -87,6 +88,17 @@ _CKPT_ALGO = "scalparc-streaming"
 # ----------------------------------------------------------------------
 
 
+def transport_capacity(n: np.ndarray, full: int) -> np.ndarray:
+    """Rows a node with *n* global records needs on the wire: the next
+    power of two covering ``n`` (bucketing keeps the number of distinct
+    stack shapes — hence capacity runs per pass — logarithmic), clamped
+    to ``[8, full]``.  A node holds at most ``n`` distinct values per
+    attribute, so trimming the padded sketch to this bound is lossless.
+    """
+    pows = 8 << np.arange(max(full, 8).bit_length())
+    return np.minimum(pows[np.searchsorted(pows, np.minimum(n, full))], full)
+
+
 def _cap_runs(caps: np.ndarray) -> list[tuple[int, int, int]]:
     """``(lo, hi, cap)`` of every run of equal capacity in sorted
     ``caps``: the groups a share of nodes travels and is folded in."""
@@ -94,34 +106,34 @@ def _cap_runs(caps: np.ndarray) -> list[tuple[int, int, int]]:
     return [(lo, hi, int(caps[lo])) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _scorer_shares(caps: np.ndarray, size: int) -> list[np.ndarray]:
-    """Per rank, the positions of the scored nodes it scores — position
-    ``j`` goes to rank ``j % size`` — ordered by transport capacity
-    ``caps``, so a share travels and is folded as contiguous runs."""
+def _scorer_shares(pos: np.ndarray, caps: np.ndarray,
+                   size: int) -> list[np.ndarray]:
+    """Per rank, the scored nodes ``pos`` it scores — the ``j``-th goes
+    to rank ``j % size`` — ordered by transport capacity ``caps``, so a
+    share travels and is folded as contiguous runs."""
     return [j[np.argsort(caps[j], kind="stable")]
-            for j in (np.arange(r, len(caps), size) for r in range(size))]
+            for j in (pos[r::size] for r in range(size))]
 
 
-def _sketches_to_scorers(comm: Communicator, state: StreamState,
-                         fids: np.ndarray, caps: np.ndarray,
-                         shares: list) -> list:
-    """Send the local sketches of scored leaves ``fids`` to their
-    scorers and fold what arrives.
+def _sketches_to_scorers(comm: Communicator, source: "_SketchSource",
+                         caps: np.ndarray, shares: list) -> list:
+    """Send the local sketches of the scored nodes to their scorers and
+    fold what arrives.
 
     One ``alltoallv`` block per destination holds its share's capacity
     runs back to back, so the block a rank sends itself never travels.
-    Returns ``(positions, stack)`` per run of this rank's share: the
-    run's positions in ``fids`` and their global ``(n, n_attrs, cap,
-    1+c)`` sketches — every rank's block folded in rank order by
-    :func:`merge_stacks`, which merges cell by cell, so these are the
-    same rows a fold of the whole frontier would give.
+    Returns ``(nodes, stack)`` per run of this rank's share: the run's
+    nodes and their global ``(n, n_attrs, cap, 1+c)`` sketches — every
+    rank's block folded in rank order by :func:`merge_stacks`, which
+    merges cell by cell, so these are the same rows a fold of the whole
+    pass would give.
     """
     got = comm.alltoallv([np.concatenate([np.empty(0)] + [
-        state.gather(fids[share[lo:hi]], cap).ravel()
+        source.gather(source.fids[share[lo:hi]], cap).ravel()
         for lo, hi, cap in _cap_runs(caps[share])]) for share in shares])
     mine, folded, off = shares[comm.rank], [], 0
     for lo, hi, cap in _cap_runs(caps[mine]):
-        shape = (hi - lo, state.n_attrs, cap, 1 + state.n_classes)
+        shape = (hi - lo, len(source.columns), cap, 1 + source.n_classes)
         size = int(np.prod(shape))
         folded.append((mine[lo:hi], merge_stacks(
             [block[off:off + size].reshape(shape) for block in got])))
@@ -129,65 +141,53 @@ def _sketches_to_scorers(comm: Communicator, state: StreamState,
     return folded
 
 
-def _count_rows(state: StreamState, attr: np.ndarray) -> np.ndarray:
-    """The rows of a padded ``(n, W, c)`` count block (``W``: the slot
-    row width) that winners on attributes ``attr`` need: row 0, the left
-    child's class counts, of a continuous split; the ``n_values`` rows of
-    a categorical one's count matrix."""
-    return np.arange(state.slots.shape[1]) < np.maximum(
-        state.widths[attr], 1)[:, None]
-
-
-def _split_counts(state: StreamState, stack: np.ndarray,
-                  best: np.ndarray) -> np.ndarray:
-    """The :func:`_count_rows` of the accepted nodes of ``stack``
-    (winning rows ``best``), back to back: everything strictly below a
-    continuous threshold, or a categorical attribute's count matrix."""
-    attr = best[:, 1].astype(np.int64)
-    cells = stack[np.arange(len(stack)), attr]
-    cat = state.widths[attr] > 0
-    out = np.zeros((len(stack), state.slots.shape[1], state.n_classes))
-    out[cat] = _count_cubes(cells[cat], out.shape[1])
-    below = cells[~cat, :, 0] < best[~cat, 2, None]
-    out[~cat, 0] = (cells[~cat, :, 1:] * below[:, :, None]).sum(axis=1)
-    return out[_count_rows(state, attr)].ravel()
-
-
-def _winners_to_everyone(comm: Communicator, state: StreamState,
-                         shares: list, folded: list, totals: np.ndarray,
-                         config: InductionConfig):
+def _winners_to_everyone(comm: Communicator, shares: list, folded: list,
+                         totals: np.ndarray, config: InductionConfig,
+                         schema: Schema) -> tuple[np.ndarray, CatState]:
     """Score this rank's share, keep what :func:`accepted_splits` takes,
-    and share the winners; returns ``(split, best, counts)``: every
-    accepted position (ascending), its ``[score, attr, third]`` row and
-    the ``(W, c)`` count block its split needs (:func:`_count_rows`).
+    and share the winners: returns every node's ``[score, attr, third]``
+    row (``inf`` where nothing was accepted) and, as ``best_splits``'
+    categorical state, each categorical winner's count matrix.
 
-    One ``allgatherv`` carries each rank's candidate rows in share order
-    — a rejected node's as ``NO_CANDIDATE`` — followed by the counts of
-    its accepted nodes, which the scorer already holds; the shares are
-    known everywhere and a row's attribute says how many counts follow,
-    so every rank can take the result apart.
+    One ``allgatherv`` carries each rank's rows in share order, followed
+    by the count matrices of its categorical winners, which the scorer
+    already holds; the shares are known everywhere and a row's attribute
+    says whether a matrix follows and how large, so every rank can take
+    the result apart — and derive the child layouts itself.
     """
-    rows, counts = [np.empty(0)], []
+    widths = [0 if spec.is_continuous else spec.n_values for spec in schema]
+    rows, matrices = [np.empty(0)], []
     for j, stack in folded:
-        best = _score_nodes(stack, totals[j], state.schema, config)
+        best = _score_nodes(stack, totals[j], schema, config)
         ok = accepted_splits(best, totals[j], np.ones(len(j), dtype=bool),
                              config)
         best[~ok] = np.inf
         rows.append(best.ravel())
-        counts.append(_split_counts(state, stack[ok], best[ok]))
-    got = comm.allgatherv(np.concatenate(rows + counts))
+        for i in np.flatnonzero(ok).tolist():
+            attr = int(best[i, 1])
+            if widths[attr]:
+                matrices.append(_count_cubes(stack[i:i + 1, attr],
+                                             widths[attr]).ravel())
+    got = comm.allgatherv(np.concatenate(rows + matrices))
 
-    best, off, c = pack_candidates(len(totals)), 0, state.n_classes
-    need = np.zeros((len(totals), state.slots.shape[1], c))
+    best, off, c = pack_candidates(len(totals)), 0, totals.shape[1]
+    cat_state: CatState = {}
     for share in shares:
         best[share] = got[off:off + 3 * len(share)].reshape(-1, 3)
         off += 3 * len(share)
-        won = share[np.isfinite(best[share, 0])]
-        i, r = np.nonzero(_count_rows(state, best[won, 1].astype(np.int64)))
-        need[won[i], r] = got[off:off + c * len(i)].reshape(-1, c)
-        off += c * len(i)
-    split = np.flatnonzero(np.isfinite(best[:, 0]))
-    return split, best[split], np.rint(need[split]).astype(np.int64)
+        for k in share[np.isfinite(best[share, 0])].tolist():
+            attr, third = int(best[k, 1]), best[k, 2]
+            if width := widths[attr]:
+                # a binary-subset winner carries its mask in the third
+                # slot (0.0: the multiway split)
+                mask = decode_mask(third, width) \
+                    if config.categorical_binary_subsets and third != 0.0 \
+                    else None
+                cat_state.setdefault(attr, {})[k] = (np.rint(
+                    got[off:off + width * c]).astype(np.int64).reshape(
+                    width, c), mask)
+                off += width * c
+    return best, cat_state
 
 
 # ----------------------------------------------------------------------
@@ -242,239 +242,206 @@ def _score_nodes(stack: np.ndarray, totals: np.ndarray, schema: Schema,
 
 
 # ----------------------------------------------------------------------
-# frontier mutation
+# one rank's stream as the level loop's source
 # ----------------------------------------------------------------------
 
 
-def _sync_leaves(state: StreamState, fids: np.ndarray,
-                 totals: np.ndarray) -> None:
-    """Write fresh global class totals into leaves ``fids`` (an empty
-    leaf keeps its label)."""
-    n = totals.sum(axis=1)
-    state.class_counts[fids] = totals
-    state.n_records[fids] = n
-    state.leaf_label[fids[n > 0]] = np.argmax(totals[n > 0], axis=1)
+class _SketchSource(LevelSource):
+    """One rank's streaming state, read by :func:`grow_levels`.
 
-
-def _close_leaves(state: StreamState, fids: np.ndarray,
-                  totals: np.ndarray) -> None:
-    _sync_leaves(state, fids, totals)
-    state.open_[fids] = False
-    state.sk_blk[fids] = -1
-
-
-def _refresh_frontier(state: StreamState, g_counts: np.ndarray,
-                      reopen_delta: float) -> None:
-    """Sync leaf labels/counts with the fresh global totals; reopen
-    closed leaves whose class distribution drifted past the threshold
-    (a closed leaf keeps the counts it closed with until then)."""
-    fids = np.flatnonzero(state.open_)
-    _sync_leaves(state, fids, g_counts[fids])
-    n = g_counts.sum(axis=1)
-    fids = np.flatnonzero((state.kind == KIND_LEAF) & ~state.open_
-                          & (state.n_records > 0) & (n > 0))
-    dist = g_counts[fids] / n[fids, None]
-    shift = 0.5 * np.abs(dist - state.class_counts[fids]
-                         / state.n_records[fids, None]).sum(axis=1)
-    fids = fids[shift > reopen_delta]
-    if len(fids):
-        state.open_[fids] = True
-        _sync_leaves(state, fids, g_counts[fids])
-        state.adopt([(fids, state.local_sketches(fids))])
-
-
-def _split_nodes(state: StreamState, fids: np.ndarray, best: np.ndarray,
-                 totals: np.ndarray, counts: np.ndarray,
-                 config: InductionConfig, finalize: bool, order):
-    """Split leaves ``fids`` in one pass: rewrite their rows as splits,
-    re-route their retained records, append every child as a new leaf
-    and build the open children's sketches from the exact retained data.
-
-    ``best``/``totals``/``counts`` are aligned with ``fids``: the winning
-    candidate row, the global class totals and the ``(W, c)`` count block
-    the scorer sent (:func:`_count_rows`).  ``order`` is the grow pass's
-    presort — ``(covered fids, per-attribute record order sorted by
-    (node, value))`` or ``None`` — and the updated presort is returned: a
-    split only regroups it (stable, so value order survives).
-
-    During finalize the child totals are final, so a child the batch
-    rules would close next round (pure, under-mass, at the depth cap)
-    closes *now* — identical labels and reopen state, but it never pays
-    sketch construction or transport.
+    The retained records (``columns``, ``labels`` and ``node_of``, each
+    record's fid), this rank's class counts per fid and the local
+    sketches of open leaves: ``sketches[fid]`` is ``(n_attrs, rows,
+    1+c)``, built from the retained records when the leaf is first a
+    candidate (the root's from the first record on) and merged with every
+    later chunk; a closed or split node's are dropped.  ``presort`` is
+    the record order of the last build — per attribute, records sorted
+    by (node, value) — which a split only regroups (stable, so value
+    order survives).
     """
-    c = state.n_classes
-    attr = best[:, 1].astype(np.int64)
-    thr = best[:, 2]
-    cont = state.widths[attr] == 0
 
-    # categorical winners: child layout per node, then one dense
-    # (node, value) → child table shared by counting and routing
-    cat = np.flatnonzero(~cont)
-    v2c = np.full(counts.shape[:2], -1, dtype=np.int64)
-    default = np.zeros(len(fids), dtype=np.int64)
-    n_children = np.full(len(fids), 2, dtype=np.int64)
-    for i, width in zip(cat.tolist(), state.widths[attr[cat]].tolist()):
-        # a binary-subset winner carries its mask in the third slot
-        # (0.0: the multiway split), so every rank rebuilds the layout
-        mask = decode_mask(thr[i], width) \
-            if config.categorical_binary_subsets and thr[i] != 0.0 else None
-        v2c[i, :width], n_children[i], default[i] = \
-            categorical_children_layout(counts[i, :width], mask)
-    off = np.concatenate([[0], np.cumsum(n_children)])
-    n_new = int(off[-1])
-    child_counts = np.zeros((n_new, c), dtype=np.int64)
-    k = np.flatnonzero(cont)
-    child_counts[off[k]] = counts[k, 0]
-    child_counts[off[k] + 1] = totals[k] - counts[k, 0]
-    hit = v2c[cat] >= 0
-    np.add.at(child_counts, (off[cat, None] + v2c[cat])[hit],
-              counts[cat][hit])
+    def __init__(self, comm: Communicator, frontier: LevelFrontier,
+                 config: InductionConfig, min_mass: int,
+                 reopen_delta: float) -> None:
+        self.comm, self.frontier, self.config = comm, frontier, config
+        self.min_mass, self.reopen_delta = min_mass, reopen_delta
+        schema = frontier.schema
+        self.capacity = config.resolved_sketch_size()
+        self.n_classes = schema.n_classes
+        self.columns = [np.empty(0, dtype=(
+            np.float64 if spec.is_continuous else np.int32))
+            for spec in schema]
+        self.labels = np.empty(0, dtype=np.int64)
+        self.node_of = np.empty(0, dtype=np.int64)
+        self.local_counts = np.zeros((len(frontier.kind), self.n_classes),
+                                     dtype=np.int64)
+        self.sketches = {0: self._empty(1, self.capacity)[0]}
+        self.presort: list | None = None
+        self.fids = np.empty(0, dtype=np.int64)
 
-    # route the retained records of every splitting node at once
-    base = len(state.kind)
-    index = np.full(base, -1, dtype=np.int64)
-    index[fids] = np.arange(len(fids))
-    node = index[state.node_of]
-    recs = np.flatnonzero(node >= 0)
-    node = node[recs]
-    values = np.empty(len(recs))
-    for a in np.flatnonzero(np.bincount(attr)).tolist():
-        sel = np.flatnonzero(attr[node] == a)
-        values[sel] = state.columns[a][recs[sel]]
-    child = (values >= thr[node]).astype(np.int64)
-    sel = np.flatnonzero(~cont[node])
-    child[sel] = np.where(v2c < 0, default[:, None], v2c).ravel().take(
-        node[sel] * v2c.shape[1] + values[sel].astype(np.int64))
-    child += off[node]
-    state.node_of[recs] = base + child
-    local_counts = np.bincount(child * c + state.labels[recs],
-                               minlength=n_new * c).reshape(n_new, c)
+    def _empty(self, n: int, cap: int) -> np.ndarray:
+        return sketch_identity_like(np.empty(
+            (n, len(self.columns), cap, 1 + self.n_classes)))
 
-    # each leaf row becomes its split (its counts are ``totals`` already:
-    # the round's refresh synced them); the children follow as new leaves,
-    # an empty one (possible only with lossy sketches) closed at once and
-    # labelled with the parent majority like the batch path
-    parent = np.repeat(np.arange(len(fids)), n_children)
-    n = child_counts.sum(axis=1)
-    empty = n == 0
-    labels = np.where(empty, np.argmax(totals, axis=1)[parent],
-                      np.argmax(child_counts, axis=1))
-    child_depth = state.depth[fids][parent] + 1
-    closed = empty.copy()
-    if finalize:
-        closed |= terminal_nodes(child_counts, child_depth, config)
-    state.kind[fids] = np.where(cont, KIND_CONTINUOUS, KIND_CATEGORICAL)
-    state.feature[fids] = attr
-    state.threshold[fids] = np.where(cont, thr, np.nan)
-    state.leaf_label[fids] = -1
-    state.default_child[fids] = default
-    state.n_children[fids] = n_children
-    state.first_child[fids] = base + off[:-1]
-    state.slots[fids[cont], :2] = (0, 1)
-    state.slots[fids[cat]] = v2c[cat]
-    state.open_[fids] = False
-    state.sk_blk[fids] = -1
-    state.add_leaves(child_counts, labels, child_depth, ~closed,
-                     local_counts)
+    # -- the level loop's side ---------------------------------------
 
-    # sketches of the open children, one block per transport capacity
-    # (the runs the next round sends in): regroup the presort by child
-    wanted = np.flatnonzero(~closed)
-    if len(wanted) == 0:
-        state.adopt([])
-        return None
-    caps = transport_capacity(n[wanted], state.capacity)
-    by_cap = np.argsort(caps, kind="stable")
-    wanted, caps = wanted[by_cap], caps[by_cap]
-    if order is None or not np.isin(fids, order[0]).all():
-        order = (fids, [recs[np.lexsort((col[recs], node))]
-                        for col in state.columns])
-    key = np.full(len(state.node_of), -1, dtype=np.int64)
-    rank = np.full(n_new, -1, dtype=np.int64)
-    rank[wanted] = np.arange(len(wanted))
-    key[recs] = rank[child]
-    regrouped = []
-    for a_order in order[1]:
-        take, offsets = kernels.stable_regroup(key[a_order], len(wanted))
-        regrouped.append(a_order[take])
-    blocks = []
-    for lo, hi, cap in _cap_runs(caps):
-        nodes = np.repeat(np.arange(hi - lo), np.diff(offsets[lo:hi + 1]))
-        blocks.append((base + wanted[lo:hi], state.sketch_block(
-            nodes, [o[offsets[lo]:offsets[hi]] for o in regrouped],
-            hi - lo, cap)))
-    state.adopt(blocks)
-    return base + wanted, regrouped
+    def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
+        frontier = self.frontier
+        with timed_phase(self.comm, STREAM_SKETCH):
+            g = self.comm.allreduce(self.local_counts, SUM)
+        with timed_phase(self.comm, STREAM_GROW):
+            # a closed leaf keeps the counts it closed with until its
+            # class distribution drifts past reopen_delta: then it reopens
+            live = np.flatnonzero(frontier.open_)
+            frontier.settle(live, g[live])
+            n = g.sum(axis=1)
+            closed = np.flatnonzero(
+                (frontier.kind == KIND_LEAF) & ~frontier.open_
+                & (frontier.n_records > 0) & (n > 0))
+            shift = 0.5 * np.abs(
+                g[closed] / n[closed, None] - frontier.class_counts[closed]
+                / frontier.n_records[closed, None]).sum(axis=1)
+            reopened = closed[shift > self.reopen_delta]
+            frontier.open_[reopened] = True
+            frontier.settle(reopened, g[reopened])
+        self.fids = fids
+        return g[fids]
 
+    def ready(self, totals: np.ndarray) -> np.ndarray:
+        return totals.sum(axis=1) >= self.min_mass
 
-def _grow_rounds(comm: Communicator, state: StreamState,
-                 config: InductionConfig, *, finalize: bool,
-                 grow_threshold: int, reopen_delta: float) -> None:
-    """Reduce the class totals, score every qualifying frontier node on
-    its scorer, then split the winners everywhere; repeat on the fresh
-    children until a round makes no split.  Each round handles the whole
-    frontier in array passes.
-
-    ``finalize`` applies the batch termination rules (purity, minimum
-    records, depth cap, minimum improvement) and closes failing nodes —
-    a finalize run is exactly the batch level loop replayed over the
-    sketches.  Mid-stream (``finalize=False``) only nodes whose global
-    mass reached ``grow_threshold`` are examined, and a node that fails
-    stays open for future chunks.
-    """
-    growing = finalize or grow_threshold > 0
-    # at finalize every leaf's global count is current (the last epoch
-    # heartbeat refreshed it); mid-stream the first round follows an
-    # ingest, so its counts are stale and the transport stays untrimmed
-    tight = finalize
-    order = None
-    while True:
-        # leaves the refresh below reopens are not in this round's set
-        fids = np.flatnonzero(state.open_)
+    def best_splits(self, totals: np.ndarray, candidates: np.ndarray
+                    ) -> tuple[np.ndarray, CatState]:
+        pos = np.flatnonzero(candidates)
         # a sketch travels trimmed to the power of two covering its
-        # node's *global* count as of the last refresh — every rank
-        # derives the same caps, and deep nodes stop paying full-capacity
-        # freight; a count stale since an ingest could force compression
-        # the full capacity would not, hence ``tight``
-        caps = transport_capacity(state.n_records[fids], state.capacity) \
-            if tight else np.full(len(fids), state.capacity)
-        tight = True    # refresh below re-syncs every count; no ingest
-        with timed_phase(comm, STREAM_SKETCH):
-            g_counts = comm.allreduce(state.local_counts, SUM)
-        with timed_phase(comm, STREAM_GROW):
-            _refresh_frontier(state, g_counts, reopen_delta)
-            if not growing:
-                # finalize-only growth: the epoch heartbeat reduces just
-                # the class totals (leaf refresh + reopen checks); the
-                # frontier sketches stay local until end of stream
-                return
-            totals = g_counts[fids]
-            ready = np.ones(len(fids), dtype=bool) if finalize else \
-                totals.sum(axis=1) >= max(grow_threshold,
-                                          config.min_split_records)
-            done = ready & terminal_nodes(totals, state.depth[fids], config)
-            _close_leaves(state, fids[done], totals[done])
-            scored = np.flatnonzero(ready & ~done)
-            if len(scored) == 0:
-                return
-            fids, totals, caps = fids[scored], totals[scored], caps[scored]
+        # node's global count: fresh, so the trim never loses a value
+        caps = np.zeros(len(totals), dtype=np.int64)
+        caps[pos] = transport_capacity(totals[pos].sum(axis=1), self.capacity)
+        with timed_phase(self.comm, STREAM_GROW):
+            new = np.array([fid not in self.sketches
+                            for fid in self.fids[pos].tolist()], dtype=bool)
+            if new.any():
+                for fids, block in self._local_sketches(
+                        self.fids[pos[new]], caps[pos[new]]):
+                    self.sketches.update(zip(fids.tolist(), block))
         # each node's sketches go to the one rank that scores it, and
         # only the winners come back — replicating the fold and the
         # scoring pass on every rank would serialize them p times over
-        shares = _scorer_shares(caps, comm.size)
-        with timed_phase(comm, STREAM_SKETCH):
-            folded = _sketches_to_scorers(comm, state, fids, caps, shares)
-        with timed_phase(comm, STREAM_GROW):
-            split, best, counts = _winners_to_everyone(
-                comm, state, shares, folded, totals, config)
-            if finalize:
-                rejected = np.ones(len(fids), dtype=bool)
-                rejected[split] = False
-                _close_leaves(state, fids[rejected], totals[rejected])
-            if len(split) == 0:
-                return
-            order = _split_nodes(state, fids[split], best, totals[split],
-                                 counts, config, finalize, order)
+        shares = _scorer_shares(pos, caps, self.comm.size)
+        with timed_phase(self.comm, STREAM_SKETCH):
+            folded = _sketches_to_scorers(self.comm, self, caps, shares)
+        with timed_phase(self.comm, STREAM_GROW):
+            return _winners_to_everyone(self.comm, shares, folded, totals,
+                                        self.config, self.frontier.schema)
+
+    def partition(self, decisions: LevelDecisions) -> None:
+        """Move the retained records of the splitting nodes to their
+        children, read off the rows the pass just wrote."""
+        frontier, c = self.frontier, self.n_classes
+        split = self.fids[decisions.splitting]
+        index = np.full(len(self.local_counts), -1, dtype=np.int64)
+        index[split] = np.arange(len(split))
+        node = index[self.node_of]
+        recs = np.flatnonzero(node >= 0)
+        parent = split[node[recs]]
+        feature = frontier.feature[parent]
+        values = np.empty(len(recs))
+        for a in np.flatnonzero(np.bincount(frontier.feature[split])).tolist():
+            sel = np.flatnonzero(feature == a)
+            values[sel] = self.columns[a][recs[sel]]
+        slot = np.where(frontier.kind[parent] == KIND_CONTINUOUS,
+                        values >= frontier.threshold[parent], values)
+        child = frontier.slots[parent, slot.astype(np.int64)]
+        child = frontier.first_child[parent] + np.where(
+            child < 0, frontier.default_child[parent], child)
+        self.node_of[recs] = child
+        self.local_counts = np.concatenate([self.local_counts, np.zeros(
+            (len(frontier.kind) - len(self.local_counts), c), np.int64)])
+        self.local_counts += np.bincount(
+            child * c + self.labels[recs], minlength=self.local_counts.size,
+        ).reshape(self.local_counts.shape)
+
+    def end_level(self, level: int, frontier: LevelFrontier,
+                  n_active: int) -> None:
+        # a node this pass split or closed never reads its sketches again
+        for fid in self.fids[~frontier.open_[self.fids]].tolist():
+            self.sketches.pop(fid, None)
+
+    # -- the stream's side -------------------------------------------
+
+    def gather(self, fids: np.ndarray, cap: int) -> np.ndarray:
+        """Local sketches of leaves ``fids`` as one ``cap``-row block."""
+        out = self._empty(len(fids), cap)
+        for i, fid in enumerate(fids.tolist()):
+            sketch = self.sketches[fid][:, :cap]
+            out[i, :, :sketch.shape[1]] = sketch
+        return out
+
+    def _local_sketches(self, fids: np.ndarray, caps: np.ndarray,
+                        lo: int = 0) -> list:
+        """Local sketches of nodes ``fids`` over the retained records
+        from position ``lo`` on: ``(fids, block)`` per run of equal
+        ``caps``, the block ``(n, n_attrs, cap, 1+c)``.  Each node's
+        records come in value order from the presort where it holds them
+        all, from a lexsort otherwise."""
+        by_cap = np.argsort(caps, kind="stable")
+        fids, caps = fids[by_cap], caps[by_cap]
+        key = np.full(len(self.local_counts), -1, dtype=np.int64)
+        key[fids] = np.arange(len(fids))
+        node = key[self.node_of]
+        node[:lo] = -1
+        sizes = np.bincount(node[node >= 0], minlength=len(fids))
+        if self.presort is not None and np.count_nonzero(
+                node[self.presort[0]] >= 0) == sizes.sum():
+            recs = [order[kernels.stable_regroup(node[order], len(fids))[0]]
+                    for order in self.presort]
+        else:
+            held = np.flatnonzero(node >= 0)
+            recs = [held[np.lexsort((col[held], node[held]))]
+                    for col in self.columns]
+        if not lo:
+            self.presort = recs
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        runs = []
+        for a_lo, a_hi, cap in _cap_runs(caps):
+            nodes = np.repeat(np.arange(a_hi - a_lo), sizes[a_lo:a_hi])
+            block = np.empty((a_hi - a_lo, len(self.columns), cap,
+                              1 + self.n_classes))
+            for a, order in enumerate(recs):
+                part = order[offsets[a_lo]:offsets[a_hi]]
+                block[:, a] = build_sketch_stack(
+                    nodes, self.columns[a][part], self.labels[part],
+                    a_hi - a_lo, self.n_classes, self.capacity, rows=cap)
+            runs.append((fids[a_lo:a_hi], block))
+        return runs
+
+    def ingest(self, block: Dataset) -> None:
+        """Route one epoch block to its leaves through the tree's table,
+        extending the retained set, per-fid local counts and the held
+        sketches (a leaf without builds them from every retained record
+        once it is a candidate)."""
+        if block.n_records == 0:
+            return
+        table, fid_of = self.frontier.table()
+        fids = fid_of[table.apply(np.column_stack(block.columns))]
+        labels = block.labels.astype(np.int64)
+        added = np.bincount(
+            fids * self.n_classes + labels, minlength=self.local_counts.size,
+        ).reshape(self.local_counts.shape)
+        self.local_counts += added
+        base = len(self.labels)
+        self.columns = [np.concatenate([col, new])
+                        for col, new in zip(self.columns, block.columns)]
+        self.labels = np.concatenate([self.labels, labels])
+        self.node_of = np.concatenate([self.node_of, fids])
+        touched = np.array([fid for fid in np.flatnonzero(
+            added.any(axis=1)).tolist() if fid in self.sketches],
+            dtype=np.int64)
+        if len(touched):
+            [(touched, new)] = self._local_sketches(
+                touched, np.full(len(touched), self.capacity), lo=base)
+            self.sketches.update(zip(touched.tolist(), merge_stacks(
+                [self.gather(touched, self.capacity), new])))
 
 
 # ----------------------------------------------------------------------
@@ -483,18 +450,19 @@ def _grow_rounds(comm: Communicator, state: StreamState,
 
 
 def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
-              state: StreamState, cursor: int, n_seen: int,
+              source: _SketchSource, cursor: int, n_seen: int,
               config: InductionConfig) -> None:
     rank_payload = {
-        "columns": [col.copy() for col in state.columns],
-        "labels": state.labels.copy(),
-        "node_of": state.node_of.copy(),
-        "local_counts": state.local_counts.copy(),
+        "columns": [col.copy() for col in source.columns],
+        "labels": source.labels.copy(),
+        "node_of": source.node_of.copy(),
+        "local_counts": source.local_counts.copy(),
         **rank_extras(comm),
     }
     shared_payload = {
-        **config.cut_header(_CKPT_ALGO, state.schema, streaming=True),
-        "rows": {name: getattr(state, name) for name in ROWS},
+        **config.cut_header(_CKPT_ALGO, source.frontier.schema,
+                            streaming=True),
+        "rows": source.frontier.rows(),
         "cursor": int(cursor),
         "n_seen": int(n_seen),
     }
@@ -503,15 +471,16 @@ def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
                     "cursor": int(cursor), "n_seen": int(n_seen)})
 
 
-def _resume_cut(comm: Communicator, source: str, schema: Schema,
-                config: InductionConfig, capacity: int):
-    """Reload a streaming cut: ``(state, epoch, cursor, n_seen)``.
+def _resume_cut(comm: Communicator, path: str, schema: Schema,
+                config: InductionConfig, source: _SketchSource):
+    """Reload a streaming cut into a fresh ``source``: ``(epoch, cursor,
+    n_seen)``.
 
     Works on the original world size or any other — retained records are
-    re-blocked contiguously in old-rank order, and sketches are rebuilt
-    deterministically from the exact retained data either way.
+    re-blocked contiguously in old-rank order, and every sketch is built
+    afresh from the exact retained data either way.
     """
-    loaded = LoadedCheckpoint.open(source)
+    loaded = LoadedCheckpoint.open(path)
     shared = loaded.expect(
         **config.cut_header(_CKPT_ALGO, schema, streaming=True))
     if "rows" not in shared:
@@ -520,18 +489,16 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
             "of this streaming driver (its tree is a node graph); restart "
             "the stream"
         )
-
-    state = StreamState(schema, capacity)
-    for name in ROWS:
-        setattr(state, name, shared["rows"][name])
+    source.frontier = LevelFrontier.from_rows(schema, shared["rows"])
+    source.sketches = {}
 
     payloads = loaded.all_rank_payloads()
     if loaded.n_ranks == comm.size:
         mine = payloads[comm.rank]
-        state.columns = [np.asarray(col) for col in mine["columns"]]
-        state.labels = np.asarray(mine["labels"])
-        state.node_of = np.asarray(mine["node_of"])
-        state.local_counts = np.asarray(mine["local_counts"])
+        source.columns = [np.asarray(col) for col in mine["columns"]]
+        source.labels = np.asarray(mine["labels"])
+        source.node_of = np.asarray(mine["node_of"])
+        source.local_counts = np.asarray(mine["local_counts"])
         restore_rank_extras(comm, mine)
     else:
         all_labels = np.concatenate([p["labels"] for p in payloads])
@@ -540,18 +507,17 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         blk = -(-n_ret // comm.size) if n_ret else 0
         lo = min(comm.rank * blk, n_ret)
         hi = min((comm.rank + 1) * blk, n_ret)
-        state.columns = [
+        source.columns = [
             np.concatenate([p["columns"][a] for p in payloads])[lo:hi]
-            for a in range(state.n_attrs)
+            for a in range(len(schema))
         ]
-        state.labels = all_labels[lo:hi]
-        state.node_of = all_node_of[lo:hi]
-        state.local_counts = np.bincount(
-            state.node_of * state.n_classes + state.labels,
-            minlength=len(state.kind) * state.n_classes,
-        ).reshape(len(state.kind), state.n_classes)
-    state.rebuild_sketches()
-    return state, loaded.level, int(shared["cursor"]), int(shared["n_seen"])
+        source.labels = all_labels[lo:hi]
+        source.node_of = all_node_of[lo:hi]
+        source.local_counts = np.bincount(
+            source.node_of * schema.n_classes + source.labels,
+            minlength=len(source.frontier.kind) * schema.n_classes,
+        ).reshape(len(source.frontier.kind), schema.n_classes)
+    return loaded.level, int(shared["cursor"]), int(shared["n_seen"])
 
 
 # ----------------------------------------------------------------------
@@ -584,57 +550,58 @@ def stream_induce_worker(
         raise ValueError("dataset has no attributes")
     schema = dataset.schema
     chunk_records = config.resolved_stream_chunk_records()
-    capacity = config.resolved_sketch_size()
     grow_threshold = config.resolved_stream_grow_records()
-    reopen_delta = config.resolved_stream_reopen_delta()
 
     ckpt_cfg = resolve_checkpoint(checkpoint)
     ckpt = LevelCheckpointer(ckpt_cfg) if ckpt_cfg is not None else None
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 
+    source = _SketchSource(
+        comm, LevelFrontier(schema), config,
+        max(grow_threshold, config.min_split_records),
+        config.resolved_stream_reopen_delta())
+    epoch, cursor, n_seen = 0, 0, 0
     if resume_src is not None:
-        state, epoch, cursor, n_seen = _resume_cut(
-            comm, resume_src, schema, config, capacity)
+        epoch, cursor, n_seen = _resume_cut(comm, resume_src, schema, config,
+                                            source)
         if fresh_cursor:
             cursor = 0
-    else:
-        state = StreamState(schema, capacity)
-        epoch, cursor, n_seen = 0, 0, 0
 
-    source = ChunkSource(dataset, chunk_records)
+    stream = ChunkSource(dataset, chunk_records)
     epochs_run = 0
     last_saved_epoch = epoch if resume_src is not None else None
-    while cursor < source.n_records and (
+    while cursor < stream.n_records and (
             max_epochs is None or epochs_run < max_epochs):
         tag_level(comm, epoch)
-        block = source.rank_block(cursor, comm.rank, comm.size)
+        block = stream.rank_block(cursor, comm.rank, comm.size)
         with timed_phase(comm, STREAM_INGEST):
-            state.ingest(block)
-        hi = min(cursor + chunk_records, source.n_records)
+            source.ingest(block)
+        hi = min(cursor + chunk_records, stream.n_records)
         n_seen += hi - cursor
         cursor = hi
-        _grow_rounds(comm, state, config, finalize=False,
-                     grow_threshold=grow_threshold,
-                     reopen_delta=reopen_delta)
+        if grow_threshold:
+            grow_levels(source.frontier, config, source, epoch, final=False)
+        else:
+            # growth at finalize only: the epoch heartbeat reduces just
+            # the class totals (leaf refresh, reopen checks); the sketches
+            # stay local until the end of the stream
+            source.class_totals(epoch, np.empty(0, dtype=np.int64))
         epoch += 1
         epochs_run += 1
         comm.perf.mark_level(epoch - 1)
         if ckpt is not None and ckpt.should_save(epoch - 1):
-            _save_cut(comm, ckpt, epoch, state, cursor, n_seen, config)
+            _save_cut(comm, ckpt, epoch, source, cursor, n_seen, config)
             last_saved_epoch = epoch
 
-    finalized = False
-    if finalize and cursor >= source.n_records:
+    tree = None
+    if finalize and cursor >= stream.n_records:
         tag_level(comm, epoch)
-        _grow_rounds(comm, state, config, finalize=True,
-                     grow_threshold=grow_threshold,
-                     reopen_delta=reopen_delta)
-        finalized = True
+        tree = grow_levels(source.frontier, config, source, epoch)
 
     if ckpt is not None:
-        if finalized or last_saved_epoch != epoch:
+        if tree is not None or last_saved_epoch != epoch:
             # off-cadence tail epoch (or a finalized frontier): cut it
             # anyway so no ingested work is ever lost
-            _save_cut(comm, ckpt, epoch, state, cursor, n_seen, config)
+            _save_cut(comm, ckpt, epoch, source, cursor, n_seen, config)
         ckpt.finalize(comm)
-    return state.table()[0].to_tree()
+    return tree if tree is not None else source.frontier.table()[0].to_tree()

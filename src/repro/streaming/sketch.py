@@ -29,10 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.reduction import ReduceOp
-
 __all__ = [
-    "SKETCH_MERGE",
     "build_sketch",
     "build_sketch_stack",
     "empty_sketch",
@@ -214,24 +211,9 @@ def merge_stacks(stacks: "list[np.ndarray]") -> np.ndarray:
                           capacity).reshape(first.shape)
 
 
-def _combine(acc: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Binary sketch-stack merge (the pairwise form of the fold)."""
-    return merge_stacks([acc, contrib])
-
-
 def sketch_identity_like(template: np.ndarray) -> np.ndarray:
     """The merge identity: an all-empty stack shaped like ``template``."""
     out = np.zeros_like(template)
     out[..., 0] = np.nan
     return out
 
-
-#: the pairwise sketch-stack merge as a reduction operator (ingest folds
-#: a chunk's sketches into the stored ones with it); couples the cells of
-#: each (capacity, 1+c) summary, so fusion must not flatten it
-SKETCH_MERGE = ReduceOp(
-    "sketch_merge",
-    _combine,
-    identity_like=sketch_identity_like,
-    cellwise=False,
-)

@@ -148,12 +148,12 @@ def test_env_vars_match_runtime_doc_table():
 
 
 def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
-    """Every level-synchronous inducer emits its levels through
-    ``core/frontier.py`` as table blocks and the streaming driver keeps
-    per-fid table rows — no node object at all — and their nodes come
-    from ``tree/compile.py``; a second inline copy of node emission (and
-    with it the termination / acceptance / empty-child rules) shows up
-    here as a new module constructing split nodes."""
+    """Every inducer, streaming included, grows its tree through
+    ``core/frontier.py`` as per-node table rows — no node object at all —
+    and their nodes come from ``tree/compile.py``; a second inline copy
+    of node emission (and with it the termination / acceptance /
+    empty-child rules) shows up here as a new module constructing split
+    nodes."""
     src = _ROOT / "src" / "repro"
     builds = re.compile(r"\b(?:ContinuousSplit|CategoricalSplit)\(")
     found = {path.relative_to(src).as_posix() for path in src.rglob("*.py")

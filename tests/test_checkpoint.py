@@ -13,8 +13,11 @@ induction-path correctness fixes that shipped with it:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from repro.baselines import (
 from repro.core import InductionConfig, ScalParC, induce_worker
 from repro.core.phases import FINDSPLIT1, FINDSPLIT2
 from repro.core.splitter import LevelDecisions
-from repro.datagen import generate_quest
+from repro.datagen import generate_quest, paper_dataset
 from repro.datagen.schema import AttributeSpec, Dataset, Schema
 from repro.perfmodel import PerfRun
 from repro.runtime import (
@@ -239,8 +242,8 @@ def test_resume_rejects_mismatched_run(tmp_path):
 def test_resume_rejects_cut_that_predates_the_table_frontier(tmp_path,
                                                            monkeypatch):
     """A cut written while the partial tree was a node graph carries
-    ``"tree": (root, pending)`` and no ``"frontier"``: resume must refuse
-    it typed, naming the format — not fail unpacking inside the level
+    ``"tree": (root, pending)`` and no ``"rows"``: resume must refuse it
+    typed, naming the format — not fail unpacking inside the level
     loop."""
     ds = generate_quest(300, "F2", seed=5)
     d = str(tmp_path / "run")
@@ -250,7 +253,7 @@ def test_resume_rejects_cut_that_predates_the_table_frontier(tmp_path,
     payload = LoadedCheckpoint.shared_payload
 
     def old_format(self):
-        shared = {k: v for k, v in payload(self).items() if k != "frontier"}
+        shared = {k: v for k, v in payload(self).items() if k != "rows"}
         shared["tree"] = (root, [(root, c, 1)
                                  for c in range(len(root.children))])
         return shared
@@ -262,6 +265,47 @@ def test_resume_rejects_cut_that_predates_the_table_frontier(tmp_path,
     errors = list(excinfo.value.failures.values())
     assert errors and all(isinstance(e, CheckpointError) for e in errors)
     assert all("predates the table frontier" in str(e) for e in errors)
+
+
+def test_resume_refuses_the_committed_level_block_cut(tmp_path):
+    """``tests/fixtures/batch_cut_level_blocks`` is a level-boundary cut
+    written by the driver whose frontier was one block of columns per
+    level (a pickled frontier object under ``"frontier"``; F2, 600
+    records, p = 2, max_depth 6, thread backend, after level 1).  The
+    per-node-row driver refuses it, typed, on every rank."""
+    fixture = pathlib.Path(__file__).resolve().parent / "fixtures"
+    shutil.copytree(fixture / "batch_cut_level_blocks", tmp_path / "cut")
+    with pytest.raises(Exception) as excinfo:
+        ScalParC(2, InductionConfig(max_depth=6), machine=None,
+                 backend="thread").fit(
+            paper_dataset(600, "F2", seed=1), checkpoint=CheckpointConfig(
+                dir=str(tmp_path / "cut"), resume=True))
+    errors = list(excinfo.value.failures.values())
+    assert len(errors) == 2
+    for exc in errors:
+        assert isinstance(exc, CheckpointError) and "predates" in str(exc)
+
+
+def test_payload_naming_a_missing_class_is_a_typed_error(tmp_path):
+    """A payload that unpickles a module or class this version lacks — a
+    cut from an older format — is refused as a ``CheckpointError`` naming
+    the file, not an ``AttributeError`` from deep inside pickle."""
+    level = tmp_path / "level-0001"
+    level.mkdir()
+    blobs = {"shared.ckpt": b"cno_such_module\nThing\n.",
+             "rank-000.ckpt": b"crepro.runtime.checkpoint\nNoSuchClass\n."}
+    for name, blob in blobs.items():
+        (level / name).write_bytes(blob)
+    (level / "manifest.json").write_text(json.dumps({
+        "format": 1, "level": 1, "n_ranks": 1, "files": {
+            name: hashlib.blake2b(blob, digest_size=16).hexdigest()
+            for name, blob in blobs.items()}}))
+    loaded = LoadedCheckpoint.open(str(tmp_path))
+    for read, name in ((loaded.shared_payload, "shared.ckpt"),
+                       (lambda: loaded.rank_payload(0), "rank-000.ckpt")):
+        with pytest.raises(CheckpointError, match="predates") as excinfo:
+            read()
+        assert name in str(excinfo.value)
 
 
 @pytest.mark.parametrize("field", ["algo", "schema", "config"])

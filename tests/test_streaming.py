@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import InductionConfig, ScalParC
 from repro.core.config import SKETCH_SIZE_ENV, STREAM_CHUNK_ENV
 from repro.core.criteria import best_categorical_split
+from repro.core.frontier import LevelFrontier
 from repro.core.kernels import forced_kernel_mode, split_scores
 from repro.core.phases import STREAM_SKETCH
 from repro.core.splits import NO_CANDIDATE, candidate_beats, encode_mask
@@ -52,8 +53,8 @@ from repro.streaming import (
     sketch_identity_like,
 )
 from repro.streaming import induction, sketch
-from repro.streaming.frontier import StreamState
 from repro.streaming.sketch import build_sketch_stack
+from repro.tree.compile import KIND_LEAF
 
 from tests.conftest import assert_trees_equal
 
@@ -319,54 +320,39 @@ def test_sketch_stack_builder_matches_build_sketch(seed, n_classes, capacity,
         np.testing.assert_array_equal(got[k], want)
 
 
-def _check_local_sketches(comm, ds, cfg, lossless):
-    """Worker: ingest and grow eagerly for four epochs; after the first
-    ingest and after the last grow pass, require stored leaf sketches to
-    equal ``build_sketch`` of the leaf's retained records (trimmed to the
-    block's rows).  Ingest merges compress incrementally, so under lossy
-    sketches only leaves built since the last ingest are comparable."""
-    state = StreamState(ds.schema, cfg.resolved_sketch_size())
-    source = ChunkSource(ds, cfg.resolved_stream_chunk_records())
-    checked = 0
-    for epoch in range(4):
-        state.ingest(source.rank_block(epoch * source.chunk_records,
-                                       comm.rank, comm.size))
-        fresh = len(state.kind)
-        if epoch:
-            induction._grow_rounds(
-                comm, state, cfg, finalize=False,
-                grow_threshold=cfg.resolved_stream_grow_records(),
-                reopen_delta=cfg.resolved_stream_reopen_delta())
-        elif not lossless:
-            fresh = 0       # one ingest into empty sketches: still exact
-        if epoch not in (0, 3):
-            continue
-        for fid in np.flatnonzero(state.open_):
-            if fid < fresh and not lossless:
-                continue
-            block = state.blocks[state.sk_blk[fid]][1]
-            mine = state.node_of == fid
-            for a in range(state.n_attrs):
-                want = build_sketch(
-                    state.columns[a][mine], state.labels[mine],
-                    state.n_classes, state.capacity)[: block.shape[2]]
-                np.testing.assert_array_equal(
-                    block[state.sk_row[fid], a], want)
-            checked += 1
-    return checked
-
-
 @pytest.mark.parametrize("sketch_size", [16, 4096])
-def test_grow_rounds_child_sketches_match_build_sketch(sketch_size):
-    """The presort-regroup builder inside the grow rounds, over several
-    split rounds, in the lossless and in the overflowing regime."""
+def test_grow_rounds_child_sketches_match_build_sketch(sketch_size,
+                                                       monkeypatch):
+    """Every local sketch block a rank builds — from the presort a split
+    regrouped, from a fresh lexsort, or over an ingested chunk — equals
+    ``build_sketch`` of each node's records (trimmed to the block's rows),
+    over several eager split passes and the finalize, in the lossless and
+    in the overflowing regime."""
     ds = paper_dataset(1600, "F5", seed=7)
     cfg = _stream_cfg(sketch_size=sketch_size, stream_chunk_records=400,
                       stream_grow_records=150)
-    for checked in run_spmd(2, _check_local_sketches,
-                            args=(ds, cfg, sketch_size == 4096),
-                            backend="thread"):
-        assert checked > 4
+    built, regrouped = [], []
+    build = induction._SketchSource._local_sketches
+    regroup = induction.kernels.stable_regroup
+
+    def checked(self, fids, caps, lo=0):
+        runs = build(self, fids, caps, lo)
+        for run, block in runs:
+            for fid, sketches in zip(run.tolist(), block):
+                mine = lo + np.flatnonzero(self.node_of[lo:] == fid)
+                for a, col in enumerate(self.columns):
+                    np.testing.assert_array_equal(sketches[a], build_sketch(
+                        col[mine], self.labels[mine], self.n_classes,
+                        self.capacity)[:block.shape[2]])
+                built.append(fid)
+        return runs
+
+    monkeypatch.setattr(induction._SketchSource, "_local_sketches", checked)
+    monkeypatch.setattr(induction.kernels, "stable_regroup",
+                        lambda *args: regrouped.append(1) or regroup(*args))
+    run_spmd(2, induction.stream_induce_worker, args=(ds, cfg),
+             backend="thread")
+    assert len(built) > 20 and regrouped
 
 
 # ----------------------------------------------------------------------
@@ -570,10 +556,13 @@ def _drift_stream() -> Dataset:
 
 
 #: scenario → (dataset, config, structure digest per world size).  The
-#: digests were recorded from the per-node grow loop this suite replaced
-#: (PR 12's tree), so they pin the batched rounds to it bit for bit.
-#: Lossless scenarios are world-size independent; lossy sketches compress
-#: per rank, so their tree legitimately depends on p.
+#: eager and drift digests were recorded from the per-node grow loop the
+#: batched rounds replaced, so they pin today's loop to it bit for bit.
+#: The lossy ones were recorded once leaves took their counts from exact
+#: class totals instead of their parent's sketch (the lossy tree's counts
+#: and close decisions moved; see the leaf-count test below).  Lossless
+#: scenarios are world-size independent; lossy sketches compress per
+#: rank, so their tree legitimately depends on p.
 _MODES = {
     "eager": (
         lambda: paper_dataset(2000, "F5", seed=7),
@@ -582,9 +571,9 @@ _MODES = {
     "lossy": (
         lambda: paper_dataset(2000, "F5", seed=7),
         dict(sketch_size=16),
-        {1: "13041caa656dd23ca6355019ace5809e",
-         2: "194b2a993c09918aa47a6b2d3479c039",
-         3: "9fe46cf0385ee9af8c3570507a56506c"}),
+        {1: "5dcbda90db7e25863f724ca9402a812f",
+         2: "0619b360fae17c09cebb7e4c9d9f75e2",
+         3: "e108c891ec6e09511df10cc2290c16cc"}),
     "drift": (
         _drift_stream,
         dict(max_depth=5, sketch_size=2048, stream_chunk_records=150,
@@ -606,29 +595,96 @@ def test_eager_lossy_and_drift_trees_are_pinned(mode, nprocs, backend):
 
 
 def test_drift_stream_reopens_and_resplits(monkeypatch):
-    """The drift scenario is not vacuous: leaves do reopen, and a
-    reopened leaf splits in a round whose presort does not cover it (the
-    grow pass must then sort its records afresh)."""
-    seen = {"reopened": 0, "uncovered": 0}
-    refresh, split = induction._refresh_frontier, induction._split_nodes
+    """The drift scenario is not vacuous: leaves do reopen, a reopened
+    leaf splits again, and its sketches are built in a pass whose presort
+    does not hold its records (the pass must sort them afresh)."""
+    seen = {"reopened": set(), "resplit": 0, "uncovered": 0}
+    totals = induction._SketchSource.class_totals
+    build = induction._SketchSource._local_sketches
+    grow = LevelFrontier.grow
 
-    def spy_refresh(state, g_counts, reopen_delta):
-        before = state.open_.copy()
-        refresh(state, g_counts, reopen_delta)
-        seen["reopened"] += int((state.open_[: len(before)] & ~before).sum())
+    def spy_totals(self, level, fids):
+        before = self.frontier.open_.copy()
+        out = totals(self, level, fids)
+        seen["reopened"] |= set(
+            np.flatnonzero(self.frontier.open_ & ~before).tolist())
+        return out
 
-    def spy_split(state, fids, *args):
-        order = args[-1]
-        if order is not None and not np.isin(fids, order[0]).all():
+    def spy_build(self, fids, caps, lo=0):
+        held = set() if self.presort is None else \
+            set(self.node_of[self.presort[0]].tolist())
+        if not lo and seen["reopened"] & (set(fids.tolist()) - held):
             seen["uncovered"] += 1
-        return split(state, fids, *args)
+        return build(self, fids, caps, lo)
 
-    monkeypatch.setattr(induction, "_refresh_frontier", spy_refresh)
-    monkeypatch.setattr(induction, "_split_nodes", spy_split)
+    def spy_grow(self, fids, level_totals, best, split_ok, *rest):
+        seen["resplit"] += len(seen["reopened"]
+                               & set(fids[split_ok].tolist()))
+        return grow(self, fids, level_totals, best, split_ok, *rest)
+
+    monkeypatch.setattr(induction._SketchSource, "class_totals", spy_totals)
+    monkeypatch.setattr(induction._SketchSource, "_local_sketches",
+                        spy_build)
+    monkeypatch.setattr(LevelFrontier, "grow", spy_grow)
     make, over, _ = _MODES["drift"]
     ScalParC(1, _stream_cfg(**over), machine=None,
              backend="thread").fit_stream(make())
-    assert seen["reopened"] > 0 and seen["uncovered"] > 0, seen
+    assert seen["reopened"] and seen["resplit"] and seen["uncovered"], seen
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_leaf_counts_match_the_records_routed_to_them(mode, nprocs):
+    """Route the training set through the streamed tree's table: every
+    leaf's class counts are those of the records that reach it, lossy
+    sketches included — a child's counts are the next pass's exact class
+    totals, never an estimate from its parent's sketch.  One exception
+    is by design: a leaf closed mid-stream keeps the counts it closed
+    with until its records' class distribution moves more than
+    ``stream_reopen_delta`` from them (which reopens it)."""
+    make, over, _ = _MODES[mode]
+    ds, cfg = make(), _stream_cfg(**over)
+    table = ScalParC(nprocs, cfg, machine=None).fit_stream(ds).tree.compiled()
+    c = ds.schema.n_classes
+    routed = np.bincount(
+        table.apply(np.column_stack(ds.columns)) * c + ds.labels,
+        minlength=table.n_nodes * c).reshape(-1, c)
+    stale = (table.kind == KIND_LEAF) & (
+        routed != table.class_counts).any(axis=1)
+    if cfg.resolved_stream_grow_records() == 0:
+        assert not stale.any(), np.flatnonzero(stale)
+    shift = 0.5 * np.abs(
+        routed[stale] / routed[stale].sum(axis=1, keepdims=True)
+        - table.class_counts[stale] / table.n_records[stale, None]).sum(axis=1)
+    assert (shift <= cfg.resolved_stream_reopen_delta()).all()
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_sketches_travel_at_a_capacity_covering_their_node(mode, nprocs,
+                                                           monkeypatch):
+    """A scored node's sketches cross the transport with at least
+    min(its global record count, sketch_size) rows, so the power-of-two
+    trim never drops a value: the capacities come from the pass's exact
+    class totals, never from a count estimated off a parent's sketch."""
+    calls: dict[int, list] = {}
+    real = induction._sketches_to_scorers
+
+    def spy(comm, source, caps, shares):
+        pos = np.concatenate(shares)
+        calls.setdefault(comm.rank, []).append(
+            (caps[pos], source.local_counts[source.fids[pos]].sum(axis=1)))
+        return real(comm, source, caps, shares)
+
+    monkeypatch.setattr(induction, "_sketches_to_scorers", spy)
+    make, over, _ = _MODES[mode]
+    cfg = _stream_cfg(**over)
+    ScalParC(nprocs, cfg, machine=None, backend="thread").fit_stream(make())
+    assert sorted(calls) == list(range(nprocs))
+    for per_rank in zip(*calls.values()):      # one scoring pass
+        n = sum(local for _, local in per_rank)
+        assert (per_rank[0][0] >= np.minimum(
+            n, cfg.resolved_sketch_size())).all()
 
 
 def _streamed_on_rank(comm, ds, cfg, ckpt_dir):
@@ -721,17 +777,24 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
     the nodes it scores and nothing else, folds them itself, and the
     engine parent never merges a sketch (no ``sketch_merge`` reduction
     is left for it to run).  The winners' allgatherv carries no sketch
-    either: a row per scored node, then only the counts each split
-    needs."""
+    either: a row per scored node, then a count matrix per categorical
+    winner (its child layout), nothing for a continuous one."""
     for calls in _SPIED.values():
         calls.clear()
     _spy(monkeypatch, sketch, "merge_stacks", "merge", len)
-    _spy(monkeypatch, induction, "merge_stacks", "fold",
-         lambda blocks: [block.shape for block in blocks])
+    fold = induction._sketches_to_scorers
+
+    def folded_shapes(*args):
+        folded = fold(*args)
+        _SPIED["fold"].extend(stack.shape for _, stack in folded)
+        return folded
+
+    monkeypatch.setattr(induction, "_sketches_to_scorers", folded_shapes)
     _spy(monkeypatch, induction, "_score_nodes", "score",
          lambda stack, *rest: stack.shape)
-    _spy(monkeypatch, induction, "_split_nodes", "split",
-         lambda state, fids, best, *rest: best[:, 1].astype(int).tolist())
+    _spy(monkeypatch, LevelFrontier, "grow", "split",
+         lambda frontier, fids, totals, best, split_ok, *rest:
+         best[split_ok, 1].astype(int).tolist())
     ds = paper_dataset(1500, "F5", seed=9)
     collector = TraceCollector()
     spied = run_spmd(nprocs, _spied_stream_worker,
@@ -754,19 +817,18 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
             :len(ops)], ops
         received = sum(ev.result_nbytes - payload_nbytes([])
                        for ev in events if ev.kind == "alltoallv")
+        # one block of each folded stack's shape from every rank
         folds = seen["fold"]
-        assert folds and all(len(f) == nprocs and len(set(f)) == 1
-                             for f in folds)
-        assert received == sum(nprocs * 8 * int(np.prod(f[0]))
-                               for f in folds)
-        assert sorted(f[0] for f in folds) == sorted(seen["score"])
+        assert folds and received == sum(nprocs * 8 * int(np.prod(f))
+                                         for f in folds)
+        assert sorted(folds) == sorted(seen["score"])
         scored.append(sum(shape[0] for shape in seen["score"]))
         # every rank splits the same winners
         assert seen["split"] == spied[0]["split"]
-    # what a winner's split needs: its left child's class counts
-    # (continuous), its n_values × c count matrix (categorical)
+    # what a winner's split needs beyond its row: nothing (continuous),
+    # its n_values × c count matrix (categorical)
     c = ds.schema.n_classes
-    need = [c if spec.is_continuous else spec.n_values * c
+    need = [0 if spec.is_continuous else spec.n_values * c
             for spec in ds.schema]
     winners = [attr for attrs in spied[0]["split"] for attr in attrs]
     for rank in range(nprocs):
