@@ -29,7 +29,7 @@ from ..core.splits import (
     categorical_children_layout,
     encode_mask,
 )
-from ..datagen.schema import Dataset
+from ..datagen.schema import Dataset, check_training_values
 from ..tree.model import (
     CategoricalSplit,
     ContinuousSplit,
@@ -98,6 +98,7 @@ def induce_serial(dataset: Dataset,
     config = config or InductionConfig()
     if dataset.n_records == 0:
         raise ValueError("cannot induce a tree from an empty dataset")
+    check_training_values(dataset)
     schema = dataset.schema
     c = schema.n_classes
     columns = dataset.columns

@@ -31,7 +31,8 @@ from ..runtime import Communicator
 from ..sort import presort_columns
 from . import kernels
 
-__all__ = ["LocalAttributeList", "build_local_lists", "restore_local_lists"]
+__all__ = ["LocalAttributeList", "build_local_lists", "hand_off_lists",
+           "restore_local_lists"]
 
 
 @dataclass
@@ -212,6 +213,120 @@ def build_local_lists(
         comm.perf.register_bytes(f"attr_list[{spec.name}]", alist.nbytes())
         lists.append(alist)
     return lists, n_total
+
+
+def hand_off_lists(
+    comm: Communicator, lists: list[LocalAttributeList], owner: np.ndarray,
+    n_total: int,
+) -> list[LocalAttributeList]:
+    """Move every node's entries to the rank that grows it on its own.
+
+    ``owner[k]`` is the rank that takes segment ``k`` (−1: nobody, its
+    entries are dropped).  One ``alltoallv`` carries every attribute, a
+    byte block per destination: the (attribute, node) entry counts, each
+    attribute's values (a float by its bits) and the first attribute's
+    labels as 8-byte words, then each attribute's record ids, 4 bytes
+    while the ``n_total`` ids fit — node-major throughout.  The other
+    attributes' labels follow from their record ids on arrival.
+
+    By the module invariant a node's segments concatenated in rank order
+    are its global order, so the received pieces are laid end to end per
+    node in source-rank order — a gather, no merge.  Each list leaves
+    ``lists`` as soon as it is packed, so the old fragments are freed
+    while the blocks fill.  Returns this rank's lists, one segment per
+    node it owns (in segment order), record ids renumbered
+    ``0 … n_local − 1``.
+    """
+    size, n_attrs = comm.size, len(lists)
+    rid_wire = np.dtype(np.uint32 if n_total <= 2 ** 32 else np.int64)
+    specs = [(alist.spec, alist.attr_index, alist.bin_edges)
+             for alist in lists]
+    segs = [np.flatnonzero(owner == d) for d in range(size)]
+    counts = [np.array([np.diff(alist.offsets)[s] for alist in lists],
+                       dtype=np.int64).reshape(n_attrs, len(s))
+              for s in segs]
+    blocks, at = [], []
+    for c in counts:
+        n = c.sum(axis=1)
+        words = c.size + int(n.sum()) + int(n[0])
+        blocks.append(np.empty(8 * words + rid_wire.itemsize * int(n.sum()),
+                               dtype=np.uint8))
+        blocks[-1][:8 * c.size] = c.view(np.uint8).ravel()
+        # write cursors: values, first labels, rids
+        at.append([8 * c.size, 8 * (c.size + int(n.sum())), 8 * words])
+    for a in range(n_attrs):
+        alist, lists[a] = lists[a], None
+        for d in range(size):
+            idx = _ranges(alist.offsets[segs[d]], counts[d][a])
+            parts = [(0, _bits(alist.values[idx])),
+                     (2, alist.rids[idx].astype(rid_wire))]
+            if a == 0:
+                parts.append((1, alist.labels[idx]))
+            for slot, arr in parts:
+                raw = arr.view(np.uint8)
+                blocks[d][at[d][slot]:at[d][slot] + len(raw)] = raw
+                at[d][slot] += len(raw)
+        comm.perf.release_bytes(f"attr_list[{alist.spec.name}]")
+        del alist
+    lists.clear()
+
+    m = len(segs[comm.rank])
+    pieces: list[list[tuple]] = [[] for _ in range(n_attrs)]
+    labels_in = []
+    for block in comm.alltoallv(blocks):
+        c = block[:8 * n_attrs * m].view(np.int64).reshape(n_attrs, m)
+        n = c.sum(axis=1)
+        words = block[8 * c.size:].view(np.uint8)
+        values = words[:8 * int(n.sum())].view(np.int64)
+        labels_in.append(words[8 * int(n.sum()):8 * int(n.sum() + n[0])]
+                         .view(np.int64))
+        rids = words[8 * int(n.sum() + n[0]):].view(rid_wire)
+        ends = np.cumsum(n)
+        for a in range(n_attrs):
+            cut = slice(int(ends[a] - n[a]), int(ends[a]))
+            pieces[a].append((c[a], values[cut], rids[cut]))
+    del blocks
+
+    out: list[LocalAttributeList] = []
+    by_id = None
+    for (spec, attr_index, edges), received in zip(specs, pieces):
+        # (source, node) runs, laid out node by node in source order
+        c = np.stack([piece[0] for piece in received])
+        starts = np.cumsum(c) - c.ravel()
+        take = _ranges(starts.reshape(size, m).T.ravel(), c.T.ravel())
+        values, rids = (np.concatenate([piece[i] for piece in received])[take]
+                        for i in (1, 2))
+        # every list holds the same record ids: a record's new id is its
+        # rank among them (ids are distinct: the sort need not be stable)
+        new_ids = np.empty(len(rids), dtype=np.int64)
+        new_ids[np.argsort(rids)] = np.arange(len(rids))
+        if by_id is None:
+            by_id = np.empty(len(rids), dtype=np.int64)
+            by_id[new_ids] = np.concatenate(labels_in)[take]
+        alist = LocalAttributeList(
+            spec=spec, attr_index=attr_index,
+            values=values.view(np.float64) if spec.is_continuous
+            else values.astype(np.int32),
+            rids=new_ids, labels=by_id[new_ids], offsets=np.concatenate(
+                ([0], np.cumsum(c.sum(axis=0)))))
+        if edges is not None:
+            alist.attach_bins(edges)
+        comm.perf.register_bytes(f"attr_list[{spec.name}]", alist.nbytes())
+        out.append(alist)
+    return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) \
+        + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """A list's values as int64: a float by its bits, a code widened."""
+    return values.view(np.int64) if values.dtype == np.float64 \
+        else values.astype(np.int64)
 
 
 def _hydrate_fragment(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..datagen.schema import Dataset
+from ..datagen.schema import Dataset, check_training_values
 from ..perfmodel import CRAY_T3D, MachineSpec, PerfRun, SimulatedRunStats
 from ..runtime import run_spmd
 from ..tree.model import DecisionTree
@@ -158,7 +158,13 @@ class ScalParC(SpmdClassifier):
         ``config.checkpoint``, then ``REPRO_SPMD_CHECKPOINT``.  A config
         with ``resume`` set continues an interrupted fit instead of
         starting over.
+
+        A continuous column holding NaN is refused before any rank is
+        launched (:class:`~repro.datagen.NaNTrainingValueError`, naming
+        the attribute and the count); ±inf are ordinary values.  The
+        streaming fits and ``induce_serial`` apply the same check.
         """
+        check_training_values(dataset)
         if checkpoint is None:
             checkpoint = self.config.checkpoint
         return self._launch(induce_worker, dataset, trace=trace,
@@ -220,6 +226,7 @@ class ScalParC(SpmdClassifier):
                     max_epochs, finalize, fresh_cursor) -> FitResult:
         from ..streaming import stream_induce_worker
 
+        check_training_values(dataset)
         if checkpoint is None:
             checkpoint = self.config.checkpoint
         return self._launch(

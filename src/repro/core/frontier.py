@@ -8,6 +8,7 @@ another splitting phase), SLIQ, vertical SLIQ/R and the streaming driver
     visit every open node
     do while (the last pass split a node)
         class totals of the visited nodes          -> who is terminal
+        (the source may finish the candidates' subtrees itself: stop)
         best split per candidate node              -> who is accepted
         categorical child layouts, made global
         write the nodes' rows, append the children
@@ -18,7 +19,10 @@ another splitting phase), SLIQ, vertical SLIQ/R and the streaming driver
 For a batch inducer a pass is one tree level.  A streaming one runs the
 same loop over the leaves its latest records reached, and may hold a node
 open for records still to come or reopen a closed leaf — neither needs
-anything of the loop but ``final`` (see :func:`grow_levels`).  The
+anything of the loop but ``final`` (see :func:`grow_levels`).  ScalParC
+at p > 1 leaves the loop early: once its nodes are small it hands each
+one to a single rank, which grows the subtree with this same loop on a
+world of one (``LevelSource.hand_off``).  The
 inducers differ only in where the statistics come from and how records
 learn their node, so that — and nothing else — sits behind
 :class:`LevelSource`.  What shapes the tree lives here:
@@ -35,6 +39,8 @@ purpose — they are the oracles.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -132,6 +138,32 @@ class LevelFrontier:
 
     def rows(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in ROWS}
+
+    def pack_rows(self, fids: np.ndarray) -> np.ndarray:
+        """Rows ``fids`` as one byte matrix, a node per row: the columns of
+        :data:`ROWS` side by side, each in its own dtype — the form rows
+        travel in between ranks."""
+        cols = [getattr(self, name)[fids] for name in ROWS]
+        return np.concatenate([
+            np.ascontiguousarray(col).reshape(len(fids), prod(col.shape[1:]))
+            .view(np.uint8) for col in cols], axis=1)
+
+    def put_rows(self, fids: np.ndarray, packed: np.ndarray) -> None:
+        """Write :meth:`pack_rows` output at ``fids``, growing the table
+        to cover every fid named."""
+        n = max(len(self.kind), int(fids.max()) + 1 if len(fids) else 0)
+        start = 0
+        for name in ROWS:
+            col = getattr(self, name)
+            if len(col) < n:
+                col = np.concatenate([col, np.zeros(
+                    (n - len(col),) + col.shape[1:], dtype=col.dtype)])
+                setattr(self, name, col)
+            width = col.dtype.itemsize * prod(col.shape[1:])
+            block = np.ascontiguousarray(packed[:, start:start + width])
+            start += width
+            col[fids] = block.view(col.dtype).reshape(
+                (len(fids),) + col.shape[1:])
 
     def _open(self, label: np.ndarray, depth: np.ndarray) -> None:
         """Append open leaves as the next fids (a split's children, in
@@ -235,6 +267,15 @@ class LevelSource:
         more records may still arrive (every node is, once none will)."""
         return np.ones(len(totals), dtype=bool)
 
+    def hand_off(self, level: int, frontier: LevelFrontier,
+                 fids: np.ndarray, totals: np.ndarray,
+                 candidates: np.ndarray) -> bool:
+        """Finish the pass's candidate nodes' subtrees outside this loop,
+        writing them and the pass's other nodes into ``frontier``; True
+        when that is done and the loop ends.  Called before
+        ``best_splits`` whenever some node is a candidate."""
+        return False
+
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:
         """Global best ``[score, attr, threshold]`` row per node (``inf``
@@ -283,6 +324,8 @@ def grow_levels(frontier: LevelFrontier, config: InductionConfig,
         candidates = ready & ~terminal
         best, cat_state = pack_candidates(len(fids)), {}
         if candidates.any():
+            if source.hand_off(level, frontier, fids, totals, candidates):
+                return frontier.table()[0].to_tree()
             best, cat_state = source.best_splits(totals, candidates)
         split_ok = accepted_splits(best, totals, candidates, config)
 

@@ -24,12 +24,14 @@ record partitioning, and the checkpoint cut/resume path.
 
 from __future__ import annotations
 
+import copy
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..datagen.schema import Dataset
-from ..runtime import Communicator
+from ..runtime import Communicator, SelfCommunicator
 from ..runtime.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -42,19 +44,41 @@ from ..runtime.checkpoint import (
 from ..runtime.tracing import tag_level
 from ..tree.model import DecisionTree
 from .attribute_lists import LocalAttributeList, build_local_lists, \
-    restore_local_lists
+    hand_off_lists, restore_local_lists
 from .config import InductionConfig
 from .findsplit import node_class_totals
 from .frontier import CatState, Layouts, LevelFrontier, LevelSource, \
     grow_levels
-from .phases import FINDSPLIT1, FINDSPLIT2, PRESORT, timed_phase
+from .phases import FINDSPLIT1, FINDSPLIT2, HANDOFF, PRESORT, timed_phase
 from .splitter import LevelDecisions, ScalParCSplitPhase, SplitPhase
 from .strategies import SplitStrategy, make_strategy
 
-__all__ = ["induce_worker"]
+__all__ = ["handoff_due", "induce_worker", "lpt_owners"]
 
 #: manifest tag identifying induction checkpoints (vs. other workers')
 _CKPT_ALGO = "scalparc-induction"
+
+
+def handoff_due(sizes: np.ndarray, n_ranks: int) -> bool:
+    """The hand-off rule: on more than one rank, every candidate node of
+    the pass holds at most Σn / (2p) of the pass's Σn candidate records
+    (``sizes``, global counts).  Then longest-processing-time assignment
+    gives no rank more than 1.5·Σn / p of them."""
+    return n_ranks > 1 and 2 * n_ranks * int(sizes.max()) <= int(sizes.sum())
+
+
+def lpt_owners(sizes: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Owner rank of each node by longest processing time first: nodes in
+    decreasing size (ties: lower index first), each to the least-loaded
+    rank (ties: lower rank).  A function of ``sizes`` alone, so every
+    rank computes the same assignment."""
+    owners = np.empty(len(sizes), dtype=np.int64)
+    loads = [(0, r) for r in range(n_ranks)]
+    for k in np.argsort(-sizes, kind="stable").tolist():
+        load, r = heapq.heappop(loads)
+        owners[k] = r
+        heapq.heappush(loads, (load + int(sizes[k]), r))
+    return owners
 
 
 def induce_worker(
@@ -137,6 +161,59 @@ class _ListSource(LevelSource):
         with timed_phase(self.comm, FINDSPLIT1):
             return node_class_totals(self.comm, self.lists[0], len(fids),
                                      self.dataset.schema.n_classes)
+
+    def hand_off(self, level: int, frontier: LevelFrontier,
+                 fids: np.ndarray, totals: np.ndarray,
+                 candidates: np.ndarray) -> bool:
+        # ScalParC's own splitting phase only, and only a strategy whose
+        # split of a node is a function of that node's records
+        comm = self.comm
+        sizes = totals[candidates].sum(axis=1)
+        if not (self.strategy.node_local
+                and isinstance(self.split_phase, ScalParCSplitPhase)
+                and handoff_due(sizes, comm.size)):
+            return False
+        owner = np.full(len(fids), -1, dtype=np.int64)
+        owner[candidates] = lpt_owners(sizes, comm.size)
+        if self.ckpt is not None:
+            self.ckpt.finalize(comm)    # seal the last cut: none follows
+        with timed_phase(comm, HANDOFF):
+            lists = hand_off_lists(comm, self.lists, owner, self.n_total)
+
+        # this rank's subtrees, grown by the same loop on a world of one
+        mine = fids[owner == comm.rank]
+        local = LevelFrontier.from_rows(
+            frontier.schema,
+            {name: col.copy() for name, col in frontier.rows().items()})
+        local.open_[:] = False
+        local.open_[mine] = True
+        self_comm = SelfCommunicator(comm.perf)
+        split_phase = copy.copy(self.split_phase)
+        n_local = lists[0].n_local
+        split_phase.setup(self_comm, n_local)
+        grow_levels(local, self.config, _ListSource(
+            self_comm, self.dataset, self.config, lists, n_local,
+            self.strategy, split_phase, None), level)
+
+        # every rank's rewritten and new rows, spliced by fid offset: a
+        # rank's new fids follow those of the ranks before it
+        n_old = len(frontier.kind)
+        send = np.concatenate([mine, np.arange(n_old, len(local.kind))])
+        head = np.stack([np.full(len(send), comm.rank), send], axis=1)
+        with timed_phase(comm, HANDOFF):
+            rows = comm.allgatherv(np.concatenate(
+                [head.view(np.uint8), local.pack_rows(send)], axis=1))
+        del local
+        rank, fid = np.ascontiguousarray(rows[:, :16]).view(np.int64).T
+        new = np.bincount(rank[fid >= n_old], minlength=comm.size)
+        shift = (np.cumsum(new) - new)[rank]
+        fid = np.where(fid >= n_old, fid + shift, fid)
+        frontier.settle(fids, totals)
+        frontier.open_[fids] = False
+        frontier.put_rows(fid, rows[:, 16:])
+        split = frontier.n_children[fid] > 0
+        frontier.first_child[fid[split]] += shift[split]
+        return True
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:

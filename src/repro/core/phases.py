@@ -4,7 +4,8 @@ Wrapping a region in :func:`timed_phase` attributes the simulated-clock
 delta it spans to the named phase on this rank's tracker, letting the
 performance reports break the parallel runtime down into Presort /
 FindSplitI / FindSplitII / PerformSplitI / PerformSplitII — the
-per-phase table the paper's accompanying technical report studies.
+per-phase table the paper's accompanying technical report studies — plus
+the Handoff that ends the level-synchronous loop at p > 1.
 
 When the region is entered with the *communicator* (rather than a bare
 tracker), the phase name is additionally stamped onto every collective
@@ -26,6 +27,7 @@ __all__ = [
     "FINDSPLIT2",
     "PERFORMSPLIT1",
     "PERFORMSPLIT2",
+    "HANDOFF",
     "STREAM_INGEST",
     "STREAM_SKETCH",
     "STREAM_GROW",
@@ -46,10 +48,15 @@ FINDSPLIT1_VOTE = "FindSplitI.vote"
 FINDSPLIT2 = "FindSplitII"
 PERFORMSPLIT1 = "PerformSplitI"
 PERFORMSPLIT2 = "PerformSplitII"
-#: Figure 2's phase set — every phase of a default (exact-mode) run;
-#: the strategy sub-phases are deliberately not in here: they only
-#: appear under histogram/voted modes
-ALL_PHASES = (PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2)
+#: the hand-off (p > 1): moving every candidate node's entries to the
+#: rank that grows its subtree alone, and bringing the subtrees' rows
+#: back — the only collectives after the level loop stops
+HANDOFF = "Handoff"
+#: every phase of a default (exact-mode) run: Figure 2's five plus the
+#: hand-off; the strategy sub-phases are deliberately not in here: they
+#: only appear under histogram/voted modes
+ALL_PHASES = (PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2,
+              HANDOFF)
 #: the phases that make up split determination across every split mode
 #: (byte-accounting group used by the per-mode communication reports
 #: and benchmarks)

@@ -70,6 +70,10 @@ class SplitStrategy:
 
     #: the ``split_mode`` string this strategy implements
     name: str = "?"
+    #: a node's split is a function of that node's records alone, so its
+    #: subtree grows the same on any one rank holding them (ScalParC's
+    #: hand-off relies on it)
+    node_local: bool = True
 
     def prepare(
         self,

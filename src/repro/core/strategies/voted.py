@@ -58,6 +58,8 @@ class VotedSplitStrategy(HistogramSplitStrategy):
     docstring)."""
 
     name = "voted"
+    #: the ballot is cast from each rank's share of a node's records
+    node_local = False
 
     def level_candidates(self, comm, lists, totals, candidate_nodes, config):
         m, n_classes = totals.shape

@@ -18,7 +18,15 @@ from .quest import (
     quest_labels,
 )
 from .random_data import make_dataset, random_dataset, random_schema
-from .schema import CATEGORICAL, CONTINUOUS, AttributeSpec, Dataset, Schema
+from .schema import (
+    CATEGORICAL,
+    CONTINUOUS,
+    AttributeSpec,
+    Dataset,
+    NaNTrainingValueError,
+    Schema,
+    check_training_values,
+)
 
 __all__ = [
     "AttributeSpec",
@@ -27,9 +35,11 @@ __all__ = [
     "Dataset",
     "DistributedQuestSource",
     "FUNCTION_NAMES",
+    "NaNTrainingValueError",
     "PAPER_ATTRIBUTES",
     "QUEST_SCHEMA",
     "Schema",
+    "check_training_values",
     "generate_quest",
     "load_csv",
     "load_npz",

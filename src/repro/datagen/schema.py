@@ -14,10 +14,39 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["AttributeSpec", "Schema", "Dataset", "CONTINUOUS", "CATEGORICAL"]
+__all__ = ["AttributeSpec", "Schema", "Dataset", "CONTINUOUS", "CATEGORICAL",
+           "NaNTrainingValueError", "check_training_values"]
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
+
+
+class NaNTrainingValueError(ValueError):
+    """A continuous training column holds NaN."""
+
+
+def check_training_values(dataset: "Dataset") -> None:
+    """Refuse a training set whose continuous columns hold NaN.
+
+    A NaN has no place in the (value, record id) order every split
+    threshold is drawn from — it compares false with everything — so the
+    parallel presort and the serial oracle would order it differently and
+    grow different trees.  ±inf are ordinary ordered values and pass.
+    Raises :class:`NaNTrainingValueError` naming the first such attribute
+    and its NaN count.  A source without materialized columns is not
+    checked.
+    """
+    columns = getattr(dataset, "columns", None)
+    if columns is None:
+        return
+    for spec, col in zip(dataset.schema, columns):
+        if spec.is_continuous:
+            n_nan = int(np.count_nonzero(np.isnan(col)))
+            if n_nan:
+                raise NaNTrainingValueError(
+                    f"continuous attribute {spec.name!r} holds {n_nan} NaN "
+                    f"value(s); drop or impute those records before "
+                    f"training (±inf are accepted)")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,13 @@ from .checkpoint import (
     latest_manifest,
     resolve_checkpoint,
 )
-from .communicator import ANY_TAG, Communicator, NullPerf, Request
+from .communicator import (
+    ANY_TAG,
+    Communicator,
+    NullPerf,
+    Request,
+    SelfCommunicator,
+)
 from .engines import (
     CommObserver,
     DEFAULT_BACKEND,
@@ -135,6 +141,7 @@ __all__ = [
     "ShmPool",
     "RemoteTraceback",
     "Request",
+    "SelfCommunicator",
     "SpmdEngine",
     "SpmdError",
     "SpmdWorkerError",

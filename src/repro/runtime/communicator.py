@@ -37,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .collective import Collective
-from .errors import InvalidRankError
+from .errors import CollectiveAbortedError, InvalidRankError
 from .fusion import FusedBatch
 from .reduction import ReduceOp
 
@@ -46,6 +46,7 @@ __all__ = [
     "Communicator",
     "NullPerf",
     "Request",
+    "SelfCommunicator",
 ]
 
 #: any tag matches in recv/probe when passed as the tag argument
@@ -332,6 +333,40 @@ class Communicator(ABC):
             raise ValueError(f"alltoallv needs exactly {self.size} arrays")
         return self._exchange(Collective("alltoallv"),
                               [np.asarray(a) for a in arrays])
+
+
+class SelfCommunicator(Communicator):
+    """A world of one, in process: the communicator a rank grows work on
+    that needs no other rank (ScalParC's subtrees after the hand-off).
+
+    Every collective is its spec's ``finish`` over the one contribution,
+    run in place — no engine, no observer, no tracer, so nothing is
+    priced as communication, nothing crosses a transport and nothing is
+    recorded in a trace.  ``perf`` is the caller's tracker: compute,
+    memory and phase time still land on the rank that does the work.
+    Point-to-point is a FIFO to oneself.
+    """
+
+    def __init__(self, perf: Any | None = None):
+        super().__init__(0, 1, perf)
+        self._box: list[tuple[int, Any]] = []
+
+    def _exchange_impl(self, spec: Collective, payload: Any) -> Any:
+        return spec.finish([payload], priced=False)[0][0]
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        self._check_peer(dest, "dest")
+        self._box.append((tag, obj))
+
+    def recv(self, source: int, tag: int = 0) -> Any:
+        self._check_peer(source, "source")
+        for idx, (msg_tag, obj) in enumerate(self._box):
+            if tag == ANY_TAG or msg_tag == tag:
+                del self._box[idx]
+                return obj
+        raise CollectiveAbortedError(
+            f"recv(source=0, tag={tag}) on a world of one: nothing was "
+            "sent, so it would wait forever")
 
 
 class Request:

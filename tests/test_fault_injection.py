@@ -278,6 +278,130 @@ class _DieWhileWideSplitPhase(ScalParCSplitPhase):
         super().execute(comm, lists, decisions, config)
 
 
+class _DieInLocalPhase(ScalParCSplitPhase):
+    """Kills world rank ``dying_rank`` inside its local phase — after the
+    hand-off, where it splits its own subtrees on a world of one — when
+    the world had at least ``min_world`` ranks.  With ``flag_path`` the
+    kill is a one-shot ``os._exit`` (a sentinel file marks it done);
+    without, it raises ``OSError`` every time."""
+
+    def __init__(self, dying_rank: int = 1, min_world: int = 2,
+                 flag_path: str | None = None):
+        super().__init__()
+        self.dying_rank = dying_rank
+        self.min_world = min_world
+        self.flag_path = flag_path
+
+    def setup(self, comm, n_total):
+        if comm.size > 1:
+            self.world = (comm.rank, comm.size)
+        super().setup(comm, n_total)
+
+    def restore_state(self, comm, states):
+        self.world = (comm.rank, comm.size)
+        super().restore_state(comm, states)
+
+    def execute(self, comm, lists, decisions, config):
+        rank, size = self.world
+        if comm.size == 1 and rank == self.dying_rank \
+                and size >= self.min_world:
+            if self.flag_path is None:
+                raise OSError("simulated node failure in the local phase")
+            if not os.path.exists(self.flag_path):
+                open(self.flag_path, "x").close()
+                os._exit(13)
+        super().execute(comm, lists, decisions, config)
+
+
+def _handoff_level(ds, p):
+    collector = TraceCollector()
+    run_spmd(p, induce_worker, args=(ds, None), backend="thread",
+             trace=collector)
+    (level,) = {ev.level for ev in collector.events_of(0)
+                if ev.phase == "Handoff"}
+    return level
+
+
+class _Spy(ScalParCSplitPhase):
+    """Records the newest sealed cut when the local phase first splits."""
+
+    def __init__(self, sealed: list, directory: str):
+        super().__init__()
+        self.sealed = sealed
+        self.directory = directory
+
+    def execute(self, comm, lists, decisions, config):
+        if comm.size == 1 and not self.sealed:
+            self.sealed.append(latest_manifest(self.directory))
+        super().execute(comm, lists, decisions, config)
+
+
+def test_no_cut_is_taken_after_the_handoff(tmp_path):
+    """Cuts stop at the hand-off, and the last one before it is sealed
+    before the local phase starts — so it is the cut a crash in the
+    local phase resumes from."""
+    ds = generate_quest(400, "F2", seed=1)
+    level = _handoff_level(ds, 3)
+    cfg = CheckpointConfig(dir=str(tmp_path / "run"), every=1, keep=0)
+    sealed = []
+
+    def worker(comm, checkpoint=None):
+        return induce_worker(comm, ds, None, checkpoint=checkpoint,
+                             split_phase=_Spy(sealed, checkpoint.dir))
+
+    run_spmd(3, worker, checkpoint=cfg, backend="thread")
+    cuts = sorted(os.listdir(cfg.dir))
+    assert cuts[-1] == f"level-{level:04d}"
+    # what was sealed when the first rank entered its local phase
+    assert sealed[0] is not None and f"level-{level:04d}" in sealed[0]
+
+
+def test_kill_inside_the_local_phase_resumes_bit_identical(tmp_path):
+    """A rank hard-killed while growing its own subtrees: the supervisor
+    respawns the job from the last cut before the hand-off, the hand-off
+    is replayed, and the tree is the reference tree."""
+    from repro.runtime.engines.process import ProcessEngine
+
+    ds = generate_quest(400, "F2", seed=1)
+    cfg = CheckpointConfig(dir=str(tmp_path / "ckpt"), every=1, keep=0,
+                           max_restarts=2, backoff_base=0.01)
+    flag = str(tmp_path / "killed")
+
+    def worker(comm, checkpoint=None):
+        return induce_worker(comm, ds, None, checkpoint=checkpoint,
+                             split_phase=_DieInLocalPhase(flag_path=flag))
+
+    trees = run_spmd(3, worker, backend="process", timeout=30.0,
+                     checkpoint=cfg)
+    assert all(t.structurally_equal(induce_serial(ds)) for t in trees)
+    assert ProcessEngine.last_attempts == ((0, 3), (1, 3))
+    assert os.path.exists(flag)
+
+
+def test_kill_inside_the_local_phase_resumes_on_another_world(tmp_path):
+    """p → p′: a fit that fails in its local phase at p = 3 resumes from
+    the last cut before the hand-off at p′ = 2 (lists re-blocked, the
+    hand-off replayed on two ranks) with the reference tree."""
+    ds = generate_quest(400, "F2", seed=1)
+    level = _handoff_level(ds, 3)
+    d = str(tmp_path / "run")
+
+    def doomed(comm, checkpoint=None):
+        return induce_worker(comm, ds, None, checkpoint=checkpoint,
+                             split_phase=_DieInLocalPhase(min_world=3))
+
+    with pytest.raises(SpmdWorkerError) as excinfo:
+        run_spmd(3, doomed, checkpoint=CheckpointConfig(dir=d, every=1,
+                                                         keep=0))
+    assert isinstance(excinfo.value.failures[1], OSError)
+    manifest = latest_manifest(d)
+    assert manifest is not None and f"level-{level:04d}" in manifest
+    trees = run_spmd(2, doomed, checkpoint=CheckpointConfig(
+        dir=d, resume=manifest, keep=0))
+    for tree in trees:
+        assert tree.structurally_equal(induce_serial(ds))
+
+
 @pytest.mark.parametrize("backend", ["thread", "process", "cooperative",
                                      "tcp"])
 def test_checkpoint_write_path_on_every_backend(backend, tmp_path):

@@ -9,6 +9,7 @@ from repro.core.phases import (
     ALL_PHASES,
     FINDSPLIT1,
     FINDSPLIT2,
+    HANDOFF,
     PERFORMSPLIT1,
     PERFORMSPLIT2,
     PRESORT,
@@ -75,6 +76,8 @@ def test_presort_measured_once(fit_stats):
 
 
 def test_phase_names_are_the_figure2_set():
+    # Figure 2's five, plus the hand-off that ends the loop at p > 1
     assert set(ALL_PHASES) == {
-        PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2
+        PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2,
+        HANDOFF,
     }

@@ -1,0 +1,117 @@
+"""``SelfCommunicator``: a world of one, run in place.
+
+It is what a rank grows its own subtrees on after ScalParC's hand-off, so
+it must be the thread engine at p = 1 in everything but cost: the same
+result of every collective kind (hence the same bytes a caller hands over
+and gets back), nothing over a transport, nothing in a trace — with the
+rank's own tracker still collecting compute and phase time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.perfmodel import CRAY_T3D, PerfRun, RankTracker
+from repro.runtime import (
+    ANY_TAG,
+    CollectiveAbortedError,
+    SelfCommunicator,
+    TraceCollector,
+    payload_nbytes,
+    reduction,
+    run_spmd,
+)
+from repro.runtime.tracing.events import payload_digest
+
+KINDS = ["barrier", "bcast", "gather", "allgather", "allgatherv", "scatter",
+         "reduce", "allreduce", "exscan", "scan", "reduce_scatter",
+         "alltoall", "alltoallv", "fused_reduce", "fused_allreduce",
+         "fused_exscan"]
+
+
+def _one_collective(comm, kind, n):
+    """One call of ``kind`` on ``n``-element blocks: ``(contribution,
+    result)`` (the pattern of the engine-conformance hop-count test)."""
+    mine = np.full(n, float(comm.rank + 1))
+    if kind == "barrier":
+        return None, comm.barrier()
+    if kind in ("bcast", "gather", "allgather", "allgatherv", "scatter"):
+        arg = [mine] * comm.size if kind == "scatter" else mine
+        call = getattr(comm, kind)
+        return arg, (call(arg) if kind in ("allgather", "allgatherv")
+                     else call(arg, root=0))
+    if kind in ("reduce", "allreduce", "exscan", "scan"):
+        call = getattr(comm, kind)
+        return mine, (call(mine, reduction.SUM, root=0) if kind == "reduce"
+                      else call(mine, reduction.SUM))
+    if kind == "reduce_scatter":
+        block = np.tile(mine, (comm.size, 1))
+        return block, comm.reduce_scatter(block, reduction.SUM)
+    if kind in ("alltoall", "alltoallv"):
+        blocks = [mine] * comm.size
+        return blocks, getattr(comm, kind)(blocks)
+    with comm.fused() as batch:                     # the fused kinds
+        op = kind.removeprefix("fused_")
+        future = (batch.reduce(mine, reduction.SUM, root=0) if op == "reduce"
+                  else getattr(batch, op)(mine, reduction.SUM))
+    return mine, future.result()
+
+
+def _rounds(comm, kind, rounds=3, n=4_096):
+    """``(bytes handed over, bytes handed back, digest of the last
+    result)`` over ``rounds`` calls."""
+    up = down = 0
+    for _ in range(rounds):
+        mine, got = _one_collective(comm, kind, n)
+        up += payload_nbytes(mine)
+        down += payload_nbytes(got)
+    return up, down, payload_digest(got)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_collective_equals_the_thread_engine_at_p1(kind):
+    tracker = RankTracker(0, CRAY_T3D)
+    mine = _rounds(SelfCommunicator(tracker), kind)
+    (reference,) = run_spmd(1, _rounds, args=(kind,), backend="thread")
+    assert mine == reference
+    # nothing crossed a transport, nothing was priced as communication
+    assert tracker.transport_pickled_bytes == 0
+    assert tracker.transport_shared_bytes == 0
+    assert tracker.n_collectives == 0 and tracker.comm_seconds == 0.0
+
+
+def _traced_job(comm):
+    """Two collectives on the world, a busy world of one in between."""
+    comm.barrier()
+    local = SelfCommunicator(comm.perf)
+    for kind in KINDS:
+        _one_collective(local, kind, 64)
+    comm.perf.add_compute("scan", 1_000)
+    comm.barrier()
+
+
+def test_records_no_trace_events_and_charges_the_ranks_tracker():
+    collector = TraceCollector()
+    perf = PerfRun(2, CRAY_T3D)
+    run_spmd(2, _traced_job, backend="thread", trace=collector,
+             observer=perf, rank_perf=perf.trackers)
+    for rank in range(2):
+        assert [ev.kind for ev in collector.events_of(rank)] == \
+            ["barrier", "barrier"]
+        tracker = perf.trackers[rank]
+        assert tracker.n_collectives == 2
+        assert tracker.compute_units["scan"] == 1_000
+
+
+def test_point_to_point_is_a_fifo_to_oneself():
+    comm = SelfCommunicator()
+    comm.send("a", 0, tag=1)
+    comm.send("b", 0, tag=2)
+    comm.send("c", 0, tag=1)
+    assert comm.recv(0, tag=2) == "b"
+    assert comm.sendrecv("d", dest=0, source=0, tag=1) == "a"
+    assert comm.recv(0, tag=ANY_TAG) == "c"
+    assert comm.recv(0, tag=1) == "d"
+    with pytest.raises(CollectiveAbortedError, match="nothing was sent"):
+        comm.recv(0)

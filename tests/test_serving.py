@@ -105,6 +105,40 @@ def test_corrupt_payload_rejected_and_never_swapped_in(tmp_path, trees):
     assert reg.current().version == 1                 # old model intact
 
 
+#: ``tests/fixtures/model_artifact_v0001``: a published version written
+#: by ``ModelRegistry.publish`` (ScalParC, p = 2, F2, 300 records, seed 1,
+#: max_depth 3, 30 nodes) — the on-disk model format, pinned
+FIXTURE_DIGEST = "8368954bce4746f70377a3ef732ee925"
+
+
+def _committed_artifact(root: Path) -> ModelRegistry:
+    import shutil
+
+    fixture = Path(__file__).resolve().parent / "fixtures"
+    shutil.copytree(fixture / "model_artifact_v0001", root / "v0001")
+    return ModelRegistry(root)
+
+
+def test_committed_model_artifact_loads_with_its_pinned_digest(tmp_path):
+    model = _committed_artifact(tmp_path).load(1)
+    assert model.digest == FIXTURE_DIGEST
+    assert model.compiled.structure_digest == FIXTURE_DIGEST
+    assert model.tree.n_nodes == 30 and model.info.meta["records"] == 300
+    test = paper_dataset(200, "F2", seed=2)
+    np.testing.assert_array_equal(model.compiled.predict_columns(test.columns),
+                                  model.tree.predict(test))
+
+
+def test_committed_model_artifact_with_a_flipped_byte_refuses(tmp_path):
+    reg = _committed_artifact(tmp_path)
+    payload = tmp_path / "v0001" / "model.json"
+    blob = bytearray(payload.read_bytes())
+    blob[len(blob) // 3] ^= 0x20
+    payload.write_bytes(bytes(blob))
+    with pytest.raises(ModelArtifactError, match="rejected"):
+        reg.load(1)
+
+
 def test_torn_publish_is_invisible(tmp_path, trees):
     """A version directory without a sealed manifest (crash between the
     payload write and the manifest write) is skipped entirely."""
