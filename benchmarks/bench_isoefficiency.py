@@ -19,7 +19,8 @@ from repro.analysis import (
     run_grid,
 )
 
-SIZES = [int(n * SCALE) for n in (4_000, 8_000, 16_000, 32_000, 64_000)]
+SIZES = [int(n * SCALE)
+         for n in (1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000)]
 PROCS = [2, 4, 8, 16, 32]
 TARGET = 0.6
 

@@ -26,12 +26,6 @@ _SECTIONS = [
     ("blocked_updates", "Blocked node-table updates (§3.3.2)"),
     ("phase_breakdown", "Per-phase runtime breakdown"),
     ("isoefficiency", "Isoefficiency analysis (§3)"),
-    ("quest_quality", "Quest F1–F10 classification quality"),
-    ("lineage", "SLIQ → SPRINT → ScalParC lineage"),
-    ("formulations", "Three parallel formulations"),
-    ("ablation_per_node_comm", "Ablation: communication batching (§3.1)"),
-    ("ablation_categorical", "Ablation: categorical split form"),
-    ("ablation_criterion", "Ablation: splitting criterion"),
 ]
 
 

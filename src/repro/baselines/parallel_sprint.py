@@ -59,8 +59,6 @@ class ReplicatedSprintSplitPhase(SplitPhase):
         config: InductionConfig,
     ) -> None:
         assert self.table is not None, "setup() must run before execute()"
-        m = len(decisions.splitting)
-        all_mask = np.ones(m, dtype=bool)
 
         # gather every rank's (rid, child) pairs from the winner lists —
         # the O(N) per-processor communication step
@@ -68,7 +66,7 @@ class ReplicatedSprintSplitPhase(SplitPhase):
         id_parts: list[np.ndarray] = []
         winner_entries = []
         for alist in lists:
-            entries, ids = _local_children(alist, decisions, all_mask)
+            entries, ids = _local_children(alist, decisions)
             winner_entries.append((entries, ids))
             comm.perf.add_compute("split", len(entries))
             if len(entries):

@@ -72,27 +72,6 @@ class InductionConfig:
         rank (§3.3.2's memory-scalability device).  Parallel only.
     max_update_block:
         Override the block size (entries per rank per round).
-    per_node_communication:
-        Ablation of §3.1: issue the splitting-phase collectives once per
-        tree node instead of once per level, reproducing the latency
-        blow-up the paper's per-level design avoids.  Parallel only.
-    combined_enquiry:
-        Communication optimization (the tech-report follow-up to §3.3.2's
-        "possible ways of optimizing the communication overheads"): batch
-        the node-table enquiries of *all* non-splitting attributes into a
-        single enquire per level instead of one per attribute — same
-        bytes, 1 all-to-all latency pair instead of n_a−1.  Parallel only;
-        never changes the induced tree, so it defaults on; set False for
-        the per-attribute ablation.  Incompatible with
-        ``per_node_communication`` (one batches per level, the other
-        un-batches), so that ablation silently coerces this knob to False.
-    fused_collectives:
-        Collective fusion (see :mod:`repro.runtime.fusion`): drive all
-        attributes' FindSplit reductions through one deferred batch so a
-        level costs a constant number of fused rendezvous instead of
-        O(n_attributes) collectives — same bytes and bit-identical trees,
-        strictly fewer latency charges.  Default on; set False for the
-        per-attribute collective schedule as an ablation.  Parallel only.
     split_mode:
         FindSplit strategy (see :mod:`repro.core.strategies`):
         ``"exact"`` (the paper's exscan formulation, bit-identical to the
@@ -165,9 +144,6 @@ class InductionConfig:
     subset_exhaustive_limit: int = 12
     blocked_updates: bool = True
     max_update_block: int | None = None
-    per_node_communication: bool = False
-    combined_enquiry: bool = True
-    fused_collectives: bool = True
     split_mode: str | None = None
     n_bins: int = 32
     vote_top_k: int = 2
@@ -329,8 +305,3 @@ class InductionConfig:
         if self.stream_reopen_delta is not None \
                 and not 0.0 <= self.stream_reopen_delta <= 1.0:
             raise ValueError("stream_reopen_delta must be in [0, 1] or None")
-        if self.combined_enquiry and self.per_node_communication:
-            # the per-node ablation un-batches what combined_enquiry
-            # batches; since combined_enquiry is on by default, coerce it
-            # off rather than making the ablation unreachable
-            object.__setattr__(self, "combined_enquiry", False)

@@ -36,8 +36,6 @@ from .splits import BEST_SPLIT, candidate_beats, encode_mask, pack_candidates
 __all__ = [
     "KEEP_LAST",
     "node_class_totals",
-    "continuous_candidates",
-    "categorical_candidates",
     "categorical_rows",
     "score_categorical_cubes",
     "level_candidates",
@@ -82,10 +80,9 @@ def node_class_totals(
 def _continuous_local_stats(
     comm: Communicator, alist: LocalAttributeList, n_nodes: int,
     n_classes: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """FindSplitI's local compute for one continuous attribute:
-    ``(local_counts, boundary, seg_sizes)`` — the two exscan payloads plus
-    the per-node segment sizes the later scan needs."""
+    ``(local_counts, boundary)`` — its two exscan payloads."""
     n_local = alist.n_local
     # count matrix at the start of my fragment, per node
     local_counts = np.bincount(
@@ -94,66 +91,14 @@ def _continuous_local_stats(
     ).reshape(n_nodes, n_classes).astype(np.int64)
 
     # boundary info: my per-node (has-entries, last-value) row
-    seg_sizes = np.diff(alist.offsets)
     boundary = np.zeros((n_nodes, 2), dtype=np.float64)
-    nonempty = seg_sizes > 0
+    nonempty = np.diff(alist.offsets) > 0
     boundary[nonempty, 0] = 1.0
     last_idx = np.minimum(alist.offsets[1:] - 1, n_local - 1)
     if n_local:
         boundary[nonempty, 1] = alist.values[last_idx[nonempty]]
     comm.perf.transient_bytes(local_counts.nbytes + boundary.nbytes)
-    return local_counts, boundary, seg_sizes
-
-
-def _finish_continuous(
-    comm: Communicator,
-    alist: LocalAttributeList,
-    totals: np.ndarray,
-    candidate_nodes: np.ndarray,
-    config: InductionConfig,
-    below: np.ndarray,
-    pred: np.ndarray,
-    seg_sizes: np.ndarray,
-) -> np.ndarray:
-    """FindSplitII's local half for one continuous attribute, given the
-    exscan results (however they were communicated)."""
-    out = pack_candidates(totals.shape[0])
-    if alist.n_local == 0:
-        return out
-    # enter the phase through the communicator (not the bare tracker) so
-    # the collective tracer stamps the scan's region as FindSplitII too
-    with timed_phase(comm, FINDSPLIT2):
-        return _scan_candidates(
-            comm, alist, totals, candidate_nodes, config, out,
-            below, pred[:, 0] > 0, pred[:, 1], seg_sizes,
-        )
-
-
-def continuous_candidates(
-    comm: Communicator,
-    alist: LocalAttributeList,
-    totals: np.ndarray,
-    candidate_nodes: np.ndarray,
-    config: InductionConfig,
-) -> np.ndarray:
-    """Local-best continuous candidates per node for one attribute.
-
-    Returns an (n_nodes, 3) candidate matrix ``[score, attr, threshold]``
-    holding this rank's best valid split position per candidate node
-    (``inf`` rows where none exists).  Collective: performs two exscans —
-    this is the *unfused* schedule; :func:`level_candidates` batches all
-    attributes' exscans instead.
-    """
-    n_nodes, n_classes = totals.shape
-    with timed_phase(comm, FINDSPLIT1):
-        local_counts, boundary, seg_sizes = _continuous_local_stats(
-            comm, alist, n_nodes, n_classes
-        )
-        below = comm.exscan(local_counts, reduction.SUM)
-        pred = comm.exscan(boundary, KEEP_LAST)
-    return _finish_continuous(
-        comm, alist, totals, candidate_nodes, config, below, pred, seg_sizes
-    )
+    return local_counts, boundary
 
 
 def _scan_candidates(
@@ -162,15 +107,13 @@ def _scan_candidates(
     totals: np.ndarray,
     candidate_nodes: np.ndarray,
     config: InductionConfig,
-    out: np.ndarray,
     below: np.ndarray,
-    has_pred: np.ndarray,
-    pred_val: np.ndarray,
-    seg_sizes: np.ndarray,
+    pred: np.ndarray,
 ) -> np.ndarray:
-    """FindSplitII's local scan: score every valid split position of one
-    continuous attribute and keep the per-node best (helper of
-    :func:`continuous_candidates`).
+    """FindSplitII's local half for one continuous attribute, given its two
+    exscan results: score every valid split position and keep the per-node
+    best as (n_nodes, 3) candidate rows ``[score, attr, threshold]``
+    (``inf`` rows where none exists).
 
     Pure kernel composition: within-segment exclusive class counts +
     boundary validity + one-pass criterion evaluation + segmented argmin,
@@ -178,39 +121,47 @@ def _scan_candidates(
     float expressions keep the output bit-identical to the pre-kernel
     (and reference-mode) formulation.
     """
-    n_nodes, n_classes = totals.shape
+    out = pack_candidates(totals.shape[0])
     n_local = alist.n_local
+    if n_local == 0:
+        return out
+    n_classes = totals.shape[1]
     nodes = alist.entry_nodes()
     values = alist.values
-    # exclusive per-class counts within each segment, every segment in one
-    # pass; `below` (the exscan result) lifts them to global left counts
-    within = kernels.segment_class_prefix(
-        alist.labels, alist.offsets, n_classes, nodes=nodes
-    )
-    comm.perf.add_compute("scan", n_local * n_classes)
+    # enter the phase through the communicator (not the bare tracker) so
+    # the collective tracer stamps the scan's region as FindSplitII too
+    with timed_phase(comm, FINDSPLIT2):
+        # exclusive per-class counts within each segment, every segment in
+        # one pass; `below` (the exscan result) lifts them to global left
+        # counts
+        within = kernels.segment_class_prefix(
+            alist.labels, alist.offsets, n_classes, nodes=nodes
+        )
+        comm.perf.add_compute("scan", n_local * n_classes)
 
-    # validity: strictly-larger value than the (global) predecessor
-    valid = kernels.boundary_valid_mask(
-        values, nodes, alist.offsets, candidate_nodes, has_pred, pred_val
-    )
-    # integer gathers: one flatnonzero, then ``np.take`` row gathers
-    # (several times cheaper than boolean masking / fancy row indexing)
-    vidx = np.flatnonzero(valid)
-    if len(vidx) == 0:
-        comm.perf.transient_bytes(within.nbytes)
-        return out
+        # validity: strictly-larger value than the (global) predecessor
+        valid = kernels.boundary_valid_mask(
+            values, nodes, alist.offsets, candidate_nodes,
+            pred[:, 0] > 0, pred[:, 1],
+        )
+        # integer gathers: one flatnonzero, then ``np.take`` row gathers
+        # (several times cheaper than boolean masking / fancy row indexing)
+        vidx = np.flatnonzero(valid)
+        if len(vidx) == 0:
+            comm.perf.transient_bytes(within.nbytes)
+            return out
 
-    v_nodes = nodes.take(vidx)      # non-decreasing: the segment contract
-    v_thr = values.take(vidx)
-    left = below.take(v_nodes, axis=0) + within.take(vidx, axis=0)
-    comm.perf.transient_bytes(within.nbytes + left.nbytes)
-    scores = kernels.split_scores(
-        left, totals.take(v_nodes, axis=0), config.criterion
-    )
-    # per-node minimum by (score, threshold)
-    winners, best_scores, best_thr = kernels.segment_argmin(
-        v_nodes, scores, v_thr
-    )
+        v_nodes = nodes.take(vidx)   # non-decreasing: the segment contract
+        v_thr = values.take(vidx)
+        left = below.take(v_nodes, axis=0) + within.take(vidx, axis=0)
+        comm.perf.transient_bytes(within.nbytes + left.nbytes)
+        scores = kernels.split_scores(
+            left, totals.take(v_nodes, axis=0), config.criterion
+        )
+        # per-node minimum by (score, threshold)
+        winners, best_scores, best_thr = kernels.segment_argmin(
+            v_nodes, scores, v_thr
+        )
     out[winners, 0] = best_scores
     out[winners, 1] = float(alist.attr_index)
     out[winners, 2] = best_thr
@@ -303,36 +254,6 @@ def _score_categorical(
                             len(candidate_nodes), config)
 
 
-def categorical_candidates(
-    comm: Communicator,
-    alist: LocalAttributeList,
-    candidate_nodes: np.ndarray,
-    n_classes: int,
-    config: InductionConfig,
-) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray | None]]]:
-    """Candidates for one categorical attribute (coordinator-scored).
-
-    Local (node, value, class) count cubes are reduced to the attribute's
-    coordinator, which scores each candidate node (multiway or best binary
-    subset per config) and keeps the global count matrix + subset mask for
-    the later child-layout broadcast.
-
-    Returns ``(candidate_rows, coordinator_state)`` — ``coordinator_state``
-    maps node → (count matrix, mask) and is non-empty only on the
-    coordinator rank.  Collective: one reduce — this is the *unfused*
-    schedule; :func:`level_candidates` batches all attributes' reductions
-    instead.
-    """
-    n_nodes = len(candidate_nodes)
-    root = coordinator_of(alist.attr_index, comm.size)
-    with timed_phase(comm, FINDSPLIT1):
-        local = _categorical_local_cube(comm, alist, n_nodes, n_classes)
-        matrices = comm.reduce(local, reduction.SUM, root=root)
-    return _score_categorical(
-        comm, alist, candidate_nodes, config, matrices, root
-    )
-
-
 def level_candidates(
     comm: Communicator,
     lists: list[LocalAttributeList],
@@ -340,9 +261,9 @@ def level_candidates(
     candidate_nodes: np.ndarray,
     config: InductionConfig,
 ) -> tuple[np.ndarray, dict[int, dict[int, tuple[np.ndarray, np.ndarray | None]]]]:
-    """Fused FindSplit driver: every attribute's FindSplitI collectives in
-    one batch (the per-level analogue of §3.1's batching argument applied
-    to the reductions themselves).
+    """FindSplit's level schedule: every attribute's FindSplitI collectives
+    in one batch (the per-level analogue of §3.1's batching argument
+    applied to the reductions themselves).
 
     One :meth:`~repro.runtime.communicator.Communicator.fused` batch
     carries all continuous attributes' count exscans (one
@@ -350,27 +271,28 @@ def level_candidates(
     ``fused_exscan(op=keep_last)``) and all categorical attributes' count
     cubes (one segmented ``fused_reduce(op=sum)`` routing each section to
     its own coordinator) — a constant ≤ 3 rendezvous per level however
-    many attributes the schema has, versus ``2·n_cont + n_cat`` on the
-    unfused path.  The results are bit-identical either way.
+    many attributes the schema has.
 
     Returns ``(local_best, cat_state)``: this rank's folded candidate rows
-    over all attributes, and per-attribute coordinator state keyed like
-    :func:`categorical_candidates`'s.
+    over all attributes (``[score, attr, threshold or subset code]``,
+    ``inf`` where none exists), and per-attribute coordinator state
+    ``attr_index -> node -> (count matrix, subset mask)``, non-empty only
+    on an attribute's coordinator.
     """
     n_nodes, n_classes = totals.shape
-    cont_pending: list[tuple[LocalAttributeList, object, object, np.ndarray]] = []
+    cont_pending: list[tuple[LocalAttributeList, object, object]] = []
     cat_pending: list[tuple[LocalAttributeList, object, int]] = []
     with timed_phase(comm, FINDSPLIT1):
         with comm.fused() as batch:
             for alist in lists:
                 if alist.spec.is_continuous:
-                    local_counts, boundary, seg_sizes = \
-                        _continuous_local_stats(comm, alist, n_nodes, n_classes)
+                    local_counts, boundary = _continuous_local_stats(
+                        comm, alist, n_nodes, n_classes
+                    )
                     cont_pending.append((
                         alist,
                         batch.exscan(local_counts, reduction.SUM),
                         batch.exscan(boundary, KEEP_LAST),
-                        seg_sizes,
                     ))
                 else:
                     local = _categorical_local_cube(
@@ -384,10 +306,10 @@ def level_candidates(
 
     local_best = pack_candidates(n_nodes)
     cat_state: dict[int, dict[int, tuple[np.ndarray, np.ndarray | None]]] = {}
-    for alist, below_f, pred_f, seg_sizes in cont_pending:
-        rows = _finish_continuous(
+    for alist, below_f, pred_f in cont_pending:
+        rows = _scan_candidates(
             comm, alist, totals, candidate_nodes, config,
-            below_f.result(), pred_f.result(), seg_sizes,
+            below_f.result(), pred_f.result(),
         )
         take = candidate_beats(rows, local_best)
         local_best = np.where(take[:, None], rows, local_best)
@@ -402,20 +324,18 @@ def level_candidates(
     return local_best, cat_state
 
 
-def global_best_splits(comm: Communicator, local_best: np.ndarray,
-                       fused: bool = False) -> np.ndarray:
+def global_best_splits(comm: Communicator, local_best: np.ndarray) -> np.ndarray:
     """Allreduce the per-node candidate rows with the BEST_SPLIT operator —
     FindSplitII's 'overall best splitting criteria for each node is found
     using a parallel reduction operation'.
 
-    With ``fused=True`` the allreduce rides the fusion layer (so it would
-    pack with any other reduction issued in the same batch; FindSplitII
-    has no independent peer to pair it with — the termination stats it
+    The allreduce rides the fusion layer as a batch of one: FindSplitII
+    has no independent peer to pair it with (the termination stats it
     could share a buffer with are what *candidate_nodes*, and hence this
-    very payload, is derived from — so it flushes as a batch of one).
+    very payload, is derived from), but going through the batch keeps
+    the traced op — and so every trace digest — that of the level
+    schedule.
     """
-    if not fused:
-        return comm.allreduce(local_best, BEST_SPLIT)
     with comm.fused() as batch:
         future = batch.allreduce(local_best, BEST_SPLIT)
     return future.result()

@@ -8,15 +8,12 @@ Given every node's winning split:
   table is updated through the parallel hashing paradigm — optionally in
   blocked rounds of ≤ ⌈N/p⌉ updates per rank for memory scalability.
 * **PerformSplitII** — the lists of all non-splitting attributes are
-  split, one attribute at a time: the node table is enquired for each
-  entry's record id, and the returned next-level node drives a stable
-  local regroup of the list.
+  split: the node table is enquired for each entry's record id, and the
+  returned next-level node drives a stable local regroup of the list.
 
-Communication is batched **per level** (§3.1): one table update and one
-enquiry per attribute per level.  Setting
-``InductionConfig.per_node_communication`` issues them per tree node
-instead — the ablation showing the latency blow-up per-level batching
-avoids.
+Communication is batched **per level** (§3.1): one table update (in
+blocked rounds) and one enquiry covering every attribute's requests per
+level, however many nodes split.
 """
 
 from __future__ import annotations
@@ -90,10 +87,9 @@ class LevelDecisions:
 def _local_children(
     alist: LocalAttributeList,
     decisions: LevelDecisions,
-    node_filter: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next-level node id of each local entry whose node's *winner* is this
-    attribute (restricted to ``node_filter``); returns (entry idx, ids).
+    attribute; returns (entry idx, ids).
 
     This is the "split the list of the splitting attribute directly"
     step — no table access needed (§2: the information is obtained from
@@ -107,8 +103,7 @@ def _local_children(
     instead of a per-node mask loop.
     """
     nodes = alist.entry_nodes()
-    mine = decisions.splitting & (decisions.winner_attr == alist.attr_index) \
-        & node_filter
+    mine = decisions.splitting & (decisions.winner_attr == alist.attr_index)
     if not mine.any():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -175,52 +170,31 @@ def perform_split(
     entries of terminal nodes are dropped.
     """
     decisions.validate()
-    m = len(decisions.splitting)
-    if config.per_node_communication:
-        node_batches = [
-            np.arange(m) == k for k in np.nonzero(decisions.splitting)[0]
-        ]
-    else:
-        node_batches = [np.ones(m, dtype=bool)]
 
     # --- PerformSplitI: split winner lists, update the node table ---------
     with timed_phase(comm, PERFORMSPLIT1):
-        winner_entries: list[tuple[np.ndarray, np.ndarray]] = []
-        for alist in lists:
-            entries, ids = _local_children(
-                alist, decisions, np.ones(m, dtype=bool)
-            )
-            winner_entries.append((entries, ids))
+        winner_entries = [_local_children(alist, decisions) for alist in lists]
+        for entries, _ in winner_entries:
             comm.perf.add_compute("split", len(entries))
+        rids = np.concatenate(
+            [alist.rids[entries]
+             for alist, (entries, _) in zip(lists, winner_entries)]
+            + [np.empty(0, dtype=np.int64)]
+        )
+        ids = np.concatenate(
+            [ids for _, ids in winner_entries] + [np.empty(0, dtype=np.int64)]
+        )
+        table.update(
+            rids, ids.astype(np.int32),
+            blocked=config.blocked_updates,
+            max_block=config.max_update_block,
+        )
 
-        for batch in node_batches:
-            rid_parts: list[np.ndarray] = []
-            id_parts: list[np.ndarray] = []
-            for alist, (entries, ids) in zip(lists, winner_entries):
-                if len(entries) == 0:
-                    continue
-                if config.per_node_communication:
-                    nodes = alist.entry_nodes()[entries]
-                    sel = batch[nodes]
-                    entries, ids = entries[sel], ids[sel]
-                rid_parts.append(alist.rids[entries])
-                id_parts.append(ids)
-            rids = np.concatenate(rid_parts) if rid_parts else \
-                np.empty(0, dtype=np.int64)
-            ids = np.concatenate(id_parts) if id_parts else \
-                np.empty(0, dtype=np.int64)
-            table.update(
-                rids, ids.astype(np.int32),
-                blocked=config.blocked_updates,
-                max_block=config.max_update_block,
-            )
-
-    # --- PerformSplitII: split the other lists via enquiry ----------------
+    # --- PerformSplitII: split the other lists via one enquiry ------------
     with timed_phase(comm, PERFORMSPLIT2):
         new_nodes_per_list: list[np.ndarray] = []
         lookup_masks: list[np.ndarray] = []
         for alist, (entries, ids) in zip(lists, winner_entries):
-            nodes = alist.entry_nodes()
             new_nodes = np.full(alist.n_local, -1, dtype=np.int64)
             if len(entries):
                 new_nodes[entries] = ids
@@ -228,36 +202,19 @@ def perform_split(
             need = decisions.splitting \
                 & (decisions.winner_attr != alist.attr_index)
             new_nodes_per_list.append(new_nodes)
-            lookup_masks.append(need[nodes])
+            lookup_masks.append(need[alist.entry_nodes()])
 
-        if config.combined_enquiry:
-            # optimization: one enquiry covering every attribute's requests —
-            # identical bytes, a single all-to-all latency pair per level
-            all_rids = np.concatenate([
-                alist.rids[mask] for alist, mask in zip(lists, lookup_masks)
-            ]) if lists else np.empty(0, dtype=np.int64)
-            answers = table.lookup(all_rids).astype(np.int64)
-            offset = 0
-            for alist, mask, new_nodes in zip(lists, lookup_masks,
-                                              new_nodes_per_list):
-                count = int(mask.sum())
-                new_nodes[mask] = answers[offset:offset + count]
-                offset += count
-        else:
-            for alist, mask, new_nodes in zip(lists, lookup_masks,
-                                              new_nodes_per_list):
-                if config.per_node_communication:
-                    nodes = alist.entry_nodes()
-                    need = decisions.splitting & (
-                        decisions.winner_attr != alist.attr_index
-                    )
-                    for batch in node_batches:
-                        sub = (need & batch)[nodes]
-                        answers = table.lookup(alist.rids[sub])
-                        new_nodes[sub] = answers.astype(np.int64)
-                else:
-                    answers = table.lookup(alist.rids[mask])
-                    new_nodes[mask] = answers.astype(np.int64)
+        # one enquiry covering every attribute's requests: a single
+        # all-to-all latency pair per level
+        answers = table.lookup(np.concatenate(
+            [alist.rids[mask] for alist, mask in zip(lists, lookup_masks)]
+            + [np.empty(0, dtype=np.int64)]
+        )).astype(np.int64)
+        offset = 0
+        for mask, new_nodes in zip(lookup_masks, new_nodes_per_list):
+            count = int(mask.sum())
+            new_nodes[mask] = answers[offset:offset + count]
+            offset += count
 
         for alist, new_nodes in zip(lists, new_nodes_per_list):
             comm.perf.add_compute("split", alist.n_local)

@@ -115,6 +115,4 @@ class SplitStrategy:
     ) -> np.ndarray:
         """Fold every rank's candidate rows with BEST_SPLIT (shared by
         all modes — the winner lattice is strategy-independent)."""
-        return global_best_splits(
-            comm, local_best, fused=config.fused_collectives
-        )
+        return global_best_splits(comm, local_best)

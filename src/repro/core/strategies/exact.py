@@ -3,33 +3,19 @@
 A behavior-preserving port of the pre-strategy FindSplit schedule.  The
 kernels stay in :mod:`repro.core.findsplit` (they are the paper's §3.2/§4
 machinery and the unit suite exercises them directly); this class only
-hosts the orchestration the induction driver used to inline:
+hosts the orchestration the induction driver used to inline: one
+deferred batch carrying all attributes' FindSplitI collectives — ≤ 3
+rendezvous per level plus BEST_SPLIT.
 
-* fused (default): one deferred batch carrying all attributes' FindSplitI
-  collectives — ≤ 3 rendezvous per level plus BEST_SPLIT;
-* unfused (the ablation): 2 exscans per continuous attribute plus 1
-  reduce per categorical attribute, issued one by one.
-
-Both paths — and the legacy ``attr_index % size`` coordinator mapping —
-are kept bit-identical to the pre-refactor code: same collectives in the
+The schedule — and the legacy ``attr_index % size`` coordinator mapping —
+is kept bit-identical to the pre-refactor code: same collectives in the
 same order with the same payloads, so golden trees *and* cross-backend
 trace digests are unchanged.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...runtime import Communicator
-from ..attribute_lists import LocalAttributeList
-from ..config import InductionConfig
-from ..findsplit import (
-    categorical_candidates,
-    continuous_candidates,
-    coordinator_of,
-    level_candidates,
-)
-from ..splits import candidate_beats, pack_candidates
+from ..findsplit import coordinator_of, level_candidates
 from .base import SplitStrategy
 
 __all__ = ["ExactSplitStrategy"]
@@ -46,37 +32,4 @@ class ExactSplitStrategy(SplitStrategy):
         return coordinator_of(alist.attr_index, size)
 
     def level_candidates(self, comm, lists, totals, candidate_nodes, config):
-        if config.fused_collectives:
-            return level_candidates(
-                comm, lists, totals, candidate_nodes, config
-            )
-        return self._unfused_level_candidates(
-            comm, lists, totals, candidate_nodes, config
-        )
-
-    @staticmethod
-    def _unfused_level_candidates(
-        comm: Communicator,
-        lists: list[LocalAttributeList],
-        totals: np.ndarray,
-        candidate_nodes: np.ndarray,
-        config: InductionConfig,
-    ) -> tuple[np.ndarray, dict[int, dict[int, tuple]]]:
-        """The per-attribute collective schedule (fusion ablation)."""
-        n_classes = totals.shape[1]
-        local_best = pack_candidates(len(candidate_nodes))
-        cat_state: dict[int, dict[int, tuple]] = {}
-        for alist in lists:
-            if alist.spec.is_continuous:
-                rows = continuous_candidates(
-                    comm, alist, totals, candidate_nodes, config
-                )
-            else:
-                rows, state = categorical_candidates(
-                    comm, alist, candidate_nodes, n_classes, config
-                )
-                if state:
-                    cat_state[alist.attr_index] = state
-            take = candidate_beats(rows, local_best)
-            local_best = np.where(take[:, None], rows, local_best)
-        return local_best, cat_state
+        return level_candidates(comm, lists, totals, candidate_nodes, config)

@@ -200,59 +200,39 @@ class HistogramSplitStrategy(SplitStrategy):
 
         cont_pending: list[tuple[LocalAttributeList, object]] = []
         cat_pending: list[tuple[LocalAttributeList, object, int]] = []
-        with timed_phase(comm, FINDSPLIT1_HIST):
-            if config.fused_collectives:
-                with comm.fused() as batch:
-                    self._issue(batch, comm, lists, cand_row, len(cand),
-                                n_classes, ordinals, cont_pending,
-                                cat_pending)
-                cont_results = [(a, f.result()) for a, f in cont_pending]
-                cat_results = [(a, f.result(), r)
-                               for a, f, r in cat_pending]
-            else:
-                self._issue(comm, comm, lists, cand_row, len(cand),
-                            n_classes, ordinals, cont_pending, cat_pending)
-                cont_results = cont_pending
-                cat_results = cat_pending
+        # one allreduce per continuous cube, one rooted reduce per
+        # categorical cube, all in one fused batch
+        with timed_phase(comm, FINDSPLIT1_HIST), comm.fused() as batch:
+            for alist in lists:
+                if alist.spec.is_continuous:
+                    cube = continuous_local_cube(
+                        comm, alist, cand_row, len(cand), n_classes
+                    )
+                    cont_pending.append(
+                        (alist, batch.allreduce(cube, reduction.SUM))
+                    )
+                else:
+                    local = _categorical_local_cube(comm, alist, m, n_classes)
+                    root = self.coordinator_of(alist, ordinals, comm.size)
+                    cat_pending.append(
+                        (alist, batch.reduce(local, reduction.SUM, root=root),
+                         root)
+                    )
 
         local_best = pack_candidates(m)
         cat_state: dict[int, dict[int, tuple]] = {}
-        for alist, cube in cont_results:
+        for alist, cube_f in cont_pending:
             rows = score_continuous_cube(
-                alist, cube, cand, totals, config
+                alist, cube_f.result(), cand, totals, config
             )
             take = candidate_beats(rows, local_best)
             local_best = np.where(take[:, None], rows, local_best)
-        for alist, matrices, root in cat_results:
+        for alist, cube_f, root in cat_pending:
             rows, state = _score_categorical(
-                comm, alist, candidate_nodes, config, matrices, root
+                comm, alist, candidate_nodes, config, cube_f.result(), root
             )
             if state:
                 cat_state[alist.attr_index] = state
             take = candidate_beats(rows, local_best)
             local_best = np.where(take[:, None], rows, local_best)
         return local_best, cat_state
-
-    def _issue(self, target, comm, lists, cand_row, n_cand, n_classes,
-               ordinals, cont_pending, cat_pending):
-        """Issue every attribute's level collective on ``target`` (the
-        fused batch or the bare communicator — the collective plan is the
-        same either way: one allreduce per continuous cube, one rooted
-        reduce per categorical cube)."""
-        for alist in lists:
-            if alist.spec.is_continuous:
-                cube = continuous_local_cube(
-                    comm, alist, cand_row, n_cand, n_classes
-                )
-                cont_pending.append(
-                    (alist, target.allreduce(cube, reduction.SUM))
-                )
-            else:
-                local = _categorical_local_cube(
-                    comm, alist, len(cand_row), n_classes
-                )
-                root = self.coordinator_of(alist, ordinals, comm.size)
-                cat_pending.append(
-                    (alist, target.reduce(local, reduction.SUM, root=root),
-                     root)
-                )

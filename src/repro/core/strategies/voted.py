@@ -28,7 +28,7 @@ measured ≥5× FindSplit byte reduction on wide schemas comes from.
 The election is a heuristic: when local vote orders disagree wildly, the
 globally best attribute can miss the ballot and the tree forks
 differently from exact.  Accuracy on the Quest workloads stays within
-the benchmark's 1% envelope (see ``benchmarks/bench_split_modes.py``).
+1% of exact (``tests/test_split_strategies.py`` asserts it).
 """
 
 from __future__ import annotations

@@ -11,12 +11,7 @@ from .model import (
     TreeNode,
 )
 from .importance import feature_importances
-from .predict import (
-    predict_columns,
-    predict_columns_recursive,
-    predict_proba_columns,
-    predict_proba_columns_recursive,
-)
+from .predict import predict_columns, predict_proba_columns
 from .pruning import prune_mdl, prune_pessimistic
 from .rules import Condition, Rule, extract_rules, rules_to_text
 from .stats import TreeSummary, accuracy, confusion_matrix, summarize
@@ -36,9 +31,7 @@ __all__ = [
     "feature_importances",
     "from_dict",
     "predict_columns",
-    "predict_columns_recursive",
     "predict_proba_columns",
-    "predict_proba_columns_recursive",
     "prune_mdl",
     "Rule",
     "extract_rules",

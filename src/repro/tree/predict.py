@@ -5,27 +5,18 @@ flat-array form (see :mod:`repro.tree.compile`): the tree is lowered
 once per instance (cached on the :class:`DecisionTree`), then every
 batch advances all records one level per numpy step — no Python
 recursion, so arbitrarily deep trees predict fine and large batches run
-at array speed.
-
-The original index-recursion implementation is kept as
-``predict_columns_recursive`` / ``predict_proba_columns_recursive``: it
-is the independent reference the compiled kernel is differentially
-tested against (bit-for-bit label and probability equality), and the
-"before" side of the serving benchmarks.
+at array speed.  (The test suite keeps an index-recursion predictor as
+the independent reference the compiled kernel is checked against, bit
+for bit.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import DecisionTree, TreeNode
+from .model import DecisionTree
 
-__all__ = [
-    "predict_columns",
-    "predict_proba_columns",
-    "predict_columns_recursive",
-    "predict_proba_columns_recursive",
-]
+__all__ = ["predict_columns", "predict_proba_columns"]
 
 
 def _check_width(tree: DecisionTree, columns: list[np.ndarray]) -> None:
@@ -46,49 +37,3 @@ def predict_proba_columns(tree: DecisionTree,
     """Per-class empirical frequencies of the routed leaf, per record."""
     _check_width(tree, columns)
     return tree.compiled().predict_proba_columns(columns)
-
-
-# ----------------------------------------------------------------------
-# reference implementation (index-array recursion)
-# ----------------------------------------------------------------------
-
-
-def _route_recursive(node: TreeNode, idx: np.ndarray,
-                     columns: list[np.ndarray], out: np.ndarray,
-                     counts_out: np.ndarray | None) -> None:
-    if node.is_leaf:
-        out[idx] = node.label
-        if counts_out is not None:
-            total = max(int(node.class_counts.sum()), 1)
-            counts_out[idx] = node.class_counts / total
-        return
-    child_of = node.route(columns[node.attr_index][idx])
-    for c, child in enumerate(node.children):
-        sub = idx[child_of == c]
-        if len(sub):
-            _route_recursive(child, sub, columns, out, counts_out)
-
-
-def predict_columns_recursive(tree: DecisionTree,
-                              columns: list[np.ndarray]) -> np.ndarray:
-    """Reference predictor: pays a Python frame per node per subset."""
-    _check_width(tree, columns)
-    n = len(columns[0]) if columns else 0
-    out = np.empty(n, dtype=np.int32)
-    if n:
-        _route_recursive(tree.root, np.arange(n, dtype=np.int64),
-                         columns, out, None)
-    return out
-
-
-def predict_proba_columns_recursive(tree: DecisionTree,
-                                    columns: list[np.ndarray]) -> np.ndarray:
-    """Reference probability predictor (index-array recursion)."""
-    _check_width(tree, columns)
-    n = len(columns[0]) if columns else 0
-    out = np.empty(n, dtype=np.int32)
-    proba = np.zeros((n, tree.schema.n_classes), dtype=np.float64)
-    if n:
-        _route_recursive(tree.root, np.arange(n, dtype=np.int64),
-                         columns, out, proba)
-    return proba

@@ -41,6 +41,16 @@ def test_entry_nodes_from_offsets():
     assert alist.segment(1) == slice(2, 2)
 
 
+def test_entry_nodes_cached_until_reorder():
+    alist = _mklist([1.0, 2.0, 3.0, 4.0], nodes=[0, 0, 1, 1])
+    first = alist.entry_nodes()
+    assert alist.entry_nodes() is first          # cache hit: same object
+    alist.reorder(np.array([1, 0, 1, 0], dtype=np.int64), 2)
+    assert alist.entry_nodes() is not first      # reorder invalidates
+    np.testing.assert_array_equal(alist.entry_nodes(), [0, 0, 1, 1])
+    np.testing.assert_array_equal(alist.values, [2.0, 4.0, 1.0, 3.0])
+
+
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         LocalAttributeList(

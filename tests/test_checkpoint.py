@@ -8,7 +8,7 @@ induction-path correctness fixes that shipped with it:
   / ``ScalParC.fit`` integration;
 * the empty-child leaf labeling fix (parent majority, not class 0);
 * ``LevelDecisions.validate`` rejecting malformed decisions;
-* FindSplitII phase attribution on the fused and unfused paths.
+* FindSplitII phase attribution.
 """
 
 from __future__ import annotations
@@ -551,17 +551,15 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
 
 # ----------------------------------------------------------------------
 # FindSplitII phase attribution (bugfix: timed_phase(comm, ...) so the
-# tracer stamps the scan region; fused and unfused paths must agree)
+# tracer stamps the scan region)
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_findsplit2_phase_attribution(fused):
+def test_findsplit2_phase_attribution():
     ds = generate_quest(400, "F2", seed=9)
-    config = InductionConfig(fused_collectives=fused)
     collector = TraceCollector()
     perf = PerfRun(2)
-    run_spmd(2, induce_worker, args=(ds, config),
+    run_spmd(2, induce_worker, args=(ds, InductionConfig()),
              observer=perf, rank_perf=perf.trackers, trace=collector)
 
     for rank, tracker in enumerate(perf.trackers):
@@ -578,19 +576,3 @@ def test_findsplit2_phase_attribution(fused):
             assert tracker.phase_comm_bytes[phase] == sum(
                 e.payload_nbytes + e.result_nbytes for e in stamped
             )
-
-
-def test_findsplit_phase_bytes_identical_fused_vs_unfused():
-    """Collective fusion changes the schedule, never the attribution:
-    per-phase communication volume must match the unfused ablation."""
-    ds = generate_quest(400, "F2", seed=9)
-    volumes = {}
-    for fused in (True, False):
-        perf = PerfRun(2)
-        collector = TraceCollector()
-        run_spmd(2, induce_worker,
-                 args=(ds, InductionConfig(fused_collectives=fused)),
-                 observer=perf, rank_perf=perf.trackers, trace=collector)
-        volumes[fused] = perf.stats().phase_bytes
-    assert set(volumes[True]) == set(volumes[False])
-    assert volumes[True][FINDSPLIT2] > 0

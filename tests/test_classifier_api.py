@@ -135,5 +135,4 @@ def test_config_defaults_match_paper():
     assert cfg.criterion == "gini"
     assert cfg.categorical_binary_subsets is False
     assert cfg.blocked_updates is True
-    assert cfg.per_node_communication is False
     assert cfg.max_depth is None

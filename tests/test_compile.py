@@ -1,7 +1,7 @@
 """Compiled flat-array trees: kernel bit-identity, depth safety, round trip.
 
-The compiled kernel is the serving hot path; these tests pin it to the
-index-recursion reference implementation (bit-for-bit labels *and*
+The compiled kernel is the serving hot path; these tests pin it to an
+index-recursion reference predictor kept here (bit-for-bit labels *and*
 probabilities on the golden fixture trees), prove it routes trees far
 beyond Python's recursion limit, and guard the flat-array ↔ pointer-form
 round trip and the structure digest.
@@ -29,10 +29,9 @@ from repro.tree import (
     Leaf,
     compile_tree,
     from_dict,
+    TreeNode,
     predict_columns,
-    predict_columns_recursive,
     predict_proba_columns,
-    predict_proba_columns_recursive,
     to_dict,
 )
 
@@ -45,6 +44,45 @@ _FIXTURE_FN = {name: name.split("_")[0].upper() for name in GOLDEN}
 
 def _golden_tree(name: str) -> DecisionTree:
     return from_dict(json.loads((GOLDEN_DIR / name).read_text()))
+
+
+# ----------------------------------------------------------------------
+# the reference predictor: index-array recursion over the node graph
+# ----------------------------------------------------------------------
+
+
+def _route_recursive(node: TreeNode, idx: np.ndarray,
+                     columns: list[np.ndarray], out: np.ndarray,
+                     proba: np.ndarray) -> None:
+    if node.is_leaf:
+        out[idx] = node.label
+        proba[idx] = node.class_counts / max(int(node.class_counts.sum()), 1)
+        return
+    child_of = node.route(columns[node.attr_index][idx])
+    for c, child in enumerate(node.children):
+        sub = idx[child_of == c]
+        if len(sub):
+            _route_recursive(child, sub, columns, out, proba)
+
+
+def _predict_recursive(tree: DecisionTree, columns: list[np.ndarray]):
+    """``(labels, probabilities)``, paying a Python frame per node per
+    subset of records."""
+    n = len(columns[0]) if columns else 0
+    out = np.empty(n, dtype=np.int32)
+    proba = np.zeros((n, tree.schema.n_classes), dtype=np.float64)
+    if n:
+        _route_recursive(tree.root, np.arange(n, dtype=np.int64),
+                         columns, out, proba)
+    return out, proba
+
+
+def predict_columns_recursive(tree, columns):
+    return _predict_recursive(tree, columns)[0]
+
+
+def predict_proba_columns_recursive(tree, columns):
+    return _predict_recursive(tree, columns)[1]
 
 
 def _record_batches(tree: DecisionTree, fn: str):

@@ -5,7 +5,7 @@ process — so for any dataset, any configuration, and any processor count,
 all three implementations must produce bit-identical trees.  These tests
 sweep datasets (synthetic Quest workloads, adversarial random data,
 duplicate-heavy columns), configurations (criteria, depth caps, subset
-splits, blocked updates, per-node communication) and processor counts.
+splits, blocked updates, one-pair update rounds) and processor counts.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ CONFIGS = [
     InductionConfig(categorical_binary_subsets=True, subset_exhaustive_limit=2),
     InductionConfig(blocked_updates=False),
     InductionConfig(max_update_block=7),
-    InductionConfig(per_node_communication=True, max_depth=4),
+    InductionConfig(max_update_block=1, max_depth=4),
 ]
 
 

@@ -1,5 +1,5 @@
 """Extension features: parallel scoring, feature importance, DOT export,
-isoefficiency analysis, combined-enquiry optimization."""
+isoefficiency analysis, the one PerformSplitII enquiry per level."""
 
 from __future__ import annotations
 
@@ -22,7 +22,9 @@ from repro.analysis import (
     isoefficiency_curve,
     run_grid,
 )
+from repro.core.phases import PERFORMSPLIT2
 from repro.datagen import generate_quest, make_dataset
+from repro.runtime import TraceCollector
 from repro.tree import to_dot
 
 
@@ -186,44 +188,27 @@ def test_isoefficiency_validation(iso_grid):
 
 
 # ---------------------------------------------------------------------------
-# combined enquiry optimization
+# PerformSplitII: one enquiry per level
 # ---------------------------------------------------------------------------
 
-def test_combined_enquiry_same_tree_fewer_collectives():
-    # combined_enquiry defaults on; the per-attribute schedule is the
-    # explicit ablation
+def test_performsplit2_one_enquiry_per_level():
+    """PerformSplitII batches every non-winning attribute's node-table
+    requests into one enquiry: one request/answer all-to-all pair per
+    level, however many attributes need it."""
     ds = paper_dataset(2000, "F2", seed=2)
-    base = ScalParC(
-        6, config=InductionConfig(max_depth=5, combined_enquiry=False)
-    ).fit(ds)
-    combined = ScalParC(
-        6, config=InductionConfig(max_depth=5, combined_enquiry=True)
-    ).fit(ds)
-    assert combined.tree.structurally_equal(base.tree)
-    assert (sum(combined.stats.collective_counts.values())
-            < sum(base.stats.collective_counts.values()))
-    # identical enquiry bytes move either way (same requests, one batch)
-    assert combined.stats.total_bytes == pytest.approx(
-        base.stats.total_bytes, rel=0.01
-    )
+    collector = TraceCollector()
+    ScalParC(6, config=InductionConfig(max_depth=5), machine=None).fit(
+        ds, trace=collector)
+    per_level: dict[int, int] = {}
+    for ev in collector.events_of(0):
+        if ev.phase == PERFORMSPLIT2:
+            per_level[ev.level] = per_level.get(ev.level, 0) + 1
+    assert per_level and set(per_level.values()) == {2}, per_level
 
 
-def test_combined_enquiry_serial_equivalence():
+def test_scalparc_equals_serial_on_f6():
     ds = generate_quest(700, "F6", seed=4)
     ref = induce_serial(ds)
     for p in (2, 5):
-        got = ScalParC(
-            p, config=InductionConfig(combined_enquiry=True), machine=None
-        ).fit(ds)
+        got = ScalParC(p, machine=None).fit(ds)
         assert got.tree.structurally_equal(ref)
-
-
-def test_combined_enquiry_coerced_off_under_per_node():
-    # the per-node ablation un-batches what combined_enquiry batches;
-    # since combined_enquiry defaults on it is coerced off rather than
-    # making the ablation unconstructible
-    cfg = InductionConfig(per_node_communication=True)
-    assert cfg.combined_enquiry is False
-    cfg = InductionConfig(combined_enquiry=True, per_node_communication=True)
-    assert cfg.combined_enquiry is False
-    assert InductionConfig().combined_enquiry is True

@@ -10,10 +10,9 @@ from repro.core import InductionConfig
 from repro.core.attribute_lists import build_local_lists
 from repro.core.findsplit import (
     KEEP_LAST,
-    categorical_candidates,
-    continuous_candidates,
     coordinator_of,
     global_best_splits,
+    level_candidates,
     node_class_totals,
     score_categorical_cubes,
 )
@@ -25,6 +24,16 @@ from repro.core.splits import (
 )
 from repro.datagen import generate_quest, make_dataset
 from repro.runtime import run_spmd
+
+
+def _best_split(comm, ds, candidate_nodes=(True,)):
+    """Global best split of the root node over a one-attribute dataset:
+    the level schedule's candidates, folded by BEST_SPLIT."""
+    lists, _ = build_local_lists(comm, ds)
+    totals = node_class_totals(comm, lists[0], 1, 2)
+    rows, _ = level_candidates(comm, lists, totals,
+                               np.array(candidate_nodes), InductionConfig())
+    return global_best_splits(comm, rows)
 
 
 def test_keep_last_exscan_carries_latest_nonempty():
@@ -93,16 +102,7 @@ def test_continuous_candidates_match_serial_scan(size):
         labels=[0, 0, 0, 1, 1, 1, 0, 1],
     )
     config = InductionConfig()
-
-    def worker(comm):
-        lists, _ = build_local_lists(comm, ds)
-        totals = node_class_totals(comm, lists[0], 1, 2)
-        rows = continuous_candidates(
-            comm, lists[0], totals, np.array([True]), config
-        )
-        return global_best_splits(comm, rows)
-
-    best = run_spmd(size, worker)[0]
+    best = run_spmd(size, _best_split, args=(ds,))[0]
     # serial enumeration
     from repro.baselines.serial_reference import _continuous_candidate
 
@@ -117,16 +117,7 @@ def test_continuous_candidates_match_serial_scan(size):
 
 def test_continuous_candidates_no_valid_position():
     ds = make_dataset(continuous={"x": [4.0, 4.0, 4.0]}, labels=[0, 1, 0])
-
-    def worker(comm):
-        lists, _ = build_local_lists(comm, ds)
-        totals = node_class_totals(comm, lists[0], 1, 2)
-        rows = continuous_candidates(
-            comm, lists[0], totals, np.array([True]), InductionConfig()
-        )
-        return global_best_splits(comm, rows)
-
-    best = run_spmd(3, worker)[0]
+    best = run_spmd(3, _best_split, args=(ds,))[0]
     assert np.isinf(best[0, 0])
 
 
@@ -137,16 +128,7 @@ def test_duplicate_run_spanning_all_ranks_rejected():
         continuous={"x": [7.0] * 9 + [8.0]},
         labels=[0] * 9 + [1],
     )
-
-    def worker(comm):
-        lists, _ = build_local_lists(comm, ds)
-        totals = node_class_totals(comm, lists[0], 1, 2)
-        rows = continuous_candidates(
-            comm, lists[0], totals, np.array([True]), InductionConfig()
-        )
-        return global_best_splits(comm, rows)
-
-    best = run_spmd(3, worker)[0]
+    best = run_spmd(3, _best_split, args=(ds,))[0]
     assert best[0, 2] == 8.0  # the only valid threshold
     assert best[0, 0] == pytest.approx(0.0)
 
@@ -160,9 +142,11 @@ def test_categorical_candidates_scored_on_coordinator(size):
 
     def worker(comm):
         lists, _ = build_local_lists(comm, ds)
-        rows, state = categorical_candidates(
-            comm, lists[0], np.array([True]), 2, InductionConfig()
+        totals = node_class_totals(comm, lists[0], 1, 2)
+        rows, cat_state = level_candidates(
+            comm, lists, totals, np.array([True]), InductionConfig()
         )
+        state = cat_state.get(0, {})
         return rows, {k: v[0] for k, v in state.items()}, comm.rank
 
     results = run_spmd(size, worker)
@@ -181,16 +165,7 @@ def test_categorical_candidates_scored_on_coordinator(size):
 
 def test_candidate_mask_suppresses_terminal_nodes():
     ds = make_dataset(continuous={"x": [1.0, 2.0, 3.0]}, labels=[0, 1, 0])
-
-    def worker(comm):
-        lists, _ = build_local_lists(comm, ds)
-        totals = node_class_totals(comm, lists[0], 1, 2)
-        rows = continuous_candidates(
-            comm, lists[0], totals, np.array([False]), InductionConfig()
-        )
-        return global_best_splits(comm, rows)
-
-    best = run_spmd(2, worker)[0]
+    best = run_spmd(2, _best_split, args=(ds, (False,)))[0]
     assert np.isinf(best[0, 0])
 
 

@@ -281,9 +281,7 @@ def test_local_children_categorical_fast_equals_reference():
     results = []
     for mode in ("fast", "reference"):
         with forced_kernel_mode(mode):
-            results.append(
-                _local_children(alist, decisions, np.ones(m, dtype=bool))
-            )
+            results.append(_local_children(alist, decisions))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
 

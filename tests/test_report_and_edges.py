@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,15 @@ def test_results_to_markdown_ordering(tmp_path):
 def test_results_to_markdown_empty(tmp_path):
     md = results_to_markdown(tmp_path / "nope")
     assert "no benchmark artifacts" in md
+
+
+def test_results_md_is_generated_from_the_committed_artefacts():
+    """RESULTS.md is ``repro report --out RESULTS.md`` over the committed
+    tables, byte for byte: re-run it after re-running a bench."""
+    root = Path(__file__).resolve().parent.parent
+    md = results_to_markdown(root / "benchmarks" / "results",
+                             title="ScalParC reproduction — measured results")
+    assert (root / "RESULTS.md").read_text(encoding="utf-8") == md + "\n"
 
 
 def test_compare_stats_table():

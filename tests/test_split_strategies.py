@@ -179,6 +179,16 @@ def test_voted_cuts_findsplit_bytes_5x_within_1pct_accuracy():
     assert abs(acc["exact"] - acc["voted"]) <= 0.01, acc
 
 
+def test_histogram_32_bins_within_1pct_accuracy():
+    quest = paper_dataset(400, "F2", seed=0)
+    acc = {}
+    for mode in ("exact", "histogram"):
+        _, tree = _findsplit_bytes(quest, split_mode=mode, n_bins=32)
+        acc[mode] = float(
+            (tree.predict_columns(quest.columns) == quest.labels).mean())
+    assert abs(acc["exact"] - acc["histogram"]) <= 0.01, acc
+
+
 # ----------------------------------------------------------------------
 # config plumbing
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """PerformSplitI/II internals: list regrouping via the node table,
-per-node communication ablation, blocked update configuration."""
+blocked update configuration."""
 
 from __future__ import annotations
 
@@ -39,10 +39,11 @@ def _split_on_x(threshold=3.5):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("per_node", [False, True])
-def test_perform_split_routes_all_lists_consistently(size, per_node):
+@pytest.mark.parametrize("blocked", [False, True])
+def test_perform_split_routes_all_lists_consistently(size, blocked):
     ds = _two_attr_dataset()
-    config = InductionConfig(per_node_communication=per_node)
+    # blocked: the node-table update in one-pair rounds (§3.3.2)
+    config = InductionConfig(blocked_updates=blocked, max_update_block=1)
 
     def worker(comm):
         lists, n_total = build_local_lists(comm, ds)

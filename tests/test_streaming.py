@@ -884,3 +884,39 @@ def test_stream_knob_env_parity(monkeypatch):
 def test_stream_knob_validation(bad):
     with pytest.raises(ValueError):
         InductionConfig(**bad)
+
+
+def test_streaming_epoch_moves_fewer_bytes_than_a_refit():
+    """The operator's alternative to streaming is refitting batch ScalParC
+    on the growing prefix after every chunk: a streamed epoch must move
+    fewer collective bytes than that, at no more than 2 points of
+    accuracy (bytes are exact, so this is deterministic)."""
+    n, p, epochs = 8_000, 2, 8
+    chunk = n // epochs
+    data = paper_dataset(n, "F2", seed=1)
+    test = paper_dataset(2_000, "F2", seed=2)
+
+    def traced_bytes(fit):
+        collector = TraceCollector()
+        tree = fit(collector).tree
+        return tree, sum(ev.payload_nbytes + ev.result_nbytes
+                         for rank in range(p)
+                         for ev in collector.events_of(rank))
+
+    stream_tree, stream_bytes = traced_bytes(
+        lambda tc: ScalParC(p, InductionConfig(
+            max_depth=8, stream_chunk_records=chunk, sketch_size=256),
+            machine=None).fit_stream(data, trace=tc))
+    refit_bytes = 0
+    for k in range(1, epochs + 1):
+        refit_tree, moved = traced_bytes(
+            lambda tc: ScalParC(p, InductionConfig(max_depth=8),
+                                machine=None).fit(
+                data.take(np.arange(k * chunk)), trace=tc))
+        refit_bytes += moved
+    assert stream_bytes < refit_bytes
+
+    def acc(tree):
+        return float((tree.predict(test) == test.labels).mean())
+
+    assert acc(stream_tree) >= acc(refit_tree) - 0.02
