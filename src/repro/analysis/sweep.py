@@ -48,8 +48,8 @@ def run_grid(
 
     ``dataset_factory(n)`` must return a training set of n records
     (deterministically, so all cells of one size share the data).
-    ``backend`` selects the SPMD engine for every cell (sweeps at large p
-    are where the cooperative backend pays off).
+    ``backend`` selects the SPMD engine for every cell (the default
+    ``thread`` runs at most one rank per core, so large p stays cheap).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")

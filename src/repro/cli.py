@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--backend", choices=available_backends(),
                        default=None,
                        help="SPMD engine for every sweep cell "
-                            "(cooperative is fastest at large p)")
+                            "(default: REPRO_SPMD_BACKEND env var, "
+                            "then thread)")
 
     report = sub.add_parser("report", help="collect benchmark artifacts")
     report.add_argument("--results", type=Path,

@@ -92,7 +92,7 @@ class SpmdClassifier:
         pricing entirely.  Defaults to the Cray-T3D-like preset.
     backend:
         SPMD execution engine (``"thread"``, ``"process"``,
-        ``"cooperative"``, ``"tcp"``); ``None`` defers to
+        ``"tcp"``); ``None`` defers to
         ``config.backend``, then the ``REPRO_SPMD_BACKEND`` environment
         variable, then thread.
     """

@@ -96,7 +96,7 @@ class InductionConfig:
         are globalized (PV-Tree's k).
     backend:
         SPMD execution engine for the parallel run: ``"thread"``,
-        ``"process"``, ``"cooperative"``, ``"tcp"``, or ``None`` to
+        ``"process"``, ``"tcp"``, or ``None`` to
         defer to the ``REPRO_SPMD_BACKEND`` environment variable
         (default thread).  The induced tree is backend-independent.
         Parallel only.

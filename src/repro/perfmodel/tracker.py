@@ -65,7 +65,7 @@ class RankTracker:
     # actual transport accounting (measured, not simulated): bytes this
     # rank really serialized onto an engine transport vs. bytes that moved
     # through shared-memory segments instead of being copied.  Zero on
-    # backends with no physical transport (thread/cooperative share a heap).
+    # backends with no physical transport (thread ranks share a heap).
     transport_pickled_bytes: int = 0
     transport_shared_bytes: int = 0
     phase_pickled_bytes: Counter = field(default_factory=Counter)

@@ -7,11 +7,11 @@ verification, and observer hooks that the performance model uses to price
 every byte that moves.
 
 *How* ranks execute is pluggable (see :mod:`repro.runtime.engines`):
-``backend="thread"`` (default) runs ranks as synchronized threads,
-``"process"`` as OS processes (GIL-free compute), ``"cooperative"`` under
-a deterministic round-robin scheduler with structural deadlock detection,
-and ``"tcp"`` as processes grouped into loopback "hosts" speaking framed
-TCP — the multi-host engine (see :mod:`repro.runtime.framing`).
+``backend="thread"`` (default) runs ranks as threads, at most one
+running per core, with structural deadlock detection; ``"process"`` as
+OS processes (GIL-free compute); and ``"tcp"`` as processes grouped into
+loopback "hosts" speaking framed TCP — the multi-host engine (see
+:mod:`repro.runtime.framing`).
 All algorithm code is engine-agnostic — it only ever sees the
 :class:`Communicator` API.
 
@@ -24,7 +24,7 @@ Quick use::
         return int(total)
 
     assert run_spmd(4, worker) == [6, 6, 6, 6]
-    assert run_spmd(4, worker, backend="cooperative") == [6, 6, 6, 6]
+    assert run_spmd(4, worker, backend="process") == [6, 6, 6, 6]
 """
 
 from . import reduction

@@ -6,9 +6,9 @@ backends are registered lazily here:
 ========== ===================================================== =========
 name       execution model                                       best for
 ========== ===================================================== =========
-thread     one Python thread per rank (GIL-serialized compute)   default; shared-memory payloads
+thread     one Python thread per rank, at most one running per   default, any p; shared-memory payloads;
+           core                                                  instant deadlock detection
 process    one OS process per rank (GIL-free)                    wall-clock speedup on multi-core hosts
-cooperative round-robin coroutine scheduling, one rank runnable  large perf-model sweeps; instant deadlock detection
 tcp        one OS process per rank, grouped into loopback        multi-host jobs; fault-injection-tested
            "hosts", coordinated over framed TCP sockets
 ========== ===================================================== =========
@@ -53,12 +53,6 @@ def _process_factory() -> SpmdEngine:
     return ProcessEngine()
 
 
-def _cooperative_factory() -> SpmdEngine:
-    from .cooperative import CooperativeEngine
-
-    return CooperativeEngine()
-
-
 def _tcp_factory() -> SpmdEngine:
     from .tcp import TcpEngine
 
@@ -67,5 +61,4 @@ def _tcp_factory() -> SpmdEngine:
 
 register_engine("thread", _thread_factory)
 register_engine("process", _process_factory)
-register_engine("cooperative", _cooperative_factory)
 register_engine("tcp", _tcp_factory)

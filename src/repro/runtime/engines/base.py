@@ -8,15 +8,12 @@ semantics, collective-order verification, abort-on-failure, and the
 observer/performance hooks — but engines differ in *how* ranks execute:
 
 ``thread``
-    One Python thread per rank (the original engine).  Shared-memory
-    payloads, preemptive scheduling, timeouts guard against deadlock.
+    One Python thread per rank, at most one running per core.
+    Shared-memory payloads, targeted wakes, and structural (instant)
+    deadlock detection instead of timed waits.
 ``process``
     One OS process per rank (GIL-free; real wall-clock parallelism).
     Payloads travel over pipes through a parent-side router.
-``cooperative``
-    All ranks multiplexed by a deterministic round-robin scheduler with
-    exactly one rank runnable at a time: no lock contention, no timed
-    waits, and structural (instant) deadlock detection.
 ``tcp``
     One OS process per rank, grouped into loopback "hosts" coordinated
     over CRC-framed TCP sockets (the multi-host engine).
@@ -238,13 +235,14 @@ def run_spmd(
     rank_perf:
         Optional per-rank tracker objects exposed as ``comm.perf``.
     backend:
-        Engine name (``"thread"``, ``"process"``, ``"cooperative"``,
-        ``"tcp"``, or any registered extension); ``None`` defers to the
+        Engine name (``"thread"``, ``"process"``, ``"tcp"``, or any
+        registered extension); ``None`` defers to the
         ``REPRO_SPMD_BACKEND`` environment variable, then ``"thread"``.
     timeout:
         Seconds a rank may wait inside one communication call before the
         job aborts; ``None`` defers to ``REPRO_SPMD_TIMEOUT``, then 120.
-        Ignored by engines with structural deadlock detection.
+        Ignored by engines with structural deadlock detection
+        (``thread``).
     trace:
         Collective-trace control.  A
         :class:`~repro.runtime.tracing.TraceCollector` records every

@@ -10,8 +10,7 @@ mailboxes and sticky mismatch), :func:`finish_error` (how a step whose
 *What* a step computes is not here: that is
 :meth:`repro.runtime.collective.Collective.finish`.  Nothing here locks or
 blocks — the caller already owns whatever makes access exclusive (the
-thread engine's job-wide condition, the cooperative engine's baton, the
-router's single thread).  An engine keeps only *how a rank waits* and
+thread engine's job lock, the router's single thread).  An engine keeps only *how a rank waits* and
 *how bytes move*; see ``docs/runtime.md`` "Engines".
 """
 

@@ -1,36 +1,41 @@
-"""The ``thread`` backend: one Python thread per rank.
+"""The ``thread`` backend: one Python thread per rank, at most one running
+per core.
 
-Each rank executes the same worker function against a
-:class:`~repro.runtime.communicator.Communicator` handle, exactly like an
-MPI process against ``MPI_COMM_WORLD``.  Ranks interact *only* through the
-communicator; the matching semantics (order-checked collective steps,
-FIFO mailboxes, splits) are the shared :class:`~.group.Group` core, and
-this module adds only how a rank *waits*: every communicator of a job —
-the world and every sub-communicator split from it — parks on one
-job-wide condition variable, so a single ``notify_all`` under a single
-lock both completes a step and delivers an abort to whoever is blocked,
-on whichever communicator.
+Ranks interact *only* through their
+:class:`~repro.runtime.communicator.Communicator`; the matching semantics
+(order-checked collective steps, FIFO mailboxes, splits) are the shared
+:class:`~.group.Group` core, and this module adds only how a rank *waits*:
 
-Properties:
+* one job lock guards all state of the job — the world and every
+  sub-communicator split from it;
+* a rank that must wait parks on its own semaphore, and whoever releases
+  it (the last arriver of a collective step, the sender of the message a
+  ``recv`` waits for, an abort) wakes exactly that rank with its result;
+* at most :func:`usable_cores` ranks run at once.  A rank gives up its
+  *slot* when it parks or finishes, and a woken rank queues for one, so
+  at p ≫ cores the ranks do not all fight for the GIL.  A miss in a
+  non-blocking receive or probe hands the slot to a queued rank, so a
+  polling loop cannot starve the rank it waits for;
+* a deadlock is structural: when every live rank is parked nothing can
+  release them, and the job aborts at once naming the call each rank is
+  stuck in.  There are no timed waits; ``timeout`` is ignored.
 
-* shared-memory payloads (zero-copy between ranks);
-* preemptive OS scheduling — compute is GIL-serialized, but numpy kernels
-  release the GIL, so vectorized workloads see partial overlap;
-* deterministic results (every collective is a full barrier and all
-  cross-rank data flow happens inside the group state under one lock),
-  though *scheduling order* between collectives is up to the OS;
-* timed waits guard against deadlock (``timeout`` / ``REPRO_SPMD_TIMEOUT``).
+Results are deterministic (all cross-rank data flow happens inside the
+group state under the job lock).  Scheduling order is too on a one-core
+host, where the single slot passes round-robin like a baton.  A one-rank
+job runs inline, with no threads.
 
 An optional *observer* (:class:`~repro.runtime.engines.base.CommObserver`)
-receives one callback per collective step (with per-rank byte counts) and
-per point-to-point delivery on the world communicator; the performance
-model (:mod:`repro.perfmodel`) plugs in here to price traffic and advance
-the simulated clocks of all ranks in lock-step.
+receives one callback per collective step and per point-to-point delivery
+on the world communicator; the performance model (:mod:`repro.perfmodel`)
+plugs in here to price traffic and advance the simulated clocks.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from collections import deque
 from typing import Any, Callable, Sequence
 
 from ..collective import Collective
@@ -41,152 +46,227 @@ from ..tracing import TraceRecorder
 from .base import CommObserver, SpmdEngine
 from .group import Group, abort_error, raise_failures, run_worker
 
-__all__ = ["ThreadCommunicator", "ThreadEngine"]
+__all__ = ["ThreadCommunicator", "ThreadEngine", "usable_cores"]
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: how many ranks run at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class _Job:
-    """What all communicators of one job share: the single lock/condition
-    every rank parks on, the wait timeout, and the job-wide abort."""
+    """All state of one job, by global rank.  Every method but
+    :meth:`wait` is called with :attr:`lock` held."""
 
-    __slots__ = ("cond", "timeout", "error")
-
-    def __init__(self, timeout: float):
-        self.cond = threading.Condition(threading.Lock())
-        self.timeout = timeout
+    def __init__(self, size: int, observer: CommObserver | None):
+        self.lock = threading.Lock()
+        self.sems = [threading.Semaphore(0) for _ in range(size)]
+        #: the call each parked rank waits in
+        self.parked: dict[int, str] = {}
+        #: ``(group, source, tag)`` of each rank parked in a blocking recv
+        self.recv_waits: dict[int, tuple] = {}
+        #: ``(value, exception)`` each woken rank resumes with
+        self.woken: list[tuple] = [(None, None)] * size
+        self.free = usable_cores()      # run slots nobody holds
+        self.queue: deque[int] = deque()    # runnable, waiting for a slot
+        self.live = size                # ranks not yet finished
+        self.world = Group(list(range(size)))
+        self.observer = observer        # prices the world group only
         self.error: CollectiveAbortedError | None = None
+        self.results: list = [None] * size
+        self.failures: dict[int, BaseException] = {}
+        self.tracebacks: dict[int, str] = {}
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+    def run(self, g: int) -> None:
+        """Let rank ``g`` run: at once on a free slot, else when one frees."""
+        if self.free:
+            self.free -= 1
+            self.sems[g].release()
+        else:
+            self.queue.append(g)
+
+    def pass_slot(self) -> None:
+        """The calling rank gives up its slot, to the longest-queued rank."""
+        if self.queue:
+            self.sems[self.queue.popleft()].release()
+        else:
+            self.free += 1
+
+    def park(self, g: int, where: str, recv_wait: tuple | None = None) -> None:
+        """Rank ``g`` must wait in ``where``; it then calls :meth:`wait`."""
+        self.parked[g] = where
+        if recv_wait is not None:
+            self.recv_waits[g] = recv_wait
+        self.pass_slot()
+        self._settle()
+
+    def wake(self, g: int, value: Any = None,
+             exc: BaseException | None = None) -> None:
+        """Release parked rank ``g`` with a result (or an exception)."""
+        del self.parked[g]
+        self.recv_waits.pop(g, None)
+        self.woken[g] = (value, exc)
+        self.run(g)
 
     def abort(self, err: CollectiveAbortedError) -> None:
-        """Mark the job failed (first error wins) and wake every waiting
-        rank, whichever communicator it is blocked on."""
-        with self.cond:
-            if self.error is None:
-                self.error = err
-            self.cond.notify_all()
+        """The job failed (first error wins): release every parked rank,
+        whichever communicator it is blocked on."""
+        if self.error is None:
+            self.error = err
+        for g in sorted(self.parked):
+            self.wake(g, exc=self.error)
 
+    def finish(self, g: int, kind: str, value: Any, tb: str) -> None:
+        """Record how rank ``g``'s worker ended and free its slot."""
+        if kind == "done":
+            self.results[g] = value
+        else:
+            self.failures[g] = value
+            self.tracebacks[g] = tb
+            if kind == "error":
+                self.abort(abort_error(g, value))
+        self.live -= 1
+        self.pass_slot()
+        self._settle()
 
-class _ThreadGroup(Group):
-    """A group plus the shelf where a finished step's results wait for
-    the ranks still parked on it."""
+    def _settle(self) -> None:
+        """When every live rank is parked, nothing can ever release them."""
+        if self.live and len(self.parked) == self.live:
+            detail = "; ".join(f"rank {g} in {where}"
+                               for g, where in sorted(self.parked.items()))
+            self.abort(CollectiveAbortedError(f"deadlock detected: {detail}"))
 
-    __slots__ = ("generation", "results")
-
-    def __init__(self, members: list[int]):
-        super().__init__(members)
-        self.generation = 0
-        self.results: list = []
+    def wait(self, g: int) -> Any:
+        """Block rank ``g`` (lock released) until it holds a slot again;
+        return what it was woken with, or raise it."""
+        self.sems[g].acquire()
+        (value, exc), self.woken[g] = self.woken[g], (None, None)
+        if exc is not None:
+            raise exc
+        return value
 
 
 class ThreadCommunicator(Communicator):
     """Per-rank communicator handle backed by the shared thread engine."""
 
-    def __init__(self, rank: int, job: _Job, group: _ThreadGroup,
-                 observer: CommObserver | None = None,
+    def __init__(self, job: _Job, group: Group, rank: int,
                  perf: Any | None = None):
         super().__init__(rank, group.size, perf=perf)
         self._job = job
         self._group = group
-        #: priced traffic is the world communicator's only; split() hands
-        #: sub-communicators no observer
-        self._observer = observer
+        #: this rank's global id (group rank == global rank only pre-split)
+        self._grank = group.members[rank]
+        #: priced traffic is the world communicator's only
+        self._observer = job.observer if group is job.world else None
 
     def _exchange_impl(self, spec, payload):
-        job, grp, rank = self._job, self._group, self.rank
+        job, grp = self._job, self._group
         op = spec.name
-        with job.cond:
-            if job.error is not None:
-                raise job.error
+        with job.lock:
+            job.check()
             try:
-                last = grp.arrive(rank, op, payload)
-            except CollectiveMismatchError:
-                job.cond.notify_all()   # parked peers raise grp.error
+                last = grp.arrive(self.rank, op, payload)
+            except CollectiveMismatchError as exc:
+                for r in grp.take_step()[2]:    # the parked peers raise too
+                    job.wake(grp.members[r], exc=exc)
                 raise
             if last:
+                waiting = grp.arrived[:-1]
                 observer = self._observer
                 try:
                     results, sent, recv = grp.finish_step(
-                        rank, spec, priced=observer is not None)
+                        self.rank, spec, priced=observer is not None)
                 except CollectiveAbortedError as err:
-                    if job.error is None:
-                        job.error = err
-                    job.cond.notify_all()
+                    job.abort(err)
                     raise
                 if observer is not None:
                     observer.on_collective(op, sent, recv, grp.size)
-                grp.results = results
-                grp.generation += 1
-                job.cond.notify_all()
-                return results[rank]
-            # wait for the step to complete
-            gen = grp.generation
-            while grp.generation == gen:
-                if job.error is not None:
-                    raise job.error
-                if grp.error is not None:
-                    raise grp.error
-                if not job.cond.wait(timeout=job.timeout):
-                    raise CollectiveAbortedError(
-                        f"rank {rank} timed out inside collective {op!r} "
-                        f"({len(grp.arrived)}/{grp.size} ranks arrived)"
-                    )
-            return grp.results[rank]
+                for r in waiting:
+                    job.wake(grp.members[r], value=results[r])
+                return results[self.rank]
+            job.park(self._grank, f"collective {op!r} "
+                     f"({len(grp.arrived)}/{grp.size} ranks arrived)")
+        return job.wait(self._grank)
+
+    # -- point-to-point -------------------------------------------------
+
+    def _match(self, dest: int, source: int, tag: int, *,
+               pop: bool) -> tuple[bool, Any]:
+        """Look in group rank ``dest``'s mailbox, pricing a delivery;
+        caller holds the job lock."""
+        self._job.check()
+        found, payload = self._group.match(dest, source, tag, pop=pop)
+        if found and pop and self._observer is not None:
+            self._observer.on_ptp(source, dest, payload_nbytes(payload))
+        return found, payload
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")
-        job = self._job
-        with job.cond:
-            if job.error is not None:
-                raise job.error
-            self._group.post(self.rank, dest, tag, obj)
-            job.cond.notify_all()
-
-    def _match(self, source: int, tag: int, *, pop: bool) -> tuple[bool, Any]:
-        """Look in this rank's mailbox; caller holds the job lock."""
-        if self._job.error is not None:
-            raise self._job.error
-        found, payload = self._group.match(self.rank, source, tag, pop=pop)
-        if found and pop and self._observer is not None:
-            self._observer.on_ptp(source, self.rank, payload_nbytes(payload))
-        return found, payload
+        job, grp = self._job, self._group
+        with job.lock:
+            job.check()
+            grp.post(self.rank, dest, tag, obj)
+            # hand the message straight to a receiver parked waiting for it
+            wait = job.recv_waits.get(grp.members[dest])
+            if wait is not None and wait[0] is grp:
+                found, payload = self._match(dest, wait[1], wait[2], pop=True)
+                if found:
+                    job.wake(grp.members[dest], value=payload)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "source")
         job = self._job
-        with job.cond:
-            while True:
-                found, payload = self._match(source, tag, pop=True)
-                if found:
-                    return payload
-                if not job.cond.wait(timeout=job.timeout):
-                    raise CollectiveAbortedError(
-                        f"rank {self.rank} timed out in "
-                        f"recv(source={source}, tag={tag})"
-                    )
+        with job.lock:
+            found, payload = self._match(self.rank, source, tag, pop=True)
+            if found:
+                return payload
+            job.park(self._grank, f"recv(source={source}, tag={tag})",
+                     (self._group, source, tag))
+        return job.wait(self._grank)
+
+    def _poll(self, source: int, tag: int, pop: bool) -> tuple[bool, Any]:
+        """A non-blocking look; a miss lets a queued rank run first."""
+        job = self._job
+        with job.lock:
+            found = self._match(self.rank, source, tag, pop=pop)
+            if found[0] or not job.queue:
+                return found
+            job.queue.append(self._grank)
+            job.pass_slot()
+        job.wait(self._grank)
+        return found
 
     def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        with self._job.cond:
-            return self._match(source, tag, pop=True)
+        return self._poll(source, tag, pop=True)
 
     def _probe(self, source: int, tag: int) -> bool:
-        with self._job.cond:
-            return self._match(source, tag, pop=False)[0]
+        return self._poll(source, tag, pop=False)[0]
 
     def split(self, color: int, key: int | None = None) -> "ThreadCommunicator | None":
         """MPI_Comm_split (see :meth:`Communicator.split`): the new groups
-        park on the same job-wide condition, so aborts reach them too."""
+        share the job, so aborts and deadlock detection reach them too."""
         plan = self._exchange(
             Collective("split"),
             (color, key if key is not None else self.rank))
         if plan is None:
             return None
         group, new_rank = plan
-        return ThreadCommunicator(new_rank, self._job, group, perf=self.perf)
+        return ThreadCommunicator(self._job, group, new_rank, perf=self.perf)
 
 
 class ThreadEngine(SpmdEngine):
-    """Runs ranks as synchronized Python threads (the default backend)."""
+    """Runs ranks as Python threads, at most one running per core (the
+    default backend)."""
 
     name = "thread"
-    detects_deadlock = False
+    detects_deadlock = True
 
     def run(
         self,
@@ -197,48 +277,36 @@ class ThreadEngine(SpmdEngine):
         *,
         observer: CommObserver | None = None,
         rank_perf: Sequence[Any] | None = None,
-        timeout: float | None = None,
+        timeout: float | None = None,   # unused: deadlocks are structural
         trace: Any | None = None,
-        checkpoint: Any | None = None,   # write path only; no retry
+        checkpoint: Any | None = None,  # write path only; no retry
     ) -> list:
         kwargs = kwargs or {}
-        job = _Job(timeout)
-        world = _ThreadGroup(list(range(size)))
-        results: list = [None] * size
-        failures: dict[int, BaseException] = {}
-        tracebacks: dict[int, str] = {}
-        failures_lock = threading.Lock()
-        comms = [
-            ThreadCommunicator(
-                r, job, world, observer,
-                perf=rank_perf[r] if rank_perf is not None else None,
-            )
-            for r in range(size)
-        ]
+        job = _Job(size, observer)
+        perfs = rank_perf if rank_perf is not None else [None] * size
+        comms = [ThreadCommunicator(job, job.world, r, perf=perfs[r])
+                 for r in range(size)]
         if trace is not None:
             trace.begin(size, backend="thread")
             for comm in comms:
                 comm._tracer = TraceRecorder(comm.rank, size)
 
-        def run_rank(rank: int) -> None:
-            kind, value, tb = run_worker(worker, comms[rank], args, kwargs)
-            if kind == "done":
-                results[rank] = value
-                return
-            with failures_lock:
-                failures[rank] = value
-                tracebacks[rank] = tb
-            if kind == "error":
-                job.abort(abort_error(rank, value))
+        def run_rank(g: int) -> None:
+            job.wait(g)                 # the first slot
+            kind, value, tb = run_worker(worker, comms[g], args, kwargs)
+            with job.lock:
+                job.finish(g, kind, value, tb)
 
+        with job.lock:
+            for g in range(size):
+                job.run(g)
         if size == 1:
-            # fast path: no threads needed for a single rank
-            run_rank(0)
+            run_rank(0)                 # no threads needed for one rank
         else:
             threads = [
-                threading.Thread(target=run_rank, args=(r,),
-                                 name=f"spmd-rank-{r}")
-                for r in range(size)
+                threading.Thread(target=run_rank, args=(g,),
+                                 name=f"spmd-rank-{g}")
+                for g in range(size)
             ]
             for t in threads:
                 t.start()
@@ -249,5 +317,5 @@ class ThreadEngine(SpmdEngine):
             for comm in comms:
                 trace.deliver(comm.rank, comm._tracer.events)
 
-        raise_failures(failures, tracebacks)
-        return results
+        raise_failures(job.failures, job.tracebacks)
+        return job.results

@@ -10,7 +10,7 @@ from repro.datagen import AttributeSpec, generate_quest
 from repro.runtime import TraceCollector, available_backends, run_spmd
 from repro.sort import block_bounds, is_sorted_pairs
 
-BACKENDS = [b for b in ("thread", "process", "cooperative", "tcp")
+BACKENDS = [b for b in ("thread", "process", "tcp")
             if b in available_backends()]
 
 

@@ -43,7 +43,7 @@ from repro.runtime.tracing import logical_ops
 
 from tests.conftest import assert_trees_equal
 
-BACKENDS = [b for b in ("thread", "process", "cooperative", "tcp")
+BACKENDS = [b for b in ("thread", "process", "tcp")
             if b in available_backends()]
 PROC_COUNTS = [1, 2, 3, 5]
 WORKLOADS = [("F2", 300, 7), ("F5", 250, 11)]

@@ -22,7 +22,7 @@ from repro.runtime import TraceCollector, available_backends
 
 from tests.conftest import assert_trees_equal
 
-BACKENDS = [b for b in ("thread", "process", "cooperative", "tcp")
+BACKENDS = [b for b in ("thread", "process", "tcp")
             if b in available_backends()]
 PROC_COUNTS = [1, 2, 3, 5]
 

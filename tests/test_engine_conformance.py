@@ -281,9 +281,9 @@ def _bad_scatter_worker(comm):
 # ----------------------------------------------------------------------
 
 
-def test_collectives(backend):
-    size = 4
-    results = run_spmd(size, _collectives_worker, backend=backend)
+def check_collectives(results):
+    """Assert what :func:`_collectives_worker` returns on every rank."""
+    size = len(results)
     ranks = list(range(size))
     for rank, out in enumerate(results):
         assert out["bcast"] == "payload"
@@ -308,6 +308,10 @@ def test_collectives(backend):
         np.testing.assert_array_equal(
             out["reduce_scatter"], np.full(2, expected_sum)
         )
+
+
+def test_collectives(backend):
+    check_collectives(run_spmd(4, _collectives_worker, backend=backend))
 
 
 def test_point_to_point(backend):
@@ -401,7 +405,8 @@ def test_traceback_preserved(backend):
 
 
 def test_deadlock_aborts(backend):
-    """A stuck job aborts: structurally (cooperative) or via timeout."""
+    """A stuck job aborts: structurally where the engine can see every
+    rank parked (``thread``), else via the wait timeout."""
     kwargs = {} if get_engine(backend).detects_deadlock else \
         {"timeout": 0.5}
     with pytest.raises(SpmdWorkerError) as exc_info:

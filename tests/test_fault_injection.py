@@ -402,8 +402,7 @@ def test_kill_inside_the_local_phase_resumes_on_another_world(tmp_path):
         assert tree.structurally_equal(induce_serial(ds))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "cooperative",
-                                     "tcp"])
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
 def test_checkpoint_write_path_on_every_backend(backend, tmp_path):
     """Checkpointing is engine-agnostic: every backend writes complete,
     loadable cuts and induces the reference tree."""

@@ -421,7 +421,7 @@ def test_memory_source_grows_the_serial_tree(subsets):
 
 @pytest.mark.parametrize("subsets", [False, True])
 @pytest.mark.parametrize("backend",
-                         ["thread", "process", "cooperative", "tcp"])
+                         ["thread", "process", "tcp"])
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fitted_table_is_the_serial_trees_compiled_form(name, backend,
                                                         subsets):

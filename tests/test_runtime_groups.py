@@ -1,11 +1,28 @@
-"""Sub-communicators (split), sendrecv, reduce_scatter, and engine stress."""
+"""Sub-communicators (split), sendrecv, reduce_scatter, engine stress, and
+what the thread engine promises: structural deadlock detection and more
+ranks than cores."""
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import SpmdWorkerError, reduction, run_spmd
+from repro.runtime import (
+    CollectiveAbortedError,
+    SpmdWorkerError,
+    reduction,
+    run_spmd,
+)
+from repro.runtime.engines.thread import usable_cores
+
+from tests.test_engine_conformance import (
+    _collectives_worker,
+    check_collectives,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +171,108 @@ def test_interleaved_ptp_and_collectives():
     results = run_spmd(4, worker)
     for r in range(1, 4):
         assert results[r] == [(i, r) for i in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# the thread engine: no timed waits, at most one running rank per core
+# ---------------------------------------------------------------------------
+
+def _recv_cycle(comm):
+    comm.recv((comm.rank + 1) % comm.size, tag=99)
+
+
+def _recv_facing_barrier(comm):
+    if comm.rank == 0:
+        comm.recv(1, tag=5)
+    else:
+        comm.barrier()
+
+
+def _recv_cycle_in_split(comm):
+    sub = comm.split(comm.rank % 2)
+    sub.recv((sub.rank + 1) % sub.size, tag=3)
+
+
+@pytest.mark.parametrize("worker,stuck", [
+    (_recv_cycle, ["rank 0 in recv(source=1, tag=99)",
+                   "rank 3 in recv(source=0, tag=99)"]),
+    (_recv_facing_barrier, ["rank 0 in recv(source=1, tag=5)",
+                            "rank 3 in collective 'barrier'"]),
+    (_recv_cycle_in_split, ["rank 0 in recv(source=1, tag=3)",
+                            "rank 3 in recv(source=0, tag=3)"]),
+])
+def test_deadlock_is_detected_structurally(worker, stuck):
+    """Every live rank parked is a deadlock: the job aborts at once,
+    with no timeout given, naming the call each rank is stuck in."""
+    start = time.monotonic()
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(4, worker)
+    assert time.monotonic() - start < 1.0
+    failures = exc_info.value.failures
+    assert set(failures) == {0, 1, 2, 3}
+    for exc in failures.values():
+        assert isinstance(exc, CollectiveAbortedError)
+        assert str(exc).startswith("deadlock detected: ")
+        for call in stuck:
+            assert call in str(exc)
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread: a hang fails the test instead of
+    stalling the run."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:    # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_collectives_with_ranks_queued_for_a_core():
+    """Four ranks per core: most ranks wait for a slot at every step, and
+    a short switch interval preempts them anywhere in between."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _within(60, run_spmd, 4 * usable_cores(),
+                          _collectives_worker)
+    finally:
+        sys.setswitchinterval(interval)
+    check_collectives(results)
+
+
+def _polling_chain(comm, poll):
+    """Every rank but the last polls for its right neighbour's message
+    before passing one left, so at first every rank holding a core
+    polls, and only a rank still queued for one can start the chain."""
+    got = 0
+    if comm.rank < comm.size - 1:
+        source = comm.rank + 1
+        if poll == "test":
+            req = comm.irecv(source, tag=7)
+            while not req.test()[0]:
+                pass
+            got = req.wait()
+        else:
+            while not comm.iprobe(source, tag=7):
+                pass
+            got = comm.recv(source, tag=7)
+    if comm.rank:
+        comm.send(got + 1, comm.rank - 1, tag=7)
+    return got
+
+
+@pytest.mark.parametrize("poll", ["test", "iprobe"])
+def test_polling_loop_with_more_ranks_than_cores(poll):
+    size = 2 * usable_cores() + 1
+    results = _within(60, run_spmd, size, _polling_chain, (poll,))
+    assert results == [size - 1 - r for r in range(size)]

@@ -79,7 +79,7 @@ def test_exact_matches_golden_at_every_world_size(name, procs):
     assert to_dict(result.tree) == golden
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "cooperative", "tcp"])
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_exact_matches_golden_on_every_backend(name, backend):
     fn, n, seed, kwargs = GOLDEN[name]
@@ -114,10 +114,10 @@ def test_approximate_modes_are_backend_independent(mode, kwargs):
     trees = {
         backend: _fit(ds, procs=3, backend=backend,
                       split_mode=mode, **kwargs).tree
-        for backend in ("thread", "process", "cooperative", "tcp")
+        for backend in ("thread", "process", "tcp")
     }
     assert trees["process"].structurally_equal(trees["thread"])
-    assert trees["cooperative"].structurally_equal(trees["thread"])
+    assert trees["tcp"].structurally_equal(trees["thread"])
 
 
 # ----------------------------------------------------------------------

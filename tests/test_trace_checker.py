@@ -32,7 +32,7 @@ from repro.runtime import (
 )
 from repro.runtime.tracing import LogicalOp, TraceEvent, payload_digest
 
-BACKENDS = [b for b in ("thread", "process", "cooperative")
+BACKENDS = [b for b in ("thread", "process")
             if b in available_backends()]
 
 
