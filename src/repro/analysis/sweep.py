@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..baselines.parallel_sprint import ParallelSPRINT
-from ..baselines.vertical_sliq import VerticalSliqClassifier
 from ..core.classifier import ScalParC
 from ..core.config import InductionConfig
 from ..datagen.schema import Dataset
@@ -19,7 +18,7 @@ from ..perfmodel import CRAY_T3D, MachineSpec, SimulatedRunStats
 
 __all__ = ["RunPoint", "run_grid", "ALGORITHMS"]
 
-ALGORITHMS = ("scalparc", "parallel-sprint", "vertical-sliq")
+ALGORITHMS = ("scalparc", "parallel-sprint")
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,9 @@ def run_grid(
     for n in sizes:
         dataset = dataset_factory(n)
         for p in processor_counts:
-            if algorithm == "scalparc":
-                clf = ScalParC(n_processors=p, config=config, machine=machine,
-                               backend=backend)
-            elif algorithm == "parallel-sprint":
-                clf = ParallelSPRINT(n_processors=p, config=config,
-                                     machine=machine, backend=backend)
-            else:
-                clf = VerticalSliqClassifier(n_processors=p, config=config,
-                                             machine=machine, backend=backend)
+            facade = ScalParC if algorithm == "scalparc" else ParallelSPRINT
+            clf = facade(n_processors=p, config=config, machine=machine,
+                         backend=backend)
             result = clf.fit(dataset)
             points.append(RunPoint(
                 algorithm=algorithm,

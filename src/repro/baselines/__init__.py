@@ -4,11 +4,6 @@
   oracle for ScalParC at any processor count).
 * :class:`SerialSPRINT` — serial SPRINT with the §2 hash-memory / disk-IO
   cost model (the paper's motivation, quantified analytically).
-* :class:`SprintClassifier` — a genuine serial SPRINT engine: presort
-  once, hash-table splitting, real multi-pass probing under a memory
-  budget.
-* :class:`SliqClassifier` — SLIQ (EDBT 1996): class-list based induction,
-  attribute lists never reorganized; the other ancestor §1 cites.
 * :class:`ParallelSPRINT` — the replicated-hash-table parallel SPRINT
   formulation §3.2 proves unscalable (experiment E4's comparator).
 """
@@ -20,22 +15,13 @@ from .parallel_sprint import (
 )
 from .serial_reference import best_split_for_counts, induce_serial
 from .serial_sprint import LevelIO, SerialSPRINT, SprintIOStats
-from .sliq import SliqClassifier, SliqStats
-from .sprint_engine import SprintClassifier, SprintRunStats
-from .vertical_sliq import VerticalSliqClassifier, vertical_sliq_worker
 
 __all__ = [
     "LevelIO",
     "ParallelSPRINT",
     "ReplicatedSprintSplitPhase",
     "SerialSPRINT",
-    "SliqClassifier",
-    "SliqStats",
-    "SprintClassifier",
     "SprintIOStats",
-    "SprintRunStats",
-    "VerticalSliqClassifier",
-    "vertical_sliq_worker",
     "best_split_for_counts",
     "induce_serial",
     "sprint_worker",

@@ -2,8 +2,8 @@
 once.
 
 Every inducer here — ScalParC, parallel SPRINT (the same driver with
-another splitting phase), SLIQ, vertical SLIQ/R and the streaming driver
-— grows its tree the same way::
+another splitting phase) and the streaming driver — grows its tree the
+same way::
 
     visit every open node
     do while (the last pass split a node)
@@ -34,8 +34,7 @@ Nothing here costs per node: the partial tree is per-node rows of the
 columns :func:`~repro.tree.compile.assemble_table` takes, the finished
 tree is those rows numbered breadth-first, and node objects are built
 from the table only where somebody reads ``tree.root``.  The serial
-reference and the node-at-a-time SPRINT engine stay independent on
-purpose — they are the oracles.
+reference stays independent on purpose — it is the oracle.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ tree — the driver returns rank 0's copy, and the test suite asserts the
 copies (and the serial reference's tree) are structurally equal.
 
 The loop and every tree-shaping rule live in :mod:`repro.core.frontier`
-(shared with the SLIQ comparators); this module supplies ScalParC's side
+(shared with streaming); this module supplies ScalParC's side
 of it — Presort, the :class:`_ListSource` of per-level statistics and
 record partitioning, and the checkpoint cut/resume path.
 """

@@ -34,10 +34,11 @@ def test_grid_covers_all_cells(grid_points):
     assert all(pt.stats.parallel_time > 0 for pt in grid_points)
 
 
-def test_grid_rejects_unknown_algorithm():
+@pytest.mark.parametrize("algorithm", ["magic", "vertical-sliq"])
+def test_grid_rejects_unknown_algorithm(algorithm):
     with pytest.raises(ValueError):
         run_grid(lambda n: paper_dataset(n, "F2"), [10], [2],
-                 algorithm="magic")
+                 algorithm=algorithm)
 
 
 def test_grid_progress_callback():

@@ -160,7 +160,6 @@ def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
              if builds.search(path.read_text(encoding="utf-8"))}
     assert found == {
         "baselines/serial_reference.py",     # the oracle
-        "baselines/sprint_engine.py",        # node-at-a-time SPRINT
         "tree/export.py",                    # deserialization
         "tree/compile.py",                   # the table's node view
     }

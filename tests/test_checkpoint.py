@@ -22,12 +22,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    SliqClassifier,
-    VerticalSliqClassifier,
-    induce_serial,
-    sprint_worker,
-)
+from repro.baselines import induce_serial, sprint_worker
 from repro.core import InductionConfig, ScalParC, induce_worker
 from repro.core.phases import FINDSPLIT1, FINDSPLIT2
 from repro.core.splitter import LevelDecisions
@@ -495,7 +490,7 @@ def test_held_out_category_matches_serial():
 def test_empty_child_inherits_parent_majority(monkeypatch):
     """Force a genuinely empty child (map the held-out value to its own
     child slot) in the serial reference and in every level-synchronous
-    inducer — ScalParC, parallel SPRINT, SLIQ, SLIQ/R: the empty leaf must
+    inducer — ScalParC and parallel SPRINT: the empty leaf must
     inherit the parent's majority class — the historical behaviour labeled
     it argmax of all-zero counts, i.e. always class 0."""
     from repro.core import splits as real_splits
@@ -523,9 +518,6 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
         "serial reference": golden,
         "induce_worker": run_spmd(3, induce_worker, args=(ds, None))[0],
         "sprint_worker": run_spmd(3, sprint_worker, args=(ds, None))[0],
-        "SliqClassifier": SliqClassifier().fit(ds)[0],
-        "VerticalSliqClassifier":
-            VerticalSliqClassifier(3, machine=None).fit(ds).tree,
     }
 
     def find_empty_leaves(node, parent=None, found=None):

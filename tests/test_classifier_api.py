@@ -12,7 +12,7 @@ from repro import (
     fit_scalparc,
     paper_dataset,
 )
-from repro.baselines import ParallelSPRINT, VerticalSliqClassifier
+from repro.baselines import ParallelSPRINT
 from repro.datagen import make_dataset
 from repro.perfmodel import ZERO_LATENCY
 
@@ -59,11 +59,12 @@ def test_machine_none_skips_stats(small_ds):
     assert result.stats is None
 
 
-@pytest.mark.parametrize("facade", [ParallelSPRINT, VerticalSliqClassifier])
+@pytest.mark.parametrize("facade", [ParallelSPRINT])
 def test_comparator_facades_share_the_machine_contract(facade, small_ds):
-    """One constructor for all three facades: ``machine=None`` means an
-    unpriced run (it used to be silently turned back into the T3D), the
-    default is priced, and ``n_processors`` is validated the same way."""
+    """The comparator facade shares ScalParC's one constructor:
+    ``machine=None`` means an unpriced run (it used to be silently turned
+    back into the T3D), the default is priced, and ``n_processors`` is
+    validated the same way."""
     unpriced = facade(2, machine=None).fit(small_ds)
     assert unpriced.stats is None
     priced = facade(2).fit(small_ds)

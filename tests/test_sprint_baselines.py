@@ -112,6 +112,18 @@ def test_sprint_per_rank_traffic_stays_high(scaling_runs):
     assert ratio_8 > ratio_4  # the gap widens with p
 
 
+def test_scalparc_level_exchange_traffic_is_order_n_over_p():
+    """ScalParC's per-rank traffic falls as O(N/p): quadrupling the
+    machine more than halves the bytes the busiest rank moves."""
+    # N large enough that the O(N/p) entries outweigh the p-proportional
+    # reduction and sample buffers at p = 16
+    ds = paper_dataset(12_000, "F2", seed=5)
+    cfg = InductionConfig(max_depth=4)
+    sc4 = ScalParC(4, config=cfg).fit(ds).stats
+    sc16 = ScalParC(16, config=cfg).fit(ds).stats
+    assert sc4.bytes_per_rank_max / sc16.bytes_per_rank_max > 2.0
+
+
 def test_sprint_validates_processor_count():
     with pytest.raises(ValueError):
         ParallelSPRINT(n_processors=0)

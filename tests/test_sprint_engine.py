@@ -1,5 +1,6 @@
-"""The genuine serial SPRINT engine: presort-once splitting, real
-multi-pass hash probing under a memory budget."""
+"""The genuine serial SPRINT engine (``tests/sprint_oracle.py``):
+presort-once splitting, real multi-pass hash probing under a memory
+budget — the measured oracle of ``SerialSPRINT``'s §2 I/O model."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import SerialSPRINT, SprintClassifier, induce_serial
+from repro.baselines import SerialSPRINT, induce_serial
 from repro.core import InductionConfig
 from repro.datagen import generate_quest, make_dataset, random_dataset
 
 from tests.conftest import assert_trees_equal
+from tests.sprint_oracle import SprintClassifier
 
 
 def test_unbounded_budget_matches_reference():
