@@ -92,14 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--max-depth", type=int, default=None)
     train.add_argument("--split-mode", choices=SPLIT_MODES, default=None,
                        help="FindSplit strategy: exact (the paper's exscan "
-                            "formulation, default), histogram (pre-binned "
-                            "count cubes), or voted (histogram + PV-Tree "
-                            "attribute voting — the communication-efficient "
-                            "mode); default: REPRO_SPMD_SPLIT_MODE env "
-                            "var, then exact")
+                            "formulation, default) or voted (pre-binned "
+                            "count cubes + PV-Tree attribute voting — the "
+                            "communication-efficient mode); default: "
+                            "REPRO_SPMD_SPLIT_MODE env var, then exact")
     train.add_argument("--bins", type=int, default=32, metavar="N",
-                       help="histogram/voted: target bins per continuous "
-                            "attribute (default 32)")
+                       help="voted: target bins per continuous attribute "
+                            "(default 32)")
     train.add_argument("--vote-top-k", type=int, default=2, metavar="K",
                        help="voted: attributes each rank votes for per "
                             "node (default 2)")

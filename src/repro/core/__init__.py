@@ -9,7 +9,7 @@ Submodules map one-to-one onto the paper's structure:
   attribute lists (§2/§3.1);
 * :mod:`~repro.core.findsplit` — FindSplitI/II (§3.2, §4);
 * :mod:`~repro.core.strategies` — pluggable split strategies: the exact
-  exscan schedule plus histogram/voted approximations (beyond the paper);
+  exscan schedule plus the voted approximation (beyond the paper);
 * :mod:`~repro.core.splitter` — PerformSplitI/II over the distributed node
   table (§3.3);
 * :mod:`~repro.core.frontier` — Figure 2's level loop and the

@@ -46,11 +46,11 @@ class LocalAttributeList:
     labels: np.ndarray
     #: CSR segment bounds: segment k = entries [offsets[k], offsets[k+1])
     offsets: np.ndarray
-    #: histogram strategies only: sorted interior bin edges shared by all
+    #: voted strategy only: sorted interior bin edges shared by all
     #: ranks (actual data values drawn from the global sorted order at
     #: presort); None under the exact strategy
     bin_edges: np.ndarray | None = None
-    #: histogram strategies only: per-entry bin code, maintained through
+    #: voted strategy only: per-entry bin code, maintained through
     #: every reorder; ``code = searchsorted(bin_edges, v, side="right")``
     bin_codes: np.ndarray | None = None
 
@@ -111,7 +111,7 @@ class LocalAttributeList:
         return len(self.bin_edges) + 1
 
     def attach_bins(self, edges: np.ndarray) -> None:
-        """Attach histogram bin edges and (re)derive per-entry codes."""
+        """Attach voted's bin edges and (re)derive per-entry codes."""
         self.bin_edges = np.asarray(edges, dtype=np.float64)
         self.bin_codes = np.searchsorted(
             self.bin_edges, self.values, side="right"
@@ -239,8 +239,7 @@ def hand_off_lists(
     """
     size, n_attrs = comm.size, len(lists)
     rid_wire = np.dtype(np.uint32 if n_total <= 2 ** 32 else np.int64)
-    specs = [(alist.spec, alist.attr_index, alist.bin_edges)
-             for alist in lists]
+    specs = [(alist.spec, alist.attr_index) for alist in lists]
     segs = [np.flatnonzero(owner == d) for d in range(size)]
     counts = [np.array([np.diff(alist.offsets)[s] for alist in lists],
                        dtype=np.int64).reshape(n_attrs, len(s))
@@ -289,7 +288,7 @@ def hand_off_lists(
 
     out: list[LocalAttributeList] = []
     by_id = None
-    for (spec, attr_index, edges), received in zip(specs, pieces):
+    for (spec, attr_index), received in zip(specs, pieces):
         # (source, node) runs, laid out node by node in source order
         c = np.stack([piece[0] for piece in received])
         starts = np.cumsum(c) - c.ravel()
@@ -309,8 +308,6 @@ def hand_off_lists(
             else values.astype(np.int32),
             rids=new_ids, labels=by_id[new_ids], offsets=np.concatenate(
                 ([0], np.cumsum(c.sum(axis=0)))))
-        if edges is not None:
-            alist.attach_bins(edges)
         comm.perf.register_bytes(f"attr_list[{spec.name}]", alist.nbytes())
         out.append(alist)
     return out
@@ -367,12 +364,8 @@ def _reshard_one_attribute(
     offsets to per-entry node ids, and let one stable regroup by node id
     produce the node-major global order — the stable sort keeps old-rank
     order within each node, exactly matching the per-node list rebuild it
-    replaced (kept as the reference-mode path).
+    replaced (a test oracle now).
     """
-    if kernels.kernel_mode() == "reference":
-        return _reshard_one_attribute_reference(
-            spec, attr_index, fragments, rank, size
-        )
     m = max(len(offsets) - 1 for (_v, _r, _l, offsets) in fragments)
     all_values = np.concatenate([v for (v, _r, _l, _o) in fragments])
     all_rids = np.concatenate([r for (_v, r, _l, _o) in fragments])
@@ -396,65 +389,6 @@ def _reshard_one_attribute(
         counts = np.bincount(all_nodes[take], minlength=m)
     else:
         g_values = np.empty(0, dtype=all_values.dtype)
-        g_rids = np.empty(0, dtype=np.int64)
-        g_labels = np.empty(0, dtype=np.int64)
-        counts = np.zeros(m, dtype=np.int64)
-
-    return LocalAttributeList(
-        spec=spec,
-        attr_index=attr_index,
-        values=g_values,
-        rids=g_rids,
-        labels=g_labels,
-        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-    )
-
-
-def _reshard_one_attribute_reference(
-    spec: AttributeSpec,
-    attr_index: int,
-    fragments: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    rank: int,
-    size: int,
-) -> LocalAttributeList:
-    """Reference-mode reshard: the doubly nested per-node list rebuild the
-    vectorized path replaced (kept for the equivalence suite and the
-    resume-time regression bench)."""
-    m = max(len(offsets) - 1 for (_v, _r, _l, offsets) in fragments)
-    per_node_values: list[list[np.ndarray]] = [[] for _ in range(m)]
-    per_node_rids: list[list[np.ndarray]] = [[] for _ in range(m)]
-    per_node_labels: list[list[np.ndarray]] = [[] for _ in range(m)]
-    for values, rids, labels, offsets in fragments:
-        for k in range(len(offsets) - 1):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            if hi > lo:
-                per_node_values[k].append(values[lo:hi])
-                per_node_rids[k].append(rids[lo:hi])
-                per_node_labels[k].append(labels[lo:hi])
-
-    node_sizes = np.array(
-        [sum(len(part) for part in parts) for parts in per_node_values],
-        dtype=np.int64,
-    )
-    total = int(node_sizes.sum())
-    chunk = -(-total // size) if total else 0
-    lo = min(rank * chunk, total)
-    hi = min(lo + chunk, total)
-
-    if hi > lo:
-        g_values = np.concatenate(
-            [part for parts in per_node_values for part in parts]
-        )[lo:hi]
-        g_rids = np.concatenate(
-            [part for parts in per_node_rids for part in parts]
-        )[lo:hi]
-        g_labels = np.concatenate(
-            [part for parts in per_node_labels for part in parts]
-        )[lo:hi]
-        node_of = np.repeat(np.arange(m, dtype=np.int64), node_sizes)[lo:hi]
-        counts = np.bincount(node_of, minlength=m)
-    else:
-        g_values = np.empty(0, dtype=fragments[0][0].dtype)
         g_rids = np.empty(0, dtype=np.int64)
         g_labels = np.empty(0, dtype=np.int64)
         counts = np.zeros(m, dtype=np.int64)

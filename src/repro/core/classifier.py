@@ -133,11 +133,11 @@ class ScalParC(SpmdClassifier):
     Under the default ``config.split_mode`` (exact) the induced tree is
     *independent of* both ``n_processors`` and ``backend``: any
     combination produces exactly the serial reference's tree.  The
-    histogram/voted split strategies (see :mod:`repro.core.strategies`)
-    trade that exactness for communication volume — their trees stay
+    voted split strategy (see :mod:`repro.core.strategies`) trades that
+    exactness for communication volume — its trees stay
     backend-independent at a fixed ``n_processors`` but may differ from
-    the serial reference (and, for voted, across processor counts: the
-    ballot is cast from per-rank local data).
+    the serial reference and across processor counts (the ballot is cast
+    from per-rank local data).
     """
 
     def fit(self, dataset: Dataset, trace: object | None = None,

@@ -20,7 +20,7 @@ __all__ = ["InductionConfig", "SPLIT_MODES", "SPLIT_MODE_ENV",
            "STREAM_GROW_ENV", "STREAM_REOPEN_ENV", "schema_fingerprint"]
 
 #: recognized FindSplit strategies (see :mod:`repro.core.strategies`)
-SPLIT_MODES = ("exact", "histogram", "voted")
+SPLIT_MODES = ("exact", "voted")
 
 #: environment variable selecting the split strategy when
 #: ``InductionConfig.split_mode`` is None (mirrors ``REPRO_SPMD_BACKEND``)
@@ -75,21 +75,20 @@ class InductionConfig:
     split_mode:
         FindSplit strategy (see :mod:`repro.core.strategies`):
         ``"exact"`` (the paper's exscan formulation, bit-identical to the
-        serial reference), ``"histogram"`` (continuous attributes pre-binned
-        at presort; per-(node, bin, class) count cubes globalized through
-        one fused allreduce per level), ``"voted"`` (histogram plus PV-Tree
-        local top-k attribute voting so only winning attributes'
-        statistics are globalized — the communication-efficient mode), or
-        ``None`` to defer to the ``REPRO_SPMD_SPLIT_MODE`` environment
-        variable (default exact).  Exact never changes the tree;
-        histogram/voted are approximations and *do* shape it, so the
-        resolved mode joins the checkpoint compatibility fingerprint.
+        serial reference), ``"voted"`` (continuous attributes pre-binned at
+        presort, plus PV-Tree local top-k attribute voting so only the
+        elected attributes' per-(node, bin, class) count cubes are
+        globalized — the communication-efficient mode), or ``None`` to
+        defer to the ``REPRO_SPMD_SPLIT_MODE`` environment variable
+        (default exact).  Exact never changes the tree; voted is an
+        approximation and *does* shape it, so the resolved mode joins the
+        checkpoint compatibility fingerprint.
     n_bins:
-        Histogram/voted modes: target number of bins per continuous
-        attribute (bin edges are drawn from the globally sorted order at
-        presort; duplicate edges collapse, so the effective bin count can
-        be lower).  ``n_bins >= n_distinct`` reproduces exact trees
-        bit-identically.
+        Voted mode: target number of bins per continuous attribute (bin
+        edges are drawn from the globally sorted order at presort;
+        duplicate edges collapse, so the effective bin count can be
+        lower).  ``n_bins >= n_distinct`` with every attribute elected
+        reproduces exact trees bit-identically.
     vote_top_k:
         Voted mode: number of attributes each rank votes for per node,
         and the number of globally elected attributes whose statistics
@@ -213,9 +212,9 @@ class InductionConfig:
         original run and a resume: they never change the tree).
 
         Batch (``streaming=False``): the *resolved* split mode joins the
-        digest — histogram/voted splits are approximations, so resuming a
-        histogram run in exact mode (or under a different bin budget /
-        vote width) would silently graft differently-shaped subtrees;
+        digest — voted splits are approximations, so resuming a voted run
+        in exact mode (or under a different bin budget / vote width)
+        would silently graft differently-shaped subtrees;
         that resume must fail loudly instead.  Mode-irrelevant knobs are
         masked out, so e.g. an exact checkpoint resumes regardless of
         the (unused) ``n_bins`` default.
@@ -240,7 +239,7 @@ class InductionConfig:
             mode = self.resolved_split_mode()
             shaping += [
                 mode,
-                self.n_bins if mode in ("histogram", "voted") else None,
+                self.n_bins if mode == "voted" else None,
                 self.vote_top_k if mode == "voted" else None,
             ]
         return payload_digest(shaping)

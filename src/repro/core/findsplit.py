@@ -38,6 +38,7 @@ __all__ = [
     "node_class_totals",
     "categorical_rows",
     "score_categorical_cubes",
+    "score_boundaries",
     "level_candidates",
     "global_best_splits",
     "coordinator_of",
@@ -168,6 +169,40 @@ def _scan_candidates(
     return out
 
 
+def score_boundaries(
+    out: np.ndarray,
+    attr_index: int,
+    nodes: np.ndarray,
+    left: np.ndarray,
+    thresholds: np.ndarray,
+    totals: np.ndarray,
+    criterion: str,
+) -> np.ndarray:
+    """Fold one continuous attribute's candidate boundaries into ``out``.
+
+    Boundary ``k`` belongs to node ``nodes[k]`` (a row of ``totals`` and
+    ``out``; non-decreasing — the segment contract), has left-partition
+    class counts ``left[k]`` and splits at ``thresholds[k]``.  Per node
+    the lowest score wins (ties → smallest threshold) and replaces the
+    node's ``out`` row only when strictly better — folding attributes in
+    schema order therefore keeps the canonical (score, attribute,
+    threshold) order.  Shared by the voted strategy's bin boundaries and
+    the streaming driver's sketch boundaries.
+    """
+    if len(nodes) == 0:
+        return out
+    scores = kernels.split_scores(left, totals[nodes], criterion)
+    winners, best_scores, best_thr = kernels.segment_argmin(
+        nodes, scores, thresholds
+    )
+    better = best_scores < out[winners, 0]
+    upd = winners[better]
+    out[upd, 0] = best_scores[better]
+    out[upd, 1] = float(attr_index)
+    out[upd, 2] = best_thr[better]
+    return out
+
+
 def _categorical_local_cube(
     comm: Communicator, alist: LocalAttributeList, n_nodes: int,
     n_classes: int,
@@ -196,8 +231,7 @@ def score_categorical_cubes(
     split, ``None`` for the multiway (paper-default) split.
 
     Multiway scoring is one batched
-    :func:`~repro.core.kernels.multiway_scores` pass (itself the scalar
-    per-node formula in reference kernel mode); the per-node loop
+    :func:`~repro.core.kernels.multiway_scores` pass; the per-node loop
     survives only for binary subsets, a combinatorial search per node.
     """
     if not config.categorical_binary_subsets:

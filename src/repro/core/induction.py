@@ -219,8 +219,8 @@ class _ListSource(LevelSource):
                     ) -> tuple[np.ndarray, CatState]:
         # the split strategy owns local statistics, the collective plan
         # and candidate scoring (see repro.core.strategies); exact keeps
-        # the pre-strategy schedule bit for bit, histogram/voted swap the
-        # per-attribute exscans for count-cube allreduces
+        # the pre-strategy schedule bit for bit, voted swaps the
+        # per-attribute exscans for a vote and elected count cubes
         local_best, cat_state = self.strategy.level_candidates(
             self.comm, self.lists, totals, candidates, self.config
         )

@@ -1,21 +1,13 @@
 """Segment-vectorized numpy kernels for the induction hot path.
 
 Every per-record / per-node Python loop that survived on the FindSplit and
-PerformSplit paths funnels through this module.  Each kernel ships in two
-implementations:
-
-* the **fast** path — one numpy pass over segment-contiguous arrays
-  (cumsums over class one-hots, ``np.minimum.reduceat`` segmented argmins,
-  radix-friendly counting sorts);
-* a **reference** path — the scalar/looped formulation the fast kernel
-  replaced, kept callable so the property suite can pin ``fast ≡
-  reference`` on random segment layouts and the benchmark harness can
-  measure honest before/after rows.
-
-The dispatch between them is process-wide via the ``REPRO_KERNELS``
-environment variable (``fast``, the default, or ``reference``); consumers
-that hold domain objects (``LocalAttributeList``, ``LevelDecisions``)
-dispatch on :func:`kernel_mode` at their call site instead.
+PerformSplit paths funnels through this module: one numpy pass over
+segment-contiguous arrays per kernel (cumsums over class one-hots,
+``np.minimum.reduceat`` segmented argmins, radix-friendly counting
+sorts).  The scalar/looped formulations they replaced are test oracles
+(``tests/kernel_oracles.py``); every caller reaches a kernel through this
+module's attribute, so the test suite can swap the oracles in for a
+whole fit.
 
 **Memory-layout contract** (shared by every kernel and documented in
 ``docs/kernels.md``): attribute-list fragments are entry-aligned arrays
@@ -24,71 +16,40 @@ whose entries are grouped into contiguous per-node segments by a CSR
 ``groups`` argument below must be non-decreasing; any per-entry arrays
 must be aligned.
 
-**Determinism contract**: for identical inputs, fast and reference return
-bit-identical outputs — integer kernels are exact, and the float kernels
-evaluate the same elementwise expressions over the same operands in the
-same reduction order, so exact-mode trees and collective trace digests
-are invariant under the kernel swap.
+**Determinism contract**: for identical inputs, each kernel and its
+oracle return bit-identical outputs — integer kernels are exact, and the
+float kernels evaluate the same elementwise expressions over the same
+operands in the same reduction order, so exact-mode trees and collective
+trace digests are invariant under the swap.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import nullcontext
 
 import numpy as np
 
-from ..runtime.envutil import env_choice
-from .criteria import split_score_from_left, split_score_multiway
+from .criteria import split_score_from_left
 
 __all__ = [
-    "KERNEL_MODE_ENV",
-    "KERNEL_MODES",
-    "kernel_mode",
     "forced_kernel_mode",
     "segment_class_prefix",
-    "segment_class_prefix_reference",
     "boundary_valid_mask",
-    "boundary_valid_mask_reference",
     "split_scores",
-    "split_scores_reference",
     "segment_argmin",
-    "segment_argmin_reference",
     "multiway_scores",
-    "multiway_scores_reference",
     "stable_regroup",
-    "stable_regroup_reference",
 ]
 
-#: environment variable selecting the kernel implementation family
-KERNEL_MODE_ENV = "REPRO_KERNELS"
 
-#: recognized kernel modes
-KERNEL_MODES = ("fast", "reference")
+class forced_kernel_mode(nullcontext):
+    """No-op context manager kept for callers that pin the kernel family:
+    ``"fast"`` is the only one, anything else is a ``ValueError``."""
 
-
-def kernel_mode() -> str:
-    """The active kernel family: ``"fast"`` unless ``REPRO_KERNELS``
-    says ``reference``.  Read per call (it guards per-level work, not
-    per-record work), so tests and benchmarks can flip it at runtime."""
-    return env_choice(KERNEL_MODE_ENV, KERNEL_MODES, "fast")
-
-
-@contextmanager
-def forced_kernel_mode(mode: str) -> Iterator[None]:
-    """Temporarily force the kernel family (benchmark/test helper)."""
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"mode must be one of {KERNEL_MODES}, got {mode!r}")
-    prior = os.environ.get(KERNEL_MODE_ENV)
-    os.environ[KERNEL_MODE_ENV] = mode
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(KERNEL_MODE_ENV, None)
-        else:
-            os.environ[KERNEL_MODE_ENV] = prior
+    def __init__(self, mode: str) -> None:
+        if mode != "fast":
+            raise ValueError(f"the only kernel mode is 'fast', got {mode!r}")
+        super().__init__()
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +71,8 @@ def segment_class_prefix(
     Fast path: one exclusive cumsum over the (n_classes, n) one-hot
     (row-contiguous, so the reduction runs along cache lines), then one
     gather subtracting each segment's base row.  Integer math, so
-    bit-identical to the per-segment reference.
+    bit-identical to the per-segment oracle.
     """
-    if kernel_mode() == "reference":
-        return segment_class_prefix_reference(labels, offsets, n_classes)
     n = len(labels)
     if n == 0:
         return np.zeros((0, n_classes), dtype=np.int64)
@@ -142,20 +101,6 @@ def segment_class_prefix(
     return excl
 
 
-def segment_class_prefix_reference(
-    labels: np.ndarray, offsets: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Scalar reference: running per-class counters, one segment at a
-    time (the shape of the pre-vectorization loop)."""
-    out = np.zeros((len(labels), n_classes), dtype=np.int64)
-    for k in range(len(offsets) - 1):
-        counts = [0] * n_classes
-        for i in range(int(offsets[k]), int(offsets[k + 1])):
-            out[i] = counts
-            counts[int(labels[i])] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # candidate-validity masking
 # ---------------------------------------------------------------------------
@@ -175,10 +120,6 @@ def boundary_valid_mask(
     land inside a run of duplicates.  ``has_pred``/``pred_val`` carry the
     cross-rank boundary resolution (the KEEP_LAST exscan's result).
     """
-    if kernel_mode() == "reference":
-        return boundary_valid_mask_reference(
-            values, nodes, offsets, candidate_nodes, has_pred, pred_val
-        )
     n = len(values)
     prev_val = np.empty(n, dtype=np.float64)
     prev_val[1:] = values[:-1]
@@ -199,32 +140,6 @@ def boundary_valid_mask(
     )
 
 
-def boundary_valid_mask_reference(
-    values: np.ndarray,
-    nodes: np.ndarray,
-    offsets: np.ndarray,
-    candidate_nodes: np.ndarray,
-    has_pred: np.ndarray,
-    pred_val: np.ndarray,
-) -> np.ndarray:
-    """Scalar reference: walk each segment tracking the previous value."""
-    out = np.zeros(len(values), dtype=bool)
-    for k in range(len(offsets) - 1):
-        lo, hi = int(offsets[k]), int(offsets[k + 1])
-        for i in range(lo, hi):
-            if not candidate_nodes[k]:
-                continue
-            if i == lo:
-                if not has_pred[k]:
-                    continue
-                prev = float(pred_val[k])
-            else:
-                prev = float(values[i - 1])
-            if float(values[i]) > prev:
-                out[i] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
 # criterion evaluation — all split points, all nodes, one pass
 # ---------------------------------------------------------------------------
@@ -237,22 +152,9 @@ def split_scores(
     Thin alias of :func:`repro.core.criteria.split_score_from_left` — the
     determinism-contract implementation is already a single batched pass;
     it is re-exported here so the kernel inventory is complete and the
-    property suite pins it against the scalar reference.
+    property suite pins it against the scalar oracle.
     """
     return split_score_from_left(left, totals, criterion)
-
-
-def split_scores_reference(
-    left: np.ndarray, totals: np.ndarray, criterion: str
-) -> np.ndarray:
-    """Scalar reference: one candidate row at a time."""
-    left = np.asarray(left)
-    totals = np.broadcast_to(np.asarray(totals), left.shape)
-    return np.array([
-        float(split_score_from_left(left[i:i + 1], totals[i:i + 1],
-                                    criterion)[0])
-        for i in range(left.shape[0])
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +170,9 @@ def segment_argmin(
     ``(unique_groups, best_score, best_tiebreak)`` — for every occurring
     group, the smallest score and, among entries achieving it, the
     smallest tiebreak.  The fast path is two ``np.minimum.reduceat``
-    passes (O(n)); the reference is the 3-key lexsort + ``np.unique``
+    passes (O(n)); the oracle is the 3-key lexsort + ``np.unique``
     formulation it replaced (O(n log n) with three key passes).
     """
-    if kernel_mode() == "reference":
-        return segment_argmin_reference(groups, scores, tiebreak)
     n = len(groups)
     if n == 0:
         e = np.empty(0, dtype=np.int64)
@@ -291,17 +191,6 @@ def segment_argmin(
     return uniq, best, best_tb
 
 
-def segment_argmin_reference(
-    groups: np.ndarray, scores: np.ndarray, tiebreak: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pre-vectorization formulation: full 3-key lexsort, then the
-    first hit per group."""
-    order = np.lexsort((tiebreak, scores, groups))
-    first = np.unique(groups[order], return_index=True)[1]
-    pick = order[first]
-    return groups[order][first], scores[pick], tiebreak[pick]
-
-
 # ---------------------------------------------------------------------------
 # categorical multiway scoring — all nodes at once
 # ---------------------------------------------------------------------------
@@ -317,8 +206,6 @@ def multiway_scores(cubes: np.ndarray, criterion: str) -> np.ndarray:
     reductions traverse each row's contiguous elements in the same
     order.
     """
-    if kernel_mode() == "reference":
-        return multiway_scores_reference(cubes, criterion)
     mat = np.asarray(cubes, dtype=np.float64)
     m = mat.shape[0]
     if m == 0:
@@ -334,15 +221,6 @@ def multiway_scores(cubes: np.ndarray, criterion: str) -> np.ndarray:
     safe_n = np.maximum(n, 1.0)                         # guards empty nodes
     out = np.sum((part_sizes / safe_n[:, None]) * imps, axis=1)
     return np.where(occupied >= 2, out, np.inf)
-
-
-def multiway_scores_reference(cubes: np.ndarray, criterion: str) -> np.ndarray:
-    """Scalar reference: one :func:`split_score_multiway` call per node."""
-    cubes = np.asarray(cubes)
-    return np.array([
-        split_score_multiway(cubes[k], criterion)
-        for k in range(cubes.shape[0])
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +240,6 @@ def stable_regroup(
     and fuses the drop-filter into the gather index so every payload
     array pays exactly one fancy-index pass.
     """
-    if kernel_mode() == "reference":
-        return stable_regroup_reference(new_nodes, n_next)
     idx = np.flatnonzero(new_nodes >= 0)
     kept = new_nodes[idx]
     if n_next <= (1 << 15):
@@ -373,20 +249,6 @@ def stable_regroup(
     else:
         key = kept
     take = idx[np.argsort(key, kind="stable")]
-    counts = np.bincount(kept, minlength=n_next)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    return take, offsets
-
-
-def stable_regroup_reference(
-    new_nodes: np.ndarray, n_next: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pre-vectorization plan: boolean keep-mask, then a full-width
-    stable argsort of the kept ids."""
-    keep = new_nodes >= 0
-    kept = new_nodes[keep]
-    perm = np.argsort(kept, kind="stable")
-    take = np.flatnonzero(keep)[perm]
     counts = np.bincount(kept, minlength=n_next)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     return take, offsets

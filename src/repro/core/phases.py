@@ -39,7 +39,7 @@ __all__ = [
 
 PRESORT = "Presort"
 FINDSPLIT1 = "FindSplitI"
-#: histogram/voted strategies: globalizing the per-(node, bin, class)
+#: voted strategy: globalizing the elected per-(node, bin, class)
 #: count cubes (a FindSplitI sub-phase; its collectives are pinned
 #: cross-rank by the conformance checker like any other phase tag)
 FINDSPLIT1_HIST = "FindSplitI.hist"
@@ -54,7 +54,7 @@ PERFORMSPLIT2 = "PerformSplitII"
 HANDOFF = "Handoff"
 #: every phase of a default (exact-mode) run: Figure 2's five plus the
 #: hand-off; the strategy sub-phases are deliberately not in here: they
-#: only appear under histogram/voted modes
+#: only appear under the voted mode
 ALL_PHASES = (PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2,
               HANDOFF)
 #: the phases that make up split determination across every split mode

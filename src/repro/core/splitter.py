@@ -24,7 +24,6 @@ import numpy as np
 
 from ..hashing import DistributedNodeTable
 from ..runtime import CheckpointError, Communicator
-from . import kernels
 from .attribute_lists import LocalAttributeList
 from .config import InductionConfig
 from .phases import PERFORMSPLIT1, PERFORMSPLIT2, timed_phase
@@ -108,52 +107,27 @@ def _local_children(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
-    sel_entries: list[np.ndarray] = []
-    sel_ids: list[np.ndarray] = []
-
     if alist.spec.is_continuous:
-        sel = mine[nodes]
-        idx = np.nonzero(sel)[0]
-        if len(idx):
-            k = nodes[idx]
-            child = (alist.values[idx] >= decisions.threshold[k]).astype(np.int64)
-            sel_entries.append(idx)
-            sel_ids.append(decisions.child_base[k] + child)
-    elif kernels.kernel_mode() == "reference":
-        for k in np.nonzero(mine)[0]:
-            seg = alist.segment(k)
-            if seg.stop == seg.start:
-                continue
-            mapping = decisions.cat_layouts[int(k)]
-            child = mapping[alist.values[seg].astype(np.int64)]
-            sel_entries.append(np.arange(seg.start, seg.stop, dtype=np.int64))
-            sel_ids.append(decisions.child_base[k] + child.astype(np.int64))
-    else:
-        ks = np.nonzero(mine)[0]
-        n_values = alist.spec.n_values
-        # (splitting node, value) → child scatter table; rows are tiny
-        # (n_values entries), so building it costs O(m·V), not O(n_local)
-        table = np.array(
-            [decisions.cat_layouts[int(k)] for k in ks], dtype=np.int64
-        ).reshape(len(ks), n_values)
-        row_of = np.full(len(mine), -1, dtype=np.int64)
-        row_of[ks] = np.arange(len(ks), dtype=np.int64)
-        idx = np.flatnonzero(mine.take(nodes))
-        if len(idx):
-            k = nodes.take(idx)
-            # flat-ravel take: one contiguous gather instead of the much
-            # slower two-array advanced indexing
-            flat = row_of.take(k) * n_values + alist.values.take(idx)
-            child = table.ravel().take(flat)
-            sel_entries.append(idx)
-            sel_ids.append(decisions.child_base.take(k) + child)
+        idx = np.nonzero(mine[nodes])[0]
+        k = nodes[idx]
+        child = (alist.values[idx] >= decisions.threshold[k]).astype(np.int64)
+        return idx, decisions.child_base[k] + child
 
-    if not sel_entries:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if len(sel_entries) == 1:  # vectorized branches: skip the copy
-        return sel_entries[0], sel_ids[0]
-    return np.concatenate(sel_entries), np.concatenate(sel_ids)
+    ks = np.nonzero(mine)[0]
+    n_values = alist.spec.n_values
+    # (splitting node, value) → child scatter table; rows are tiny
+    # (n_values entries), so building it costs O(m·V), not O(n_local)
+    table = np.array(
+        [decisions.cat_layouts[int(k)] for k in ks], dtype=np.int64
+    ).reshape(len(ks), n_values)
+    row_of = np.full(len(mine), -1, dtype=np.int64)
+    row_of[ks] = np.arange(len(ks), dtype=np.int64)
+    idx = np.flatnonzero(mine.take(nodes))
+    k = nodes.take(idx)
+    # flat-ravel take: one contiguous gather instead of the much slower
+    # two-array advanced indexing
+    flat = row_of.take(k) * n_values + alist.values.take(idx)
+    return idx, decisions.child_base.take(k) + table.ravel().take(flat)
 
 
 def perform_split(

@@ -5,10 +5,9 @@ mode        split determination
 =========== =============================================================
 exact       the paper's exscan formulation — bit-identical to the serial
             reference, the default
-histogram   continuous attributes pre-binned at presort; per-(node, bin,
-            class) cubes globalized through one fused allreduce per level
-voted       histogram plus PV-Tree per-node attribute voting — only the
-            elected attributes' statistics are globalized (the
+voted       continuous attributes pre-binned at presort, plus PV-Tree
+            per-node attribute voting — only the elected attributes'
+            (node, bin, class) cubes are globalized (the
             communication-efficient mode)
 =========== =============================================================
 
@@ -20,13 +19,11 @@ from __future__ import annotations
 from ..config import InductionConfig
 from .base import SplitStrategy, balanced_coordinator_of, categorical_ordinals
 from .exact import ExactSplitStrategy
-from .histogram import HistogramSplitStrategy
 from .voted import VotedSplitStrategy
 
 __all__ = [
     "SplitStrategy",
     "ExactSplitStrategy",
-    "HistogramSplitStrategy",
     "VotedSplitStrategy",
     "STRATEGIES",
     "make_strategy",
@@ -35,9 +32,7 @@ __all__ = [
 ]
 
 STRATEGIES: dict[str, type[SplitStrategy]] = {
-    cls.name: cls for cls in (
-        ExactSplitStrategy, HistogramSplitStrategy, VotedSplitStrategy
-    )
+    cls.name: cls for cls in (ExactSplitStrategy, VotedSplitStrategy)
 }
 
 

@@ -44,9 +44,10 @@ def balanced_coordinator_of(cat_ordinal: int, size: int) -> int:
     attributes at indices 1 and 3 with two ranks both land on rank 1 and
     rank 0 coordinates nothing.  Round-robining over the ordinal among
     categorical attributes spreads the scoring load over
-    ``min(n_cat_attrs, size)`` distinct ranks.  Only the histogram/voted
-    strategies use this; the exact strategy keeps the legacy mapping so
-    its trace digests stay bit-identical to the pre-strategy schedule.
+    ``min(n_cat_attrs, size)`` distinct ranks.  Only the voted strategy
+    uses this; exact keeps the legacy mapping
+    (:func:`repro.core.findsplit.coordinator_of`) so its trace digests
+    stay bit-identical to the pre-strategy schedule.
     """
     return cat_ordinal % size
 
@@ -84,15 +85,9 @@ class SplitStrategy:
         n_total: int,
     ) -> None:
         """One-time collective setup inside the Presort phase (e.g.
-        drawing histogram bin edges from the global sorted order).  Not
+        voted's bin edges, drawn from the global sorted order).  Not
         called on checkpoint resume — anything computed here must live on
         the lists so the checkpointer carries it across."""
-
-    def coordinator_of(
-        self, alist: LocalAttributeList, ordinals: dict[int, int], size: int
-    ) -> int:
-        """Coordinator rank for a categorical attribute's count cubes."""
-        return balanced_coordinator_of(ordinals[alist.attr_index], size)
 
     def level_candidates(
         self,

@@ -7,15 +7,16 @@ hosts the orchestration the induction driver used to inline: one
 deferred batch carrying all attributes' FindSplitI collectives — ≤ 3
 rendezvous per level plus BEST_SPLIT.
 
-The schedule — and the legacy ``attr_index % size`` coordinator mapping —
-is kept bit-identical to the pre-refactor code: same collectives in the
-same order with the same payloads, so golden trees *and* cross-backend
-trace digests are unchanged.
+The schedule — and the legacy ``attr_index % size`` coordinator mapping
+(:func:`repro.core.findsplit.coordinator_of`) — is kept bit-identical to
+the pre-refactor code: same collectives in the same order with the same
+payloads, so golden trees *and* cross-backend trace digests are
+unchanged.
 """
 
 from __future__ import annotations
 
-from ..findsplit import coordinator_of, level_candidates
+from ..findsplit import level_candidates
 from .base import SplitStrategy
 
 __all__ = ["ExactSplitStrategy"]
@@ -25,11 +26,6 @@ class ExactSplitStrategy(SplitStrategy):
     """The paper's exact split determination (default mode)."""
 
     name = "exact"
-
-    def coordinator_of(self, alist, ordinals, size):
-        # legacy round-robin over the raw attribute index — kept so exact
-        # runs reproduce pre-strategy trace digests bit for bit
-        return coordinator_of(alist.attr_index, size)
 
     def level_candidates(self, comm, lists, totals, candidate_nodes, config):
         return level_candidates(comm, lists, totals, candidate_nodes, config)

@@ -159,8 +159,8 @@ class SimulatedRunStats:
 
     def findsplit_breakdown(self) -> dict:
         """Per-phase split-determination bytes (the per-mode breakdown:
-        exact runs populate FindSplitI/II, histogram adds
-        FindSplitI.hist, voted adds FindSplitI.vote)."""
+        exact runs populate FindSplitI/II, voted adds FindSplitI.hist and
+        FindSplitI.vote)."""
         return {k: v for k, v in sorted(self.phase_bytes.items())
                 if k.startswith("FindSplit")}
 

@@ -2,7 +2,7 @@
 
 Several runtime knobs (collective timeouts, TCP host grouping, heartbeat
 intervals, frame limits, sketch sizes, the shm threshold; backend,
-split-mode, kernel-family and start-method names; the trace switch and
+split-mode and start-method names; the trace switch and
 the checkpoint directory) are read from environment variables.  Parsing
 them with a bare ``int(raw)`` / ``float(raw)`` / membership test
 surfaces a cryptic ``ValueError`` deep inside the engine that never says

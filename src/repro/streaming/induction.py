@@ -51,14 +51,13 @@ import numpy as np
 
 from ..core import kernels
 from ..core.config import InductionConfig
-from ..core.findsplit import score_categorical_cubes
+from ..core.findsplit import score_boundaries, score_categorical_cubes
 from ..core.frontier import CatState, LevelFrontier, LevelSource, \
     accepted_splits, grow_levels
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
 from ..core.splits import decode_mask, encode_mask, pack_candidates
 from ..core.splitter import LevelDecisions
-from ..core.strategies.histogram import score_boundaries
 from ..datagen.schema import Dataset, Schema
 from ..runtime import Communicator
 from ..runtime.checkpoint import (

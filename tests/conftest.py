@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.datagen import generate_quest, make_dataset, random_dataset
+
+from tests.kernel_oracles import ORACLES
 
 
 def pytest_collection_modifyitems(config, items):
@@ -22,6 +25,17 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def kernel_oracles(monkeypatch):
+    """Swap every ``repro.core.kernels`` kernel for its scalar oracle
+    (``tests/kernel_oracles.py``) for the rest of the test.  Callers reach
+    the kernels through the module attribute, so the swap covers a whole
+    fit on the in-process engine."""
+    for name, oracle in ORACLES.items():
+        monkeypatch.setattr(kernels, name, oracle)
+    return ORACLES
 
 
 @pytest.fixture

@@ -142,6 +142,26 @@ def test_env_vars_match_runtime_doc_table():
     assert named - in_src - {"REPRO_SCALE"} == set()
 
 
+def test_core_holds_one_kernel_family():
+    """The fast kernels are the only ones in ``src/``: the scalar
+    oracles live in ``tests/kernel_oracles.py``, nothing selects between
+    families, and ``forced_kernel_mode`` survives only as a no-op that
+    accepts ``"fast"``."""
+    from repro.core import kernels
+
+    core = _ROOT / "src" / "repro" / "core"
+    twin = re.compile(r"def \w+_reference\(|\bkernel_mode\b|REPRO_KERNELS")
+    found = {path.relative_to(core).as_posix() for path in core.rglob("*.py")
+             if twin.search(path.read_text(encoding="utf-8"))}
+    assert found == set()
+    with kernels.forced_kernel_mode("fast") as entered:
+        assert entered is None
+    for mode in ("reference", "turbo"):
+        with pytest.raises(ValueError, match=mode):
+            with kernels.forced_kernel_mode(mode):
+                pass
+
+
 # ----------------------------------------------------------------------
 # one level loop: who may build tree nodes
 # ----------------------------------------------------------------------

@@ -336,7 +336,8 @@ def test_resume_names_the_mismatched_header_field(tmp_path, driver, field):
 @pytest.mark.parametrize("streaming, knobs, digest", [
     (False, {}, "8ad62517fca9b25d"),
     (False, {"n_bins": 7}, "8ad62517fca9b25d"),     # masked in exact mode
-    (False, {"split_mode": "histogram", "n_bins": 16}, "53464025eac66b3c"),
+    (False, {"split_mode": "voted", "n_bins": 8, "vote_top_k": 1},
+     "f39743d802b4d580"),                           # not masked in voted
     (False, {"split_mode": "voted", "n_bins": 16, "vote_top_k": 1},
      "bb090856fb16f7fa"),
     (False, {"max_depth": 8, "criterion": "entropy"}, "666edd7acd2bcb93"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import kernels
 from repro.core.config import SKETCH_SIZE_ENV, SPLIT_MODE_ENV, InductionConfig
 from repro.runtime.engines.base import (
     BACKEND_ENV,
@@ -170,8 +169,7 @@ def test_sketch_size_resolver_reports_variable(monkeypatch):
     (START_METHOD_ENV, _mp_context),
     (SPLIT_MODE_ENV, lambda: InductionConfig().resolved_split_mode()),
     (BACKEND_ENV, resolve_backend),
-    (kernels.KERNEL_MODE_ENV, kernels.kernel_mode),
-], ids=["start_method", "split_mode", "backend", "kernels"])
+], ids=["start_method", "split_mode", "backend"])
 def test_choice_resolver_reports_variable(monkeypatch, env, resolve):
     monkeypatch.setenv(env, "bogus")
     with pytest.raises(EnvVarError, match=f"{env}='bogus'"):

@@ -16,7 +16,6 @@ from repro.core.findsplit import (
     node_class_totals,
     score_categorical_cubes,
 )
-from repro.core.kernels import forced_kernel_mode
 from repro.core.splits import (
     BEST_SPLIT,
     candidate_beats,
@@ -171,11 +170,12 @@ def test_candidate_mask_suppresses_terminal_nodes():
 
 @pytest.mark.parametrize("mode", ["fast", "reference"])
 @pytest.mark.parametrize("subsets", [False, True])
-def test_score_categorical_cubes_equals_per_node_scoring(subsets, mode):
+def test_score_categorical_cubes_equals_per_node_scoring(subsets, mode,
+                                                        request):
     """The one batched categorical scorer is bit-identical to calling
     ``best_categorical_split`` node by node, under both categorical
-    policies and both kernel families — including the no-valid-split
-    (< 2 occurring values) and all-empty matrices."""
+    policies, on the fast kernels and on their oracles — including the
+    no-valid-split (< 2 occurring values) and all-empty matrices."""
     from repro.core.criteria import best_categorical_split
 
     rng = np.random.default_rng(17)
@@ -185,12 +185,13 @@ def test_score_categorical_cubes_equals_per_node_scoring(subsets, mode):
     cubes[2, [0, 3]] = 0              # held-out values
     config = InductionConfig(categorical_binary_subsets=subsets,
                              criterion="entropy")
-    with forced_kernel_mode(mode):
-        scores, masks = score_categorical_cubes(cubes, config)
-        expect = [best_categorical_split(
-            matrix, config.criterion, binary_subsets=subsets,
-            exhaustive_limit=config.subset_exhaustive_limit,
-        ) for matrix in cubes]
+    if mode == "reference":
+        request.getfixturevalue("kernel_oracles")
+    scores, masks = score_categorical_cubes(cubes, config)
+    expect = [best_categorical_split(
+        matrix, config.criterion, binary_subsets=subsets,
+        exhaustive_limit=config.subset_exhaustive_limit,
+    ) for matrix in cubes]
     assert scores.tolist() == [score for score, _ in expect]
     assert np.isinf(scores[:2]).all() and np.isfinite(scores[2:]).all()
     for got, (_, want) in zip(masks, expect):

@@ -5,8 +5,7 @@ grows its own subtrees on a world of one.
 Covered here: the assignment (deterministic; no rank above 1.5× its fair
 share), the move (a node's per-rank segments, concatenated in rank order,
 already are its global sorted order — checked on heavily tied data), and
-the trees (exact and histogram unchanged, on every backend and
-p ∈ {2, 3, 5}), plus one test per edge: a hand-off at the root, a rule
+the trees (unchanged, on every backend and p ∈ {2, 3, 5}), plus one test per edge: a hand-off at the root, a rule
 that never fires, a rank that owns no node.  The checkpoint rule and a
 kill inside the local phase live in ``test_fault_injection.py``.
 """
@@ -149,20 +148,6 @@ def test_exact_trees_are_unchanged_by_the_handoff(backend, p):
     assert [ev.kind for ev in _handoff_events(collector)] \
         == ["alltoallv", "allgatherv"]
     assert collector.check().ok
-
-
-@pytest.mark.parametrize("p", WORLDS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_histogram_trees_are_unchanged_by_the_handoff(backend, p,
-                                                      monkeypatch):
-    config = InductionConfig(split_mode="histogram", n_bins=16)
-    tree, collector = _traced_fit(p, backend, config)
-    assert _handoff_events(collector)
-    monkeypatch.setattr(induction, "handoff_due", lambda sizes, n: False)
-    kept, plain = _traced_fit(p, "thread", config)
-    assert not _handoff_events(plain)
-    assert tree.compiled().structure_digest \
-        == kept.compiled().structure_digest
 
 
 def test_the_schedule_changes_only_by_the_handoff(monkeypatch):

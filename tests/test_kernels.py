@@ -1,6 +1,7 @@
-"""Segment-vectorized kernels: every fast kernel ≡ its kept scalar
-reference on arbitrary segment layouts, and the kernel-mode switch is
-invisible end to end (same trees, same collective trace digests).
+"""Segment-vectorized kernels: every kernel ≡ its scalar oracle
+(``tests/kernel_oracles.py``) on arbitrary segment layouts, and swapping
+the oracles in is invisible end to end (same trees, same collective
+trace digests).
 
 The generators deliberately produce the degenerate shapes the induction
 loop sees in practice: empty segments, single-entry segments,
@@ -19,6 +20,7 @@ from repro.core import kernels
 from repro.core.kernels import forced_kernel_mode
 from repro.runtime import TraceCollector
 
+from tests import kernel_oracles as oracles
 from tests.conftest import assert_trees_equal
 
 # ---------------------------------------------------------------------------
@@ -38,24 +40,17 @@ def _layout(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, nodes
 
 
-def test_kernel_mode_default_and_validation(monkeypatch):
-    monkeypatch.delenv(kernels.KERNEL_MODE_ENV, raising=False)
-    assert kernels.kernel_mode() == "fast"
-    monkeypatch.setenv(kernels.KERNEL_MODE_ENV, "reference")
-    assert kernels.kernel_mode() == "reference"
-    monkeypatch.setenv(kernels.KERNEL_MODE_ENV, "turbo")
-    with pytest.raises(ValueError):
-        kernels.kernel_mode()
-    with pytest.raises(ValueError):
-        with forced_kernel_mode("turbo"):
-            pass
-
-
-def test_forced_kernel_mode_restores_prior(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_MODE_ENV, "fast")
-    with forced_kernel_mode("reference"):
-        assert kernels.kernel_mode() == "reference"
-    assert kernels.kernel_mode() == "fast"
+def test_kernel_mode_default_and_validation():
+    """``fast`` is the only kernel family: pinning it swaps nothing, and
+    any other name is refused."""
+    before = {name: getattr(kernels, name) for name in oracles.ORACLES}
+    with forced_kernel_mode("fast"):
+        assert {name: getattr(kernels, name)
+                for name in oracles.ORACLES} == before
+    for mode in ("reference", "turbo"):
+        with pytest.raises(ValueError):
+            with forced_kernel_mode(mode):
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +65,7 @@ def test_segment_class_prefix_matches_reference(sizes, n_classes, seed):
     labels = rng.integers(0, n_classes, int(offsets[-1])).astype(np.int64)
     fast = kernels.segment_class_prefix(labels, offsets, n_classes,
                                         nodes=nodes)
-    ref = kernels.segment_class_prefix_reference(labels, offsets, n_classes)
+    ref = oracles.segment_class_prefix_reference(labels, offsets, n_classes)
     np.testing.assert_array_equal(fast, ref)
 
 
@@ -78,7 +73,7 @@ def test_segment_class_prefix_single_class_and_empty():
     offsets = np.array([0, 0, 3, 3], dtype=np.int64)
     labels = np.zeros(3, dtype=np.int64)  # single-class segment
     fast = kernels.segment_class_prefix(labels, offsets, 2)
-    ref = kernels.segment_class_prefix_reference(labels, offsets, 2)
+    ref = oracles.segment_class_prefix_reference(labels, offsets, 2)
     np.testing.assert_array_equal(fast, ref)
     np.testing.assert_array_equal(fast[:, 0], [0, 1, 2])
     # fully empty layout
@@ -108,7 +103,7 @@ def test_boundary_valid_mask_matches_reference(sizes, seed):
     args = (values, nodes, offsets, candidate_nodes, has_pred, pred_val)
     np.testing.assert_array_equal(
         kernels.boundary_valid_mask(*args),
-        kernels.boundary_valid_mask_reference(*args),
+        oracles.boundary_valid_mask_reference(*args),
     )
 
 
@@ -126,7 +121,7 @@ def test_split_scores_match_reference(m, n_classes, criterion, seed):
         rng.integers(0, 20, (m, n_classes)).astype(np.int64), totals
     )
     fast = kernels.split_scores(left, totals, criterion)
-    ref = kernels.split_scores_reference(left, totals, criterion)
+    ref = oracles.split_scores_reference(left, totals, criterion)
     np.testing.assert_array_equal(fast, ref)  # bitwise, not approx
 
 
@@ -148,7 +143,7 @@ def test_segment_argmin_matches_reference(rows):
     scores = np.array([float(s) for _g, s, _t in rows])
     tiebreak = np.array([float(t) for _g, _s, t in rows])
     f_g, f_s, f_t = kernels.segment_argmin(groups, scores, tiebreak)
-    r_g, r_s, r_t = kernels.segment_argmin_reference(groups, scores, tiebreak)
+    r_g, r_s, r_t = oracles.segment_argmin_reference(groups, scores, tiebreak)
     np.testing.assert_array_equal(f_g, r_g)
     np.testing.assert_array_equal(f_s, r_s)
     np.testing.assert_array_equal(f_t, r_t)
@@ -180,7 +175,7 @@ def test_multiway_scores_match_reference(m, n_values, n_classes, criterion,
         cubes[0] = 0
         cubes[1, 1:] = 0
     fast = kernels.multiway_scores(cubes, criterion)
-    ref = kernels.multiway_scores_reference(cubes, criterion)
+    ref = oracles.multiway_scores_reference(cubes, criterion)
     np.testing.assert_array_equal(fast, ref)  # bitwise, inf included
 
 
@@ -194,7 +189,7 @@ def test_multiway_scores_match_reference(m, n_values, n_classes, criterion,
 def test_stable_regroup_matches_reference(ids, n_next):
     new_nodes = np.array(ids, dtype=np.int64)
     f_take, f_off = kernels.stable_regroup(new_nodes, n_next)
-    r_take, r_off = kernels.stable_regroup_reference(new_nodes, n_next)
+    r_take, r_off = oracles.stable_regroup_reference(new_nodes, n_next)
     np.testing.assert_array_equal(f_take, r_take)
     np.testing.assert_array_equal(f_off, r_off)
 
@@ -205,7 +200,7 @@ def test_stable_regroup_beyond_int16_range():
     n_next = (1 << 15) + 100
     new_nodes = rng.integers(-1, n_next, 5000).astype(np.int64)
     f_take, f_off = kernels.stable_regroup(new_nodes, n_next)
-    r_take, r_off = kernels.stable_regroup_reference(new_nodes, n_next)
+    r_take, r_off = oracles.stable_regroup_reference(new_nodes, n_next)
     np.testing.assert_array_equal(f_take, r_take)
     np.testing.assert_array_equal(f_off, r_off)
     assert f_off[-1] == (new_nodes >= 0).sum()
@@ -219,7 +214,7 @@ def test_stable_regroup_is_stable_within_groups():
 
 
 # ---------------------------------------------------------------------------
-# consumers: reorder / local children / reshard under both modes
+# consumers: reorder / local children / reshard against their oracles
 # ---------------------------------------------------------------------------
 
 def _random_alist(rng, sizes, categorical=False, n_values=4):
@@ -245,16 +240,16 @@ def _random_alist(rng, sizes, categorical=False, n_values=4):
 
 
 @pytest.mark.parametrize("n_next", [1, 3, 7])
-def test_reorder_fast_equals_reference(n_next):
+def test_reorder_fast_equals_reference(n_next, monkeypatch):
     rng = np.random.default_rng(11)
     sizes = [5, 0, 9, 1, 4]
     n_local = sum(sizes)
     new_nodes = rng.integers(-1, n_next, n_local).astype(np.int64)
     outputs = []
-    for mode in ("fast", "reference"):
+    for regroup in (kernels.stable_regroup, oracles.stable_regroup_reference):
+        monkeypatch.setattr(kernels, "stable_regroup", regroup)
         alist = _random_alist(np.random.default_rng(11), sizes)
-        with forced_kernel_mode(mode):
-            alist.reorder(new_nodes.copy(), n_next)
+        alist.reorder(new_nodes.copy(), n_next)
         outputs.append((alist.values, alist.rids, alist.labels,
                         alist.offsets))
     for a, b in zip(*outputs):
@@ -278,12 +273,10 @@ def test_local_children_categorical_fast_equals_reference():
         child_base=np.arange(m, dtype=np.int64) * 4,
         n_next=4 * m,
     )
-    results = []
-    for mode in ("fast", "reference"):
-        with forced_kernel_mode(mode):
-            results.append(_local_children(alist, decisions))
-    np.testing.assert_array_equal(results[0][0], results[1][0])
-    np.testing.assert_array_equal(results[0][1], results[1][1])
+    fast = _local_children(alist, decisions)
+    oracle = oracles.categorical_children_reference(alist, decisions)
+    np.testing.assert_array_equal(fast[0], oracle[0])
+    np.testing.assert_array_equal(fast[1], oracle[1])
 
 
 @pytest.mark.parametrize("old_size,new_size", [(3, 2), (2, 5), (4, 1)])
@@ -306,12 +299,9 @@ def test_reshard_fast_equals_reference(old_size, new_size):
             offsets,
         ))
     for rank in range(new_size):
-        outs = []
-        for mode in ("fast", "reference"):
-            with forced_kernel_mode(mode):
-                outs.append(_reshard_one_attribute(
-                    spec, 0, fragments, rank, new_size
-                ))
+        outs = [reshard(spec, 0, fragments, rank, new_size)
+                for reshard in (_reshard_one_attribute,
+                                oracles.reshard_one_attribute_reference)]
         for field in ("values", "rids", "labels", "offsets"):
             np.testing.assert_array_equal(
                 getattr(outs[0], field), getattr(outs[1], field)
@@ -319,32 +309,32 @@ def test_reshard_fast_equals_reference(old_size, new_size):
 
 
 # ---------------------------------------------------------------------------
-# end to end: the mode switch is invisible (trees + trace digests)
+# end to end: swapping the oracles in is invisible (trees + trace digests)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("split_mode", ["exact", "histogram", "voted"])
-def test_fit_reference_mode_is_bit_identical(monkeypatch, split_mode):
-    """A full parallel fit under reference kernels must match the fast
-    run event for event: same tree, same per-rank collective digests —
-    the strongest statement that the overhaul is a kernel swap, not an
-    algorithm change."""
+@pytest.mark.parametrize("split_mode", ["exact", "voted"])
+def test_fit_reference_mode_is_bit_identical(request, split_mode):
+    """A full parallel fit on the oracle kernels must match the fast run
+    event for event: same tree, same per-rank collective digests — the
+    strongest statement that the kernels are a swap, not an algorithm
+    change."""
     from repro.core import InductionConfig, ScalParC
     from repro.datagen import generate_quest
 
     ds = generate_quest(300, "F2", seed=7)
     config = InductionConfig(split_mode=split_mode)
 
-    def run(mode):
-        monkeypatch.setenv(kernels.KERNEL_MODE_ENV, mode)
+    def run():
         tc = TraceCollector()
         result = ScalParC(n_processors=3, config=config, machine=None,
                           backend="thread").fit(ds, trace=tc)
         return result, tc
 
-    res_fast, tc_fast = run("fast")
-    res_ref, tc_ref = run("reference")
+    res_fast, tc_fast = run()
+    request.getfixturevalue("kernel_oracles")
+    res_ref, tc_ref = run()
     assert_trees_equal(res_fast.tree, res_ref.tree,
-                       f"(kernel modes, {split_mode})")
+                       f"(kernel oracles, {split_mode})")
     for rank in range(3):
         fast_events = tc_fast.events_of(rank)
         ref_events = tc_ref.events_of(rank)

@@ -6,16 +6,15 @@ Contracts pinned here (see :mod:`repro.core.strategies`):
   induced tree equals the golden fixtures bit-for-bit at every world
   size and on every SPMD backend (the strategy extraction moved code,
   not semantics);
-* **histogram degenerates to exact** — with at least as many bins as
-  distinct values the binned cubes carry full information and the tree
-  is structurally identical to exact's;
+* **voted degenerates to exact** — electing every attribute, with at
+  least as many bins as distinct values, the binned cubes carry full
+  information and the tree is structurally identical to exact's;
 * **the ablation headline** — voted mode cuts FindSplit communication
   ≥5× on a wide continuous schema while staying within 1% training
   accuracy of exact on Quest data;
 * config plumbing: ``REPRO_SPMD_SPLIT_MODE`` env parity, the balanced
-  categorical-coordinator mapping (histogram/voted only — exact keeps
-  the legacy schedule), and checkpoint rejection of mid-tree
-  strategy switches.
+  categorical-coordinator mapping (voted only — exact keeps the legacy
+  schedule), and checkpoint rejection of mid-tree strategy switches.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import pytest
 
 from repro.core import InductionConfig, ScalParC
 from repro.core.config import SPLIT_MODE_ENV
-from repro.core.findsplit import coordinator_of as legacy_coordinator_of
+from repro.core.findsplit import coordinator_of
 from repro.core.induction import induce_worker
 from repro.core.phases import FINDSPLIT_PHASES
 from repro.core.strategies import STRATEGIES, make_strategy
@@ -90,21 +89,24 @@ def test_exact_matches_golden_on_every_backend(name, backend):
 
 
 # ----------------------------------------------------------------------
-# histogram: exact-degeneration and backend independence
+# voted: exact-degeneration and backend independence
 # ----------------------------------------------------------------------
 
 
 def test_histogram_with_enough_bins_is_bit_identical_to_exact():
-    """n_bins ≥ n_distinct ⇒ every value gets its own bin and the snapped
-    thresholds coincide with exact's — the trees must match exactly."""
+    """Every attribute elected and n_bins ≥ n_distinct ⇒ every node scores
+    every attribute's full histogram, every value gets its own bin and
+    the snapped thresholds coincide with exact's — the trees must match
+    exactly."""
     ds = paper_dataset(400, "F2", seed=0)
     exact = _fit(ds, procs=3, split_mode="exact").tree
-    binned = _fit(ds, procs=3, split_mode="histogram", n_bins=512).tree
+    binned = _fit(ds, procs=3, split_mode="voted", n_bins=512,
+                  vote_top_k=len(ds.schema.attributes)).tree
     assert binned.structurally_equal(exact)
 
 
 @pytest.mark.parametrize("mode,kwargs", [
-    ("histogram", {"n_bins": 8}),
+    ("voted", {"n_bins": 8, "vote_top_k": 9}),      # every F2 attribute
     ("voted", {"n_bins": 8, "vote_top_k": 1}),
 ])
 def test_approximate_modes_are_backend_independent(mode, kwargs):
@@ -179,16 +181,6 @@ def test_voted_cuts_findsplit_bytes_5x_within_1pct_accuracy():
     assert abs(acc["exact"] - acc["voted"]) <= 0.01, acc
 
 
-def test_histogram_32_bins_within_1pct_accuracy():
-    quest = paper_dataset(400, "F2", seed=0)
-    acc = {}
-    for mode in ("exact", "histogram"):
-        _, tree = _findsplit_bytes(quest, split_mode=mode, n_bins=32)
-        acc[mode] = float(
-            (tree.predict_columns(quest.columns) == quest.labels).mean())
-    assert abs(acc["exact"] - acc["histogram"]) <= 0.01, acc
-
-
 # ----------------------------------------------------------------------
 # config plumbing
 # ----------------------------------------------------------------------
@@ -198,12 +190,12 @@ def test_split_mode_env_parity(monkeypatch):
     """An unset ``split_mode`` defers to REPRO_SPMD_SPLIT_MODE exactly as
     if the mode had been passed explicitly."""
     ds = paper_dataset(300, "F2", seed=2)
-    explicit = _fit(ds, split_mode="histogram", n_bins=16).tree
+    explicit = _fit(ds, split_mode="voted", n_bins=16).tree
 
-    monkeypatch.setenv(SPLIT_MODE_ENV, "histogram")
+    monkeypatch.setenv(SPLIT_MODE_ENV, "voted")
     from_env = _fit(ds, split_mode=None, n_bins=16).tree
     assert from_env.structurally_equal(explicit)
-    assert InductionConfig().resolved_split_mode() == "histogram"
+    assert InductionConfig().resolved_split_mode() == "voted"
 
     monkeypatch.setenv(SPLIT_MODE_ENV, "quantum")
     with pytest.raises(ValueError, match="quantum"):
@@ -211,7 +203,7 @@ def test_split_mode_env_parity(monkeypatch):
 
 
 def test_strategy_registry_covers_all_modes():
-    assert set(STRATEGIES) == {"exact", "histogram", "voted"}
+    assert set(STRATEGIES) == {"exact", "voted"}
     for mode in STRATEGIES:
         strategy = make_strategy(InductionConfig(split_mode=mode))
         assert strategy.name == mode
@@ -219,10 +211,9 @@ def test_strategy_registry_covers_all_modes():
 
 def test_balanced_coordinator_spreads_narrow_schemas():
     """Legacy round-robin over the raw attribute index collides when the
-    categorical attributes share a residue class; the strategy mapping
-    round-robins over the categorical ordinal instead.  Exact keeps the
-    legacy schedule (its trace digests are pinned), histogram/voted get
-    the balanced one."""
+    categorical attributes share a residue class; voted round-robins over
+    the categorical ordinal instead.  Exact keeps the legacy schedule
+    (its trace digests are pinned)."""
 
     class _FakeList:
         def __init__(self, spec, attr_index):
@@ -238,20 +229,11 @@ def test_balanced_coordinator_spreads_narrow_schemas():
     assert ordinals == {1: 0, 3: 1}
 
     size = 2
-    exact = make_strategy(InductionConfig(split_mode="exact"))
-    hist = make_strategy(InductionConfig(split_mode="histogram"))
-    cat_lists = [lists[1], lists[3]]
-
-    legacy = {a.attr_index: legacy_coordinator_of(a.attr_index, size)
-              for a in cat_lists}
+    legacy = {a: coordinator_of(a, size) for a in ordinals}
     assert legacy == {1: 1, 3: 1}          # both collide on rank 1
-    got_exact = {a.attr_index: exact.coordinator_of(a, ordinals, size)
-                 for a in cat_lists}
-    assert got_exact == legacy             # exact: schedule untouched
-    got_hist = {a.attr_index: hist.coordinator_of(a, ordinals, size)
-                for a in cat_lists}
-    assert sorted(got_hist.values()) == [0, 1]   # balanced: spread out
-    assert got_hist[1] == balanced_coordinator_of(0, size)
+    balanced = {a: balanced_coordinator_of(o, size)
+                for a, o in ordinals.items()}
+    assert balanced == {1: 0, 3: 1}        # balanced: spread out
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +257,7 @@ def test_checkpoint_resume_same_mode_is_identical(tmp_path):
 
 @pytest.mark.parametrize("switched", [
     InductionConfig(split_mode="exact"),
-    InductionConfig(split_mode="histogram", n_bins=16),
+    InductionConfig(split_mode="voted", n_bins=16, vote_top_k=1),
     InductionConfig(split_mode="voted", n_bins=8, vote_top_k=2),
 ])
 def test_checkpoint_rejects_mid_tree_mode_switch(tmp_path, switched):

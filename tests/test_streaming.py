@@ -24,7 +24,7 @@ from repro.core import InductionConfig, ScalParC
 from repro.core.config import SKETCH_SIZE_ENV, STREAM_CHUNK_ENV
 from repro.core.criteria import best_categorical_split
 from repro.core.frontier import LevelFrontier
-from repro.core.kernels import forced_kernel_mode, split_scores
+from repro.core.kernels import split_scores
 from repro.core.phases import STREAM_SKETCH
 from repro.core.splits import NO_CANDIDATE, candidate_beats, encode_mask
 from repro.datagen import paper_dataset
@@ -259,19 +259,20 @@ def _random_sketch_stack(rng, n_nodes, n_classes, cap):
 @given(seed=st.integers(0, 2 ** 31 - 1), n_classes=st.integers(2, 3),
        cap=st.sampled_from([8, 16, 64]))
 def test_batched_scorer_matches_per_node_oracle(criterion, subsets, mode,
-                                                seed, n_classes, cap):
+                                                request, seed, n_classes,
+                                                cap):
     rng = np.random.default_rng(seed)
     schema = Schema(attributes=_SCORER_ATTRS, n_classes=n_classes)
     config = InductionConfig(criterion=criterion,
                              categorical_binary_subsets=subsets)
     stack, totals = _random_sketch_stack(rng, 9, n_classes, cap)
     rows = rng.permutation(len(stack))[:7]      # a rank's share, any order
-    with forced_kernel_mode(mode):
-        got = induction._score_nodes(stack[rows], totals[rows], schema,
-                                     config)
-        want = np.array([
-            _best_from_sketches(list(stack[k]), totals[k], schema, config)[0]
-            for k in rows])
+    if mode == "reference":
+        request.getfixturevalue("kernel_oracles")
+    got = induction._score_nodes(stack[rows], totals[rows], schema, config)
+    want = np.array([
+        _best_from_sketches(list(stack[k]), totals[k], schema, config)[0]
+        for k in rows])
     np.testing.assert_array_equal(got, want)
 
 
