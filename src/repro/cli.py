@@ -16,7 +16,7 @@ Commands
     Seal a saved model (``train --save-model``) into a versioned serving
     registry; ``--activate`` makes it the current version (hot-swap).
 ``serve``
-    Run the async micro-batching prediction server over a registry.
+    Run the async batching prediction server over a registry.
 ``query``
     Send a prediction batch to a running server and report the answering
     model version and accuracy.
@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "up between batches)")
 
     serve_cmd = sub.add_parser(
-        "serve", help="run the micro-batching prediction server")
+        "serve", help="run the batching prediction server (each batch "
+                      "takes every request already queued, up to "
+                      "--max-batch records; none waits for company)")
     serve_cmd.add_argument("--registry", type=Path, required=True,
                            help="registry root holding published versions")
     serve_cmd.add_argument("--host", default="127.0.0.1")
@@ -203,13 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the bound port here (atomically) — "
                                 "for scripts using --port 0")
     serve_cmd.add_argument("--max-batch", type=int, default=256,
-                           help="flush a batch at this many records "
+                           help="record budget of one kernel batch "
                                 "(default 256)")
-    serve_cmd.add_argument("--max-delay-ms", type=float, default=2.0,
-                           help="flush a batch at most this many ms after "
-                                "its first record (default 2)")
-    serve_cmd.add_argument("--workers", type=int, default=1,
-                           help="kernel thread-pool width (default 1)")
 
     query = sub.add_parser(
         "query", help="send a prediction batch to a running server")
@@ -431,11 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serving import ModelRegistry, ServerConfig, serve
 
-    config = ServerConfig(
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
-        workers=args.workers,
-    )
+    config = ServerConfig(max_batch=args.max_batch)
     registry = ModelRegistry(args.registry)
     try:
         stats = asyncio.run(serve(

@@ -1,4 +1,4 @@
-"""Model serving: versioned registry, async micro-batching server, client.
+"""Model serving: versioned registry, async batching server, client.
 
 The serving stack turns induced trees into a production path:
 
@@ -7,9 +7,10 @@ The serving stack turns induced trees into a production path:
   discipline), with an atomic ``CURRENT`` pointer for hot-swap and
   lease-counted draining of superseded versions;
 * :mod:`repro.serving.server` — an asyncio front end over a
-  micro-batching queue (flush on batch size or delay) executing the
-  compiled flat-array kernel on a worker pool, plus a framed-TCP
-  network front end (``python -m repro serve``);
+  work-conserving batching queue (each batch takes every request already
+  queued, up to a record budget) running the compiled flat-array kernel
+  on the event loop, plus a framed-TCP network front end
+  (``python -m repro serve``);
 * :mod:`repro.serving.client` — a small blocking client speaking the
   same length-prefixed frame protocol as the TCP engine.
 """

@@ -1,11 +1,14 @@
-"""Async micro-batching prediction server over the compiled kernel.
+"""Async work-conserving prediction server over the compiled kernel.
 
 Three moving parts:
 
 * :class:`BatchServer` — the in-process engine: an asyncio queue in
-  front of a batcher that flushes on **max batch size or max delay**
-  (whichever first), a thread pool executing the compiled flat-array
-  kernel, and per-request latency / per-batch throughput counters
+  front of a **work-conserving** batcher (it waits for the first
+  request, takes every request already queued up to ``max_batch``
+  records, runs that batch and loops — requests arriving while a batch
+  runs make up the next one; no timer ever holds a request back), the
+  compiled flat-array kernel run inline on the event loop, and
+  per-request latency / per-batch throughput counters
   (:class:`ServingStats`, ``describe()`` in the run-stats house style).
 * :func:`serve` — a framed-TCP network front end (the same
   length-prefixed CRC-guarded frames as the TCP engine's wire
@@ -13,7 +16,7 @@ Three moving parts:
 * Hot-swap: each batch resolves the registry's *current* model once and
   holds a lease on it for the batch's duration — a swap lands between
   batches, atomically; no request ever observes a torn model, and the
-  superseded version drains as its in-flight batches finish.
+  superseded version drains as its in-flight batch finishes.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 import asyncio
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -44,19 +46,14 @@ class ServerStoppedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Micro-batching knobs.
+    """Batching knobs.
 
     Attributes
     ----------
     max_batch:
-        Flush the pending queue once this many *records* are waiting.
-    max_delay:
-        Flush at most this many seconds after the first record of a
-        batch arrived (the latency a lone request pays to give
-        stragglers a chance to share its batch).
-    workers:
-        Kernel thread-pool width: batches execute concurrently on up to
-        this many threads (numpy releases the GIL in the gathers).
+        Record budget of one kernel batch: the batcher takes queued
+        requests until the next one would overshoot it (a lone request
+        larger than the budget still runs, alone).
     refresh_current:
         Re-resolve the registry's on-disk ``CURRENT`` pointer before
         each batch (one ``stat`` when nothing changed), so hot-swaps by
@@ -65,17 +62,11 @@ class ServerConfig:
     """
 
     max_batch: int = 256
-    max_delay: float = 0.002
-    workers: int = 1
     refresh_current: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +176,7 @@ _STOP = object()
 
 
 class BatchServer:
-    """Micro-batching prediction engine (see module docstring).
+    """Work-conserving batching prediction engine (see module docstring).
 
     ``source`` is a :class:`ModelRegistry` (hot-swappable) or a fixed
     :class:`ServableModel`.
@@ -203,8 +194,6 @@ class BatchServer:
         self.stats = ServingStats()
         self._queue: asyncio.Queue | None = None
         self._batcher: asyncio.Task | None = None
-        self._inflight: set[asyncio.Task] = set()
-        self._pool: ThreadPoolExecutor | None = None
 
     @property
     def running(self) -> bool:
@@ -214,18 +203,13 @@ class BatchServer:
         if self.running:
             raise RuntimeError("server already started")
         self._queue = asyncio.Queue()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="serve-kernel",
-        )
         self._batcher = asyncio.ensure_future(self._run_batcher())
 
     async def stop(self) -> None:
-        """Drain in-flight batches, then shut the pool down.
+        """Answer everything queued ahead of the stop sentinel, then
+        fail what is left.
 
-        Requests still queued when the batcher exits — enqueued behind
-        the stop sentinel, or left behind when the batcher saw the
-        sentinel mid-accumulation — fail with
+        Requests enqueued behind the sentinel fail with
         :class:`ServerStoppedError` instead of hanging forever.
         """
         if not self.running:
@@ -241,10 +225,6 @@ class BatchServer:
             self.stats.n_errors += 1
             item.future.set_exception(ServerStoppedError(
                 "server stopped before this request was scheduled"))
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
-        self._pool.shutdown(wait=True)
-        self._pool = None
         self._queue = None
 
     async def predict(self, rows, proba: bool = False) -> Prediction:
@@ -291,67 +271,45 @@ class BatchServer:
 
     async def _run_batcher(self) -> None:
         queue = self._queue
-        loop = asyncio.get_running_loop()
-        carry: _Request | None = None
+        max_batch = self.config.max_batch
+        item = None                 # taken from the queue, not yet batched
         while True:
-            if carry is not None:
-                first, carry = carry, None
-            else:
-                first = await queue.get()
-                if first is _STOP:
-                    return
-            batch = [first]
-            n = len(first.rows)
-            deadline = loop.time() + self.config.max_delay
-            stopping = False
-            while n < self.config.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is _STOP:
-                    stopping = True
-                    break
-                if n + len(item.rows) > self.config.max_batch:
-                    # Admitting this request would overshoot the record
-                    # budget: flush what we have and carry it into the
-                    # next batch (a lone oversized request still runs,
-                    # alone, because the accumulation loop never starts
-                    # for it).
-                    carry = item
+            if item is None:
+                item = await queue.get()
+            if item is _STOP:
+                return
+            # Take what is already queued, never waiting for more.  A
+            # request that would overshoot the record budget closes the
+            # batch and opens the next one; a lone oversized request
+            # runs alone.
+            batch, n, item = [item], len(item.rows), None
+            while n < max_batch and not queue.empty():
+                item = queue.get_nowait()
+                if item is _STOP or n + len(item.rows) > max_batch:
                     break
                 batch.append(item)
                 n += len(item.rows)
-            task = asyncio.ensure_future(self._run_batch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            if stopping:
-                return
+                item = None
+            self._run_batch(batch)
+            # let the answered requests reply before the next batch
+            await asyncio.sleep(0)
 
-    async def _run_batch(self, batch: list[_Request]) -> None:
-        loop = asyncio.get_running_loop()
+    def _run_batch(self, batch: list[_Request]) -> None:
         try:
             # One model resolution per batch, held under a lease: the
             # whole batch answers from exactly one version even if a
-            # hot-swap lands mid-flight, and a superseded version
-            # cannot be retired while this batch still routes on it.
+            # hot-swap lands mid-batch, and a superseded version cannot
+            # be retired while this batch still routes on it.
             model = self._current_model().acquire()
         except Exception as exc:
-            self.stats.n_errors += len(batch)
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+            self._fail(batch, exc)
             return
         try:
             rows = np.vstack([req.rows for req in batch]) \
                 if len(batch) > 1 else batch[0].rows
             want_proba = any(req.proba for req in batch)
             t0 = perf_counter()
-            leaves = await loop.run_in_executor(
-                self._pool, model.compiled.apply, rows)
+            leaves = model.compiled.apply(rows)
             kernel_seconds = perf_counter() - t0
             labels = model.compiled.leaf_label[leaves]
             proba = model.compiled.leaf_proba[leaves] if want_proba else None
@@ -373,12 +331,15 @@ class BatchServer:
                     ))
                 offset += k
         except Exception as exc:
-            self.stats.n_errors += len(batch)
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+            self._fail(batch, exc)
         finally:
             model.release()
+
+    def _fail(self, batch: list[_Request], exc: Exception) -> None:
+        self.stats.n_errors += len(batch)
+        for req in batch:
+            if not req.future.done():
+                req.future.set_exception(exc)
 
 
 # ----------------------------------------------------------------------
@@ -386,15 +347,34 @@ class BatchServer:
 # ----------------------------------------------------------------------
 
 
+async def _answer(server: BatchServer, op, request) -> dict:
+    """The reply payload of one decoded request frame."""
+    if op in ("ping", "shutdown"):
+        return {"ok": True, "op": op}
+    if op == "stats":
+        return {"ok": True, "stats": server.stats.snapshot(),
+                "describe": server.stats.describe()}
+    if op == "predict":
+        result = await server.predict(
+            np.asarray(request["rows"], dtype=np.float64),
+            proba=bool(request.get("proba", False)))
+        payload = {
+            "ok": True,
+            "labels": result.labels,
+            "version": result.version,
+            "digest": result.digest,
+        }
+        if result.proba is not None:
+            payload["proba"] = result.proba
+        return payload
+    return {"ok": False, "error": "BadRequest",
+            "message": f"unknown op {op!r}"}
+
+
 async def _handle_connection(server: BatchServer, stop: asyncio.Event,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
     assembler = FrameAssembler()
-
-    async def reply(obj) -> None:
-        writer.write(encode_frame(obj))
-        await writer.drain()
-
     try:
         while True:
             data = await reader.read(65_536)
@@ -405,43 +385,21 @@ async def _handle_connection(server: BatchServer, stop: asyncio.Event,
             except FrameError:
                 return                      # corrupted peer: drop it
             for request, _nbytes in frames:
+                op = request.get("op") if isinstance(request, dict) \
+                    else None
                 try:
-                    op = request.get("op") if isinstance(request, dict) \
-                        else None
-                    if op == "ping":
-                        await reply({"ok": True, "op": "ping"})
-                    elif op == "stats":
-                        await reply({"ok": True,
-                                     "stats": server.stats.snapshot(),
-                                     "describe": server.stats.describe()})
-                    elif op == "predict":
-                        rows = np.asarray(request["rows"], dtype=np.float64)
-                        result = await server.predict(
-                            rows, proba=bool(request.get("proba", False)))
-                        payload = {
-                            "ok": True,
-                            "labels": result.labels,
-                            "version": result.version,
-                            "digest": result.digest,
-                        }
-                        if result.proba is not None:
-                            payload["proba"] = result.proba
-                        await reply(payload)
-                    elif op == "shutdown":
-                        await reply({"ok": True, "op": "shutdown"})
-                        stop.set()
-                        return
-                    else:
-                        await reply({
-                            "ok": False, "error": "BadRequest",
-                            "message": f"unknown op {op!r}",
-                        })
+                    frame = encode_frame(await _answer(server, op, request))
                 except Exception as exc:
-                    await reply({
-                        "ok": False,
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    })
+                    frame = encode_frame({"ok": False,
+                                          "error": type(exc).__name__,
+                                          "message": str(exc)})
+                writer.write(frame)
+                await writer.drain()
+                if op == "shutdown":
+                    stop.set()
+                    return
+    except ConnectionError:
+        return                              # peer gone (reset / broken pipe)
     finally:
         writer.close()
         try:

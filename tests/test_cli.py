@@ -125,3 +125,11 @@ def test_report_command(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--results", str(tmp_path)]) == 0
     assert "TABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--max-delay-ms", "1"], ["--workers", "2"]])
+def test_serve_has_no_delay_or_pool_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--registry", "models", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

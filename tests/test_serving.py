@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -23,6 +25,7 @@ import pytest
 
 from repro.baselines import induce_serial
 from repro.datagen import paper_dataset
+from repro.runtime.framing import encode_frame
 from repro.serving import (
     BatchServer,
     CURRENT_POINTER,
@@ -241,7 +244,7 @@ def test_batch_server_matches_direct_prediction(tmp_path, trees):
     rows = test.features_matrix()
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_batch=64, workers=2))
+        server = BatchServer(reg, ServerConfig(max_batch=64))
         await server.start()
         try:
             result = await server.predict(rows, proba=True)
@@ -263,7 +266,9 @@ def test_batch_server_matches_direct_prediction(tmp_path, trees):
 
 def test_batch_server_coalesces_concurrent_requests(tmp_path, trees):
     """A burst of small concurrent requests shares kernel batches: far
-    fewer batches than requests, every answer still per-request."""
+    fewer batches than requests, every answer still per-request.  The
+    gathered burst is queued before the batcher runs, so the batcher
+    takes it without waiting for anything."""
     t1, _, test = trees
     reg = ModelRegistry(tmp_path)
     reg.publish(t1, activate=True)
@@ -272,8 +277,7 @@ def test_batch_server_coalesces_concurrent_requests(tmp_path, trees):
     n_requests = 64
 
     async def scenario():
-        server = BatchServer(
-            reg, ServerConfig(max_batch=1024, max_delay=0.05))
+        server = BatchServer(reg, ServerConfig(max_batch=1024))
         await server.start()
         try:
             results = await asyncio.gather(*[
@@ -304,7 +308,7 @@ def test_fixed_servable_model_source(tmp_path, trees):
     model = reg.current()
 
     async def scenario():
-        server = BatchServer(model, ServerConfig(max_delay=0.0))
+        server = BatchServer(model, ServerConfig())
         await server.start()
         try:
             return await server.predict(test.features_matrix())
@@ -330,8 +334,7 @@ def test_hot_swap_is_atomic_under_load(tmp_path, trees):
     labels_by_version = {1: predict_columns(t1, test.columns)[:8]}
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_batch=16,
-                                               max_delay=0.001))
+        server = BatchServer(reg, ServerConfig(max_batch=16))
         await server.start()
         seen = []
         try:
@@ -383,7 +386,7 @@ def test_server_surfaces_typed_error_for_corrupt_current(tmp_path, trees):
     (tmp_path / CURRENT_POINTER).write_text(json.dumps({"version": 1}))
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_delay=0.0))
+        server = BatchServer(reg, ServerConfig())
         await server.start()
         try:
             with pytest.raises(ModelArtifactError):
@@ -415,7 +418,7 @@ def test_tcp_serve_round_trip(tmp_path, trees):
         stats_box["stats"] = asyncio.run(serve(
             ModelRegistry(tmp_path / "registry"),   # its own instance
             port=0, port_file=port_file,
-            config=ServerConfig(max_batch=64, max_delay=0.001),
+            config=ServerConfig(max_batch=64),
             announce=lambda host, port: None,
         ))
 
@@ -490,6 +493,51 @@ def test_tcp_malformed_request_gets_typed_reply(tmp_path, trees):
             client.predict(np.zeros((4, 3)))      # wrong record width
         client.shutdown()
     thread.join(timeout=10)
+
+
+@pytest.mark.tcp
+def test_peer_reset_ends_its_connection_quietly(tmp_path, trees):
+    """Clients that send a predict frame and then reset the connection
+    (``SO_LINGER`` 0) end their handlers quietly: the loop's exception
+    handler sees nothing, and the next client is still answered."""
+    t1, _, test = trees
+    reg = ModelRegistry(tmp_path / "registry")
+    info = reg.publish(t1, activate=True)
+    port_file = tmp_path / "port"
+    rows = test.features_matrix()[:4]
+    unhandled = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        await serve(ModelRegistry(tmp_path / "registry"), port=0,
+                    port_file=port_file, announce=lambda *a: None)
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()),
+                              daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while not port_file.exists():
+        assert time.monotonic() < deadline, "server never bound"
+        time.sleep(0.01)
+    port = int(port_file.read_text())
+
+    frame = encode_frame({"op": "predict", "rows": rows})
+    for _ in range(10):
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.sendall(frame)             # closing now sends a reset
+
+    with ServingClient("127.0.0.1", port) as client:
+        reply = client.predict(rows)
+        assert reply["digest"] == info.compiled_digest
+        np.testing.assert_array_equal(
+            reply["labels"], predict_columns(t1, test.columns)[:4])
+        client.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert unhandled == []
 
 
 # ----------------------------------------------------------------------
@@ -581,10 +629,9 @@ def test_stop_fails_requests_left_in_queue(tmp_path, trees):
     rows = test.features_matrix()[:4]
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_delay=5.0,
-                                               max_batch=1 << 20))
+        server = BatchServer(reg, ServerConfig(max_batch=1 << 20))
         await server.start()
-        # the batcher picks this up and sits in its accumulation window
+        # answered at once: the batcher never waits for company
         in_flight = asyncio.ensure_future(server.predict(rows))
         await asyncio.sleep(0.05)
         stopper = asyncio.ensure_future(server.stop())
@@ -592,7 +639,7 @@ def test_stop_fails_requests_left_in_queue(tmp_path, trees):
         stranded = asyncio.ensure_future(server.predict(rows))
         await asyncio.sleep(0)          # request lands behind the sentinel
         await stopper
-        first = await in_flight         # flushed batch still answers
+        first = await in_flight         # answered ahead of the sentinel
         with pytest.raises(ServerStoppedError):
             await stranded
         return first, server.stats
@@ -605,7 +652,7 @@ def test_stop_fails_requests_left_in_queue(tmp_path, trees):
 
 def test_mismatched_width_fails_alone_not_the_batch(tmp_path, trees):
     """A request with the wrong column count is rejected at enqueue time;
-    the well-formed request sharing its flush window is unharmed (the old
+    the well-formed request queued alongside it is unharmed (the old
     behaviour poisoned every co-batched future at the vstack)."""
     t1, _, test = trees
     reg = ModelRegistry(tmp_path)
@@ -614,8 +661,7 @@ def test_mismatched_width_fails_alone_not_the_batch(tmp_path, trees):
     wide = np.zeros((3, rows.shape[1] + 2))
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_delay=0.05,
-                                               max_batch=4096))
+        server = BatchServer(reg, ServerConfig(max_batch=4096))
         await server.start()
         try:
             good = asyncio.ensure_future(server.predict(rows))
@@ -633,7 +679,7 @@ def test_mismatched_width_fails_alone_not_the_batch(tmp_path, trees):
 
 
 def test_batcher_never_exceeds_max_batch(tmp_path, trees):
-    """The accumulator flushes *before* admitting a request that would
+    """The batcher flushes *before* admitting a request that would
     overshoot the record budget (the old order appended first, so every
     full batch ran over); a lone oversized request still runs, alone."""
     t1, _, test = trees
@@ -642,7 +688,7 @@ def test_batcher_never_exceeds_max_batch(tmp_path, trees):
     rows = test.features_matrix()
 
     async def scenario():
-        server = BatchServer(reg, ServerConfig(max_batch=8, max_delay=0.2))
+        server = BatchServer(reg, ServerConfig(max_batch=8))
         await server.start()
         try:
             burst = await asyncio.gather(*[
@@ -662,3 +708,47 @@ def test_batcher_never_exceeds_max_batch(tmp_path, trees):
             predict_columns(t1, test.columns)[3 * i:3 * i + 3])
     assert len(oversized.labels) == 20  # oversized request ran alone
     assert stats.n_errors == 0
+
+
+# ----------------------------------------------------------------------
+# work-conserving policy: no accumulation window, no pool
+# ----------------------------------------------------------------------
+
+
+def test_lone_request_arms_no_timer(tmp_path, trees):
+    """A lone request on an idle server is answered without arming any
+    loop timer: the batcher never waits for company."""
+    t1, _, test = trees
+    reg = ModelRegistry(tmp_path)
+    reg.publish(t1, activate=True)
+    row = test.features_matrix()[0]
+
+    async def scenario():
+        server = BatchServer(reg)
+        await server.start()
+        await asyncio.sleep(0)          # the batcher idles on the queue
+        loop = asyncio.get_running_loop()
+        armed = []
+        call_at = loop.call_at
+
+        def counting_call_at(when, callback, *args, **kwargs):
+            armed.append(callback)
+            return call_at(when, callback, *args, **kwargs)
+
+        loop.call_at = counting_call_at
+        try:
+            result = await server.predict(row)
+        finally:
+            del loop.call_at
+            await server.stop()
+        return result, armed
+
+    result, armed = asyncio.run(scenario())
+    assert result.labels.shape == (1,)
+    assert armed == []
+
+
+@pytest.mark.parametrize("retired", [{"max_delay": 0.002}, {"workers": 2}])
+def test_server_config_has_no_delay_or_pool_knob(retired):
+    with pytest.raises(TypeError):
+        ServerConfig(**retired)
