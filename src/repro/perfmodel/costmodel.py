@@ -5,8 +5,8 @@ Maps each runtime collective to a modeled completion time on a
 Kumar/Grama/Gupta/Karypis (*Introduction to Parallel Computing*) that the
 paper cites:
 
-* tree/ring collectives (bcast, reduce, allreduce, scans, gathers,
-  scatter): ``coll_latency · ⌈log2 p⌉ + max_rank(sent+recv) / ptp_bw``;
+* tree/ring collectives (reduce, allreduce, exscan, allgather(v)):
+  ``coll_latency · ⌈log2 p⌉ + max_rank(sent+recv) / ptp_bw``;
 * all-to-all personalized (the paradigm's workhorse):
   ``a2a_latency · p + max_rank(sent+recv) / a2a_bw`` — per-processor
   latency exactly as the paper benchmarks it;
@@ -34,7 +34,8 @@ _SYNC_PREFIXES = ("barrier",)
 
 
 def collective_category(op: str) -> str:
-    """Classify a runtime op tag (e.g. ``"bcast(root=0)"``) for costing."""
+    """Classify a runtime op tag (e.g. ``"reduce(op=sum,root=0)"``) for
+    costing."""
     name = op.split("(", 1)[0]
     if name.startswith(_A2A_PREFIXES):
         return "a2a"

@@ -35,8 +35,8 @@ class MachineSpec:
     ptp_latency, ptp_bandwidth:
         Linear model of a point-to-point message: ``t = L + m / B``.
     coll_latency:
-        Per-stage latency of tree/ring structured collectives (bcast,
-        reduce, scans, gathers); a collective over p ranks pays
+        Per-stage latency of tree/ring structured collectives (reduce,
+        allreduce, exscan, allgathers); a collective over p ranks pays
         ``coll_latency * ceil(log2 p)`` in startup terms.
     a2a_latency, a2a_bandwidth:
         All-to-all personalized communication: per-destination latency (the

@@ -235,11 +235,11 @@ class PerfRun:
 
     # -- CommObserver interface -------------------------------------------
 
-    def on_collective(self, op: str, sent: list[int], recv: list[int],
-                      size: int) -> None:
+    def on_collective(self, op: str, sent: list[int],
+                      recv: list[int]) -> None:
         """Engine callback: price one collective step, advance all clocks
         in lock-step, and account traffic + transient buffers."""
-        cost = collective_cost(self.machine, op, sent, recv, size)
+        cost = collective_cost(self.machine, op, sent, recv, self.size)
         new_clock = max(t.clock for t in self.trackers) + cost
         category = collective_category(op)
         width = fused_width(op)

@@ -1,9 +1,9 @@
 """Simulated SPMD message-passing runtime (the repo's "MPI" substrate).
 
 The ScalParC paper runs on MPI over a Cray T3D.  This package provides a
-faithful stand-in: logical ranks, a full MPI-1-style collective library
-over numpy buffers, point-to-point messaging, collective-order
-verification, and observer hooks that the performance model uses to price
+faithful stand-in: logical ranks, the MPI-1-style collectives ScalParC
+uses over numpy buffers, blocking point-to-point messaging,
+collective-order verification, and observer hooks that the performance model uses to price
 every byte that moves.
 
 *How* ranks execute is pluggable (see :mod:`repro.runtime.engines`):
@@ -37,13 +37,7 @@ from .checkpoint import (
     latest_manifest,
     resolve_checkpoint,
 )
-from .communicator import (
-    ANY_TAG,
-    Communicator,
-    NullPerf,
-    Request,
-    SelfCommunicator,
-)
+from .communicator import Communicator, NullPerf, SelfCommunicator
 from .engines import (
     CommObserver,
     DEFAULT_BACKEND,
@@ -106,7 +100,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "ANY_TAG",
     "CHECKPOINT_ENV",
     "CheckpointConfig",
     "CheckpointError",
@@ -140,7 +133,6 @@ __all__ = [
     "ShmDescriptor",
     "ShmPool",
     "RemoteTraceback",
-    "Request",
     "SelfCommunicator",
     "SpmdEngine",
     "SpmdError",

@@ -99,14 +99,6 @@ def _at_root(spec: Collective, size: int, value: Any) -> list:
     return out
 
 
-def _scatter(spec: Collective, contribs: list) -> list:
-    items = contribs[spec.root]
-    if items is None or len(items) != len(contribs):
-        raise ValueError(
-            f"scatter root must supply exactly {len(contribs)} items")
-    return list(items)
-
-
 def _transpose(_spec: Collective, contribs: list) -> list:
     # rank j's result is block j of every rank's contribution, in
     # source-rank order; blocks are moved, never looked into
@@ -130,26 +122,16 @@ def _allreduce(spec: Collective, contribs: list) -> list:
     return [total.copy() for _ in contribs]         # private copies
 
 
-def _reduce_scatter(spec: Collective, contribs: list) -> list:
-    total = lookup(spec.op).reduce(contribs)
-    return [total[r].copy() for r in range(len(contribs))]
-
-
 _RESULTS = {
     "barrier": lambda spec, c: [None] * len(c),
-    "bcast": lambda spec, c: [c[spec.root]] * len(c),
-    "gather": lambda spec, c: _at_root(spec, len(c), list(c)),
     "allgather": lambda spec, c: [list(c)] * len(c),
     "allgatherv": lambda spec, c: [
         np.concatenate([np.asarray(x) for x in c])] * len(c),
-    "scatter": _scatter,
     "alltoall": _transpose,
     "alltoallv": _transpose,
     "reduce": _reduce,
     "allreduce": _allreduce,
     "exscan": lambda spec, c: lookup(spec.op).exscan(c),
-    "scan": lambda spec, c: lookup(spec.op).scan(c),
-    "reduce_scatter": _reduce_scatter,
 }
 
 
@@ -162,37 +144,11 @@ def _sizes(contribs: list) -> list[int]:
     return [payload_logical_nbytes(c) for c in contribs]
 
 
-def _bcast_bytes(spec: Collective, contribs: list) -> _Bytes:
-    size = len(contribs)
-    n = payload_logical_nbytes(contribs[spec.root])
-    sent = [0] * size
-    sent[spec.root] = n * (size - 1)
-    recv = [n] * size
-    recv[spec.root] = 0
-    return sent, recv
-
-
-def _gather_bytes(spec: Collective, contribs: list) -> _Bytes:
-    sent = _sizes(contribs)
-    recv = [0] * len(contribs)
-    recv[spec.root] = sum(sent) - sent[spec.root]
-    sent[spec.root] = 0
-    return sent, recv
-
-
 def _allgather_bytes(_spec: Collective, contribs: list) -> _Bytes:
     sizes = _sizes(contribs)
     total = sum(sizes)
     return ([s * (len(contribs) - 1) for s in sizes],
             [total - s for s in sizes])
-
-
-def _scatter_bytes(spec: Collective, contribs: list) -> _Bytes:
-    recv = _sizes(contribs[spec.root])
-    sent = [0] * len(contribs)
-    sent[spec.root] = sum(recv) - recv[spec.root]
-    recv[spec.root] = 0
-    return sent, recv
 
 
 def _reduce_bytes(_spec: Collective, contribs: list) -> _Bytes:
@@ -202,11 +158,6 @@ def _reduce_bytes(_spec: Collective, contribs: list) -> _Bytes:
     # once per fused group
     sizes = _sizes(contribs)
     return sizes, list(sizes)
-
-
-def _reduce_scatter_bytes(_spec: Collective, contribs: list) -> _Bytes:
-    sizes = _sizes(contribs)
-    return sizes, [sizes[0] // len(contribs)] * len(contribs)
 
 
 def _transpose_bytes(_spec: Collective, contribs: list) -> _Bytes:
@@ -225,13 +176,9 @@ def _transpose_bytes(_spec: Collective, contribs: list) -> _Bytes:
 
 #: kinds absent here (``barrier``) move no payload
 _BYTES = {
-    "bcast": _bcast_bytes,
-    "gather": _gather_bytes,
     "allgather": _allgather_bytes,
     "allgatherv": _allgather_bytes,
-    "scatter": _scatter_bytes,
     "alltoall": _transpose_bytes,
     "alltoallv": _transpose_bytes,
-    "reduce_scatter": _reduce_scatter_bytes,
-    **dict.fromkeys(("reduce", "allreduce", "exscan", "scan"), _reduce_bytes),
+    **dict.fromkeys(("reduce", "allreduce", "exscan"), _reduce_bytes),
 }

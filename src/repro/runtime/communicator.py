@@ -2,9 +2,13 @@
 
 All of ScalParC (and the parallel SPRINT baseline) is written against this
 interface, exactly as the paper's implementation is written against MPI.
-The interface is deliberately a faithful subset of MPI-1 collectives plus
-blocking point-to-point, with numpy arrays as the preferred payload type
-(mirroring mpi4py's buffer-based upper-case methods).
+It carries what the algorithms use and nothing more: the exscan of
+FindSplitI, the MINLOC allreduce of FindSplitII, the all-to-all
+personalized exchanges of the parallel hashing paradigm, the gathers and
+barrier around them, and blocking point-to-point for the machine
+benchmark — with numpy arrays as the preferred payload type (mirroring
+mpi4py's buffer-based upper-case methods).  A job has one communicator
+per rank, spanning the whole world.
 
 Engines implement two primitives:
 
@@ -13,19 +17,15 @@ Engines implement two primitives:
 * :meth:`Communicator.send` / :meth:`Communicator.recv` — blocking
   point-to-point.
 
-Every collective method here (bcast, gather, allgather(v), scatter,
-reduce, allreduce, scan, exscan, reduce_scatter, alltoall(v), barrier)
-only validates its arguments and names a
+Every collective method here (barrier, allgather(v), reduce, allreduce,
+exscan, alltoall(v)) only validates its arguments and names a
 :class:`~repro.runtime.collective.Collective`; what that collective
 computes and how its bytes are accounted is defined once, in
 :mod:`repro.runtime.collective`, and runs wherever an engine lets the
 contributions meet.  :meth:`Communicator._exchange` is the thin wrapper
 over the engine primitive that also records collective-trace events when
 the job runs with tracing enabled (see :mod:`repro.runtime.tracing`), so
-semantics, accounting and tracing are engine-independent.  Engines
-additionally provide ``_try_recv`` / ``_probe`` (non-blocking
-point-to-point probes), from which the nonblocking :class:`Request` API
-is derived here, and ``split`` (sub-communicators).
+semantics, accounting and tracing are engine-independent.
 """
 
 from __future__ import annotations
@@ -42,15 +42,10 @@ from .fusion import FusedBatch
 from .reduction import ReduceOp
 
 __all__ = [
-    "ANY_TAG",
     "Communicator",
     "NullPerf",
-    "Request",
     "SelfCommunicator",
 ]
-
-#: any tag matches in recv/probe when passed as the tag argument
-ANY_TAG = -1
 
 
 class NullPerf:
@@ -102,9 +97,7 @@ class Communicator(ABC):
     """
 
     #: per-rank collective-trace recorder; attached by the engine when the
-    #: job runs with tracing enabled (see repro.runtime.tracing).  Like the
-    #: performance observer, tracing covers the world communicator only —
-    #: sub-communicators from split() do not inherit the recorder.
+    #: job runs with tracing enabled (see repro.runtime.tracing)
     _tracer: Any | None = None
 
     def __init__(self, rank: int, size: int, perf: Any | None = None):
@@ -161,65 +154,10 @@ class Communicator(ABC):
         """Blocking point-to-point receive matching (source, tag) in FIFO
         order per (source, tag) channel."""
 
-    def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        """Non-blocking receive primitive: ``(matched, payload)``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support nonblocking receive"
-        )
-
-    def _probe(self, source: int, tag: int) -> bool:
-        """Non-destructive test for a matching message (MPI_Iprobe)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support probing"
-        )
-
-    def split(self, color: int, key: int | None = None) -> "Communicator | None":
-        """Partition the communicator into sub-communicators (MPI_Comm_split).
-
-        Ranks passing the same ``color`` form a new communicator; within
-        it they are re-ranked by ``(key, old rank)`` ascending (``key``
-        defaults to the old rank).  Passing a negative color opts out and
-        returns ``None`` (the MPI_UNDEFINED convention).
-
-        Each sub-communicator gets private collective and mailbox state,
-        so collectives and point-to-point messages on it cannot interfere
-        with the parent's; an abort of the job still releases ranks
-        blocked on it.  The parent communicator remains usable; as in
-        MPI, all ranks must agree on which communicator each operation
-        targets.  Sub-communicator traffic is not priced by the parent's
-        performance observer (the lock-step clock is defined over the full
-        machine); ``comm.perf`` compute accounting still works.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sub-communicators"
-        )
-
     def _check_peer(self, rank: int, role: str) -> None:
         """Validate a point-to-point ``source`` / ``dest`` argument."""
         if not 0 <= rank < self.size:
             raise InvalidRankError(f"{role} {rank} outside [0, {self.size})")
-
-    # ------------------------------------------------------------------
-    # nonblocking point-to-point (engine-independent, via _try_recv)
-    # ------------------------------------------------------------------
-
-    def iprobe(self, source: int, tag: int = 0) -> bool:
-        """Non-destructively test whether a matching message is waiting."""
-        self._check_peer(source, "source")
-        return self._probe(source, tag)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Nonblocking send; the buffered transport completes immediately,
-        so the returned request is already done (MPI buffered-send
-        semantics)."""
-        self.send(obj, dest, tag)
-        return Request(_done=True)
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Nonblocking receive; poll with :meth:`Request.test` or block
-        with :meth:`Request.wait`."""
-        self._check_peer(source, "source")
-        return Request(_comm=self, _source=source, _tag=tag)
 
     # ------------------------------------------------------------------
     # collectives
@@ -233,20 +171,6 @@ class Communicator(ABC):
         """Block until every rank has entered the barrier."""
         self._exchange(Collective("barrier"), None)
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast *obj* from *root*; every rank returns root's object.
-
-        Non-root ranks' ``obj`` argument is ignored (pass ``None``).
-        """
-        self._check_root(root)
-        return self._exchange(Collective("bcast", root=root), obj)
-
-    def gather(self, obj: Any, root: int = 0) -> list | None:
-        """Gather one object per rank to *root*; root returns the list in
-        rank order, others return ``None``."""
-        self._check_root(root)
-        return self._exchange(Collective("gather", root=root), obj)
-
     def allgather(self, obj: Any) -> list:
         """Gather one object per rank onto every rank (rank order)."""
         return self._exchange(Collective("allgather"), obj)
@@ -255,12 +179,6 @@ class Communicator(ABC):
         """Concatenate per-rank 1-D (or same-trailing-shape) arrays onto
         every rank, in rank order."""
         return self._exchange(Collective("allgatherv"), np.asarray(arr))
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``objs[i]`` from *root* to rank ``i``; returns this
-        rank's item.  Non-root ranks pass ``None``."""
-        self._check_root(root)
-        return self._exchange(Collective("scatter", root=root), objs)
 
     # -- reductions -----------------------------------------------------
 
@@ -292,31 +210,6 @@ class Communicator(ABC):
         (rank 0 gets the operator identity)."""
         return self._exchange(Collective("exscan", op.name), value)
 
-    def scan(self, value: Any, op: ReduceOp) -> Any:
-        """Inclusive prefix reduction: rank r gets fold of ranks <= r."""
-        return self._exchange(Collective("scan", op.name), value)
-
-    def reduce_scatter(self, value: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Elementwise-reduce a (size, …) array over ranks, then scatter:
-        rank r receives row r of the total (MPI_Reduce_scatter_block).
-
-        Every rank contributes an array whose first axis has length
-        ``size``.
-        """
-        value = np.asarray(value)
-        if value.shape[0] != self.size:
-            raise ValueError(
-                f"reduce_scatter needs a leading axis of length {self.size}"
-            )
-        return self._exchange(Collective("reduce_scatter", op.name), value)
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Combined send+receive (MPI_Sendrecv): ship ``obj`` to ``dest``
-        and return the object received from ``source``; safe against the
-        cyclic-shift deadlock blocking sends would cause."""
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
-
     # -- all-to-all personalized -----------------------------------------
 
     def alltoall(self, objs: Sequence[Any]) -> list:
@@ -344,7 +237,7 @@ class SelfCommunicator(Communicator):
     priced as communication, nothing crosses a transport and nothing is
     recorded in a trace.  ``perf`` is the caller's tracker: compute,
     memory and phase time still land on the rank that does the work.
-    Point-to-point is a FIFO to oneself.
+    Point-to-point is a FIFO per tag to oneself.
     """
 
     def __init__(self, perf: Any | None = None):
@@ -361,49 +254,9 @@ class SelfCommunicator(Communicator):
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "source")
         for idx, (msg_tag, obj) in enumerate(self._box):
-            if tag == ANY_TAG or msg_tag == tag:
+            if msg_tag == tag:
                 del self._box[idx]
                 return obj
         raise CollectiveAbortedError(
             f"recv(source=0, tag={tag}) on a world of one: nothing was "
             "sent, so it would wait forever")
-
-
-class Request:
-    """Handle for a nonblocking operation (the MPI_Request analogue).
-
-    ``test()`` polls without blocking; ``wait()`` blocks until completion
-    and returns the received object (None for sends).  A request may be
-    completed exactly once.  Works on every engine via the communicator's
-    ``_try_recv`` / ``recv`` primitives.
-    """
-
-    def __init__(self, _comm: "Communicator | None" = None,
-                 _source: int = -1, _tag: int = 0, _done: bool = False):
-        self._comm = _comm
-        self._source = _source
-        self._tag = _tag
-        self._done = _done
-        self._payload: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def test(self) -> tuple[bool, Any]:
-        """(completed, payload); never blocks."""
-        if self._done:
-            return True, self._payload
-        found, payload = self._comm._try_recv(self._source, self._tag)
-        if found:
-            self._done = True
-            self._payload = payload
-        return self._done, self._payload
-
-    def wait(self) -> Any:
-        """Block until the operation completes; returns the payload."""
-        if self._done:
-            return self._payload
-        self._payload = self._comm.recv(self._source, self._tag)
-        self._done = True
-        return self._payload

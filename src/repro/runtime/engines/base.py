@@ -85,10 +85,10 @@ class CommObserver(Protocol):
     """Callbacks invoked by the engine, always under the engine lock and
     exactly once per communication event (regardless of rank count)."""
 
-    def on_collective(
-        self, op: str, sent: list[int], recv: list[int], size: int
-    ) -> None:
-        """One collective step completed; byte counts are per rank."""
+    def on_collective(self, op: str, sent: list[int],
+                      recv: list[int]) -> None:
+        """One collective step of the world completed; byte counts are
+        per rank."""
 
     def on_ptp(self, source: int, dest: int, nbytes: int) -> None:
         """One point-to-point message was delivered."""

@@ -3,10 +3,12 @@
 ScalParC's runtime is two primitives — order-checked collectives and
 FIFO point-to-point channels — whose *matching semantics* are the same
 whichever way ranks execute.  They live here once, as plain state plus
-pure transitions: :class:`Group` (one communicator's collective step,
-mailboxes and sticky mismatch), :func:`finish_error` (how a step whose
-``finish`` raised is reported), and :func:`run_worker` /
-:func:`raise_failures` (how a rank ended; which failures a job reports).
+pure transitions: :class:`Group` (the world's collective step, mailboxes
+and sticky mismatch), :func:`finish_error` (how a step whose ``finish``
+raised is reported), :func:`recv_where` / :meth:`Group.where` (how a
+waiting rank's call is named in deadlock and timeout reports), and
+:func:`run_worker` / :func:`raise_failures` (how a rank ended; which
+failures a job reports).
 *What* a step computes is not here: that is
 :meth:`repro.runtime.collective.Collective.finish`.  Nothing here locks or
 blocks — the caller already owns whatever makes access exclusive (the
@@ -21,7 +23,6 @@ from collections import deque
 from typing import Any, Callable
 
 from ..collective import Collective
-from ..communicator import ANY_TAG
 from ..errors import (
     CollectiveAbortedError,
     CollectiveMismatchError,
@@ -34,28 +35,25 @@ __all__ = [
     "abort_error",
     "finish_error",
     "raise_failures",
+    "recv_where",
     "run_worker",
 ]
 
 
 class Group:
-    """Collective-step and mailbox state of one communicator.  Ranks are
-    addressed by *group rank*; :attr:`members` maps one to the job-global
-    rank and :attr:`index` back."""
+    """Collective-step and mailbox state of the world communicator of a
+    job of ``size`` ranks."""
 
-    __slots__ = ("members", "index", "size", "op", "contribs", "arrived",
-                 "boxes", "error")
+    __slots__ = ("size", "op", "contribs", "arrived", "boxes", "error")
 
-    def __init__(self, members: list[int]):
-        self.members = members                      # group rank -> global
-        self.index = {m: g for g, m in enumerate(members)}
-        self.size = len(members)
+    def __init__(self, size: int):
+        self.size = size
         self.op: str | None = None                  # the step in progress
-        self.contribs: list = [None] * self.size
-        #: group ranks parked in the current step, in arrival order
+        self.contribs: list = [None] * size
+        #: ranks parked in the current step, in arrival order
         self.arrived: list[int] = []
         #: one FIFO of ``(source, tag, payload)`` per destination rank
-        self.boxes: list[deque] = [deque() for _ in members]
+        self.boxes: list[deque] = [deque() for _ in range(size)]
         #: sticky: once ranks disagreed on a step the group is unusable
         self.error: CollectiveMismatchError | None = None
 
@@ -82,7 +80,7 @@ class Group:
         return len(self.arrived) == self.size
 
     def take_step(self) -> tuple[str | None, list, list[int]]:
-        """Detach the current step — ``(op, contributions, arrived group
+        """Detach the current step — ``(op, contributions, arrived
         ranks)`` — and reset for the next one."""
         step = (self.op, self.contribs, self.arrived)
         self.op = None
@@ -90,17 +88,18 @@ class Group:
         self.arrived = []
         return step
 
+    def where(self) -> str:
+        """The call a rank arriving in the current step waits in."""
+        return (f"collective {self.op!r} "
+                f"({len(self.arrived)}/{self.size} ranks arrived)")
+
     def finish_step(self, g: int, spec: Collective, priced: bool = True,
                     ) -> tuple[list, list[int], list[int]]:
         """Complete the step on rank ``g`` (the last to arrive): detach it
         and ``spec.finish`` its contributions — ``(results, sent, recv)``.
-        A ``split`` is the one step only the group itself can finish.  Any
-        failure is a :func:`finish_error` whose origin is ``g``."""
+        Any failure is a :func:`finish_error` whose origin is ``g``."""
         op, contribs, _ = self.take_step()
         try:
-            if spec.kind == "split":
-                zeros = [0] * self.size
-                return self.split(contribs)[1], zeros, zeros
             return spec.finish(contribs, priced)
         except BaseException as exc:        # propagate to every rank
             raise finish_error(op, g, exc) from exc
@@ -111,40 +110,20 @@ class Group:
         """Buffer one message for ``dest``."""
         self.boxes[dest].append((source, tag, payload))
 
-    def match(self, dest: int, source: int, tag: int, *,
-              pop: bool) -> tuple[bool, Any]:
-        """First message for ``dest`` from ``source`` whose tag matches
-        (FIFO per ``(source, tag)``; :data:`ANY_TAG` matches all), as
-        ``(found, payload)``.  ``pop=False`` leaves it in the box."""
+    def match(self, dest: int, source: int, tag: int) -> tuple[bool, Any]:
+        """Take the first message for ``dest`` from ``source`` with
+        ``tag`` (FIFO per ``(source, tag)``), as ``(found, payload)``."""
         box = self.boxes[dest]
         for idx, (src, msg_tag, payload) in enumerate(box):
-            if src == source and (tag == ANY_TAG or msg_tag == tag):
-                if pop:
-                    del box[idx]
+            if src == source and msg_tag == tag:
+                del box[idx]
                 return True, payload
         return False, None
 
-    # -- sub-communicators ----------------------------------------------
 
-    def split(self, contribs: list) -> tuple[list["Group"], list]:
-        """MPI_Comm_split over per-rank ``(color, key)`` contributions:
-        the new groups (ascending colour; members ordered by ``(key, old
-        rank)``, as global ranks) and, per old group rank, its plan
-        ``(new group, new rank)`` — ``None`` for a rank that opted out
-        with a negative colour."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for g, (color, key) in enumerate(contribs):
-            if color >= 0:
-                groups.setdefault(color, []).append((key, g))
-        children: list[Group] = []
-        plans: list = [None] * len(contribs)
-        for _color, ranked in sorted(groups.items()):
-            ranked.sort()
-            child = type(self)([self.members[g] for _k, g in ranked])
-            children.append(child)
-            for new_rank, (_key, g) in enumerate(ranked):
-                plans[g] = (child, new_rank)
-        return children, plans
+def recv_where(source: int, tag: int) -> str:
+    """The call a rank blocked in a receive waits in."""
+    return f"recv(source={source}, tag={tag})"
 
 
 def finish_error(op: str | None, rank: int,

@@ -4,10 +4,12 @@ Topology: the parent process runs a single-threaded *router* and owns the
 observer plus the per-rank performance trackers; each rank is a child
 process connected to the router by one duplex :class:`Channel` (a pipe
 here, a framed socket on the tcp backend, which reuses everything
-below).  Children never talk to each other directly — every collective,
-point-to-point message, probe and split flows through the router, which
-matches them with the same :class:`~.group.Group` core as the in-process
-engines (order-checked collectives, FIFO per-(source, tag) mailboxes).
+below).  Children never talk to each other directly — every collective
+and point-to-point message flows through the router, which matches them
+with the same :class:`~.group.Group` core as the thread engine
+(order-checked collectives, FIFO per-(source, tag) mailboxes).  A request
+is ``("coll", spec, payload, cstate)``, ``("send", dest, tag, payload,
+cstate)`` or ``("recv", source, tag, cstate)``.
 
 A collective travels as its name — a
 :class:`~repro.runtime.collective.Collective` spec — so the router itself
@@ -105,7 +107,13 @@ from ..shm import (
 )
 from ..tracing import TraceRecorder
 from .base import SpmdEngine
-from .group import Group, finish_error, raise_failures, run_worker
+from .group import (
+    Group,
+    finish_error,
+    raise_failures,
+    recv_where,
+    run_worker,
+)
 
 __all__ = [
     "Channel",
@@ -121,8 +129,6 @@ START_METHOD_ENV = "REPRO_SPMD_START_METHOD"
 #: seconds the router waits for children to acknowledge an abort before
 #: terminating them
 _ABORT_GRACE = 10.0
-
-_ROOT_CTX = 0
 
 #: the router's ``owner`` id in shm descriptors (ranks are 0 … size−1)
 _ROUTER = -1
@@ -226,9 +232,7 @@ class PipeChannel(Channel):
 
 
 class _ShmState:
-    """One process's data-plane state: a rank's (shared by its world
-    communicator and every sub-communicator split from it) or the
-    router's."""
+    """One process's data-plane state: a rank's or the router's."""
 
     __slots__ = ("owner", "prefix", "threshold", "pool", "cache",
                  "pending_free")
@@ -265,11 +269,10 @@ class ProcessCommunicator(Communicator):
     """Rank-side communicator: one :class:`Channel` to the router (a pipe
     on the process backend, a framed socket on tcp)."""
 
-    def __init__(self, conn: Channel, ctx: int, rank: int, size: int,
+    def __init__(self, conn: Channel, rank: int, size: int,
                  perf: Any | None = None, shm: _ShmState | None = None):
         super().__init__(rank, size, perf=perf)
         self._conn = conn
-        self._ctx = ctx
         self._shm = shm
 
     # -- clock synchronisation with the router -------------------------
@@ -401,7 +404,7 @@ class ProcessCommunicator(Communicator):
             own, payload = payload[self.rank], list(payload)
             payload[self.rank] = None
         result = self._request(
-            ("coll", self._ctx, spec, self._encode(payload), self._cstate()))
+            ("coll", spec, self._encode(payload), self._cstate()))
         if spec.transposes:
             result[self.rank] = own
         return result
@@ -409,33 +412,12 @@ class ProcessCommunicator(Communicator):
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")
         # fire-and-forget: buffered send, no reply expected
-        self._send_msg(("send", self._ctx, dest, tag, self._encode(obj),
+        self._send_msg(("send", dest, tag, self._encode(obj),
                         self._cstate()))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "source")
-        return self._request(("recv", self._ctx, source, tag, self._cstate()))
-
-    def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        return self._request(
-            ("tryrecv", self._ctx, source, tag, self._cstate()))
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self._request(("probe", self._ctx, source, tag, self._cstate()))
-
-    def split(self, color: int, key: int | None = None) \
-            -> "ProcessCommunicator | None":
-        """Partition the communicator (MPI_Comm_split); the router computes
-        the grouping, so no user closure crosses the process boundary."""
-        plan = self._request((
-            "coll", self._ctx, Collective("split"),
-            (color, key if key is not None else self.rank), self._cstate(),
-        ))
-        if plan is None:
-            return None
-        new_ctx, new_rank, new_size = plan
-        return ProcessCommunicator(self._conn, new_ctx, new_rank, new_size,
-                                   perf=self.perf, shm=self._shm)
+        return self._request(("recv", source, tag, self._cstate()))
 
 
 def _run_worker(conn: Channel, comm: ProcessCommunicator, worker: Callable,
@@ -484,8 +466,7 @@ def _child_main(conn: Any, rank: int, size: int, worker: Callable,
                 shm_cfg: tuple[str, int] | None = None) -> None:
     shm = _ShmState(rank, shm_cfg[0], shm_cfg[1]) if shm_cfg else None
     conn = PipeChannel(conn)
-    comm = ProcessCommunicator(conn, _ROOT_CTX, rank, size, perf=perf,
-                               shm=shm)
+    comm = ProcessCommunicator(conn, rank, size, perf=perf, shm=shm)
     try:
         _run_worker(conn, comm, worker, args, kwargs, perf, trace_on)
     finally:
@@ -515,23 +496,24 @@ def _child_main_fork(child_ends: list, parent_ends: list, rank: int,
 
 
 class _Pending:
-    """One child's outstanding blocking request."""
+    """One child's outstanding blocking request: the call it waits in
+    (named as the thread engine names it), its deadline, and for a
+    receive the ``(source, tag)`` it waits for."""
 
-    __slots__ = ("kind", "ctx", "deadline", "extra")
+    __slots__ = ("where", "deadline", "recv")
 
-    def __init__(self, kind: str, ctx: int, deadline: float,
-                 extra: Any = None):
-        self.kind = kind
-        self.ctx = ctx
+    def __init__(self, where: str, deadline: float,
+                 recv: tuple[int, int] | None = None):
+        self.where = where
         self.deadline = deadline
-        self.extra = extra
+        self.recv = recv
 
 
 class _Router:
     """Single-threaded event loop serving requests from rank channels.
-    Matching is the shared :class:`~.group.Group` core, one per
-    communicator; here live the request/reply protocol around it, the
-    job-wide abort, deadlines, and the shm/tracker piggybacking."""
+    Matching is the shared :class:`~.group.Group` core; here live the
+    request/reply protocol around it, the job-wide abort, deadlines, and
+    the shm/tracker piggybacking."""
 
     #: longest the loop may sleep between ticks (None: until a deadline)
     tick_interval: float | None = None
@@ -547,9 +529,7 @@ class _Router:
         self.observer = observer
         self.rank_perf = rank_perf
         self.timeout = timeout
-        self.root = Group(list(range(size)))
-        self.ctxs: dict[int, Group] = {_ROOT_CTX: self.root}
-        self.next_ctx = _ROOT_CTX + 1
+        self.world = Group(size)
         self.pending: dict[int, _Pending] = {}
         self.alive: set[int] = set(range(size))
         self.results: list = [None] * size
@@ -634,33 +614,27 @@ class _Router:
 
     # -- per-message handling ------------------------------------------
 
-    def _arrive(self, rank: int, ctx_id: int, spec: Collective,
-                payload: Any) -> None:
+    def _arrive(self, rank: int, spec: Collective, payload: Any) -> None:
         """A rank entered a collective; the last one in finishes it."""
         if self.error is not None:
             self._reply_abort(rank)
             return
-        ctx = self.ctxs[ctx_id]
+        world = self.world
         op = spec.name
         try:
-            last = ctx.arrive(ctx.index[rank], op, payload)
+            last = world.arrive(rank, op, payload)
         except CollectiveMismatchError as exc:
             # the offender and every peer parked in the step raise it
-            parked = [ctx.members[g] for g in ctx.take_step()[2]]
-            for member in [rank] + parked:
+            for member in [rank] + world.take_step()[2]:
                 self.pending.pop(member, None)
                 self._reply(member, ("mismatch", str(exc)))
             return
-        self.pending[rank] = _Pending(
-            "coll", ctx_id, time.monotonic() + self.timeout, op
-        )
+        self.pending[rank] = _Pending(world.where(),
+                                      time.monotonic() + self.timeout)
         if not last:
             return
-        _, contribs, _ = ctx.take_step()
-        if spec.kind == "split":
-            self._finish_split(ctx, contribs)
-            return
-        priced = ctx is self.root and self.observer is not None
+        _, contribs, _ = world.take_step()
+        priced = self.observer is not None
         # all-to-all blocks pass through still encoded, one receiver
         # each; everything else is read in place and re-placed from here
         shm = None if spec.transposes else self.shm
@@ -682,72 +656,46 @@ class _Router:
         for desc in consumed:
             self.shm_reclaim.setdefault(desc.owner, []).append(desc.token)
         if priced:
-            self.observer.on_collective(op, sent, recv, ctx.size)
-        for member, result in zip(ctx.members, results):
+            self.observer.on_collective(op, sent, recv)
+        for member, result in enumerate(results):
             self._reply_result(member, result)
 
-    def _finish_split(self, ctx: Group, contribs: list) -> None:
-        children, plans = ctx.split(contribs)
-        ids = {child: self.next_ctx + i for i, child in enumerate(children)}
-        self.next_ctx += len(children)
-        self.ctxs.update((ctx_id, child) for child, ctx_id in ids.items())
-        if ctx is self.root and self.observer is not None:
-            zeros = [0] * ctx.size
-            self.observer.on_collective("split", zeros, zeros, ctx.size)
-        for member, plan in zip(ctx.members, plans):
-            if plan is not None:
-                child, new_rank = plan
-                plan = (ids[child], new_rank, child.size)
-            self._reply_result(member, plan)
-
-    def _match(self, ctx: Group, dest_g: int, source: int, tag: int, *,
-               pop: bool) -> tuple[bool, Any]:
-        """Look in ``dest_g``'s mailbox, pricing a delivery."""
-        found, payload = ctx.match(dest_g, source, tag, pop=pop)
-        if found and pop and ctx is self.root and self.observer is not None:
+    def _match(self, dest: int, source: int, tag: int) -> tuple[bool, Any]:
+        """Take from ``dest``'s mailbox, pricing a delivery."""
+        found, payload = self.world.match(dest, source, tag)
+        if found and self.observer is not None:
             # logical size: a shm descriptor is priced as the array it
             # stands for, so the model is independent of the transport
-            self.observer.on_ptp(source, dest_g,
+            self.observer.on_ptp(source, dest,
                                  payload_logical_nbytes(payload))
         return found, payload
 
     def _on_send(self, rank: int, msg: tuple) -> None:
-        _, ctx_id, dest, tag, payload, cstate = msg
+        _, dest, tag, payload, cstate = msg
         self._apply_cstate(rank, cstate)
         if self.error is not None:
             return
-        ctx = self.ctxs[ctx_id]
-        ctx.post(ctx.index[rank], dest, tag, payload)
+        self.world.post(rank, dest, tag, payload)
         # hand the message straight to a receiver parked waiting for it
-        dest_global = ctx.members[dest]
-        p = self.pending.get(dest_global)
-        if p is not None and p.kind == "recv" and p.ctx == ctx_id:
-            found, payload = self._match(ctx, dest, *p.extra, pop=True)
+        p = self.pending.get(dest)
+        if p is not None and p.recv is not None:
+            found, payload = self._match(dest, *p.recv)
             if found:
-                self._reply_result(dest_global, payload)
+                self._reply_result(dest, payload)
 
-    def _on_query(self, rank: int, msg: tuple) -> None:
-        """'recv' / 'tryrecv' / 'probe': one mailbox lookup, three ways
-        of answering it."""
-        kind, ctx_id, source, tag, cstate = msg
+    def _on_recv(self, rank: int, msg: tuple) -> None:
+        _, source, tag, cstate = msg
         self._apply_cstate(rank, cstate)
         if self.error is not None:
             self._reply_abort(rank)
             return
-        ctx = self.ctxs[ctx_id]
-        found, payload = self._match(ctx, ctx.index[rank], source, tag,
-                                     pop=kind != "probe")
-        if kind == "probe":
-            self._reply_result(rank, found)
-        elif kind == "tryrecv":
-            self._reply_result(rank, (found, payload))
-        elif found:
+        found, payload = self._match(rank, source, tag)
+        if found:
             self._reply_result(rank, payload)
         else:
             self.pending[rank] = _Pending(
-                "recv", ctx_id, time.monotonic() + self.timeout,
-                (source, tag)
-            )
+                recv_where(source, tag), time.monotonic() + self.timeout,
+                (source, tag))
 
     def _on_final(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
@@ -787,13 +735,13 @@ class _Router:
     def _handle(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
         if kind == "coll":
-            _, ctx_id, spec, payload, cstate = msg
+            _, spec, payload, cstate = msg
             self._apply_cstate(rank, cstate)
-            self._arrive(rank, ctx_id, spec, payload)
+            self._arrive(rank, spec, payload)
         elif kind == "send":
             self._on_send(rank, msg)
-        elif kind in ("recv", "tryrecv", "probe"):
-            self._on_query(rank, msg)
+        elif kind == "recv":
+            self._on_recv(rank, msg)
         elif kind == "shm_new":
             self.shm_owned.setdefault(rank, set()).update(msg[1])
         elif kind == "shm_free":
@@ -831,12 +779,8 @@ class _Router:
         )
         if not expired:
             return
-        detail = "; ".join(
-            f"rank {r} in {self.pending[r].kind} "
-            f"({self.pending[r].extra!r})" if self.pending[r].extra
-            else f"rank {r} in {self.pending[r].kind}"
-            for r in expired
-        )
+        detail = "; ".join(f"rank {r} in {self.pending[r].where}"
+                           for r in expired)
         self._set_error(
             f"timed out after {self.timeout:.1f}s: {detail}", None
         )

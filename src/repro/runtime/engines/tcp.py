@@ -70,7 +70,6 @@ from ..framing import (
 )
 from .process import (
     _ABORT_GRACE,
-    _ROOT_CTX,
     _mp_context,
     _join_or_terminate,
     _Router,
@@ -376,7 +375,7 @@ def _rank_main(addr: tuple[str, int], job_id: str, rank: int, size: int,
         # no shm data plane: on a multi-host transport every payload
         # must actually travel, and transport accounting counts whole
         # frames (header included) — the bytes that really hit the wire
-        comm = ProcessCommunicator(conn, _ROOT_CTX, rank, size, perf=perf)
+        comm = ProcessCommunicator(conn, rank, size, perf=perf)
         hb = _Heartbeat(conn, hb_interval)
         comm._heartbeat = hb            # the world communicator's only
         hb.start()

@@ -1,4 +1,4 @@
-"""Reduction operators for the simulated runtime's reduce/allreduce/scan.
+"""Reduction operators for the simulated runtime's reduce/allreduce/exscan.
 
 Operators mirror the MPI predefined set (SUM, PROD, MIN, MAX, logical and
 bitwise ops, MINLOC/MAXLOC) plus a hook for user-defined operators, which
@@ -106,15 +106,6 @@ class ReduceOp:
         for item in contributions[1:]:
             out.append(acc.copy())
             acc = np.asarray(self.fn(acc, np.asarray(item)))
-        return out
-
-    def scan(self, contributions: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Inclusive prefix: result[r] = fold of contributions[0..r]."""
-        acc = np.asarray(contributions[0]).copy()
-        out = [acc.copy()]
-        for item in contributions[1:]:
-            acc = np.asarray(self.fn(acc, np.asarray(item)))
-            out.append(acc.copy())
         return out
 
 

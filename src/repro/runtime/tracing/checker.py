@@ -18,7 +18,7 @@ diagnostic code           meaning
                           (e.g. a different root rank)
 ``dtype-mismatch``        elementwise-reduce contribution dtypes differ
 ``shape-mismatch``        elementwise-reduce contribution shapes differ
-``result-divergence``     a replicated result (bcast/allgather(v)/allreduce)
+``result-divergence``     a replicated result (allgather(v)/allreduce)
                           hashes differently on different ranks — also
                           raised per *section* of a fused collective when
                           a replicated logical result diverges

@@ -48,7 +48,7 @@ TRACE_ENV = "REPRO_SPMD_TRACE"
 #: kind into one buffer; the packed contributions still reduce
 #: elementwise, so the same dtype/shape agreement applies.
 REDUCE_KINDS = frozenset(
-    {"reduce", "allreduce", "scan", "exscan", "reduce_scatter",
+    {"reduce", "allreduce", "exscan",
      "fused_reduce", "fused_allreduce", "fused_exscan"}
 )
 
@@ -59,7 +59,7 @@ REDUCE_KINDS = frozenset(
 #: return per-rank data and are instead cross-checked section-by-section
 #: via the fused_from manifest.
 REPLICATED_KINDS = frozenset(
-    {"bcast", "allgather", "allgatherv", "allreduce", "fused_allreduce"}
+    {"allgather", "allgatherv", "allreduce", "fused_allreduce"}
 )
 
 
@@ -184,7 +184,7 @@ class TraceEvent:
 
     #: 0-based position in this rank's collective sequence
     seq: int
-    #: op kind ("allreduce", "alltoallv", "barrier", "split", …)
+    #: op kind ("allreduce", "alltoallv", "barrier", …)
     kind: str
     #: full metadata string as verified by the engine (includes root etc.)
     op: str

@@ -183,3 +183,32 @@ def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
         "tree/export.py",                    # deserialization
         "tree/compile.py",                   # the table's node view
     }
+
+
+# ----------------------------------------------------------------------
+# one world per job: the communicator carries what a caller uses
+# ----------------------------------------------------------------------
+
+
+def test_communicator_keeps_only_what_a_caller_uses():
+    """ScalParC's collectives, the barrier, the unfused reduce the fusion
+    tests compare against, and blocking point-to-point for the machine
+    benchmark — no sub-communicators, no nonblocking requests, and no
+    engine request kind left over for either."""
+    from repro import runtime
+    from repro.runtime import Communicator
+
+    public = {name for name in dir(Communicator)
+              if not name.startswith("_")
+              and callable(getattr(Communicator, name))}
+    assert public == {
+        "barrier", "allgather", "allgatherv", "reduce", "allreduce",
+        "exscan", "alltoall", "alltoallv", "fused", "send", "recv",
+    }
+    assert not {"Request", "ANY_TAG"} & set(runtime.__all__)
+    assert not hasattr(runtime, "Request") and not hasattr(runtime, "ANY_TAG")
+    engines = _ROOT / "src" / "repro" / "runtime" / "engines"
+    leftovers = re.compile(r'"tryrecv"|"probe"|\bctx_id\b')
+    found = {path.name for path in engines.glob("*.py")
+             if leftovers.search(path.read_text(encoding="utf-8"))}
+    assert found == set()

@@ -248,7 +248,7 @@ def test_lost_coordinator_is_a_collective_abort(pair):
     """Pipes used to leak a raw EOFError/BrokenPipeError here while tcp
     raised CollectiveAbortedError; one communicator, one translation."""
     a, b, _raw = pair
-    comm = ProcessCommunicator(a, 0, 0, 2)
+    comm = ProcessCommunicator(a, 0, 2)
     b.close()                                       # the router is gone
     with pytest.raises(CollectiveAbortedError, match="job coordinator"):
         comm.barrier()                              # request, then no reply
@@ -261,10 +261,10 @@ def test_silent_coordinator_hits_the_read_bound():
     a, b, raw = _make_pair("socket")
     try:
         raw.settimeout(0.05)
-        comm = ProcessCommunicator(a, 0, 0, 2)
+        comm = ProcessCommunicator(a, 0, 2)
         with pytest.raises(CollectiveAbortedError, match="read bound"):
             comm.barrier()
-        assert b.recv()[0][:3] == ("coll", 0, Collective("barrier"))  # it asked
+        assert b.recv()[0][:2] == ("coll", Collective("barrier"))  # it asked
     finally:
         a.close()
         b.close()

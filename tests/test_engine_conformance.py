@@ -3,9 +3,9 @@ Communicator contract.
 
 Each test is parametrized over ``available_backends()`` so a newly
 registered engine is automatically held to the same bar: collectives,
-point-to-point (blocking and nonblocking), sub-communicators, mismatch
-detection, abort semantics with preserved tracebacks, timeouts, observer
-accounting, perf-model fidelity, and end-to-end induction equivalence.
+blocking point-to-point, mismatch detection, abort semantics with
+preserved tracebacks, deadlock and timeout reports, observer accounting,
+perf-model fidelity, and end-to-end induction equivalence.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.core import InductionConfig
 from repro.core.induction import induce_worker
 from repro.perfmodel import CRAY_T3D, PerfRun
 from repro.runtime import (
-    ANY_TAG,
     CollectiveAbortedError,
     CollectiveMismatchError,
     SpmdWorkerError,
@@ -52,20 +51,14 @@ pytestmark = pytest.mark.parametrize("backend", BACKENDS)
 
 def _collectives_worker(comm):
     out = {}
-    out["bcast"] = comm.bcast("payload" if comm.rank == 1 else None, root=1)
-    out["gather"] = comm.gather(comm.rank * 10, root=0)
     out["allgather"] = comm.allgather(comm.rank)
     out["allgatherv"] = comm.allgatherv(
         np.arange(comm.rank + 1, dtype=np.int64)
-    )
-    out["scatter"] = comm.scatter(
-        [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
     )
     out["reduce"] = comm.reduce(np.int64(comm.rank + 1), reduction.SUM,
                                 root=0)
     out["allreduce"] = comm.allreduce(np.int64(comm.rank + 1),
                                       reduction.MAX)
-    out["scan"] = comm.scan(np.int64(comm.rank + 1), reduction.SUM)
     out["exscan"] = comm.exscan(np.int64(comm.rank + 1), reduction.SUM)
     out["alltoall"] = comm.alltoall(
         [comm.rank * 100 + j for j in range(comm.size)]
@@ -74,11 +67,6 @@ def _collectives_worker(comm):
         [np.full(j + 1, comm.rank, dtype=np.int64)
          for j in range(comm.size)]
     )
-    rs = comm.reduce_scatter(
-        np.full((comm.size, 2), comm.rank + 1, dtype=np.int64),
-        reduction.SUM,
-    )
-    out["reduce_scatter"] = rs
     comm.barrier()
     return out
 
@@ -88,42 +76,12 @@ def _ptp_worker(comm):
     left = (comm.rank - 1) % comm.size
     comm.send(("ring", comm.rank), right, tag=3)
     ring = comm.recv(left, tag=3)
-    swapped = comm.sendrecv(comm.rank * 2, dest=right, source=left, tag=4)
     # tag filtering: two messages to the same peer, received out of order
     comm.send("second", right, tag=20)
     comm.send("first", right, tag=10)
     first = comm.recv(left, tag=10)
     second = comm.recv(left, tag=20)
-    comm.send("wild", right, tag=77)
-    wild = comm.recv(left, tag=ANY_TAG)
-    return ring, swapped, first, second, wild
-
-
-def _nonblocking_worker(comm):
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
-    assert comm.iprobe(left, tag=6) is False     # nobody sends on tag 6
-    req = comm.irecv(left, tag=5)
-    sreq = comm.isend(comm.rank * 7, right, tag=5)
-    assert sreq.done is True
-    comm.barrier()                      # sends are now all delivered
-    assert comm.iprobe(left, tag=5) is True
-    done, value = req.test()
-    assert done is True
-    assert req.wait() == value
-    assert comm.iprobe(left, tag=5) is False
-    return value
-
-
-def _split_worker(comm):
-    parity = comm.rank % 2
-    sub = comm.split(parity, key=-comm.rank)       # reversed rank order
-    members = sub.allgather(comm.rank)
-    total = sub.allreduce(np.int64(comm.rank), reduction.SUM)
-    opt_out = comm.split(-1 if comm.rank == 0 else 0)
-    sub_of_sub = sub.split(0)
-    nested = sub_of_sub.allgather(comm.rank)
-    return members, int(total), opt_out is None or opt_out.size, nested
+    return ring, first, second
 
 
 def _mismatch_worker(comm):
@@ -141,24 +99,27 @@ def _failing_worker(comm):
     return comm.rank
 
 
-def _subcomm_abort_worker(comm, blocked_in):
-    """Rank 2 fails while ranks 0-1 are parked inside a call on a
-    sub-communicator (the sleep makes sure they are parked *there*, not
-    still in the world communicator's split step)."""
-    import time
-
-    sub = comm.split(0)
+def _blocked_peers_worker(comm, blocked_in):
+    """Rank 2 fails while ranks 0-1 are parked inside a call (the sleep
+    makes sure they are parked by then)."""
     if comm.rank == 2:
         time.sleep(0.2)
         raise RuntimeError("boom")
     if blocked_in == "collective":
-        sub.barrier()
+        comm.barrier()
     else:
-        sub.recv(2, tag=1)
+        comm.recv(2, tag=1)
 
 
 def _deadlock_worker(comm):
     comm.recv((comm.rank + 1) % comm.size, tag=99)
+
+
+def _stuck_in_two_calls_worker(comm):
+    if comm.rank == 0:
+        comm.allreduce(np.int64(1), reduction.SUM)
+    else:
+        comm.recv(0, tag=3)
 
 
 def _priced_worker(comm):
@@ -193,11 +154,7 @@ def _alltoall_blocks_worker(comm):
     got_objs = comm.alltoall(objs)
     own_kept = got[rank] is arrays[rank] and got_objs[rank] is objs[rank]
     got_objs[rank] = None
-    # on a sub-communicator blocks are addressed by *group* rank
-    sub = comm.split(rank % 2, key=-rank)
-    sub_got = sub.alltoallv([np.full(2, rank * size + j, dtype=np.int64)
-                             for j in range(sub.size)])
-    return got, got_objs, own_kept, sub_got
+    return got, got_objs, own_kept
 
 
 def _alltoallv_vs_allreduce_worker(comm):
@@ -231,8 +188,6 @@ def _one_collective(comm, kind, n):
     """One call of ``kind`` on ``n``-element blocks: ``(contribution,
     result)``."""
     mine = np.full(n, float(comm.rank + 1))
-    if kind == "bcast":
-        return mine, comm.bcast(mine if comm.rank == 0 else None, root=0)
     if kind == "allgather":
         return mine, comm.allgather(mine)
     if kind == "allgatherv":
@@ -250,12 +205,11 @@ def _one_collective(comm, kind, n):
 
 def _collective_rounds_worker(comm, kind, rounds, n):
     """``(bytes contributed, bytes delivered, digest of the last result)``
-    over ``rounds`` calls; a bcast's non-roots contribute nothing."""
+    over ``rounds`` calls."""
     up = down = 0
     for _ in range(rounds):
         mine, got = _one_collective(comm, kind, n)
-        if kind != "bcast" or comm.rank == 0:
-            up += payload_nbytes(mine)
+        up += payload_nbytes(mine)
         down += payload_nbytes(got)
     return up, down, payload_digest(got)
 
@@ -270,10 +224,10 @@ def _late_operator_worker(comm, name):
     return int(comm.allreduce(np.int64(comm.rank + 1), op))
 
 
-def _bad_scatter_worker(comm):
+def _misshaped_allreduce_worker(comm):
     big = np.zeros(40_000)                  # leases in flight at the abort
     comm.allreduce(big, reduction.SUM)
-    comm.scatter([big] if comm.rank == 0 else None, root=0)
+    comm.allreduce(np.zeros(40_000 + (comm.rank == 1)), reduction.SUM)
 
 
 # ----------------------------------------------------------------------
@@ -286,28 +240,20 @@ def check_collectives(results):
     size = len(results)
     ranks = list(range(size))
     for rank, out in enumerate(results):
-        assert out["bcast"] == "payload"
-        assert out["gather"] == ([r * 10 for r in ranks] if rank == 0
-                                 else None)
         assert out["allgather"] == ranks
         np.testing.assert_array_equal(
             out["allgatherv"],
             np.concatenate([np.arange(r + 1) for r in ranks]),
         )
-        assert out["scatter"] == f"item{rank}"
         expected_sum = sum(r + 1 for r in ranks)
         assert (out["reduce"] == expected_sum if rank == 0
                 else out["reduce"] is None)
         assert out["allreduce"] == size
-        assert out["scan"] == sum(r + 1 for r in ranks[: rank + 1])
         assert out["exscan"] == sum(r + 1 for r in ranks[:rank])
         assert out["alltoall"] == [i * 100 + rank for i in ranks]
         assert [a.tolist() for a in out["alltoallv"]] == [
             [i] * (rank + 1) for i in ranks
         ]
-        np.testing.assert_array_equal(
-            out["reduce_scatter"], np.full(2, expected_sum)
-        )
 
 
 def test_collectives(backend):
@@ -317,31 +263,10 @@ def test_collectives(backend):
 def test_point_to_point(backend):
     size = 4
     results = run_spmd(size, _ptp_worker, backend=backend)
-    for rank, (ring, swapped, first, second, wild) in enumerate(results):
+    for rank, (ring, first, second) in enumerate(results):
         left = (rank - 1) % size
         assert ring == ("ring", left)
-        assert swapped == left * 2
         assert first == "first" and second == "second"
-        assert wild == "wild"
-
-
-def test_nonblocking_requests(backend):
-    size = 3
-    results = run_spmd(size, _nonblocking_worker, backend=backend)
-    for rank, value in enumerate(results):
-        assert value == ((rank - 1) % size) * 7
-
-
-def test_split(backend):
-    size = 6
-    results = run_spmd(size, _split_worker, backend=backend)
-    for rank, (members, total, opt_out, nested) in enumerate(results):
-        same_parity = [r for r in range(size) if r % 2 == rank % 2]
-        # key=-rank reverses the ordering inside each sub-communicator
-        assert members == sorted(same_parity, reverse=True)
-        assert total == sum(same_parity)
-        assert opt_out is True if rank == 0 else opt_out == size - 1
-        assert nested == sorted(same_parity, reverse=True)
 
 
 def test_mismatch_detected(backend):
@@ -374,15 +299,12 @@ def test_worker_failure_aborts_job(backend):
 
 
 @pytest.mark.parametrize("blocked_in", ["collective", "recv"])
-def test_failure_releases_peers_blocked_on_subcommunicator(backend,
-                                                           blocked_in):
-    """An abort is job-wide: it releases ranks blocked on *any*
-    communicator of the job at once, not after the wait timeout."""
-    import time
-
+def test_failure_releases_blocked_peers_at_once(backend, blocked_in):
+    """An abort is job-wide: it releases ranks blocked in a collective
+    or a receive at once, not after the wait timeout."""
     start = time.monotonic()
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(3, _subcomm_abort_worker, args=(blocked_in,),
+        run_spmd(3, _blocked_peers_worker, args=(blocked_in,),
                  backend=backend, timeout=30.0)
     assert time.monotonic() - start < 5.0
     err = exc_info.value
@@ -406,13 +328,26 @@ def test_traceback_preserved(backend):
 
 def test_deadlock_aborts(backend):
     """A stuck job aborts: structurally where the engine can see every
-    rank parked (``thread``), else via the wait timeout."""
-    kwargs = {} if get_engine(backend).detects_deadlock else \
-        {"timeout": 0.5}
-    with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(2, _deadlock_worker, backend=backend, **kwargs)
-    kinds = {type(e) for e in exc_info.value.failures.values()}
-    assert kinds == {CollectiveAbortedError}
+    rank parked (``thread``), else via the wait timeout.  Either way the
+    report names each stuck call in the same words; the timeout names
+    the ranks whose wait expired, the structural check every rank."""
+    structural = get_engine(backend).detects_deadlock
+    kwargs = {} if structural else {"timeout": 0.5}
+    for worker, stuck in [
+        (_deadlock_worker, ["rank 0 in recv(source=1, tag=99)",
+                            "rank 1 in recv(source=0, tag=99)"]),
+        (_stuck_in_two_calls_worker,
+         ["rank 0 in collective 'allreduce(op=sum)' (1/2 ranks arrived)",
+          "rank 1 in recv(source=0, tag=3)"]),
+    ]:
+        with pytest.raises(SpmdWorkerError) as exc_info:
+            run_spmd(2, worker, backend=backend, **kwargs)
+        failures = exc_info.value.failures
+        assert {type(e) for e in failures.values()} == \
+            {CollectiveAbortedError}
+        for exc in failures.values():
+            named = str(exc).split(": ", 1)[1].split("; ")
+            assert named == stuck if structural else set(named) <= set(stuck)
 
 
 def test_timeout_env_override(backend, monkeypatch):
@@ -537,8 +472,8 @@ def test_alltoallv_block_crosses_the_transport_once(backend):
         assert moved == 0
 
 
-@pytest.mark.parametrize("kind", ["bcast", "allgather", "allgatherv",
-                                  "allreduce", "exscan", "fused_reduce"])
+@pytest.mark.parametrize("kind", ["allgather", "allgatherv", "allreduce",
+                                  "exscan", "fused_reduce"])
 def test_collective_crosses_the_transport_once(backend, kind, monkeypatch):
     """Two hops for every kind: each contribution goes up once, each
     result comes down once — the router finishes the step itself and
@@ -592,22 +527,24 @@ def test_operator_created_after_the_fork_fails_typed(backend):
 
 
 def test_failing_finish_is_a_job_wide_typed_abort(backend):
-    """A ``finish`` that raises — here a scatter root with the wrong item
-    count — aborts every rank with the same typed error, its origin and
-    the traceback of where it was raised; no shm lease outlives it."""
+    """A ``finish`` that raises — here an allreduce over contributions of
+    different lengths — aborts every rank with the same typed error, its
+    origin and the traceback of where it was raised; no shm lease
+    outlives it."""
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(3, _bad_scatter_worker, backend=backend, timeout=30.0)
+        run_spmd(3, _misshaped_allreduce_worker, backend=backend,
+                 timeout=30.0)
     failures = exc_info.value.failures
     assert set(failures) == {0, 1, 2}
     assert len({str(exc) for exc in failures.values()}) == 1
     assert len({exc.origin_rank for exc in failures.values()}) == 1
     for exc in failures.values():
         assert isinstance(exc, CollectiveAbortedError)
-        assert "'scatter(root=0)' failed when rank" in str(exc)
-        assert "ValueError: scatter root must supply exactly 3" in str(exc)
+        assert "'allreduce(op=sum)' failed when rank" in str(exc)
+        assert "ValueError: operands could not be broadcast" in str(exc)
     tracebacks = exc_info.value.tracebacks
     assert set(tracebacks) == {0, 1, 2}
-    assert all("in _scatter" in tb for tb in tracebacks.values())
+    assert all("in _allreduce" in tb for tb in tracebacks.values())
     if backend == "process":
         segments = ProcessEngine.last_shm_segments
         assert any("r-1s" in name for name in segments)   # the router's

@@ -1,9 +1,10 @@
 """The rendezvous core on its own: no threads, no processes.
 
 ``repro.runtime.engines.group`` is plain state plus pure transitions, so
-everything the four engines share — step completion, the mismatch rule,
-mailbox matching, split planning, how a step is finished and how its
-failure is wrapped, outcome classification — is checked here by calling it directly.
+everything the engines share — step completion, the mismatch rule,
+mailbox matching, how a waiting call is named, how a step is finished and
+how its failure is wrapped, outcome classification — is checked here by
+calling it directly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ANY_TAG,
     CollectiveAbortedError,
     CollectiveMismatchError,
     SpmdWorkerError,
@@ -25,28 +25,29 @@ from repro.runtime.engines.group import (
     Group,
     abort_error,
     raise_failures,
+    recv_where,
     run_worker,
 )
 
 
 def test_arrival_completes_exactly_at_size():
-    grp = Group([0, 1, 2])
+    grp = Group(3)
     assert grp.arrive(1, "barrier", "b") is False
     assert grp.arrive(0, "barrier", "a") is False
     assert grp.arrive(2, "barrier", "c") is True
     op, contribs, arrived = grp.take_step()
     assert (op, contribs, arrived) == ("barrier", ["a", "b", "c"], [1, 0, 2])
     # reset: the next step starts from nothing
-    assert grp.arrive(0, "bcast", None) is False
-    assert grp.take_step() == ("bcast", [None, None, None], [0])
+    assert grp.arrive(0, "allgather", None) is False
+    assert grp.take_step() == ("allgather", [None, None, None], [0])
 
 
 def test_single_member_group_completes_on_first_arrival():
-    assert Group([7]).arrive(0, "allreduce", 1) is True
+    assert Group(1).arrive(0, "allreduce", 1) is True
 
 
 def test_different_op_is_a_sticky_mismatch():
-    grp = Group([0, 1, 2])
+    grp = Group(3)
     grp.arrive(0, "barrier", None)
     with pytest.raises(CollectiveMismatchError) as first:
         grp.arrive(2, "allgather", 5)
@@ -61,53 +62,29 @@ def test_different_op_is_a_sticky_mismatch():
 
 
 def test_mailbox_is_fifo_per_source_and_tag():
-    grp = Group([0, 1, 2])
+    grp = Group(3)
     grp.post(0, 2, 20, "second")
     grp.post(0, 2, 10, "first")
     grp.post(1, 2, 10, "other-source")
     grp.post(0, 2, 10, "third")
-    assert grp.match(2, 0, 99, pop=True) == (False, None)
-    assert grp.match(2, 0, 10, pop=True) == (True, "first")
-    assert grp.match(2, 0, ANY_TAG, pop=True) == (True, "second")
-    assert grp.match(2, 0, ANY_TAG, pop=True) == (True, "third")
-    assert grp.match(2, 0, ANY_TAG, pop=True) == (False, None)
-    assert grp.match(2, 1, 10, pop=True) == (True, "other-source")
-    assert grp.match(1, 0, ANY_TAG, pop=True) == (False, None)
+    assert grp.match(2, 0, 99) == (False, None)
+    assert grp.match(2, 0, 10) == (True, "first")
+    assert grp.match(2, 0, 20) == (True, "second")
+    assert grp.match(2, 0, 10) == (True, "third")
+    assert grp.match(2, 0, 10) == (False, None)
+    assert grp.match(2, 1, 10) == (True, "other-source")
+    assert grp.match(1, 0, 10) == (False, None)
 
 
-def test_probe_leaves_the_box_intact():
-    grp = Group([0, 1])
-    grp.post(1, 0, 3, "msg")
-    assert grp.match(0, 1, 3, pop=False) == (True, "msg")
-    assert grp.match(0, 1, 3, pop=False) == (True, "msg")
-    assert grp.match(0, 1, 3, pop=True) == (True, "msg")
-    assert grp.match(0, 1, 3, pop=False) == (False, None)
-
-
-def test_split_orders_by_key_then_old_rank():
-    grp = Group([0, 1, 2, 3, 4])
-    # colours 1/0 by parity; rank 4 opts out; keys reverse colour 0
-    children, plans = grp.split(
-        [(0, 9), (1, 5), (0, 1), (1, 5), (-1, 0)]
-    )
-    even, odd = children                                     # colour order
-    assert (even.members, odd.members) == ([2, 0], [1, 3])
-    assert plans == [(even, 1), (odd, 0), (even, 0), (odd, 1), None]
-    assert all(c.size == 2 and not c.arrived for c in children)
-
-
-def test_nested_split_maps_to_global_ranks():
-    world = Group(list(range(6)))
-    odds = world.split([(r % 2, -r) for r in range(6)])[0][1]
-    assert odds.members == [5, 3, 1]
-    assert odds.index == {5: 0, 3: 1, 1: 2}
-    (inner,), plans = odds.split([(0, 0), (-1, 0), (0, 0)])
-    assert inner.members == [5, 1]
-    assert plans == [(inner, 0), None, (inner, 1)]
+def test_waiting_calls_are_named_once_for_every_engine():
+    grp = Group(3)
+    grp.arrive(2, "allreduce(op=sum)", 1)
+    assert grp.where() == "collective 'allreduce(op=sum)' (1/3 ranks arrived)"
+    assert recv_where(0, 3) == "recv(source=0, tag=3)"
 
 
 def test_finish_step_runs_combine_and_accounts_bytes():
-    grp = Group([0, 1])
+    grp = Group(2)
     grp.arrive(1, "allgather", "yy")
     grp.arrive(0, "allgather", "x")
     results, sent, recv = grp.finish_step(0, Collective("allgather"))
@@ -121,26 +98,6 @@ def test_finish_step_runs_combine_and_accounts_bytes():
         == ([0, 0], [0, 0])
     assert Collective("barrier").finish([None] * 3) == \
         ([None] * 3, [0, 0, 0], [0, 0, 0])
-    # a split is the group's own: plans out, nothing priced
-    for g in (0, 1):
-        grp.arrive(g, "split", (g, 0))
-    plans, sent, recv = grp.finish_step(1, Collective("split"))
-    assert [(child.members, r) for child, r in plans] == [([0], 0), ([1], 0)]
-    assert (sent, recv) == ([0, 0], [0, 0])
-
-
-def test_finish_step_rejects_wrong_length_results():
-    """A scatter root with the wrong item count cannot hand every rank a
-    result: refused, with the finishing rank as origin."""
-    grp = Group([0, 1])
-    grp.arrive(0, "scatter(root=0)", ["only one"])
-    grp.arrive(1, "scatter(root=0)", None)
-    with pytest.raises(CollectiveAbortedError) as err:
-        grp.finish_step(1, Collective("scatter", root=0))
-    assert err.value.origin_rank == 1
-    assert "'scatter(root=0)'" in str(err.value)
-    assert "exactly 2 items" in str(err.value)
-    assert isinstance(err.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("where", ["results", "bytes"])
@@ -149,7 +106,7 @@ def test_finish_step_wraps_failures_with_finishing_rank(where, monkeypatch):
         raise ValueError("bad payload")
 
     spec = Collective("allreduce", "sum")
-    grp = Group([0, 1, 2])
+    grp = Group(3)
     if where == "bytes":
         monkeypatch.setattr(collective, "payload_logical_nbytes", boom)
         contribs, cause = [np.ones(2)] * 3, "ValueError: bad payload"
@@ -175,7 +132,7 @@ def test_unknown_operator_is_refused_by_name():
 
 def test_collective_names_are_the_op_strings():
     assert Collective("barrier").name == "barrier"
-    assert Collective("bcast", root=2).name == "bcast(root=2)"
+    assert Collective("allgatherv").name == "allgatherv"
     assert Collective("reduce", "sum", 1).name == "reduce(op=sum,root=1)"
     assert Collective("exscan", "keep_last").name == "exscan(op=keep_last)"
     fused = Collective("fused_reduce", "sum",

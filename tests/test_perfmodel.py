@@ -29,7 +29,7 @@ def test_collective_category_classification():
     assert collective_category("alltoallv") == "a2a"
     assert collective_category("alltoall") == "a2a"
     assert collective_category("barrier") == "sync"
-    assert collective_category("bcast(root=0)") == "tree"
+    assert collective_category("reduce(op=sum,root=0)") == "tree"
     assert collective_category("allreduce(op=sum)") == "tree"
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ANY_TAG,
     CollectiveMismatchError,
     InvalidRankError,
     SpmdWorkerError,
@@ -29,32 +28,6 @@ def test_barrier_completes(size):
         return comm.rank
 
     assert run_spmd(size, worker) == list(range(size))
-
-
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("root", [0, -1])
-def test_bcast_delivers_root_object(size, root):
-    root = root % size
-
-    def worker(comm):
-        payload = {"value": comm.rank * 10} if comm.rank == root else None
-        return comm.bcast(payload, root=root)
-
-    results = run_spmd(size, worker)
-    assert all(r == {"value": root * 10} for r in results)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_gather_collects_in_rank_order(size):
-    def worker(comm):
-        return comm.gather(comm.rank * comm.rank, root=size - 1)
-
-    results = run_spmd(size, worker)
-    for r, out in enumerate(results):
-        if r == size - 1:
-            assert out == [i * i for i in range(size)]
-        else:
-            assert out is None
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -79,24 +52,6 @@ def test_allgatherv_concatenates_in_rank_order(size):
     )
     for r in results:
         np.testing.assert_array_equal(r, expected)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_scatter_distributes_items(size):
-    def worker(comm):
-        items = [i * 2 for i in range(size)] if comm.rank == 0 else None
-        return comm.scatter(items, root=0)
-
-    assert run_spmd(size, worker) == [i * 2 for i in range(size)]
-
-
-def test_scatter_wrong_length_raises():
-    def worker(comm):
-        items = [0] if comm.rank == 0 else None
-        return comm.scatter(items, root=0)
-
-    with pytest.raises(SpmdWorkerError):
-        run_spmd(3, worker)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -125,16 +80,13 @@ def test_allreduce_results_are_private_copies(size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_exscan_and_scan_prefixes(size):
+def test_exscan_prefixes(size):
     def worker(comm):
-        ex = comm.exscan(np.int64(comm.rank + 1), reduction.SUM)
-        inc = comm.scan(np.int64(comm.rank + 1), reduction.SUM)
-        return int(ex), int(inc)
+        return int(comm.exscan(np.int64(comm.rank + 1), reduction.SUM))
 
     results = run_spmd(size, worker)
-    for r, (ex, inc) in enumerate(results):
+    for r, ex in enumerate(results):
         assert ex == sum(range(1, r + 1))
-        assert inc == sum(range(1, r + 2))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -204,17 +156,6 @@ def test_recv_matches_tag_out_of_order():
     assert run_spmd(2, worker)[1] == ("b", "a")
 
 
-def test_recv_any_tag_is_fifo():
-    def worker(comm):
-        if comm.rank == 0:
-            for i in range(3):
-                comm.send(i, dest=1, tag=i + 10)
-            return None
-        return [comm.recv(source=0, tag=ANY_TAG) for _ in range(3)]
-
-    assert run_spmd(2, worker)[1] == [0, 1, 2]
-
-
 def test_send_to_invalid_rank_raises():
     def worker(comm):
         comm.send("x", dest=5)
@@ -256,7 +197,7 @@ def test_mismatched_collectives_detected():
 
 def test_mismatched_roots_detected():
     def worker(comm):
-        comm.bcast(comm.rank, root=comm.rank)  # different roots
+        comm.reduce(np.int64(1), reduction.SUM, root=comm.rank)  # roots differ
 
     with pytest.raises(SpmdWorkerError):
         run_spmd(2, worker)
@@ -264,7 +205,7 @@ def test_mismatched_roots_detected():
 
 def test_invalid_root_raises():
     def worker(comm):
-        comm.bcast(1, root=99)
+        comm.reduce(np.int64(1), reduction.SUM, root=99)
 
     with pytest.raises(SpmdWorkerError) as excinfo:
         run_spmd(2, worker)

@@ -109,16 +109,15 @@ def test_a_name_denotes_one_operator():
         max_size=6,
     )
 )
-def test_sum_scan_property(rows):
-    """scan[r] == exscan[r] + contribution[r] == partial sums."""
+def test_sum_exscan_property(rows):
+    """exscan[r] == the partial sum of contributions[0..r-1]; rank 0 gets
+    the identity."""
     parts = [np.array(r, dtype=np.int64) for r in rows]
-    inc = SUM.scan(parts)
     exc = SUM.exscan(parts)
-    for r, part in enumerate(parts):
-        np.testing.assert_array_equal(inc[r], exc[r] + part)
+    assert len(exc) == len(parts)
+    for r in range(len(parts)):
         np.testing.assert_array_equal(
-            inc[r], np.sum(parts[: r + 1], axis=0)
-        )
+            exc[r], sum(parts[:r], np.zeros(3, dtype=np.int64)))
 
 
 @settings(deadline=None, max_examples=50)

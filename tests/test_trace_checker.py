@@ -44,8 +44,7 @@ def _collective_worker(comm):
     total = comm.allreduce(np.int64(comm.rank + 1), reduction.SUM)
     comm.barrier()
     rows = comm.allgather(np.arange(comm.rank + 1, dtype=np.int64))
-    part = comm.scatter([np.int64(i * 10) for i in range(comm.size)]
-                        if comm.rank == 1 else None, root=1)
+    part = comm.exscan(np.int64(10), reduction.SUM)
     return int(total), len(rows), int(part)
 
 
@@ -61,7 +60,7 @@ def test_traced_job_validates_on_every_backend(backend):
     assert report.checked_steps == 4
     # every rank recorded every collective, in the same order
     kinds = [ev.kind for ev in collector.events_of(0)]
-    assert kinds == ["allreduce", "barrier", "allgather", "scatter"]
+    assert kinds == ["allreduce", "barrier", "allgather", "exscan"]
     for rank in (1, 2):
         assert [ev.kind for ev in collector.events_of(rank)] == kinds
 
@@ -124,7 +123,7 @@ def test_trace_report_is_human_readable():
     run_spmd(2, _collective_worker, trace=collector)
     text = format_trace_report(collector)
     assert "2 rank(s)" in text
-    assert "allreduce" in text and "scatter" in text
+    assert "allreduce" in text and "exscan" in text
     assert "OK (all ranks in lock-step)" in text
     assert collector.report() == text
 
@@ -208,11 +207,11 @@ def test_wrong_operator_is_operator_mismatch():
 
 
 def test_wrong_root_is_metadata_mismatch():
-    traces = _lockstep(kind="bcast", operator=None, op="bcast(root=0)")
-    traces[1][0] = _event(0, kind="bcast", operator=None, op="bcast(root=1)")
+    traces = _lockstep(kind="reduce", op="reduce(op=sum,root=0)")
+    traces[1][0] = _event(0, kind="reduce", op="reduce(op=sum,root=1)")
     report = check_traces(traces)
     assert report.codes() == ("metadata-mismatch",)
-    assert "bcast(root=1)" in report.diagnostics[0].message
+    assert "reduce(op=sum,root=1)" in report.diagnostics[0].message
 
 
 def test_wrong_shape_is_shape_mismatch():
