@@ -31,8 +31,6 @@ from .core import (
     InductionConfig,
     ScalParC,
     fit_scalparc,
-    parallel_predict,
-    parallel_score,
 )
 from .datagen import (
     Dataset,
@@ -80,8 +78,6 @@ __all__ = [
     "generate_quest",
     "induce_serial",
     "paper_dataset",
-    "parallel_predict",
-    "parallel_score",
     "prune_pessimistic",
     "random_dataset",
     "run_spmd",

@@ -8,7 +8,7 @@ from .isoefficiency import (
     fit_isoefficiency,
     isoefficiency_curve,
 )
-from .report import collect_results, compare_stats, results_to_markdown
+from .report import collect_results, results_to_markdown
 from .speedup import (
     SpeedupSeries,
     parallel_overhead,
@@ -16,7 +16,6 @@ from .speedup import (
     speedup_series,
 )
 from .sweep import ALGORITHMS, RunPoint, run_grid
-from .validation import CrossValResult, cross_validate, kfold_indices
 from .tables import format_series, format_table
 
 __all__ = [
@@ -25,14 +24,10 @@ __all__ = [
     "efficiency_table",
     "fit_isoefficiency",
     "isoefficiency_curve",
-    "CrossValResult",
     "RunPoint",
     "SpeedupSeries",
     "ascii_chart",
     "collect_results",
-    "compare_stats",
-    "cross_validate",
-    "kfold_indices",
     "format_series",
     "format_table",
     "parallel_overhead",

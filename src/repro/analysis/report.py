@@ -3,19 +3,14 @@
 The benchmark harness writes each figure/table reproduction to
 ``benchmarks/results/<name>.txt`` (see ``benchmarks/conftest.py``).  This
 module folds those artifacts into one markdown report — the mechanical
-half of EXPERIMENTS.md — and provides side-by-side comparison tables of
-:class:`~repro.perfmodel.report.SimulatedRunStats` for ad-hoc studies.
+half of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
-from ..perfmodel import SimulatedRunStats, format_bytes, format_seconds
-from .tables import format_table
-
-__all__ = ["collect_results", "results_to_markdown", "compare_stats"]
+__all__ = ["collect_results", "results_to_markdown"]
 
 #: canonical experiment ordering and titles for the generated report
 _SECTIONS = [
@@ -61,30 +56,3 @@ def results_to_markdown(results_dir: str | Path,
         lines.append("*(no benchmark artifacts found — run "
                      "`pytest benchmarks/ --benchmark-only` first)*")
     return "\n".join(lines)
-
-
-def compare_stats(
-    named_stats: Sequence[tuple[str, SimulatedRunStats]],
-    *,
-    title: str | None = None,
-) -> str:
-    """Side-by-side table of priced runs (time / traffic / memory)."""
-    if not named_stats:
-        raise ValueError("nothing to compare")
-    rows = []
-    for name, stats in named_stats:
-        rows.append([
-            name,
-            stats.size,
-            format_seconds(stats.parallel_time),
-            format_seconds(stats.comp_time_max),
-            format_seconds(stats.comm_time_max),
-            format_bytes(stats.bytes_per_rank_max),
-            format_bytes(stats.memory_per_rank_max),
-        ])
-    return format_table(
-        ["run", "p", "T_p", "comp max", "comm max",
-         "comm/rank", "mem/rank"],
-        rows,
-        title=title,
-    )

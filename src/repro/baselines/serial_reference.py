@@ -15,6 +15,8 @@ main correctness oracle.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..core.config import InductionConfig
@@ -30,13 +32,13 @@ from ..core.splits import (
     encode_mask,
 )
 from ..datagen.schema import Dataset, check_training_values
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
+from ..tree.compile import (
+    KIND_CATEGORICAL,
+    KIND_CONTINUOUS,
+    KIND_LEAF,
+    assemble_table,
 )
+from ..tree.model import DecisionTree
 
 __all__ = ["induce_serial", "best_split_for_counts"]
 
@@ -92,8 +94,9 @@ def induce_serial(dataset: Dataset,
                   config: InductionConfig | None = None) -> DecisionTree:
     """Induce a decision tree serially (the golden reference).
 
-    Iterative (explicit stack), so arbitrarily deep trees do not hit the
-    Python recursion limit.
+    Iterative (a FIFO queue of nodes), so arbitrarily deep trees do not
+    hit the Python recursion limit, and nodes are settled in
+    breadth-first order — the order their table rows take.
     """
     config = config or InductionConfig()
     if dataset.n_records == 0:
@@ -103,35 +106,29 @@ def induce_serial(dataset: Dataset,
     c = schema.n_classes
     columns = dataset.columns
     labels = dataset.labels.astype(np.int64)
-    all_rids = np.arange(dataset.n_records, dtype=np.int64)
 
-    # (record indices, depth, parent node or None, child slot)
-    root_holder: list[TreeNode] = [None]  # type: ignore[list-item]
-    stack: list[tuple[np.ndarray, int, TreeNode | None, int]] = [
-        (all_rids, 0, None, 0)
-    ]
+    rows: dict[str, list] = {name: [] for name in (
+        "kind", "feature", "threshold", "class_counts", "n_records",
+        "leaf_label", "default_child", "n_children", "fanout")}
+    slots: list[np.ndarray] = []
 
-    def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-        if parent is None:
-            root_holder[0] = node
-        else:
-            parent.children[slot] = node
+    def emit(**row) -> None:
+        for name, value in row.items():
+            rows[name].append(value)
 
-    while stack:
-        idx, depth, parent, slot = stack.pop()
+    # (record indices, depth, the parent's majority class): an empty
+    # child of a multiway categorical split has all-zero counts, which
+    # would argmax to class 0 — it inherits its parent's majority instead
+    # (mirrors the level loop)
+    queue = deque([(np.arange(dataset.n_records, dtype=np.int64), 0, 0)])
+    while queue:
+        idx, depth, inherited = queue.popleft()
         counts = np.bincount(labels[idx], minlength=c)
         n = len(idx)
-
-        def as_leaf() -> Leaf:
-            if n == 0 and parent is not None:
-                # empty child of a multiway categorical split: all-zero
-                # counts would argmax to class 0 — inherit the parent's
-                # majority instead (mirrors induce_worker)
-                label = int(np.argmax(parent.class_counts))
-            else:
-                label = int(np.argmax(counts))
-            return Leaf(label=label, n_records=n,
-                        class_counts=counts.copy(), depth=depth)
+        leaf = dict(kind=KIND_LEAF, feature=-1, threshold=np.nan,
+                    class_counts=counts, n_records=n,
+                    leaf_label=int(np.argmax(counts)) if n else inherited,
+                    default_child=0, n_children=0, fanout=0)
 
         terminal = (
             int(counts.max()) == n
@@ -139,7 +136,7 @@ def induce_serial(dataset: Dataset,
             or (config.max_depth is not None and depth >= config.max_depth)
         )
         if terminal:
-            attach(as_leaf(), parent, slot)
+            emit(**leaf)
             continue
 
         # --- find the best candidate over all attributes -------------------
@@ -174,34 +171,33 @@ def induce_serial(dataset: Dataset,
         score = float(best[0])
         parent_imp = float(impurity(counts, config.criterion))
         if not np.isfinite(score) or parent_imp - score < config.min_improvement:
-            attach(as_leaf(), parent, slot)
+            emit(**leaf)
             continue
 
         attr = int(best[1])
+        majority = int(np.argmax(counts))
         if schema[attr].is_continuous:
             threshold = float(best[2])
-            node: TreeNode = ContinuousSplit(
-                attr_index=attr, threshold=threshold, n_records=n,
-                class_counts=counts.copy(), depth=depth,
-                children=[None, None],
-            )
-            attach(node, parent, slot)
+            emit(**leaf | dict(kind=KIND_CONTINUOUS, feature=attr,
+                               threshold=threshold, leaf_label=-1,
+                               n_children=2, fanout=2))
+            slots.append(np.array([0, 1]))
             go_left = columns[attr][idx] < threshold
-            stack.append((idx[~go_left], depth + 1, node, 1))
-            stack.append((idx[go_left], depth + 1, node, 0))
+            queue.append((idx[go_left], depth + 1, majority))
+            queue.append((idx[~go_left], depth + 1, majority))
         else:
             value_to_child, n_children, default = categorical_children_layout(
                 best_matrix, best_mask
             )
-            node = CategoricalSplit(
-                attr_index=attr, value_to_child=value_to_child,
-                n_records=n, class_counts=counts.copy(), depth=depth,
-                children=[None] * n_children, default_child=default,
-            )
-            attach(node, parent, slot)
-            codes = columns[attr][idx].astype(np.int64)
-            child_of = value_to_child[codes]
-            for child in range(n_children - 1, -1, -1):
-                stack.append((idx[child_of == child], depth + 1, node, child))
+            emit(**leaf | dict(kind=KIND_CATEGORICAL, feature=attr,
+                               leaf_label=-1, default_child=default,
+                               n_children=n_children,
+                               fanout=len(value_to_child)))
+            slots.append(value_to_child)
+            child_of = value_to_child[columns[attr][idx].astype(np.int64)]
+            for child in range(n_children):
+                queue.append((idx[child_of == child], depth + 1, majority))
 
-    return DecisionTree(schema=schema, root=root_holder[0])
+    return assemble_table(
+        schema, **rows, slot_child=np.concatenate(slots) if slots else (),
+    ).to_tree()

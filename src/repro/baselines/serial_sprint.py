@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core.config import InductionConfig
 from ..datagen.schema import Dataset
+from ..tree.compile import KIND_LEAF
 from ..tree.model import DecisionTree
 from .serial_reference import induce_serial
 
@@ -111,16 +112,15 @@ class SerialSPRINT:
         tree = induce_serial(dataset, self.config)
         n_attrs = len(dataset.schema)
 
-        # group internal nodes by depth
-        by_level: dict[int, list[int]] = {}
-        for node in tree.nodes():
-            if not node.is_leaf:
-                by_level.setdefault(node.depth, []).append(node.n_records)
+        # internal nodes' sizes, level by level
+        table = tree.compiled()
+        split = table.kind != KIND_LEAF
+        depths, records = table.depths[split], table.n_records[split]
 
         levels: list[LevelIO] = []
         budget = self.memory_budget_entries
-        for depth in sorted(by_level):
-            sizes = np.asarray(by_level[depth], dtype=np.int64)
+        for depth in range(int(depths.max(initial=-1)) + 1):
+            sizes = records[depths == depth]
             if budget is None:
                 passes_per_node = np.ones_like(sizes)
             else:

@@ -334,8 +334,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.rules:
         from .tree import rules_to_text
 
-        print(rules_to_text(tree, min_records=max(tree.root.n_records
-                                                  // 50, 1)))
+        print(rules_to_text(tree, min_records=max(
+            int(tree.compiled().n_records[0]) // 50, 1)))
     if args.importance:
         from .tree import feature_importances
 

@@ -33,7 +33,6 @@ from .criteria import (
     split_score_multiway,
 )
 from .induction import induce_worker
-from .parallel_predict import parallel_predict, parallel_score, predict_worker
 from .splits import (
     BEST_SPLIT,
     NO_CANDIDATE,
@@ -68,10 +67,7 @@ __all__ = [
     "induce_worker",
     "make_strategy",
     "pack_candidates",
-    "parallel_predict",
-    "parallel_score",
     "perform_split",
-    "predict_worker",
     "split_score_from_left",
     "split_score_multiway",
 ]

@@ -31,10 +31,10 @@ acceptance rule), :meth:`LevelFrontier.grow` (node rows, the empty-child
 label rule, child numbering) and :func:`grow_levels` (the loop).
 
 Nothing here costs per node: the partial tree is per-node rows of the
-columns :func:`~repro.tree.compile.assemble_table` takes, the finished
-tree is those rows numbered breadth-first, and node objects are built
-from the table only where somebody reads ``tree.root``.  The serial
-reference stays independent on purpose — it is the oracle.
+columns :func:`~repro.tree.compile.assemble_table` takes, and the
+finished tree is those rows numbered breadth-first — the table is the
+tree.  The serial reference stays independent on purpose — it is the
+oracle.
 """
 
 from __future__ import annotations
@@ -233,9 +233,8 @@ class LevelFrontier:
         )
 
     def table(self) -> tuple[CompiledTree, np.ndarray]:
-        """The tree as a :class:`CompiledTree` — bit for bit what
-        ``compile_tree`` makes of the same tree's node objects — and the
-        fid of each of its nodes.  A split's children are consecutive fids,
+        """The tree as a :class:`CompiledTree` and the fid of each of its
+        nodes.  A split's children are consecutive fids,
         so numbering breadth-first is one gather per level."""
         levels = [np.zeros(1, dtype=np.int64)]
         while (k := self.n_children[levels[-1]]).any():

@@ -1,25 +1,19 @@
-"""Compiled flat-array decision trees: the serving-side hot path.
+"""Breadth-first column tables: the one form of a decision tree.
 
-The pointer-chasing :class:`~repro.tree.model.DecisionTree` is the right
-shape for induction and structural comparison, but routing records
-through it costs a Python frame per node per routed subset
-(``predict._route_recursive``) and dies with ``RecursionError`` on deep
-trees.  :func:`compile_tree` lowers a fitted tree into a
-:class:`CompiledTree` — a handful of flat numpy arrays — whose traversal
-kernel advances *every* record one level per numpy step::
+ScalParC settles one whole tree level per pass of Figure 2, so its tree
+is naturally a level-ordered table.  :class:`CompiledTree` is that table
+— a handful of flat numpy arrays, one row per node — and it is the only
+form a tree takes: the level loop (:mod:`repro.core.frontier`) appends
+one column block per level and assembles them through
+:func:`assemble_table`; the serial reference and the JSON reader
+(:func:`~repro.tree.export.from_dict`) emit rows through the same
+function; a pickled :class:`~repro.tree.model.DecisionTree` is its
+table; and export, pruning, rules, importances and statistics read the
+arrays.  Prediction advances *every* record one level per numpy step::
 
     node = child_table[child_base[node] + route(node, value)]
 
 with no Python recursion and no per-node dispatch.
-
-The table is also the form a tree is *grown, shipped and stored* in: the
-level loop (:mod:`repro.core.frontier`) appends one column block per
-level and assembles them through :func:`assemble_table` — the same
-function :func:`compile_tree` finishes with, so both produce the same
-arrays bit for bit — and a pickled :class:`DecisionTree` is its table
-(no node object crosses a pipe, a socket or a checkpoint).  Node objects
-are a view: :meth:`CompiledTree.build_root` makes them in one iterative
-pass when something first asks for ``tree.root``.
 
 Layout
 ------
@@ -41,16 +35,18 @@ Nodes are numbered in breadth-first order (root = 0).  Per node:
     were absent at training time are baked to the node's default child,
     so the kernel never branches on "unseen value".
 ``slot_child``
-    int32 raw child *ordinal* per slot (−1 for absent codes) — kept so
-    :meth:`CompiledTree.to_tree` can reconstruct ``value_to_child``
-    losslessly.
+    int32 raw child *ordinal* per slot (−1 for absent codes) — a
+    categorical node's ``value_to_child`` as the model file stores it.
 ``leaf_label`` / ``leaf_proba``
     int32 predicted class per leaf (−1 for internal nodes) and the
     float64 per-class empirical frequencies
-    (``class_counts / max(sum, 1)`` — computed exactly as the recursive
-    predictor does, so probabilities agree bit-for-bit).
+    (``class_counts / max(sum, 1)``).
 ``n_records`` / ``class_counts``
-    training-set statistics, preserved for the round trip.
+    training-set statistics (pruning, importances and the rules read
+    them).
+
+A node's children are consecutive ids (breadth-first numbering):
+``first_child[v] … first_child[v] + n_children[v] - 1`` in child order.
 
 ``structure_digest`` is a blake2b digest over every array plus a schema
 fingerprint; it names the *compiled artifact* (the serving registry
@@ -67,13 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from ..datagen.schema import Schema
-from .model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from .model import DecisionTree
 
 __all__ = ["CompiledTree", "assemble_table", "compile_tree", "KIND_LEAF",
            "KIND_CONTINUOUS", "KIND_CATEGORICAL"]
@@ -81,8 +71,6 @@ __all__ = ["CompiledTree", "assemble_table", "compile_tree", "KIND_LEAF",
 KIND_LEAF = 0
 KIND_CONTINUOUS = 1
 KIND_CATEGORICAL = 2
-#: a continuous split's slot → child-ordinal row
-_LEFT_RIGHT = np.array([0, 1], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -116,10 +104,27 @@ class CompiledTree:
     @cached_property
     def max_depth(self) -> int:
         """Deepest leaf (root = 0), computed from the child table."""
-        depth = self._node_depths()
-        return int(depth[self.kind == KIND_LEAF].max())
+        return int(self.depths[self.kind == KIND_LEAF].max())
 
-    def _node_depths(self) -> np.ndarray:
+    @cached_property
+    def n_children(self) -> np.ndarray:
+        """Child count per node: 2 for a continuous split, the largest
+        slot ordinal + 1 for a categorical one, 0 for a leaf."""
+        out = np.zeros(self.n_nodes, dtype=np.int64)
+        split = np.flatnonzero(self.fanout > 0)
+        if len(split):
+            out[split] = np.maximum.reduceat(
+                self.slot_child, self.child_base[split]) + 1
+        return out
+
+    @cached_property
+    def first_child(self) -> np.ndarray:
+        """Id of each node's first child (breadth-first numbering gives
+        the children of nodes 0, 1, 2 … consecutive ids from 1)."""
+        return 1 + np.cumsum(self.n_children) - self.n_children
+
+    @cached_property
+    def depths(self) -> np.ndarray:
         """Depth of every node (root = 0).  Breadth-first numbering makes
         a level one contiguous id range whose slots are contiguous too
         and whose children are the next range, so one sweep per *level*
@@ -142,13 +147,14 @@ class CompiledTree:
         h.update(repr([(a.name, a.kind, a.n_values) for a in self.schema])
                  .encode())
         h.update(str(self.schema.n_classes).encode())
-        for arr in (self.kind, self.feature, self.threshold, self.child_base,
-                    self.fanout, self.child_table, self.slot_child,
-                    self.default_child, self.leaf_label, self.leaf_proba,
-                    self.n_records, self.class_counts):
+        for arr in self.arrays():
             h.update(str(arr.dtype).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The twelve arrays, in field order."""
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
     # -- the kernel ----------------------------------------------------------
 
@@ -180,7 +186,8 @@ class CompiledTree:
                 child_table, is_cat, bool(is_cat.any()))
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
-        """Leaf node id per record of ``matrix`` (n_records, n_attributes).
+        """Id of the leaf each record of ``matrix`` (n_records,
+        n_attributes) reaches.
 
         Fully vectorized and iterative: each pass advances every still-
         routing record one level (``node = child_table[child_base[node]
@@ -274,54 +281,11 @@ class CompiledTree:
     def __reduce__(self):
         # the twelve arrays and the schema, positionally: no cached
         # routing tables or digests ride along
-        return CompiledTree, tuple(
-            getattr(self, f.name) for f in fields(self))
+        return CompiledTree, (self.schema, *self.arrays())
 
     def to_tree(self) -> DecisionTree:
-        """The :class:`DecisionTree` over this table.  Its node objects
-        are built (:meth:`build_root`) when ``tree.root`` is first read,
-        so ``compile_tree(t).to_tree()`` is structurally equal to ``t``."""
-        return DecisionTree(self.schema, table=self)
-
-    def build_root(self) -> TreeNode:
-        """Build the pointer-form nodes exactly; returns the root.
-
-        One iterative pass, children before parents (their ids are
-        larger), over plain lists — no recursion, so any depth builds.
-        Depths come from the table structure (root = 0); all other node
-        data round-trips from the stored arrays.  Every node's
-        ``class_counts`` is its own row of one fresh copy.
-        """
-        kind, feature = self.kind.tolist(), self.feature.tolist()
-        threshold, n_records = self.threshold.tolist(), self.n_records.tolist()
-        label, default = self.leaf_label.tolist(), self.default_child.tolist()
-        base, fanout = self.child_base.tolist(), self.fanout.tolist()
-        table, slots = self.child_table.tolist(), self.slot_child.tolist()
-        depth = self._node_depths().tolist()
-        counts = list(self.class_counts.copy())
-        nodes: list[TreeNode | None] = [None] * self.n_nodes
-        for v in range(self.n_nodes - 1, -1, -1):
-            if kind[v] == KIND_LEAF:
-                nodes[v] = Leaf(label[v], n_records[v], counts[v], depth[v])
-                continue
-            lo = base[v]
-            if kind[v] == KIND_CONTINUOUS:
-                nodes[v] = ContinuousSplit(
-                    feature[v], threshold[v], n_records[v], counts[v],
-                    depth[v], [nodes[table[lo]], nodes[table[lo + 1]]],
-                )
-                continue
-            hi = lo + fanout[v]
-            ordinals = slots[lo:hi]
-            children: list[TreeNode | None] = [None] * (max(ordinals) + 1)
-            for child, ordinal in zip(table[lo:hi], ordinals):
-                if ordinal >= 0:
-                    children[ordinal] = nodes[child]
-            nodes[v] = CategoricalSplit(
-                feature[v], self.slot_child[lo:hi].copy(), n_records[v],
-                counts[v], depth[v], children, default[v],
-            )
-        return nodes[0]
+        """The :class:`DecisionTree` over this table."""
+        return DecisionTree(self.schema, self)
 
 
 def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
@@ -332,8 +296,8 @@ def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
                    ) -> CompiledTree:
     """The :class:`CompiledTree` of per-node columns in breadth-first
     order — the one place the layout's derived arrays are computed, for
-    :func:`compile_tree` (columns read off node objects) and the level
-    loop (columns emitted level by level) alike.
+    the level loop (columns emitted level by level), the serial reference
+    and the model-file reader alike.
 
     ``n_children`` is the node's child count, ``fanout`` its slot count
     and ``slot_child`` every node's raw slot → child-ordinal row, node
@@ -353,7 +317,7 @@ def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
     owner = np.repeat(np.arange(len(fanout)), fanout)
     ordinal = np.where(slot_child < 0, default_child[owner], slot_child)
     leaf = np.asarray(kind) == KIND_LEAF
-    # same expression as the recursive predictor → bit-identical
+    # same expression as the tests' recursive reference predictor
     proba = class_counts / np.maximum(class_counts.sum(axis=1), 1)[:, None]
     return CompiledTree(
         schema=schema,
@@ -373,47 +337,5 @@ def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
 
 
 def compile_tree(tree: DecisionTree) -> CompiledTree:
-    """Lower a fitted :class:`DecisionTree` into its flat-array form,
-    from its node objects (``tree.compiled()`` is the cached way to ask;
-    this always walks ``tree.root``)."""
-    order: list[TreeNode] = [tree.root]
-    for node in order:                        # breadth-first numbering
-        if not node.is_leaf:
-            order.extend(node.children)
-
-    n = len(order)
-    kind = [KIND_LEAF] * n
-    feature = [-1] * n
-    threshold = [np.nan] * n
-    leaf_label = [-1] * n
-    default_child = [0] * n
-    n_children = [0] * n
-    fanout = [0] * n
-    slots: list[np.ndarray] = []
-    for v, node in enumerate(order):
-        if isinstance(node, Leaf):
-            leaf_label[v] = node.label
-            continue
-        feature[v] = node.attr_index
-        n_children[v] = len(node.children)
-        if isinstance(node, ContinuousSplit):
-            kind[v] = KIND_CONTINUOUS
-            threshold[v] = node.threshold
-            raw = _LEFT_RIGHT                       # slots = [left, right]
-        else:
-            kind[v] = KIND_CATEGORICAL
-            default_child[v] = node.default_child
-            raw = np.asarray(node.value_to_child, dtype=np.int32)
-        fanout[v] = len(raw)
-        slots.append(raw)
-
-    return assemble_table(
-        tree.schema, kind=kind, feature=feature, threshold=threshold,
-        class_counts=np.concatenate(
-            [node.class_counts for node in order]
-        ).reshape(n, tree.schema.n_classes),
-        n_records=[node.n_records for node in order],
-        leaf_label=leaf_label, default_child=default_child,
-        n_children=n_children, fanout=fanout,
-        slot_child=np.concatenate(slots) if slots else (),
-    )
+    """The flat-array table of a fitted tree (``tree.compiled()``)."""
+    return tree.compiled()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.criteria import GINI, impurity
+from .compile import KIND_LEAF
 from .model import DecisionTree
 
 __all__ = ["feature_importances"]
@@ -21,21 +22,18 @@ def feature_importances(tree: DecisionTree,
                         criterion: str = GINI) -> np.ndarray:
     """Normalized per-attribute importances (length = number of
     attributes; zeros for attributes the tree never splits on)."""
+    t = tree.compiled()
     raw = np.zeros(len(tree.schema), dtype=np.float64)
-    n_root = tree.root.n_records
-    if n_root == 0:
+    n = t.n_records.astype(np.float64)
+    if n[0] == 0:
         return raw
-    for node in tree.nodes():
-        if node.is_leaf:
-            continue
-        node_imp = float(impurity(node.class_counts, criterion))
-        child_term = 0.0
-        for child in node.children:
-            if child.n_records:
-                child_term += (child.n_records / node.n_records) * float(
-                    impurity(child.class_counts, criterion)
-                )
-        decrease = node_imp - child_term
-        raw[node.attr_index] += (node.n_records / n_root) * decrease
+    imp = impurity(t.class_counts, criterion)
+    # every node but the root is its parent's child, in child order
+    parent = np.repeat(np.arange(t.n_nodes), t.n_children)
+    child_term = np.zeros(t.n_nodes)
+    np.add.at(child_term, parent, n[1:] / np.maximum(n[parent], 1) * imp[1:])
+    split = np.flatnonzero(t.kind != KIND_LEAF)
+    np.add.at(raw, t.feature[split],
+              n[split] / n[0] * (imp[split] - child_term[split]))
     total = raw.sum()
     return raw / total if total > 0 else raw

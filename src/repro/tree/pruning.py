@@ -16,104 +16,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DecisionTree, Leaf, TreeNode
+from .compile import KIND_LEAF, assemble_table
+from .model import DecisionTree
 
-__all__ = ["prune_pessimistic", "prune_mdl"]
-
-
-def _leaf_from(node: TreeNode) -> Leaf:
-    counts = node.class_counts
-    return Leaf(
-        label=int(np.argmax(counts)),
-        n_records=node.n_records,
-        class_counts=counts.copy(),
-        depth=node.depth,
-    )
-
-
-def _pessimistic_errors(node: TreeNode) -> float:
-    """Sum over the subtree's leaves of (training errors + 0.5)."""
-    if node.is_leaf:
-        errors = node.n_records - int(node.class_counts[node.label])
-        return errors + 0.5
-    return sum(_pessimistic_errors(c) for c in node.children)
-
-
-def _prune(node: TreeNode) -> TreeNode:
-    if node.is_leaf:
-        return node
-    node.children = [_prune(c) for c in node.children]
-    as_leaf = _leaf_from(node)
-    leaf_bound = (node.n_records - int(node.class_counts[as_leaf.label])) + 0.5
-    if leaf_bound <= _pessimistic_errors(node):
-        return as_leaf
-    return node
+__all__ = ["prune_pessimistic"]
 
 
 def prune_pessimistic(tree: DecisionTree) -> DecisionTree:
     """Return a pruned copy of the tree (the input is not modified)."""
-    from .export import from_dict, to_dict
-
-    clone = from_dict(to_dict(tree))  # deep, structure-only copy
-    return DecisionTree(schema=clone.schema, root=_prune(clone.root))
-
-
-def _mdl_split_cost(tree_schema, node: TreeNode) -> float:
-    """Bits to encode this node's splitting decision (SLIQ/SPRINT-style).
-
-    Attribute choice costs log2(n_attrs); a continuous threshold costs
-    log2(n) against the node's records (one of up to n positions); a
-    categorical split costs log2(n_values) per occurring value's routing
-    bit, collapsed here to n_occurring bits (subset form) or
-    log2(n_values) (multiway form).
-    """
-    n_attrs = max(len(tree_schema), 1)
-    cost = np.log2(n_attrs)
-    if hasattr(node, "threshold"):
-        cost += np.log2(max(node.n_records, 2))
-    else:
-        occurring = int(np.count_nonzero(node.value_to_child >= 0))
-        if len(node.children) == 2:
-            cost += max(occurring, 1)  # one routing bit per value
-        else:
-            cost += np.log2(max(len(node.value_to_child), 2))
-    return float(cost)
-
-
-def _mdl_leaf_cost(node: TreeNode, n_classes: int) -> float:
-    """Bits to encode the node as a leaf: the label plus one bit per
-    misclassified training record (exception coding)."""
-    errors = node.n_records - int(node.class_counts.max())
-    return float(np.log2(max(n_classes, 2)) + errors * np.log2(max(n_classes, 2)))
-
-
-def _prune_mdl(schema, node: TreeNode, n_classes: int) -> tuple[TreeNode, float]:
-    """Bottom-up MDL pruning; returns (possibly collapsed node, its cost)."""
-    if node.is_leaf:
-        return node, 1.0 + _mdl_leaf_cost(node, n_classes)
-    total = 1.0 + _mdl_split_cost(schema, node)
-    new_children = []
-    for child in node.children:
-        pruned_child, child_cost = _prune_mdl(schema, child, n_classes)
-        new_children.append(pruned_child)
-        total += child_cost
-    node.children = new_children
-    leaf = _leaf_from(node)
-    leaf_cost = 1.0 + _mdl_leaf_cost(leaf, n_classes)
-    if leaf_cost <= total:
-        return leaf, leaf_cost
-    return node, total
-
-
-def prune_mdl(tree: DecisionTree) -> DecisionTree:
-    """Minimum-description-length pruning (the scheme SPRINT adopts from
-    SLIQ): collapse any subtree whose encoding cost — split descriptions
-    plus children plus exception bits — exceeds the cost of a single leaf
-    with exception-coded errors.  Returns a pruned copy.
-    """
-    from .export import from_dict, to_dict
-
-    clone = from_dict(to_dict(tree))
-    root, _ = _prune_mdl(clone.schema, clone.root,
-                         clone.schema.n_classes)
-    return DecisionTree(schema=clone.schema, root=root)
+    t = tree.compiled()
+    n = t.n_nodes
+    majority = np.argmax(t.class_counts, axis=1)
+    # a node's errors as a leaf: its own label if it is one, else its
+    # majority class — the bound each subtree is measured against
+    label = np.where(t.kind == KIND_LEAF, t.leaf_label, majority)
+    as_leaf = (t.n_records - t.class_counts[np.arange(n), label]
+               + 0.5).tolist()
+    first, n_children = t.first_child.tolist(), t.n_children.tolist()
+    # bottom-up (children have larger ids): a subtree's pruned bound
+    bound = as_leaf[:]
+    collapse = [False] * n
+    for v in range(n - 1, -1, -1):
+        if n_children[v]:
+            subtree = sum(bound[first[v]:first[v] + n_children[v]])
+            collapse[v] = as_leaf[v] <= subtree
+            bound[v] = as_leaf[v] if collapse[v] else subtree
+    # top-down: drop every node under a collapsed one; the kept rows stay
+    # breadth-first
+    keep = [True] * n
+    for v, p in enumerate(np.repeat(np.arange(n), n_children).tolist(), 1):
+        keep[v] = keep[p] and not collapse[p]
+    keep = np.asarray(keep)
+    leaf = (t.kind == KIND_LEAF) | np.asarray(collapse)
+    return assemble_table(
+        tree.schema, kind=np.where(leaf, KIND_LEAF, t.kind)[keep],
+        feature=np.where(leaf, -1, t.feature)[keep],
+        threshold=np.where(leaf, np.nan, t.threshold)[keep],
+        class_counts=t.class_counts[keep], n_records=t.n_records[keep],
+        leaf_label=np.where(leaf, label, -1)[keep],
+        default_child=np.where(leaf, 0, t.default_child)[keep],
+        n_children=np.where(leaf, 0, t.n_children)[keep],
+        fanout=np.where(leaf, 0, t.fanout)[keep],
+        slot_child=t.slot_child[np.repeat(keep & ~leaf, t.fanout)],
+    ).to_tree()

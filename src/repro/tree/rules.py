@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CategoricalSplit, ContinuousSplit, DecisionTree, TreeNode
+from .compile import KIND_CONTINUOUS, KIND_LEAF
+from .model import DecisionTree
 
 __all__ = ["Rule", "Condition", "extract_rules", "rules_to_text"]
 
@@ -89,37 +90,40 @@ def _merge_categorical(conds: dict[int, Condition], attr: int,
 
 
 def extract_rules(tree: DecisionTree) -> list[Rule]:
-    """All leaf rules in left-to-right (preorder) leaf order."""
+    """All leaf rules in left-to-right (preorder) leaf order.  A
+    categorical child's rule allows every code the tree routes to it —
+    codes absent at training time included, under the default child."""
+    t = tree.compiled()
+    first = t.first_child.tolist()
     rules: list[Rule] = []
-
-    def walk(node: TreeNode, conds: dict[int, Condition]) -> None:
-        if node.is_leaf:
-            total = max(int(node.class_counts.sum()), 1)
+    stack: list[tuple[int, dict[int, Condition]]] = [(0, {})]
+    while stack:
+        v, conds = stack.pop()
+        attr = int(t.feature[v])
+        if t.kind[v] == KIND_LEAF:
+            counts, label = t.class_counts[v], int(t.leaf_label[v])
             rules.append(Rule(
                 conditions=tuple(conds[a] for a in sorted(conds)),
-                label=node.label,
-                n_records=node.n_records,
-                confidence=float(node.class_counts[node.label]) / total,
+                label=label,
+                n_records=int(t.n_records[v]),
+                confidence=float(counts[label]) / max(int(counts.sum()), 1),
             ))
-            return
-        if isinstance(node, ContinuousSplit):
-            left = dict(conds)
-            _merge_continuous(left, node.attr_index, -np.inf, node.threshold)
-            walk(node.left, left)
-            right = dict(conds)
-            _merge_continuous(right, node.attr_index, node.threshold, np.inf)
-            walk(node.right, right)
-        else:
-            assert isinstance(node, CategoricalSplit)
-            for c, child in enumerate(node.children):
-                values = tuple(
-                    int(v) for v in np.nonzero(node.value_to_child == c)[0]
-                )
+            continue
+        children = []
+        if t.kind[v] == KIND_CONTINUOUS:
+            threshold = float(t.threshold[v])
+            for lo, hi in ((-np.inf, threshold), (threshold, np.inf)):
                 sub = dict(conds)
-                _merge_categorical(sub, node.attr_index, values)
-                walk(child, sub)
-
-    walk(tree.root, {})
+                _merge_continuous(sub, attr, lo, hi)
+                children.append(sub)
+        else:
+            routes = t.child_table[t.child_base[v]:][:t.fanout[v]]
+            for c in range(int(t.n_children[v])):
+                sub = dict(conds)
+                _merge_categorical(sub, attr, tuple(
+                    np.flatnonzero(routes == first[v] + c).tolist()))
+                children.append(sub)
+        stack.extend(reversed(list(enumerate(children, first[v]))))
     return rules
 
 

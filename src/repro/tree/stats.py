@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datagen.schema import Dataset
+from .compile import KIND_CATEGORICAL, KIND_CONTINUOUS, KIND_LEAF
 from .model import DecisionTree
 
 __all__ = ["accuracy", "confusion_matrix", "TreeSummary", "summarize"]
@@ -48,22 +49,12 @@ class TreeSummary:
 
 
 def summarize(tree: DecisionTree) -> TreeSummary:
-    """Compute a :class:`TreeSummary` in one traversal."""
-    from .model import CategoricalSplit, ContinuousSplit
-
-    n_nodes = n_leaves = n_cont = n_cat = 0
-    for node in tree.nodes():
-        n_nodes += 1
-        if node.is_leaf:
-            n_leaves += 1
-        elif isinstance(node, ContinuousSplit):
-            n_cont += 1
-        elif isinstance(node, CategoricalSplit):
-            n_cat += 1
+    """Compute a :class:`TreeSummary` from the tree's node kinds."""
+    kinds = np.bincount(tree.compiled().kind, minlength=3)
     return TreeSummary(
-        n_nodes=n_nodes,
-        n_leaves=n_leaves,
+        n_nodes=tree.n_nodes,
+        n_leaves=int(kinds[KIND_LEAF]),
         depth=tree.depth,
-        n_continuous_splits=n_cont,
-        n_categorical_splits=n_cat,
+        n_continuous_splits=int(kinds[KIND_CONTINUOUS]),
+        n_categorical_splits=int(kinds[KIND_CATEGORICAL]),
     )

@@ -20,7 +20,8 @@ Because it shares the impurity kernels and canonical candidate order with
 everything else in the repo, its trees are bit-identical to the serial
 reference and to ScalParC at any processor count — the test suite checks
 this, which in turn validates that presort-once splitting preserves exact
-split semantics.
+split semantics.  It writes its tree in the nested model-file form
+(:func:`repro.tree.to_dict`'s) and reads it with ``from_dict``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,7 @@ from repro.core.splits import (
     encode_mask,
 )
 from repro.datagen.schema import Dataset
-from repro.tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from repro.tree import DecisionTree, from_dict
 
 __all__ = ["SprintClassifier", "SprintRunStats"]
 
@@ -61,7 +56,7 @@ class _NodeLists:
 
     per_attr: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     depth: int
-    parent: TreeNode | None
+    parent: dict | None
     slot: int
 
     @property
@@ -133,13 +128,13 @@ class SprintClassifier:
                      labels_all.copy())
                 )
 
-        root_holder: list[TreeNode | None] = [None]
+        root_holder: list[dict | None] = [None]
 
-        def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
+        def attach(node: dict, parent: dict | None, slot: int) -> None:
             if parent is None:
                 root_holder[0] = node
             else:
-                parent.children[slot] = node
+                parent["children"][slot] = node
 
         queue: deque[_NodeLists] = deque(
             [_NodeLists(root_lists, depth=0, parent=None, slot=0)]
@@ -160,18 +155,18 @@ class SprintClassifier:
                 winner = self._find_split(work, counts, schema, config)
             else:
                 winner = None
+            stats_of = {"n_records": n, "class_counts": counts.tolist(),
+                        "depth": work.depth}
             if winner is None:
-                attach(
-                    Leaf(label=int(np.argmax(counts)), n_records=n,
-                         class_counts=counts.copy(), depth=work.depth),
-                    work.parent, work.slot,
-                )
+                attach({"type": "leaf", "label": int(np.argmax(counts)),
+                        **stats_of}, work.parent, work.slot)
                 continue
 
             node, child_of_winner, n_children = winner
+            node.update(stats_of)
             attach(node, work.parent, work.slot)
             children = self._perform_split(
-                work, node.attr_index, child_of_winner, n_children,
+                work, node["attr_index"], child_of_winner, n_children,
                 stats, level_acc,
             )
             for c, child_lists in enumerate(children):
@@ -184,7 +179,11 @@ class SprintClassifier:
             (level, sum(p for p, _ in items), sum(x for _, x in items))
             for level, items in sorted(level_acc.items())
         ]
-        return DecisionTree(schema=schema, root=root_holder[0]), stats
+        return from_dict({"schema": {
+            "n_classes": n_classes,
+            "attributes": [{"name": a.name, "kind": a.kind,
+                            "n_values": a.n_values} for a in schema],
+        }, "root": root_holder[0]}), stats
 
     # ------------------------------------------------------------------
 
@@ -192,8 +191,9 @@ class SprintClassifier:
                     config: InductionConfig):
         """FindSplit over the node's presorted lists (no re-sorting).
 
-        Returns ``(tree node, winner-list child assignment, n_children)``
-        or None when the node must become a leaf.
+        Returns ``(node dict without its statistics, winner-list child
+        assignment, n_children)`` or None when the node must become a
+        leaf.
         """
         n = work.n_records
         n_classes = len(counts)
@@ -252,22 +252,17 @@ class SprintClassifier:
         values, _rids, _labels = work.per_attr[best_attr]
         if schema[best_attr].is_continuous:
             threshold = float(best[2])
-            node: TreeNode = ContinuousSplit(
-                attr_index=best_attr, threshold=threshold, n_records=n,
-                class_counts=counts.copy(), depth=work.depth,
-                children=[None, None],
-            )
+            node = {"type": "continuous", "attr_index": best_attr,
+                    "threshold": threshold, "children": [None, None]}
             child_of_winner = (values >= threshold).astype(np.int64)
             return node, child_of_winner, 2
         value_to_child, n_children, default = categorical_children_layout(
             best_matrix, best_mask
         )
-        node = CategoricalSplit(
-            attr_index=best_attr,
-            value_to_child=value_to_child, n_records=n,
-            class_counts=counts.copy(), depth=work.depth,
-            children=[None] * n_children, default_child=default,
-        )
+        node = {"type": "categorical", "attr_index": best_attr,
+                "value_to_child": value_to_child.tolist(),
+                "default_child": int(default),
+                "children": [None] * n_children}
         child_of_winner = value_to_child[values].astype(np.int64)
         return node, child_of_winner, n_children
 

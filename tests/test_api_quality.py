@@ -91,7 +91,7 @@ def test_top_level_surface_is_stable():
         "induce_serial", "ParallelSPRINT", "SerialSPRINT",
         "DecisionTree", "accuracy", "to_text", "prune_pessimistic",
         "run_spmd", "CRAY_T3D", "MachineSpec", "SimulatedRunStats",
-        "parallel_predict", "parallel_score", "feature_importances",
+        "feature_importances",
     }
     missing = required - set(repro.__all__)
     assert not missing, f"top-level API lost: {sorted(missing)}"
@@ -163,26 +163,49 @@ def test_core_holds_one_kernel_family():
 
 
 # ----------------------------------------------------------------------
-# one level loop: who may build tree nodes
+# one tree, the table: no node objects anywhere
 # ----------------------------------------------------------------------
 
 
-def test_only_the_shared_loop_and_the_oracles_construct_split_nodes():
+_NODE_TYPES = ("Leaf", "ContinuousSplit", "CategoricalSplit", "TreeNode")
+
+
+def test_no_module_constructs_tree_nodes(tmp_path):
     """Every inducer, streaming included, grows its tree through
-    ``core/frontier.py`` as per-node table rows — no node object at all —
-    and their nodes come from ``tree/compile.py``; a second inline copy
-    of node emission (and with it the termination / acceptance /
-    empty-child rules) shows up here as a new module constructing split
-    nodes."""
+    ``core/frontier.py`` as per-node table rows, and the table is the
+    only form a tree takes: ``repro.tree`` exports no node class, the
+    table → node view and the node-walking predictor are gone, no source
+    file names a node type, and after fitting (batch and streamed),
+    pickling, publishing and loading no loaded module holds one."""
+    import pickle
+    import sys
+
+    import repro.tree
+    from repro.serving import ModelRegistry
+    from repro.tree import CompiledTree, DecisionTree
+
     src = _ROOT / "src" / "repro"
-    builds = re.compile(r"\b(?:ContinuousSplit|CategoricalSplit)\(")
+    assert not (src / "tree" / "predict.py").exists()
+    assert not hasattr(CompiledTree, "build_root")
+    assert not {"root", "leaves", "invalidate_compiled"} & set(
+        dir(DecisionTree))
+    node_words = re.compile(r"\b(?:" + "|".join(_NODE_TYPES) + r")\b")
     found = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
-             if builds.search(path.read_text(encoding="utf-8"))}
-    assert found == {
-        "baselines/serial_reference.py",     # the oracle
-        "tree/export.py",                    # deserialization
-        "tree/compile.py",                   # the table's node view
-    }
+             if node_words.search(path.read_text(encoding="utf-8"))}
+    assert found == set()
+
+    ds = repro.paper_dataset(400, "F2", seed=1)
+    tree = repro.ScalParC(2, machine=None, backend="thread").fit(ds).tree
+    streamed = repro.ScalParC(2, machine=None,
+                              backend="thread").fit_stream(ds).tree
+    for blob in (pickle.dumps(tree), pickle.dumps(streamed)):
+        assert b"Leaf" not in blob and b"Split" not in blob
+    registry = ModelRegistry(tmp_path)
+    registry.publish(tree, activate=True)
+    assert registry.load(1).tree.structurally_equal(tree)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro":
+            assert not set(_NODE_TYPES) & set(vars(module)), name
 
 
 # ----------------------------------------------------------------------

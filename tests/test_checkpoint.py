@@ -40,6 +40,8 @@ from repro.runtime import (
     resolve_checkpoint,
     run_spmd,
 )
+from repro.tree import to_dict
+from repro.tree.compile import KIND_LEAF
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +246,13 @@ def test_resume_rejects_cut_that_predates_the_table_frontier(tmp_path,
     d = str(tmp_path / "run")
     run_spmd(2, induce_worker, args=(ds, None),
              kwargs={"checkpoint": CheckpointConfig(dir=d)})
-    root = induce_serial(ds, InductionConfig(max_depth=1)).root
+    root = to_dict(induce_serial(ds, InductionConfig(max_depth=1)))["root"]
     payload = LoadedCheckpoint.shared_payload
 
     def old_format(self):
         shared = {k: v for k, v in payload(self).items() if k != "rows"}
         shared["tree"] = (root, [(root, c, 1)
-                                 for c in range(len(root.children))])
+                                 for c in range(len(root["children"]))])
         return shared
 
     monkeypatch.setattr(LoadedCheckpoint, "shared_payload", old_format)
@@ -481,9 +483,9 @@ def test_held_out_category_matches_serial():
     (value_to_child == -1) and the parallel tree equals the serial one."""
     ds = _held_out_category_dataset()
     golden = induce_serial(ds)
-    root = golden.root
-    assert not root.is_leaf and root.attr_index == 0
-    assert root.value_to_child[2] == -1             # held-out value
+    root = to_dict(golden)["root"]
+    assert (root["type"], root["attr_index"]) == ("categorical", 0)
+    assert root["value_to_child"][2] == -1          # held-out value
     trees = run_spmd(3, induce_worker, args=(ds, None))
     assert trees[0].structurally_equal(golden)
 
@@ -521,25 +523,18 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
         "sprint_worker": run_spmd(3, sprint_worker, args=(ds, None))[0],
     }
 
-    def find_empty_leaves(node, parent=None, found=None):
-        found = [] if found is None else found
-        if node.is_leaf:
-            if node.n_records == 0:
-                found.append((node, parent))
-        else:
-            for child in node.children:
-                find_empty_leaves(child, node, found)
-        return found
-
     for name, tree in trees.items():
         assert tree.structurally_equal(golden), name
-        empties = find_empty_leaves(tree.root)
-        assert empties, f"{name}: the forced layout should create an " \
+        t = tree.compiled()
+        parent = np.repeat(np.arange(t.n_nodes), t.n_children)  # of 1, 2 …
+        empties = np.flatnonzero((t.kind == KIND_LEAF) & (t.n_records == 0))
+        assert len(empties), f"{name}: the forced layout should create an " \
             "empty child"
-        for leaf, parent in empties:
-            assert leaf.class_counts.sum() == 0, name
-            assert leaf.label == int(np.argmax(parent.class_counts)), name
-            assert leaf.label == 1, name            # class 0 was the bug
+        for v in empties.tolist():
+            assert t.class_counts[v].sum() == 0, name
+            assert t.leaf_label[v] == \
+                np.argmax(t.class_counts[parent[v - 1]]), name
+            assert t.leaf_label[v] == 1, name       # class 0 was the bug
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Compiled flat-array trees: kernel bit-identity, depth safety, round trip.
 
 The compiled kernel is the serving hot path; these tests pin it to an
-index-recursion reference predictor kept here (bit-for-bit labels *and*
-probabilities on the golden fixture trees), prove it routes trees far
-beyond Python's recursion limit, and guard the flat-array ↔ pointer-form
-round trip and the structure digest.
+index-recursion reference predictor kept here, which walks the nested
+model-file form (bit-for-bit labels *and* probabilities on the golden
+fixture trees), prove it routes trees far beyond Python's recursion
+limit, and guard the table ↔ model-file round trip and the structure
+digest.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ from hypothesis import strategies as st
 from repro.datagen import generate_quest, paper_dataset
 from repro.datagen.schema import AttributeSpec, Schema
 from repro.tree import (
-    CategoricalSplit,
     CompiledTree,
-    ContinuousSplit,
     DecisionTree,
-    Leaf,
     compile_tree,
     from_dict,
-    TreeNode,
-    predict_columns,
-    predict_proba_columns,
     to_dict,
 )
 
@@ -46,20 +41,31 @@ def _golden_tree(name: str) -> DecisionTree:
     return from_dict(json.loads((GOLDEN_DIR / name).read_text()))
 
 
+
+
 # ----------------------------------------------------------------------
-# the reference predictor: index-array recursion over the node graph
+# the reference predictor: index-array recursion over the nested dicts
 # ----------------------------------------------------------------------
 
 
-def _route_recursive(node: TreeNode, idx: np.ndarray,
+def _route_recursive(node: dict, idx: np.ndarray,
                      columns: list[np.ndarray], out: np.ndarray,
                      proba: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.label
-        proba[idx] = node.class_counts / max(int(node.class_counts.sum()), 1)
+    if node["type"] == "leaf":
+        counts = np.asarray(node["class_counts"], dtype=np.int64)
+        out[idx] = node["label"]
+        proba[idx] = counts / max(int(counts.sum()), 1)
         return
-    child_of = node.route(columns[node.attr_index][idx])
-    for c, child in enumerate(node.children):
+    values = np.asarray(columns[node["attr_index"]])[idx]
+    if node["type"] == "continuous":
+        child_of = (values >= node["threshold"]).astype(np.int64)
+    else:
+        # out-of-range codes clip to the last code; absent codes (−1)
+        # go to the default child
+        v2c = np.asarray(node["value_to_child"], dtype=np.int64)
+        child_of = v2c[np.clip(values.astype(np.int64), 0, len(v2c) - 1)]
+        child_of[child_of < 0] = node["default_child"]
+    for c, child in enumerate(node["children"]):
         sub = idx[child_of == c]
         if len(sub):
             _route_recursive(child, sub, columns, out, proba)
@@ -72,7 +78,7 @@ def _predict_recursive(tree: DecisionTree, columns: list[np.ndarray]):
     out = np.empty(n, dtype=np.int32)
     proba = np.zeros((n, tree.schema.n_classes), dtype=np.float64)
     if n:
-        _route_recursive(tree.root, np.arange(n, dtype=np.int64),
+        _route_recursive(to_dict(tree)["root"], np.arange(n, dtype=np.int64),
                          columns, out, proba)
     return out, proba
 
@@ -109,7 +115,7 @@ def test_compiled_predict_bit_identical_on_golden(name):
     tree = _golden_tree(name)
     for columns in _record_batches(tree, _FIXTURE_FN[name]):
         np.testing.assert_array_equal(
-            predict_columns(tree, columns),
+            tree.predict_columns(columns),
             predict_columns_recursive(tree, columns),
         )
 
@@ -118,7 +124,7 @@ def test_compiled_predict_bit_identical_on_golden(name):
 def test_compiled_proba_bit_identical_on_golden(name):
     tree = _golden_tree(name)
     for columns in _record_batches(tree, _FIXTURE_FN[name]):
-        compiled = predict_proba_columns(tree, columns)
+        compiled = tree.compiled().predict_proba_columns(columns)
         reference = predict_proba_columns_recursive(tree, columns)
         assert compiled.dtype == reference.dtype
         assert np.array_equal(compiled, reference)      # bit-for-bit
@@ -126,31 +132,31 @@ def test_compiled_proba_bit_identical_on_golden(name):
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_compile_round_trips_golden(name):
-    tree = _golden_tree(name)
-    restored = compile_tree(tree).to_tree()
-    assert restored.structurally_equal(tree)
-    assert to_dict(restored) == to_dict(tree)          # incl. depths
+    """The golden files read into a table and write back as the same
+    dicts, depths included (the files are indented, so bytes differ)."""
+    payload = json.loads((GOLDEN_DIR / name).read_text())
+    tree = from_dict(payload)
+    assert to_dict(tree) == payload
+    assert from_dict(to_dict(tree)).structurally_equal(tree)
+
+
+_X_SCHEMA = {"n_classes": 2, "attributes": [
+    {"name": "x", "kind": "continuous", "n_values": 0}]}
 
 
 def _chain_tree(depth: int) -> DecisionTree:
     """A degenerate ``depth``-deep right-leaning chain on one continuous
     attribute: node i splits at i + 0.5; values below fall to a leaf
     labelled i % 2, values above keep descending."""
-    schema = Schema(
-        attributes=(AttributeSpec("x", "continuous"),), n_classes=2)
-    counts = np.array([1, 1], dtype=np.int64)
-    tail: DecisionTree | Leaf = Leaf(
-        label=depth % 2, n_records=2, class_counts=counts.copy(),
-        depth=depth)
+    tail = {"type": "leaf", "label": depth % 2, "n_records": 2,
+            "class_counts": [1, 1], "depth": depth}
     for i in range(depth - 1, -1, -1):
-        left = Leaf(label=i % 2, n_records=2, class_counts=counts.copy(),
-                    depth=i + 1)
-        tail = ContinuousSplit(
-            attr_index=0, threshold=i + 0.5, n_records=4,
-            class_counts=counts.copy() * 2, depth=i,
-            children=[left, tail],
-        )
-    return DecisionTree(schema=schema, root=tail)
+        left = {"type": "leaf", "label": i % 2, "n_records": 2,
+                "class_counts": [1, 1], "depth": i + 1}
+        tail = {"type": "continuous", "attr_index": 0, "threshold": i + 0.5,
+                "children": [left, tail], "n_records": 4,
+                "class_counts": [2, 2], "depth": i}
+    return from_dict({"schema": _X_SCHEMA, "root": tail})
 
 
 def test_deep_chain_tree_predicts_without_recursion():
@@ -165,23 +171,24 @@ def test_deep_chain_tree_predicts_without_recursion():
     with pytest.raises(RecursionError):
         predict_columns_recursive(tree, columns)
 
-    got = predict_columns(tree, columns)
+    got = tree.predict_columns(columns)
     # value v exits at the first node whose threshold exceeds it
     expected = [min(int(np.floor(v + 0.5)), depth) % 2 if v >= 0 else 0
                 for v in values]
     np.testing.assert_array_equal(got, expected)
 
-    proba = predict_proba_columns(tree, columns)
+    proba = tree.compiled().predict_proba_columns(columns)
     assert proba.shape == (len(values), 2)
     np.testing.assert_allclose(proba.sum(axis=1), 1.0)
 
 
 def test_deep_chain_round_trip_digest():
-    """Round-tripping the deep tree preserves the compiled structure
-    exactly (digest equality — checkable without recursion)."""
-    compiled = compile_tree(_chain_tree(2000))
+    """Round-tripping the deep tree through the model-file form preserves
+    the table exactly (digest equality — checkable without recursion)."""
+    tree = _chain_tree(2000)
+    compiled = compile_tree(tree)
     assert compiled.max_depth == 2000
-    rebuilt = compile_tree(compiled.to_tree())
+    rebuilt = compile_tree(from_dict(to_dict(tree)))
     assert rebuilt.structure_digest == compiled.structure_digest
 
 
@@ -198,32 +205,18 @@ def test_compiled_cache_on_tree_instance():
     tree = _golden_tree(GOLDEN[0])
     first = tree.compiled()
     assert isinstance(first, CompiledTree)
-    assert tree.compiled() is first                    # cached
-    # the table *is* the pickled form: the clone arrives holding it, with
-    # no node object on the wire, and builds nodes when root is first read
+    assert tree.compiled() is first                    # the tree's table
+    assert compile_tree(tree) is first
+    # the table *is* the pickled form: the clone arrives holding the
+    # twelve arrays and nothing cached off them
     blob = pickle.dumps(tree)
     assert b"Leaf" not in blob and b"Split" not in blob
+    assert b"structure_digest" not in blob and b"_routing" not in blob
     clone = pickle.loads(blob)
-    assert clone._root is None
     assert clone.compiled().structure_digest == first.structure_digest
     assert (clone.n_nodes, clone.n_leaves, clone.depth) == \
         (first.n_nodes, first.n_leaves, first.max_depth)
-    assert clone._root is None                         # answered by the table
     assert clone.structurally_equal(tree)
-    # invalidate_compiled() drops the table: the (mutated) nodes are the
-    # only truth, for the measures and for the next compile
-    kept = clone.compiled()
-    clone.root.children[0] = Leaf(
-        label=0, n_records=1, class_counts=np.array([1, 0]), depth=1)
-    assert clone.n_nodes == first.n_nodes              # stale until told
-    clone.invalidate_compiled()
-    assert clone._compiled is None
-    assert clone.n_nodes == sum(1 for _ in clone.nodes()) < first.n_nodes
-    assert clone.compiled() is not kept
-    assert clone.compiled().n_nodes == clone.n_nodes
-    tree.invalidate_compiled()
-    assert tree.compiled() is not first
-    assert tree.compiled().structure_digest == first.structure_digest
 
 
 def test_predict_proba_columns_validates_width():
@@ -232,9 +225,9 @@ def test_predict_proba_columns_validates_width():
     tree = _golden_tree(GOLDEN[0])
     too_few = [np.zeros(4)] * (len(tree.schema) - 1)
     with pytest.raises(ValueError, match="columns"):
-        predict_proba_columns(tree, too_few)
+        tree.compiled().predict_proba_columns(too_few)
     with pytest.raises(ValueError, match="columns"):
-        predict_columns(tree, too_few)
+        tree.predict_columns(too_few)
 
 
 def test_apply_validates_matrix_shape():
@@ -246,18 +239,18 @@ def test_apply_validates_matrix_shape():
 
 
 def test_single_leaf_tree():
-    schema = Schema(
-        attributes=(AttributeSpec("x", "continuous"),), n_classes=2)
-    tree = DecisionTree(schema=schema, root=Leaf(
-        label=1, n_records=5,
-        class_counts=np.array([1, 4], dtype=np.int64), depth=0))
+    payload = {"schema": _X_SCHEMA, "root": {
+        "type": "leaf", "label": 1, "n_records": 5,
+        "class_counts": [1, 4], "depth": 0}}
+    tree = from_dict(payload)
     compiled = compile_tree(tree)
     np.testing.assert_array_equal(
         compiled.predict_columns([np.array([0.0, 9.9])]), [1, 1])
     np.testing.assert_array_equal(
         compiled.predict_proba_columns([np.array([3.0])]),
         [[0.2, 0.8]])
-    assert compiled.to_tree().structurally_equal(tree)
+    assert (tree.n_nodes, tree.n_leaves, tree.depth) == (1, 1, 0)
+    assert to_dict(tree) == payload
 
 
 def test_compiled_agrees_on_fresh_paper_trees():
@@ -270,11 +263,11 @@ def test_compiled_agrees_on_fresh_paper_trees():
         test = paper_dataset(700, fn, seed=seed + 100)
         tree = induce_serial(train)
         np.testing.assert_array_equal(
-            predict_columns(tree, test.columns),
+            tree.predict_columns(test.columns),
             predict_columns_recursive(tree, test.columns),
         )
         assert np.array_equal(
-            predict_proba_columns(tree, test.columns),
+            tree.compiled().predict_proba_columns(test.columns),
             predict_proba_columns_recursive(tree, test.columns),
         )
 
@@ -293,25 +286,27 @@ _GEN_CATEGORICAL = (1, 3)
 
 
 @st.composite
-def _generated_trees(draw, max_depth: int = 4):
-    """Arbitrary well-formed trees over ``_GEN_SCHEMA``: single leaves,
-    continuous and binary-subset splits, multiway nodes with absent codes
-    (``-1`` slots), empty children (all-zero counts), mixed fan-out."""
+def _generated_payloads(draw, max_depth: int = 4):
+    """Arbitrary well-formed model-file dicts over ``_GEN_SCHEMA``: single
+    leaves, continuous and binary-subset splits, multiway nodes with
+    absent codes (``-1`` slots), empty children (all-zero counts), mixed
+    fan-out."""
 
     def node(depth: int):
-        counts = np.array(draw(st.lists(st.integers(0, 9), min_size=3,
-                                        max_size=3)), dtype=np.int64)
-        stats = dict(n_records=int(counts.sum()), class_counts=counts,
+        counts = draw(st.lists(st.integers(0, 9), min_size=3, max_size=3))
+        stats = dict(n_records=sum(counts), class_counts=counts,
                      depth=depth)
         kind = "leaf" if depth == max_depth else draw(st.sampled_from(
             ["leaf", "leaf", "continuous", "multiway", "subset"]))
         if kind == "leaf":
-            return Leaf(label=draw(st.integers(0, 2)), **stats)
+            return {"type": "leaf", "label": draw(st.integers(0, 2)),
+                    **stats}
         if kind == "continuous":
-            return ContinuousSplit(
-                attr_index=draw(st.sampled_from((0, 2))),
-                threshold=draw(st.floats(-1e6, 1e6, allow_nan=False)),
-                children=[node(depth + 1), node(depth + 1)], **stats)
+            return {"type": "continuous",
+                    "attr_index": draw(st.sampled_from((0, 2))),
+                    "threshold": draw(st.floats(-1e6, 1e6, allow_nan=False)),
+                    "children": [node(depth + 1), node(depth + 1)],
+                    **stats}
         attr = draw(st.sampled_from(_GEN_CATEGORICAL))
         n_values = _GEN_SCHEMA[attr].n_values
         n_children = 2 if kind == "subset" \
@@ -323,22 +318,37 @@ def _generated_trees(draw, max_depth: int = 4):
                 st.integers(-1, n_children - 1),
                 min_size=n_values - n_children,
                 max_size=n_values - n_children))))
-        return CategoricalSplit(
-            attr_index=attr, value_to_child=np.array(v2c, dtype=np.int32),
-            children=[node(depth + 1) for _ in range(n_children)],
-            default_child=draw(st.integers(0, n_children - 1)), **stats)
+        return {"type": "categorical", "attr_index": attr,
+                "value_to_child": v2c,
+                "default_child": draw(st.integers(0, n_children - 1)),
+                "children": [node(depth + 1) for _ in range(n_children)],
+                **stats}
 
-    return DecisionTree(schema=_GEN_SCHEMA, root=node(0))
+    return {"schema": {"n_classes": 3, "attributes": [
+        {"name": a.name, "kind": a.kind, "n_values": a.n_values}
+        for a in _GEN_SCHEMA]}, "root": node(0)}
+
+
+def _leaf_depths(payload: dict) -> list[int]:
+    stack, depths = [payload["root"]], []
+    while stack:
+        node = stack.pop()
+        if node["type"] == "leaf":
+            depths.append(node["depth"])
+        stack.extend(node.get("children", ()))
+    return depths
 
 
 @settings(max_examples=60, deadline=None)
-@given(tree=st.one_of(_generated_trees(),
-                      st.integers(0, 40).map(lambda d: _chain_tree(d))))
-def test_generated_trees_round_trip_through_table_and_pickle(tree):
+@given(payload=st.one_of(
+    _generated_payloads(),
+    st.integers(0, 40).map(lambda d: to_dict(_chain_tree(d)))))
+def test_generated_trees_round_trip_through_table_and_pickle(payload):
+    tree = from_dict(payload)
+    assert to_dict(tree) == payload                    # incl. depths
     digest = compile_tree(tree).structure_digest
-    rebuilt = compile_tree(tree).to_tree()
+    rebuilt = from_dict(to_dict(tree))
     assert rebuilt.structurally_equal(tree)
-    assert to_dict(rebuilt) == to_dict(tree)           # incl. depths
     assert compile_tree(rebuilt).structure_digest == digest
 
     blob = pickle.dumps(tree)
@@ -346,9 +356,9 @@ def test_generated_trees_round_trip_through_table_and_pickle(tree):
     clone = pickle.loads(blob)
     assert clone.structurally_equal(tree)
     assert compile_tree(clone).structure_digest == digest
+    leaf_depths = _leaf_depths(payload)
     assert (clone.n_nodes, clone.n_leaves, clone.depth) == (
-        sum(1 for _ in tree.nodes()), sum(1 for _ in tree.leaves()),
-        max(leaf.depth for leaf in tree.leaves()))
+        sum(1 for _ in tree.nodes()), len(leaf_depths), max(leaf_depths))
 
 
 def _chain_from_rank_zero(comm, depth):
@@ -366,8 +376,7 @@ def test_depth_1000_tree_survives_pickle_and_the_final_frame():
     for clone in (pickle.loads(pickle.dumps(tree)),
                   run_spmd(2, _chain_from_rank_zero, args=(1000,),
                            backend="process")[0]):
-        assert clone._root is None                      # table only
         assert (clone.n_nodes, clone.n_leaves, clone.depth) == \
             (2001, 1001, 1000)
         assert clone.compiled().structure_digest == digest
-        assert compile_tree(clone).structure_digest == digest   # via nodes
+        assert clone.structurally_equal(tree)

@@ -74,7 +74,7 @@ def test_single_record():
 def test_two_records_opposite_labels():
     ds = make_dataset(continuous={"x": [1.0, 2.0]}, labels=[0, 1])
     ref = _check_all_p(ds, procs=[1, 2, 3])
-    assert not ref.root.is_leaf
+    assert ref.n_nodes > 1
 
 
 def test_fewer_records_than_processors():
@@ -100,7 +100,7 @@ def test_all_records_identical_values():
         labels=[i % 2 for i in range(20)],
     )
     ref = _check_all_p(ds, procs=[1, 4])
-    assert ref.root.is_leaf  # nothing to split on
+    assert ref.n_nodes == 1  # nothing to split on
 
 
 def test_wide_schema_many_attributes():

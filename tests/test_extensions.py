@@ -1,5 +1,5 @@
-"""Extension features: parallel scoring, feature importance, DOT export,
-isoefficiency analysis, the one PerformSplitII enquiry per level."""
+"""Extension features: feature importance, isoefficiency analysis, the
+one PerformSplitII enquiry per level."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ import pytest
 from repro import (
     InductionConfig,
     ScalParC,
-    accuracy,
     feature_importances,
     induce_serial,
     paper_dataset,
-    parallel_predict,
-    parallel_score,
 )
 from repro.analysis import (
     efficiency_table,
@@ -25,12 +22,7 @@ from repro.analysis import (
 from repro.core.phases import PERFORMSPLIT2
 from repro.datagen import generate_quest, make_dataset
 from repro.runtime import TraceCollector
-from repro.tree import to_dot
 
-
-# ---------------------------------------------------------------------------
-# parallel prediction / scoring
-# ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def trained():
@@ -38,37 +30,6 @@ def trained():
     test = paper_dataset(700, "F2", seed=1)
     tree = induce_serial(train)
     return tree, train, test
-
-
-@pytest.mark.parametrize("p", [1, 3, 8])
-def test_parallel_predict_matches_serial(trained, p):
-    tree, _, test = trained
-    np.testing.assert_array_equal(
-        parallel_predict(tree, test, n_processors=p),
-        tree.predict(test),
-    )
-
-
-@pytest.mark.parametrize("p", [1, 4])
-def test_parallel_score_matches_accuracy(trained, p):
-    tree, _, test = trained
-    assert parallel_score(tree, test, n_processors=p) == pytest.approx(
-        accuracy(tree, test)
-    )
-
-
-def test_parallel_predict_empty(trained):
-    tree, _, _ = trained
-    empty = paper_dataset(0, "F2", seed=0)
-    assert len(parallel_predict(tree, empty, 3)) == 0
-    assert np.isnan(parallel_score(tree, empty, 3))
-
-
-def test_parallel_score_priced(trained):
-    tree, _, test = trained
-    # machine-priced path exercises the perf observer
-    score = parallel_score(tree, test, n_processors=4)
-    assert 0.0 <= score <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +67,6 @@ def test_importances_entropy_variant(trained):
     tree, _, _ = trained
     imp = feature_importances(tree, criterion="entropy")
     assert imp.sum() == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-# ---------------------------------------------------------------------------
-
-def test_to_dot_structure(trained):
-    tree, _, _ = trained
-    dot = to_dot(tree)
-    assert dot.startswith("digraph decision_tree {")
-    assert dot.rstrip().endswith("}")
-    assert "shape=box" in dot  # leaves
-    assert "shape=ellipse" in dot  # splits
-    assert dot.count("->") == tree.n_nodes - 1  # a tree has n−1 edges
-
-
-def test_to_dot_max_depth_stubs():
-    ds = generate_quest(400, "F2", seed=3)
-    tree = induce_serial(ds)
-    dot = to_dot(tree, max_depth=1)
-    assert "…" in dot
-    assert len(dot) < len(to_dot(tree))
-
-
-def test_to_dot_categorical_edges():
-    ds = make_dataset(
-        categorical={"g": ([0, 0, 1, 1, 2, 2], 3)},
-        labels=[0, 0, 1, 1, 0, 0],
-    )
-    dot = to_dot(induce_serial(ds))
-    assert "∈[0]" in dot or "∈[0, " in dot
 
 
 # ---------------------------------------------------------------------------

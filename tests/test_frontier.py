@@ -30,14 +30,13 @@ from repro.core.frontier import (
 from repro.core.splits import candidate_beats, encode_mask, pack_candidates
 from repro.datagen import generate_quest, random_dataset
 from repro.datagen.schema import AttributeSpec, Schema
-from repro.tree import compile_tree
+from repro.tree import compile_tree, from_dict, to_dict
 from repro.tree.compile import (
     KIND_CATEGORICAL,
     KIND_CONTINUOUS,
     KIND_LEAF,
     assemble_table,
 )
-from repro.tree.model import CategoricalSplit, ContinuousSplit, Leaf
 
 from tests.conftest import assert_trees_equal
 from tests.test_golden_trees import FIXTURES
@@ -182,21 +181,23 @@ def test_blocks_assemble_into_the_tree_the_nodes_compile_to():
     assert table.leaf_label.tolist()[6:] == [0, 0, 0, 0, 0, 1, 1]
 
     tree = table.to_tree()
-    root = tree.root
-    assert [type(child) for child in root.children] == [
-        ContinuousSplit, Leaf, CategoricalSplit, Leaf, CategoricalSplit]
-    cont, empty, multi, pure, subset = root.children
-    assert (cont.attr_index, cont.threshold, cont.n_records) == (0, 2.5, 10)
-    assert empty.label == 1 and empty.n_records == 0    # parent majority
-    assert pure.label == 0 and pure.class_counts.tolist() == [7, 0]
-    assert multi.value_to_child.tolist() == [0, -1, 1, 2]
-    assert multi.value_to_child.dtype == np.int32
-    assert (len(multi.children), multi.default_child) == (3, 2)
-    assert (len(subset.children), subset.default_child) == (2, 0)
-    assert all(child.depth == 1 for child in root.children)
+    root = to_dict(tree)["root"]
+    assert [child["type"] for child in root["children"]] == [
+        "continuous", "leaf", "categorical", "leaf", "categorical"]
+    cont, empty, multi, pure, subset = root["children"]
+    assert (cont["attr_index"], cont["threshold"], cont["n_records"]) == \
+        (0, 2.5, 10)
+    assert empty["label"] == 1 and empty["n_records"] == 0  # parent majority
+    assert pure["label"] == 0 and pure["class_counts"] == [7, 0]
+    assert multi["value_to_child"] == [0, -1, 1, 2]
+    assert table.slot_child.dtype == np.int32
+    assert (len(multi["children"]), multi["default_child"]) == (3, 2)
+    assert (len(subset["children"]), subset["default_child"]) == (2, 0)
+    assert all(child["depth"] == 1 for child in root["children"])
     # an empty grandchild inherits *its* parent's majority ([5, 5] -> 0)
-    assert multi.children[2].n_records == 0 and multi.children[2].label == 0
-    rebuilt = compile_tree(tree)
+    assert multi["children"][2]["n_records"] == 0
+    assert multi["children"][2]["label"] == 0
+    rebuilt = compile_tree(from_dict(to_dict(tree)))
     assert rebuilt.structure_digest == table.structure_digest
 
 
@@ -206,8 +207,8 @@ def test_root_level_sets_the_root():
         ([True], [0])
     decisions = _pass(frontier, [[3, 1]], pack_candidates(1), [False], {})
     assert decisions.n_next == 0 and not frontier.open_.any()
-    root = frontier.table()[0].to_tree().root
-    assert isinstance(root, Leaf) and root.label == 0 and root.depth == 0
+    root = to_dict(frontier.table()[0].to_tree())["root"]
+    assert (root["type"], root["label"], root["depth"]) == ("leaf", 0, 0)
 
 
 def test_cut_payload_round_trip_keeps_parent_identity():
@@ -427,15 +428,13 @@ def test_fitted_table_is_the_serial_trees_compiled_form(name, backend,
                                                         subsets):
     """On the golden configurations, both categorical policies, every
     backend and p in {1, 2, 3, 5}: the fitted tree arrives as the table
-    the level loop assembled — no node built on the way — and that table
-    is, array for array, ``compile_tree`` of the serial reference's node
-    tree."""
+    the level loop assembled, and that table is, array for array, the
+    serial reference's (which numbers its nodes by a queue of its own)."""
     fn, n, seed, config, _ = FIXTURES[name]
     config = replace(config, categorical_binary_subsets=subsets)
     ds = generate_quest(n, fn, seed=seed)
     oracle = compile_tree(induce_serial(ds, config))
     for p in (1, 2, 3, 5):
         tree = ScalParC(p, config, machine=None, backend=backend).fit(ds).tree
-        assert tree._root is None, (backend, p)
         assert tree.compiled().structure_digest == oracle.structure_digest, \
             (backend, p)

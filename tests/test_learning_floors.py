@@ -10,14 +10,14 @@ import pytest
 from repro import InductionConfig, accuracy, induce_serial, paper_dataset
 from repro.datagen import generate_quest
 from repro.datagen.quest import FUNCTION_NAMES
-from repro.tree import prune_mdl
+from repro.tree import prune_pessimistic
 
 
 @pytest.mark.parametrize("fn", FUNCTION_NAMES)
 def test_quest_function_learned_through_noise(fn):
     train = generate_quest(8_000, fn, seed=1, perturbation=0.05)
     test = generate_quest(2_000, fn, seed=77)
-    acc = accuracy(prune_mdl(induce_serial(train)), test)
+    acc = accuracy(prune_pessimistic(induce_serial(train)), test)
     majority = max(test.class_counts()) / test.n_records
     assert acc > 0.90, f"{fn}: accuracy too low ({acc:.3f})"
     # F8/F10 are so imbalanced under the standard attribute domains

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro import ScalParC, induce_serial
 from repro.core import InductionConfig
 from repro.datagen import random_dataset
-from repro.tree import predict_columns
+from repro.tree.compile import KIND_LEAF
 
 
 def _dataset(seed: int, n: int, dup: bool):
@@ -29,20 +29,19 @@ def test_count_conservation(seed, n, dup):
     """Internal-node class counts equal the sum of their children's, and
     the root covers the whole training set."""
     ds = _dataset(seed, n, dup)
-    tree = induce_serial(ds)
-    assert tree.root.n_records == n
+    t = induce_serial(ds).compiled()
+    assert t.n_records[0] == n
     np.testing.assert_array_equal(
-        tree.root.class_counts, np.bincount(ds.labels,
-                                            minlength=ds.schema.n_classes)
+        t.class_counts[0], np.bincount(ds.labels,
+                                       minlength=ds.schema.n_classes)
     )
-    for node in tree.nodes():
-        if node.is_leaf:
-            continue
-        child_sum = sum(c.class_counts for c in node.children)
-        np.testing.assert_array_equal(node.class_counts, child_sum)
-        assert node.n_records == sum(c.n_records for c in node.children)
-        assert all(c.n_records > 0 for c in node.children)
-        assert all(c.depth == node.depth + 1 for c in node.children)
+    for v in np.flatnonzero(t.kind != KIND_LEAF).tolist():
+        kids = slice(t.first_child[v], t.first_child[v] + t.n_children[v])
+        np.testing.assert_array_equal(t.class_counts[v],
+                                      t.class_counts[kids].sum(axis=0))
+        assert t.n_records[v] == t.n_records[kids].sum()
+        assert (t.n_records[kids] > 0).all()
+        assert (t.depths[kids] == t.depths[v] + 1).all()
 
 
 @settings(deadline=None, max_examples=30)
@@ -52,11 +51,15 @@ def test_routing_consistent_with_counts(seed, n, dup):
     leaf's record count exactly."""
     ds = _dataset(seed, n, dup)
     tree = induce_serial(ds)
-    preds = predict_columns(tree, ds.columns)
+    preds = tree.predict_columns(ds.columns)
     assert len(preds) == n
     # total records reaching leaves (by routing) matches leaf bookkeeping
-    leaf_total = sum(leaf.n_records for leaf in tree.leaves())
-    assert leaf_total == n
+    t = tree.compiled()
+    assert t.n_records[t.kind == KIND_LEAF].sum() == n
+    np.testing.assert_array_equal(
+        np.bincount(t.apply(np.column_stack(ds.columns)),
+                    minlength=t.n_nodes)[t.kind == KIND_LEAF],
+        t.n_records[t.kind == KIND_LEAF])
 
 
 @settings(deadline=None, max_examples=25)
@@ -72,7 +75,7 @@ def test_distinct_feature_vectors_fit_perfectly(seed, n):
     ds = make_dataset(continuous={"x": x.tolist()},
                       labels=labels.tolist())
     tree = induce_serial(ds)
-    np.testing.assert_array_equal(predict_columns(tree, ds.columns), labels)
+    np.testing.assert_array_equal(tree.predict_columns(ds.columns), labels)
 
 
 @settings(deadline=None, max_examples=12)
@@ -123,9 +126,10 @@ def test_pruning_only_merges(seed, n):
         (node.depth, tuple(node.class_counts.tolist()))
         for node in tree.nodes()
     }
-    for leaf in pruned.leaves():
-        key = (leaf.depth, tuple(leaf.class_counts.tolist()))
-        assert key in original_counts
+    for node in pruned.nodes():
+        if node.kind == KIND_LEAF:
+            key = (node.depth, tuple(node.class_counts.tolist()))
+            assert key in original_counts
 
 
 @settings(deadline=None, max_examples=20)

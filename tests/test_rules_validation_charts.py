@@ -1,20 +1,15 @@
-"""Rule extraction, cross-validation, ASCII charts."""
+"""Rule extraction, ASCII charts."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    CrossValResult,
-    ascii_chart,
-    cross_validate,
-    kfold_indices,
-)
+from repro.analysis import ascii_chart
 from repro.baselines import induce_serial
 from repro.core import InductionConfig
-from repro.datagen import generate_quest, make_dataset, paper_dataset
-from repro.tree import extract_rules, prune_mdl, rules_to_text
+from repro.datagen import make_dataset, paper_dataset
+from repro.tree import extract_rules, rules_to_text
 
 # ---------------------------------------------------------------------------
 # rules
@@ -47,7 +42,7 @@ def test_rules_agree_with_tree_predictions(quest_tree):
 
 def test_rule_support_sums_to_n(quest_tree):
     rules = extract_rules(quest_tree)
-    assert sum(r.n_records for r in rules) == quest_tree.root.n_records
+    assert sum(r.n_records for r in rules) == 1200
     assert all(0 < r.confidence <= 1 for r in rules)
 
 
@@ -83,60 +78,32 @@ def test_rules_to_text_output(quest_tree):
         assert int(line.split("n=")[1].split(",")[0]) <= first_n
 
 
+def test_rules_route_training_absent_codes_like_predict():
+    """A code absent from a node's training records goes to the default
+    child in ``predict``; its rule allows it there, so every record still
+    matches exactly one rule, with the predicted label."""
+    ds = make_dataset(categorical={"g": ([0, 0, 1, 1], 3)},
+                      labels=[0, 0, 1, 1])
+    tree = induce_serial(ds)
+    g = np.array([0, 1, 2], dtype=np.int32)
+    preds = tree.predict_columns([g])
+    np.testing.assert_array_equal(preds, [0, 1, 0])
+    rule_labels = np.full(3, -1, dtype=np.int64)
+    cover = np.zeros(3, dtype=int)
+    for rule in extract_rules(tree):
+        hit = rule.matches([g])
+        rule_labels[hit] = rule.label
+        cover += hit
+    np.testing.assert_array_equal(cover, [1, 1, 1])
+    np.testing.assert_array_equal(rule_labels, preds)
+
+
 def test_single_leaf_tree_rule():
     ds = make_dataset(continuous={"x": [1.0, 2.0]}, labels=[1, 1])
     rules = extract_rules(induce_serial(ds))
     assert len(rules) == 1
     assert rules[0].conditions == ()
     assert "IF TRUE THEN class 1" in rules_to_text(induce_serial(ds))
-
-
-# ---------------------------------------------------------------------------
-# cross-validation
-# ---------------------------------------------------------------------------
-
-def test_kfold_indices_partition():
-    rng = np.random.default_rng(0)
-    folds = kfold_indices(103, 5, rng)
-    assert len(folds) == 5
-    all_test = np.concatenate([t for _, t in folds])
-    assert sorted(all_test.tolist()) == list(range(103))
-    for train, test in folds:
-        assert len(np.intersect1d(train, test)) == 0
-        assert len(train) + len(test) == 103
-
-
-def test_kfold_validation_errors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        kfold_indices(10, 1, rng)
-    with pytest.raises(ValueError):
-        kfold_indices(3, 5, rng)
-
-
-def test_cross_validate_learnable_concept():
-    ds = generate_quest(1500, "F1", seed=2)  # age bands: easy
-    result = cross_validate(ds, k=5, seed=1)
-    assert isinstance(result, CrossValResult)
-    assert len(result.fold_accuracies) == 5
-    assert result.mean_accuracy > 0.95
-    assert "5-fold accuracy" in str(result)
-
-
-def test_cross_validate_with_pruning_and_config():
-    ds = paper_dataset(1000, "F2", seed=3, perturbation=0.1)
-    raw = cross_validate(ds, k=3, seed=0)
-    pruned = cross_validate(ds, k=3, seed=0, prune=prune_mdl)
-    assert pruned.mean_accuracy >= raw.mean_accuracy - 0.01
-    assert np.mean(pruned.fold_tree_nodes) < np.mean(raw.fold_tree_nodes)
-
-
-def test_cross_validate_parallel_matches_serial():
-    ds = generate_quest(400, "F3", seed=4)
-    serial = cross_validate(ds, k=3, seed=5)
-    parallel = cross_validate(ds, k=3, seed=5, n_processors=3)
-    assert serial.fold_accuracies == parallel.fold_accuracies
-    assert serial.fold_tree_nodes == parallel.fold_tree_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,29 @@ import pytest
 from repro.baselines import induce_serial
 from repro.core import InductionConfig
 from repro.datagen import generate_quest, make_dataset
-from repro.tree import ContinuousSplit, accuracy, summarize, to_text
+from repro.tree import accuracy, summarize, to_dict, to_text
+from repro.tree.compile import KIND_CATEGORICAL
+
+
+def _root(tree) -> dict:
+    """The root node in the nested model-file form."""
+    return to_dict(tree)["root"]
 
 
 def test_xor_tree_exact_structure(xor_dataset):
     tree = induce_serial(xor_dataset)
     assert accuracy(tree, xor_dataset) == 1.0
     # XOR needs depth 2 with threshold splits at 1.0
-    assert isinstance(tree.root, ContinuousSplit)
-    assert tree.root.threshold == 1.0
+    assert _root(tree)["type"] == "continuous"
+    assert _root(tree)["threshold"] == 1.0
     assert tree.depth == 2
     assert tree.n_leaves == 4
 
 
 def test_pure_dataset_single_leaf():
     ds = make_dataset(continuous={"x": [1.0, 2.0, 3.0]}, labels=[1, 1, 1])
-    tree = induce_serial(ds)
-    assert tree.root.is_leaf
-    assert tree.root.label == 1
-    assert tree.root.n_records == 3
+    root = _root(induce_serial(ds))
+    assert (root["type"], root["label"], root["n_records"]) == ("leaf", 1, 3)
 
 
 def test_constant_attributes_become_leaf():
@@ -36,21 +40,19 @@ def test_constant_attributes_become_leaf():
         categorical={"g": ([2] * 6, 3)},
         labels=[0, 1, 0, 1, 0, 0],
     )
-    tree = induce_serial(ds)
-    assert tree.root.is_leaf
-    assert tree.root.label == 0  # majority
+    root = _root(induce_serial(ds))
+    assert (root["type"], root["label"]) == ("leaf", 0)  # majority
 
 
 def test_majority_label_tie_prefers_lower_class():
     ds = make_dataset(continuous={"x": [1.0, 1.0]}, labels=[1, 0])
-    tree = induce_serial(ds)
-    assert tree.root.is_leaf
-    assert tree.root.label == 0
+    root = _root(induce_serial(ds))
+    assert (root["type"], root["label"]) == ("leaf", 0)
 
 
 def test_max_depth_zero_forces_leaf(tiny_quest):
     tree = induce_serial(tiny_quest, InductionConfig(max_depth=0))
-    assert tree.root.is_leaf
+    assert tree.n_nodes == 1
 
 
 def test_max_depth_bounds_tree(tiny_quest):
@@ -61,9 +63,8 @@ def test_max_depth_bounds_tree(tiny_quest):
 
 def test_min_split_records(tiny_quest):
     tree = induce_serial(tiny_quest, InductionConfig(min_split_records=100))
-    for node in tree.nodes():
-        if not node.is_leaf:
-            assert node.n_records >= 100
+    table = tree.compiled()
+    assert table.n_records[table.fanout > 0].min() >= 100
 
 
 def test_min_improvement_prunes_weak_splits(tiny_quest):
@@ -76,18 +77,16 @@ def test_continuous_split_threshold_is_a_data_value():
     ds = make_dataset(
         continuous={"x": [1.0, 2.0, 3.0, 4.0]}, labels=[0, 0, 1, 1]
     )
-    tree = induce_serial(ds)
-    assert tree.root.threshold == 3.0  # "A < v for some v in its domain"
-    assert tree.root.left.label == 0
-    assert tree.root.right.label == 1
+    root = _root(induce_serial(ds))
+    assert root["threshold"] == 3.0  # "A < v for some v in its domain"
+    assert [child["label"] for child in root["children"]] == [0, 1]
 
 
 def test_duplicates_never_split_inside_a_run():
     ds = make_dataset(
         continuous={"x": [1.0, 1.0, 1.0, 2.0]}, labels=[0, 1, 0, 1]
     )
-    tree = induce_serial(ds)
-    assert tree.root.threshold == 2.0
+    assert _root(induce_serial(ds))["threshold"] == 2.0
 
 
 def test_only_categorical_attributes():
@@ -96,9 +95,9 @@ def test_only_categorical_attributes():
         labels=[0, 0, 1, 1, 0, 0],
     )
     tree = induce_serial(ds)
-    assert not tree.root.is_leaf
-    assert tree.root.attr_index == 0
-    assert len(tree.root.children) == 3
+    root = _root(tree)
+    assert (root["type"], root["attr_index"]) == ("categorical", 0)
+    assert len(root["children"]) == 3
     assert accuracy(tree, ds) == 1.0
 
 
@@ -107,10 +106,7 @@ def test_categorical_children_ascending_value_order():
         categorical={"g": ([2, 0, 2, 0], 4)},  # value 1, 3 unseen
         labels=[1, 0, 1, 0],
     )
-    tree = induce_serial(ds)
-    np.testing.assert_array_equal(
-        tree.root.value_to_child, [0, -1, 1, -1]
-    )
+    assert _root(induce_serial(ds))["value_to_child"] == [0, -1, 1, -1]
 
 
 def test_binary_subset_config():
@@ -118,9 +114,8 @@ def test_binary_subset_config():
     tree = induce_serial(
         ds, InductionConfig(categorical_binary_subsets=True)
     )
-    for node in tree.nodes():
-        if not node.is_leaf and hasattr(node, "value_to_child"):
-            assert len(node.children) == 2
+    table = tree.compiled()
+    assert set(table.n_children[table.kind == KIND_CATEGORICAL]) <= {2}
 
 
 def test_entropy_criterion_differs_from_gini(tiny_quest):

@@ -38,7 +38,9 @@ from repro.serving import (
     ServingClient,
     serve,
 )
-from repro.tree import predict_columns, predict_proba_columns, to_dict
+from repro.tree import from_dict, to_dict
+
+from tests.test_tree import MALFORMED_CASES, malformed_model
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_publish_load_round_trip(tmp_path, trees):
     assert to_dict(model.tree) == to_dict(t1)
     np.testing.assert_array_equal(
         model.compiled.predict_columns(test.columns),
-        predict_columns(t1, test.columns),
+        t1.predict_columns(test.columns),
     )
 
     # versions are append-only and monotonically numbered
@@ -130,6 +132,16 @@ def test_committed_model_artifact_loads_with_its_pinned_digest(tmp_path):
     test = paper_dataset(200, "F2", seed=2)
     np.testing.assert_array_equal(model.compiled.predict_columns(test.columns),
                                   model.tree.predict(test))
+
+
+def test_committed_model_json_round_trips_byte_for_byte():
+    """Reading the committed ``model.json`` into a table and writing it
+    back as the registry does reproduces the file's bytes."""
+    blob = (Path(__file__).resolve().parent / "fixtures"
+            / "model_artifact_v0001" / "model.json").read_bytes()
+    tree = from_dict(json.loads(blob))
+    assert json.dumps(to_dict(tree), sort_keys=True).encode() == blob
+    assert tree.compiled().structure_digest == FIXTURE_DIGEST
 
 
 def test_committed_model_artifact_with_a_flipped_byte_refuses(tmp_path):
@@ -255,9 +267,9 @@ def test_batch_server_matches_direct_prediction(tmp_path, trees):
 
     result, single = asyncio.run(scenario())
     np.testing.assert_array_equal(
-        result.labels, predict_columns(t1, test.columns))
+        result.labels, t1.predict_columns(test.columns))
     assert np.array_equal(
-        result.proba, predict_proba_columns(t1, test.columns))
+        result.proba, t1.compiled().predict_proba_columns(test.columns))
     assert (result.version, result.digest) == (1, info.compiled_digest)
     assert result.latency > 0
     assert single.labels.shape == (1,)
@@ -273,7 +285,7 @@ def test_batch_server_coalesces_concurrent_requests(tmp_path, trees):
     reg = ModelRegistry(tmp_path)
     reg.publish(t1, activate=True)
     rows = test.features_matrix()
-    expected = predict_columns(t1, test.columns)
+    expected = t1.predict_columns(test.columns)
     n_requests = 64
 
     async def scenario():
@@ -317,7 +329,7 @@ def test_fixed_servable_model_source(tmp_path, trees):
 
     result = asyncio.run(scenario())
     np.testing.assert_array_equal(
-        result.labels, predict_columns(t1, test.columns))
+        result.labels, t1.predict_columns(test.columns))
     assert model.leases == 0                      # batch lease released
 
 
@@ -331,7 +343,7 @@ def test_hot_swap_is_atomic_under_load(tmp_path, trees):
     info1 = reg.publish(t1, activate=True)
     rows = test.features_matrix()[:8]
     valid = {1: info1.compiled_digest}
-    labels_by_version = {1: predict_columns(t1, test.columns)[:8]}
+    labels_by_version = {1: t1.predict_columns(test.columns)[:8]}
 
     async def scenario():
         server = BatchServer(reg, ServerConfig(max_batch=16))
@@ -350,7 +362,7 @@ def test_hot_swap_is_atomic_under_load(tmp_path, trees):
             info2 = await asyncio.get_running_loop().run_in_executor(
                 None, lambda: reg.publish(t2, activate=True))
             valid[2] = info2.compiled_digest
-            labels_by_version[2] = predict_columns(t2, test.columns)[:8]
+            labels_by_version[2] = t2.predict_columns(test.columns)[:8]
             await wave
             # phase 3: traffic after the swap
             await asyncio.gather(*[one_request() for _ in range(40)])
@@ -437,9 +449,10 @@ def test_tcp_serve_round_trip(tmp_path, trees):
         assert reply["version"] == 1
         assert reply["digest"] == info1.compiled_digest
         np.testing.assert_array_equal(
-            reply["labels"], predict_columns(t1, test.columns)[:32])
+            reply["labels"], t1.predict_columns(test.columns)[:32])
         assert np.array_equal(
-            reply["proba"], predict_proba_columns(t1, test.columns)[:32])
+            reply["proba"],
+            t1.compiled().predict_proba_columns(test.columns)[:32])
 
         # hot-swap through the on-disk pointer: the serving process's
         # registry instance picks it up before the next batch
@@ -533,7 +546,7 @@ def test_peer_reset_ends_its_connection_quietly(tmp_path, trees):
         reply = client.predict(rows)
         assert reply["digest"] == info.compiled_digest
         np.testing.assert_array_equal(
-            reply["labels"], predict_columns(t1, test.columns)[:4])
+            reply["labels"], t1.predict_columns(test.columns)[:4])
         client.shutdown()
     thread.join(timeout=10)
     assert not thread.is_alive()
@@ -614,6 +627,22 @@ def test_cli_train_publish_serve_query_round_trip(tmp_path):
             server.communicate()
 
 
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+def test_cli_publish_refuses_a_malformed_model(tmp_path, capsys, case):
+    """A hand-edited ``model.json`` that would publish, seal and activate
+    and then fail at its first prediction is refused before publishing:
+    the CLI's one-line error and exit 2, nothing in the registry."""
+    from repro.cli import main
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(malformed_model(case)))
+    registry = tmp_path / "registry"
+    assert main(["publish", "--registry", str(registry), "--model",
+                 str(model), "--activate"]) == 2
+    assert "error: cannot load model" in capsys.readouterr().err
+    assert not registry.exists() or ModelRegistry(registry).versions() == []
+
+
 # ----------------------------------------------------------------------
 # regressions: stop-drain, width validation, batch budget
 # ----------------------------------------------------------------------
@@ -646,7 +675,7 @@ def test_stop_fails_requests_left_in_queue(tmp_path, trees):
 
     first, stats = asyncio.run(scenario())
     np.testing.assert_array_equal(
-        first.labels, predict_columns(trees[0], trees[2].columns)[:4])
+        first.labels, trees[0].predict_columns(trees[2].columns)[:4])
     assert stats.n_errors == 1
 
 
@@ -674,7 +703,7 @@ def test_mismatched_width_fails_alone_not_the_batch(tmp_path, trees):
 
     result, stats = asyncio.run(scenario())
     np.testing.assert_array_equal(
-        result.labels, predict_columns(t1, test.columns))
+        result.labels, t1.predict_columns(test.columns))
     assert stats.n_errors == 0          # rejection never reached a batch
 
 
@@ -705,7 +734,7 @@ def test_batcher_never_exceeds_max_batch(tmp_path, trees):
     for i, result in enumerate(burst):
         np.testing.assert_array_equal(
             result.labels,
-            predict_columns(t1, test.columns)[3 * i:3 * i + 3])
+            t1.predict_columns(test.columns)[3 * i:3 * i + 3])
     assert len(oversized.labels) == 20  # oversized request ran alone
     assert stats.n_errors == 0
 

@@ -366,7 +366,7 @@ def test_lossless_stream_matches_batch_exactly(function):
     ds = paper_dataset(2000, function, seed=7)
     batch = ScalParC(4, InductionConfig(max_depth=6), machine=None).fit(ds)
     stream = ScalParC(4, _stream_cfg(), machine=None).fit_stream(ds)
-    assert_trees_equal(batch.tree.root, stream.tree.root,
+    assert_trees_equal(batch.tree, stream.tree,
                        f"streaming vs batch on {function}")
 
 
@@ -378,7 +378,7 @@ def test_tree_is_invariant_to_chunking(chunk):
     ref = ScalParC(3, InductionConfig(max_depth=6), machine=None).fit(ds)
     got = ScalParC(3, _stream_cfg(stream_chunk_records=chunk),
                    machine=None).fit_stream(ds)
-    assert_trees_equal(ref.tree.root, got.tree.root, f"chunk={chunk}")
+    assert_trees_equal(ref.tree, got.tree, f"chunk={chunk}")
 
 
 def test_stream_prefix_matches_batch_on_prefix():
@@ -389,14 +389,14 @@ def test_stream_prefix_matches_batch_on_prefix():
     batch = ScalParC(4, InductionConfig(max_depth=6),
                      machine=None).fit(prefix)
     stream = ScalParC(4, _stream_cfg(), machine=None).fit_stream(prefix)
-    assert_trees_equal(batch.tree.root, stream.tree.root, "on prefix")
+    assert_trees_equal(batch.tree, stream.tree, "on prefix")
 
 
 def test_stream_is_processor_count_independent():
     ds = paper_dataset(1500, "F2", seed=5)
     one = ScalParC(1, _stream_cfg(), machine=None).fit_stream(ds)
     four = ScalParC(4, _stream_cfg(), machine=None).fit_stream(ds)
-    assert_trees_equal(one.tree.root, four.tree.root, "p=1 vs p=4")
+    assert_trees_equal(one.tree, four.tree, "p=1 vs p=4")
 
 
 def test_traced_stream_passes_conformance():
@@ -405,7 +405,7 @@ def test_traced_stream_passes_conformance():
     ds = paper_dataset(1200, "F5", seed=9)
     result = ScalParC(4, _stream_cfg(), machine=None).fit_stream(
         ds, trace=True)
-    assert sum(1 for _ in result.tree.leaves()) > 1
+    assert result.tree.n_leaves > 1
 
 
 def test_priced_stream_attributes_stream_phases():
@@ -429,11 +429,11 @@ def test_midstream_kill_and_resume_matches_one_shot(tmp_path):
     killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path)), max_epochs=3)
     # the killed fit stopped at a sealed cut: frontier open, not final
-    assert sum(1 for _ in killed.tree.leaves()) < \
-        sum(1 for _ in one_shot.tree.leaves())
+    assert killed.tree.n_leaves < \
+        one_shot.tree.n_leaves
     resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path), resume=True))
-    assert_trees_equal(one_shot.tree.root, resumed.tree.root,
+    assert_trees_equal(one_shot.tree, resumed.tree,
                        "kill at epoch 3 + resume")
 
 
@@ -447,7 +447,7 @@ def test_resume_on_different_world_size(tmp_path):
         ds, checkpoint=CheckpointConfig(dir=str(tmp_path)), max_epochs=3)
     resumed = ScalParC(3, cfg, machine=None).fit_stream(
         ds, checkpoint=CheckpointConfig(dir=str(tmp_path), resume=True))
-    assert_trees_equal(one_shot.tree.root, resumed.tree.root,
+    assert_trees_equal(one_shot.tree, resumed.tree,
                        "resume on 3 ranks of a 4-rank cut")
 
 
@@ -463,7 +463,7 @@ def test_partial_fit_segments_match_one_shot(tmp_path):
     final = clf.fit_stream(ds.take(np.arange(800, 2000)),
                            checkpoint=CheckpointConfig(dir=str(tmp_path),
                                                        resume=True))
-    assert_trees_equal(one_shot.tree.root, final.tree.root,
+    assert_trees_equal(one_shot.tree, final.tree,
                        "two partial_fit segments + finalize")
 
 
@@ -532,7 +532,7 @@ def test_eager_growth_splits_before_end_of_stream(tmp_path):
     clf = ScalParC(4, cfg, machine=None)
     killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path)), max_epochs=3)
-    assert sum(1 for _ in killed.tree.leaves()) > 1
+    assert killed.tree.n_leaves > 1
     resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path), resume=True))
     accuracy = float((resumed.tree.predict(ds) == ds.labels).mean())
@@ -689,30 +689,26 @@ def test_sketches_travel_at_a_capacity_covering_their_node(mode, nprocs,
 
 
 def _streamed_on_rank(comm, ds, cfg, ckpt_dir):
-    """One checkpointed streamed fit: was the tree returned without node
-    objects, and its pickle."""
-    tree = induction.stream_induce_worker(
-        comm, ds, cfg, checkpoint=CheckpointConfig(dir=ckpt_dir))
-    return tree._root is None, pickle.dumps(tree)
+    """One checkpointed streamed fit's tree, pickled."""
+    return pickle.dumps(induction.stream_induce_worker(
+        comm, ds, cfg, checkpoint=CheckpointConfig(dir=ckpt_dir)))
 
 
 @pytest.mark.parametrize("mode", ["eager", "drift"])
 def test_streamed_trees_and_cuts_hold_no_node_objects(mode, tmp_path):
-    """The streaming tree is table rows end to end: every rank returns a
-    table-only tree, and neither its pickle nor an epoch cut's shared
-    payload (read as written) names a node class."""
+    """The streaming tree is table rows end to end: neither a rank's
+    pickled tree nor an epoch cut's shared payload (read as written)
+    names a node class."""
     make, over, digests = _MODES[mode]
     results = run_spmd(2, _streamed_on_rank, backend="process", args=(
         make(), _stream_cfg(**over), str(tmp_path)))
     cut = LoadedCheckpoint.open(str(tmp_path))
-    blobs = [(pathlib.Path(cut.directory) / "shared.ckpt").read_bytes()]
-    for table_only, blob in results:
-        assert table_only
-        blobs.append(blob)
+    blobs = [(pathlib.Path(cut.directory) / "shared.ckpt").read_bytes(),
+             *results]
     for blob in blobs:
         for name in (b"Leaf", b"ContinuousSplit", b"CategoricalSplit"):
             assert name not in blob
-    tree = pickle.loads(results[0][1])
+    tree = pickle.loads(results[0])
     assert tree.compiled().structure_digest == digests[2]
 
 
@@ -850,11 +846,11 @@ def test_midgrow_kill_and_resume_matches_one_shot(tmp_path):
     clf = ScalParC(3, cfg, machine=None)
     killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path)), max_epochs=4)
-    assert 1 < sum(1 for _ in killed.tree.leaves()) < \
-        sum(1 for _ in one_shot.tree.leaves())
+    assert 1 < killed.tree.n_leaves < \
+        one_shot.tree.n_leaves
     resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path), resume=True))
-    assert_trees_equal(one_shot.tree.root, resumed.tree.root,
+    assert_trees_equal(one_shot.tree, resumed.tree,
                        "eager: kill at epoch 4 + resume")
 
 
