@@ -19,7 +19,7 @@ from conftest import SCALE, emit
 
 from repro.analysis import format_table
 from repro.hashing import DistributedNodeTable
-from repro.perfmodel import CRAY_T3D, PerfRun
+from repro.perfmodel import CRAY_T3D, RankTracker, replay
 from repro.runtime import run_spmd
 
 N = int(64_000 * SCALE)
@@ -38,17 +38,17 @@ def _peak_update_buffer(skew: float, blocked: bool) -> tuple[int, int]:
     n0 = int(N * skew)
     shares = [n0] + [(N - n0) // (P - 1)] * (P - 1)
     bounds = np.concatenate(([0], np.cumsum(shares)))
-    perf = PerfRun(P, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(P)]
 
     def worker(comm):
         table = DistributedNodeTable(comm, N)
         lo, hi = bounds[comm.rank], bounds[comm.rank + 1]
-        rounds = table.update(keys[lo:hi], vals[lo:hi], blocked=blocked)
-        return rounds, comm.perf.memory_watermark - comm.perf.persistent_total
+        return table.update(keys[lo:hi], vals[lo:hi], blocked=blocked)
 
-    results = run_spmd(P, worker, observer=perf, rank_perf=perf.trackers)
-    peak = max(r[1] for r in results)
-    return peak, results[0][0]
+    rounds = run_spmd(P, worker, rank_perf=ledgers)
+    peak = max(r.memory_watermark - r.persistent_total
+               for r in replay(ledgers, CRAY_T3D))
+    return peak, rounds[0]
 
 
 def test_blocked_updates_bound_memory(benchmark):

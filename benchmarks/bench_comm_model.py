@@ -15,14 +15,14 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.perfmodel import CRAY_T3D, PerfRun
+from repro.perfmodel import CRAY_T3D, RankTracker, price
 from repro.runtime import run_spmd
 
 SIZES = [1_000, 10_000, 100_000, 1_000_000]  # bytes per message
 
 
 def _ptp_time(nbytes: int) -> float:
-    perf = PerfRun(2, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(2)]
 
     def worker(comm):
         payload = np.zeros(nbytes, dtype=np.uint8)
@@ -32,21 +32,21 @@ def _ptp_time(nbytes: int) -> float:
             comm.recv(source=0)
         comm.barrier()
 
-    run_spmd(2, worker, observer=perf, rank_perf=perf.trackers)
+    run_spmd(2, worker, rank_perf=ledgers)
     barrier_cost = CRAY_T3D.coll_latency  # log2(2) = 1 stage
-    return perf.stats().parallel_time - barrier_cost
+    return price(ledgers, CRAY_T3D).parallel_time - barrier_cost
 
 
 def _a2a_time(nbytes_per_dest: int, p: int) -> float:
-    perf = PerfRun(p, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(p)]
 
     def worker(comm):
         bufs = [np.zeros(nbytes_per_dest, dtype=np.uint8)
                 for _ in range(comm.size)]
         comm.alltoallv(bufs)
 
-    run_spmd(p, worker, observer=perf, rank_perf=perf.trackers)
-    return perf.stats().parallel_time
+    run_spmd(p, worker, rank_perf=ledgers)
+    return price(ledgers, CRAY_T3D).parallel_time
 
 
 def test_comm_model_microbenchmark(benchmark):

@@ -17,7 +17,7 @@ Run:  python examples/parallel_hashing_demo.py
 import numpy as np
 
 from repro.hashing import DistributedChainedHashTable, DistributedNodeTable
-from repro.perfmodel import CRAY_T3D, PerfRun, format_bytes
+from repro.perfmodel import CRAY_T3D, RankTracker, format_bytes, price
 from repro.runtime import run_spmd
 
 N_KEYS = 200_000
@@ -32,7 +32,7 @@ def main() -> None:
 
     print(f"Distributed node table: {N_KEYS} concurrent updates over "
           f"{P} ranks …")
-    perf = PerfRun(P, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(P)]
 
     def node_table_worker(comm):
         lo = comm.rank * chunk
@@ -42,13 +42,12 @@ def main() -> None:
         sample = keys[lo:hi][:5]
         return rounds, table.lookup(sample), sample
 
-    results = run_spmd(P, node_table_worker,
-                       observer=perf, rank_perf=perf.trackers)
+    results = run_spmd(P, node_table_worker, rank_perf=ledgers)
     rounds, got, sample = results[0]
     ref = np.empty(N_KEYS, dtype=np.int32)
     ref[keys] = values
     assert np.array_equal(got, ref[sample])
-    stats = perf.stats()
+    stats = price(ledgers, CRAY_T3D)
     print(f"  update rounds: {rounds}; spot-lookups verified")
     print(f"  modeled time {stats.parallel_time * 1e3:.2f} ms, "
           f"per-rank traffic ≤ {format_bytes(stats.bytes_per_rank_max)}, "

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..datagen.schema import Dataset, check_training_values
-from ..perfmodel import CRAY_T3D, MachineSpec, PerfRun, SimulatedRunStats
+from ..perfmodel import (
+    CRAY_T3D,
+    MachineSpec,
+    RankTracker,
+    SimulatedRunStats,
+    price,
+)
 from ..runtime import run_spmd
 from ..tree.model import DecisionTree
 from .config import InductionConfig
@@ -37,15 +43,16 @@ def run_priced(
     with ``run_kwargs``), priced on ``machine`` when one is given.
 
     Returns ``(per-rank results, run statistics)``; the statistics are
-    ``None`` when ``machine`` is ``None`` — no observer or trackers are
-    attached, so an unpriced run pays nothing for the model.
+    ``None`` when ``machine`` is ``None`` — no ledgers are attached, so
+    an unpriced run pays nothing for the model.  A recovered run (see
+    :mod:`repro.runtime.checkpoint`) prices exactly the ledgers of the
+    world that finished: one per result.
     """
     if machine is None:
         return run_spmd(size, worker, args, **run_kwargs), None
-    perf = PerfRun(size, machine)
-    results = run_spmd(size, worker, args, observer=perf,
-                       rank_perf=perf.trackers, **run_kwargs)
-    return results, perf.stats()
+    ledgers = [RankTracker() for _ in range(size)]
+    results = run_spmd(size, worker, args, rank_perf=ledgers, **run_kwargs)
+    return results, price(ledgers[:len(results)], machine)
 
 
 class _RankZeroResult:

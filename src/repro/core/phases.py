@@ -1,7 +1,8 @@
 """Phase attribution for the simulated clock (Figure 2's phase names).
 
-Wrapping a region in :func:`timed_phase` attributes the simulated-clock
-delta it spans to the named phase on this rank's tracker, letting the
+Wrapping a region in :func:`timed_phase` attributes the clock delta it
+spans to the named phase on this rank's tracker — on a ledger, the rows
+it spans, which the replay prices in simulated seconds — letting the
 performance reports break the parallel runtime down into Presort /
 FindSplitI / FindSplitII / PerformSplitI / PerformSplitII — the
 per-phase table the paper's accompanying technical report studies — plus
@@ -78,7 +79,7 @@ STREAM_PHASES = (STREAM_INGEST, STREAM_SKETCH, STREAM_GROW)
 
 @contextmanager
 def timed_phase(perf_or_comm: Any, name: str) -> Iterator[None]:
-    """Attribute the simulated time spent inside the block to ``name``.
+    """Attribute the clock delta spanned by the block to ``name``.
 
     Accepts either a tracker (anything with ``clock`` /
     ``add_phase_time``) or a communicator — in the latter case the

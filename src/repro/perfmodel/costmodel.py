@@ -13,8 +13,9 @@ paper cites:
 * barrier: pure latency term;
 * point-to-point: ``ptp_latency + bytes / ptp_bw``.
 
-The per-rank byte counts come from the engine's observer callback, i.e.
-they are the *actual* message sizes of the run, not analytic estimates.
+The per-rank byte counts come from the ranks' ledgers
+(:func:`~repro.perfmodel.replay.replay`), i.e. they are the *actual*
+message sizes of the run, not analytic estimates.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Aggregated statistics of a priced simulated run.
+"""Aggregated statistics of a priced simulated run
+(:func:`repro.perfmodel.price` builds them from the ranks' ledgers).
 
 This is the measurement record behind every figure reproduction:
 Figure 3(a) reads :attr:`SimulatedRunStats.parallel_time` across (N, p)
@@ -8,10 +9,6 @@ grids; Figure 3(b) reads :attr:`SimulatedRunStats.memory_per_rank_max`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-from .machine import MachineSpec
-from .tracker import RankTracker
 
 __all__ = ["SimulatedRunStats", "format_bytes", "format_seconds"]
 
@@ -87,65 +84,6 @@ class SimulatedRunStats:
     phase_pickled_bytes: dict = field(default_factory=dict)
     #: measured shared-segment bytes per algorithm phase (sum over ranks)
     phase_shared_bytes: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_trackers(cls, machine: MachineSpec,
-                      trackers: Sequence[RankTracker]) -> "SimulatedRunStats":
-        """Fold per-rank trackers into one report."""
-        if not trackers:
-            raise ValueError("no trackers to aggregate")
-        coll_counts: dict = {}
-        coll_bytes: dict = {}
-        units: dict = {}
-        phases: dict = {}
-        phase_bytes: dict = {}
-        phase_pickled: dict = {}
-        phase_shared: dict = {}
-        for t in trackers:
-            for k, v in t.collective_counts.items():
-                coll_counts[k] = coll_counts.get(k, 0) + v
-            for k, v in t.collective_bytes.items():
-                coll_bytes[k] = coll_bytes.get(k, 0) + v
-            for k, v in t.compute_units.items():
-                units[k] = units.get(k, 0) + v
-            for k, v in t.phase_seconds.items():
-                phases[k] = max(phases.get(k, 0.0), v)
-            for k, v in getattr(t, "phase_comm_bytes", {}).items():
-                phase_bytes[k] = phase_bytes.get(k, 0) + v
-            for k, v in getattr(t, "phase_pickled_bytes", {}).items():
-                phase_pickled[k] = phase_pickled.get(k, 0) + v
-            for k, v in getattr(t, "phase_shared_bytes", {}).items():
-                phase_shared[k] = phase_shared.get(k, 0) + v
-        mem = tuple(t.memory_watermark for t in trackers)
-        return cls(
-            machine_name=machine.name,
-            size=len(trackers),
-            parallel_time=max(t.clock for t in trackers),
-            comp_time_max=max(t.comp_seconds for t in trackers),
-            comp_time_mean=sum(t.comp_seconds for t in trackers) / len(trackers),
-            comm_time_max=max(t.comm_seconds for t in trackers),
-            total_bytes=sum(t.bytes_sent for t in trackers),
-            bytes_per_rank_max=max(t.bytes_sent + t.bytes_recv for t in trackers),
-            memory_per_rank=mem,
-            memory_per_rank_max=max(mem),
-            collective_counts=coll_counts,
-            logical_collectives=sum(
-                getattr(t, "n_logical_collectives", 0) for t in trackers
-            ),
-            collective_bytes=coll_bytes,
-            compute_units=units,
-            phase_seconds=phases,
-            level_marks=tuple(trackers[0].level_marks),
-            phase_bytes=phase_bytes,
-            transport_pickled_bytes=sum(
-                getattr(t, "transport_pickled_bytes", 0) for t in trackers
-            ),
-            transport_shared_bytes=sum(
-                getattr(t, "transport_shared_bytes", 0) for t in trackers
-            ),
-            phase_pickled_bytes=phase_pickled,
-            phase_shared_bytes=phase_shared,
-        )
 
     def findsplit_bytes(self) -> int:
         """Bytes moved by split determination (sum over ranks; traced

@@ -3,8 +3,8 @@
 The ScalParC paper runs on MPI over a Cray T3D.  This package provides a
 faithful stand-in: logical ranks, the MPI-1-style collectives ScalParC
 uses over numpy buffers, blocking point-to-point messaging,
-collective-order verification, and observer hooks that the performance model uses to price
-every byte that moves.
+collective-order verification, and a per-rank ledger (``comm.perf``) of
+every byte that moves, which the performance model prices after the run.
 
 *How* ranks execute is pluggable (see :mod:`repro.runtime.engines`):
 ``backend="thread"`` (default) runs ranks as threads, at most one
@@ -39,7 +39,6 @@ from .checkpoint import (
 )
 from .communicator import Communicator, NullPerf, SelfCommunicator
 from .engines import (
-    CommObserver,
     DEFAULT_BACKEND,
     DEFAULT_TIMEOUT,
     SpmdEngine,
@@ -72,7 +71,7 @@ from .framing import (
     resolve_max_frame,
 )
 from .fusion import FusedBatch, FusedFuture, FusionError
-from .payload import payload_logical_nbytes, payload_nbytes
+from .payload import payload_nbytes
 from .reduction import ReduceOp, make_op
 from .shm import (
     DEFAULT_SHM_THRESHOLD,
@@ -109,7 +108,6 @@ __all__ = [
     "resolve_checkpoint",
     "CollectiveAbortedError",
     "CollectiveMismatchError",
-    "CommObserver",
     "Communicator",
     "DEFAULT_BACKEND",
     "DEFAULT_MAX_FRAME",
@@ -154,7 +152,6 @@ __all__ = [
     "last_trace_collector",
     "logical_ops",
     "make_op",
-    "payload_logical_nbytes",
     "payload_nbytes",
     "reduction",
     "register_engine",

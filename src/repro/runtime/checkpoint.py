@@ -625,8 +625,9 @@ def rank_extras(comm) -> dict:
 
 
 def restore_rank_extras(comm, payload: dict) -> None:
-    """Restore tracker clock/counters and RNG saved by the same rank of
-    an equal-size run (callers skip this on p → p′ resume)."""
+    """Restore the tracker (a ledger: the prefix of rows up to the cut)
+    and RNG saved by the same rank of an equal-size run (callers skip
+    this on p → p′ resume)."""
     perf = payload.get("perf")
     if perf is not None and type(perf).__name__ == type(comm.perf).__name__:
         try:

@@ -4,17 +4,15 @@ MPI names its collectives and its operators (``MPI_Allreduce`` + an
 ``MPI_Op`` handle), so any node of the machine can carry one out.  A
 :class:`Collective` is that name — kind, operator *name*, root and, for a
 fused group, its section layout — and :meth:`Collective.finish` is the
-whole of what the collective computes: per-rank results plus the per-rank
-``(sent, recv)`` bytes the cost model prices.  It runs wherever the
-contributions meet: on the last arriving rank of the in-process engines,
-inside the router of ``process`` / ``tcp`` (so a step is two hops: rank →
-router → rank).  The communicator methods, the fusion layer and the
-engines only *name* a collective; nothing else knows what one computes.
-
-Byte accounting is by *logical* size
-(:func:`~repro.runtime.payload.payload_logical_nbytes`): a shared-memory
-descriptor counts as the array it stands for, so the numbers are the same
-whether ``finish`` sees payloads or their encoded stand-ins.
+whole of what the collective computes: one result per rank.  It runs
+wherever the contributions meet: on the last arriving rank of the
+in-process engines, inside the router of ``process`` / ``tcp`` (so a
+step is two hops: rank → router → rank).  The communicator methods, the
+fusion layer and the engines only *name* a collective; nothing else
+knows what one computes.  Nothing here prices one either: each rank
+books its own contribution size on its ledger, and
+:func:`repro.perfmodel.price` derives the bytes every rank sent and
+received after the run.
 """
 
 from __future__ import annotations
@@ -23,12 +21,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .payload import payload_logical_nbytes
 from .reduction import lookup
 
 __all__ = ["Collective", "section_views"]
-
-_Bytes = tuple[list[int], list[int]]
 
 
 def section_views(packed: Any, sections: tuple) -> list[np.ndarray]:
@@ -75,17 +70,10 @@ class Collective(NamedTuple):
         rank addresses to itself need not travel at all."""
         return self.kind in ("alltoall", "alltoallv")
 
-    def finish(self, contribs: list,
-               priced: bool = True) -> tuple[list, list[int], list[int]]:
-        """``(results, sent, recv)`` for one complete step: one result per
-        rank, plus per-rank bytes (zeros when nobody prices them)."""
+    def finish(self, contribs: list) -> list:
+        """One complete step: one result per rank."""
         kind = self.kind.removeprefix("fused_")     # same fold, packed
-        results = _RESULTS[kind](self, contribs)
-        if priced and kind in _BYTES:
-            sent, recv = _BYTES[kind](self, contribs)
-        else:
-            sent = recv = [0] * len(contribs)
-        return results, sent, recv
+        return _RESULTS[kind](self, contribs)
 
 
 # ----------------------------------------------------------------------
@@ -132,53 +120,4 @@ _RESULTS = {
     "reduce": _reduce,
     "allreduce": _allreduce,
     "exscan": lambda spec, c: lookup(spec.op).exscan(c),
-}
-
-
-# ----------------------------------------------------------------------
-# byte accounting
-# ----------------------------------------------------------------------
-
-
-def _sizes(contribs: list) -> list[int]:
-    return [payload_logical_nbytes(c) for c in contribs]
-
-
-def _allgather_bytes(_spec: Collective, contribs: list) -> _Bytes:
-    sizes = _sizes(contribs)
-    total = sum(sizes)
-    return ([s * (len(contribs) - 1) for s in sizes],
-            [total - s for s in sizes])
-
-
-def _reduce_bytes(_spec: Collective, contribs: list) -> _Bytes:
-    # tree reduction: every rank sends/receives O(log p) messages of its
-    # (packed) payload size; one up-edge and one down-edge per rank are
-    # accounted, and the cost model prices the log-p latency factor —
-    # once per fused group
-    sizes = _sizes(contribs)
-    return sizes, list(sizes)
-
-
-def _transpose_bytes(_spec: Collective, contribs: list) -> _Bytes:
-    # a rank's block to itself does not travel and is not counted
-    size = len(contribs)
-    sent = [0] * size
-    recv = [0] * size
-    for i, blocks in enumerate(contribs):
-        for j, block in enumerate(blocks):
-            if i != j:
-                n = payload_logical_nbytes(block)
-                sent[i] += n
-                recv[j] += n
-    return sent, recv
-
-
-#: kinds absent here (``barrier``) move no payload
-_BYTES = {
-    "allgather": _allgather_bytes,
-    "allgatherv": _allgather_bytes,
-    "alltoall": _transpose_bytes,
-    "alltoallv": _transpose_bytes,
-    **dict.fromkeys(("reduce", "allreduce", "exscan"), _reduce_bytes),
 }

@@ -20,12 +20,14 @@ Engines implement two primitives:
 Every collective method here (barrier, allgather(v), reduce, allreduce,
 exscan, alltoall(v)) only validates its arguments and names a
 :class:`~repro.runtime.collective.Collective`; what that collective
-computes and how its bytes are accounted is defined once, in
-:mod:`repro.runtime.collective`, and runs wherever an engine lets the
-contributions meet.  :meth:`Communicator._exchange` is the thin wrapper
-over the engine primitive that also records collective-trace events when
-the job runs with tracing enabled (see :mod:`repro.runtime.tracing`), so
-semantics, accounting and tracing are engine-independent.
+computes is defined once, in :mod:`repro.runtime.collective`, and runs
+wherever an engine lets the contributions meet.
+:meth:`Communicator._exchange` is the thin wrapper over the engine
+primitive that also books each completed collective on the rank's ledger
+(``comm.perf``, priced after the run by :func:`repro.perfmodel.price`)
+and records collective-trace events when the job runs with tracing
+enabled (see :mod:`repro.runtime.tracing`), so semantics, accounting and
+tracing are engine-independent.
 """
 
 from __future__ import annotations
@@ -80,7 +82,19 @@ class NullPerf:
     def add_phase_comm(self, name: str, nbytes: int) -> None:
         """No-op (unpriced run)."""
 
-    #: NullPerf has no simulated clock; phase timers read this constant
+    def add_collective(self, spec: Collective, payload: Any) -> None:
+        """No-op (unpriced run)."""
+
+    def add_send(self, dest: int, obj: Any) -> None:
+        """No-op (unpriced run)."""
+
+    def add_recv(self, source: int, obj: Any) -> None:
+        """No-op (unpriced run)."""
+
+    def merge_remote(self, remote: Any) -> None:
+        """No-op (unpriced run)."""
+
+    #: NullPerf keeps no ledger; phase timers read this constant
     clock = 0.0
 
 
@@ -123,9 +137,10 @@ class Communicator(ABC):
     def _exchange(self, spec: Collective, payload: Any,
                   fused: Any | None = None) -> Any:
         """Engine-independent collective front door: dispatches to the
-        engine's :meth:`_exchange_impl` and, when this rank carries a
-        trace recorder, records one event per completed collective.  A
-        collective that aborts records nothing — the truncation is the
+        engine's :meth:`_exchange_impl`, then books the completed
+        collective on this rank's ledger (``perf.add_collective``) and,
+        when this rank carries a trace recorder, records one trace event.
+        A collective that aborts records nothing — the truncation is the
         evidence the conformance checker reports.
 
         ``fused`` is the fusion layer's group behind a fused collective:
@@ -133,16 +148,17 @@ class Communicator(ABC):
         digest records.  It is only consulted when a tracer is attached,
         so untraced fused runs pay nothing for it.
         """
-        tracer = self._tracer
+        tracer, perf = self._tracer, self.perf
         if tracer is None:
-            return self._exchange_impl(spec, payload)
-        clock = self.perf.clock
-        start = time.perf_counter()
-        result = self._exchange_impl(spec, payload)
-        tracer.record(spec.name, payload, result,
-                      time.perf_counter() - start, clock, self.perf,
-                      fused_from=None if fused is None
-                      else fused.manifest(spec, result))
+            result = self._exchange_impl(spec, payload)
+        else:
+            clock, start = perf.clock, time.perf_counter()
+            result = self._exchange_impl(spec, payload)
+            tracer.record(spec.name, payload, result,
+                          time.perf_counter() - start, clock, perf,
+                          fused_from=None if fused is None
+                          else fused.manifest(spec, result))
+        perf.add_collective(spec, payload)
         return result
 
     @abstractmethod
@@ -233,10 +249,10 @@ class SelfCommunicator(Communicator):
     that needs no other rank (ScalParC's subtrees after the hand-off).
 
     Every collective is its spec's ``finish`` over the one contribution,
-    run in place — no engine, no observer, no tracer, so nothing is
+    run in place — no engine, no ledger row, no tracer, so nothing is
     priced as communication, nothing crosses a transport and nothing is
     recorded in a trace.  ``perf`` is the caller's tracker: compute,
-    memory and phase time still land on the rank that does the work.
+    memory and phase rows still land on the rank that does the work.
     Point-to-point is a FIFO per tag to oneself.
     """
 
@@ -244,8 +260,12 @@ class SelfCommunicator(Communicator):
         super().__init__(0, 1, perf)
         self._box: list[tuple[int, Any]] = []
 
+    def _exchange(self, spec: Collective, payload: Any,
+                  fused: Any | None = None) -> Any:
+        return self._exchange_impl(spec, payload)
+
     def _exchange_impl(self, spec: Collective, payload: Any) -> Any:
-        return spec.finish([payload], priced=False)[0][0]
+        return spec.finish([payload])[0]
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")

@@ -15,7 +15,6 @@ tcp        one OS process per rank, grouped into loopback        multi-host jobs
 """
 
 from .base import (
-    CommObserver,
     DEFAULT_BACKEND,
     DEFAULT_TIMEOUT,
     SpmdEngine,
@@ -28,7 +27,6 @@ from .base import (
 )
 
 __all__ = [
-    "CommObserver",
     "DEFAULT_BACKEND",
     "DEFAULT_TIMEOUT",
     "SpmdEngine",

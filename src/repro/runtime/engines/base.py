@@ -4,8 +4,8 @@ An *engine* (or *backend*) is a strategy for executing the ``size``
 logical ranks of an SPMD job.  Every engine provides the same programming
 model — each rank runs ``worker(comm, *args, **kwargs)`` against a
 :class:`~repro.runtime.communicator.Communicator` honoring MPI collective
-semantics, collective-order verification, abort-on-failure, and the
-observer/performance hooks — but engines differ in *how* ranks execute:
+semantics, collective-order verification, abort-on-failure, and each
+rank's ``comm.perf`` ledger — but engines differ in *how* ranks execute:
 
 ``thread``
     One Python thread per rank, at most one running per core.
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Sequence
 
 from ..envutil import env_choice, env_float
 
 __all__ = [
-    "CommObserver",
     "DEFAULT_BACKEND",
     "DEFAULT_TIMEOUT",
     "SpmdEngine",
@@ -81,19 +80,6 @@ def resolve_backend(backend: str | None = None) -> str:
     return env_choice(BACKEND_ENV, available_backends(), DEFAULT_BACKEND)
 
 
-class CommObserver(Protocol):
-    """Callbacks invoked by the engine, always under the engine lock and
-    exactly once per communication event (regardless of rank count)."""
-
-    def on_collective(self, op: str, sent: list[int],
-                      recv: list[int]) -> None:
-        """One collective step of the world completed; byte counts are
-        per rank."""
-
-    def on_ptp(self, source: int, dest: int, nbytes: int) -> None:
-        """One point-to-point message was delivered."""
-
-
 class SpmdEngine(ABC):
     """Execution strategy for one SPMD job.
 
@@ -117,7 +103,6 @@ class SpmdEngine(ABC):
         args: Sequence[Any] = (),
         kwargs: dict | None = None,
         *,
-        observer: CommObserver | None = None,
         rank_perf: Sequence[Any] | None = None,
         timeout: float | None = None,
         trace: Any | None = None,
@@ -210,7 +195,6 @@ def run_spmd(
     args: Sequence[Any] = (),
     kwargs: dict | None = None,
     *,
-    observer: CommObserver | None = None,
     rank_perf: Sequence[Any] | None = None,
     backend: str | None = None,
     timeout: float | None = None,
@@ -229,11 +213,12 @@ def run_spmd(
     args, kwargs:
         Extra arguments passed *identically* to every rank (like argv of
         an MPI job).  Per-rank data must be derived from ``comm.rank``.
-    observer:
-        Optional :class:`CommObserver` (e.g. the perf model's clock);
-        invoked exactly once per communication event on every backend.
     rank_perf:
-        Optional per-rank tracker objects exposed as ``comm.perf``.
+        Optional per-rank tracker objects exposed as ``comm.perf`` — e.g.
+        :class:`~repro.perfmodel.RankTracker` ledgers, which
+        :func:`~repro.perfmodel.price` prices after the run.  A rank
+        process's tracker comes home once, when the job succeeded (its
+        ``merge_remote``).
     backend:
         Engine name (``"thread"``, ``"process"``, ``"tcp"``, or any
         registered extension); ``None`` defers to the
@@ -298,7 +283,7 @@ def run_spmd(
     collector, auto_check = resolve_trace(trace)
     results = get_engine(backend).run(
         size, worker, args, kwargs,
-        observer=observer, rank_perf=rank_perf,
+        rank_perf=rank_perf,
         timeout=resolve_timeout(timeout),
         trace=collector,
         checkpoint=ckpt_cfg,

@@ -93,14 +93,13 @@ class Group:
         return (f"collective {self.op!r} "
                 f"({len(self.arrived)}/{self.size} ranks arrived)")
 
-    def finish_step(self, g: int, spec: Collective, priced: bool = True,
-                    ) -> tuple[list, list[int], list[int]]:
+    def finish_step(self, g: int, spec: Collective) -> list:
         """Complete the step on rank ``g`` (the last to arrive): detach it
-        and ``spec.finish`` its contributions — ``(results, sent, recv)``.
+        and ``spec.finish`` its contributions — one result per rank.
         Any failure is a :func:`finish_error` whose origin is ``g``."""
         op, contribs, _ = self.take_step()
         try:
-            return spec.finish(contribs, priced)
+            return spec.finish(contribs)
         except BaseException as exc:        # propagate to every rank
             raise finish_error(op, g, exc) from exc
 

@@ -1,24 +1,23 @@
 """The ``process`` backend: one OS process per rank, GIL-free compute.
 
-Topology: the parent process runs a single-threaded *router* and owns the
-observer plus the per-rank performance trackers; each rank is a child
-process connected to the router by one duplex :class:`Channel` (a pipe
-here, a framed socket on the tcp backend, which reuses everything
-below).  Children never talk to each other directly — every collective
+Topology: the parent process runs a single-threaded *router*; each rank
+is a child process connected to the router by one duplex
+:class:`Channel` (a pipe here, a framed socket on the tcp backend, which
+reuses everything below).  Children never talk to each other directly — every collective
 and point-to-point message flows through the router, which matches them
 with the same :class:`~.group.Group` core as the thread engine
 (order-checked collectives, FIFO per-(source, tag) mailboxes).  A request
-is ``("coll", spec, payload, cstate)``, ``("send", dest, tag, payload,
-cstate)`` or ``("recv", source, tag, cstate)``.
+is ``("coll", spec, payload)``, ``("send", dest, tag, payload)`` or
+``("recv", source, tag)``.
 
 A collective travels as its name — a
 :class:`~repro.runtime.collective.Collective` spec — so the router itself
 finishes every step: when the last member arrives it calls
-``spec.finish`` on the contributions, prices the result and replies to
-every member at once.  Two hops (rank → router → rank), no rank ever
-holds another rank's contributions, and reduction operators are resolved
-by name in the router process, which therefore must know them (they must
-exist at import time, before the ranks fork).  The all-to-alls only move
+``spec.finish`` on the contributions and replies to every member at
+once.  Two hops (rank → router → rank), no rank ever holds another
+rank's contributions, and reduction operators are resolved by name in
+the router process, which therefore must know them (they must exist at
+import time, before the ranks fork).  The all-to-alls only move
 blocks, one receiver each, so those stay encoded end to end, and the
 block a rank addresses to itself never leaves it (a placeholder travels
 instead).
@@ -43,19 +42,15 @@ children announce new segments (``shm_new``) so the parent can unlink
 every one, its own included, when the job ends, normally or not, which
 covers aborts and hard-killed ranks.
 
-Perf-model fidelity: compute time is burned inside the children, comm
-time is priced by the observer inside the router, and the simulated
-clock must interleave both.  Children piggyback
-``tracker.sync_compute_state()`` on every request and apply the
-router-side ``tracker.comm_state()`` carried by every reply; on exit
-each child ships its whole tracker home and the router calls
-``tracker.merge_remote``.  All hooks are duck-typed, so custom ``perf``
-objects without them degrade gracefully (they simply stay child-local).
-The router prices point-to-point deliveries by *logical* payload size
-(:func:`~repro.runtime.payload.payload_logical_nbytes`), so the modeled
-clock is bit-identical with the data plane on or off; the trackers'
-``add_transport`` hook separately records the *actual* pickled
-pipe bytes versus shared-segment bytes each rank moved.
+Perf model: nothing is priced here.  Each rank books its collectives
+and point-to-point messages on its own ledger (``comm.perf``), sized
+before any payload is encoded, so the ledger is the same with the data
+plane on or off; the ledger's ``add_transport`` hook separately records
+the *actual* pickled pipe bytes versus shared-segment bytes the rank
+moved.  A rank ships its ledger home once, on its final message, and
+when the whole job succeeded the parent's tracker takes it over
+(``merge_remote``) — so a failed attempt of a supervised retry leaves
+the caller's trackers as they were.
 
 Start method: ``fork`` where available (workers and closures need no
 pickling), overridable via ``REPRO_SPMD_START_METHOD``.  Under ``spawn``
@@ -96,7 +91,6 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..framing import FrameError
-from ..payload import payload_logical_nbytes
 from ..shm import (
     ShmAttachCache,
     ShmPool,
@@ -275,18 +269,6 @@ class ProcessCommunicator(Communicator):
         self._conn = conn
         self._shm = shm
 
-    # -- clock synchronisation with the router -------------------------
-
-    def _cstate(self) -> Any:
-        fn = getattr(self.perf, "sync_compute_state", None)
-        return fn() if fn is not None else None
-
-    def _apply_comm(self, state: Any) -> None:
-        if state is not None:
-            fn = getattr(self.perf, "apply_comm_state", None)
-            if fn is not None:
-                fn(state)
-
     # -- transport accounting + channel IO ------------------------------
 
     def _count_transport(self, pickled: int, shared: int) -> None:
@@ -379,8 +361,7 @@ class ProcessCommunicator(Communicator):
         reply = self._recv_msg()
         kind = reply[0]
         if kind == "result":
-            _, value, comm_state, reclaim = reply
-            self._apply_comm(comm_state)
+            _, value, reclaim = reply
             if reclaim:         # own leases the router saw consumed
                 self._shm.pool.release(reclaim)
             return self._decode(value)
@@ -403,21 +384,22 @@ class ProcessCommunicator(Communicator):
             # back in the same place
             own, payload = payload[self.rank], list(payload)
             payload[self.rank] = None
-        result = self._request(
-            ("coll", spec, self._encode(payload), self._cstate()))
+        result = self._request(("coll", spec, self._encode(payload)))
         if spec.transposes:
             result[self.rank] = own
         return result
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")
+        self.perf.add_send(dest, obj)
         # fire-and-forget: buffered send, no reply expected
-        self._send_msg(("send", dest, tag, self._encode(obj),
-                        self._cstate()))
+        self._send_msg(("send", dest, tag, self._encode(obj)))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "source")
-        return self._request(("recv", source, tag, self._cstate()))
+        payload = self._request(("recv", source, tag))
+        self.perf.add_recv(source, payload)
+        return payload
 
 
 def _run_worker(conn: Channel, comm: ProcessCommunicator, worker: Callable,
@@ -513,26 +495,25 @@ class _Router:
     """Single-threaded event loop serving requests from rank channels.
     Matching is the shared :class:`~.group.Group` core; here live the
     request/reply protocol around it, the job-wide abort, deadlines, and
-    the shm/tracker piggybacking."""
+    the shm piggybacking."""
 
     #: longest the loop may sleep between ticks (None: until a deadline)
     tick_interval: float | None = None
 
     def __init__(self, size: int, conns: list, procs: list,
-                 observer: Any | None, rank_perf: Sequence[Any] | None,
                  timeout: float, shm_cfg: tuple[str, int] | None = None):
         self.size = size
         self.conns = conns              # rank -> Channel
         #: channels watched for EOF only (no rank behind them)
         self.control: list[Channel] = []
         self.procs = procs
-        self.observer = observer
-        self.rank_perf = rank_perf
         self.timeout = timeout
         self.world = Group(size)
         self.pending: dict[int, _Pending] = {}
         self.alive: set[int] = set(range(size))
         self.results: list = [None] * size
+        #: the ledger each rank shipped home on its final message
+        self.perfs: dict[int, Any] = {}
         self.traces: dict[int, list] = {}
         self.finished: set[int] = set()
         self.failures: dict[int, BaseException] = {}
@@ -550,27 +531,6 @@ class _Router:
         #: their owner on its next reply
         self.shm_reclaim: dict[int, list[int]] = {}
 
-    # -- tracker plumbing ----------------------------------------------
-
-    def _apply_cstate(self, rank: int, cstate: Any) -> None:
-        if cstate is not None and self.rank_perf is not None:
-            fn = getattr(self.rank_perf[rank], "apply_compute_state", None)
-            if fn is not None:
-                fn(cstate)
-
-    def _comm_state(self, rank: int) -> Any:
-        if self.rank_perf is not None:
-            fn = getattr(self.rank_perf[rank], "comm_state", None)
-            if fn is not None:
-                return fn()
-        return None
-
-    def _merge_tracker(self, rank: int, blob: Any) -> None:
-        if blob is not None and self.rank_perf is not None:
-            fn = getattr(self.rank_perf[rank], "merge_remote", None)
-            if fn is not None:
-                fn(blob)
-
     # -- replies --------------------------------------------------------
 
     def _reply(self, rank: int, msg: tuple) -> None:
@@ -581,8 +541,7 @@ class _Router:
 
     def _reply_result(self, rank: int, value: Any) -> None:
         self.pending.pop(rank, None)
-        self._reply(rank, ("result", value, self._comm_state(rank),
-                           self.shm_reclaim.pop(rank, [])))
+        self._reply(rank, ("result", value, self.shm_reclaim.pop(rank, [])))
 
     def _reply_abort(self, rank: int) -> None:
         self.pending.pop(rank, None)
@@ -634,7 +593,6 @@ class _Router:
         if not last:
             return
         _, contribs, _ = world.take_step()
-        priced = self.observer is not None
         # all-to-all blocks pass through still encoded, one receiver
         # each; everything else is read in place and re-placed from here
         shm = None if spec.transposes else self.shm
@@ -643,7 +601,7 @@ class _Router:
             if shm is not None:
                 contribs = decode_payload(contribs, shm.get_cache(),
                                           copy=False, consumed=consumed)
-            results, sent, recv = spec.finish(contribs, priced)
+            results = spec.finish(contribs)
             if shm is not None:
                 results = [encode_payload(r, shm.get_pool(), shm.threshold)
                            for r in results]
@@ -655,41 +613,27 @@ class _Router:
         # gets its lease back on the very reply that ends its step
         for desc in consumed:
             self.shm_reclaim.setdefault(desc.owner, []).append(desc.token)
-        if priced:
-            self.observer.on_collective(op, sent, recv)
         for member, result in enumerate(results):
             self._reply_result(member, result)
 
-    def _match(self, dest: int, source: int, tag: int) -> tuple[bool, Any]:
-        """Take from ``dest``'s mailbox, pricing a delivery."""
-        found, payload = self.world.match(dest, source, tag)
-        if found and self.observer is not None:
-            # logical size: a shm descriptor is priced as the array it
-            # stands for, so the model is independent of the transport
-            self.observer.on_ptp(source, dest,
-                                 payload_logical_nbytes(payload))
-        return found, payload
-
     def _on_send(self, rank: int, msg: tuple) -> None:
-        _, dest, tag, payload, cstate = msg
-        self._apply_cstate(rank, cstate)
+        _, dest, tag, payload = msg
         if self.error is not None:
             return
         self.world.post(rank, dest, tag, payload)
         # hand the message straight to a receiver parked waiting for it
         p = self.pending.get(dest)
         if p is not None and p.recv is not None:
-            found, payload = self._match(dest, *p.recv)
+            found, payload = self.world.match(dest, *p.recv)
             if found:
                 self._reply_result(dest, payload)
 
     def _on_recv(self, rank: int, msg: tuple) -> None:
-        _, source, tag, cstate = msg
-        self._apply_cstate(rank, cstate)
+        _, source, tag = msg
         if self.error is not None:
             self._reply_abort(rank)
             return
-        found, payload = self._match(rank, source, tag)
+        found, payload = self.world.match(rank, source, tag)
         if found:
             self._reply_result(rank, payload)
         else:
@@ -703,7 +647,8 @@ class _Router:
         self.alive.discard(rank)
         self.pending.pop(rank, None)
         # every final message ends (…, perf tracker, trace events)
-        self._merge_tracker(rank, msg[-2])
+        if msg[-2] is not None:
+            self.perfs[rank] = msg[-2]
         if msg[-1] is not None:
             self.traces[rank] = msg[-1]
         if kind == "done":
@@ -735,8 +680,7 @@ class _Router:
     def _handle(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
         if kind == "coll":
-            _, spec, payload, cstate = msg
-            self._apply_cstate(rank, cstate)
+            _, spec, payload = msg
             self._arrive(rank, spec, payload)
         elif kind == "send":
             self._on_send(rank, msg)
@@ -836,15 +780,20 @@ class _Router:
             self.shm.shutdown()
         return sorted(names)
 
-    def outcome(self, trace: Any | None) -> list:
+    def outcome(self, trace: Any | None,
+                rank_perf: Sequence[Any] | None) -> list:
         """After :meth:`run`: deliver the traces, then the per-rank
-        results — or the job's :class:`SpmdWorkerError`."""
+        results — or the job's :class:`SpmdWorkerError`.  Only a job that
+        succeeded hands its ranks' ledgers over to ``rank_perf``."""
         if trace is not None:
             # a hard-killed rank never sends its final message, so it is
             # simply absent here — the checker reports the truncation
             for rank, events in sorted(self.traces.items()):
                 trace.deliver(rank, events)
         raise_failures(self.failures, self.tracebacks)
+        if rank_perf is not None:
+            for rank, perf in self.perfs.items():
+                rank_perf[rank].merge_remote(perf)
         return self.results
 
 
@@ -898,7 +847,6 @@ class ProcessEngine(SpmdEngine):
         args: Sequence[Any] = (),
         kwargs: dict | None = None,
         *,
-        observer: Any | None = None,
         rank_perf: Sequence[Any] | None = None,
         timeout: float | None = None,
         trace: Any | None = None,
@@ -918,7 +866,7 @@ class ProcessEngine(SpmdEngine):
             type(self).last_attempts = tuple(attempts)
             try:
                 return self._run_once(
-                    cur_size, worker, tuple(args), kwargs, observer,
+                    cur_size, worker, tuple(args), kwargs,
                     rank_perf[:cur_size] if rank_perf is not None else None,
                     timeout, trace,
                 )
@@ -945,21 +893,19 @@ class ProcessEngine(SpmdEngine):
                 kwargs = {**kwargs, "checkpoint": with_resume(cfg, manifest)}
 
     def _run_once(self, size: int, worker: Callable[..., Any], args: tuple,
-                  kwargs: dict, observer: Any | None,
-                  rank_perf: Sequence[Any] | None, timeout: float,
-                  trace: Any | None) -> list:
+                  kwargs: dict, rank_perf: Sequence[Any] | None,
+                  timeout: float, trace: Any | None) -> list:
         """One attempt: launch a world, route it to completion, tear it
         down, and report its outcome."""
         if trace is not None:
             trace.begin(size, backend=self.name)
-        router = self._route(size, worker, args, kwargs, observer,
-                             rank_perf, timeout, trace is not None)
-        return router.outcome(trace)
+        router = self._route(size, worker, args, kwargs, rank_perf, timeout,
+                             trace is not None)
+        return router.outcome(trace, rank_perf)
 
     def _route(self, size: int, worker: Callable[..., Any], args: tuple,
-               kwargs: dict, observer: Any | None,
-               rank_perf: Sequence[Any] | None, timeout: float,
-               trace_on: bool) -> _Router:
+               kwargs: dict, rank_perf: Sequence[Any] | None,
+               timeout: float, trace_on: bool) -> _Router:
         threshold = resolve_shm_threshold()
         shm_cfg = None
         if threshold is not None:
@@ -1003,8 +949,7 @@ class ProcessEngine(SpmdEngine):
             c.close()
 
         chans = [PipeChannel(p) for p in parent_ends]
-        router = _Router(size, chans, procs, observer, rank_perf, timeout,
-                         shm_cfg)
+        router = _Router(size, chans, procs, timeout, shm_cfg)
         try:
             router.run()
         finally:

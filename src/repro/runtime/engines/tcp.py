@@ -492,14 +492,12 @@ class _TcpRouter(_Router):
     heartbeat liveness, and host-death fan-out.  The event loop is the
     inherited one — this class only hooks its EOF and per-round tick."""
 
-    def __init__(self, size: int, observer: Any | None,
-                 rank_perf: Sequence[Any] | None, timeout: float, *,
+    def __init__(self, size: int, timeout: float, *,
                  listener: socket.socket, job_id: str,
                  topo: list[list[int]], hb_timeout: float,
                  max_frame: int):
         super().__init__(size, [None] * size,
-                         [_PidHandle() for _ in range(size)],
-                         observer, rank_perf, timeout)
+                         [_PidHandle() for _ in range(size)], timeout)
         self.listener = listener
         self.job_id = job_id
         self.topo = topo
@@ -677,9 +675,8 @@ class TcpEngine(ProcessEngine):
     last_world: dict = {}
 
     def _route(self, size: int, worker: Callable[..., Any], args: tuple,
-               kwargs: dict, observer: Any | None,
-               rank_perf: Sequence[Any] | None, timeout: float,
-               trace_on: bool) -> _Router:
+               kwargs: dict, rank_perf: Sequence[Any] | None,
+               timeout: float, trace_on: bool) -> _Router:
         topo = host_topology(size, resolve_tcp_hosts(size))
         hb_interval = resolve_hb_interval()
         hb_timeout = resolve_hb_timeout(hb_interval)
@@ -711,7 +708,7 @@ class TcpEngine(ProcessEngine):
             p.start()
 
         router = _TcpRouter(
-            size, observer, rank_perf, timeout,
+            size, timeout,
             listener=listener, job_id=job_id, topo=topo,
             hb_timeout=hb_timeout, max_frame=max_frame,
         )

@@ -20,12 +20,9 @@ Ranks interact *only* through their
 Results are deterministic (all cross-rank data flow happens inside the
 group state under the job lock).  Scheduling order is too on a one-core
 host, where the single slot passes round-robin like a baton.  A one-rank
-job runs inline, with no threads.
-
-An optional *observer* (:class:`~repro.runtime.engines.base.CommObserver`)
-receives one callback per collective step and per point-to-point
-delivery; the performance model (:mod:`repro.perfmodel`)
-plugs in here to price traffic and advance the simulated clocks.
+job runs inline, with no threads.  Nothing here prices anything: each
+rank books its own collectives (at the communicator's front door) and
+point-to-point messages (here) on its ``comm.perf`` ledger.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ from typing import Any, Callable, Sequence
 
 from ..communicator import Communicator
 from ..errors import CollectiveAbortedError, CollectiveMismatchError
-from ..payload import payload_nbytes
 from ..tracing import TraceRecorder
-from .base import CommObserver, SpmdEngine
+from .base import SpmdEngine
 from .group import (
     Group,
     abort_error,
@@ -63,7 +59,7 @@ class _Job:
     """All state of one job, by rank.  Every method but :meth:`wait` is
     called with :attr:`lock` held."""
 
-    def __init__(self, size: int, observer: CommObserver | None):
+    def __init__(self, size: int):
         self.lock = threading.Lock()
         self.sems = [threading.Semaphore(0) for _ in range(size)]
         #: the call each parked rank waits in
@@ -76,7 +72,6 @@ class _Job:
         self.queue: deque[int] = deque()    # runnable, waiting for a slot
         self.live = size                # ranks not yet finished
         self.world = Group(size)
-        self.observer = observer
         self.error: CollectiveAbortedError | None = None
         self.results: list = [None] * size
         self.failures: dict[int, BaseException] = {}
@@ -174,15 +169,11 @@ class ThreadCommunicator(Communicator):
                 raise
             if last:
                 waiting = grp.arrived[:-1]
-                observer = job.observer
                 try:
-                    results, sent, recv = grp.finish_step(
-                        self.rank, spec, priced=observer is not None)
+                    results = grp.finish_step(self.rank, spec)
                 except CollectiveAbortedError as err:
                     job.abort(err)
                     raise
-                if observer is not None:
-                    observer.on_collective(op, sent, recv)
                 for r in waiting:
                     job.wake(r, value=results[r])
                 return results[self.rank]
@@ -191,18 +182,9 @@ class ThreadCommunicator(Communicator):
 
     # -- point-to-point -------------------------------------------------
 
-    def _match(self, dest: int, source: int, tag: int) -> tuple[bool, Any]:
-        """Take from rank ``dest``'s mailbox, pricing a delivery; caller
-        holds the job lock."""
-        job = self._job
-        job.check()
-        found, payload = job.world.match(dest, source, tag)
-        if found and job.observer is not None:
-            job.observer.on_ptp(source, dest, payload_nbytes(payload))
-        return found, payload
-
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "dest")
+        self.perf.add_send(dest, obj)
         job = self._job
         with job.lock:
             job.check()
@@ -210,7 +192,7 @@ class ThreadCommunicator(Communicator):
             # hand the message straight to a receiver parked waiting for it
             wait = job.recv_waits.get(dest)
             if wait is not None:
-                found, payload = self._match(dest, *wait)
+                found, payload = job.world.match(dest, *wait)
                 if found:
                     job.wake(dest, value=payload)
 
@@ -218,11 +200,14 @@ class ThreadCommunicator(Communicator):
         self._check_peer(source, "source")
         job = self._job
         with job.lock:
-            found, payload = self._match(self.rank, source, tag)
-            if found:
-                return payload
-            job.park(self.rank, recv_where(source, tag), (source, tag))
-        return job.wait(self.rank)
+            job.check()
+            found, payload = job.world.match(self.rank, source, tag)
+            if not found:
+                job.park(self.rank, recv_where(source, tag), (source, tag))
+        if not found:
+            payload = job.wait(self.rank)
+        self.perf.add_recv(source, payload)
+        return payload
 
 
 class ThreadEngine(SpmdEngine):
@@ -239,14 +224,13 @@ class ThreadEngine(SpmdEngine):
         args: Sequence[Any] = (),
         kwargs: dict | None = None,
         *,
-        observer: CommObserver | None = None,
         rank_perf: Sequence[Any] | None = None,
         timeout: float | None = None,   # unused: deadlocks are structural
         trace: Any | None = None,
         checkpoint: Any | None = None,  # write path only; no retry
     ) -> list:
         kwargs = kwargs or {}
-        job = _Job(size, observer)
+        job = _Job(size)
         perfs = rank_perf if rank_perf is not None else [None] * size
         comms = [ThreadCommunicator(job, r, perf=perfs[r])
                  for r in range(size)]

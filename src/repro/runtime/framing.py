@@ -24,11 +24,9 @@ The design goals, in order:
 * **Exact transport accounting.**  Frames are encoded to one `bytes`
   object whose length — header included — is what actually crosses the
   socket, so the perf trackers' ``add_transport`` hook measures real
-  wire bytes.  The *logical* message size is still priced by
-  :func:`repro.runtime.payload.payload_logical_nbytes` on the router,
-  exactly as the shared-memory data plane separates descriptor bytes
-  from array bytes: the simulated machine model never depends on the
-  transport.
+  wire bytes.  The simulated machine model never sees them: each rank
+  books the *logical* size of what it sends on its ledger before
+  anything is framed, so the model never depends on the transport.
 * **Oversize guard.**  ``REPRO_SPMD_TCP_MAX_FRAME`` (bytes) bounds the
   body length both on encode and on decode; a peer announcing a larger
   frame is treated as broken rather than buffered.

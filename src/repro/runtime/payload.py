@@ -1,25 +1,18 @@
 """Payload size estimation for communication accounting.
 
 Every message the simulated runtime carries is priced by the performance
-model from its *byte size*.  Numpy arrays dominate ScalParC's traffic and
-are measured exactly (``nbytes``); small control-plane Python objects
-(split descriptions, node metadata) are estimated structurally, which is
-more than accurate enough given they are O(nodes-per-level) bytes against
+model from its *byte size*, taken on the rank before any engine encodes
+the payload.  Numpy arrays dominate ScalParC's traffic and are measured
+exactly (``nbytes``); small control-plane Python objects (split
+descriptions, node metadata) are estimated structurally, which is more
+than accurate enough given they are O(nodes-per-level) bytes against
 O(N/p) data traffic.
 
-Shared-memory descriptors (see :mod:`repro.runtime.shm`) are priced two
-ways, because they *are* two things at once:
-
-* :func:`payload_nbytes` prices a descriptor at its control size — the
-  ~:data:`~repro.runtime.shm.SHM_DESCRIPTOR_NBYTES` bytes that actually
-  cross a pipe.  That is what moving the descriptor costs the transport;
-  the array bytes it points at were never copied, and the perf model's
-  ``shared_bytes`` counter accounts them separately.
-* :func:`payload_logical_nbytes` prices it at the array's byte size —
-  the *logical* message size the simulated machine model charges, which
-  must not depend on whether an engine happened to ship the bytes by
-  pipe or by shared segment (the engine is an execution detail, not a
-  modeling input).
+A shared-memory descriptor (see :mod:`repro.runtime.shm`) counts as its
+control size — the ~:data:`~repro.runtime.shm.SHM_DESCRIPTOR_NBYTES`
+bytes that actually cross a pipe; the array bytes it points at were
+never copied, and the tracker's ``shared_bytes`` counter accounts them
+separately.
 """
 
 from __future__ import annotations
@@ -28,64 +21,42 @@ import numpy as np
 
 from .shm import SHM_DESCRIPTOR_NBYTES, ShmDescriptor
 
-__all__ = ["payload_logical_nbytes", "payload_nbytes"]
+__all__ = ["payload_nbytes"]
 
 #: bytes charged for a bare Python object header / pointer in containers
 _OBJ_OVERHEAD = 8
 
 
-def _nbytes(obj: object, descriptor_logical: bool) -> int:
-    if obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, np.generic):
-        return int(obj.nbytes)
-    if isinstance(obj, ShmDescriptor):
-        return int(obj.nbytes) if descriptor_logical \
-            else SHM_DESCRIPTOR_NBYTES
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8", errors="replace"))
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
-        return 8
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return _OBJ_OVERHEAD + sum(
-            _nbytes(x, descriptor_logical) for x in obj
-        )
-    if isinstance(obj, dict):
-        return _OBJ_OVERHEAD + sum(
-            _nbytes(k, descriptor_logical) + _nbytes(v, descriptor_logical)
-            for k, v in obj.items()
-        )
-    # dataclass-ish objects: size their public attribute dict if present
-    attrs = getattr(obj, "__dict__", None)
-    if attrs:
-        return _OBJ_OVERHEAD + sum(
-            _nbytes(v, descriptor_logical) for v in attrs.values()
-        )
-    return _OBJ_OVERHEAD
-
-
 def payload_nbytes(obj: object) -> int:
-    """Best-effort *transport* byte size of a message payload.
+    """Best-effort byte size of a message payload.
 
     Exact for numpy arrays / scalars / bytes; structural estimate for
     builtin containers; a pointer-sized constant for everything else.
     Shared-memory descriptors count as their control bytes only — the
     array they reference did not move with the message.
     """
-    return _nbytes(obj, descriptor_logical=False)
-
-
-def payload_logical_nbytes(obj: object) -> int:
-    """Logical byte size of a payload for the simulated machine model:
-    like :func:`payload_nbytes`, but a shared-memory descriptor counts as
-    the full array it stands for, so modeled costs are independent of the
-    engine's transport choice."""
-    return _nbytes(obj, descriptor_logical=True)
+    if obj is None:
+        return 0
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return int(obj.nbytes)
+    if isinstance(obj, ShmDescriptor):
+        return SHM_DESCRIPTOR_NBYTES
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, (int, float)):
+        return 8
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return _OBJ_OVERHEAD + sum(payload_nbytes(x) for x in obj)
+    if isinstance(obj, dict):
+        return _OBJ_OVERHEAD + sum(
+            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
+        )
+    # dataclass-ish objects: size their public attribute dict if present
+    attrs = getattr(obj, "__dict__", None)
+    if attrs:
+        return _OBJ_OVERHEAD + sum(payload_nbytes(v) for v in attrs.values())
+    return _OBJ_OVERHEAD

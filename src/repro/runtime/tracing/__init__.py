@@ -24,10 +24,10 @@ raises :class:`TraceConformanceError` on divergence), or the CLI's
 ``--trace`` flag.  Tracing is off by default and costs a single
 ``is None`` check per collective when disabled.
 
-Like the performance observer, the trace covers every collective of the
-job: a job has one communicator per rank, spanning the world.  A
-:class:`~repro.runtime.communicator.SelfCommunicator` a rank grows local
-work on records nothing.
+Like the ranks' ledgers (``comm.perf``), the trace covers every
+collective of the job: a job has one communicator per rank, spanning the
+world.  A :class:`~repro.runtime.communicator.SelfCommunicator` a rank
+grows local work on records nothing.
 """
 
 from .checker import (

@@ -16,8 +16,9 @@ fall into three conformance classes the checker treats differently:
   contributes different data).
 
 ``wall_seconds`` (host time inside the engine primitive) and ``clock``
-(the simulated perf-model clock at entry) are observability fields and
-are excluded from conformance checking.
+(the rank's ledger position at entry: the index its collective row gets;
+see :mod:`repro.perfmodel.tracker`) are observability fields and are
+excluded from conformance checking and digests.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class TraceEvent:
     result_nbytes: int
     #: host seconds spent inside the engine primitive (incl. waiting)
     wall_seconds: float
-    #: simulated perf-model clock at call entry (0.0 when unpriced)
+    #: the tracker's clock at call entry — a ledger's row index (0.0
+    #: when unpriced; the harness's wall-clock tracker reads seconds)
     clock: float
     #: algorithm phase tag active at the call (set by the induction loop)
     phase: str | None

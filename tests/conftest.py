@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,25 @@ def assert_trees_equal(a, b, context: str = "") -> None:
             f"trees differ {context}\n--- A ---\n{to_text(a)}\n"
             f"--- B ---\n{to_text(b)}"
         )
+
+
+#: stats fields measured on the host (they depend on the transport)
+_MEASURED_STATS = ("transport_pickled_bytes", "transport_shared_bytes",
+                   "phase_pickled_bytes", "phase_shared_bytes")
+
+
+def _canonical(value):
+    if isinstance(value, dict):
+        return tuple(sorted((k, _canonical(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(v) for v in value)
+    return value
+
+
+def modeled_stats_digest(stats) -> str:
+    """Digest of every modeled field of a ``SimulatedRunStats`` (floats by
+    ``repr``, so exact); the measured transport counters are left out."""
+    fields = tuple((f.name, _canonical(getattr(stats, f.name)))
+                   for f in dataclasses.fields(stats)
+                   if f.name not in _MEASURED_STATS)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]

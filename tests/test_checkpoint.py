@@ -28,7 +28,7 @@ from repro.core.phases import FINDSPLIT1, FINDSPLIT2
 from repro.core.splitter import LevelDecisions
 from repro.datagen import generate_quest, paper_dataset
 from repro.datagen.schema import AttributeSpec, Dataset, Schema
-from repro.perfmodel import PerfRun
+from repro.perfmodel import RankTracker
 from repro.runtime import (
     CHECKPOINT_ENV,
     CheckpointConfig,
@@ -546,11 +546,11 @@ def test_empty_child_inherits_parent_majority(monkeypatch):
 def test_findsplit2_phase_attribution():
     ds = generate_quest(400, "F2", seed=9)
     collector = TraceCollector()
-    perf = PerfRun(2)
+    ledgers = [RankTracker() for _ in range(2)]
     run_spmd(2, induce_worker, args=(ds, InductionConfig()),
-             observer=perf, rank_perf=perf.trackers, trace=collector)
+             rank_perf=ledgers, trace=collector)
 
-    for rank, tracker in enumerate(perf.trackers):
+    for rank, tracker in enumerate(ledgers):
         events = collector.events_of(rank)
         # every collective issued inside the level loop is inside a
         # timed_phase region entered through the communicator

@@ -4,7 +4,7 @@ Communicator contract.
 Each test is parametrized over ``available_backends()`` so a newly
 registered engine is automatically held to the same bar: collectives,
 blocking point-to-point, mismatch detection, abort semantics with
-preserved tracebacks, deadlock and timeout reports, observer accounting,
+preserved tracebacks, deadlock and timeout reports, ledger accounting,
 perf-model fidelity, and end-to-end induction equivalence.
 """
 
@@ -20,7 +20,8 @@ import pytest
 
 from repro.core import InductionConfig
 from repro.core.induction import induce_worker
-from repro.perfmodel import CRAY_T3D, PerfRun
+from repro.core.phases import timed_phase
+from repro.perfmodel import CRAY_T3D, RankTracker, price, replay
 from repro.runtime import (
     CollectiveAbortedError,
     CollectiveMismatchError,
@@ -125,14 +126,13 @@ def _stuck_in_two_calls_worker(comm):
 def _priced_worker(comm):
     comm.perf.register_bytes("table", 1000 * (comm.rank + 1))
     comm.perf.add_compute("record", 500.0 * (comm.rank + 1))
-    comm.allreduce(np.int64(comm.rank), reduction.SUM)
-    comm.perf.add_compute("record", 100.0)
-    comm.send(np.arange(64, dtype=np.int64), (comm.rank + 1) % comm.size)
-    comm.recv((comm.rank - 1) % comm.size)
-    comm.perf.add_phase_time("phase-x", 0.5)
+    with timed_phase(comm, "phase-x"):
+        comm.allreduce(np.int64(comm.rank), reduction.SUM)
+        comm.perf.add_compute("record", 100.0)
+        comm.send(np.arange(64, dtype=np.int64), (comm.rank + 1) % comm.size)
+        comm.recv((comm.rank - 1) % comm.size)
     comm.perf.mark_level("L0")
     comm.allgatherv(np.arange(comm.rank + 1, dtype=np.float64))
-    return comm.perf.clock
 
 
 def _timeout_echo_worker(comm):
@@ -366,15 +366,16 @@ def test_backend_env_selects_engine(backend, monkeypatch):
 
 def test_perf_model_identical_across_backends(backend):
     """The priced simulation is deterministic and engine-independent:
-    every backend must produce bit-identical clocks, traffic and memory."""
+    every backend books the same ledger rows, so the replay gives
+    bit-identical clocks, traffic and memory."""
     size = 4
-    perf = PerfRun(size, CRAY_T3D)
-    run_spmd(size, _priced_worker, backend=backend,
-             observer=perf, rank_perf=perf.trackers)
-    reference = PerfRun(size, CRAY_T3D)
-    run_spmd(size, _priced_worker, backend="thread",
-             observer=reference, rank_perf=reference.trackers)
-    for t, ref in zip(perf.trackers, reference.trackers):
+    ledgers = [RankTracker() for _ in range(size)]
+    run_spmd(size, _priced_worker, backend=backend, rank_perf=ledgers)
+    reference = [RankTracker() for _ in range(size)]
+    run_spmd(size, _priced_worker, backend="thread", rank_perf=reference)
+    assert [t.rows for t in ledgers] == [t.rows for t in reference]
+    for t, ref in zip(replay(ledgers, CRAY_T3D),
+                      replay(reference, CRAY_T3D)):
         assert t.clock == ref.clock
         assert t.comp_seconds == ref.comp_seconds
         assert t.comm_seconds == ref.comm_seconds
@@ -388,26 +389,26 @@ def test_perf_model_identical_across_backends(backend):
         assert t.phase_seconds == ref.phase_seconds
         assert t.memory_watermark == ref.memory_watermark
         assert t.level_marks == ref.level_marks
+        assert t.clocks == ref.clocks
+        assert t.phase_seconds["phase-x"] > 0
 
 
 def test_induction_identical_across_backends(backend, tiny_quest):
     """Acceptance bar: ScalParC induces a structurally identical tree and
     identical priced stats on every backend."""
-    perf = PerfRun(4, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(4)]
     trees = run_spmd(4, induce_worker,
                      args=(tiny_quest, InductionConfig()),
-                     observer=perf, rank_perf=perf.trackers,
-                     backend=backend)
-    ref_perf = PerfRun(4, CRAY_T3D)
+                     rank_perf=ledgers, backend=backend)
+    reference = [RankTracker() for _ in range(4)]
     ref_trees = run_spmd(4, induce_worker,
                          args=(tiny_quest, InductionConfig()),
-                         observer=ref_perf, rank_perf=ref_perf.trackers,
-                         backend="thread")
+                         rank_perf=reference, backend="thread")
     assert_trees_equal(trees[0], ref_trees[0],
                        context=f"({backend} vs thread)")
-    assert perf.stats().parallel_time == ref_perf.stats().parallel_time
-    assert perf.stats().memory_per_rank_max == \
-        ref_perf.stats().memory_per_rank_max
+    stats, ref_stats = price(ledgers, CRAY_T3D), price(reference, CRAY_T3D)
+    assert stats.parallel_time == ref_stats.parallel_time
+    assert stats.memory_per_rank_max == ref_stats.memory_per_rank_max
 
 
 # ----------------------------------------------------------------------
@@ -457,12 +458,11 @@ def test_alltoallv_block_crosses_the_transport_once(backend):
     """A block is handed over by its sender and taken by its receiver —
     nobody else reads it on the way, and the own block never leaves."""
     size, rounds, n = 2, 5, 32_768
-    perf = PerfRun(size, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(size)]
     results = run_spmd(size, _alltoallv_rounds_worker, args=(rounds, n),
-                       backend=backend, observer=perf,
-                       rank_perf=perf.trackers)
+                       backend=backend, rank_perf=ledgers)
     assert results == [[0.0, 1.0]] * size
-    stats = perf.stats()
+    stats = price(ledgers, CRAY_T3D)
     moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
     away = size * (size - 1) * rounds * n * 8
     assert stats.total_bytes == away
@@ -487,14 +487,14 @@ def test_collective_crosses_the_transport_once(backend, kind, monkeypatch):
 
     monkeypatch.setattr(_Router, "_reply", spy)
     size, rounds, n = 2, 5, 32_768
-    perf = PerfRun(size, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(size)]
     results = run_spmd(size, _collective_rounds_worker,
                        args=(kind, rounds, n), backend=backend,
-                       observer=perf, rank_perf=perf.trackers)
+                       rank_perf=ledgers)
     reference = run_spmd(size, _collective_rounds_worker,
                          args=(kind, rounds, n), backend="thread")
     assert results == reference
-    stats = perf.stats()
+    stats = price(ledgers, CRAY_T3D)
     moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
     up = sum(r[0] for r in results)
     down = sum(r[1] for r in results)

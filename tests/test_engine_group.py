@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.perfmodel import CRAY_T3D, RankTracker, replay
 from repro.runtime import (
     CollectiveAbortedError,
     CollectiveMismatchError,
     SpmdWorkerError,
     WorkerCrashError,
-    collective,
     reduction,
 )
 from repro.runtime.collective import Collective
@@ -84,35 +84,29 @@ def test_waiting_calls_are_named_once_for_every_engine():
 
 
 def test_finish_step_runs_combine_and_accounts_bytes():
+    """A step's ``finish`` computes results only; the bytes it moved are
+    accounted from what each rank booked, by the replay."""
     grp = Group(2)
     grp.arrive(1, "allgather", "yy")
     grp.arrive(0, "allgather", "x")
-    results, sent, recv = grp.finish_step(0, Collective("allgather"))
+    results = grp.finish_step(0, Collective("allgather"))
     assert results == [["x", "yy"], ["x", "yy"]]
-    assert (sent, recv) == ([1, 2], [2, 1])     # to / from the one peer
     assert grp.take_step() == (None, [None, None], [])     # step detached
-    # nobody listening: no accounting, zeros reported; so for a barrier
-    for g in (0, 1):
-        grp.arrive(g, "allgather", "z")
-    assert grp.finish_step(1, Collective("allgather"), priced=False)[1:] \
-        == ([0, 0], [0, 0])
-    assert Collective("barrier").finish([None] * 3) == \
-        ([None] * 3, [0, 0, 0], [0, 0, 0])
+    assert Collective("barrier").finish([None] * 3) == [None] * 3
+    ledgers = [RankTracker() for _ in range(2)]
+    for ledger, payload in zip(ledgers, results[0]):
+        ledger.add_collective(Collective("allgather"), payload)
+    ranks = replay(ledgers, CRAY_T3D)
+    # to / from the one peer
+    assert [(r.bytes_sent, r.bytes_recv) for r in ranks] == [(1, 2), (2, 1)]
 
 
-@pytest.mark.parametrize("where", ["results", "bytes"])
-def test_finish_step_wraps_failures_with_finishing_rank(where, monkeypatch):
-    def boom(_payload):
-        raise ValueError("bad payload")
-
+def test_finish_step_wraps_failures_with_finishing_rank():
     spec = Collective("allreduce", "sum")
     grp = Group(3)
-    if where == "bytes":
-        monkeypatch.setattr(collective, "payload_logical_nbytes", boom)
-        contribs, cause = [np.ones(2)] * 3, "ValueError: bad payload"
-    else:                               # mis-shaped contribution
-        contribs = [np.ones(2), np.ones(3), np.ones(2)]
-        cause = "ValueError: operands could not be broadcast together"
+    # mis-shaped contribution
+    contribs = [np.ones(2), np.ones(3), np.ones(2)]
+    cause = "ValueError: operands could not be broadcast together"
     for g in (2, 0, 1):
         grp.arrive(g, spec.name, contribs[g])
     with pytest.raises(CollectiveAbortedError) as err:
@@ -139,11 +133,17 @@ def test_collective_names_are_the_op_strings():
                        sections=((2, (2,), 0), (6, (2, 2), 1)))
     assert fused.name == "fused_reduce(op=sum,n=2)"
     # segmented: each root gets its sections in their original shape
-    results, sent, recv = fused.finish([np.arange(6), np.arange(6)])
+    results = fused.finish([np.arange(6), np.arange(6)])
     assert results[0][1] is None and results[1][0] is None
     assert results[0][0].tolist() == [0, 2]
     assert results[1][1].tolist() == [[4, 6], [8, 10]]
-    assert sent == recv == [48, 48]
+    # the replay accounts the packed buffer once, like any reduction
+    ledgers = [RankTracker(), RankTracker()]
+    for ledger in ledgers:
+        ledger.add_collective(fused, np.arange(6))
+    for rank in replay(ledgers, CRAY_T3D):
+        assert rank.bytes_sent == rank.bytes_recv == 48
+        assert rank.n_logical_collectives == 2
 
 
 def test_run_worker_classifies_outcomes():

@@ -17,14 +17,18 @@ elastic p → p′ degradation when respawning at full size keeps failing.
 from __future__ import annotations
 
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.baselines import induce_serial
 from repro.core import InductionConfig, induce_worker
+from repro.core.classifier import run_priced
 from repro.core.splitter import ScalParCSplitPhase
 from repro.datagen import generate_quest
+from repro.perfmodel import CRAY_T3D
 from repro.runtime import (
     CheckpointConfig,
     CollectiveAbortedError,
@@ -34,6 +38,8 @@ from repro.runtime import (
     latest_manifest,
     run_spmd,
 )
+
+from tests.conftest import modeled_stats_digest
 
 
 class _DyingSplitPhase(ScalParCSplitPhase):
@@ -692,3 +698,92 @@ def test_worker_raised_errors_are_not_retried(tmp_path):
         run_spmd(3, worker, backend="process", timeout=30.0, checkpoint=cfg)
     assert isinstance(excinfo.value.failures[1], OSError)
     assert ProcessEngine.last_attempts == ((0, 3),)     # no respawn
+
+
+# ----------------------------------------------------------------------
+# the stats of a recovered fit: the ledgers of the world that finished
+# ----------------------------------------------------------------------
+
+
+def _restarts(caplog) -> list[tuple[int, str]]:
+    """``(world size, manifest)`` of every supervised restart logged."""
+    found = [re.search(r"on (\d+) rank\(s\) from (\S+) in", r.getMessage())
+             for r in caplog.records if r.name == "repro.runtime"]
+    return [(int(m.group(1)), m.group(2)) for m in found if m]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
+def test_recovered_fit_prices_the_world_that_finished(backend, tmp_path,
+                                                      caplog):
+    """A recovered fit prices exactly the ledgers of the world that
+    finished: each attempt starts every rank's ledger empty, and the
+    cut's restore supplies the prefix.  So a supervised recovery prices
+    like a manual resume from the manifest it resumed from, at the same
+    world size — the thread engine's manual resume, whose tracker lives
+    in-process — and ``stats.size`` is the world that finished.  The
+    thread engine has no supervisor: there, the job dies and is resumed
+    by hand."""
+    import logging
+
+    ds = generate_quest(1500, "F2", seed=1)
+    d = str(tmp_path / "ckpt")
+    cfg = CheckpointConfig(dir=d, every=1, keep=0, max_restarts=2,
+                           backoff_base=0.01)
+
+    def resumed(manifest: str, size: int):
+        return run_priced(CRAY_T3D, size, induce_worker, (ds, None),
+                          backend="thread",
+                          checkpoint=replace(cfg, resume=manifest))[1]
+
+    if backend == "thread":
+        def doomed(comm, checkpoint=None):
+            return induce_worker(comm, ds, None,
+                                 split_phase=_DyingSplitPhase(1, 3),
+                                 checkpoint=checkpoint)
+
+        with pytest.raises(SpmdWorkerError):
+            run_priced(CRAY_T3D, 3, doomed, backend="thread",
+                       checkpoint=cfg)
+        manifest = latest_manifest(d)
+        stats = run_priced(CRAY_T3D, 3, induce_worker, (ds, None),
+                           backend="thread",
+                           checkpoint=replace(cfg, resume=manifest))[1]
+        assert stats.size == 3
+        assert modeled_stats_digest(stats) == \
+            modeled_stats_digest(resumed(manifest, 3))
+        return
+
+    flag = str(tmp_path / "killed")
+
+    def killed_once(comm, checkpoint=None):
+        return induce_worker(
+            comm, ds, None,
+            split_phase=_HardExitSplitPhase(flag, dying_rank=1, at_level=3),
+            checkpoint=checkpoint)
+
+    with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+        stats = run_priced(CRAY_T3D, 3, killed_once, backend=backend,
+                           timeout=30.0, checkpoint=cfg)[1]
+    ((size, manifest),) = _restarts(caplog)
+    assert stats.size == size == 3
+    assert modeled_stats_digest(stats) == \
+        modeled_stats_digest(resumed(manifest, 3))
+
+    # elastic: the fit that finished on 2 of the 4 ranks it started on
+    caplog.clear()
+    d = str(tmp_path / "elastic")
+    cfg = replace(cfg, dir=d)
+
+    def wide_fault(comm, checkpoint=None):
+        return induce_worker(comm, ds, None,
+                             split_phase=_DieWhileWideSplitPhase(at_level=2),
+                             checkpoint=checkpoint)
+
+    with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+        stats = run_priced(CRAY_T3D, 4, wide_fault, backend=backend,
+                           timeout=30.0, checkpoint=cfg)[1]
+    size, manifest = _restarts(caplog)[-1]
+    assert stats.size == size == 2
+    assert len(stats.memory_per_rank) == 2
+    assert modeled_stats_digest(stats) == \
+        modeled_stats_digest(resumed(manifest, 2))

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime import payload_logical_nbytes, payload_nbytes
-from repro.runtime.shm import SHM_DESCRIPTOR_NBYTES, ShmDescriptor
+from repro.perfmodel import RankTracker
+from repro.runtime import payload_nbytes, reduction, run_spmd
+from repro.runtime.shm import (
+    SHM_DESCRIPTOR_NBYTES,
+    SHM_THRESHOLD_ENV,
+    ShmDescriptor,
+)
 
 
 def test_none_is_free():
@@ -62,25 +67,25 @@ def test_descriptor_priced_as_control_bytes():
     assert payload_nbytes(desc) < desc.nbytes
 
 
-def test_descriptor_logical_size_is_the_array():
-    """The simulated machine model prices the *logical* message: the full
-    array a descriptor stands for, independent of the transport."""
-    desc = _descriptor()
-    assert payload_logical_nbytes(desc) == desc.nbytes
-    arr = np.zeros(desc.nbytes // 8, dtype=np.float64)
-    assert payload_logical_nbytes(desc) == payload_logical_nbytes(arr)
+def _allreduce_big(comm):
+    comm.allreduce(np.zeros(10_000, dtype=np.float64), reduction.SUM)
+
+
+def test_descriptor_logical_size_is_the_array(monkeypatch):
+    """The simulated machine model prices the *logical* message: a rank
+    books the array's size on its ledger before the engine swaps the
+    array for a shared-memory descriptor, so the transport never shows."""
+    monkeypatch.setenv(SHM_THRESHOLD_ENV, "4096")
+    ledgers = [RankTracker() for _ in range(2)]
+    run_spmd(2, _allreduce_big, backend="process", rank_perf=ledgers)
+    for ledger in ledgers:
+        assert ledger.transport_shared_bytes > 0    # it went by segment
+        assert ledger.rows == [("collective", "allreduce(op=sum)", 80_000)]
 
 
 def test_descriptor_pricing_recurses_through_containers():
     desc = _descriptor(64_000)
     arr = np.zeros(10, dtype=np.int64)
     msg = {"contribs": [desc, arr], "meta": (1, "x")}
-    ctrl = payload_nbytes(msg)
-    logical = payload_logical_nbytes(msg)
-    assert logical - ctrl == desc.nbytes - SHM_DESCRIPTOR_NBYTES
-
-
-def test_plain_payloads_priced_identically_by_both():
-    for obj in (None, np.zeros((5, 5)), [1, 2.0, "s", b"b"],
-                {"a": np.arange(3)}):
-        assert payload_nbytes(obj) == payload_logical_nbytes(obj)
+    bare = {"contribs": [None, arr], "meta": (1, "x")}
+    assert payload_nbytes(msg) - payload_nbytes(bare) == SHM_DESCRIPTOR_NBYTES

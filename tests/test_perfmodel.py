@@ -1,24 +1,40 @@
-"""Performance-model tests: cost functions, trackers, lock-step clocks."""
+"""Performance-model tests: cost functions, ledgers, the lock-step
+replay, and pins of whole fits' modeled stats."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import ScalParC
+from repro.core import InductionConfig
+from repro.datagen import generate_quest
 from repro.perfmodel import (
     CRAY_T3D,
     ZERO_LATENCY,
     MachineSpec,
-    PerfRun,
     RankTracker,
     collective_category,
     collective_cost,
     format_bytes,
     format_seconds,
+    price,
     ptp_cost,
+    replay,
     scale_machine,
 )
-from repro.runtime import reduction, run_spmd
+from repro.runtime import (
+    TraceCollector,
+    available_backends,
+    reduction,
+    run_spmd,
+)
+from repro.runtime.collective import Collective
+
+from tests.conftest import modeled_stats_digest
+
+BACKENDS = [b for b in ("thread", "process", "tcp")
+            if b in available_backends()]
 
 
 # ---------------------------------------------------------------------------
@@ -86,61 +102,91 @@ def test_cost_of_falls_back_to_default():
 
 
 # ---------------------------------------------------------------------------
-# rank tracker
+# the ledger, priced by replay
 # ---------------------------------------------------------------------------
 
+def _priced(ledger: RankTracker, machine: MachineSpec = CRAY_T3D):
+    (rank,) = replay([ledger], machine)
+    return rank
+
+
 def test_tracker_compute_advances_clock():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     t.add_compute("scan", 1000)
-    assert t.clock == pytest.approx(1000 * CRAY_T3D.cost_of("scan"))
-    assert t.comp_seconds == t.clock
-    assert t.compute_units["scan"] == 1000
+    assert t.clock == 1                 # the ledger position: one row
+    r = _priced(t)
+    assert r.clock == pytest.approx(1000 * CRAY_T3D.cost_of("scan"))
+    assert r.comp_seconds == r.clock
+    assert r.compute_units["scan"] == 1000
 
 
 def test_tracker_ignores_nonpositive_work():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     t.add_compute("scan", 0)
     t.add_compute("scan", -5)
-    assert t.clock == 0.0
+    assert t.rows == []
+    assert _priced(t).clock == 0.0
 
 
 def test_tracker_memory_watermark():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     t.register_bytes("lists", 1000)
     t.register_bytes("table", 500)
-    assert t.memory_watermark == 1500
+    assert _priced(t).memory_watermark == 1500
     t.transient_bytes(2000)
-    assert t.memory_watermark == 3500
+    assert _priced(t).memory_watermark == 3500
     t.register_bytes("lists", 100)  # shrink: watermark keeps the peak
-    assert t.persistent_total == 600
-    assert t.memory_watermark == 3500
+    assert _priced(t).persistent_total == 600
+    assert _priced(t).memory_watermark == 3500
     t.release_bytes("table")
-    assert t.persistent_total == 100
+    assert _priced(t).persistent_total == 100
 
 
 def test_tracker_level_marks():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     t.add_compute("scan", 10)
     t.mark_level(0)
     t.add_compute("scan", 10)
     t.mark_level(1)
-    assert len(t.level_marks) == 2
-    assert t.level_marks[1][1] > t.level_marks[0][1]
+    marks = _priced(t).level_marks
+    assert len(marks) == 2
+    assert marks[1][1] > marks[0][1]
+
+
+def test_phase_rows_cover_the_span_before_them():
+    t = RankTracker()
+    t.add_compute("scan", 5)
+    start = t.clock
+    t.add_compute("scan", 10)
+    t.add_compute("sort", 10)
+    t.add_phase_time("work", t.clock - start)
+    t.add_phase_time("empty", 0)        # spans nothing: no row
+    r = _priced(t)
+    assert r.phase_seconds == {"work": 10 * CRAY_T3D.cost_of("scan")
+                               + 10 * CRAY_T3D.cost_of("sort")}
+    # one ledger, any machine: re-priced without re-running
+    assert _priced(t, ZERO_LATENCY).phase_seconds == r.phase_seconds
+    assert _priced(t, scale_machine(CRAY_T3D, compute=2.0)).clock \
+        == pytest.approx(r.clock / 2)
 
 
 # ---------------------------------------------------------------------------
 # lock-step clock through real runs
 # ---------------------------------------------------------------------------
 
-def test_clocks_synchronized_after_collective():
-    perf = PerfRun(4, CRAY_T3D)
+def _run(size, worker, backend=None):
+    ledgers = [RankTracker() for _ in range(size)]
+    results = run_spmd(size, worker, rank_perf=ledgers, backend=backend)
+    return ledgers, results
 
+
+def test_clocks_synchronized_after_collective():
     def worker(comm):
         comm.perf.add_compute("scan", (comm.rank + 1) * 1000)  # imbalance
         comm.allreduce(np.int64(1), reduction.SUM)
-        return comm.perf.clock
 
-    clocks = run_spmd(4, worker, observer=perf, rank_perf=perf.trackers)
+    ledgers, _ = _run(4, worker)
+    clocks = [r.clock for r in replay(ledgers, CRAY_T3D)]
     assert len(set(clocks)) == 1  # BSP: everyone lands on the same clock
     # the slowest rank determines the pre-collective time
     slowest = 4000 * CRAY_T3D.cost_of("scan")
@@ -148,27 +194,24 @@ def test_clocks_synchronized_after_collective():
 
 
 def test_imbalance_charged_as_comm_wait():
-    perf = PerfRun(2, CRAY_T3D)
-
     def worker(comm):
         comm.perf.add_compute("scan", 100000 if comm.rank == 0 else 0)
         comm.barrier()
 
-    run_spmd(2, worker, observer=perf, rank_perf=perf.trackers)
+    ledgers, _ = _run(2, worker)
+    ranks = replay(ledgers, CRAY_T3D)
     # rank 1 waited for rank 0's compute inside the barrier
-    assert perf.trackers[1].comm_seconds > perf.trackers[0].comm_seconds
+    assert ranks[1].comm_seconds > ranks[0].comm_seconds
 
 
 def test_stats_aggregation_fields():
-    perf = PerfRun(3, CRAY_T3D)
-
     def worker(comm):
         comm.perf.register_bytes("x", 100 * (comm.rank + 1))
         comm.allgatherv(np.zeros(10 * (comm.rank + 1), dtype=np.int64))
         comm.perf.mark_level("L0")
 
-    run_spmd(3, worker, observer=perf, rank_perf=perf.trackers)
-    stats = perf.stats()
+    ledgers, _ = _run(3, worker)
+    stats = price(ledgers, CRAY_T3D)
     assert stats.size == 3
     assert stats.parallel_time > 0
     assert stats.total_bytes > 0
@@ -180,8 +223,6 @@ def test_stats_aggregation_fields():
 
 
 def test_ptp_priced_on_receiver():
-    perf = PerfRun(2, CRAY_T3D)
-
     def worker(comm):
         if comm.rank == 0:
             comm.send(np.zeros(1000, dtype=np.float64), dest=1)
@@ -189,10 +230,114 @@ def test_ptp_priced_on_receiver():
             comm.recv(source=0)
         comm.barrier()
 
-    run_spmd(2, worker, observer=perf, rank_perf=perf.trackers)
-    assert perf.trackers[0].bytes_sent == 8000
-    assert perf.trackers[1].bytes_recv == 8000
-    assert perf.trackers[1].n_ptp == 1
+    ledgers, _ = _run(2, worker)
+    ranks = replay(ledgers, CRAY_T3D)
+    assert ranks[0].bytes_sent == 8000
+    assert ranks[1].bytes_recv == 8000
+    assert ranks[1].n_ptp == 1
+    # before the barrier: the receive cost the receiver, the send nothing
+    assert ranks[1].clocks[1] == ptp_cost(CRAY_T3D, 8000)
+    assert ranks[0].clocks[1] == 0.0
+
+
+def test_collective_bytes_come_from_every_ranks_sizes():
+    """The byte rules run on the sizes each rank booked: an allgather
+    sends a rank's block to every peer, a reduction one up- and one
+    down-edge, an all-to-all every block but the own one."""
+    def worker(comm):
+        comm.allgatherv(np.zeros(comm.rank + 1, dtype=np.int8))
+        comm.allreduce(np.zeros(4, dtype=np.int8), reduction.SUM)
+        comm.alltoallv([np.zeros(10 * comm.rank + j, dtype=np.int8)
+                        for j in range(comm.size)])
+
+    ledgers, _ = _run(2, worker)
+    assert [row[1:] for row in ledgers[1].rows] == [
+        ("allgatherv", 2), ("allreduce(op=sum)", 4), ("alltoallv", (10, 11))]
+    ranks = replay(ledgers, CRAY_T3D)
+    # allgatherv [1, 2]: sent s·(p−1), received the others'; allreduce:
+    # 4 up, 4 down; alltoallv: rank 0 sends its 1-byte block, rank 1 its
+    # 10-byte block
+    assert [r.bytes_sent for r in ranks] == [1 + 4 + 1, 2 + 4 + 10]
+    assert [r.bytes_recv for r in ranks] == [2 + 4 + 10, 1 + 4 + 1]
+
+
+# ---------------------------------------------------------------------------
+# replay safety
+# ---------------------------------------------------------------------------
+
+def _ledger(*ops):
+    t = RankTracker()
+    for op in ops:
+        t.add_compute("scan", 10)
+        t.add_collective(Collective(op), None)
+    return t
+
+
+def test_price_requires_ledgers():
+    with pytest.raises(ValueError, match="no ledgers"):
+        price([], CRAY_T3D)
+
+
+@pytest.mark.parametrize("other, what", [
+    (("barrier", "allgather"), "the op at collective step 1"),
+    (("barrier",), "the count at collective step 1"),
+    (("barrier", "barrier", "barrier"), "the count at collective step 2"),
+])
+def test_replay_refuses_ledgers_that_disagree(other, what):
+    """Ledgers whose collective ops or counts differ were not recorded by
+    one SPMD job: pricing them raises, naming the step."""
+    ledgers = [_ledger("barrier", "barrier"), _ledger(*other)]
+    with pytest.raises(ValueError, match=f"disagree on {what}"):
+        price(ledgers, CRAY_T3D)
+
+
+# ---------------------------------------------------------------------------
+# equivalence pins: the modeled stats of whole fits, on every backend
+# ---------------------------------------------------------------------------
+
+def _pinned_fit(function, p, mode, backend):
+    ds = generate_quest(4000, function, seed=3)
+    if mode == "stream":
+        cfg = InductionConfig(max_depth=8, stream_chunk_records=1000,
+                              sketch_size=64)
+        return ScalParC(p, cfg, backend=backend).fit_stream(ds).stats
+    if mode == "voted":                 # traced: pins phase_bytes too
+        cfg = InductionConfig(max_depth=8, split_mode="voted", n_bins=16)
+        return ScalParC(p, cfg, backend=backend).fit(
+            ds, trace=TraceCollector()).stats
+    return ScalParC(p, InductionConfig(max_depth=8),
+                    backend=backend).fit(ds).stats
+
+
+#: (function, p, mode) -> digest of the modeled stats; F5 at p = 2 hands
+#: off (its local phase books compute rows and no collective rows)
+PINNED_STATS = {
+    ("F2", 1, "exact"): "1ce49066b763efb3",
+    ("F2", 2, "exact"): "2cdb01fdf384e617",
+    ("F2", 3, "exact"): "69fdc4869e18cdbd",
+    ("F2", 5, "exact"): "66cbd0c83a931096",
+    ("F5", 1, "exact"): "bbf120461aad8cc1",
+    ("F5", 2, "exact"): "9d2f321eb633bb9b",
+    ("F5", 3, "exact"): "47f5c98884041e38",
+    ("F5", 5, "exact"): "49dc804856b706bd",
+    ("F7", 1, "exact"): "53915804a5c9c5fd",
+    ("F7", 2, "exact"): "a8ece70e88bf3279",
+    ("F7", 3, "exact"): "1d48626c64048f2b",
+    ("F7", 5, "exact"): "f19ee193e74b1715",
+    ("F5", 3, "voted"): "a3a15d76f136e642",
+    ("F2", 2, "stream"): "b776c0cf4e652bc4",
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(PINNED_STATS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_modeled_stats_are_pinned(case, backend):
+    """Replaying the ledgers gives exactly the modeled stats the inline
+    lock-step clock gave before it left the engines — every field but the
+    measured transport counters, on every backend."""
+    assert modeled_stats_digest(_pinned_fit(*case, backend)) \
+        == PINNED_STATS[case]
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +355,3 @@ def test_format_seconds():
     assert "µs" in format_seconds(5e-6)
     assert "ms" in format_seconds(0.02)
     assert format_seconds(2.5) == "2.50 s"
-
-
-def test_from_trackers_requires_trackers():
-    from repro.perfmodel import SimulatedRunStats
-
-    with pytest.raises(ValueError):
-        SimulatedRunStats.from_trackers(CRAY_T3D, [])

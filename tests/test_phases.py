@@ -15,33 +15,39 @@ from repro.core.phases import (
     PRESORT,
     timed_phase,
 )
-from repro.perfmodel import CRAY_T3D, RankTracker
+from repro.perfmodel import CRAY_T3D, RankTracker, replay
+
+
+def _phase_seconds(t: RankTracker) -> dict:
+    (rank,) = replay([t], CRAY_T3D)
+    return rank.phase_seconds
 
 
 def test_timed_phase_attributes_clock_delta():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     with timed_phase(t, "work"):
         t.add_compute("scan", 1000)
-    assert t.phase_seconds["work"] == pytest.approx(
+    assert _phase_seconds(t)["work"] == pytest.approx(
         1000 * CRAY_T3D.cost_of("scan")
     )
 
 
 def test_timed_phase_nested_double_counts_inner():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     with timed_phase(t, "outer"):
         with timed_phase(t, "inner"):
             t.add_compute("scan", 100)
-    assert t.phase_seconds["outer"] == t.phase_seconds["inner"]
+    phases = _phase_seconds(t)
+    assert phases["outer"] == phases["inner"]
 
 
 def test_timed_phase_records_on_exception():
-    t = RankTracker(0, CRAY_T3D)
+    t = RankTracker()
     with pytest.raises(RuntimeError):
         with timed_phase(t, "broken"):
             t.add_compute("scan", 50)
             raise RuntimeError
-    assert t.phase_seconds["broken"] > 0
+    assert _phase_seconds(t)["broken"] > 0
 
 
 def test_timed_phase_noop_on_null_perf():

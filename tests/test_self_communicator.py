@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perfmodel import CRAY_T3D, PerfRun, RankTracker
+from repro.core.phases import timed_phase
+from repro.perfmodel import CRAY_T3D, RankTracker, replay
 from repro.runtime import (
     CollectiveAbortedError,
     SelfCommunicator,
@@ -63,14 +64,33 @@ def _rounds(comm, kind, rounds=3, n=4_096):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_collective_equals_the_thread_engine_at_p1(kind):
-    tracker = RankTracker(0, CRAY_T3D)
+    tracker = RankTracker()
     mine = _rounds(SelfCommunicator(tracker), kind)
     (reference,) = run_spmd(1, _rounds, args=(kind,), backend="thread")
     assert mine == reference
     # nothing crossed a transport, nothing was priced as communication
     assert tracker.transport_pickled_bytes == 0
     assert tracker.transport_shared_bytes == 0
-    assert tracker.n_collectives == 0 and tracker.comm_seconds == 0.0
+    (priced,) = replay([tracker], CRAY_T3D)
+    assert priced.n_collectives == 0 and priced.comm_seconds == 0.0
+
+
+def test_local_phase_books_compute_rows_and_no_collective_rows():
+    """A local phase (the hand-off's subtrees) lands on the rank's ledger
+    as compute, memory and phase rows only — so ranks that grew different
+    subtrees still agree on every collective the replay aligns."""
+    tracker = RankTracker()
+    local = SelfCommunicator(tracker)
+    with timed_phase(local, "local"):
+        for kind in KINDS:
+            local.perf.add_compute("scan", 100)
+            _one_collective(local, kind, 64)
+    kinds = {row[0] for row in tracker.rows}
+    assert "compute" in kinds and "phase" in kinds
+    assert "collective" not in kinds
+    (priced,) = replay([tracker], CRAY_T3D)
+    assert priced.compute_units["scan"] == 100 * len(KINDS)
+    assert priced.phase_seconds["local"] == priced.comp_seconds
 
 
 def _traced_job(comm):
@@ -85,13 +105,12 @@ def _traced_job(comm):
 
 def test_records_no_trace_events_and_charges_the_ranks_tracker():
     collector = TraceCollector()
-    perf = PerfRun(2, CRAY_T3D)
+    ledgers = [RankTracker() for _ in range(2)]
     run_spmd(2, _traced_job, backend="thread", trace=collector,
-             observer=perf, rank_perf=perf.trackers)
-    for rank in range(2):
+             rank_perf=ledgers)
+    for rank, tracker in enumerate(replay(ledgers, CRAY_T3D)):
         assert [ev.kind for ev in collector.events_of(rank)] == \
             ["barrier", "barrier"]
-        tracker = perf.trackers[rank]
         assert tracker.n_collectives == 2
         assert tracker.compute_units["scan"] == 1_000
 

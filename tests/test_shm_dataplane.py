@@ -253,13 +253,12 @@ def _transport_worker(comm):
 
 
 def _transport_totals(monkeypatch, threshold: str) -> tuple[int, int]:
-    from repro.perfmodel import PerfRun
+    from repro.perfmodel import CRAY_T3D, RankTracker, price
 
     monkeypatch.setenv(SHM_THRESHOLD_ENV, threshold)
-    perf = PerfRun(2)
-    run_spmd(2, _transport_worker, backend="process",
-             observer=perf, rank_perf=perf.trackers)
-    stats = perf.stats()
+    ledgers = [RankTracker() for _ in range(2)]
+    run_spmd(2, _transport_worker, backend="process", rank_perf=ledgers)
+    stats = price(ledgers, CRAY_T3D)
     return stats.transport_pickled_bytes, stats.transport_shared_bytes
 
 
@@ -278,14 +277,14 @@ def test_transport_counters_split_pickled_vs_shared(monkeypatch):
 def test_simulated_stats_identical_with_plane_on_and_off(monkeypatch):
     """The machine model prices logical bytes: simulated clock/traffic
     must not depend on the transport the engine picked."""
-    from repro.perfmodel import PerfRun
+    from repro.perfmodel import CRAY_T3D, RankTracker, price
 
     def run(threshold: str):
         monkeypatch.setenv(SHM_THRESHOLD_ENV, threshold)
-        perf = PerfRun(3)
+        ledgers = [RankTracker() for _ in range(3)]
         run_spmd(3, _collective_worker, backend="process",
-                 observer=perf, rank_perf=perf.trackers)
-        return perf.stats()
+                 rank_perf=ledgers)
+        return price(ledgers, CRAY_T3D)
 
     on, off = run("4096"), run("off")
     assert on.parallel_time == off.parallel_time

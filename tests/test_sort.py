@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import paper_dataset
-from repro.perfmodel import CRAY_T3D, RankTracker
+from repro.perfmodel import CRAY_T3D, RankTracker, replay
 from repro.runtime import TraceCollector, run_spmd
 from repro.sort import (
     block_bounds,
@@ -255,7 +255,7 @@ def test_presort_registers_its_transient_buffers():
     n, size = 4000, 2
     values = np.random.default_rng(4).normal(0, 1, n)
     labels = np.zeros(n, dtype=np.int64)
-    trackers = [RankTracker(r, CRAY_T3D) for r in range(size)]
+    trackers = [RankTracker() for _ in range(size)]
 
     def worker(comm):
         lo, hi = block_bounds(n, comm.size, comm.rank)
@@ -263,7 +263,7 @@ def test_presort_registers_its_transient_buffers():
                              rids=np.arange(lo, hi, dtype=np.int64))
 
     run_spmd(size, worker, rank_perf=trackers)
-    for tracker in trackers:
+    for tracker in replay(trackers, CRAY_T3D):
         # the sent run, the received runs and their merge: three copies
         # of ≈ N/p thirteen-byte records at least
         assert tracker.memory_watermark >= 3 * 0.9 * (n // size) * 11

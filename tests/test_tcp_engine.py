@@ -159,12 +159,11 @@ def test_transport_accounting_counts_real_wire_bytes():
     (no shm plane on a multi-host transport) — while the *simulated*
     traffic stays bit-identical to the thread backend (covered by
     test_perf_model_identical_across_backends)."""
-    from repro.perfmodel import PerfRun
+    from repro.perfmodel import RankTracker
 
-    perf = PerfRun(3)
-    run_spmd(3, _sum_worker, backend="tcp",
-             observer=perf, rank_perf=perf.trackers)
-    for tracker in perf.trackers:
+    ledgers = [RankTracker() for _ in range(3)]
+    run_spmd(3, _sum_worker, backend="tcp", rank_perf=ledgers)
+    for tracker in ledgers:
         assert tracker.transport_pickled_bytes > 0
         assert tracker.transport_shared_bytes == 0
 
