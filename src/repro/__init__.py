@@ -25,62 +25,42 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.analysis` — sweeps, speedups and table rendering.
 """
 
-from .baselines import ParallelSPRINT, SerialSPRINT, induce_serial
-from .core import (
-    FitResult,
-    InductionConfig,
-    ScalParC,
-    fit_scalparc,
-)
-from .datagen import (
-    Dataset,
-    Schema,
-    generate_quest,
-    paper_dataset,
-    random_dataset,
-)
-from .perfmodel import CRAY_T3D, MachineSpec, SimulatedRunStats
-from .runtime import available_backends, run_spmd
-from .tree import (
-    CompiledTree,
-    DecisionTree,
-    accuracy,
-    compile_tree,
-    feature_importances,
-    confusion_matrix,
-    prune_pessimistic,
-    summarize,
-    to_text,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CRAY_T3D",
-    "CompiledTree",
-    "Dataset",
-    "DecisionTree",
-    "FitResult",
-    "InductionConfig",
-    "MachineSpec",
-    "ParallelSPRINT",
-    "ScalParC",
-    "Schema",
-    "SerialSPRINT",
-    "SimulatedRunStats",
-    "__version__",
-    "accuracy",
-    "available_backends",
-    "compile_tree",
-    "confusion_matrix",
-    "feature_importances",
-    "fit_scalparc",
-    "generate_quest",
-    "induce_serial",
-    "paper_dataset",
-    "prune_pessimistic",
-    "random_dataset",
-    "run_spmd",
-    "summarize",
-    "to_text",
-]
+#: public name → the subpackage that defines it.  Names load on first
+#: use (PEP 562), so ``python -m repro serve`` imports only the serving
+#: stack, not the inducers, the engines or the machine model.
+_EXPORTS = {
+    "ParallelSPRINT": "baselines",
+    "SerialSPRINT": "baselines",
+    "induce_serial": "baselines",
+    "FitResult": "core",
+    "InductionConfig": "core",
+    "ScalParC": "core",
+    "fit_scalparc": "core",
+    "Dataset": "datagen",
+    "Schema": "datagen",
+    "generate_quest": "datagen",
+    "paper_dataset": "datagen",
+    "random_dataset": "datagen",
+    "CRAY_T3D": "perfmodel",
+    "MachineSpec": "perfmodel",
+    "SimulatedRunStats": "perfmodel",
+    "available_backends": "runtime",
+    "run_spmd": "runtime",
+    "CompiledTree": "tree",
+    "DecisionTree": "tree",
+    "accuracy": "tree",
+    "compile_tree": "tree",
+    "confusion_matrix": "tree",
+    "feature_importances": "tree",
+    "prune_pessimistic": "tree",
+    "summarize": "tree",
+    "to_text": "tree",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,28 +39,42 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .analysis import format_series, run_grid, speedup_series
-from .baselines import induce_serial
-from .core import InductionConfig, ScalParC
-from .core.config import SPLIT_MODES
-from .runtime import available_backends
-from .datagen import (
-    FUNCTION_NAMES,
-    generate_quest,
-    load_npz,
-    paper_dataset,
-    save_csv,
-    save_npz,
-)
-from .tree import accuracy, prune_pessimistic, summarize, to_dict, to_text
-
+# The subcommands import what they use: ``serve`` loads the serving
+# stack and nothing of the inducers, the engines, the generators or the
+# analysis.
 __all__ = ["main", "build_parser"]
 
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
+
+
+class _Choices:
+    """An option's choices: ``name`` of the ``repro`` submodule
+    ``module`` (called, if a function), looked up only when argparse
+    checks a value or lists them in help, so building the parser imports
+    no engine, inducer or generator.  Pair it with a ``metavar``:
+    without one, argparse lists the choices at once."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def _values(self):
+        value = getattr(import_module(self.module, __package__), self.name)
+        return value() if callable(value) else value
+
+    def __contains__(self, value) -> bool:
+        return value in self._values()
+
+    def __iter__(self):
+        return iter(self._values())
+
+
+_BACKENDS = _Choices(".runtime", "available_backends")
+_FUNCTIONS = _Choices(".datagen", "FUNCTION_NAMES")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,15 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a classifier")
     train.add_argument("--records", type=int, default=20_000)
-    train.add_argument("--function", choices=FUNCTION_NAMES, default="F2")
+    train.add_argument("--function", choices=_FUNCTIONS,
+                       metavar="F1..F10", default="F2")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--noise", type=float, default=0.0,
                        help="label perturbation probability")
     train.add_argument("--processors", type=int, default=8)
-    train.add_argument("--backend", choices=available_backends(),
+    train.add_argument("--backend", choices=_BACKENDS, metavar="NAME",
                        default=None,
-                       help="SPMD engine (default: REPRO_SPMD_BACKEND "
-                            "env var, then thread)")
+                       help="SPMD engine: %(choices)s (default: "
+                            "REPRO_SPMD_BACKEND env var, then thread)")
     train.add_argument("--serial", action="store_true",
                        help="use the serial reference instead of ScalParC")
     train.add_argument("--trace", action="store_true",
@@ -90,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "print the trace report (see also "
                             "REPRO_SPMD_TRACE=1)")
     train.add_argument("--max-depth", type=int, default=None)
-    train.add_argument("--split-mode", choices=SPLIT_MODES, default=None,
+    train.add_argument("--split-mode", default=None, metavar="MODE",
+                       choices=_Choices(".core.config", "SPLIT_MODES"),
                        help="FindSplit strategy: exact (the paper's exscan "
                             "formulation, default) or voted (pre-binned "
                             "count cubes + PV-Tree attribute voting — the "
@@ -156,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="materialize a Quest dataset")
     gen.add_argument("--records", type=int, required=True)
-    gen.add_argument("--function", choices=FUNCTION_NAMES, default="F2")
+    gen.add_argument("--function", choices=_FUNCTIONS,
+                     metavar="F1..F10", default="F2")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--noise", type=float, default=0.0)
     gen.add_argument("--paper-profile", action="store_true",
@@ -167,13 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     scale = sub.add_parser("scale", help="run a scaling sweep")
     scale.add_argument("--sizes", type=_int_list, default=[5000, 10000, 20000])
     scale.add_argument("--processors", type=_int_list, default=[2, 4, 8, 16])
-    scale.add_argument("--function", choices=FUNCTION_NAMES, default="F2")
+    scale.add_argument("--function", choices=_FUNCTIONS,
+                       metavar="F1..F10", default="F2")
     scale.add_argument("--seed", type=int, default=1)
-    scale.add_argument("--backend", choices=available_backends(),
+    scale.add_argument("--backend", choices=_BACKENDS, metavar="NAME",
                        default=None,
-                       help="SPMD engine for every sweep cell "
-                            "(default: REPRO_SPMD_BACKEND env var, "
-                            "then thread)")
+                       help="SPMD engine for every sweep cell: "
+                            "%(choices)s (default: REPRO_SPMD_BACKEND "
+                            "env var, then thread)")
 
     report = sub.add_parser("report", help="collect benchmark artifacts")
     report.add_argument("--results", type=Path,
@@ -215,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--port-file", type=Path, default=None,
                        help="read the port from a serve --port-file")
     query.add_argument("--records", type=int, default=1000)
-    query.add_argument("--function", choices=FUNCTION_NAMES, default="F2")
+    query.add_argument("--function", choices=_FUNCTIONS,
+                       metavar="F1..F10", default="F2")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument("--proba", action="store_true",
                        help="also request per-class probabilities")
@@ -231,6 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .baselines import induce_serial
+    from .core import InductionConfig, ScalParC
+    from .datagen import load_npz, paper_dataset
+    from .tree import accuracy, prune_pessimistic, summarize, to_dict, to_text
+
     if args.data is not None:
         train_set = load_npz(args.data)
         test_set = None
@@ -351,6 +375,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .datagen import generate_quest, paper_dataset, save_csv, save_npz
+
     if args.paper_profile:
         dataset = paper_dataset(args.records, args.function,
                                 seed=args.seed, perturbation=args.noise)
@@ -371,6 +397,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
+    from .analysis import format_series, run_grid, speedup_series
+    from .datagen import paper_dataset
+
     points = run_grid(
         lambda n: paper_dataset(n, args.function, seed=args.seed),
         args.sizes, args.processors,
@@ -442,6 +471,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .datagen import paper_dataset
     from .serving import ServingClient
 
     if args.port is None:

@@ -27,139 +27,52 @@ Quick use::
     assert run_spmd(4, worker, backend="process") == [6, 6, 6, 6]
 """
 
-from . import reduction
-from .checkpoint import (
-    CHECKPOINT_ENV,
-    CheckpointConfig,
-    CheckpointError,
-    LevelCheckpointer,
-    LoadedCheckpoint,
-    latest_manifest,
-    resolve_checkpoint,
-)
-from .communicator import Communicator, NullPerf, SelfCommunicator
-from .engines import (
-    DEFAULT_BACKEND,
-    DEFAULT_TIMEOUT,
-    SpmdEngine,
-    available_backends,
-    get_engine,
-    register_engine,
-    resolve_backend,
-    resolve_timeout,
-    run_spmd,
-)
-from .errors import (
-    CollectiveAbortedError,
-    CollectiveMismatchError,
-    InvalidRankError,
-    RemoteTraceback,
-    SpmdError,
-    SpmdWorkerError,
-    WorkerCrashError,
-)
-from .framing import (
-    DEFAULT_MAX_FRAME,
-    FrameAssembler,
-    FrameCorruptedError,
-    FrameError,
-    FrameOversizeError,
-    FrameTruncatedError,
-    MAX_FRAME_ENV,
-    decode_frame,
-    encode_frame,
-    resolve_max_frame,
-)
-from .fusion import FusedBatch, FusedFuture, FusionError
-from .payload import payload_nbytes
-from .reduction import ReduceOp, make_op
-from .shm import (
-    DEFAULT_SHM_THRESHOLD,
-    SHM_THRESHOLD_ENV,
-    ShmAttachCache,
-    ShmDescriptor,
-    ShmPool,
-    decode_payload,
-    encode_payload,
-    resolve_shm_threshold,
-)
-from .engines.thread import ThreadCommunicator
-from .tracing import (
-    LogicalOp,
-    TraceCollector,
-    TraceConformanceError,
-    TraceEvent,
-    TraceRecorder,
-    check_traces,
-    format_trace_report,
-    last_trace_collector,
-    logical_ops,
-    tag_level,
-    trace_enabled,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_ENV",
-    "CheckpointConfig",
-    "CheckpointError",
-    "LevelCheckpointer",
-    "LoadedCheckpoint",
-    "latest_manifest",
-    "resolve_checkpoint",
-    "CollectiveAbortedError",
-    "CollectiveMismatchError",
-    "Communicator",
-    "DEFAULT_BACKEND",
-    "DEFAULT_MAX_FRAME",
-    "DEFAULT_SHM_THRESHOLD",
-    "DEFAULT_TIMEOUT",
-    "FrameAssembler",
-    "FrameCorruptedError",
-    "FrameError",
-    "FrameOversizeError",
-    "FrameTruncatedError",
-    "FusedBatch",
-    "FusedFuture",
-    "FusionError",
-    "InvalidRankError",
-    "MAX_FRAME_ENV",
-    "LogicalOp",
-    "NullPerf",
-    "ReduceOp",
-    "SHM_THRESHOLD_ENV",
-    "ShmAttachCache",
-    "ShmDescriptor",
-    "ShmPool",
-    "RemoteTraceback",
-    "SelfCommunicator",
-    "SpmdEngine",
-    "SpmdError",
-    "SpmdWorkerError",
-    "ThreadCommunicator",
-    "TraceCollector",
-    "TraceConformanceError",
-    "TraceEvent",
-    "TraceRecorder",
-    "WorkerCrashError",
-    "available_backends",
-    "check_traces",
-    "decode_frame",
-    "decode_payload",
-    "encode_frame",
-    "encode_payload",
-    "format_trace_report",
-    "get_engine",
-    "last_trace_collector",
-    "logical_ops",
-    "make_op",
-    "payload_nbytes",
-    "reduction",
-    "register_engine",
-    "resolve_backend",
-    "resolve_max_frame",
-    "resolve_shm_threshold",
-    "resolve_timeout",
-    "run_spmd",
-    "tag_level",
-    "trace_enabled",
-]
+#: submodule → the public names it defines (``reduction`` exports
+#: itself).  Names load on first use (PEP 562): a process that only
+#: frames messages or writes durable files (the serving stack) never
+#: imports the engines, the tracer or the shared-memory data plane.
+_MODULES = {
+    "checkpoint": (
+        "CHECKPOINT_ENV", "CheckpointConfig", "CheckpointError",
+        "LevelCheckpointer", "LoadedCheckpoint", "latest_manifest",
+        "resolve_checkpoint",
+    ),
+    "communicator": ("Communicator", "NullPerf", "SelfCommunicator"),
+    "engines": (
+        "DEFAULT_BACKEND", "DEFAULT_TIMEOUT", "SpmdEngine",
+        "available_backends", "get_engine", "register_engine",
+        "resolve_backend", "resolve_timeout", "run_spmd",
+    ),
+    "engines.thread": ("ThreadCommunicator",),
+    "errors": (
+        "CollectiveAbortedError", "CollectiveMismatchError",
+        "InvalidRankError", "RemoteTraceback", "SpmdError", "SpmdWorkerError",
+        "WorkerCrashError",
+    ),
+    "framing": (
+        "DEFAULT_MAX_FRAME", "FrameAssembler", "FrameCorruptedError",
+        "FrameError", "FrameOversizeError", "FrameTruncatedError",
+        "MAX_FRAME_ENV", "decode_frame", "encode_frame", "resolve_max_frame",
+    ),
+    "fusion": ("FusedBatch", "FusedFuture", "FusionError"),
+    "payload": ("payload_nbytes",),
+    "reduction": ("ReduceOp", "make_op", "reduction"),
+    "shm": (
+        "DEFAULT_SHM_THRESHOLD", "SHM_THRESHOLD_ENV", "ShmAttachCache",
+        "ShmDescriptor", "ShmPool", "decode_payload", "encode_payload",
+        "resolve_shm_threshold",
+    ),
+    "tracing": (
+        "LogicalOp", "TraceCollector", "TraceConformanceError", "TraceEvent",
+        "TraceRecorder", "check_traces", "format_trace_report",
+        "last_trace_collector", "logical_ops", "tag_level", "trace_enabled",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items()
+            for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,13 +12,30 @@ Layout::
 
     <root>/
         v0001/
-            model.json        the tree (repro.tree.to_dict form)
+            model.npz         the tree's table (format 2)
             manifest.json     {format, version, files: {name: digest},
                                compiled_digest, meta}; sealed last
         v0002/
             ...
         CURRENT               {"version": N} — atomically replaced;
                               which version servers should answer with
+
+Model formats (the manifest's ``format``):
+
+======  ============================  =====================================
+format  payload                       written / read
+======  ============================  =====================================
+1       ``model.json``: the nested    read only (``repro.tree.from_dict``)
+        dict of ``repro.tree.to_dict``
+2       ``model.npz``: the schema and written by :meth:`publish`, read
+        the table's primary columns,  (``repro.tree.from_npz``)
+        uncompressed ``np.savez``
+======  ============================  =====================================
+
+Both readers end in one column check (``repro.tree.export.check_columns``)
+and rebuild the derived arrays from the primary columns, so a loaded
+table is always self-consistent; the recompiled structure digest must
+then match the manifest's ``compiled_digest``.
 
 Hot-swap semantics: :meth:`ModelRegistry.activate` first loads and
 digest-validates the target version, then swaps the in-process current
@@ -31,9 +48,9 @@ Superseded versions *drain*: every reader takes a lease
 reach zero.
 
 Corrupt or partial artifacts (bad digest, missing file, torn JSON,
-wrong format) are rejected with typed errors — :class:`ModelArtifactError`
-or :class:`ModelNotFoundError`, both :class:`RegistryError`\\ s — never
-served.
+malformed manifest or columns, unknown format) are rejected with typed
+errors — :class:`ModelArtifactError` or :class:`ModelNotFoundError`,
+both :class:`RegistryError`\\ s — never served.
 """
 
 from __future__ import annotations
@@ -44,15 +61,14 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..tree.compile import CompiledTree
-from ..tree.export import from_dict, to_dict
+from ..tree.export import from_dict, from_npz, to_npz
 from ..tree.model import DecisionTree
 # The registry deliberately shares the checkpoint module's durable-file
 # primitives so model artifacts and training checkpoints obey one
 # discipline (atomic rename, blake2b digests, manifest-sealed-last).
-from ..runtime.checkpoint import _atomic_write, _digest, _read_validated
+from ..runtime.checkpoint import _atomic_write, _digest
 
 __all__ = [
     "CURRENT_POINTER",
@@ -65,8 +81,15 @@ __all__ = [
     "ServableModel",
 ]
 
-#: model-manifest format version (bumped on incompatible layout changes)
-MODEL_FORMAT = 1
+#: model-manifest format :meth:`ModelRegistry.publish` writes
+MODEL_FORMAT = 2
+
+#: format → (payload file name, payload bytes → tree); every format
+#: listed here still loads
+_PAYLOADS = {
+    1: ("model.json", lambda blob: from_dict(json.loads(blob))),
+    2: ("model.npz", from_npz),
+}
 
 #: name of the atomic current-version pointer file
 CURRENT_POINTER = "CURRENT"
@@ -96,7 +119,7 @@ class ModelVersion:
 
     version: int
     path: str                    # artifact directory
-    model_digest: str            # blake2b of model.json
+    model_digest: str            # blake2b of the payload file
     compiled_digest: str         # CompiledTree.structure_digest
     meta: dict = field(default_factory=dict)
 
@@ -185,24 +208,19 @@ class ModelRegistry:
             version = (max(self.versions(), default=0)) + 1
             vdir = os.path.join(self.root, _version_dir_name(version))
             os.makedirs(vdir, exist_ok=True)
-            blob = json.dumps(to_dict(tree), sort_keys=True).encode("utf-8")
-            _atomic_write(os.path.join(vdir, "model.json"), blob,
-                          sync_dir=False)
+            name = _PAYLOADS[MODEL_FORMAT][0]
+            blob = to_npz(tree)
+            _atomic_write(os.path.join(vdir, name), blob, sync_dir=False)
             manifest = {
                 "format": MODEL_FORMAT,
                 "version": version,
-                "files": {"model.json": _digest(blob)},
+                "files": {name: _digest(blob)},
                 "compiled_digest": compiled.structure_digest,
                 "meta": meta or {},
             }
             _atomic_write(os.path.join(vdir, "manifest.json"),
                           json.dumps(manifest, indent=2).encode("utf-8"))
-        info = ModelVersion(
-            version=version, path=vdir,
-            model_digest=manifest["files"]["model.json"],
-            compiled_digest=compiled.structure_digest,
-            meta=manifest["meta"],
-        )
+        info = self._info(version, vdir, manifest, name)
         if activate:
             self.activate(version)
         return info
@@ -226,15 +244,23 @@ class ModelRegistry:
 
     def describe(self, version: int) -> ModelVersion:
         """Decode one version's manifest (no payload read)."""
-        manifest, vdir = self._read_manifest(version)
+        manifest, vdir, name = self._read_manifest(version)
+        return self._info(version, vdir, manifest, name)
+
+    @staticmethod
+    def _info(version: int, vdir: str, manifest: dict,
+              name: str) -> ModelVersion:
         return ModelVersion(
             version=version, path=vdir,
-            model_digest=manifest["files"]["model.json"],
+            model_digest=manifest["files"][name],
             compiled_digest=manifest["compiled_digest"],
             meta=manifest.get("meta", {}),
         )
 
-    def _read_manifest(self, version: int) -> tuple[dict, str]:
+    def _read_manifest(self, version: int) -> tuple[dict, str, str]:
+        """The manifest, the version directory and the payload's file
+        name; :class:`ModelArtifactError` unless the manifest is an
+        object of a readable format naming its payload's digest."""
         vdir = os.path.join(self.root, _version_dir_name(version))
         path = os.path.join(vdir, "manifest.json")
         try:
@@ -248,34 +274,59 @@ class ModelRegistry:
             raise ModelArtifactError(
                 f"model manifest {path!r} is unreadable: {exc}"
             ) from exc
-        if manifest.get("format") != MODEL_FORMAT:
+        if not isinstance(manifest, dict):
             raise ModelArtifactError(
-                f"unsupported model format {manifest.get('format')!r} in "
-                f"{path!r} (expected {MODEL_FORMAT})"
+                f"model manifest {path!r} is not a JSON object: "
+                f"{manifest!r:.80}"
+            )
+        fmt = manifest.get("format")
+        if not isinstance(fmt, int) or fmt not in _PAYLOADS:
+            raise ModelArtifactError(
+                f"unsupported model format {fmt!r} in {path!r} "
+                f"(readable: {sorted(_PAYLOADS)})"
             )
         for key in ("version", "files", "compiled_digest"):
             if key not in manifest:
                 raise ModelArtifactError(
                     f"model manifest {path!r} is missing {key!r}"
                 )
-        if "model.json" not in manifest["files"]:
+        files = manifest["files"]
+        if not isinstance(files, dict) or not all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in files.items()):
             raise ModelArtifactError(
-                f"model manifest {path!r} names no model.json payload"
+                f"model manifest {path!r}: files must map names to "
+                f"digests, not {files!r:.80}"
             )
-        return manifest, vdir
+        name = _PAYLOADS[fmt][0]
+        if name not in files:
+            raise ModelArtifactError(
+                f"model manifest {path!r} names no {name} payload"
+            )
+        return manifest, vdir, name
 
     def load(self, version: int) -> ServableModel:
         """Load and fully validate one version (digest-checked payload,
-        recompiled kernel checked against the sealed compiled digest)."""
-        manifest, vdir = self._read_manifest(version)
-        path = os.path.join(vdir, "model.json")
+        checked columns, recompiled kernel checked against the sealed
+        compiled digest)."""
+        manifest, vdir, name = self._read_manifest(version)
+        path = os.path.join(vdir, name)
         try:
-            blob = _read_validated(path, manifest["files"]["model.json"])
-        except Exception as exc:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
             raise ModelArtifactError(
-                f"model payload rejected: {exc}") from exc
+                f"model payload {path!r} rejected: unreadable: {exc}"
+            ) from exc
+        actual = _digest(blob)
+        if actual != manifest["files"][name]:
+            raise ModelArtifactError(
+                f"model payload {path!r} rejected: it is corrupt (digest "
+                f"{actual} does not match the manifest's "
+                f"{manifest['files'][name]})"
+            )
         try:
-            tree = from_dict(json.loads(blob.decode("utf-8")))
+            tree = _PAYLOADS[manifest["format"]][1](blob)
         except Exception as exc:
             raise ModelArtifactError(
                 f"model payload {path!r} does not decode to a tree: {exc}"
@@ -288,13 +339,8 @@ class ModelRegistry:
                 f"{manifest['compiled_digest']} — artifact corrupt or "
                 f"compiler drift"
             )
-        info = ModelVersion(
-            version=version, path=vdir,
-            model_digest=manifest["files"]["model.json"],
-            compiled_digest=manifest["compiled_digest"],
-            meta=manifest.get("meta", {}),
-        )
-        return ServableModel(info, tree, compiled)
+        return ServableModel(self._info(version, vdir, manifest, name),
+                             tree, compiled)
 
     # -- the current version -------------------------------------------------
 

@@ -1,29 +1,32 @@
 """Decision trees as breadth-first column tables: the model, its
-prediction kernel, statistics, export, rules and pruning."""
+prediction kernel, statistics, export, rules and pruning.
 
-from .compile import CompiledTree, compile_tree
-from .export import from_dict, to_dict, to_text
-from .model import DecisionTree
-from .importance import feature_importances
-from .pruning import prune_pessimistic
-from .rules import Condition, Rule, extract_rules, rules_to_text
-from .stats import TreeSummary, accuracy, confusion_matrix, summarize
+Names load on first use (PEP 562), so reading a model file does not
+import the impurity criteria :func:`feature_importances` needs."""
 
-__all__ = [
-    "CompiledTree",
-    "Condition",
-    "DecisionTree",
-    "TreeSummary",
-    "accuracy",
-    "compile_tree",
-    "confusion_matrix",
-    "feature_importances",
-    "from_dict",
-    "Rule",
-    "extract_rules",
-    "rules_to_text",
-    "prune_pessimistic",
-    "summarize",
-    "to_dict",
-    "to_text",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "CompiledTree": "compile",
+    "compile_tree": "compile",
+    "from_dict": "export",
+    "from_npz": "export",
+    "to_dict": "export",
+    "to_npz": "export",
+    "to_text": "export",
+    "DecisionTree": "model",
+    "feature_importances": "importance",
+    "prune_pessimistic": "pruning",
+    "Condition": "rules",
+    "Rule": "rules",
+    "extract_rules": "rules",
+    "rules_to_text": "rules",
+    "TreeSummary": "stats",
+    "accuracy": "stats",
+    "confusion_matrix": "stats",
+    "summarize": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,8 +5,9 @@ is naturally a level-ordered table.  :class:`CompiledTree` is that table
 — a handful of flat numpy arrays, one row per node — and it is the only
 form a tree takes: the level loop (:mod:`repro.core.frontier`) appends
 one column block per level and assembles them through
-:func:`assemble_table`; the serial reference and the JSON reader
-(:func:`~repro.tree.export.from_dict`) emit rows through the same
+:func:`assemble_table`; the serial reference and the two model-file
+readers (:func:`~repro.tree.export.from_dict`,
+:func:`~repro.tree.export.from_npz`) emit rows through the same
 function; a pickled :class:`~repro.tree.model.DecisionTree` is its
 table; and export, pruning, rules, importances and statistics read the
 arrays.  Prediction advances *every* record one level per numpy step::
@@ -297,7 +298,7 @@ def assemble_table(schema: Schema, *, kind: np.ndarray, feature: np.ndarray,
     """The :class:`CompiledTree` of per-node columns in breadth-first
     order — the one place the layout's derived arrays are computed, for
     the level loop (columns emitted level by level), the serial reference
-    and the model-file reader alike.
+    and the model-file readers alike.
 
     ``n_children`` is the node's child count, ``fanout`` its slot count
     and ``slot_child`` every node's raw slot → child-ordinal row, node

@@ -10,6 +10,7 @@ the framed-TCP front end plus the publish/serve/query CLI round trip.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import socket
@@ -25,10 +26,12 @@ import pytest
 
 from repro.baselines import induce_serial
 from repro.datagen import paper_dataset
+from repro.runtime.checkpoint import _digest
 from repro.runtime.framing import encode_frame
 from repro.serving import (
     BatchServer,
     CURRENT_POINTER,
+    MODEL_FORMAT,
     ModelArtifactError,
     ModelNotFoundError,
     ModelRegistry,
@@ -38,9 +41,14 @@ from repro.serving import (
     ServingClient,
     serve,
 )
-from repro.tree import from_dict, to_dict
+from repro.tree import from_dict, to_dict, to_npz
 
-from tests.test_tree import MALFORMED_CASES, malformed_model
+from tests.test_tree import (
+    COLUMN_MALFORMED,
+    MALFORMED_CASES,
+    malformed_model,
+    malformed_npz,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,40 +106,95 @@ def test_corrupt_payload_rejected_and_never_swapped_in(tmp_path, trees):
     reg.publish(t1, activate=True)
     info = reg.publish(t2)
 
-    payload = Path(info.path) / "model.json"
+    payload = Path(info.path) / "model.npz"
     blob = bytearray(payload.read_bytes())
     blob[len(blob) // 2] ^= 0x01                      # single bit flip
     payload.write_bytes(bytes(blob))
 
-    with pytest.raises(ModelArtifactError):
+    with pytest.raises(ModelArtifactError,
+                       match=r"model payload .* is corrupt"):
         reg.load(2)
     with pytest.raises(ModelArtifactError):
         reg.activate(2)
     assert reg.current().version == 1                 # old model intact
 
 
-#: ``tests/fixtures/model_artifact_v0001``: a published version written
-#: by ``ModelRegistry.publish`` (ScalParC, p = 2, F2, 300 records, seed 1,
-#: max_depth 3, 30 nodes) — the on-disk model format, pinned
+#: ``tests/fixtures/model_artifact_v000{1,2}``: one tree (ScalParC,
+#: p = 2, F2, 300 records, seed 1, max_depth 3, 30 nodes) published by
+#: ``ModelRegistry.publish`` in model format 1 (``model.json``) and in
+#: format 2 (``model.npz``) — the on-disk formats, pinned
 FIXTURE_DIGEST = "8368954bce4746f70377a3ef732ee925"
 
 
-def _committed_artifact(root: Path) -> ModelRegistry:
+def _committed_artifact(root: Path, *versions: int) -> ModelRegistry:
+    """A registry holding the committed fixtures of ``versions`` (by
+    default format 1 alone), each under its own version number."""
     import shutil
 
     fixture = Path(__file__).resolve().parent / "fixtures"
-    shutil.copytree(fixture / "model_artifact_v0001", root / "v0001")
+    for v in versions or (1,):
+        shutil.copytree(fixture / f"model_artifact_v{v:04d}",
+                        root / f"v{v:04d}")
     return ModelRegistry(root)
 
 
-def test_committed_model_artifact_loads_with_its_pinned_digest(tmp_path):
-    model = _committed_artifact(tmp_path).load(1)
+_PAYLOAD = {1: "model.json", 2: "model.npz"}
+
+
+def _loads_with_its_pinned_digest(tmp_path: Path, version: int) -> None:
+    model = _committed_artifact(tmp_path, version).load(version)
+    payload = _PAYLOAD[version]
+    assert json.loads((tmp_path / f"v{version:04d}" / "manifest.json")
+                      .read_text())["format"] == version
+    assert model.info.model_digest \
+        == _digest((Path(model.info.path) / payload).read_bytes())
     assert model.digest == FIXTURE_DIGEST
     assert model.compiled.structure_digest == FIXTURE_DIGEST
     assert model.tree.n_nodes == 30 and model.info.meta["records"] == 300
     test = paper_dataset(200, "F2", seed=2)
     np.testing.assert_array_equal(model.compiled.predict_columns(test.columns),
                                   model.tree.predict(test))
+
+
+def test_committed_model_artifact_loads_with_its_pinned_digest(tmp_path):
+    _loads_with_its_pinned_digest(tmp_path, 1)
+
+
+def test_committed_format_2_artifact_loads_with_its_pinned_digest(tmp_path):
+    _loads_with_its_pinned_digest(tmp_path, 2)
+
+
+def test_format_1_and_2_fixtures_hold_one_table(tmp_path):
+    reg = _committed_artifact(tmp_path, 1, 2)
+    assert reg.load(1).tree.structurally_equal(reg.load(2).tree)
+
+
+def test_hot_swap_between_format_1_and_format_2_versions(tmp_path):
+    """One registry holding a format-1 and a format-2 version swaps
+    between them both ways, in process and through CURRENT."""
+    reg = _committed_artifact(tmp_path, 1, 2)
+    assert reg.versions() == [1, 2]
+    for version in (1, 2, 1, 2):
+        assert reg.activate(version).version == version
+        assert reg.current().version == version
+        assert reg.current_version_on_disk() == version
+        assert reg.current().digest == FIXTURE_DIGEST
+    follower = ModelRegistry(tmp_path)
+    assert follower.current().version == 2
+    reg.activate(1)
+    assert follower.refresh() and follower.current().version == 1
+    reg.activate(2)
+    assert follower.refresh() and follower.current().version == 2
+
+
+def test_publish_writes_format_2_next_to_a_format_1_version(tmp_path):
+    reg = _committed_artifact(tmp_path)
+    info = reg.publish(reg.load(1).tree, activate=True)
+    manifest = json.loads((Path(info.path) / "manifest.json").read_text())
+    assert manifest["format"] == MODEL_FORMAT == 2
+    assert sorted(os.listdir(info.path)) == ["manifest.json", "model.npz"]
+    assert info.compiled_digest == FIXTURE_DIGEST
+    assert reg.current().version == 2
 
 
 def test_committed_model_json_round_trips_byte_for_byte():
@@ -144,14 +207,53 @@ def test_committed_model_json_round_trips_byte_for_byte():
     assert tree.compiled().structure_digest == FIXTURE_DIGEST
 
 
-def test_committed_model_artifact_with_a_flipped_byte_refuses(tmp_path):
-    reg = _committed_artifact(tmp_path)
-    payload = tmp_path / "v0001" / "model.json"
+def _refuses_a_flipped_byte(tmp_path: Path, version: int) -> None:
+    reg = _committed_artifact(tmp_path, version)
+    payload = tmp_path / f"v{version:04d}" / _PAYLOAD[version]
     blob = bytearray(payload.read_bytes())
     blob[len(blob) // 3] ^= 0x20
     payload.write_bytes(bytes(blob))
     with pytest.raises(ModelArtifactError, match="rejected"):
-        reg.load(1)
+        reg.load(version)
+
+
+def test_committed_model_artifact_with_a_flipped_byte_refuses(tmp_path):
+    _refuses_a_flipped_byte(tmp_path, 1)
+
+
+def test_committed_format_2_artifact_with_a_flipped_byte_refuses(tmp_path):
+    _refuses_a_flipped_byte(tmp_path, 2)
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_MALFORMED))
+def test_malformed_columns_resealed_are_refused(tmp_path, case):
+    """A ``model.npz`` whose columns are corrupt but whose manifest is
+    re-sealed over the corrupt bytes (payload and compiled digest alike)
+    passes every digest: only the column check can refuse it, and the
+    load ends in the typed error naming what is wrong."""
+    from repro.tree.compile import assemble_table
+    from repro.tree.export import COLUMNS, _read_schema
+
+    reg = _committed_artifact(tmp_path, 2)
+    vdir = tmp_path / "v0002"
+    blob = malformed_npz(case)
+    (vdir / "model.npz").write_bytes(blob)
+    manifest = json.loads((vdir / "manifest.json").read_text())
+    manifest["files"]["model.npz"] = _digest(blob)
+    try:
+        with np.load(io.BytesIO(blob)) as z:
+            schema = _read_schema(json.loads(str(z["schema"])))
+            table = assemble_table(schema, **{n: z[n] for n in COLUMNS})
+        manifest["compiled_digest"] = table.structure_digest
+    except Exception:
+        pass                            # no table to seal: the file is junk
+    (vdir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ModelArtifactError,
+                       match="does not decode to a tree: .*"
+                             + COLUMN_MALFORMED[case][1]):
+        reg.load(2)
+    with pytest.raises(ModelArtifactError):
+        reg.activate(2)
 
 
 def test_torn_publish_is_invisible(tmp_path, trees):
@@ -162,7 +264,7 @@ def test_torn_publish_is_invisible(tmp_path, trees):
     reg.publish(t1)
     torn = tmp_path / "v0002"
     torn.mkdir()
-    (torn / "model.json").write_text(json.dumps(to_dict(t1)))
+    (torn / "model.npz").write_bytes(to_npz(t1))
     assert reg.versions() == [1]
     with pytest.raises(ModelNotFoundError):
         reg.load(2)
@@ -185,6 +287,25 @@ def test_malformed_manifest_rejected(tmp_path, trees):
 
     manifest.write_text(json.dumps({"format": 1, "version": 1}))
     with pytest.raises(ModelArtifactError, match="missing"):
+        reg.load(1)
+
+    # a manifest that is JSON but not an object fails typed everywhere
+    (tmp_path / CURRENT_POINTER).write_text(json.dumps({"version": 1}))
+    for text in ("[]", '"x"', "null", "3"):
+        manifest.write_text(text)
+        for read in (reg.load, reg.describe):
+            with pytest.raises(ModelArtifactError, match="not a JSON object"):
+                read(1)
+        with pytest.raises(ModelArtifactError, match="not a JSON object"):
+            ModelRegistry(tmp_path).current()
+
+    sealed = {"format": 2, "version": 1, "compiled_digest": "0" * 32}
+    for files in ([], "model.npz", {"model.npz": 7}, {"model.npz": None}, None):
+        manifest.write_text(json.dumps({**sealed, "files": files}))
+        with pytest.raises(ModelArtifactError, match="files must map"):
+            reg.load(1)
+    manifest.write_text(json.dumps({**sealed, "files": {"model.json": "ab"}}))
+    with pytest.raises(ModelArtifactError, match="names no model.npz"):
         reg.load(1)
 
 
@@ -393,7 +514,7 @@ def test_server_surfaces_typed_error_for_corrupt_current(tmp_path, trees):
     t1, t2, test = trees
     reg = ModelRegistry(tmp_path)
     info = reg.publish(t1)
-    payload = Path(info.path) / "model.json"
+    payload = Path(info.path) / "model.npz"
     payload.write_bytes(payload.read_bytes() + b" ")
     (tmp_path / CURRENT_POINTER).write_text(json.dumps({"version": 1}))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from repro.tree import (
     accuracy,
     confusion_matrix,
     from_dict,
+    from_npz,
     prune_pessimistic,
     summarize,
     to_dict,
+    to_npz,
     to_text,
 )
+from repro.tree.export import COLUMNS
 
 _XG = {"n_classes": 2, "attributes": [
     {"name": "x", "kind": "continuous", "n_values": 0},
@@ -226,6 +231,118 @@ MALFORMED_CASES = ["not-a-dict", "no-schema", *MALFORMED]
 def test_from_dict_rejects_malformed_models(case):
     with pytest.raises(ValueError):
         from_dict(malformed_model(case))
+
+
+def _set(column, index, value):
+    def edit(cols):
+        cols[column] = cols[column].copy()
+        cols[column][index] = value
+    return edit
+
+
+def _shorter_value_to_child(cols):
+    cols["fanout"] = cols["fanout"].copy()
+    cols["fanout"][2] = 2
+    cols["slot_child"] = cols["slot_child"][:4]
+
+
+def _root_with_three_children(cols):
+    cols["n_children"] = cols["n_children"].copy()
+    cols["n_children"][[0, 2]] = [3, 1]
+
+
+def _wider_class_counts(cols):
+    cols["class_counts"] = np.hstack(
+        [cols["class_counts"], np.zeros((5, 1), cols["class_counts"].dtype)])
+
+
+def _leaf_with_a_slot(cols):
+    cols["fanout"] = cols["fanout"].copy()
+    cols["fanout"][1] = 1
+    cols["slot_child"] = np.insert(cols["slot_child"], 2, 0)
+
+
+def _split_numbered_before_its_parent(cols):
+    """Root a leaf and node 1 the x split: node 1 is then its own first
+    child — a cycle no nested payload can spell."""
+    for column, row0, row1 in (("kind", 0, 1), ("feature", -1, 0),
+                               ("threshold", np.nan, 2.0),
+                               ("leaf_label", 0, -1), ("n_children", 0, 2),
+                               ("fanout", 0, 2)):
+        cols[column] = cols[column].copy()
+        cols[column][:2] = [row0, row1]
+
+
+#: a format-2 ``model.npz`` twin of every MALFORMED case, plus the
+#: structure a flat file must also prove: case → (edit of the small
+#: tree's primary columns, the refusal's words).  Small tree rows: 0 the
+#: x split, 1 a leaf, 2 the g split (slots 2–4: ordinals 0, 1, −1;
+#: default child 1), 3 and 4 its leaves.
+COLUMN_MALFORMED = {
+    "attr-out-of-range": (_set("feature", 0, 7), "node 0: attr_index 7"),
+    "attr-of-the-wrong-kind": (_set("feature", 0, 1),
+                               "node 0: attr_index 1 is not a continuous"),
+    "continuous-with-three-children": (_root_with_three_children,
+                                       "node 0: needs exactly 2 children"),
+    "ordinal-past-the-children": (_set("slot_child", 4, 5),
+                                  "node 2: value_to_child ordinals"),
+    "ordinal-below-minus-one": (_set("slot_child", 4, -2),
+                                "node 2: value_to_child ordinals"),
+    "value-to-child-too-short": (_shorter_value_to_child,
+                                 "node 2: value_to_child needs 3 entries"),
+    "child-without-a-code": (_set("slot_child", 3, 0),
+                             "node 2: value_to_child must name each"),
+    "default-child-out-of-range": (_set("default_child", 2, 2),
+                                   "node 2: default_child out of range"),
+    "class-counts-too-long": (_wider_class_counts,
+                              "class_counts must have 2 entries"),
+    "label-out-of-range": (_set("leaf_label", 3, 2),
+                           "node 3: label out of range"),
+    "missing-entry": (lambda cols: cols.pop("n_children"),
+                      "must hold the schema and the columns"),
+    "child-counts-do-not-sum": (_set("n_children", 2, 3),
+                                "child counts sum to 5"),
+    "fanouts-do-not-sum": (_set("fanout", 2, 4), "fanouts sum to 6"),
+    "leaf-with-a-slot": (_leaf_with_a_slot,
+                         "node 1: a leaf has no children and no slots"),
+    "leaf-with-a-threshold": (_set("threshold", 1, 0.5),
+                              "node 1: carries a field"),
+    "split-before-its-parent": (_split_numbered_before_its_parent,
+                                "node 1: its children must follow it"),
+    "object-array": (lambda cols: cols.update(threshold=np.array(
+        cols["threshold"].tolist(), dtype=object)), "Object arrays"),
+    "schema-not-json": (lambda cols: cols.update(schema=np.array("{x")),
+                        "malformed model.npz"),
+}
+
+
+def test_every_dict_case_has_a_column_twin():
+    assert set(MALFORMED) <= set(COLUMN_MALFORMED)
+
+
+def malformed_npz(case: str) -> bytes:
+    """The small tree's ``model.npz`` with ``case``'s edit applied."""
+    with np.load(io.BytesIO(to_npz(from_dict(small_payload_dict())))) as z:
+        cols = {name: z[name] for name in z.files}
+    COLUMN_MALFORMED[case][0](cols)
+    buf = io.BytesIO()
+    np.savez(buf, **cols)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_MALFORMED))
+def test_from_npz_names_the_malformed_column(case):
+    with pytest.raises(ValueError, match=COLUMN_MALFORMED[case][1]):
+        from_npz(malformed_npz(case))
+
+
+def test_npz_round_trip_keeps_the_table(small_tree):
+    back = from_npz(to_npz(small_tree))
+    assert back.structurally_equal(small_tree)
+    assert back.compiled().structure_digest \
+        == small_tree.compiled().structure_digest
+    with np.load(io.BytesIO(to_npz(small_tree)), allow_pickle=False) as z:
+        assert sorted(z.files) == sorted(("schema", *COLUMNS))
 
 
 # ---------------------------------------------------------------------------
