@@ -124,7 +124,10 @@ class SpmdClassifier:
                 **run_kwargs: Any) -> FitResult:
         """Run ``worker(comm, dataset, config)`` on every rank
         (:func:`run_priced`) and wrap rank 0's tree — the only one sent
-        back — with the run stats."""
+        back — with the run stats.  An empty training set is refused
+        here, before any rank starts (every worker would refuse it)."""
+        if dataset.n_records == 0:
+            raise ValueError("cannot induce a tree from an empty dataset")
         trees, stats = run_priced(
             self.machine, self.n_processors, _RankZeroResult(worker),
             (dataset, self.config), backend=self.backend, **run_kwargs,
@@ -168,8 +171,9 @@ class ScalParC(SpmdClassifier):
 
         A continuous column holding NaN is refused before any rank is
         launched (:class:`~repro.datagen.NaNTrainingValueError`, naming
-        the attribute and the count); ±inf are ordinary values.  The
-        streaming fits and ``induce_serial`` apply the same check.
+        the attribute and the count); ±inf are ordinary values.  So is
+        an empty training set (a ``ValueError``).  The streaming fits and
+        ``induce_serial`` apply the same checks.
         """
         check_training_values(dataset)
         if checkpoint is None:

@@ -9,16 +9,29 @@ Per level of the tree, for every active node simultaneously:
   categorical attribute, local count matrices are reduced to a designated
   coordinator processor.
 * **FindSplitII** — the termination criterion is applied per node; ranks
-  scan their local continuous segments one position at a time (vectorized
-  here) computing the split impurity at every *valid* position; the
-  coordinator scores categorical splits; a single allreduce with the
-  lexicographic BEST_SPLIT operator yields every node's global winner.
+  scan their local continuous segments for the lowest split impurity
+  among the *valid* positions; the coordinator scores categorical
+  splits; a single allreduce with the lexicographic BEST_SPLIT operator
+  yields every node's global winner.
 
 Candidate validity for a continuous attribute at sorted position i:
 the predecessor value must be strictly smaller (splits never land inside a
 run of duplicates).  Predecessors at rank boundaries are resolved with a
 second tiny exscan carrying each rank's per-node (has-entries, last-value)
 pair — O(m) traffic per level, never O(N).
+
+The scan scores only class-boundary cuts (Fayyad & Irani 1992).  Between
+two cuts where every record passing from right to left has one class j,
+the weighted gini and entropy of the split are strictly concave in the
+number of j records moved (unless the node is pure, where every cut
+scores 0), so no cut inside such a run beats both of its ends.  A cut
+between two value groups that are pure in the same class is therefore
+skipped — unless either group holds its segment's first or last entry,
+because the run may continue on the neighbouring rank and the end that
+brackets it would then not be this rank's to score.  Each rank's local
+best row, and so every BEST_SPLIT payload, equals the full scan's; the
+performance ledger still prices the full scan (``docs/algorithm.md``,
+"FindSplitII scores class-boundary cuts").
 """
 
 from __future__ import annotations
@@ -112,15 +125,19 @@ def _scan_candidates(
     pred: np.ndarray,
 ) -> np.ndarray:
     """FindSplitII's local half for one continuous attribute, given its two
-    exscan results: score every valid split position and keep the per-node
-    best as (n_nodes, 3) candidate rows ``[score, attr, threshold]``
-    (``inf`` rows where none exists).
+    exscan results: find this rank's best valid split position per node,
+    as (n_nodes, 3) candidate rows ``[score, attr, threshold]`` (``inf``
+    rows where none exists).
 
-    Pure kernel composition: within-segment exclusive class counts +
-    boundary validity + one-pass criterion evaluation + segmented argmin,
-    all from :mod:`repro.core.kernels`.  Integer count math and fixed-order
-    float expressions keep the output bit-identical to the pre-kernel
-    (and reference-mode) formulation.
+    Only the cuts that can win are scored: boundary validity, then
+    :func:`~repro.core.kernels.class_boundary_cuts` drops every cut
+    inside a pure-class run, then left counts at the kept cuts (the
+    within-segment class prefix lifted by ``below``, the exscan result),
+    one-pass criterion evaluation and a segmented argmin.  The rows are
+    bit-identical to scoring every valid cut.  The ledger still books
+    the paper's full scan: one pass over every entry and class, with the
+    prefix of every entry and the left counts of every valid cut as its
+    transient.
     """
     out = pack_candidates(totals.shape[0])
     n_local = alist.n_local
@@ -132,36 +149,33 @@ def _scan_candidates(
     # enter the phase through the communicator (not the bare tracker) so
     # the collective tracer stamps the scan's region as FindSplitII too
     with timed_phase(comm, FINDSPLIT2):
-        # exclusive per-class counts within each segment, every segment in
-        # one pass; `below` (the exscan result) lifts them to global left
-        # counts
-        within = kernels.segment_class_prefix(
-            alist.labels, alist.offsets, n_classes, nodes=nodes
-        )
         comm.perf.add_compute("scan", n_local * n_classes)
-
         # validity: strictly-larger value than the (global) predecessor
         valid = kernels.boundary_valid_mask(
             values, nodes, alist.offsets, candidate_nodes,
             pred[:, 0] > 0, pred[:, 1],
         )
+        n_valid = int(np.count_nonzero(valid))
+        # the full scan's transient: every entry's class prefix row plus
+        # every valid cut's left-count row (int64)
+        comm.perf.transient_bytes((n_local + n_valid) * n_classes * 8)
+        if n_valid == 0:
+            return out
         # integer gathers: one flatnonzero, then ``np.take`` row gathers
         # (several times cheaper than boolean masking / fancy row indexing)
-        vidx = np.flatnonzero(valid)
-        if len(vidx) == 0:
-            comm.perf.transient_bytes(within.nbytes)
-            return out
-
-        v_nodes = nodes.take(vidx)   # non-decreasing: the segment contract
-        v_thr = values.take(vidx)
-        left = below.take(v_nodes, axis=0) + within.take(vidx, axis=0)
-        comm.perf.transient_bytes(within.nbytes + left.nbytes)
+        cuts = np.flatnonzero(kernels.class_boundary_cuts(
+            valid, values, alist.labels, alist.offsets
+        ))
+        c_nodes = nodes.take(cuts)   # non-decreasing: the segment contract
+        left = below.take(c_nodes, axis=0) + kernels.segment_class_prefix(
+            alist.labels, alist.offsets, n_classes, nodes=nodes, at=cuts
+        )
         scores = kernels.split_scores(
-            left, totals.take(v_nodes, axis=0), config.criterion
+            left, totals.take(c_nodes, axis=0), config.criterion
         )
         # per-node minimum by (score, threshold)
         winners, best_scores, best_thr = kernels.segment_argmin(
-            v_nodes, scores, v_thr
+            c_nodes, scores, values.take(cuts)
         )
     out[winners, 0] = best_scores
     out[winners, 1] = float(alist.attr_index)

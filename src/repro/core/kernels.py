@@ -2,7 +2,7 @@
 
 Every per-record / per-node Python loop that survived on the FindSplit and
 PerformSplit paths funnels through this module: one numpy pass over
-segment-contiguous arrays per kernel (cumsums over class one-hots,
+segment-contiguous arrays per kernel (per-class cumsums,
 ``np.minimum.reduceat`` segmented argmins, radix-friendly counting
 sorts).  The scalar/looped formulations they replaced are test oracles
 (``tests/kernel_oracles.py``); every caller reaches a kernel through this
@@ -20,7 +20,10 @@ must be aligned.
 oracle return bit-identical outputs — integer kernels are exact, and the
 float kernels evaluate the same elementwise expressions over the same
 operands in the same reduction order, so exact-mode trees and collective
-trace digests are invariant under the swap.
+trace digests are invariant under the swap.  The one kernel that prunes,
+:func:`class_boundary_cuts`, has the full scan as its oracle (every
+valid cut kept): the two differ in the cuts they keep, never in the
+candidate rows scored from them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .criteria import split_score_from_left
 __all__ = [
     "forced_kernel_mode",
     "segment_class_prefix",
+    "class_boundary_cuts",
     "boundary_valid_mask",
     "split_scores",
     "segment_argmin",
@@ -53,7 +57,7 @@ class forced_kernel_mode(nullcontext):
 
 
 # ---------------------------------------------------------------------------
-# segment-cumsum over class one-hots
+# within-segment class prefix counts
 # ---------------------------------------------------------------------------
 
 def segment_class_prefix(
@@ -61,17 +65,20 @@ def segment_class_prefix(
     offsets: np.ndarray,
     n_classes: int,
     nodes: np.ndarray | None = None,
+    at: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Within-segment *exclusive* per-class counts of every entry.
+    """Within-segment *exclusive* per-class counts of every entry, or of
+    the entries at positions ``at``.
 
-    ``out[i, j]`` = number of entries before ``i`` **in i's segment**
-    with label ``j`` — the left count matrix FindSplitII needs at every
-    candidate position, for all segments in one pass.
+    ``out[k, j]`` = number of entries before position ``at[k]`` (every
+    position when ``at`` is ``None``) **in its segment** with label
+    ``j`` — the left count matrix FindSplitII needs at a candidate cut.
 
-    Fast path: one exclusive cumsum over the (n_classes, n) one-hot
-    (row-contiguous, so the reduction runs along cache lines), then one
-    gather subtracting each segment's base row.  Integer math, so
-    bit-identical to the per-segment oracle.
+    One exclusive cumsum per class past the first, gathered at the
+    wanted positions and at their segments' starts; class 0 is the
+    position-in-segment complement.  For two classes that is one cumsum
+    of the labels themselves.  Integer math, so bit-identical to the
+    per-segment oracle.
     """
     n = len(labels)
     if n == 0:
@@ -80,25 +87,88 @@ def segment_class_prefix(
         nodes = np.repeat(
             np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
         )
-    if n_classes == 2:
-        # binary labels: one cumsum of the labels IS the class-1 count,
-        # and class 0 is the position-in-segment complement — all integer
-        # identities, so still bit-identical to the general path
-        within1 = np.cumsum(labels) - labels
-        seg_starts = np.minimum(offsets[:-1], n - 1)
-        within1 = within1 - within1[seg_starts].take(nodes)
-        pos = np.arange(n, dtype=np.int64) - offsets[:-1].take(nodes)
-        out = np.empty((n, 2), dtype=np.int64)
-        out[:, 1] = within1
-        out[:, 0] = pos - within1
-        return out
-    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.int64)
-    excl = np.cumsum(onehot, axis=1)
-    excl -= onehot
-    excl = excl.T
-    seg_starts = np.minimum(offsets[:-1], max(n - 1, 0))
-    excl -= excl[seg_starts].take(nodes, axis=0)
-    return excl
+    if at is None:
+        pos, seg = np.arange(n, dtype=np.int64), nodes
+    else:
+        pos, seg = at, nodes.take(at)
+    # clamped so a trailing empty segment's start stays a legal index;
+    # only nonempty segments' starts are gathered through ``seg``
+    seg_starts = np.minimum(offsets[:-1], n - 1)
+    rest = pos - offsets[:-1].take(seg)        # position in the segment
+    out = np.empty((len(pos), n_classes), dtype=np.int64)
+    for j in range(1, n_classes):
+        hits = labels if n_classes == 2 else (labels == j)
+        excl = np.cumsum(hits, dtype=np.int64) - hits
+        col = excl if at is None else excl.take(at)
+        col -= excl[seg_starts].take(seg)     # the gather runs first
+        out[:, j] = col
+        rest -= col
+    out[:, 0] = rest
+    return out
+
+
+# ---------------------------------------------------------------------------
+# class-boundary cut pruning
+# ---------------------------------------------------------------------------
+
+def class_boundary_cuts(
+    valid: np.ndarray,
+    values: np.ndarray,
+    labels: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """The valid cuts that can win: ``valid`` minus every cut inside a
+    pure-class run.
+
+    Entries of equal value in one segment form a *value group*; a valid
+    cut opens a group.  The cut opening group *g* is dropped when groups
+    *g − 1* and *g* are both pure in the same class (no label changes
+    from the start of *g − 1* to the end of *g*) and neither of them
+    holds its segment's first or last entry.  Along such a run only one
+    class moves left, where gini and entropy are strictly concave, so the
+    dropped cut scores strictly worse than the better of the kept cuts
+    bracketing its run (or ties at 0.0 with them in a pure node, where
+    the segment's first cut, always kept, wins on threshold).  The edge
+    groups keep their cuts because a run may continue on the neighbouring
+    rank: this rank's own best cut, and so its BEST_SPLIT row, is the
+    one the full scan finds.
+
+    Fast path: with no two equal neighbouring values every group is one
+    entry, and the rule reads ``labels[i - 1] == labels[i]`` away from
+    the edges.  Otherwise it runs over the group starts, with one
+    segmented ``logical_or.reduceat`` finding the groups whose label
+    changes inside them.
+    """
+    n = len(valid)
+    keep = valid.copy()
+    # edge[i]: position i opens a segment (edge[n] closes the last one)
+    edge = np.zeros(n + 1, dtype=bool)
+    edge[offsets] = True
+    same_value = values[1:] == values[:-1]
+    same_label = labels[1:] == labels[:-1]
+    if not same_value.any():
+        # every entry is its own group: cut i drops iff entries i - 1 and
+        # i share a label, i - 1 does not open the segment, i does not
+        # open one either (so i - 1 is in it) and i does not close it
+        drop = same_label[:-1] & ~(edge[:-3] | edge[1:-2] | edge[2:-1])
+        keep[1:-1] &= ~drop
+        return keep
+    opens = edge[:n].copy()                   # opens[i]: i opens a group
+    opens[1:] |= ~same_value
+    starts = np.flatnonzero(opens)
+    change = np.empty(n, dtype=bool)          # label differs from i - 1
+    change[0] = False
+    np.logical_not(same_label, out=change[1:])
+    # mixed[k]: group k changes label after its first entry
+    mixed = np.logical_or.reduceat(change & ~opens, starts)
+    first = edge.take(starts)                 # group k opens its segment
+    last = np.append(first[1:], True)         # group k closes it
+    # the cut opening group k >= 1 drops iff groups k - 1 and k are pure
+    # in one class and neither opens or closes the segment
+    drop = ~(mixed[:-1] | mixed[1:] | change.take(starts[1:])
+             | first[:-1] | first[1:] | last[1:])
+    keep[starts[1:][drop]] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each ``*_reference`` function is the scalar/looped formulation a fast
 kernel replaced, kept bit-identical to it: the property suite pins
 ``kernel ≡ oracle`` on random segment layouts, and the ``kernel_oracles``
-fixture (``tests/conftest.py``) swaps all six into ``repro.core.kernels``
+fixture (``tests/conftest.py``) swaps all seven into ``repro.core.kernels``
 so a whole fit can be checked event for event.  The two consumers with
 their own vectorized paths have oracles here too:
 :func:`reshard_one_attribute_reference` (the checkpoint re-shard) and
@@ -25,17 +25,30 @@ def segment_class_prefix_reference(
     offsets: np.ndarray,
     n_classes: int,
     nodes: np.ndarray | None = None,
+    at: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scalar reference: running per-class counters, one segment at a
-    time (the shape of the pre-vectorization loop).  ``nodes`` matches
-    the kernel's signature and is unused."""
+    time (the shape of the pre-vectorization loop), then the rows at
+    ``at``.  ``nodes`` matches the kernel's signature and is unused."""
     out = np.zeros((len(labels), n_classes), dtype=np.int64)
     for k in range(len(offsets) - 1):
         counts = [0] * n_classes
         for i in range(int(offsets[k]), int(offsets[k + 1])):
             out[i] = counts
             counts[int(labels[i])] += 1
-    return out
+    return out if at is None else out[at]
+
+
+def class_boundary_cuts_reference(
+    valid: np.ndarray,
+    values: np.ndarray,
+    labels: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """The full scan: every valid cut is kept and scored.  With this
+    oracle swapped in, FindSplitII scores every valid position, as the
+    paper's scan does."""
+    return valid.copy()
 
 
 def boundary_valid_mask_reference(
@@ -194,6 +207,7 @@ def categorical_children_reference(alist, decisions):
 #: kernel name in ``repro.core.kernels`` -> its oracle
 ORACLES = {
     "segment_class_prefix": segment_class_prefix_reference,
+    "class_boundary_cuts": class_boundary_cuts_reference,
     "boundary_valid_mask": boundary_valid_mask_reference,
     "split_scores": split_scores_reference,
     "segment_argmin": segment_argmin_reference,

@@ -103,11 +103,13 @@ def test_invalid_processor_count():
 
 
 def test_empty_dataset_rejected():
+    """Refused by the facade before any rank starts: a plain
+    ``ValueError``, not a ``SpmdWorkerError`` wrapping one per rank."""
     ds = make_dataset(continuous={"x": []}, labels=[])
-    from repro.runtime import SpmdWorkerError
 
-    with pytest.raises(SpmdWorkerError):
+    with pytest.raises(ValueError, match="empty dataset") as excinfo:
         ScalParC(2).fit(ds)
+    assert type(excinfo.value) is ValueError
 
 
 def test_fit_scalparc_helper(small_ds):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import induce_serial
-from repro.core import ScalParC
-from repro.datagen import generate_quest
+from repro.core import InductionConfig, ScalParC
+from repro.datagen import generate_quest, make_dataset
 from repro.runtime import TraceCollector, available_backends
 
 from tests.conftest import assert_trees_equal
@@ -124,6 +124,72 @@ def test_backends_produce_identical_traces(backend):
         got_events = other.events_of(rank)
         assert len(ref_events) == len(got_events)
         for a, b in zip(ref_events, got_events):
+            assert (a.op, a.payload_digest, a.result_digest, a.phase,
+                    a.level) == \
+                   (b.op, b.payload_digest, b.result_digest, b.phase,
+                    b.level)
+
+
+#: (criterion, n_classes) of the class-boundary straddle sets
+BOUNDARY_CASES = [("gini", 2), ("entropy", 2), ("gini", 3)]
+
+
+def _straddle_set(n_classes: int, n: int = 240):
+    """Few distinct values and long same-class stretches: sorted by
+    value, every attribute's duplicate groups and pure-class runs are
+    long enough to cross the ⌈N/p⌉ block edges at p = 2, 3 and 5, where
+    FindSplitII's class-boundary pruning must keep the edge cuts.  A
+    little label noise leaves some groups impure, so the runs break
+    mid-list and the tree grows several levels."""
+    rng = np.random.default_rng(41 + n_classes)
+    x = rng.integers(0, 8, n).astype(np.float64)
+    y = rng.integers(0, 5, n).astype(np.float64)
+    labels = ((x // 3).astype(np.int64) + (y >= 3)) % n_classes
+    noisy = rng.random(n) < 0.06
+    labels[noisy] = rng.integers(0, n_classes, int(noisy.sum()))
+    return make_dataset(continuous={"x": x, "y": y},
+                        labels=labels.tolist(), n_classes=n_classes)
+
+
+@pytest.fixture(scope="module")
+def straddle_references():
+    """Per case: the set, its config, the serial reference tree and the
+    thread backend's per-rank trace events at each processor count."""
+    refs = {}
+    for criterion, n_classes in BOUNDARY_CASES:
+        ds = _straddle_set(n_classes)
+        config = InductionConfig(criterion=criterion)
+        events = {}
+        for nprocs in (2, 3, 5):
+            tc = TraceCollector()
+            ScalParC(n_processors=nprocs, config=config, machine=None,
+                     backend="thread").fit(ds, trace=tc)
+            events[nprocs] = [tc.events_of(r) for r in range(nprocs)]
+        refs[(criterion, n_classes)] = (ds, config,
+                                        induce_serial(ds, config), events)
+    return refs
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("nprocs", [2, 3, 5])
+@pytest.mark.parametrize("case", BOUNDARY_CASES,
+                         ids=lambda c: f"{c[0]}-c{c[1]}")
+def test_class_boundary_runs_straddling_blocks(straddle_references, case,
+                                               nprocs, backend):
+    """Duplicate groups and pure-class runs that cross rank edges: the
+    tree is the serial reference's, and every rank's trace matches the
+    thread backend's digest for digest."""
+    ds, config, ref_tree, ref_events = straddle_references[case]
+    tc = TraceCollector()
+    result = ScalParC(n_processors=nprocs, config=config, machine=None,
+                      backend=backend).fit(ds, trace=tc)
+    assert_trees_equal(result.tree, ref_tree,
+                       f"(straddle {case} p={nprocs} backend={backend})")
+    assert tc.check().ok
+    for rank in range(nprocs):
+        got = tc.events_of(rank)
+        assert len(got) == len(ref_events[nprocs][rank])
+        for a, b in zip(got, ref_events[nprocs][rank]):
             assert (a.op, a.payload_digest, a.result_digest, a.phase,
                     a.level) == \
                    (b.op, b.payload_digest, b.result_digest, b.phase,

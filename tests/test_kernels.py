@@ -67,6 +67,11 @@ def test_segment_class_prefix_matches_reference(sizes, n_classes, seed):
                                         nodes=nodes)
     ref = oracles.segment_class_prefix_reference(labels, offsets, n_classes)
     np.testing.assert_array_equal(fast, ref)
+    at = np.flatnonzero(rng.random(len(labels)) < 0.4)
+    np.testing.assert_array_equal(
+        kernels.segment_class_prefix(labels, offsets, n_classes,
+                                     nodes=nodes, at=at),
+        ref[at])
 
 
 def test_segment_class_prefix_single_class_and_empty():
@@ -105,6 +110,143 @@ def test_boundary_valid_mask_matches_reference(sizes, seed):
         kernels.boundary_valid_mask(*args),
         oracles.boundary_valid_mask_reference(*args),
     )
+
+
+# ---------------------------------------------------------------------------
+# class_boundary_cuts
+# ---------------------------------------------------------------------------
+
+def _class_boundary_rule(valid, values, labels, offsets):
+    """The pruning rule one segment and one value group at a time: the
+    cut opening group g is dropped iff groups g - 1 and g are pure in
+    one class and neither holds its segment's first or last entry."""
+    keep = valid.copy()
+    for k in range(len(offsets) - 1):
+        lo, hi = int(offsets[k]), int(offsets[k + 1])
+        groups = []                                   # [start, end)
+        for i in range(lo, hi):
+            if i == lo or values[i] != values[i - 1]:
+                groups.append([i, i + 1])
+            else:
+                groups[-1][1] = i + 1
+        for g in range(2, len(groups) - 1):
+            a, b = groups[g - 1][0], groups[g][1]
+            if len(set(labels[a:b].tolist())) == 1:
+                keep[groups[g][0]] = False
+    return keep
+
+
+@st.composite
+def _boundary_fragments(draw):
+    """One rank's continuous fragment as FindSplitII sees it: segments
+    (some empty) of sorted values with long duplicate groups, labels in
+    long pure-class runs that often touch a segment's edge, the global
+    counts before it (``below``) and after it, a KEEP_LAST predecessor
+    row per node that may continue the segment's first group, and a
+    random candidate set."""
+    sizes = draw(st.lists(st.integers(0, 16), min_size=1, max_size=6))
+    n_classes = draw(st.integers(2, 4))
+    distinct = draw(st.sampled_from([1, 2, 3, 6, None]))   # None: no ties
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    offsets, nodes = _layout(sizes)
+    n, m = int(offsets[-1]), len(sizes)
+    if distinct is None:
+        values = np.arange(n, dtype=np.float64)
+    else:
+        values = np.concatenate(
+            [np.sort(rng.integers(0, distinct, s)).astype(np.float64)
+             for s in sizes]) if n else np.empty(0, dtype=np.float64)
+    runs = []
+    while sum(map(len, runs)) < n:
+        runs.append(np.full(int(rng.integers(1, 9)),
+                            rng.integers(0, n_classes)))
+    labels = (np.concatenate(runs)[:n] if n else np.empty(0)).astype(np.int64)
+    below = rng.integers(0, 4, (m, n_classes)).astype(np.int64)
+    below[rng.random(m) < 0.3] = 0
+    after = rng.integers(0, 4, (m, n_classes)).astype(np.int64)
+    local = np.bincount(nodes * n_classes + labels,
+                        minlength=m * n_classes).reshape(m, n_classes)
+    totals = below + local + after
+    pred = np.zeros((m, 2))
+    pred[:, 0] = below.sum(axis=1) > 0
+    firsts = values[np.minimum(offsets[:-1], max(n - 1, 0))] if n \
+        else np.zeros(m)
+    pred[:, 1] = firsts - rng.integers(0, 2, m)      # may equal: a straddle
+    candidate_nodes = rng.random(m) < 0.85
+    return values, labels, offsets, nodes, below, totals, pred, \
+        candidate_nodes
+
+
+@settings(deadline=None, max_examples=150)
+@given(_boundary_fragments())
+def test_class_boundary_cuts_keep_a_subset_by_the_rule(fragment):
+    values, labels, offsets, nodes, _b, _t, pred, candidate_nodes = fragment
+    valid = kernels.boundary_valid_mask(values, nodes, offsets,
+                                        candidate_nodes, pred[:, 0] > 0,
+                                        pred[:, 1])
+    keep = kernels.class_boundary_cuts(valid, values, labels, offsets)
+    assert not (keep & ~valid).any()                  # kept ⊆ valid
+    np.testing.assert_array_equal(
+        keep, _class_boundary_rule(valid, values, labels, offsets))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_boundary_fragments(), st.sampled_from(["gini", "entropy"]))
+def test_class_boundary_scan_rows_equal_the_full_scan(fragment, criterion):
+    """FindSplitII's local rows from the kept cuts equal, bit for bit,
+    the rows of scoring every valid cut (the oracle keeps them all), and
+    the ledger books the same rows either way: the full scan."""
+    from repro.core import InductionConfig
+    from repro.core.attribute_lists import LocalAttributeList
+    from repro.core.findsplit import _scan_candidates
+    from repro.datagen.schema import AttributeSpec
+    from repro.perfmodel import RankTracker
+    from repro.runtime.communicator import SelfCommunicator
+
+    values, labels, offsets, _nodes, below, totals, pred, candidate_nodes \
+        = fragment
+    alist = LocalAttributeList(
+        spec=AttributeSpec(name="x", kind="continuous"), attr_index=3,
+        values=values, rids=np.arange(len(values), dtype=np.int64),
+        labels=labels, offsets=offsets,
+    )
+    config = InductionConfig(criterion=criterion)
+
+    def scan(cuts):
+        ledger = RankTracker()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "class_boundary_cuts", cuts)
+            rows = _scan_candidates(SelfCommunicator(ledger), alist, totals,
+                                    candidate_nodes, config, below, pred)
+        return rows, ledger.rows
+
+    rows, ledger = scan(kernels.class_boundary_cuts)
+    full_rows, full_ledger = scan(oracles.class_boundary_cuts_reference)
+    assert rows.tobytes() == full_rows.tobytes()
+    assert ledger == full_ledger
+
+
+def test_class_boundary_cuts_keep_the_edge_groups():
+    """One segment, one class throughout: only the cuts next to the
+    segment's first and last groups survive; with duplicates or without,
+    and a class change brings its cut back."""
+    offsets = np.array([0, 8], dtype=np.int64)
+    labels = np.zeros(8, dtype=np.int64)
+    valid = np.ones(8, dtype=bool)
+    valid[0] = False
+    distinct = np.arange(8, dtype=np.float64)
+    np.testing.assert_array_equal(
+        np.flatnonzero(kernels.class_boundary_cuts(valid, distinct, labels,
+                                                   offsets)), [1, 7])
+    dups = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.float64)
+    valid = np.r_[False, dups[1:] > dups[:-1]]
+    np.testing.assert_array_equal(
+        np.flatnonzero(kernels.class_boundary_cuts(valid, dups, labels,
+                                                   offsets)), [2, 6])
+    labels[4:] = 1                    # groups {0,1} | {2,3} of class 0 …
+    np.testing.assert_array_equal(
+        np.flatnonzero(kernels.class_boundary_cuts(valid, dups, labels,
+                                                   offsets)), [2, 4, 6])
 
 
 # ---------------------------------------------------------------------------

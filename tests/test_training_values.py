@@ -50,6 +50,20 @@ def test_nan_is_refused_typed_on_every_backend(backend, entry):
     assert isinstance(excinfo.value, ValueError)
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("entry", ["fit", "fit_stream"])
+def test_an_empty_training_set_is_refused_before_launch(backend, entry):
+    """Refused by the facade as ``induce_serial`` refuses it, a plain
+    ``ValueError``, not one ``SpmdWorkerError`` carrying p of them."""
+    empty = paper_dataset(40, "F2", seed=1).take(np.arange(0))
+    clf = ScalParC(2, machine=None, backend=backend)
+    with pytest.raises(ValueError, match="empty dataset") as excinfo:
+        getattr(clf, entry)(empty)
+    assert type(excinfo.value) is ValueError
+    with pytest.raises(ValueError, match="empty dataset"):
+        induce_serial(empty)
+
+
 def test_the_serial_oracle_refuses_nan_the_same_way():
     data = _with(np.nan)
     with pytest.raises(NaNTrainingValueError, match="6 NaN"):
