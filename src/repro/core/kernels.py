@@ -188,26 +188,32 @@ def boundary_valid_mask(
     Position ``i`` is a valid candidate iff its node is a candidate and
     its (global) predecessor value is strictly smaller — splits never
     land inside a run of duplicates.  ``has_pred``/``pred_val`` carry the
-    cross-rank boundary resolution (the KEEP_LAST exscan's result).
+    cross-rank boundary resolution (the KEEP_LAST exscan's result).  A
+    NaN predecessor compares as −inf; a segment start without a
+    predecessor is never valid.
+
+    One ``greater`` pass against the left neighbour writes the mask in
+    place; the non-empty segments' starts are then overwritten from
+    ``has_pred``/``pred_val`` (O(m)), NaN predecessors re-compared
+    against −inf only when the fragment holds a NaN, and the candidate
+    mask ANDed in once.
     """
     n = len(values)
-    prev_val = np.empty(n, dtype=np.float64)
-    prev_val[1:] = values[:-1]
-    if n:
-        prev_val[0] = np.nan
-    seg_sizes = np.diff(offsets)
-    starts = offsets[:-1][seg_sizes > 0]
-    is_seg_start = np.zeros(n, dtype=bool)
-    is_seg_start[starts] = True
-    prev_val[starts] = pred_val[nodes[starts]]
-    # NaN predecessors only occur at segment starts without predecessors,
-    # which the has_pred clause already rejects; the where() keeps the
-    # comparison well-defined.
-    return (
-        candidate_nodes[nodes]
-        & (is_seg_start <= has_pred[nodes])  # seg start needs a predecessor
-        & (values > np.where(np.isnan(prev_val), -np.inf, prev_val))
-    )
+    out = np.empty(n, dtype=bool)
+    if n == 0:
+        return out
+    np.greater(values[1:], values[:-1], out=out[1:])
+    if np.isnan(values.max()):                # max propagates any NaN
+        after_nan = np.flatnonzero(np.isnan(values[:-1])) + 1
+        out[after_nan] = values[after_nan] > -np.inf
+    starts = offsets[:-1][np.diff(offsets) > 0]
+    k = nodes[starts]
+    pv = pred_val[k]
+    out[starts] = has_pred[k] & (
+        values[starts] > np.where(np.isnan(pv), -np.inf, pv))
+    if not candidate_nodes.all():
+        out &= candidate_nodes[nodes]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +311,32 @@ def stable_regroup(
     Returns ``(take, offsets)``: applying ``arr[take]`` to every
     entry-aligned array yields the entries grouped by node id in stable
     (original-relative) order, and ``offsets`` is the resulting CSR
-    bound vector.  The fast path narrows the sort key so numpy's stable
-    argsort dispatches to radix sort (int16 whenever the id range fits),
-    and fuses the drop-filter into the gather index so every payload
-    array pays exactly one fancy-index pass.
+    bound vector.  The sort key is ``id + 1`` narrowed to an unsigned
+    width numpy's stable argsort radix-sorts: dropped ids become key 0,
+    sort first and are sliced off the plan, so every payload array pays
+    exactly one fancy-index pass.  Up to 65 535 next-level nodes the key
+    is uint16 (one radix sort); past that it is sorted as two stable
+    uint16 halves, low then high (:func:`_radix_argsort_u32`).
     """
-    idx = np.flatnonzero(new_nodes >= 0)
-    kept = new_nodes[idx]
-    if n_next <= (1 << 15):
-        key = kept.astype(np.int16)
-    elif n_next <= (1 << 31):
-        key = kept.astype(np.int32)
+    if n_next < (1 << 16):
+        key = np.add(new_nodes, 1, dtype=np.uint16, casting="unsafe")
+        take = np.argsort(key, kind="stable")
+    elif n_next < (1 << 32):
+        key = np.add(new_nodes, 1, dtype=np.uint32, casting="unsafe")
+        take = _radix_argsort_u32(key)
     else:
-        key = kept
-    take = idx[np.argsort(key, kind="stable")]
-    counts = np.bincount(kept, minlength=n_next)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    return take, offsets
+        key = np.asarray(new_nodes) + 1
+        take = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=n_next + 1)
+    offsets = np.cumsum(counts, dtype=np.int64)
+    offsets -= counts[0]                      # the dropped entries
+    return take[counts[0]:], offsets
+
+
+def _radix_argsort_u32(key: np.ndarray) -> np.ndarray:
+    """Stable argsort of a uint32 key as two stable uint16 radix sorts
+    (least-significant half first): numpy's stable argsort of a 32-bit
+    key is a timsort, several times slower per entry."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    high = (key >> 16).astype(np.uint16).take(order)
+    return order.take(np.argsort(high, kind="stable"))

@@ -8,8 +8,9 @@ Given every node's winning split:
   table is updated through the parallel hashing paradigm — optionally in
   blocked rounds of ≤ ⌈N/p⌉ updates per rank for memory scalability.
 * **PerformSplitII** — the lists of all non-splitting attributes are
-  split: the node table is enquired for each entry's record id, and the
-  returned next-level node drives a stable local regroup of the list.
+  split: each entry's next-level node is read from the node table — in
+  place for the record ids this rank owns, through one enquiry for the
+  rest — and drives a stable local regroup of the list.
 
 Communication is batched **per level** (§3.1): one table update (in
 blocked rounds) and one enquiry covering every attribute's requests per
@@ -166,31 +167,43 @@ def perform_split(
 
     # --- PerformSplitII: split the other lists via one enquiry ------------
     with timed_phase(comm, PERFORMSPLIT2):
-        new_nodes_per_list: list[np.ndarray] = []
-        lookup_masks: list[np.ndarray] = []
+        splitting = decisions.splitting
+        per_list: list[tuple[np.ndarray, np.ndarray | None]] = []
+        away_keys: list[np.ndarray] = []
+        answered = 0
         for alist, (entries, ids) in zip(lists, winner_entries):
-            new_nodes = np.full(alist.n_local, -1, dtype=np.int64)
-            if len(entries):
-                new_nodes[entries] = ids
+            # PerformSplitI left every splitting record's child in its
+            # home slot: the rids this rank owns read it in place
+            new_nodes, home = table.read_home(alist.rids)
+            sizes = np.diff(alist.offsets)
+            if not splitting.all():
+                np.putmask(new_nodes, np.repeat(~splitting, sizes), -1)
             # entries of splitting nodes whose winner is another attribute
-            need = decisions.splitting \
-                & (decisions.winner_attr != alist.attr_index)
-            new_nodes_per_list.append(new_nodes)
-            lookup_masks.append(need[alist.entry_nodes()])
+            need = splitting & (decisions.winner_attr != alist.attr_index)
+            asked = int(sizes[need].sum())
+            away = None
+            if home is not None:
+                # the winner's own entries, away ones included
+                new_nodes[entries] = ids
+                away = np.flatnonzero(np.repeat(need, sizes) & ~home)
+                away_keys.append(alist.rids[away])
+                asked -= len(away)
+            answered += asked
+            per_list.append((new_nodes, away))
 
-        # one enquiry covering every attribute's requests: a single
-        # all-to-all latency pair per level
-        answers = table.lookup(np.concatenate(
-            [alist.rids[mask] for alist, mask in zip(lists, lookup_masks)]
-            + [np.empty(0, dtype=np.int64)]
-        )).astype(np.int64)
+        # one enquiry covering every attribute's away requests: a single
+        # all-to-all latency pair per level; the home ones are booked
+        answers = table.enquire(
+            np.concatenate(away_keys + [np.empty(0, dtype=np.int64)]),
+            answered=answered,
+        )
         offset = 0
-        for mask, new_nodes in zip(lookup_masks, new_nodes_per_list):
-            count = int(mask.sum())
-            new_nodes[mask] = answers[offset:offset + count]
-            offset += count
+        for new_nodes, away in per_list:
+            if away is not None:
+                new_nodes[away] = answers[offset:offset + len(away)]
+                offset += len(away)
 
-        for alist, new_nodes in zip(lists, new_nodes_per_list):
+        for alist, (new_nodes, _) in zip(lists, per_list):
             comm.perf.add_compute("split", alist.n_local)
             alist.reorder(new_nodes, decisions.n_next)
             comm.perf.register_bytes(

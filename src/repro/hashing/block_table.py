@@ -111,7 +111,48 @@ class DistributedNodeTable:
         """Collectively read ``table[keys[i]]`` for this rank's keys.
 
         Returns values aligned with ``keys``.  Every rank must call this
-        (possibly with an empty batch).
+        (possibly with an empty batch).  Keys this rank owns are read in
+        place (:meth:`read_home`); only the others go through
+        :meth:`enquire`.
+        """
+        keys = np.asarray(keys)
+        values, home = self.read_home(keys)
+        if home is None:
+            self.enquire(keys[:0], answered=len(keys))
+            return values
+        away = np.flatnonzero(~home)
+        values[away] = self.enquire(keys[away],
+                                    answered=len(keys) - len(away))
+        return values
+
+    def read_home(self, keys: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """This rank's slice read at every key it owns — no message.
+
+        Returns ``(values, home)``: int32 values aligned with ``keys``
+        and the mask of the keys in this rank's block, ``None`` when it
+        owns them all.  Values at the other keys are unspecified: the
+        caller fills them (from :meth:`enquire`).  A key outside
+        ``[0, N)`` is never home.
+        """
+        keys = np.asarray(keys)
+        lo, n_local = self.local_start, len(self.local)
+        slots = keys - lo if lo else keys
+        if not len(keys) or (keys.min() >= lo and keys.max() < lo + n_local):
+            return self.local.take(slots), None
+        home = (keys >= lo) & (keys < lo + n_local)
+        if not n_local:
+            return np.full(len(keys), -1, dtype=np.int32), home
+        return self.local.take(slots, mode="clip"), home
+
+    def enquire(self, keys: np.ndarray, answered: int = 0) -> np.ndarray:
+        """Collectively read ``table[keys[i]]`` from the keys' owners:
+        the paradigm's two all-to-alls (§3.3.1).
+
+        ``answered`` is the number of further requests the caller read
+        from its own slice (:meth:`read_home`): they travel nowhere but
+        are booked with the enquiry, so the ledger prices the paper's
+        enquiry of every requested key.  Every rank must call this.
         """
         keys = self._check_keys(keys)
 
@@ -120,7 +161,8 @@ class DistributedNodeTable:
 
         owner, slot = self._hash(keys)
         out = exchange_enquire(
-            self.comm, owner, slot.astype(np.int32, copy=False), lookup_fn)
+            self.comm, owner, slot.astype(np.int32, copy=False), lookup_fn,
+            answered=answered)
         return out.astype(np.int32, copy=False)
 
     # -- checkpoint support ---------------------------------------------------

@@ -180,6 +180,8 @@ def exchange_enquire(
     dest: np.ndarray,
     slots: np.ndarray,
     lookup_fn,
+    *,
+    answered: int = 0,
 ) -> np.ndarray:
     """Fetch values for (dest, slot) requests; answers in request order.
 
@@ -188,7 +190,10 @@ def exchange_enquire(
     intermediate index buffers looked up, intermediate value buffers
     back, result buffers realigned.  Requests this rank owns itself are
     looked up in place (at its own position in source-rank order) and
-    never enter a buffer.
+    never enter a buffer.  ``answered`` counts further requests of this
+    rank's own that the caller already read from its slice: they take no
+    part in the exchange, but are booked like the home requests — hashed,
+    and looked up at this rank's own position.
     """
     slots = np.asarray(slots)
     n = len(slots)
@@ -196,20 +201,20 @@ def exchange_enquire(
     home, away = _split_home(dest, comm)
     sections, (g_slots,), perm = group_by_destination(
         _take(np.asarray(dest), away), comm.size, _take(slots, away))
-    comm.perf.add_compute("hash", n)
+    comm.perf.add_compute("hash", n + answered)
 
     enquiry = [g_slots[sections[d]] for d in range(comm.size)]
     received = comm.alltoallv(enquiry)  # intermediate index buffers
 
     answers = []
     for source, rs in enumerate(received):
+        booked = len(rs)
         if source == rank:
             rs = _take(slots, home)
-        if len(rs):
-            out = lookup_fn(rs)
-            comm.perf.add_compute("table", len(rs))
-        else:
-            out = rs[:0]
+            booked = len(rs) + answered
+        out = lookup_fn(rs) if len(rs) else rs[:0]
+        if booked:
+            comm.perf.add_compute("table", booked)
         answers.append(out)
     h_answers = answers[rank]
     answers[rank] = h_answers[:0]

@@ -34,7 +34,29 @@ def payload_nbytes(obj: object) -> int:
     builtin containers; a pointer-sized constant for everything else.
     Shared-memory descriptors count as their control bytes only — the
     array they reference did not move with the message.
+
+    The common exact types (arrays, ints, floats, lists, tuples, dicts)
+    dispatch on ``type`` first: a level's control payloads are nested
+    containers of plain ints, sized element by element.
     """
+    t = type(obj)
+    if t is np.ndarray:
+        return int(obj.nbytes)
+    if t is int or t is float:
+        return 8
+    if t is list or t is tuple:
+        return _OBJ_OVERHEAD + sum(map(payload_nbytes, obj))
+    if t is dict:
+        return _OBJ_OVERHEAD + sum(
+            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
+        )
+    return _other_nbytes(obj)
+
+
+def _other_nbytes(obj: object) -> int:
+    """:func:`payload_nbytes` of every object without an exact-type fast
+    path (``None``, ``bool``, numpy scalars, descriptors, bytes, strings,
+    sets, subclasses and arbitrary objects)."""
     if obj is None:
         return 0
     if isinstance(obj, (np.ndarray, np.generic)):

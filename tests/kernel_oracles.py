@@ -8,7 +8,10 @@ so a whole fit can be checked event for event.  The two consumers with
 their own vectorized paths have oracles here too:
 :func:`reshard_one_attribute_reference` (the checkpoint re-shard) and
 :func:`categorical_children_reference` (PerformSplitI's categorical
-rid→child routing).
+rid→child routing).  :func:`boundary_valid_mask_prior_reference` is
+the vectorized mask body the single-pass kernel replaced, kept as the
+bit-identity oracle over NaN and ±inf values (where the scalar walk
+reads a NaN predecessor differently).
 """
 
 from __future__ import annotations
@@ -75,6 +78,36 @@ def boundary_valid_mask_reference(
             if float(values[i]) > prev:
                 out[i] = True
     return out
+
+
+def boundary_valid_mask_prior_reference(
+    values: np.ndarray,
+    nodes: np.ndarray,
+    offsets: np.ndarray,
+    candidate_nodes: np.ndarray,
+    has_pred: np.ndarray,
+    pred_val: np.ndarray,
+) -> np.ndarray:
+    """The vectorized body the single-``greater`` kernel replaced: a
+    shifted copy with NaN predecessors read as −inf, per-entry gathers
+    of the node flags and a segment-start mask.  Unlike the scalar walk
+    above it reads a NaN predecessor as −inf, which the kernel must
+    match bit for bit."""
+    n = len(values)
+    prev_val = np.empty(n, dtype=np.float64)
+    prev_val[1:] = values[:-1]
+    if n:
+        prev_val[0] = np.nan
+    seg_sizes = np.diff(offsets)
+    starts = offsets[:-1][seg_sizes > 0]
+    is_seg_start = np.zeros(n, dtype=bool)
+    is_seg_start[starts] = True
+    prev_val[starts] = pred_val[nodes[starts]]
+    return (
+        candidate_nodes[nodes]
+        & (is_seg_start <= has_pred[nodes])
+        & (values > np.where(np.isnan(prev_val), -np.inf, prev_val))
+    )
 
 
 def split_scores_reference(

@@ -112,6 +112,40 @@ def test_boundary_valid_mask_matches_reference(sizes, seed):
     )
 
 
+#: values the mask must order exactly like the body it replaced
+_edge_values = st.sampled_from(
+    [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _valid_mask_inputs(draw):
+    """A segment layout with NaN / ±inf values (unsorted: the mask must
+    not rely on order) and per-node candidate / predecessor flags."""
+    sizes = draw(seg_sizes_st)
+    offsets, nodes = _layout(sizes)
+    m, n = len(sizes), int(offsets[-1])
+    values = np.array(draw(st.lists(_edge_values, min_size=n, max_size=n)),
+                      dtype=np.float64)
+    flags = st.lists(st.booleans(), min_size=m, max_size=m)
+    candidate_nodes = np.array(draw(st.one_of(
+        flags, st.just([True] * m))), dtype=bool)
+    has_pred = np.array(draw(flags), dtype=bool)
+    pred_val = np.array(draw(st.lists(_edge_values, min_size=m,
+                                      max_size=m)), dtype=np.float64)
+    return values, nodes, offsets, candidate_nodes, has_pred, pred_val
+
+
+@settings(deadline=None, max_examples=300)
+@given(_valid_mask_inputs())
+def test_boundary_valid_mask_matches_prior_body_with_nan_and_inf(args):
+    """The single-``greater`` mask is bit-identical to the vectorized body
+    it replaced, NaN predecessors (read as −inf) and ±inf included."""
+    got = kernels.boundary_valid_mask(*args)
+    want = oracles.boundary_valid_mask_prior_reference(*args)
+    assert got.dtype == want.dtype == np.bool_
+    np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # class_boundary_cuts
 # ---------------------------------------------------------------------------
@@ -346,6 +380,26 @@ def test_stable_regroup_beyond_int16_range():
     np.testing.assert_array_equal(f_take, r_take)
     np.testing.assert_array_equal(f_off, r_off)
     assert f_off[-1] == (new_nodes >= 0).sum()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n_next", [40_000, 70_000])
+def test_stable_regroup_past_the_uint16_key_matches_lexsort(n_next, dtype):
+    """More next-level nodes than a 16-bit key holds: the two-pass uint16
+    radix plan equals a lexsort by (id, position) over the kept ids, and
+    the -1 ids are dropped (the int32 ids the node table hands over, and
+    int64 ones)."""
+    rng = np.random.default_rng(40)
+    new_nodes = rng.integers(-1, n_next, 60_000).astype(dtype)
+    new_nodes[rng.random(len(new_nodes)) < 0.2] = -1
+    take, offsets = kernels.stable_regroup(new_nodes, n_next)
+    kept = np.flatnonzero(new_nodes >= 0)
+    want = kept[np.lexsort((kept, new_nodes[kept]))]
+    np.testing.assert_array_equal(take, want)
+    np.testing.assert_array_equal(
+        offsets, np.concatenate(([0], np.cumsum(
+            np.bincount(new_nodes[kept], minlength=n_next)))))
+    assert offsets.dtype == np.int64 and len(offsets) == n_next + 1
 
 
 def test_stable_regroup_is_stable_within_groups():
