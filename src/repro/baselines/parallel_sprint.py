@@ -119,12 +119,11 @@ class ParallelSPRINT(SpmdClassifier):
     def fit(self, dataset: Dataset) -> FitResult:
         """Train on the simulated machine; returns tree + priced stats.
 
-        The replicated table cannot be checkpointed: with a checkpoint
-        policy in force (``config.checkpoint`` or
-        ``REPRO_SPMD_CHECKPOINT``) the fit is refused here with a
+        The replicated table cannot be checkpointed: with
+        ``REPRO_SPMD_CHECKPOINT`` set the fit is refused here with a
         :class:`~repro.runtime.checkpoint.CheckpointError`, before any
         rank is launched.
         """
-        if resolve_checkpoint(self.config.checkpoint) is not None:
+        if resolve_checkpoint(None) is not None:
             ReplicatedSprintSplitPhase().require_checkpointable()
         return self._launch(sprint_worker, dataset)

@@ -73,6 +73,21 @@ class _Choices:
         return iter(self._values())
 
 
+class _ConfigDefault:
+    """An unset option's value: ``InductionConfig``'s default for
+    ``field``, read only when help prints it (``%(default)s``), so the
+    default lives in one place and building the parser imports no
+    inducer.  ``_cmd_train`` leaves such options out of the config."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __str__(self) -> str:
+        from .core.config import InductionConfig
+
+        return str(getattr(InductionConfig, self.field))
+
+
 _BACKENDS = _Choices(".runtime", "available_backends")
 _FUNCTIONS = _Choices(".datagen", "FUNCTION_NAMES")
 
@@ -105,19 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "print the trace report (see also "
                             "REPRO_SPMD_TRACE=1)")
     train.add_argument("--max-depth", type=int, default=None)
-    train.add_argument("--split-mode", default=None, metavar="MODE",
+    train.add_argument("--split-mode", metavar="MODE",
+                       default=_ConfigDefault("split_mode"),
                        choices=_Choices(".core.config", "SPLIT_MODES"),
                        help="FindSplit strategy: exact (the paper's exscan "
-                            "formulation, default) or voted (pre-binned "
-                            "count cubes + PV-Tree attribute voting — the "
-                            "communication-efficient mode); default: "
-                            "REPRO_SPMD_SPLIT_MODE env var, then exact")
-    train.add_argument("--bins", type=int, default=32, metavar="N",
+                            "formulation) or voted (pre-binned count cubes "
+                            "+ PV-Tree attribute voting — the "
+                            "communication-efficient mode; default "
+                            "%(default)s)")
+    train.add_argument("--bins", type=int, metavar="N",
+                       default=_ConfigDefault("n_bins"),
                        help="voted: target bins per continuous attribute "
-                            "(default 32)")
-    train.add_argument("--vote-top-k", type=int, default=2, metavar="K",
+                            "(default %(default)s)")
+    train.add_argument("--vote-top-k", type=int, metavar="K",
+                       default=_ConfigDefault("vote_top_k"),
                        help="voted: attributes each rank votes for per "
-                            "node (default 2)")
+                            "node (default %(default)s)")
     train.add_argument("--criterion", choices=("gini", "entropy"),
                        default="gini")
     train.add_argument("--subset-splits", action="store_true",
@@ -141,18 +159,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="consume the training set as a chunked stream "
                             "(epoch-loop induction over mergeable split "
                             "sketches; see docs/streaming.md)")
-    train.add_argument("--stream-chunk", type=int, default=None, metavar="N",
+    train.add_argument("--stream-chunk", type=int, metavar="N",
+                       default=_ConfigDefault("stream_chunk_records"),
                        help="records ingested per epoch chunk "
-                            "(default 4096; REPRO_STREAM_CHUNK_RECORDS)")
-    train.add_argument("--sketch-size", type=int, default=None, metavar="K",
+                            "(default %(default)s)")
+    train.add_argument("--sketch-size", type=int, metavar="K",
+                       default=_ConfigDefault("sketch_size"),
                        help="per-(node, attribute) sketch capacity; splits "
                             "are batch-exact while distinct values fit "
-                            "(default 256; REPRO_STREAM_SKETCH_SIZE)")
-    train.add_argument("--stream-grow", type=int, default=None, metavar="N",
+                            "(default %(default)s)")
+    train.add_argument("--stream-grow", type=int, metavar="N",
+                       default=_ConfigDefault("stream_grow_records"),
                        help="grow a frontier node once its sketch has seen "
                             "this many records (0 = grow only at end of "
-                            "stream, the batch-exact default; "
-                            "REPRO_STREAM_GROW_RECORDS)")
+                            "stream, the batch-exact mode; default "
+                            "%(default)s)")
     train.add_argument("--max-epochs", type=int, default=None, metavar="E",
                        help="with --stream: stop after E epoch chunks at a "
                             "sealed checkpoint cut (resume later with "
@@ -272,16 +293,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
                                   seed=args.seed, perturbation=args.noise)
         test_set = paper_dataset(max(args.records // 4, 100), args.function,
                                  seed=args.seed + 1)
+    knobs = {"split_mode": args.split_mode, "n_bins": args.bins,
+             "vote_top_k": args.vote_top_k,
+             "stream_chunk_records": args.stream_chunk,
+             "sketch_size": args.sketch_size,
+             "stream_grow_records": args.stream_grow}
     config = InductionConfig(
         max_depth=args.max_depth,
         criterion=args.criterion,
         categorical_binary_subsets=args.subset_splits,
-        split_mode=args.split_mode,
-        n_bins=args.bins,
-        vote_top_k=args.vote_top_k,
-        stream_chunk_records=args.stream_chunk,
-        sketch_size=args.sketch_size,
-        stream_grow_records=args.stream_grow,
+        **{field: value for field, value in knobs.items()
+           if not isinstance(value, _ConfigDefault)},
     )
     if args.max_epochs is not None and not args.stream:
         print("error: --max-epochs requires --stream", file=sys.stderr)
@@ -290,9 +312,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print("error: --stream needs the SPMD engine (drop --serial)",
               file=sys.stderr)
         return 2
-    if args.serial and config.resolved_split_mode() != "exact":
+    if args.serial and config.split_mode != "exact":
         print("note: --serial always uses the exact split enumeration "
-              f"(--split-mode {config.resolved_split_mode()} ignored)",
+              f"(--split-mode {config.split_mode} ignored)",
               file=sys.stderr)
     checkpoint = None
     if args.resume and args.checkpoint_dir is None:

@@ -91,17 +91,17 @@ class SpmdClassifier:
     n_processors:
         Number of simulated ranks (the paper runs 8…128 on the T3D).
     config:
-        Induction parameters; defaults to the paper's behaviour
-        (gini criterion, multiway categorical splits, grow to purity,
-        blocked node-table updates, per-level communication).
+        Induction parameters — the knobs that shape the tree; defaults
+        to the paper's behaviour (gini criterion, multiway categorical
+        splits, grow to purity, exact FindSplit).
     machine:
         Machine spec for the performance model, or ``None`` to skip
         pricing entirely.  Defaults to the Cray-T3D-like preset.
     backend:
         SPMD execution engine (``"thread"``, ``"process"``,
-        ``"tcp"``); ``None`` defers to
-        ``config.backend``, then the ``REPRO_SPMD_BACKEND`` environment
-        variable, then thread.
+        ``"tcp"``); ``None`` defers to the ``REPRO_SPMD_BACKEND``
+        environment variable, then thread.  The engine never changes
+        the tree.
     """
 
     def __init__(
@@ -118,7 +118,7 @@ class SpmdClassifier:
         self.n_processors = n_processors
         self.config = config or InductionConfig()
         self.machine = machine
-        self.backend = backend if backend is not None else self.config.backend
+        self.backend = backend
 
     def _launch(self, worker: Callable[..., DecisionTree], dataset: Dataset,
                 **run_kwargs: Any) -> FitResult:
@@ -164,10 +164,10 @@ class ScalParC(SpmdClassifier):
         :class:`~repro.runtime.checkpoint.CheckpointConfig` (or a bare
         directory path) to snapshot the fit at level boundaries and —
         on the process backend — transparently respawn it from the last
-        snapshot after rank death or timeout; ``None`` defers to
-        ``config.checkpoint``, then ``REPRO_SPMD_CHECKPOINT``.  A config
-        with ``resume`` set continues an interrupted fit instead of
-        starting over.
+        snapshot after rank death or timeout; ``None`` defers to the
+        ``REPRO_SPMD_CHECKPOINT`` environment variable (a directory).
+        A config with ``resume`` set continues an interrupted fit
+        instead of starting over.  Checkpointing never changes the tree.
 
         A continuous column holding NaN is refused before any rank is
         launched (:class:`~repro.datagen.NaNTrainingValueError`, naming
@@ -176,8 +176,6 @@ class ScalParC(SpmdClassifier):
         ``induce_serial`` apply the same checks.
         """
         check_training_values(dataset)
-        if checkpoint is None:
-            checkpoint = self.config.checkpoint
         return self._launch(induce_worker, dataset, trace=trace,
                             checkpoint=checkpoint)
 
@@ -211,16 +209,15 @@ class ScalParC(SpmdClassifier):
         ``checkpoint`` holds — or a fresh tree when none exists yet.  The
         frontier is left open (no finalize growth) so further segments
         can keep refining it; call :meth:`fit_stream` with ``resume`` on
-        the last segment to finalize.  ``checkpoint`` is required: it is
-        the only place the tree persists between segments.
+        the last segment to finalize.  ``checkpoint`` (or
+        ``REPRO_SPMD_CHECKPOINT``) is required: it is the only place the
+        tree persists between segments.
         """
         from dataclasses import replace
 
         from ..runtime.checkpoint import latest_manifest, resolve_checkpoint
 
-        ckpt = resolve_checkpoint(checkpoint
-                                  if checkpoint is not None
-                                  else self.config.checkpoint)
+        ckpt = resolve_checkpoint(checkpoint)
         if ckpt is None:
             raise ValueError(
                 "partial_fit needs a checkpoint directory to carry the "
@@ -238,8 +235,6 @@ class ScalParC(SpmdClassifier):
         from ..streaming import stream_induce_worker
 
         check_training_values(dataset)
-        if checkpoint is None:
-            checkpoint = self.config.checkpoint
         return self._launch(
             stream_induce_worker, dataset,
             kwargs={"max_epochs": max_epochs, "finalize": finalize,

@@ -5,8 +5,9 @@ Given every node's winning split:
 * **PerformSplitI** — the lists of splitting attributes are split locally
   (each entry's child follows directly from the decision), hash buffers of
   (record id → next-level node) pairs are formed, and the distributed node
-  table is updated through the parallel hashing paradigm — optionally in
-  blocked rounds of ≤ ⌈N/p⌉ updates per rank for memory scalability.
+  table is updated through the parallel hashing paradigm — in blocked
+  rounds of ≤ ⌈N/p⌉ updates per rank for memory scalability, as the
+  paper always does.
 * **PerformSplitII** — the lists of all non-splitting attributes are
   split: each entry's next-level node is read from the node table — in
   place for the record ids this rank owns, through one enquiry for the
@@ -159,11 +160,8 @@ def perform_split(
         ids = np.concatenate(
             [ids for _, ids in winner_entries] + [np.empty(0, dtype=np.int64)]
         )
-        table.update(
-            rids, ids.astype(np.int32),
-            blocked=config.blocked_updates,
-            max_block=config.max_update_block,
-        )
+        table.update(rids, ids.astype(np.int32),
+                     max_block=config.max_update_block)
 
     # --- PerformSplitII: split the other lists via one enquiry ------------
     with timed_phase(comm, PERFORMSPLIT2):

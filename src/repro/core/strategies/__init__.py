@@ -37,6 +37,6 @@ STRATEGIES: dict[str, type[SplitStrategy]] = {
 
 
 def make_strategy(config: InductionConfig) -> SplitStrategy:
-    """Instantiate the strategy the config resolves to (strategies are
+    """Instantiate the config's ``split_mode`` strategy (strategies are
     stateless, so a fresh instance per fit costs nothing)."""
-    return STRATEGIES[config.resolved_split_mode()]()
+    return STRATEGIES[config.split_mode]()

@@ -265,7 +265,7 @@ class _SketchSource(LevelSource):
         self.comm, self.frontier, self.config = comm, frontier, config
         self.min_mass, self.reopen_delta = min_mass, reopen_delta
         schema = frontier.schema
-        self.capacity = config.resolved_sketch_size()
+        self.capacity = config.sketch_size
         self.n_classes = schema.n_classes
         self.columns = [np.empty(0, dtype=(
             np.float64 if spec.is_continuous else np.int32))
@@ -548,8 +548,6 @@ def stream_induce_worker(
     if len(dataset.schema) == 0:
         raise ValueError("dataset has no attributes")
     schema = dataset.schema
-    chunk_records = config.resolved_stream_chunk_records()
-    grow_threshold = config.resolved_stream_grow_records()
 
     ckpt_cfg = resolve_checkpoint(checkpoint)
     ckpt = LevelCheckpointer(ckpt_cfg) if ckpt_cfg is not None else None
@@ -557,8 +555,8 @@ def stream_induce_worker(
 
     source = _SketchSource(
         comm, LevelFrontier(schema), config,
-        max(grow_threshold, config.min_split_records),
-        config.resolved_stream_reopen_delta())
+        max(config.stream_grow_records, config.min_split_records),
+        config.stream_reopen_delta)
     epoch, cursor, n_seen = 0, 0, 0
     if resume_src is not None:
         epoch, cursor, n_seen = _resume_cut(comm, resume_src, schema, config,
@@ -566,7 +564,7 @@ def stream_induce_worker(
         if fresh_cursor:
             cursor = 0
 
-    stream = ChunkSource(dataset, chunk_records)
+    stream = ChunkSource(dataset, config.stream_chunk_records)
     epochs_run = 0
     last_saved_epoch = epoch if resume_src is not None else None
     while cursor < stream.n_records and (
@@ -575,10 +573,10 @@ def stream_induce_worker(
         block = stream.rank_block(cursor, comm.rank, comm.size)
         with timed_phase(comm, STREAM_INGEST):
             source.ingest(block)
-        hi = min(cursor + chunk_records, stream.n_records)
+        hi = min(cursor + config.stream_chunk_records, stream.n_records)
         n_seen += hi - cursor
         cursor = hi
-        if grow_threshold:
+        if config.stream_grow_records:
             grow_levels(source.frontier, config, source, epoch, final=False)
         else:
             # growth at finalize only: the epoch heartbeat reduces just

@@ -46,11 +46,8 @@ def perform_split_reference(comm, lists, table, decisions, config) -> None:
         ids = np.concatenate(
             [ids for _, ids in winner_entries] + [np.empty(0, dtype=np.int64)]
         )
-        table.update(
-            rids, ids.astype(np.int32),
-            blocked=config.blocked_updates,
-            max_block=config.max_update_block,
-        )
+        table.update(rids, ids.astype(np.int32),
+                     max_block=config.max_update_block)
 
     with timed_phase(comm, PERFORMSPLIT2):
         new_nodes_per_list: list[np.ndarray] = []

@@ -4,8 +4,8 @@ induction-path correctness fixes that shipped with it:
 * durability discipline — atomic manifests, digest validation, torn cuts
   skipped, pruning;
 * resume — same-size and p → p′ re-sharded, both bit-identical;
-* knob plumbing — ``resolve_checkpoint`` env parity, ``InductionConfig``
-  / ``ScalParC.fit`` integration;
+* knob plumbing — ``resolve_checkpoint`` env parity, ``ScalParC.fit``
+  integration (the policy is no ``InductionConfig`` field);
 * the empty-child leaf labeling fix (parent majority, not class 0);
 * ``LevelDecisions.validate`` rejecting malformed decisions;
 * FindSplitII phase attribution.
@@ -89,10 +89,10 @@ def test_resume_source(tmp_path):
 
 
 def test_induction_config_checkpoint_field(tmp_path):
-    cfg = InductionConfig(checkpoint=str(tmp_path))
-    assert cfg.checkpoint == str(tmp_path)
-    with pytest.raises(TypeError):
-        InductionConfig(checkpoint=42)
+    """Checkpointing never shapes the tree, so it is no config field: it
+    lives in ``fit(checkpoint=)`` and ``REPRO_SPMD_CHECKPOINT`` only."""
+    with pytest.raises(TypeError, match="checkpoint"):
+        InductionConfig(checkpoint=str(tmp_path))
 
 
 def test_should_save_cadence():
@@ -335,7 +335,8 @@ def test_resume_names_the_mismatched_header_field(tmp_path, driver, field):
     assert errors and all(field in str(e) for e in errors)
 
 
-@pytest.mark.parametrize("streaming, knobs, digest", [
+#: (streaming, config knobs, pinned fingerprint)
+PINNED_FINGERPRINTS = [
     (False, {}, "8ad62517fca9b25d"),
     (False, {"n_bins": 7}, "8ad62517fca9b25d"),     # masked in exact mode
     (False, {"split_mode": "voted", "n_bins": 8, "vote_top_k": 1},
@@ -348,21 +349,13 @@ def test_resume_names_the_mismatched_header_field(tmp_path, driver, field):
      "675a4194c2a4cad7"),
     (True, {"stream_grow_records": 500, "stream_reopen_delta": 0.1},
      "1c569498ad2db970"),
-])
-def test_config_fingerprints_are_pinned(monkeypatch, streaming, knobs, digest):
+]
+
+
+@pytest.mark.parametrize("streaming, knobs, digest", PINNED_FINGERPRINTS)
+def test_config_fingerprints_are_pinned(streaming, knobs, digest):
     """Literal pins, computed before the two drivers' fingerprint code
     was unified: a moved digest strands every cut already on disk."""
-    from repro.core.config import (
-        SKETCH_SIZE_ENV,
-        SPLIT_MODE_ENV,
-        STREAM_CHUNK_ENV,
-        STREAM_GROW_ENV,
-        STREAM_REOPEN_ENV,
-    )
-
-    for env in (SPLIT_MODE_ENV, STREAM_CHUNK_ENV, SKETCH_SIZE_ENV,
-                STREAM_GROW_ENV, STREAM_REOPEN_ENV):
-        monkeypatch.delenv(env, raising=False)
     assert InductionConfig(**knobs).fingerprint(streaming) == digest
 
 
@@ -383,12 +376,6 @@ def test_fit_api_and_env_parity(tmp_path, monkeypatch):
     result = ScalParC(2).fit(ds, checkpoint=d1)
     assert result.tree.structurally_equal(golden)
     assert latest_manifest(d1) is not None
-
-    # InductionConfig(checkpoint=...) path
-    d2 = str(tmp_path / "cfg")
-    result = ScalParC(2, config=InductionConfig(checkpoint=d2)).fit(ds)
-    assert result.tree.structurally_equal(golden)
-    assert latest_manifest(d2) is not None
 
     # REPRO_SPMD_CHECKPOINT env path
     d3 = str(tmp_path / "env")

@@ -137,5 +137,5 @@ def test_config_defaults_match_paper():
     cfg = ScalParC(2).config
     assert cfg.criterion == "gini"
     assert cfg.categorical_binary_subsets is False
-    assert cfg.blocked_updates is True
+    assert cfg.split_mode == "exact"
     assert cfg.max_depth is None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SKETCH_SIZE_ENV, SPLIT_MODE_ENV, InductionConfig
 from repro.runtime.engines.base import (
     BACKEND_ENV,
     TIMEOUT_ENV,
@@ -159,17 +158,10 @@ def test_heartbeat_resolver_reports_variable(monkeypatch):
         resolve_hb_interval()
 
 
-def test_sketch_size_resolver_reports_variable(monkeypatch):
-    monkeypatch.setenv(SKETCH_SIZE_ENV, "many")
-    with pytest.raises(EnvVarError, match=SKETCH_SIZE_ENV):
-        InductionConfig().resolved_sketch_size()
-
-
 @pytest.mark.parametrize("env, resolve", [
     (START_METHOD_ENV, _mp_context),
-    (SPLIT_MODE_ENV, lambda: InductionConfig().resolved_split_mode()),
     (BACKEND_ENV, resolve_backend),
-], ids=["start_method", "split_mode", "backend"])
+], ids=["start_method", "backend"])
 def test_choice_resolver_reports_variable(monkeypatch, env, resolve):
     monkeypatch.setenv(env, "bogus")
     with pytest.raises(EnvVarError, match=f"{env}='bogus'"):

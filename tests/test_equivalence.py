@@ -123,7 +123,6 @@ CONFIGS = [
     InductionConfig(criterion="entropy"),
     InductionConfig(categorical_binary_subsets=True),
     InductionConfig(categorical_binary_subsets=True, subset_exhaustive_limit=2),
-    InductionConfig(blocked_updates=False),
     InductionConfig(max_update_block=7),
     InductionConfig(max_update_block=1, max_depth=4),
 ]

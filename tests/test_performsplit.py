@@ -46,7 +46,7 @@ PROC_COUNTS = [1, 2, 3, 5]
 #: winners (13 of its 178 serial nodes at 300 records)
 CASES = [
     ("F2-blocked", "F2", 300, 7,
-     InductionConfig(blocked_updates=True, max_update_block=8)),
+     InductionConfig(max_update_block=8)),
     ("F5-categorical", "F5", 300, 7, InductionConfig()),
 ]
 

@@ -12,7 +12,7 @@ Contracts pinned here (see :mod:`repro.core.strategies`):
 * **the ablation headline** — voted mode cuts FindSplit communication
   ≥5× on a wide continuous schema while staying within 1% training
   accuracy of exact on Quest data;
-* config plumbing: ``REPRO_SPMD_SPLIT_MODE`` env parity, the balanced
+* config plumbing: a stray ``REPRO_SPMD_SPLIT_MODE`` is inert, the balanced
   categorical-coordinator mapping (voted only — exact keeps the legacy
   schedule), and checkpoint rejection of mid-tree strategy switches.
 """
@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.core import InductionConfig, ScalParC
-from repro.core.config import SPLIT_MODE_ENV
 from repro.core.findsplit import coordinator_of
 from repro.core.induction import induce_worker
 from repro.core.phases import FINDSPLIT_PHASES
@@ -187,19 +186,23 @@ def test_voted_cuts_findsplit_bytes_5x_within_1pct_accuracy():
 
 
 def test_split_mode_env_parity(monkeypatch):
-    """An unset ``split_mode`` defers to REPRO_SPMD_SPLIT_MODE exactly as
-    if the mode had been passed explicitly."""
+    """The split mode lives in ``split_mode`` (CLI ``--split-mode``) and
+    nowhere else: with ``REPRO_SPMD_SPLIT_MODE=voted`` in the environment
+    (a variable older versions read) an unset mode stays exact, and the
+    tree equals the one grown with the variable unset.  ``None`` means
+    the default; an unknown mode is refused at construction."""
     ds = paper_dataset(300, "F2", seed=2)
-    explicit = _fit(ds, split_mode="voted", n_bins=16).tree
+    unset = _fit(ds, n_bins=16).tree
+    voted = _fit(ds, split_mode="voted", n_bins=16).tree
+    assert not voted.structurally_equal(unset)
 
-    monkeypatch.setenv(SPLIT_MODE_ENV, "voted")
-    from_env = _fit(ds, split_mode=None, n_bins=16).tree
-    assert from_env.structurally_equal(explicit)
-    assert InductionConfig().resolved_split_mode() == "voted"
+    monkeypatch.setenv("REPRO_SPMD_SPLIT_MODE", "voted")
+    assert _fit(ds, split_mode=None, n_bins=16).tree.structurally_equal(unset)
+    assert InductionConfig().resolved_split_mode() == "exact"
+    assert InductionConfig(split_mode=None) == InductionConfig()
 
-    monkeypatch.setenv(SPLIT_MODE_ENV, "quantum")
     with pytest.raises(ValueError, match="quantum"):
-        InductionConfig().resolved_split_mode()
+        InductionConfig(split_mode="quantum")
 
 
 def test_strategy_registry_covers_all_modes():

@@ -42,8 +42,9 @@ def _split_on_x(threshold=3.5):
 @pytest.mark.parametrize("blocked", [False, True])
 def test_perform_split_routes_all_lists_consistently(size, blocked):
     ds = _two_attr_dataset()
-    # blocked: the node-table update in one-pair rounds (§3.3.2)
-    config = InductionConfig(blocked_updates=blocked, max_update_block=1)
+    # blocked: the node-table update in one-pair rounds (§3.3.2), else
+    # in the default rounds of ⌈N/p⌉ pairs
+    config = InductionConfig(max_update_block=1 if blocked else None)
 
     def worker(comm):
         lists, n_total = build_local_lists(comm, ds)

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import InductionConfig, ScalParC
-from repro.core.config import SKETCH_SIZE_ENV, STREAM_CHUNK_ENV
 from repro.core.criteria import best_categorical_split
 from repro.core.frontier import LevelFrontier
 from repro.core.kernels import split_scores
@@ -652,12 +651,12 @@ def test_leaf_counts_match_the_records_routed_to_them(mode, nprocs):
         minlength=table.n_nodes * c).reshape(-1, c)
     stale = (table.kind == KIND_LEAF) & (
         routed != table.class_counts).any(axis=1)
-    if cfg.resolved_stream_grow_records() == 0:
+    if cfg.stream_grow_records == 0:
         assert not stale.any(), np.flatnonzero(stale)
     shift = 0.5 * np.abs(
         routed[stale] / routed[stale].sum(axis=1, keepdims=True)
         - table.class_counts[stale] / table.n_records[stale, None]).sum(axis=1)
-    assert (shift <= cfg.resolved_stream_reopen_delta()).all()
+    assert (shift <= cfg.stream_reopen_delta).all()
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
@@ -685,7 +684,7 @@ def test_sketches_travel_at_a_capacity_covering_their_node(mode, nprocs,
     for per_rank in zip(*calls.values()):      # one scoring pass
         n = sum(local for _, local in per_rank)
         assert (per_rank[0][0] >= np.minimum(
-            n, cfg.resolved_sketch_size())).all()
+            n, cfg.sketch_size)).all()
 
 
 def _streamed_on_rank(comm, ds, cfg, ckpt_dir):
@@ -860,12 +859,15 @@ def test_midgrow_kill_and_resume_matches_one_shot(tmp_path):
 
 
 def test_stream_knob_env_parity(monkeypatch):
-    monkeypatch.setenv(STREAM_CHUNK_ENV, "777")
-    monkeypatch.setenv(SKETCH_SIZE_ENV, "99")
-    cfg = InductionConfig()
-    assert cfg.resolved_stream_chunk_records() == 777
-    assert cfg.resolved_sketch_size() == 99
-    # explicit fields always win over the environment
+    """The streaming knobs are config fields (and CLI flags) only: the
+    ``REPRO_STREAM_*`` variables older versions read change nothing, and
+    ``None`` means the field's default."""
+    monkeypatch.setenv("REPRO_STREAM_CHUNK_RECORDS", "777")
+    monkeypatch.setenv("REPRO_STREAM_SKETCH_SIZE", "99")
+    cfg = InductionConfig(stream_chunk_records=None, sketch_size=None)
+    assert cfg == InductionConfig()
+    assert cfg.resolved_stream_chunk_records() == 4096
+    assert cfg.resolved_sketch_size() == 256
     cfg = InductionConfig(stream_chunk_records=123, sketch_size=64)
     assert cfg.resolved_stream_chunk_records() == 123
     assert cfg.resolved_sketch_size() == 64

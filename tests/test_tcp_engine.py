@@ -168,12 +168,11 @@ def test_transport_accounting_counts_real_wire_bytes():
         assert tracker.transport_shared_bytes == 0
 
 
-def test_induction_config_accepts_tcp(tiny_quest):
+def test_scalparc_fits_on_tcp(tiny_quest):
     from repro.baselines import induce_serial
-    from repro.core import InductionConfig, ScalParC
+    from repro.core import ScalParC
 
-    clf = ScalParC(n_processors=2,
-                   config=InductionConfig(backend="tcp"))
+    clf = ScalParC(n_processors=2, backend="tcp")
     result = clf.fit(tiny_quest)
     assert result.tree.structurally_equal(induce_serial(tiny_quest))
     # full induction over a real socket transport moved real bytes
