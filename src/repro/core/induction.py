@@ -41,7 +41,6 @@ from ..runtime.checkpoint import (
     resolve_checkpoint,
     restore_rank_extras,
 )
-from ..runtime.tracing import tag_level
 from ..tree.model import DecisionTree
 from .attribute_lists import LocalAttributeList, build_local_lists, \
     hand_off_lists, restore_local_lists
@@ -157,7 +156,7 @@ class _ListSource(LevelSource):
     ckpt: LevelCheckpointer | None
 
     def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
-        tag_level(self.comm, level)
+        self.comm.level = level
         with timed_phase(self.comm, FINDSPLIT1):
             return node_class_totals(self.comm, self.lists[0], len(fids),
                                      self.dataset.schema.n_classes)

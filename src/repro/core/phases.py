@@ -9,10 +9,10 @@ per-phase table the paper's accompanying technical report studies — plus
 the Handoff that ends the level-synchronous loop at p > 1.
 
 When the region is entered with the *communicator* (rather than a bare
-tracker), the phase name is additionally stamped onto every collective
-the region issues while the job is being traced
-(:mod:`repro.runtime.tracing`), and the tracker accumulates per-phase
-communication volume alongside per-phase time.
+tracker), the region also sets the communicator's ``phase``, which
+stamps every collective the region issues when the job is traced
+(:mod:`repro.runtime.tracing`); per-phase communication volume is read
+from those events, never from the tracker.
 """
 
 from __future__ import annotations
@@ -83,17 +83,19 @@ def timed_phase(perf_or_comm: Any, name: str) -> Iterator[None]:
 
     Accepts either a tracker (anything with ``clock`` /
     ``add_phase_time``) or a communicator — in the latter case the
-    block's collectives are also phase-tagged in the collective trace
-    when one is being recorded.
+    communicator's ``phase`` is ``name`` for the block and is restored
+    after it.
     """
-    perf = getattr(perf_or_comm, "perf", perf_or_comm)
-    tracer = getattr(perf_or_comm, "_tracer", None)
-    if tracer is not None:
-        outer, tracer.phase = tracer.phase, name
+    perf = getattr(perf_or_comm, "perf", None)
+    if perf is None:
+        perf, comm = perf_or_comm, None
+    else:
+        comm = perf_or_comm
+        outer, comm.phase = comm.phase, name
     start = perf.clock
     try:
         yield
     finally:
         perf.add_phase_time(name, perf.clock - start)
-        if tracer is not None:
-            tracer.phase = outer
+        if comm is not None:
+            comm.phase = outer

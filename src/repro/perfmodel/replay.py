@@ -203,14 +203,9 @@ def price(ledgers: Sequence[RankTracker],
         compute_units=_sum_counters(t.compute_units for t in ranks),
         phase_seconds=phases,
         level_marks=tuple(ranks[0].level_marks),
-        phase_bytes=_sum_counters(t.phase_comm_bytes for t in ledgers),
         transport_pickled_bytes=sum(
             t.transport_pickled_bytes for t in ledgers),
         transport_shared_bytes=sum(t.transport_shared_bytes for t in ledgers),
-        phase_pickled_bytes=_sum_counters(
-            t.phase_pickled_bytes for t in ledgers),
-        phase_shared_bytes=_sum_counters(
-            t.phase_shared_bytes for t in ledgers),
     )
 
 

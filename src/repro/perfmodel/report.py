@@ -70,9 +70,6 @@ class SimulatedRunStats:
     phase_seconds: dict = field(default_factory=dict)
     #: per-level (label, end_clock) marks from rank 0
     level_marks: tuple = ()
-    #: bytes moved per algorithm phase (sum over ranks; populated only on
-    #: traced runs — the collective-trace recorder feeds the trackers)
-    phase_bytes: dict = field(default_factory=dict)
     #: *measured* bytes actually serialized onto an engine transport
     #: (sum over ranks; nonzero only on the process backend)
     transport_pickled_bytes: int = 0
@@ -80,27 +77,6 @@ class SimulatedRunStats:
     #: of being serialized (sum over ranks; nonzero only when the process
     #: backend's data plane is enabled)
     transport_shared_bytes: int = 0
-    #: measured serialized bytes per algorithm phase (sum over ranks)
-    phase_pickled_bytes: dict = field(default_factory=dict)
-    #: measured shared-segment bytes per algorithm phase (sum over ranks)
-    phase_shared_bytes: dict = field(default_factory=dict)
-
-    def findsplit_bytes(self) -> int:
-        """Bytes moved by split determination (sum over ranks; traced
-        runs only): every ``FindSplit*`` phase, including the strategy
-        sub-phases ``FindSplitI.hist`` / ``FindSplitI.vote`` — the
-        quantity the split-mode ablation compares across strategies.
-        Matched by prefix so the report layer needs no knowledge of which
-        strategy ran."""
-        return sum(v for k, v in self.phase_bytes.items()
-                   if k.startswith("FindSplit"))
-
-    def findsplit_breakdown(self) -> dict:
-        """Per-phase split-determination bytes (the per-mode breakdown:
-        exact runs populate FindSplitI/II, voted adds FindSplitI.hist and
-        FindSplitI.vote)."""
-        return {k: v for k, v in sorted(self.phase_bytes.items())
-                if k.startswith("FindSplit")}
 
     def level_durations(self) -> list[tuple[object, float]]:
         """Per-level durations derived from rank 0's level marks."""
@@ -128,16 +104,6 @@ class SimulatedRunStats:
                 > sum(self.collective_counts.values()) else ""
             ),
         ]
-        if self.phase_bytes:
-            vol = ", ".join(
-                f"{k}={format_bytes(v)}"
-                for k, v in sorted(self.phase_bytes.items())
-            )
-            lines.append(f"  phase traffic : {vol}")
-            lines.append(
-                f"  split volume  : {format_bytes(self.findsplit_bytes())}"
-                " (all FindSplit* phases)"
-            )
         # the measured transport counters (transport_pickled_bytes /
         # transport_shared_bytes) are deliberately NOT in this block: it
         # reports the simulated machine, which is engine-independent and

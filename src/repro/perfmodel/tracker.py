@@ -20,15 +20,15 @@ therefore a *position* — the row count — which is all
 :func:`~repro.core.phases.timed_phase` needs to say which rows a phase
 covered.
 
-Two things are measured rather than replayed, and kept as counters: the
-transport traffic an engine really moved (``add_transport``) and, on
-traced runs, the bytes per phase the trace recorder saw
-(``add_phase_comm``).
+One thing is measured rather than replayed, and kept as two counters:
+the transport traffic an engine really moved (``add_transport``).  The
+collective trace (:mod:`repro.runtime.tracing`) feeds nothing here, so a
+traced run books the same ledger as an untraced one; per-phase bytes
+are read from the trace events.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -60,11 +60,6 @@ class RankTracker:
     # backends with no physical transport (thread ranks share a heap).
     transport_pickled_bytes: int = 0
     transport_shared_bytes: int = 0
-    phase_pickled_bytes: Counter = field(default_factory=Counter)
-    phase_shared_bytes: Counter = field(default_factory=Counter)
-    #: communicated bytes per phase (fed by the collective-trace recorder
-    #: when a run is traced)
-    phase_comm_bytes: Counter = field(default_factory=Counter)
 
     @property
     def clock(self) -> int:
@@ -124,24 +119,11 @@ class RankTracker:
 
     # -- measured counters --------------------------------------------------
 
-    def add_phase_comm(self, name: str, nbytes: int) -> None:
-        """Attribute communicated bytes to an algorithm phase (fed by the
-        collective-trace recorder when a run is traced)."""
-        if nbytes > 0:
-            self.phase_comm_bytes[name] += int(nbytes)
-
-    def add_transport(self, pickled: int, shared: int,
-                      phase: str | None = None) -> None:
+    def add_transport(self, pickled: int, shared: int) -> None:
         """Record *actual* transport traffic (engine callback): bytes
         serialized onto a pipe vs. bytes moved via shared memory."""
-        if pickled > 0:
-            self.transport_pickled_bytes += int(pickled)
-            if phase:
-                self.phase_pickled_bytes[phase] += int(pickled)
-        if shared > 0:
-            self.transport_shared_bytes += int(shared)
-            if phase:
-                self.phase_shared_bytes[phase] += int(shared)
+        self.transport_pickled_bytes += int(pickled)
+        self.transport_shared_bytes += int(shared)
 
     def merge_remote(self, remote: "RankTracker") -> None:
         """Take over the ledger a rank process shipped home: there is one

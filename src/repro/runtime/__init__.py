@@ -66,8 +66,8 @@ _MODULES = {
     ),
     "tracing": (
         "LogicalOp", "TraceCollector", "TraceConformanceError", "TraceEvent",
-        "TraceRecorder", "check_traces", "format_trace_report",
-        "last_trace_collector", "logical_ops", "tag_level", "trace_enabled",
+        "check_traces", "format_trace_report", "last_trace_collector",
+        "logical_ops", "trace_enabled",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()

@@ -32,8 +32,8 @@ sealed at a crash may trail the newest started cut by up to two windows.
 
 The save is collective (the digests are allgathered so rank 0 can seal
 the manifest); the load is purely local.  Digests use the same blake2b
-family as the collective-trace recorder's payload digests, so a
-checkpoint can be cross-checked against a traced run's records.
+family as the collective trace's payload digests, so a checkpoint can
+be cross-checked against a traced run's records.
 
 ``resolve_checkpoint`` gives the knob the same env-var parity as the
 runtime's timeout/backend/trace/shm settings: ``REPRO_SPMD_CHECKPOINT``
@@ -204,7 +204,7 @@ def resolve_checkpoint(
 
 
 def _digest(blob: bytes) -> str:
-    """blake2b content digest (same family as the trace recorder's
+    """blake2b content digest (same family as the collective trace's
     payload digests, long enough to make silent corruption detectable)."""
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 

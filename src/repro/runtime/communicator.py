@@ -25,9 +25,10 @@ wherever an engine lets the contributions meet.
 :meth:`Communicator._exchange` is the thin wrapper over the engine
 primitive that also books each completed collective on the rank's ledger
 (``comm.perf``, priced after the run by :func:`repro.perfmodel.price`)
-and records collective-trace events when the job runs with tracing
-enabled (see :mod:`repro.runtime.tracing`), so semantics, accounting and
-tracing are engine-independent.
+and, when the job runs with tracing enabled, appends one event stamped
+with the communicator's ``phase`` and ``level`` to ``trace_events`` (see
+:mod:`repro.runtime.tracing`), so semantics, accounting and tracing are
+engine-independent.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .collective import Collective
 from .errors import CollectiveAbortedError, InvalidRankError
 from .fusion import FusedBatch
 from .reduction import ReduceOp
+from .tracing.events import trace_event
 
 __all__ = [
     "Communicator",
@@ -75,11 +77,7 @@ class NullPerf:
     def add_phase_time(self, name: str, seconds: float) -> None:
         """No-op (unpriced run)."""
 
-    def add_transport(self, pickled: int, shared: int,
-                      phase: str | None = None) -> None:
-        """No-op (unpriced run)."""
-
-    def add_phase_comm(self, name: str, nbytes: int) -> None:
+    def add_transport(self, pickled: int, shared: int) -> None:
         """No-op (unpriced run)."""
 
     def add_collective(self, spec: Collective, payload: Any) -> None:
@@ -110,10 +108,6 @@ class Communicator(ABC):
     on all ranks instead of deadlocking.
     """
 
-    #: per-rank collective-trace recorder; attached by the engine when the
-    #: job runs with tracing enabled (see repro.runtime.tracing)
-    _tracer: Any | None = None
-
     def __init__(self, rank: int, size: int, perf: Any | None = None):
         if size <= 0:
             raise ValueError(f"communicator size must be positive, got {size}")
@@ -123,6 +117,14 @@ class Communicator(ABC):
         self.size = size
         #: per-rank performance tracker (duck-typed; see perfmodel.RankTracker)
         self.perf = perf if perf is not None else _NULL_PERF
+        #: the algorithm phase this rank is in (set by ``timed_phase``)
+        self.phase: str | None = None
+        #: the tree level (streaming: epoch) this rank is growing (set by
+        #: the induction loops)
+        self.level: int | None = None
+        #: this rank's collective trace: a list the engine attaches when
+        #: the job runs with tracing enabled, None otherwise
+        self.trace_events: list | None = None
 
     # ------------------------------------------------------------------
     # engine primitives
@@ -139,25 +141,25 @@ class Communicator(ABC):
         """Engine-independent collective front door: dispatches to the
         engine's :meth:`_exchange_impl`, then books the completed
         collective on this rank's ledger (``perf.add_collective``) and,
-        when this rank carries a trace recorder, records one trace event.
+        when this rank is traced, appends one event to ``trace_events``.
         A collective that aborts records nothing — the truncation is the
         evidence the conformance checker reports.
 
         ``fused`` is the fusion layer's group behind a fused collective:
         its ``manifest(spec, result)`` expands the event back into per-logical-op
-        digest records.  It is only consulted when a tracer is attached,
-        so untraced fused runs pay nothing for it.
+        digest records.  It is only consulted when the rank is traced, so
+        untraced fused runs pay nothing for it.
         """
-        tracer, perf = self._tracer, self.perf
-        if tracer is None:
+        events, perf = self.trace_events, self.perf
+        if events is None:
             result = self._exchange_impl(spec, payload)
         else:
             clock, start = perf.clock, time.perf_counter()
             result = self._exchange_impl(spec, payload)
-            tracer.record(spec.name, payload, result,
-                          time.perf_counter() - start, clock, perf,
-                          fused_from=None if fused is None
-                          else fused.manifest(spec, result))
+            events.append(trace_event(
+                len(events), spec.name, payload, result,
+                time.perf_counter() - start, clock, self.phase, self.level,
+                None if fused is None else fused.manifest(spec, result)))
         perf.add_collective(spec, payload)
         return result
 
@@ -249,10 +251,10 @@ class SelfCommunicator(Communicator):
     that needs no other rank (ScalParC's subtrees after the hand-off).
 
     Every collective is its spec's ``finish`` over the one contribution,
-    run in place — no engine, no ledger row, no tracer, so nothing is
-    priced as communication, nothing crosses a transport and nothing is
-    recorded in a trace.  ``perf`` is the caller's tracker: compute,
-    memory and phase rows still land on the rank that does the work.
+    run in place — no engine, no ledger row, no trace event: nothing is
+    priced as communication and nothing crosses a transport.  ``perf`` is
+    the caller's tracker: compute, memory and phase rows still land on
+    the rank that does the work.
     Point-to-point is a FIFO per tag to oneself.
     """
 

@@ -124,10 +124,9 @@ class SpmdEngine(ABC):
 
         ``trace`` is an optional
         :class:`~repro.runtime.tracing.TraceCollector`: the engine must
-        call ``trace.begin(size, backend=...)`` before ranks start, attach
-        a :class:`~repro.runtime.tracing.TraceRecorder` as each world
-        communicator's ``_tracer``, and ``trace.deliver(rank, events)``
-        every rank's events after the job — including failed jobs, so
+        call ``trace.begin(size, backend=...)`` before ranks start, give
+        each world communicator an empty ``trace_events`` list, and
+        ``trace.deliver(rank, events)`` every rank's list after the job — including failed jobs, so
         partial traces survive aborts.  A rank that died without handing
         anything over is simply never delivered."""
 

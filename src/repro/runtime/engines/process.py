@@ -99,7 +99,6 @@ from ..shm import (
     resolve_shm_threshold,
     unlink_segment,
 )
-from ..tracing import TraceRecorder
 from .base import SpmdEngine
 from .group import (
     Group,
@@ -269,14 +268,7 @@ class ProcessCommunicator(Communicator):
         self._conn = conn
         self._shm = shm
 
-    # -- transport accounting + channel IO ------------------------------
-
-    def _count_transport(self, pickled: int, shared: int) -> None:
-        fn = getattr(self.perf, "add_transport", None)
-        if fn is not None:
-            tracer = self._tracer
-            fn(pickled, shared,
-               phase=tracer.phase if tracer is not None else None)
+    # -- channel IO (each transfer counted by perf.add_transport) -------
 
     def _raw_send(self, msg: tuple) -> None:
         try:
@@ -285,7 +277,7 @@ class ProcessCommunicator(Communicator):
             raise CollectiveAbortedError(
                 f"connection to the job coordinator lost: {exc}"
             ) from exc
-        self._count_transport(nbytes, 0)
+        self.perf.add_transport(nbytes, 0)
 
     def _recv_msg(self) -> tuple:
         try:
@@ -299,7 +291,7 @@ class ProcessCommunicator(Communicator):
             raise CollectiveAbortedError(
                 f"connection to the job coordinator lost: {exc}"
             ) from exc
-        self._count_transport(nbytes, 0)
+        self.perf.add_transport(nbytes, 0)
         return msg
 
     def _send_msg(self, msg: tuple) -> None:
@@ -332,7 +324,7 @@ class ProcessCommunicator(Communicator):
         enc = encode_payload(payload, shm.get_pool(), shm.threshold,
                              on_place)
         if shared[0]:
-            self._count_transport(0, shared[0])
+            self.perf.add_transport(0, shared[0])
         return enc
 
     def _decode(self, obj: Any) -> Any:
@@ -351,7 +343,7 @@ class ProcessCommunicator(Communicator):
             else:
                 shm.pending_free.append((desc.owner, desc.token))
         if consumed:
-            self._count_transport(0, sum(d.nbytes for d in consumed))
+            self.perf.add_transport(0, sum(d.nbytes for d in consumed))
         return out
 
     # -- request/reply core --------------------------------------------
@@ -411,10 +403,7 @@ def _run_worker(conn: Channel, comm: ProcessCommunicator, worker: Callable,
     events).  Shared by the process and TCP backends."""
     # traces ride home on the final protocol message, whatever its kind,
     # so a worker abort still delivers the events recorded before it
-    events = None
-    if trace_on:
-        comm._tracer = TraceRecorder(comm.rank, comm.size)
-        events = comm._tracer.events
+    events = comm.trace_events = [] if trace_on else None
 
     def final(msg: tuple) -> None:
         try:

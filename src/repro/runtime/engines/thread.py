@@ -34,7 +34,6 @@ from typing import Any, Callable, Sequence
 
 from ..communicator import Communicator
 from ..errors import CollectiveAbortedError, CollectiveMismatchError
-from ..tracing import TraceRecorder
 from .base import SpmdEngine
 from .group import (
     Group,
@@ -237,7 +236,7 @@ class ThreadEngine(SpmdEngine):
         if trace is not None:
             trace.begin(size, backend="thread")
             for comm in comms:
-                comm._tracer = TraceRecorder(comm.rank, size)
+                comm.trace_events = []
 
         def run_rank(g: int) -> None:
             job.wait(g)                 # the first slot
@@ -263,7 +262,7 @@ class ThreadEngine(SpmdEngine):
 
         if trace is not None:
             for comm in comms:
-                trace.deliver(comm.rank, comm._tracer.events)
+                trace.deliver(comm.rank, comm.trace_events)
 
         raise_failures(job.failures, job.tracebacks)
         return job.results

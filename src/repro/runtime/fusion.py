@@ -39,10 +39,10 @@ exactly as with a plain ``reduce``.
 
 Pricing and tracing both see one collective per group: the cost model
 charges the collective latency once and the bandwidth term on the summed
-bytes (this is the measurable win), while the trace recorder stores a
-``fused_from`` manifest of per-logical-op digests so the conformance
-checker — and the fused-vs-unfused differential suite — can still
-cross-validate every *logical* collective individually.
+bytes (this is the measurable win), while a traced rank's event for the
+group carries a ``fused_from`` manifest of per-logical-op digests so the
+conformance checker — and the fused-vs-unfused differential suite — can
+still cross-validate every *logical* collective individually.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import numpy as np
 from .collective import Collective, section_views
 from .payload import payload_nbytes
 from .reduction import ReduceOp
+from .tracing.events import LogicalOp, payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .communicator import Communicator
@@ -144,8 +145,6 @@ class _Group:
         """Expand the fused event back into its logical collectives so the
         conformance checker and differential suites can cross-validate
         each one (built only when the run is traced)."""
-        from .tracing.events import LogicalOp, payload_digest
-
         return tuple(
             LogicalOp(
                 op=s.logical_op,

@@ -6,11 +6,11 @@ MINLOC-style best-split allreduce in FindSplitII, the all-to-alls of the
 parallel hashing paradigm in PerformSplitI).  This package provides the
 machine-checkable evidence:
 
-* :class:`TraceRecorder` — an opt-in per-rank recorder that captures one
-  structured :class:`TraceEvent` per collective call (op kind, reduce
-  operator, dtype/shape, payload and result digests, bytes moved,
-  wall/simulated time, and the phase/level tag supplied by the induction
-  loop);
+* :class:`TraceEvent` — one structured record per collective call per
+  rank (op kind, reduce operator, dtype/shape, payload and result
+  digests, bytes moved, wall time and ledger position, and the
+  communicator's ``phase`` / ``level`` at the call), appended by the
+  communicator to its ``trace_events`` list when the job is traced;
 * :class:`TraceCollector` — gathers the per-rank traces after a job on
   any engine backend, including partial traces from ranks that aborted;
 * :func:`check_traces` — the conformance checker: cross-validates the
@@ -22,7 +22,9 @@ Enable with ``run_spmd(..., trace=TraceCollector())``, the
 ``REPRO_SPMD_TRACE=1`` environment variable (auto-checks every job and
 raises :class:`TraceConformanceError` on divergence), or the CLI's
 ``--trace`` flag.  Tracing is off by default and costs a single
-``is None`` check per collective when disabled.
+``is None`` check per collective when disabled.  The trace is a sink:
+nothing it records feeds the ranks' ledgers, so a fit's priced stats are
+the same traced or not.
 
 Like the ranks' ledgers (``comm.perf``), the trace covers every
 collective of the job: a job has one communicator per rank, spanning the
@@ -36,6 +38,13 @@ from .checker import (
     TraceConformanceError,
     check_traces,
 )
+from .collector import (
+    TraceCollector,
+    format_trace_report,
+    last_trace_collector,
+    resolve_trace,
+    trace_enabled,
+)
 from .events import (
     LogicalOp,
     REDUCE_KINDS,
@@ -44,15 +53,6 @@ from .events import (
     TraceEvent,
     logical_ops,
     payload_digest,
-)
-from .recorder import (
-    TraceCollector,
-    TraceRecorder,
-    format_trace_report,
-    last_trace_collector,
-    resolve_trace,
-    tag_level,
-    trace_enabled,
 )
 
 __all__ = [
@@ -65,13 +65,11 @@ __all__ = [
     "TraceCollector",
     "TraceConformanceError",
     "TraceEvent",
-    "TraceRecorder",
     "check_traces",
     "format_trace_report",
     "last_trace_collector",
     "logical_ops",
     "payload_digest",
     "resolve_trace",
-    "tag_level",
     "trace_enabled",
 ]

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..payload import payload_nbytes
+
 __all__ = [
     "LogicalOp",
     "REDUCE_KINDS",
@@ -38,6 +40,7 @@ __all__ = [
     "logical_ops",
     "parse_op",
     "payload_digest",
+    "trace_event",
 ]
 
 #: environment variable enabling tracing (and auto-conformance-checking)
@@ -208,9 +211,9 @@ class TraceEvent:
     #: the tracker's clock at call entry — a ledger's row index (0.0
     #: when unpriced; the harness's wall-clock tracker reads seconds)
     clock: float
-    #: algorithm phase tag active at the call (set by the induction loop)
+    #: the communicator's ``phase`` at the call (set by ``timed_phase``)
     phase: str | None
-    #: tree level active at the call (set by the induction loop)
+    #: the communicator's ``level`` at the call (set by the induction loop)
     level: int | None
     #: for fused collectives only: the manifest of logical collectives
     #: this rendezvous replaced, in section order (None for plain ops)
@@ -236,6 +239,41 @@ class TraceEvent:
                 f"\n      └ {entry.describe()}" for entry in self.fused_from
             )
         return out
+
+
+def _np_meta(payload) -> tuple[str | None, tuple | None]:
+    """(dtype, shape) of a numpy contribution; (None, None) otherwise."""
+    if isinstance(payload, np.ndarray):
+        return str(payload.dtype), tuple(payload.shape)
+    if isinstance(payload, np.generic):
+        return str(payload.dtype), ()
+    return None, None
+
+
+def trace_event(seq: int, op: str, payload, result, wall_seconds: float,
+                clock: float, phase: str | None, level: int | None,
+                fused_from: tuple | None = None) -> TraceEvent:
+    """The event of one completed collective: ``op`` with this rank's
+    ``payload`` and ``result``, digested and sized."""
+    kind, operator = parse_op(op)
+    dtype, shape = _np_meta(payload)
+    return TraceEvent(
+        seq=seq,
+        kind=kind,
+        op=op,
+        operator=operator,
+        dtype=dtype,
+        shape=shape,
+        payload_digest=payload_digest(payload),
+        payload_nbytes=payload_nbytes(payload),
+        result_digest=payload_digest(result),
+        result_nbytes=payload_nbytes(result),
+        wall_seconds=wall_seconds,
+        clock=clock,
+        phase=phase,
+        level=level,
+        fused_from=fused_from,
+    )
 
 
 def logical_ops(events) -> list[LogicalOp]:

@@ -70,7 +70,6 @@ from ..runtime.checkpoint import (
     restore_rank_extras,
 )
 from ..runtime.reduction import SUM
-from ..runtime.tracing import tag_level
 from ..tree.compile import KIND_CONTINUOUS, KIND_LEAF
 from ..tree.model import DecisionTree
 from .sketch import build_sketch_stack, merge_stacks, sketch_identity_like
@@ -569,7 +568,7 @@ def stream_induce_worker(
     last_saved_epoch = epoch if resume_src is not None else None
     while cursor < stream.n_records and (
             max_epochs is None or epochs_run < max_epochs):
-        tag_level(comm, epoch)
+        comm.level = epoch
         block = stream.rank_block(cursor, comm.rank, comm.size)
         with timed_phase(comm, STREAM_INGEST):
             source.ingest(block)
@@ -592,7 +591,7 @@ def stream_induce_worker(
 
     tree = None
     if finalize and cursor >= stream.n_records:
-        tag_level(comm, epoch)
+        comm.level = epoch
         tree = grow_levels(source.frontier, config, source, epoch)
 
     if ckpt is not None:

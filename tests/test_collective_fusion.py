@@ -86,7 +86,7 @@ def test_fused_results_equal_direct_collectives():
 
 def test_grouping_one_rendezvous_per_kind_operator_layout():
     def worker(comm):
-        before = len(comm._tracer.events)
+        before = len(comm.trace_events)
         with comm.fused() as batch:
             # three cellwise SUM exscans, all shapes → ONE group
             batch.exscan(np.ones((2, 3), dtype=np.int64), reduction.SUM)
@@ -99,7 +99,7 @@ def test_grouping_one_rendezvous_per_kind_operator_layout():
                          root=1)
             # row-coupled op → its own group, concatenated along axis 0
             batch.allreduce(np.zeros((2, 2)), ROWWISE_MAX)
-        return [e.op for e in comm._tracer.events[before:]]
+        return [e.op for e in comm.trace_events[before:]]
 
     ops = run_spmd(2, worker, trace=TraceCollector())[0]
     assert ops == [
@@ -111,12 +111,12 @@ def test_grouping_one_rendezvous_per_kind_operator_layout():
 
 def test_noncellwise_groups_split_by_trailing_shape():
     def worker(comm):
-        before = len(comm._tracer.events)
+        before = len(comm.trace_events)
         with comm.fused() as batch:
             batch.allreduce(np.zeros((2, 2)), ROWWISE_MAX)
             batch.allreduce(np.zeros((5, 2)), ROWWISE_MAX)   # same rows
             batch.allreduce(np.zeros((2, 3)), ROWWISE_MAX)   # wider rows
-        return [e.op for e in comm._tracer.events[before:]]
+        return [e.op for e in comm.trace_events[before:]]
 
     ops = run_spmd(2, worker, trace=TraceCollector())[0]
     assert ops == [
@@ -155,7 +155,7 @@ def test_empty_batch_and_error_exit_issue_no_collectives():
         except RuntimeError:
             pass
         # an exceptional exit must NOT flush (ranks may have diverged)
-        return future.done, len(comm._tracer.events)
+        return future.done, len(comm.trace_events)
 
     results = run_spmd(2, worker, trace=TraceCollector())
     assert results == [(False, 0), (False, 0)]

@@ -10,6 +10,8 @@ splits, blocked updates, one-pair update rounds) and processor counts.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,16 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: repr(c)[16:60])
+def _non_default_fields(config: InductionConfig) -> str:
+    """A config's test id: the fields it sets away from their defaults."""
+    default = InductionConfig()
+    return ",".join(
+        f"{f.name}={getattr(config, f.name)}"
+        for f in dataclasses.fields(config)
+        if getattr(config, f.name) != getattr(default, f.name))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_non_default_fields)
 def test_config_sweep_equal_across_p(config):
     ds = generate_quest(300, "F3", seed=8)
     _check_all_p(ds, config, procs=[2, 5])
