@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.attribute_lists import LocalAttributeList
+from ..core.attribute_lists import LocalAttributeList, block_leaders, \
+    regroup_lists
 from ..core.classifier import FitResult, SpmdClassifier
 from ..core.config import InductionConfig
 from ..core.induction import induce_worker
@@ -82,8 +83,14 @@ class ReplicatedSprintSplitPhase(SplitPhase):
         self.table[all_rids] = all_ids
         comm.perf.add_compute("table", len(all_rids))
 
-        # split every list locally against the replicated table
-        for alist, (entries, ids) in zip(lists, winner_entries):
+        # split every record block locally against the replicated table
+        lead = block_leaders(lists)
+        new_nodes_of: list[np.ndarray | None] = []
+        for i, (alist, (entries, ids)) in enumerate(zip(lists,
+                                                        winner_entries)):
+            if lead[i] != i:
+                new_nodes_of.append(None)
+                continue
             nodes = alist.entry_nodes()
             new_nodes = np.full(alist.n_local, -1, dtype=np.int64)
             if len(entries):
@@ -92,11 +99,8 @@ class ReplicatedSprintSplitPhase(SplitPhase):
                 decisions.winner_attr[nodes] != alist.attr_index
             )
             new_nodes[need] = self.table[alist.rids[need]]
-            comm.perf.add_compute("split", alist.n_local)
-            alist.reorder(new_nodes, decisions.n_next)
-            comm.perf.register_bytes(
-                f"attr_list[{alist.spec.name}]", alist.nbytes()
-            )
+            new_nodes_of.append(new_nodes)
+        regroup_lists(comm, lists, new_nodes_of, decisions.n_next)
 
 
 def sprint_worker(

@@ -43,7 +43,7 @@ from ..runtime.checkpoint import (
 )
 from ..tree.model import DecisionTree
 from .attribute_lists import LocalAttributeList, build_local_lists, \
-    hand_off_lists, restore_local_lists
+    hand_off_lists, restore_local_lists, snapshot_lists
 from .config import InductionConfig
 from .findsplit import node_class_totals
 from .frontier import CatState, Layouts, LevelFrontier, LevelSource, \
@@ -271,8 +271,7 @@ class _ListSource(LevelSource):
         """
         compact = getattr(self.dataset, "columns", None) is not None
         rank_payload = {
-            "lists": [alist.snapshot_state(compact=compact)
-                      for alist in self.lists],
+            "lists": snapshot_lists(self.lists, compact=compact),
             "split_phase": self.split_phase.snapshot_state(),
             **rank_extras(self.comm),
         }

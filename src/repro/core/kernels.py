@@ -316,7 +316,10 @@ def stable_regroup(
     sort first and are sliced off the plan, so every payload array pays
     exactly one fancy-index pass.  Up to 65 535 next-level nodes the key
     is uint16 (one radix sort); past that it is sorted as two stable
-    uint16 halves, low then high (:func:`_radix_argsort_u32`).
+    uint16 halves, low then high (:func:`_radix_argsort_u32`).  The
+    offsets are read off the sorted key: a binary search for the end of
+    each key ``0 … n_next`` (in the key's own dtype, so 65 535 next-level
+    nodes still fit the uint16 key).
     """
     if n_next < (1 << 16):
         key = np.add(new_nodes, 1, dtype=np.uint16, casting="unsafe")
@@ -327,10 +330,11 @@ def stable_regroup(
     else:
         key = np.asarray(new_nodes) + 1
         take = np.argsort(key, kind="stable")
-    counts = np.bincount(key, minlength=n_next + 1)
-    offsets = np.cumsum(counts, dtype=np.int64)
-    offsets -= counts[0]                      # the dropped entries
-    return take[counts[0]:], offsets
+    ends = np.searchsorted(key.take(take),
+                           np.arange(n_next + 1, dtype=key.dtype),
+                           side="right")
+    dropped = ends[0]
+    return take[dropped:], (ends - dropped).astype(np.int64, copy=False)
 
 
 def _radix_argsort_u32(key: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ Given every node's winning split:
 * **PerformSplitII** — the lists of all non-splitting attributes are
   split: each entry's next-level node is read from the node table — in
   place for the record ids this rank owns, through one enquiry for the
-  rest — and drives a stable local regroup of the list.
+  rest — and drives a stable local regroup of the list, one per record
+  block (the categorical lists share theirs).
 
 Communication is batched **per level** (§3.1): one table update (in
 blocked rounds) and one enquiry covering every attribute's requests per
@@ -26,7 +27,8 @@ import numpy as np
 
 from ..hashing import DistributedNodeTable
 from ..runtime import CheckpointError, Communicator
-from .attribute_lists import LocalAttributeList
+from .attribute_lists import LocalAttributeList, block_leaders, \
+    regroup_lists
 from .config import InductionConfig
 from .phases import PERFORMSPLIT1, PERFORMSPLIT2, timed_phase
 
@@ -166,23 +168,34 @@ def perform_split(
     # --- PerformSplitII: split the other lists via one enquiry ------------
     with timed_phase(comm, PERFORMSPLIT2):
         splitting = decisions.splitting
-        per_list: list[tuple[np.ndarray, np.ndarray | None]] = []
+        # a record block's lists share one regroup: its leader's next-level
+        # ids serve them all, so only the leader reads the table
+        lead = block_leaders(lists)
+        homes: dict[int, np.ndarray | None] = {}
+        per_list: list[tuple[np.ndarray | None, np.ndarray | None]] = []
         away_keys: list[np.ndarray] = []
         answered = 0
-        for alist, (entries, ids) in zip(lists, winner_entries):
-            # PerformSplitI left every splitting record's child in its
-            # home slot: the rids this rank owns read it in place
-            new_nodes, home = table.read_home(alist.rids)
+        for i, (alist, (entries, ids)) in enumerate(zip(lists,
+                                                        winner_entries)):
             sizes = np.diff(alist.offsets)
-            if not splitting.all():
-                np.putmask(new_nodes, np.repeat(~splitting, sizes), -1)
+            new_nodes = None
+            if lead[i] == i:
+                # PerformSplitI left every splitting record's child in its
+                # home slot: the rids this rank owns read it in place
+                new_nodes, homes[i] = table.read_home(alist.rids)
+                if not splitting.all():
+                    np.putmask(new_nodes, np.repeat(~splitting, sizes), -1)
+            home = homes[lead[i]]
             # entries of splitting nodes whose winner is another attribute
             need = splitting & (decisions.winner_attr != alist.attr_index)
             asked = int(sizes[need].sum())
             away = None
             if home is not None:
-                # the winner's own entries, away ones included
-                new_nodes[entries] = ids
+                if new_nodes is not None:
+                    # the winner's own entries, away ones included
+                    new_nodes[entries] = ids
+                # a follower still asks for its away ids: the enquiry
+                # is the paper's, list by list
                 away = np.flatnonzero(np.repeat(need, sizes) & ~home)
                 away_keys.append(alist.rids[away])
                 asked -= len(away)
@@ -198,15 +211,12 @@ def perform_split(
         offset = 0
         for new_nodes, away in per_list:
             if away is not None:
-                new_nodes[away] = answers[offset:offset + len(away)]
+                if new_nodes is not None:
+                    new_nodes[away] = answers[offset:offset + len(away)]
                 offset += len(away)
 
-        for alist, (new_nodes, _) in zip(lists, per_list):
-            comm.perf.add_compute("split", alist.n_local)
-            alist.reorder(new_nodes, decisions.n_next)
-            comm.perf.register_bytes(
-                f"attr_list[{alist.spec.name}]", alist.nbytes()
-            )
+        regroup_lists(comm, lists, [new_nodes for new_nodes, _ in per_list],
+                      decisions.n_next)
 
 
 class SplitPhase:

@@ -402,6 +402,39 @@ def test_stable_regroup_past_the_uint16_key_matches_lexsort(n_next, dtype):
     assert offsets.dtype == np.int64 and len(offsets) == n_next + 1
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n_next", [65_534, 65_535, 65_536, (1 << 17) + 3])
+def test_stable_regroup_offsets_at_the_key_width_edges(n_next, dtype):
+    """The offsets are searched off the sorted key for every key
+    0 … n_next: at 65 535 next-level nodes the uint16 key is full (key
+    n_next = 65 535 is its largest value), one more takes the two-half
+    uint32 path.  The last node and dropped ids are both present."""
+    rng = np.random.default_rng(n_next)
+    new_nodes = rng.integers(-1, n_next, 20_000).astype(dtype)
+    new_nodes[:3] = [n_next - 1, -1, 0]
+    new_nodes[-2:] = [n_next - 1, n_next - 2]
+    take, offsets = kernels.stable_regroup(new_nodes, n_next)
+    r_take, r_off = oracles.stable_regroup_reference(new_nodes, n_next)
+    np.testing.assert_array_equal(take, r_take)
+    np.testing.assert_array_equal(offsets, r_off)
+    assert offsets.dtype == np.int64 and len(offsets) == n_next + 1
+    assert offsets[-1] - offsets[-2] == (new_nodes == n_next - 1).sum()
+
+
+@pytest.mark.parametrize("n_next", [0, 1, 5, 65_535, 70_000])
+def test_stable_regroup_all_dropped_and_empty(n_next):
+    """Every id dropped, and no entry at all: an empty plan and
+    ``n_next + 1`` zero offsets, as the reference gives."""
+    for new_nodes in (np.full(7, -1, dtype=np.int32),
+                      np.empty(0, dtype=np.int64)):
+        take, offsets = kernels.stable_regroup(new_nodes, n_next)
+        r_take, r_off = oracles.stable_regroup_reference(new_nodes, n_next)
+        assert len(take) == 0 and len(r_take) == 0
+        np.testing.assert_array_equal(offsets, r_off)
+        np.testing.assert_array_equal(offsets, np.zeros(n_next + 1))
+        assert offsets.dtype == np.int64
+
+
 def test_stable_regroup_is_stable_within_groups():
     new_nodes = np.array([1, 0, 1, -1, 0, 1], dtype=np.int64)
     take, offsets = kernels.stable_regroup(new_nodes, 2)
