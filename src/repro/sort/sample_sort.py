@@ -7,7 +7,10 @@ rank's record block go through **one schedule**
 (:func:`presort_columns`; :func:`parallel_sample_sort` is its one-column
 case):
 
-1. each rank sorts every column of its fragment (kept as permutations);
+1. each rank sorts every column of its fragment (kept as permutations):
+   its rids ascend, so the (value, rid) order is the stable order of the
+   values, which :func:`~repro.sort.keys.stable_argsort` computes as an
+   unstable SIMD argsort plus a tie repair by position;
 2. one allgather carries, for every column, each rank's *interior*
    regular samples — the midpoints of equal strata, never a fragment's
    min or max (:func:`sample_positions` sizes them) — and every rank
@@ -20,7 +23,8 @@ case):
 4. per column, one all-to-all personalized exchange carries the
    ``(values, rids, payload…)`` blocks together and the received sorted
    runs are merged (:func:`~repro.sort.keys.lexsort_values_rids`'s stable
-   single-key pass);
+   single-key pass: timsort, which merges concatenated sorted runs faster
+   than step 1's sort repairs them);
 5. per column, one more all-to-all — the parallel shift — restores the
    exact ⌈N/p⌉ block distribution.
 

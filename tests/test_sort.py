@@ -294,17 +294,6 @@ def test_count_below_matches_bruteforce(pairs, sv, sr):
     assert got == expected
 
 
-@settings(deadline=None, max_examples=50)
-@given(
-    st.lists(st.integers(-5, 5), min_size=1, max_size=50),
-)
-def test_lexsort_produces_total_order(raw):
-    values = np.array(raw, dtype=np.float64)
-    rids = np.arange(len(raw), dtype=np.int64)
-    order = lexsort_values_rids(values, rids)
-    assert is_sorted_pairs(values[order], rids[order])
-
-
 def test_is_sorted_pairs_rejects_rid_inversion():
     assert not is_sorted_pairs(np.array([1.0, 1.0]), np.array([5, 2]))
     assert is_sorted_pairs(np.array([1.0, 1.0]), np.array([2, 5]))
