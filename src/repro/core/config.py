@@ -96,11 +96,14 @@ class InductionConfig:
         ingested per epoch (default 4096).
     sketch_size:
         Streaming induction: capacity (distinct-value slots) of each
-        per-(node, attribute) quantile sketch (default 256).  The sketch
-        is *lossless* — and the streamed tree bit-identical to batch
-        ScalParC on the same prefix — whenever every (node, attribute)
-        pair sees at most this many distinct values; beyond that it
-        compresses deterministically and splits become approximate.
+        per-(node, continuous attribute) quantile sketch (default 256).
+        The sketch is *lossless* — and the streamed tree bit-identical
+        to batch ScalParC on the same prefix — whenever every (node,
+        continuous attribute) pair sees at most this many distinct
+        values; beyond that it compresses deterministically and splits
+        become approximate.  Categorical attributes are kept as exact
+        per-node count rows (``n_values × n_classes`` each, as batch's
+        count matrices), which this bound does not touch.
     stream_grow_records:
         Streaming induction: minimum *global* record mass a frontier
         node's sketch must have seen before it may split mid-stream.
@@ -141,7 +144,8 @@ class InductionConfig:
         return self.stream_chunk_records
 
     def resolved_sketch_size(self) -> int:
-        """The per-(node, attribute) sketch capacity (``sketch_size``)."""
+        """The per-(node, continuous attribute) sketch capacity
+        (``sketch_size``)."""
         return self.sketch_size
 
     def fingerprint(self, streaming: bool = False) -> str:

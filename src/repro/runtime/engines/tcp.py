@@ -316,26 +316,30 @@ class _Heartbeat:
             self._thread.join(timeout=1.0)
 
 
-def _connect_with_retry(addr: tuple[str, int], timeout: float,
+def _connect_with_retry(addr: tuple[int, tuple], timeout: float,
                         who: str) -> socket.socket:
-    """Dial the coordinator with jittered exponential backoff, bounded
-    by the bootstrap budget."""
+    """Dial the coordinator at ``addr`` — ``(family, sockaddr)``, the
+    listener's own numeric address, so no dial pays a name lookup — with
+    jittered exponential backoff, bounded by the bootstrap budget."""
+    family, sockaddr = addr
     budget = _bootstrap_budget(timeout)
     deadline = time.monotonic() + budget
     delay = 0.02
     while True:
         remaining = deadline - time.monotonic()
+        sock = socket.socket(family, socket.SOCK_STREAM)
         try:
-            sock = socket.create_connection(
-                addr, timeout=max(0.1, min(2.0, remaining))
-            )
+            sock.settimeout(max(0.1, min(2.0, remaining)))
+            sock.connect(sockaddr)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError as exc:
+            sock.close()
             if time.monotonic() + delay >= deadline:
                 raise RendezvousError(
                     f"{who}: could not reach the coordinator at "
-                    f"{addr[0]}:{addr[1]} within {budget:.1f}s: {exc}"
+                    f"{sockaddr[0]}:{sockaddr[1]} within {budget:.1f}s: "
+                    f"{exc}"
                 ) from exc
             time.sleep(delay * (1.0 + random.random()))
             delay = min(delay * 2, 1.0)
@@ -360,7 +364,7 @@ def _expect_welcome(obj: Any, job_id: str, size: int) -> dict:
     return manifest
 
 
-def _rank_main(addr: tuple[str, int], job_id: str, rank: int, size: int,
+def _rank_main(addr: tuple[int, tuple], job_id: str, rank: int, size: int,
                worker: Callable, args: tuple, kwargs: dict,
                perf: Any | None, trace_on: bool, timeout: float,
                hb_interval: float, max_frame: int) -> None:
@@ -391,7 +395,7 @@ def _rank_main(addr: tuple[str, int], job_id: str, rank: int, size: int,
 # ----------------------------------------------------------------------
 
 
-def _host_main(addr: tuple[str, int], job_id: str, host_id: int,
+def _host_main(addr: tuple[int, tuple], job_id: str, host_id: int,
                ranks: list[int], size: int, worker: Callable, args: tuple,
                kwargs: dict, perf_by_rank: dict, trace_on: bool,
                timeout: float, hb_interval: float, max_frame: int) -> None:
@@ -688,7 +692,9 @@ class TcpEngine(ProcessEngine):
         listener = socket.create_server(
             ("127.0.0.1", 0), backlog=size + len(topo) + 2
         )
-        addr = ("127.0.0.1", listener.getsockname()[1])
+        # resolved once, here: every host and rank dials this numeric
+        # sockaddr directly
+        addr = (listener.family, listener.getsockname())
 
         ctx = _mp_context()
         hosts = []

@@ -3,12 +3,13 @@
 Records arrive in per-epoch chunks instead of being presorted up front
 (pdsCART, arXiv:2505.11780; stream-split estimators, arXiv:2403.19867).
 Each rank retains the records it has ingested, routes every new chunk
-down the current tree to its leaves, and keeps mergeable quantile
-sketches per (open leaf, attribute) — see :mod:`repro.streaming.sketch`.
-The tree grows by the batch drivers' loop,
-:func:`~repro.core.frontier.grow_levels`, over the same per-node
-:class:`~repro.core.frontier.LevelFrontier`; only the statistics come
-from sketches, through :class:`_SketchSource`::
+down the current tree to its leaves, and keeps mergeable statistics
+per open leaf: a quantile sketch per continuous attribute (see
+:mod:`repro.streaming.sketch`) and, per categorical attribute, the exact
+class counts per value — batch ScalParC's count matrix.  The tree grows
+by the batch drivers' loop, :func:`~repro.core.frontier.grow_levels`,
+over the same per-node :class:`~repro.core.frontier.LevelFrontier`;
+only the statistics differ, through :class:`_SketchSource`::
 
     do while (records remain in the stream)
         Stream.ingest   — route this epoch's chunk, update local sketches
@@ -23,13 +24,14 @@ from sketches, through :class:`_SketchSource`::
 
 Every ``class_totals`` also refreshes the open leaves and reopens closed
 leaves whose class distribution shifted.  One pass sends a node's
-sketches where ScalParC sends a level's count matrices — to the rank
+statistics where ScalParC sends a level's count matrices — to the rank
 that scores them::
 
     Stream.sketch   — class totals (SUM allreduce)
-    Stream.grow     — build the sketches candidates do not hold yet
-    Stream.sketch   — each candidate's local sketches to its scorer
-                      (one alltoallv), folded there by merge_stacks
+    Stream.grow     — build the statistics candidates do not hold yet
+    Stream.sketch   — each candidate's local sketches and count rows to
+                      its scorer (one alltoallv), folded there (sketches
+                      by merge_stacks, count rows summed)
     Stream.grow     — the scorer scores its share (:func:`_score_nodes`);
                       the rows, with each categorical winner's count
                       matrix, reach every rank (one allgatherv); splits
@@ -37,12 +39,12 @@ that scores them::
 
 The class totals and the winners are global, so every rank builds an
 identical tree — exactly the batch driver's replication argument — while
-a node's merged sketches exist only on its scorer.  A child's class
+a node's merged statistics exist only on its scorer.  A child's class
 counts are the next pass's exact totals, whatever the sketches lost.
 With ``stream_grow_records == 0`` (the default: growth only at finalize)
-and lossless sketches, the streamed tree is **bit-identical** to batch
-ScalParC's on the same record prefix; the differential suite pins this
-with ``structurally_equal``.
+and lossless continuous sketches, the streamed tree is **bit-identical**
+to batch ScalParC's on the same record prefix; the differential suite
+pins this with ``structurally_equal``.
 """
 
 from __future__ import annotations
@@ -115,28 +117,45 @@ def _scorer_shares(pos: np.ndarray, caps: np.ndarray,
 
 def _sketches_to_scorers(comm: Communicator, source: "_SketchSource",
                          caps: np.ndarray, shares: list) -> list:
-    """Send the local sketches of the scored nodes to their scorers and
+    """Send the local statistics of the scored nodes to their scorers and
     fold what arrives.
 
     One ``alltoallv`` block per destination holds its share's capacity
-    runs back to back, so the block a rank sends itself never travels.
-    Returns ``(nodes, stack)`` per run of this rank's share: the run's
-    nodes and their global ``(n, n_attrs, cap, 1+c)`` sketches — every
-    rank's block folded in rank order by :func:`merge_stacks`, which
-    merges cell by cell, so these are the same rows a fold of the whole
-    pass would give.
+    runs back to back — each run's continuous sketches, then its
+    categorical count rows — so the block a rank sends itself never
+    travels.  Returns ``(nodes, stack, rows)`` per run of this rank's
+    share: the run's nodes, their global ``(n, n_continuous, cap, 1+c)``
+    sketches — every rank's block folded in rank order by
+    :func:`merge_stacks`, which merges cell by cell, so these are the
+    same rows a fold of the whole pass would give — and their global
+    ``(n, row_width)`` count rows, every rank's rows summed.
     """
-    got = comm.alltoallv([np.concatenate([np.empty(0)] + [
-        source.gather(source.fids[share[lo:hi]], cap).ravel()
-        for lo, hi, cap in _cap_runs(caps[share])]) for share in shares])
+    def block(share: np.ndarray) -> np.ndarray:
+        parts = [np.empty(0)]
+        for lo, hi, cap in _cap_runs(caps[share]):
+            stack, rows = source.gather(source.fids[share[lo:hi]], cap)
+            parts += [stack.ravel(), rows.ravel()]
+        return np.concatenate(parts)
+
+    got = comm.alltoallv([block(share) for share in shares])
     mine, folded, off = shares[comm.rank], [], 0
     for lo, hi, cap in _cap_runs(caps[mine]):
-        shape = (hi - lo, len(source.columns), cap, 1 + source.n_classes)
-        size = int(np.prod(shape))
-        folded.append((mine[lo:hi], merge_stacks(
-            [block[off:off + size].reshape(shape) for block in got])))
-        off += size
+        shape = (hi - lo, len(source.continuous), cap, 1 + source.n_classes)
+        size, width = int(np.prod(shape)), (hi - lo) * source.row_width
+        stack = merge_stacks([b[off:off + size].reshape(shape) for b in got])
+        rows = sum(b[off + size:off + size + width] for b in got)
+        folded.append((mine[lo:hi], stack,
+                       rows.reshape(hi - lo, source.row_width)))
+        off += size + width
     return folded
+
+
+def _row_starts(schema: Schema) -> np.ndarray:
+    """Where each attribute's ``(n_values, c)`` count matrix starts in a
+    node's flat count row, in values (a continuous attribute takes
+    none): the categorical attributes' matrices back to back."""
+    widths = [0 if spec.is_continuous else spec.n_values for spec in schema]
+    return np.cumsum([0] + widths[:-1], dtype=np.int64)
 
 
 def _winners_to_everyone(comm: Communicator, shares: list, folded: list,
@@ -148,15 +167,18 @@ def _winners_to_everyone(comm: Communicator, shares: list, folded: list,
     categorical state, each categorical winner's count matrix.
 
     One ``allgatherv`` carries each rank's rows in share order, followed
-    by the count matrices of its categorical winners, which the scorer
-    already holds; the shares are known everywhere and a row's attribute
-    says whether a matrix follows and how large, so every rank can take
-    the result apart — and derive the child layouts itself.
+    by the count matrices of its categorical winners — slices of the
+    count rows the scorer already holds; the shares are known everywhere
+    and a row's attribute says whether a matrix follows and how large,
+    so every rank can take the result apart — and derive the child
+    layouts itself.
     """
+    c = totals.shape[1]
     widths = [0 if spec.is_continuous else spec.n_values for spec in schema]
+    starts = c * _row_starts(schema)
     rows, matrices = [np.empty(0)], []
-    for j, stack in folded:
-        best = _score_nodes(stack, totals[j], schema, config)
+    for j, stack, counts in folded:
+        best = _score_nodes(stack, counts, totals[j], schema, config)
         ok = accepted_splits(best, totals[j], np.ones(len(j), dtype=bool),
                              config)
         best[~ok] = np.inf
@@ -164,11 +186,11 @@ def _winners_to_everyone(comm: Communicator, shares: list, folded: list,
         for i in np.flatnonzero(ok).tolist():
             attr = int(best[i, 1])
             if widths[attr]:
-                matrices.append(_count_cubes(stack[i:i + 1, attr],
-                                             widths[attr]).ravel())
+                matrices.append(
+                    counts[i, starts[attr]:starts[attr] + widths[attr] * c])
     got = comm.allgatherv(np.concatenate(rows + matrices))
 
-    best, off, c = pack_candidates(len(totals)), 0, totals.shape[1]
+    best, off = pack_candidates(len(totals)), 0
     cat_state: CatState = {}
     for share in shares:
         best[share] = got[off:off + 3 * len(share)].reshape(-1, 3)
@@ -189,39 +211,35 @@ def _winners_to_everyone(comm: Communicator, shares: list, folded: list,
 
 
 # ----------------------------------------------------------------------
-# split scoring from global sketches (batch-exact semantics)
+# split scoring from global statistics (batch-exact semantics)
 # ----------------------------------------------------------------------
 
 
-def _count_cubes(cells: np.ndarray, n_values: int) -> np.ndarray:
-    """``(k, n_values, c)`` integer count matrices of ``k`` categorical
-    sketches ``cells`` (``(k, cap, 1+c)``)."""
-    rows, slots = np.nonzero(np.isfinite(cells[:, :, 0]))
-    cubes = np.zeros((len(cells), n_values, cells.shape[2] - 1),
-                     dtype=np.int64)
-    cubes[rows, np.rint(cells[rows, slots, 0]).astype(np.int64)] = \
-        np.rint(cells[rows, slots, 1:]).astype(np.int64)
-    return cubes
-
-
-def _score_nodes(stack: np.ndarray, totals: np.ndarray, schema: Schema,
-                 config: InductionConfig) -> np.ndarray:
-    """Best candidate split ``[score, attr, third]`` of every node of
-    ``stack``, scored from its global sketches in one pass per
-    attribute.
+def _score_nodes(stack: np.ndarray, counts: np.ndarray, totals: np.ndarray,
+                 schema: Schema, config: InductionConfig) -> np.ndarray:
+    """Best candidate split ``[score, attr, third]`` of every node, scored
+    in one pass per attribute from its global statistics: ``stack``
+    holds the continuous attributes' sketches (``(k, n_continuous, cap,
+    1+c)``, schema order), ``counts`` the categorical attributes' count
+    rows (``(k, row_width)``, laid out by :func:`_row_starts`).
 
     Reproduces the batch FindSplit semantics exactly when the sketches
-    are lossless: continuous candidates are the distinct values with a
-    strictly smaller predecessor, the threshold is the value itself, the
-    left partition counts everything strictly below it.  Attributes fold
+    are lossless (the count rows always are): continuous candidates are
+    the distinct values with a strictly smaller predecessor, the
+    threshold is the value itself, the left partition counts everything
+    strictly below it; categorical matrices go to
+    :func:`score_categorical_cubes` as batch's cubes do.  Attributes fold
     in schema order and replace a node's best only when strictly better,
     which is the canonical (score, attribute, threshold) order.
     """
     out = pack_candidates(len(stack))
+    c = totals.shape[1]
     totals = totals.astype(np.float64)
+    starts, cont = c * _row_starts(schema), 0
     for attr, spec in enumerate(schema):
-        cells = stack[:, attr]
         if spec.is_continuous:
+            cells = stack[:, cont]
+            cont += 1
             # boundary b splits below row b+1's value: valid iff occupied
             node, b = np.nonzero(np.isfinite(cells[:, 1:, 0]))
             left = np.cumsum(cells[:, :, 1:], axis=1)
@@ -229,7 +247,9 @@ def _score_nodes(stack: np.ndarray, totals: np.ndarray, schema: Schema,
                              cells[node, b + 1, 0], totals,
                              config.criterion)
             continue
-        cubes = _count_cubes(cells, spec.n_values)
+        lo = starts[attr]
+        cubes = counts[:, lo:lo + spec.n_values * c].reshape(
+            -1, spec.n_values, c).astype(np.int64)
         scores, masks = score_categorical_cubes(cubes, config)
         third = np.array([encode_mask(mask) for mask in masks])
         better = scores < out[:, 0]
@@ -249,13 +269,16 @@ class _SketchSource(LevelSource):
 
     The retained records (``columns``, ``labels`` and ``node_of``, each
     record's fid), this rank's class counts per fid and the local
-    sketches of open leaves: ``sketches[fid]`` is ``(n_attrs, rows,
-    1+c)``, built from the retained records when the leaf is first a
-    candidate (the root's from the first record on) and merged with every
-    later chunk; a closed or split node's are dropped.  ``presort`` is
-    the record order of the last build — per attribute, records sorted
-    by (node, value) — which a split only regroups (stable, so value
-    order survives).
+    statistics of open leaves: ``sketches[fid]`` is ``(stack, row)``,
+    the continuous attributes' sketches (``(n_continuous, rows, 1+c)``)
+    and the categorical attributes' class counts per value (a flat
+    ``row_width`` row, :func:`_row_starts`' layout, float64 like a
+    sketch's counts), built from the retained records when the leaf is
+    first a candidate (the root's from the first record on) and merged
+    with every later chunk; a closed or split node's are dropped.
+    ``presort`` is the record order of the last build — per continuous
+    attribute, records sorted by (node, value) — which a split only
+    regroups (stable, so value order survives).
     """
 
     def __init__(self, comm: Communicator, frontier: LevelFrontier,
@@ -273,13 +296,21 @@ class _SketchSource(LevelSource):
         self.node_of = np.empty(0, dtype=np.int64)
         self.local_counts = np.zeros((len(frontier.kind), self.n_classes),
                                      dtype=np.int64)
-        self.sketches = {0: self._empty(1, self.capacity)[0]}
+        self.continuous = [a for a, spec in enumerate(schema)
+                           if spec.is_continuous]
+        self.categorical = [a for a, spec in enumerate(schema)
+                            if not spec.is_continuous]
+        self.value_starts = _row_starts(schema)
+        self.n_values = sum(schema[a].n_values for a in self.categorical)
+        self.row_width = self.n_values * self.n_classes
+        self.sketches = {0: (self._empty(1, self.capacity)[0],
+                             np.zeros(self.row_width))}
         self.presort: list | None = None
         self.fids = np.empty(0, dtype=np.int64)
 
     def _empty(self, n: int, cap: int) -> np.ndarray:
         return sketch_identity_like(np.empty(
-            (n, len(self.columns), cap, 1 + self.n_classes)))
+            (n, len(self.continuous), cap, 1 + self.n_classes)))
 
     # -- the level loop's side ---------------------------------------
 
@@ -319,9 +350,9 @@ class _SketchSource(LevelSource):
             new = np.array([fid not in self.sketches
                             for fid in self.fids[pos].tolist()], dtype=bool)
             if new.any():
-                for fids, block in self._local_sketches(
+                for fids, block, rows in self._local_sketches(
                         self.fids[pos[new]], caps[pos[new]]):
-                    self.sketches.update(zip(fids.tolist(), block))
+                    self.sketches.update(zip(fids.tolist(), zip(block, rows)))
         # each node's sketches go to the one rank that scores it, and
         # only the winners come back — replicating the fold and the
         # scoring pass on every rank would serialize them p times over
@@ -367,57 +398,69 @@ class _SketchSource(LevelSource):
 
     # -- the stream's side -------------------------------------------
 
-    def gather(self, fids: np.ndarray, cap: int) -> np.ndarray:
-        """Local sketches of leaves ``fids`` as one ``cap``-row block."""
+    def gather(self, fids: np.ndarray, cap: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Local statistics of leaves ``fids``: their continuous sketches
+        as one ``cap``-row block and their count rows."""
         out = self._empty(len(fids), cap)
+        rows = np.empty((len(fids), self.row_width))
         for i, fid in enumerate(fids.tolist()):
-            sketch = self.sketches[fid][:, :cap]
+            sketch, rows[i] = self.sketches[fid]
+            sketch = sketch[:, :cap]
             out[i, :, :sketch.shape[1]] = sketch
-        return out
+        return out, rows
 
     def _local_sketches(self, fids: np.ndarray, caps: np.ndarray,
                         lo: int = 0) -> list:
-        """Local sketches of nodes ``fids`` over the retained records
-        from position ``lo`` on: ``(fids, block)`` per run of equal
-        ``caps``, the block ``(n, n_attrs, cap, 1+c)``.  Each node's
-        records come in value order from the presort where it holds them
-        all, from a lexsort otherwise."""
+        """Local statistics of nodes ``fids`` over the retained records
+        from position ``lo`` on: ``(fids, block, rows)`` per run of equal
+        ``caps``, the continuous sketches ``(n, n_continuous, cap, 1+c)``
+        and the count rows ``(n, row_width)``.  Each node's records come
+        in value order from the presort where it holds them all, from a
+        lexsort otherwise; the count rows of every node are one
+        ``bincount`` over (node, value offset + code, class)."""
         by_cap = np.argsort(caps, kind="stable")
         fids, caps = fids[by_cap], caps[by_cap]
         key = np.full(len(self.local_counts), -1, dtype=np.int64)
         key[fids] = np.arange(len(fids))
         node = key[self.node_of]
         node[:lo] = -1
-        sizes = np.bincount(node[node >= 0], minlength=len(fids))
-        if self.presort is not None and np.count_nonzero(
-                node[self.presort[0]] >= 0) == sizes.sum():
+        held = np.flatnonzero(node >= 0)
+        held_node = node[held]
+        sizes = np.bincount(held_node, minlength=len(fids))
+        if self.presort and np.count_nonzero(
+                node[self.presort[0]] >= 0) == len(held):
             recs = [order[kernels.stable_regroup(node[order], len(fids))[0]]
                     for order in self.presort]
         else:
-            held = np.flatnonzero(node >= 0)
-            recs = [held[np.lexsort((col[held], node[held]))]
-                    for col in self.columns]
+            recs = [held[np.lexsort((self.columns[a][held], held_node))]
+                    for a in self.continuous]
         if not lo:
             self.presort = recs
+        c, base = self.n_classes, held_node * self.n_values
+        rows = np.bincount(np.concatenate([np.empty(0, np.int64)] + [
+            (base + self.value_starts[a] + self.columns[a][held]) * c
+            + self.labels[held] for a in self.categorical]),
+            minlength=len(fids) * self.row_width,
+        ).reshape(len(fids), self.row_width).astype(np.float64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         runs = []
         for a_lo, a_hi, cap in _cap_runs(caps):
             nodes = np.repeat(np.arange(a_hi - a_lo), sizes[a_lo:a_hi])
-            block = np.empty((a_hi - a_lo, len(self.columns), cap,
-                              1 + self.n_classes))
-            for a, order in enumerate(recs):
+            block = np.empty((a_hi - a_lo, len(self.continuous), cap, 1 + c))
+            for k, (a, order) in enumerate(zip(self.continuous, recs)):
                 part = order[offsets[a_lo]:offsets[a_hi]]
-                block[:, a] = build_sketch_stack(
+                block[:, k] = build_sketch_stack(
                     nodes, self.columns[a][part], self.labels[part],
-                    a_hi - a_lo, self.n_classes, self.capacity, rows=cap)
-            runs.append((fids[a_lo:a_hi], block))
+                    a_hi - a_lo, c, self.capacity, rows=cap)
+            runs.append((fids[a_lo:a_hi], block, rows[a_lo:a_hi]))
         return runs
 
     def ingest(self, block: Dataset) -> None:
         """Route one epoch block to its leaves through the tree's table,
         extending the retained set, per-fid local counts and the held
-        sketches (a leaf without builds them from every retained record
-        once it is a candidate)."""
+        statistics (a leaf without builds them from every retained
+        record once it is a candidate)."""
         if block.n_records == 0:
             return
         table, fid_of = self.frontier.table()
@@ -436,10 +479,11 @@ class _SketchSource(LevelSource):
             added.any(axis=1)).tolist() if fid in self.sketches],
             dtype=np.int64)
         if len(touched):
-            [(touched, new)] = self._local_sketches(
+            [(touched, new, rows)] = self._local_sketches(
                 touched, np.full(len(touched), self.capacity), lo=base)
-            self.sketches.update(zip(touched.tolist(), merge_stacks(
-                [self.gather(touched, self.capacity), new])))
+            old, old_rows = self.gather(touched, self.capacity)
+            self.sketches.update(zip(touched.tolist(), zip(
+                merge_stacks([old, new]), old_rows + rows)))
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Mergeable per-(node, attribute) split sketches for streaming induction.
+"""Mergeable per-(node, continuous attribute) split sketches for
+streaming induction (a categorical attribute is kept as exact per-node
+count rows instead; see :mod:`repro.streaming.induction`).
 
 A *sketch* summarizes one tree node's view of one attribute as a padded
 ``(capacity, 1 + n_classes)`` float64 array:
 
-* column 0 — the attribute value (a continuous value, or a categorical
-  code cast to float); ``NaN`` marks an empty slot.  Occupied rows are
-  sorted ascending by value and values are distinct.
+* column 0 — the attribute value; ``NaN`` marks an empty slot.
+  Occupied rows are sorted ascending by value and values are distinct.
 * columns 1… — per-class record counts at that value.  Counts are
   integers carried in float64 (exact up to 2**53), so merged counts are
   bit-exact.

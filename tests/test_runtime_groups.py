@@ -80,10 +80,13 @@ def _recv_facing_barrier(comm):
 ])
 def test_deadlock_is_detected_structurally(worker, stuck):
     """Every live rank parked is a deadlock: the job aborts at once,
-    with no timeout given, naming the call each rank is stuck in."""
+    with no timeout given, naming the call each rank is stuck in.  Only
+    the thread engine detects a deadlock structurally
+    (``detects_deadlock``), so the test names it whatever
+    ``REPRO_SPMD_BACKEND`` selects."""
     start = time.monotonic()
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(4, worker)
+        run_spmd(4, worker, backend="thread")
     assert time.monotonic() - start < 1.0
     failures = exc_info.value.failures
     assert set(failures) == {0, 1, 2, 3}

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import InductionConfig, ScalParC
 from repro.core.criteria import best_categorical_split
+from repro.core.findsplit import score_categorical_cubes
 from repro.core.frontier import LevelFrontier
 from repro.core.kernels import split_scores
 from repro.core.phases import STREAM_SKETCH
@@ -232,11 +233,16 @@ _SCORER_ATTRS = (
 
 
 def _random_sketch_stack(rng, n_nodes, n_classes, cap):
-    """``(stack, totals)``: a ``(n_nodes, n_attrs, cap, 1+c)`` global
-    sketch stack built per (node, attribute) by ``build_sketch`` from
-    tiny record sets — empty nodes, single-value attributes and
-    single-class nodes included."""
+    """``(stack, counts, totals)``: a ``(n_nodes, n_attrs, cap, 1+c)``
+    global sketch stack built per (node, attribute) by ``build_sketch``
+    from tiny record sets — empty nodes, single-value attributes and
+    single-class nodes included — and the same records' categorical
+    count rows (``np.add.at`` per categorical attribute, in schema
+    order, each ``(n_values, c)`` matrix flattened)."""
     stack = np.empty((n_nodes, len(_SCORER_ATTRS), cap, 1 + n_classes))
+    cats = [a for a, spec in enumerate(_SCORER_ATTRS)
+            if not spec.is_continuous]
+    counts = []
     totals = np.zeros((n_nodes, n_classes), dtype=np.int64)
     for k in range(n_nodes):
         n = int(rng.integers(0, 13))
@@ -247,8 +253,21 @@ def _random_sketch_stack(rng, n_nodes, n_classes, cap):
                    rng.integers(0, int(rng.integers(1, 4)), n)]
         for a, col in enumerate(columns):
             stack[k, a] = build_sketch(col, labels, n_classes, cap)
+        row = []
+        for a in cats:
+            matrix = np.zeros((_SCORER_ATTRS[a].n_values, n_classes))
+            np.add.at(matrix, (columns[a], labels), 1.0)
+            row.append(matrix.ravel())
+        counts.append(np.concatenate(row))
         totals[k] = np.bincount(labels, minlength=n_classes)
-    return stack, totals
+    return stack, np.array(counts), totals
+
+
+def _continuous_cells(stack, schema):
+    """The continuous attributes' cells of an all-attribute stack: what
+    the streaming scorer receives beside the count rows."""
+    return stack[:, [a for a, spec in enumerate(schema)
+                     if spec.is_continuous]]
 
 
 @pytest.mark.parametrize("mode", ["fast", "reference"])
@@ -264,11 +283,12 @@ def test_batched_scorer_matches_per_node_oracle(criterion, subsets, mode,
     schema = Schema(attributes=_SCORER_ATTRS, n_classes=n_classes)
     config = InductionConfig(criterion=criterion,
                              categorical_binary_subsets=subsets)
-    stack, totals = _random_sketch_stack(rng, 9, n_classes, cap)
+    stack, counts, totals = _random_sketch_stack(rng, 9, n_classes, cap)
     rows = rng.permutation(len(stack))[:7]      # a rank's share, any order
     if mode == "reference":
         request.getfixturevalue("kernel_oracles")
-    got = induction._score_nodes(stack[rows], totals[rows], schema, config)
+    got = induction._score_nodes(_continuous_cells(stack[rows], schema),
+                                 counts[rows], totals[rows], schema, config)
     want = np.array([
         _best_from_sketches(list(stack[k]), totals[k], schema, config)[0]
         for k in rows])
@@ -287,7 +307,8 @@ def test_batched_scorer_tie_breaks():
     stack = np.stack([np.stack([sym, sym]), np.stack([one, one]),
                       np.stack([empty_sketch(8, 2)] * 2)])
     totals = np.array([[2, 2], [1, 1], [0, 0]])
-    got = induction._score_nodes(stack, totals, schema, config)
+    got = induction._score_nodes(stack, np.zeros((3, 0)), totals, schema,
+                                 config)
     assert got[0, 1] == 0.0 and got[0, 2] == 1.0    # attr 0, threshold 1
     assert np.all(np.isinf(got[1:]))
     for k in range(3):
@@ -320,14 +341,106 @@ def test_sketch_stack_builder_matches_build_sketch(seed, n_classes, capacity,
         np.testing.assert_array_equal(got[k], want)
 
 
+def _exact_cubes(source, fids):
+    """Per fid, one rank's ``np.add.at`` count matrix of each categorical
+    attribute over the records it retains — the oracle of a count row."""
+    schema, c = source.frontier.schema, source.n_classes
+    out = {}
+    for fid in fids.tolist():
+        mine = source.node_of == fid
+        out[fid] = []
+        for a, spec in enumerate(schema):
+            if not spec.is_continuous:
+                matrix = np.zeros((spec.n_values, c), dtype=np.int64)
+                np.add.at(matrix, (source.columns[a][mine],
+                                   source.labels[mine]), 1)
+                out[fid].append(matrix)
+    return out
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 31 - 1), nprocs=st.integers(1, 3),
+       chunk=st.integers(40, 400), n_classes=st.integers(2, 3),
+       n_values=st.lists(st.integers(2, 40), min_size=1, max_size=3),
+       eager=st.booleans(), subsets=st.booleans())
+def test_folded_count_rows_are_exact_counts(seed, nprocs, chunk, n_classes,
+                                            n_values, eager, subsets):
+    """On every scorer, every pass's folded count rows equal the
+    ``np.add.at`` counts of the node's records summed over the ranks —
+    any world size, chunking, class count, and category counts beyond
+    the 16-slot sketch size — and the scorer's categorical choice is
+    ``score_categorical_cubes`` on those exact cubes: a categorical
+    winner is the first attribute of least score, with its mask, and a
+    continuous winner (or none) scores no worse than every one."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 500))
+    schema = Schema(attributes=(AttributeSpec("x", CONTINUOUS), *(
+        AttributeSpec(f"g{i}", CATEGORICAL, v)
+        for i, v in enumerate(n_values))), n_classes=n_classes)
+    columns = [rng.integers(0, 50, n) / 4.0] + [
+        rng.integers(0, v, n).astype(np.int32) for v in n_values]
+    labels = (columns[1] + rng.integers(0, 2, n)) % n_classes
+    ds = Dataset(schema=schema, columns=columns, labels=labels, name="cats")
+    config = _stream_cfg(max_depth=4, sketch_size=16,
+                         stream_chunk_records=chunk,
+                         stream_grow_records=120 if eager else 0,
+                         categorical_binary_subsets=subsets)
+    seen: dict[int, list] = {}
+    real = induction._sketches_to_scorers
+
+    def spy(comm, source, caps, shares):
+        folded = real(comm, source, caps, shares)
+        local = _exact_cubes(source, source.fids[np.concatenate(shares)])
+        seen.setdefault(comm.rank, []).append((local, [
+            (source.fids[j], stack, counts) for j, stack, counts in folded]))
+        return folded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induction, "_sketches_to_scorers", spy)
+        run_spmd(nprocs, induction.stream_induce_worker, args=(ds, config),
+                 backend="thread")
+    assert sorted(seen) == list(range(nprocs))
+    checked = 0
+    for passes in zip(*(seen[r] for r in range(nprocs))):
+        exact = {fid: [sum(mats) for mats in zip(*(
+            local[fid] for local, _ in passes))] for fid in passes[0][0]}
+        for _, folded in passes:
+            for fids, stack, counts in folded:
+                want = [exact[fid] for fid in fids.tolist()]
+                np.testing.assert_array_equal(counts, np.array(
+                    [np.concatenate([m.ravel() for m in cubes])
+                     for cubes in want]).reshape(counts.shape))
+                totals = np.array([cubes[0].sum(axis=0) for cubes in want])
+                got = induction._score_nodes(stack, counts, totals, schema,
+                                             config)
+                scores = []
+                for k in range(len(n_values)):
+                    score, masks = score_categorical_cubes(
+                        np.array([cubes[k] for cubes in want]), config)
+                    scores.append((score, masks))
+                for i, row in enumerate(got):
+                    cat = np.array([score[i] for score, _ in scores])
+                    if np.isfinite(row[0]) and row[1] >= 1:  # categorical
+                        k = int(row[1]) - 1
+                        assert k == int(np.argmin(cat))
+                        assert row[0] == cat[k]
+                        assert row[2] == encode_mask(scores[k][1][i])
+                    else:
+                        assert (cat >= row[0]).all()
+                    checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("sketch_size", [16, 4096])
 def test_grow_rounds_child_sketches_match_build_sketch(sketch_size,
                                                        monkeypatch):
     """Every local sketch block a rank builds — from the presort a split
     regrouped, from a fresh lexsort, or over an ingested chunk — equals
-    ``build_sketch`` of each node's records (trimmed to the block's rows),
-    over several eager split passes and the finalize, in the lossless and
-    in the overflowing regime."""
+    ``build_sketch`` of each node's records (trimmed to the block's rows)
+    for every continuous attribute, over several eager split passes and
+    the finalize, in the lossless and in the overflowing regime; the
+    count rows built beside them are each node's exact class counts per
+    categorical value (``car`` has 20 values: more than 16 slots)."""
     ds = paper_dataset(1600, "F5", seed=7)
     cfg = _stream_cfg(sketch_size=sketch_size, stream_chunk_records=400,
                       stream_grow_records=150)
@@ -337,13 +450,24 @@ def test_grow_rounds_child_sketches_match_build_sketch(sketch_size,
 
     def checked(self, fids, caps, lo=0):
         runs = build(self, fids, caps, lo)
-        for run, block in runs:
-            for fid, sketches in zip(run.tolist(), block):
+        schema = self.frontier.schema
+        continuous = [a for a, spec in enumerate(schema)
+                      if spec.is_continuous]
+        for run, block, counts in runs:
+            for fid, sketches, row in zip(run.tolist(), block, counts):
                 mine = lo + np.flatnonzero(self.node_of[lo:] == fid)
-                for a, col in enumerate(self.columns):
-                    np.testing.assert_array_equal(sketches[a], build_sketch(
-                        col[mine], self.labels[mine], self.n_classes,
-                        self.capacity)[:block.shape[2]])
+                for k, a in enumerate(continuous):
+                    np.testing.assert_array_equal(sketches[k], build_sketch(
+                        self.columns[a][mine], self.labels[mine],
+                        self.n_classes, self.capacity)[:block.shape[2]])
+                want = []
+                for a, spec in enumerate(schema):
+                    if not spec.is_continuous:
+                        matrix = np.zeros((spec.n_values, self.n_classes))
+                        np.add.at(matrix, (self.columns[a][mine],
+                                           self.labels[mine]), 1.0)
+                        want.append(matrix.ravel())
+                np.testing.assert_array_equal(row, np.concatenate(want))
                 built.append(fid)
         return runs
 
@@ -560,9 +684,13 @@ def _drift_stream() -> Dataset:
 #: batched rounds replaced, so they pin today's loop to it bit for bit.
 #: The lossy ones were recorded once leaves took their counts from exact
 #: class totals instead of their parent's sketch (the lossy tree's counts
-#: and close decisions moved; see the leaf-count test below).  Lossless
-#: scenarios are world-size independent; lossy sketches compress per
-#: rank, so their tree legitimately depends on p.
+#: and close decisions moved; see the leaf-count test below), and again
+#: at p = 1 and 2 once categorical statistics became exact count rows
+#: (``car`` has 20 values, more than the 16 slots a sketch held: the
+#: first node that differs is a ``car`` split whose sketch had merged
+#: codes into bins).  Lossless scenarios are world-size independent;
+#: lossy sketches compress per rank, so their tree legitimately depends
+#: on p.
 _MODES = {
     "eager": (
         lambda: paper_dataset(2000, "F5", seed=7),
@@ -571,8 +699,8 @@ _MODES = {
     "lossy": (
         lambda: paper_dataset(2000, "F5", seed=7),
         dict(sketch_size=16),
-        {1: "5dcbda90db7e25863f724ca9402a812f",
-         2: "0619b360fae17c09cebb7e4c9d9f75e2",
+        {1: "1a3a8815f46e6b61d0d9ca05cf581524",
+         2: "025c7138d8c5793c8dd14cf160e18e31",
          3: "e108c891ec6e09511df10cc2290c16cc"}),
     "drift": (
         _drift_stream,
@@ -767,9 +895,10 @@ def _spy(monkeypatch, module, name, key, record):
 @pytest.mark.parametrize("backend", ["process", "tcp"])
 def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
                                                            monkeypatch):
-    """A finalize round moves sketches in exactly one all-to-all, after
-    the class-count allreduce: a rank receives one block per rank for
-    the nodes it scores and nothing else, folds them itself, and the
+    """A finalize round moves sketches and count rows in exactly one
+    all-to-all, after the class-count allreduce: a rank receives one
+    block per rank for the nodes it scores and nothing else, folds them
+    itself, and the
     engine parent never merges a sketch (no ``sketch_merge`` reduction
     is left for it to run).  The winners' allgatherv carries no sketch
     either: a row per scored node, then a count matrix per categorical
@@ -781,12 +910,13 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
 
     def folded_shapes(*args):
         folded = fold(*args)
-        _SPIED["fold"].extend(stack.shape for _, stack in folded)
+        _SPIED["fold"].extend((stack.shape, counts.shape)
+                              for _, stack, counts in folded)
         return folded
 
     monkeypatch.setattr(induction, "_sketches_to_scorers", folded_shapes)
     _spy(monkeypatch, induction, "_score_nodes", "score",
-         lambda stack, *rest: stack.shape)
+         lambda stack, counts, *rest: (stack.shape, counts.shape))
     _spy(monkeypatch, LevelFrontier, "grow", "split",
          lambda frontier, fids, totals, best, split_ok, *rest:
          best[split_ok, 1].astype(int).tolist())
@@ -812,12 +942,17 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
             :len(ops)], ops
         received = sum(ev.result_nbytes - payload_nbytes([])
                        for ev in events if ev.kind == "alltoallv")
-        # one block of each folded stack's shape from every rank
+        # one block of each folded run's shapes from every rank: its
+        # continuous stack, then its count rows (Σ n_values × c per node)
         folds = seen["fold"]
-        assert folds and received == sum(nprocs * 8 * int(np.prod(f))
-                                         for f in folds)
+        width = sum(spec.n_values for spec in ds.schema
+                    if not spec.is_continuous) * ds.schema.n_classes
+        assert all(rows == (stack[0], width) for stack, rows in folds)
+        assert folds and received == sum(
+            nprocs * 8 * (int(np.prod(stack)) + int(np.prod(rows)))
+            for stack, rows in folds)
         assert sorted(folds) == sorted(seen["score"])
-        scored.append(sum(shape[0] for shape in seen["score"]))
+        scored.append(sum(stack[0] for stack, _ in seen["score"]))
         # every rank splits the same winners
         assert seen["split"] == spied[0]["split"]
     # what a winner's split needs beyond its row: nothing (continuous),

@@ -13,10 +13,13 @@ and every socket wait is derived from ``REPRO_SPMD_TIMEOUT``.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
 from repro.runtime import available_backends, run_spmd
+from repro.runtime.engines import tcp
 from repro.runtime.engines.tcp import (
     HB_ENV,
     HB_TIMEOUT_ENV,
@@ -116,6 +119,25 @@ def test_check_hello_accepts_and_rejects():
         check_hello(("hello", "j1"), **ok)
     with pytest.raises(RendezvousError, match="malformed"):
         check_hello(42, **ok)
+
+
+def test_dial_needs_no_name_lookup_and_fails_typed(monkeypatch):
+    """Hosts and ranks dial the listener's own ``(family, sockaddr)``:
+    with every name lookup broken the dial still connects, and a
+    coordinator that is gone is a typed error naming its address once
+    the (shortened) bootstrap budget is spent."""
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("the dial resolved a name")
+
+    monkeypatch.setattr(socket, "getaddrinfo", no_lookup)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        addr = (listener.family, listener.getsockname())
+        tcp._connect_with_retry(addr, 1.0, "rank 0").close()
+    monkeypatch.setattr(tcp, "_bootstrap_budget", lambda timeout: 0.2)
+    with pytest.raises(RendezvousError, match=(
+            f"rank 0: could not reach the coordinator at "
+            f"127.0.0.1:{addr[1][1]} within 0.2s")):
+        tcp._connect_with_retry(addr, 1.0, "rank 0")
 
 
 # ----------------------------------------------------------------------
