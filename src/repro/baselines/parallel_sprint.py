@@ -57,7 +57,6 @@ class ReplicatedSprintSplitPhase(SplitPhase):
         comm: Communicator,
         lists: list[LocalAttributeList],
         decisions: LevelDecisions,
-        config: InductionConfig,
     ) -> None:
         assert self.table is not None, "setup() must run before execute()"
 

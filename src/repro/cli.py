@@ -168,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-(node, attribute) sketch capacity; splits "
                             "are batch-exact while distinct values fit "
                             "(default %(default)s)")
-    train.add_argument("--stream-grow", type=int, metavar="N",
-                       default=_ConfigDefault("stream_grow_records"),
-                       help="grow a frontier node once its sketch has seen "
-                            "this many records (0 = grow only at end of "
-                            "stream, the batch-exact mode; default "
-                            "%(default)s)")
     train.add_argument("--max-epochs", type=int, default=None, metavar="E",
                        help="with --stream: stop after E epoch chunks at a "
                             "sealed checkpoint cut (resume later with "
@@ -296,8 +290,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     knobs = {"split_mode": args.split_mode, "n_bins": args.bins,
              "vote_top_k": args.vote_top_k,
              "stream_chunk_records": args.stream_chunk,
-             "sketch_size": args.sketch_size,
-             "stream_grow_records": args.stream_grow}
+             "sketch_size": args.sketch_size}
     config = InductionConfig(
         max_depth=args.max_depth,
         criterion=args.criterion,

@@ -186,9 +186,9 @@ class ScalParC(SpmdClassifier):
 
         Records are ingested in epochs of
         ``config.stream_chunk_records`` and split statistics live in
-        mergeable sketches (see :mod:`repro.streaming`); with the default
-        finalize-only growth and lossless sketches the result is
-        bit-identical to :meth:`fit` on the same records.  ``max_epochs``
+        mergeable sketches (see :mod:`repro.streaming`) built when the
+        stream ends; with lossless sketches the result is bit-identical
+        to :meth:`fit` on the same records.  ``max_epochs``
         caps how many chunks this call consumes — the fit stops at a
         sealed epoch cut (pass ``checkpoint`` to make it resumable) and
         skips finalize growth, so a later resumed call continues the
@@ -205,13 +205,14 @@ class ScalParC(SpmdClassifier):
         """Fold one new stream segment into a checkpointed streaming fit.
 
         ``dataset`` is treated as a brand-new segment (the ingest cursor
-        restarts at 0) appended to whatever tree the checkpoint under
-        ``checkpoint`` holds — or a fresh tree when none exists yet.  The
-        frontier is left open (no finalize growth) so further segments
-        can keep refining it; call :meth:`fit_stream` with ``resume`` on
-        the last segment to finalize.  ``checkpoint`` (or
+        restarts at 0) appended to whatever stream the checkpoint under
+        ``checkpoint`` holds — or a fresh one when none exists yet.  The
+        tree is not grown (no finalize) so further segments can follow;
+        call :meth:`fit_stream` with ``resume`` on the last segment to
+        finalize.  A cut whose tree is already finalized is refused with
+        a ``CheckpointError``.  ``checkpoint`` (or
         ``REPRO_SPMD_CHECKPOINT``) is required: it is the only place the
-        tree persists between segments.
+        stream persists between segments.
         """
         from dataclasses import replace
 

@@ -1,7 +1,7 @@
 """Induction configuration shared by ScalParC and the baselines.
 
-Every knob here shapes the induced tree (or, for ``max_update_block``,
-the node-table update schedule), and each lives in exactly one place:
+Every knob here shapes the induced tree, and each lives in exactly one
+place:
 this dataclass, plus a CLI flag where the CLI exposes it.  No knob falls
 back to the environment, so a stray variable cannot change a tree.  The
 run-time knobs live with the run: ``backend=`` on
@@ -30,8 +30,7 @@ SPLIT_MODES = ("exact", "voted")
 
 #: fields where ``None`` means the field's default — callers written when
 #: ``None`` deferred to an environment variable still construct
-_NONE_MEANS_DEFAULT = ("split_mode", "stream_chunk_records", "sketch_size",
-                       "stream_grow_records", "stream_reopen_delta")
+_NONE_MEANS_DEFAULT = ("split_mode", "stream_chunk_records", "sketch_size")
 
 
 def schema_fingerprint(schema: Schema) -> str:
@@ -67,10 +66,6 @@ class InductionConfig:
     subset_exhaustive_limit:
         With subset splits, values-with-records threshold up to which the
         subset search is exhaustive rather than greedy.
-    max_update_block:
-        Node-table updates go out in rounds of at most this many pairs
-        per rank (§3.3.2's memory-scalability device, always on);
-        ``None`` = ⌈N/p⌉.  Never changes the tree.  Parallel only.
     split_mode:
         FindSplit strategy (see :mod:`repro.core.strategies`):
         ``"exact"`` (the default: the paper's exscan formulation,
@@ -104,18 +99,6 @@ class InductionConfig:
         become approximate.  Categorical attributes are kept as exact
         per-node count rows (``n_values × n_classes`` each, as batch's
         count matrices), which this bound does not touch.
-    stream_grow_records:
-        Streaming induction: minimum *global* record mass a frontier
-        node's sketch must have seen before it may split mid-stream.
-        ``0`` (the default) disables eager growth entirely — the tree
-        grows only at end-of-stream finalize, which is the mode that
-        reproduces batch ScalParC exactly.
-    stream_reopen_delta:
-        Streaming induction: reopen a closed leaf when the
-        total-variation distance between its class distribution at close
-        time and its current distribution exceeds this threshold (only
-        meaningful with eager growth, where leaves can close
-        mid-stream; default 0.25).
 
     ``None`` for ``split_mode`` or a streaming knob means its default.
     """
@@ -126,14 +109,11 @@ class InductionConfig:
     criterion: str = GINI
     categorical_binary_subsets: bool = False
     subset_exhaustive_limit: int = 12
-    max_update_block: int | None = None
     split_mode: str = "exact"
     n_bins: int = 32
     vote_top_k: int = 2
     stream_chunk_records: int = 4096
     sketch_size: int = 256
-    stream_grow_records: int = 0
-    stream_reopen_delta: float = 0.25
 
     def resolved_split_mode(self) -> str:
         """The FindSplit strategy name (``split_mode``)."""
@@ -150,9 +130,7 @@ class InductionConfig:
 
     def fingerprint(self, streaming: bool = False) -> str:
         """Digest of the knobs that shape the induced tree — the
-        checkpoint-compatibility rule of both induction drivers
-        (``max_update_block`` is free to differ between the original run
-        and a resume: it never changes the tree).
+        checkpoint-compatibility rule of both induction drivers.
 
         Batch (``streaming=False``): the split mode joins the digest —
         voted splits are approximations, so resuming a voted run in exact
@@ -161,9 +139,8 @@ class InductionConfig:
         loudly instead.  Mode-irrelevant knobs are masked out, so e.g. an
         exact checkpoint resumes regardless of the (unused) ``n_bins``.
 
-        Streaming: the schedule itself shapes the tree whenever growth
-        is eager or sketches compress, so the chunk/sketch/grow/reopen
-        knobs join the digest instead.
+        Streaming: the schedule itself shapes the tree whenever sketches
+        compress, so the chunk and sketch knobs join the digest instead.
         """
         shaping = [
             self.max_depth, self.min_split_records,
@@ -171,9 +148,10 @@ class InductionConfig:
             self.categorical_binary_subsets, self.subset_exhaustive_limit,
         ]
         if streaming:
-            shaping += [self.stream_chunk_records, self.sketch_size,
-                        self.stream_grow_records,
-                        float(self.stream_reopen_delta)]
+            # the retired eager-growth threshold and reopen delta at the
+            # values every finalize-only cut was written with: digests
+            # on disk stay valid, and a cut of an eager fit is refused
+            shaping += [self.stream_chunk_records, self.sketch_size, 0, 0.25]
         else:
             voted = self.split_mode == "voted"
             shaping += [self.split_mode,
@@ -207,8 +185,6 @@ class InductionConfig:
             raise ValueError(
                 f"criterion must be one of {CRITERIA}, got {self.criterion!r}"
             )
-        if self.max_update_block is not None and self.max_update_block <= 0:
-            raise ValueError("max_update_block must be positive")
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(
                 f"split_mode must be one of {SPLIT_MODES}, "
@@ -222,7 +198,3 @@ class InductionConfig:
             raise ValueError("stream_chunk_records must be >= 1")
         if self.sketch_size < 8:
             raise ValueError("sketch_size must be >= 8")
-        if self.stream_grow_records < 0:
-            raise ValueError("stream_grow_records must be >= 0")
-        if not 0.0 <= self.stream_reopen_delta <= 1.0:
-            raise ValueError("stream_reopen_delta must be in [0, 1]")

@@ -16,13 +16,11 @@ same way::
         visit the nodes this pass opened
     end do
 
-For a batch inducer a pass is one tree level.  A streaming one runs the
-same loop over the leaves its latest records reached, and may hold a node
-open for records still to come or reopen a closed leaf — neither needs
-anything of the loop but ``final`` (see :func:`grow_levels`).  ScalParC
-at p > 1 leaves the loop early: once its nodes are small it hands each
-one to a single rank, which grows the subtree with this same loop on a
-world of one (``LevelSource.hand_off``).  The
+A pass is one tree level, and every visited node either splits or
+closes for good; a streaming inducer runs the loop once, when its stream
+ends.  ScalParC at p > 1 leaves the loop early: once its nodes are small
+it hands each one to a single rank, which grows the subtree with this
+same loop on a world of one (``LevelSource.hand_off``).  The
 inducers differ only in where the statistics come from and how records
 learn their node, so that — and nothing else — sits behind
 :class:`LevelSource`.  What shapes the tree lives here:
@@ -194,11 +192,10 @@ class LevelFrontier:
                                          self.leaf_label[fids])
 
     def grow(self, fids: np.ndarray, totals: np.ndarray, best: np.ndarray,
-             split_ok: np.ndarray, layouts: Layouts,
-             closed: np.ndarray) -> LevelDecisions:
+             split_ok: np.ndarray, layouts: Layouts) -> LevelDecisions:
         """Write the rows of the visited nodes ``fids`` — a split where
-        ``split_ok``, a leaf elsewhere, closed where ``closed`` — and open
-        the splits' children as new fids, numbered in node order.  Returns
+        ``split_ok``, a closed leaf elsewhere — and open the splits'
+        children as new fids, numbered in node order.  Returns
         the decisions the splitting phase partitions the records by, node
         ``k`` being ``fids[k]``.  ``totals`` is kept, not copied."""
         self.settle(fids, totals)
@@ -222,7 +219,7 @@ class LevelFrontier:
         self.leaf_label[split] = -1
         self.n_children[split] = n_children[split_ok]
         self.first_child[split] = len(self.kind) + child_base[split_ok]
-        self.open_[fids[split_ok | closed]] = False
+        self.open_[fids] = False
         self._open(np.repeat(np.argmax(totals, axis=1), n_children),
                    np.repeat(self.depth[fids] + 1, n_children))
         return LevelDecisions(
@@ -260,11 +257,6 @@ class LevelSource:
         """Global (len(fids), c) class counts of the visited nodes."""
         raise NotImplementedError
 
-    def ready(self, totals: np.ndarray) -> np.ndarray:
-        """Which visited nodes hold enough records to be examined while
-        more records may still arrive (every node is, once none will)."""
-        return np.ones(len(totals), dtype=bool)
-
     def hand_off(self, level: int, frontier: LevelFrontier,
                  fids: np.ndarray, totals: np.ndarray,
                  candidates: np.ndarray) -> bool:
@@ -298,28 +290,17 @@ class LevelSource:
 
 
 def grow_levels(frontier: LevelFrontier, config: InductionConfig,
-                source: LevelSource, level: int = 0,
-                final: bool = True) -> DecisionTree:
+                source: LevelSource, level: int = 0) -> DecisionTree:
     """Grow ``frontier`` until a pass splits nothing, reading statistics
-    from and partitioning records through ``source``; returns the tree
-    grown so far.  The first pass visits every open node, each later one
-    the nodes the pass before opened — its children, and any leaf the
-    source reopened.
-
-    ``final``: no record is still to come, so every visited node is
-    examined and one that does not split closes for good (batch fits, a
-    stream's finalize).  Otherwise only the nodes ``source.ready`` names
-    are examined, and of those that do not split only the terminal ones
-    close; the rest stay open for the records to come.
+    from and partitioning records through ``source``; returns the tree.
+    The first pass visits every open node, each later one the children
+    the pass before opened; a visited node that does not split closes
+    for good.
     """
     fids = np.flatnonzero(frontier.open_)
     while True:
-        was_open = frontier.open_.copy()
         totals = source.class_totals(level, fids)
-        ready = source.ready(totals) | final
-        terminal = ready & terminal_nodes(totals, frontier.depth[fids],
-                                          config)
-        candidates = ready & ~terminal
+        candidates = ~terminal_nodes(totals, frontier.depth[fids], config)
         best, cat_state = pack_candidates(len(fids)), {}
         if candidates.any():
             if source.hand_off(level, frontier, fids, totals, candidates):
@@ -339,14 +320,12 @@ def grow_levels(frontier: LevelFrontier, config: InductionConfig,
         if split_ok.any():
             layouts = source.share_layouts(layouts)
 
-        decisions = frontier.grow(fids, totals, best, split_ok, layouts,
-                                  ~split_ok if final else terminal)
+        decisions = frontier.grow(fids, totals, best, split_ok, layouts)
         if decisions.n_next:
             source.partition(decisions)
         source.end_level(level, frontier, int(totals[split_ok].sum()))
         level += 1
         if not decisions.n_next:
             return frontier.table()[0].to_tree()
-        opened = frontier.open_.copy()
-        opened[:len(was_open)] &= ~was_open
-        fids = np.flatnonzero(opened)
+        fids = np.arange(len(frontier.kind) - decisions.n_next,
+                         len(frontier.kind))

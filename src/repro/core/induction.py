@@ -237,8 +237,7 @@ class _ListSource(LevelSource):
         return merged
 
     def partition(self, decisions: LevelDecisions) -> None:
-        self.split_phase.execute(self.comm, self.lists, decisions,
-                                 self.config)
+        self.split_phase.execute(self.comm, self.lists, decisions)
 
     def end_level(self, level: int, frontier: LevelFrontier,
                   n_active: int) -> None:

@@ -64,13 +64,13 @@ ALL_PHASES = (PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2,
 FINDSPLIT_PHASES = (FINDSPLIT1, FINDSPLIT1_HIST, FINDSPLIT1_VOTE, FINDSPLIT2)
 
 #: streaming induction (see :mod:`repro.streaming`): routing one epoch's
-#: chunk into the frontier and updating local sketches
+#: chunk into the frontier and retaining it
 STREAM_INGEST = "Stream.ingest"
 #: streaming induction: the per-node class-total allreduce and the
 #: all-to-all carrying each node's sketches to the rank that scores it
 STREAM_SKETCH = "Stream.sketch"
-#: streaming induction: frontier growth rounds (split scoring from the
-#: global sketches, child sketch re-merges) and leaf-reopen checks
+#: streaming induction: frontier growth rounds (building the candidates'
+#: local sketches, split scoring from the global ones)
 STREAM_GROW = "Stream.grow"
 #: the epoch-loop phase set of a streaming fit (byte-accounting group
 #: for the streaming benchmark and trace reports)

@@ -29,7 +29,6 @@ from ..hashing import DistributedNodeTable
 from ..runtime import CheckpointError, Communicator
 from .attribute_lists import LocalAttributeList, block_leaders, \
     regroup_lists
-from .config import InductionConfig
 from .phases import PERFORMSPLIT1, PERFORMSPLIT2, timed_phase
 
 __all__ = ["LevelDecisions", "perform_split", "SplitPhase", "ScalParCSplitPhase"]
@@ -139,7 +138,6 @@ def perform_split(
     lists: list[LocalAttributeList],
     table: DistributedNodeTable,
     decisions: LevelDecisions,
-    config: InductionConfig,
 ) -> None:
     """Execute PerformSplitI + PerformSplitII for one level.
 
@@ -162,8 +160,7 @@ def perform_split(
         ids = np.concatenate(
             [ids for _, ids in winner_entries] + [np.empty(0, dtype=np.int64)]
         )
-        table.update(rids, ids.astype(np.int32),
-                     max_block=config.max_update_block)
+        table.update(rids, ids.astype(np.int32))
 
     # --- PerformSplitII: split the other lists via one enquiry ------------
     with timed_phase(comm, PERFORMSPLIT2):
@@ -236,7 +233,6 @@ class SplitPhase:
         comm: Communicator,
         lists: list[LocalAttributeList],
         decisions: LevelDecisions,
-        config: InductionConfig,
     ) -> None:
         """Collective PerformSplitI+II for one level."""
         raise NotImplementedError
@@ -282,9 +278,9 @@ class ScalParCSplitPhase(SplitPhase):
     def setup(self, comm: Communicator, n_total: int) -> None:
         self.table = DistributedNodeTable(comm, n_total)
 
-    def execute(self, comm, lists, decisions, config) -> None:
+    def execute(self, comm, lists, decisions) -> None:
         assert self.table is not None, "setup() must run before execute()"
-        perform_split(comm, lists, self.table, decisions, config)
+        perform_split(comm, lists, self.table, decisions)
 
     def snapshot_state(self) -> dict:
         assert self.table is not None, "setup() must run before snapshot"

@@ -41,6 +41,11 @@ class DistributedNodeTable:
         Initial value of every slot (default −1 = "unassigned").
     """
 
+    #: pairs per rank per blocked update round when ``update`` names no
+    #: ``max_block``; ``None`` = ⌈N/p⌉.  Never changes a result: tests
+    #: lower it so small inputs drive many rounds.
+    max_block: int | None = None
+
     def __init__(self, comm: Communicator, total_keys: int, fill: int = -1):
         if total_keys < 0:
             raise ValueError(f"total_keys must be non-negative, got {total_keys}")
@@ -89,14 +94,16 @@ class DistributedNodeTable:
 
         Every rank must call this (with possibly empty local batches).  With
         ``blocked=True`` (the default, and the paper's choice) no rank sends
-        more than ``max_block`` (default ⌈N/p⌉) pairs per all-to-all round.
+        more than ``max_block`` (default :attr:`max_block`, else ⌈N/p⌉)
+        pairs per all-to-all round.
         Returns the number of rounds used.
         """
         keys = self._check_keys(keys)
         values = np.asarray(values, dtype=np.int32)
         if len(keys) != len(values):
             raise ValueError("keys and values must be entry-aligned")
-        block = (max_block or self.chunk) if blocked else None
+        block = (max_block or self.max_block or self.chunk) \
+            if blocked else None
 
         def apply_fn(slots: np.ndarray, vals: np.ndarray) -> None:
             self.local[slots] = vals

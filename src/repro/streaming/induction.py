@@ -2,33 +2,30 @@
 
 Records arrive in per-epoch chunks instead of being presorted up front
 (pdsCART, arXiv:2505.11780; stream-split estimators, arXiv:2403.19867).
-Each rank retains the records it has ingested, routes every new chunk
-down the current tree to its leaves, and keeps mergeable statistics
-per open leaf: a quantile sketch per continuous attribute (see
-:mod:`repro.streaming.sketch`) and, per categorical attribute, the exact
-class counts per value — batch ScalParC's count matrix.  The tree grows
-by the batch drivers' loop, :func:`~repro.core.frontier.grow_levels`,
-over the same per-node :class:`~repro.core.frontier.LevelFrontier`;
-only the statistics differ, through :class:`_SketchSource`::
+Each rank retains the records it has ingested and the class counts of
+its leaves; the tree grows once, when the stream ends, by the batch
+drivers' loop, :func:`~repro.core.frontier.grow_levels`, over the same
+per-node :class:`~repro.core.frontier.LevelFrontier`.  Only the split
+statistics differ, through :class:`_SketchSource`: a node's are built
+once, from the retained records, when it is first scored — a quantile
+sketch per continuous attribute (see :mod:`repro.streaming.sketch`) and,
+per categorical attribute, the exact class counts per value, batch
+ScalParC's count matrix::
 
     do while (records remain in the stream)
-        Stream.ingest   — route this epoch's chunk, update local sketches
-        grow            — grow_levels(final=False): nodes whose global
-                          mass reached stream_grow_records are examined,
-                          a terminal one closes, a rejected one stays open
-                          (growth at finalize only: the epoch heartbeat,
-                          the class totals alone)
+        Stream.ingest   — route this epoch's chunk, retain it
+        Stream.sketch   — the epoch heartbeat: the class totals alone
         checkpoint cut  — every epoch boundary is a sealed resume point
     end do
-    finalize            — grow_levels(final=True): the batch rules
+    finalize            — grow_levels: the batch rules
 
-Every ``class_totals`` also refreshes the open leaves and reopens closed
-leaves whose class distribution shifted.  One pass sends a node's
-statistics where ScalParC sends a level's count matrices — to the rank
-that scores them::
+A resume rebuilds the same state from a cut's retained records, so a
+killed and resumed stream grows the uninterrupted one's tree, lossy
+sketches included.  One pass sends a node's statistics where ScalParC
+sends a level's count matrices — to the rank that scores them::
 
     Stream.sketch   — class totals (SUM allreduce)
-    Stream.grow     — build the statistics candidates do not hold yet
+    Stream.grow     — build the candidates' statistics
     Stream.sketch   — each candidate's local sketches and count rows to
                       its scorer (one alltoallv), folded there (sketches
                       by merge_stacks, count rows summed)
@@ -41,10 +38,9 @@ The class totals and the winners are global, so every rank builds an
 identical tree — exactly the batch driver's replication argument — while
 a node's merged statistics exist only on its scorer.  A child's class
 counts are the next pass's exact totals, whatever the sketches lost.
-With ``stream_grow_records == 0`` (the default: growth only at finalize)
-and lossless continuous sketches, the streamed tree is **bit-identical**
-to batch ScalParC's on the same record prefix; the differential suite
-pins this with ``structurally_equal``.
+With lossless continuous sketches the streamed tree is
+**bit-identical** to batch ScalParC's on the same record prefix; the
+differential suite pins this with ``structurally_equal``.
 """
 
 from __future__ import annotations
@@ -72,9 +68,9 @@ from ..runtime.checkpoint import (
     restore_rank_extras,
 )
 from ..runtime.reduction import SUM
-from ..tree.compile import KIND_CONTINUOUS, KIND_LEAF
+from ..tree.compile import KIND_CONTINUOUS
 from ..tree.model import DecisionTree
-from .sketch import build_sketch_stack, merge_stacks, sketch_identity_like
+from .sketch import build_sketch_stack, merge_stacks
 from .source import ChunkSource
 
 __all__ = ["stream_induce_worker"]
@@ -269,23 +265,20 @@ class _SketchSource(LevelSource):
 
     The retained records (``columns``, ``labels`` and ``node_of``, each
     record's fid), this rank's class counts per fid and the local
-    statistics of open leaves: ``sketches[fid]`` is ``(stack, row)``,
-    the continuous attributes' sketches (``(n_continuous, rows, 1+c)``)
-    and the categorical attributes' class counts per value (a flat
-    ``row_width`` row, :func:`_row_starts`' layout, float64 like a
-    sketch's counts), built from the retained records when the leaf is
-    first a candidate (the root's from the first record on) and merged
-    with every later chunk; a closed or split node's are dropped.
-    ``presort`` is the record order of the last build — per continuous
-    attribute, records sorted by (node, value) — which a split only
-    regroups (stable, so value order survives).
+    statistics of the pass's candidates: ``sketches[fid]`` is ``(stack,
+    row)``, the continuous attributes' sketches (``(n_continuous, cap,
+    1+c)``, ``cap`` the node's transport capacity) and the categorical
+    attributes' class counts per value (a flat ``row_width`` row,
+    :func:`_row_starts`' layout, float64 like a sketch's counts), built
+    from the retained records when the pass scores the node and dropped
+    when it ends.  ``presort`` is the record order of the last build —
+    per continuous attribute, records sorted by (node, value) — which a
+    split only regroups (stable, so value order survives).
     """
 
     def __init__(self, comm: Communicator, frontier: LevelFrontier,
-                 config: InductionConfig, min_mass: int,
-                 reopen_delta: float) -> None:
+                 config: InductionConfig) -> None:
         self.comm, self.frontier, self.config = comm, frontier, config
-        self.min_mass, self.reopen_delta = min_mass, reopen_delta
         schema = frontier.schema
         self.capacity = config.sketch_size
         self.n_classes = schema.n_classes
@@ -303,14 +296,9 @@ class _SketchSource(LevelSource):
         self.value_starts = _row_starts(schema)
         self.n_values = sum(schema[a].n_values for a in self.categorical)
         self.row_width = self.n_values * self.n_classes
-        self.sketches = {0: (self._empty(1, self.capacity)[0],
-                             np.zeros(self.row_width))}
+        self.sketches: dict = {}
         self.presort: list | None = None
         self.fids = np.empty(0, dtype=np.int64)
-
-    def _empty(self, n: int, cap: int) -> np.ndarray:
-        return sketch_identity_like(np.empty(
-            (n, len(self.continuous), cap, 1 + self.n_classes)))
 
     # -- the level loop's side ---------------------------------------
 
@@ -319,25 +307,10 @@ class _SketchSource(LevelSource):
         with timed_phase(self.comm, STREAM_SKETCH):
             g = self.comm.allreduce(self.local_counts, SUM)
         with timed_phase(self.comm, STREAM_GROW):
-            # a closed leaf keeps the counts it closed with until its
-            # class distribution drifts past reopen_delta: then it reopens
             live = np.flatnonzero(frontier.open_)
             frontier.settle(live, g[live])
-            n = g.sum(axis=1)
-            closed = np.flatnonzero(
-                (frontier.kind == KIND_LEAF) & ~frontier.open_
-                & (frontier.n_records > 0) & (n > 0))
-            shift = 0.5 * np.abs(
-                g[closed] / n[closed, None] - frontier.class_counts[closed]
-                / frontier.n_records[closed, None]).sum(axis=1)
-            reopened = closed[shift > self.reopen_delta]
-            frontier.open_[reopened] = True
-            frontier.settle(reopened, g[reopened])
         self.fids = fids
         return g[fids]
-
-    def ready(self, totals: np.ndarray) -> np.ndarray:
-        return totals.sum(axis=1) >= self.min_mass
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:
@@ -347,12 +320,9 @@ class _SketchSource(LevelSource):
         caps = np.zeros(len(totals), dtype=np.int64)
         caps[pos] = transport_capacity(totals[pos].sum(axis=1), self.capacity)
         with timed_phase(self.comm, STREAM_GROW):
-            new = np.array([fid not in self.sketches
-                            for fid in self.fids[pos].tolist()], dtype=bool)
-            if new.any():
-                for fids, block, rows in self._local_sketches(
-                        self.fids[pos[new]], caps[pos[new]]):
-                    self.sketches.update(zip(fids.tolist(), zip(block, rows)))
+            for fids, block, rows in self._local_sketches(self.fids[pos],
+                                                          caps[pos]):
+                self.sketches.update(zip(fids.tolist(), zip(block, rows)))
         # each node's sketches go to the one rank that scores it, and
         # only the winners come back — replicating the fold and the
         # scoring pass on every rank would serialize them p times over
@@ -392,39 +362,33 @@ class _SketchSource(LevelSource):
 
     def end_level(self, level: int, frontier: LevelFrontier,
                   n_active: int) -> None:
-        # a node this pass split or closed never reads its sketches again
-        for fid in self.fids[~frontier.open_[self.fids]].tolist():
-            self.sketches.pop(fid, None)
+        # every node the pass visited split or closed: its statistics
+        # are spent
+        self.sketches = {}
 
     # -- the stream's side -------------------------------------------
 
     def gather(self, fids: np.ndarray, cap: int
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Local statistics of leaves ``fids``: their continuous sketches
-        as one ``cap``-row block and their count rows."""
-        out = self._empty(len(fids), cap)
-        rows = np.empty((len(fids), self.row_width))
-        for i, fid in enumerate(fids.tolist()):
-            sketch, rows[i] = self.sketches[fid]
-            sketch = sketch[:, :cap]
-            out[i, :, :sketch.shape[1]] = sketch
-        return out, rows
+        """Local statistics of candidates ``fids`` of capacity ``cap``:
+        their continuous sketches as one ``cap``-row block and their
+        count rows."""
+        stacks, rows = zip(*(self.sketches[fid] for fid in fids.tolist()))
+        return np.stack(stacks), np.stack(rows)
 
-    def _local_sketches(self, fids: np.ndarray, caps: np.ndarray,
-                        lo: int = 0) -> list:
-        """Local statistics of nodes ``fids`` over the retained records
-        from position ``lo`` on: ``(fids, block, rows)`` per run of equal
-        ``caps``, the continuous sketches ``(n, n_continuous, cap, 1+c)``
-        and the count rows ``(n, row_width)``.  Each node's records come
-        in value order from the presort where it holds them all, from a
-        lexsort otherwise; the count rows of every node are one
-        ``bincount`` over (node, value offset + code, class)."""
+    def _local_sketches(self, fids: np.ndarray, caps: np.ndarray) -> list:
+        """Local statistics of nodes ``fids`` over the retained records:
+        ``(fids, block, rows)`` per run of equal ``caps``, the continuous
+        sketches ``(n, n_continuous, cap, 1+c)`` and the count rows ``(n,
+        row_width)``.  Each node's records come in value order from the
+        presort where it holds them all, from a lexsort otherwise; the
+        count rows of every node are one ``bincount`` over (node, value
+        offset + code, class)."""
         by_cap = np.argsort(caps, kind="stable")
         fids, caps = fids[by_cap], caps[by_cap]
         key = np.full(len(self.local_counts), -1, dtype=np.int64)
         key[fids] = np.arange(len(fids))
         node = key[self.node_of]
-        node[:lo] = -1
         held = np.flatnonzero(node >= 0)
         held_node = node[held]
         sizes = np.bincount(held_node, minlength=len(fids))
@@ -435,8 +399,7 @@ class _SketchSource(LevelSource):
         else:
             recs = [held[np.lexsort((self.columns[a][held], held_node))]
                     for a in self.continuous]
-        if not lo:
-            self.presort = recs
+        self.presort = recs
         c, base = self.n_classes, held_node * self.n_values
         rows = np.bincount(np.concatenate([np.empty(0, np.int64)] + [
             (base + self.value_starts[a] + self.columns[a][held]) * c
@@ -457,33 +420,21 @@ class _SketchSource(LevelSource):
         return runs
 
     def ingest(self, block: Dataset) -> None:
-        """Route one epoch block to its leaves through the tree's table,
-        extending the retained set, per-fid local counts and the held
-        statistics (a leaf without builds them from every retained
-        record once it is a candidate)."""
+        """Route one epoch block to its leaves through the tree's table
+        and append it to the retained set and the per-fid local
+        counts."""
         if block.n_records == 0:
             return
         table, fid_of = self.frontier.table()
         fids = fid_of[table.apply(np.column_stack(block.columns))]
         labels = block.labels.astype(np.int64)
-        added = np.bincount(
+        self.local_counts += np.bincount(
             fids * self.n_classes + labels, minlength=self.local_counts.size,
         ).reshape(self.local_counts.shape)
-        self.local_counts += added
-        base = len(self.labels)
         self.columns = [np.concatenate([col, new])
                         for col, new in zip(self.columns, block.columns)]
         self.labels = np.concatenate([self.labels, labels])
         self.node_of = np.concatenate([self.node_of, fids])
-        touched = np.array([fid for fid in np.flatnonzero(
-            added.any(axis=1)).tolist() if fid in self.sketches],
-            dtype=np.int64)
-        if len(touched):
-            [(touched, new, rows)] = self._local_sketches(
-                touched, np.full(len(touched), self.capacity), lo=base)
-            old, old_rows = self.gather(touched, self.capacity)
-            self.sketches.update(zip(touched.tolist(), zip(
-                merge_stacks([old, new]), old_rows + rows)))
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +470,8 @@ def _resume_cut(comm: Communicator, path: str, schema: Schema,
     n_seen)``.
 
     Works on the original world size or any other — retained records are
-    re-blocked contiguously in old-rank order, and every sketch is built
-    afresh from the exact retained data either way.
+    re-blocked contiguously in old-rank order; statistics are built from
+    them at finalize, as in an uninterrupted stream.
     """
     loaded = LoadedCheckpoint.open(path)
     shared = loaded.expect(
@@ -532,7 +483,6 @@ def _resume_cut(comm: Communicator, path: str, schema: Schema,
             "the stream"
         )
     source.frontier = LevelFrontier.from_rows(schema, shared["rows"])
-    source.sketches = {}
 
     payloads = loaded.all_rank_payloads()
     if loaded.n_ranks == comm.size:
@@ -579,11 +529,13 @@ def stream_induce_worker(
     """SPMD worker: induce a tree from ``dataset`` consumed as a stream.
 
     ``max_epochs`` caps how many chunks this call ingests (a capped call
-    skips finalize growth — the tree stays a refinable frontier for the
-    next resume).  ``finalize=False`` likewise leaves the frontier open
-    (the ``partial_fit`` mode).  ``fresh_cursor=True`` treats ``dataset``
-    as a brand-new stream segment appended to a resumed tree (cursor
+    skips finalize growth — the tree stays an open root for the next
+    resume).  ``finalize=False`` likewise leaves the root open (the
+    ``partial_fit`` mode).  ``fresh_cursor=True`` treats ``dataset`` as a
+    brand-new stream segment appended to a resumed stream (cursor
     restarts at 0) instead of a continuation of the checkpointed stream.
+    A finalized cut takes no more records: resuming one with records
+    left to ingest raises :class:`CheckpointError`.
     """
     config = config or InductionConfig()
     if dataset.n_records == 0:
@@ -596,18 +548,21 @@ def stream_induce_worker(
     ckpt = LevelCheckpointer(ckpt_cfg) if ckpt_cfg is not None else None
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 
-    source = _SketchSource(
-        comm, LevelFrontier(schema), config,
-        max(config.stream_grow_records, config.min_split_records),
-        config.stream_reopen_delta)
+    source = _SketchSource(comm, LevelFrontier(schema), config)
+    stream = ChunkSource(dataset, config.stream_chunk_records)
     epoch, cursor, n_seen = 0, 0, 0
     if resume_src is not None:
         epoch, cursor, n_seen = _resume_cut(comm, resume_src, schema, config,
                                             source)
         if fresh_cursor:
             cursor = 0
+        if cursor < stream.n_records and not source.frontier.open_.any():
+            raise CheckpointError(
+                f"checkpoint {resume_src!r} holds a finalized tree (no open "
+                "node): records ingested into it could never change it; "
+                "start a new stream"
+            )
 
-    stream = ChunkSource(dataset, config.stream_chunk_records)
     epochs_run = 0
     last_saved_epoch = epoch if resume_src is not None else None
     while cursor < stream.n_records and (
@@ -619,13 +574,9 @@ def stream_induce_worker(
         hi = min(cursor + config.stream_chunk_records, stream.n_records)
         n_seen += hi - cursor
         cursor = hi
-        if config.stream_grow_records:
-            grow_levels(source.frontier, config, source, epoch, final=False)
-        else:
-            # growth at finalize only: the epoch heartbeat reduces just
-            # the class totals (leaf refresh, reopen checks); the sketches
-            # stay local until the end of the stream
-            source.class_totals(epoch, np.empty(0, dtype=np.int64))
+        # the epoch heartbeat reduces just the class totals (the open
+        # root's refresh); statistics wait for the end of the stream
+        source.class_totals(epoch, np.empty(0, dtype=np.int64))
         epoch += 1
         epochs_run += 1
         comm.perf.mark_level(epoch - 1)

@@ -30,7 +30,7 @@ def lookup_reference(table, keys: np.ndarray) -> np.ndarray:
     return out.astype(np.int32, copy=False)
 
 
-def perform_split_reference(comm, lists, table, decisions, config) -> None:
+def perform_split_reference(comm, lists, table, decisions) -> None:
     """PerformSplitI + the enquire-every-entry PerformSplitII."""
     decisions.validate()
 
@@ -46,8 +46,7 @@ def perform_split_reference(comm, lists, table, decisions, config) -> None:
         ids = np.concatenate(
             [ids for _, ids in winner_entries] + [np.empty(0, dtype=np.int64)]
         )
-        table.update(rids, ids.astype(np.int32),
-                     max_block=config.max_update_block)
+        table.update(rids, ids.astype(np.int32))
 
     with timed_phase(comm, PERFORMSPLIT2):
         new_nodes_per_list: list[np.ndarray] = []
@@ -82,6 +81,6 @@ def perform_split_reference(comm, lists, table, decisions, config) -> None:
 class ReferenceSplitPhase(ScalParCSplitPhase):
     """ScalParC's splitting phase on the reference PerformSplitII."""
 
-    def execute(self, comm, lists, decisions, config) -> None:
+    def execute(self, comm, lists, decisions) -> None:
         assert self.table is not None, "setup() must run before execute()"
-        perform_split_reference(comm, lists, self.table, decisions, config)
+        perform_split_reference(comm, lists, self.table, decisions)

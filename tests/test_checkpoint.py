@@ -35,6 +35,7 @@ from repro.runtime import (
     CheckpointError,
     LevelCheckpointer,
     LoadedCheckpoint,
+    SpmdWorkerError,
     TraceCollector,
     latest_manifest,
     resolve_checkpoint,
@@ -347,8 +348,6 @@ PINNED_FINGERPRINTS = [
     (True, {}, "07e1780975c48336"),
     (True, {"max_depth": 8, "stream_chunk_records": 500, "sketch_size": 128},
      "675a4194c2a4cad7"),
-    (True, {"stream_grow_records": 500, "stream_reopen_delta": 0.1},
-     "1c569498ad2db970"),
 ]
 
 
@@ -357,6 +356,37 @@ def test_config_fingerprints_are_pinned(streaming, knobs, digest):
     """Literal pins, computed before the two drivers' fingerprint code
     was unified: a moved digest strands every cut already on disk."""
     assert InductionConfig(**knobs).fingerprint(streaming) == digest
+
+
+#: the streaming fingerprint of the retired eager-growth settings
+#: ``stream_grow_records=500, stream_reopen_delta=0.1`` at the default
+#: chunk and sketch sizes, pinned before those fields were deleted
+EAGER_FINGERPRINT = "1c569498ad2db970"
+
+
+def test_cut_of_an_eager_stream_is_refused(tmp_path, monkeypatch):
+    """A cut written under eager growth carries that digest, and no
+    config computes it any more (the retired knobs hash as their
+    finalize-only defaults): resuming it is refused, typed, as any cut
+    of other tree-shaping settings is."""
+    ds = generate_quest(600, "F2", seed=5)
+    clf = ScalParC(2, InductionConfig(), machine=None, backend="thread")
+    with monkeypatch.context() as mp:
+        mp.setattr(InductionConfig, "fingerprint",
+                   lambda self, streaming=False: EAGER_FINGERPRINT)
+        clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path)),
+                       max_epochs=1)
+    cut = LoadedCheckpoint.open(str(tmp_path))
+    assert cut.shared_payload()["config"] == EAGER_FINGERPRINT
+    with pytest.raises(SpmdWorkerError) as excinfo:
+        clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path),
+                                                       resume=True))
+    errors = list(excinfo.value.failures.values())
+    assert len(errors) == 2
+    for exc in errors:
+        assert isinstance(exc, CheckpointError)
+        assert "tree-shaping settings" in str(exc)
+        assert cut.manifest_path in str(exc)
 
 
 def test_schema_fingerprint_is_pinned():

@@ -42,7 +42,7 @@ TREE_SHAPING = {
     "max_depth", "min_split_records", "min_improvement", "criterion",
     "categorical_binary_subsets", "subset_exhaustive_limit",
     "split_mode", "n_bins", "vote_top_k", "stream_chunk_records",
-    "sketch_size", "stream_grow_records", "stream_reopen_delta",
+    "sketch_size",
 }
 
 BACKENDS = [b for b in ("thread", "process") if b in available_backends()]
@@ -117,13 +117,15 @@ def test_harness_seams_still_construct(monkeypatch):
 
 
 def test_config_seam_holds_only_tree_shaping_fields():
-    """Run-time knobs left the config: ``max_update_block`` (the update
-    round size, kept so small inputs can drive many rounds) is the one
-    field that does not shape the tree."""
+    """Run-time knobs left the config: the update-round size is
+    ``DistributedNodeTable.max_block``, a test seam, and the retired
+    eager-growth knobs are gone with the growth they set."""
     fields = {f.name for f in dataclasses.fields(InductionConfig)}
-    assert fields == TREE_SHAPING | {"max_update_block"}
+    assert fields == TREE_SHAPING
     for gone in ({"backend": "thread"}, {"checkpoint": "ckpt"},
-                 {"blocked_updates": False}):
+                 {"blocked_updates": False}, {"max_update_block": 8},
+                 {"stream_grow_records": 500},
+                 {"stream_reopen_delta": 0.1}):
         with pytest.raises(TypeError, match=next(iter(gone))):
             InductionConfig(**gone)
 

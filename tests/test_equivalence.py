@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.baselines import ParallelSPRINT, induce_serial
 from repro.core import InductionConfig, ScalParC
 from repro.datagen import generate_quest, make_dataset, random_dataset
+from repro.hashing import DistributedNodeTable
 
 from tests.conftest import assert_trees_equal
 
@@ -118,29 +119,36 @@ def test_wide_schema_many_attributes():
 # configuration sweep
 # ---------------------------------------------------------------------------
 
+#: (config, node-table update-round size or None for ⌈N/p⌉)
 CONFIGS = [
-    InductionConfig(max_depth=3),
-    InductionConfig(min_split_records=10),
-    InductionConfig(min_improvement=0.01),
-    InductionConfig(criterion="entropy"),
-    InductionConfig(categorical_binary_subsets=True),
-    InductionConfig(categorical_binary_subsets=True, subset_exhaustive_limit=2),
-    InductionConfig(max_update_block=7),
-    InductionConfig(max_update_block=1, max_depth=4),
+    (InductionConfig(max_depth=3), None),
+    (InductionConfig(min_split_records=10), None),
+    (InductionConfig(min_improvement=0.01), None),
+    (InductionConfig(criterion="entropy"), None),
+    (InductionConfig(categorical_binary_subsets=True), None),
+    (InductionConfig(categorical_binary_subsets=True,
+                     subset_exhaustive_limit=2), None),
+    (InductionConfig(), 7),
+    (InductionConfig(max_depth=4), 1),
 ]
 
 
-def _non_default_fields(config: InductionConfig) -> str:
-    """A config's test id: the fields it sets away from their defaults."""
+def _non_default_fields(case: tuple) -> str:
+    """A case's test id: the fields it sets away from their defaults,
+    then the update-round size if it sets one."""
+    config, max_block = case
     default = InductionConfig()
-    return ",".join(
+    return ",".join([
         f"{f.name}={getattr(config, f.name)}"
         for f in dataclasses.fields(config)
-        if getattr(config, f.name) != getattr(default, f.name))
+        if getattr(config, f.name) != getattr(default, f.name)]
+        + ([f"max_update_block={max_block}"] if max_block else []))
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=_non_default_fields)
-def test_config_sweep_equal_across_p(config):
+@pytest.mark.parametrize("case", CONFIGS, ids=_non_default_fields)
+def test_config_sweep_equal_across_p(case, monkeypatch):
+    config, max_block = case
+    monkeypatch.setattr(DistributedNodeTable, "max_block", max_block)
     ds = generate_quest(300, "F3", seed=8)
     _check_all_p(ds, config, procs=[2, 5])
 

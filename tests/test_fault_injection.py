@@ -51,11 +51,11 @@ class _DyingSplitPhase(ScalParCSplitPhase):
         self.at_level = at_level
         self._level = 0
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         if self._level == self.at_level and comm.rank == self.dying_rank:
             raise OSError("simulated node failure")
         self._level += 1
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 @pytest.mark.parametrize("dying_rank", [0, 2])
@@ -258,13 +258,13 @@ class _HardExitSplitPhase(ScalParCSplitPhase):
         self.at_level = at_level
         self._level = 0
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         if self._level == self.at_level and comm.rank == self.dying_rank \
                 and not os.path.exists(self.flag_path):
             open(self.flag_path, "x").close()
             os._exit(13)
         self._level += 1
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 class _DieWhileWideSplitPhase(ScalParCSplitPhase):
@@ -276,12 +276,12 @@ class _DieWhileWideSplitPhase(ScalParCSplitPhase):
         self.at_level = at_level
         self._level = 0
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         if self._level == self.at_level and comm.size >= 3 \
                 and comm.rank == comm.size - 1:
             os._exit(13)
         self._level += 1
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 class _DieInLocalPhase(ScalParCSplitPhase):
@@ -307,7 +307,7 @@ class _DieInLocalPhase(ScalParCSplitPhase):
         self.world = (comm.rank, comm.size)
         super().restore_state(comm, states)
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         rank, size = self.world
         if comm.size == 1 and rank == self.dying_rank \
                 and size >= self.min_world:
@@ -316,7 +316,7 @@ class _DieInLocalPhase(ScalParCSplitPhase):
             if not os.path.exists(self.flag_path):
                 open(self.flag_path, "x").close()
                 os._exit(13)
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 def _handoff_level(ds, p):
@@ -336,10 +336,10 @@ class _Spy(ScalParCSplitPhase):
         self.sealed = sealed
         self.directory = directory
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         if comm.size == 1 and not self.sealed:
             self.sealed.append(latest_manifest(self.directory))
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 def test_no_cut_is_taken_after_the_handoff(tmp_path):

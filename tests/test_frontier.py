@@ -93,7 +93,7 @@ def _pass(frontier, totals, best, split_ok, layouts):
     split."""
     split_ok = np.asarray(split_ok)
     return frontier.grow(np.flatnonzero(frontier.open_), np.asarray(totals),
-                         best, split_ok, layouts, ~split_ok)
+                         best, split_ok, layouts)
 
 
 def _mixed_level():
@@ -294,21 +294,17 @@ def _level_blocks(levels):
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_passes=st.integers(1, 6))
 def test_any_pass_sequence_keeps_the_table_breadth_first(seed, n_passes):
-    """Passes that visit any subset of the open nodes and split, close,
-    hold open or reopen them — a stream's freedom — leave ``table()``
+    """Passes that visit any subset of the open nodes, split or close
+    them and leave the others open for a later pass, leave ``table()``
     breadth-first: bit for bit what ``compile_tree`` makes of its own
     node objects, every fid listed once, each node its fid's row."""
     rng = np.random.default_rng(seed)
     frontier = LevelFrontier(_SCHEMA)
     for _ in range(n_passes):
-        closed = np.flatnonzero((frontier.kind == KIND_LEAF)
-                                & ~frontier.open_)
-        frontier.open_[closed[rng.random(len(closed)) < 0.3]] = True
         live = np.flatnonzero(frontier.open_)
         fids = live[rng.random(len(live)) < 0.7]
         totals, best, split_ok, layouts = _random_pass(rng, len(fids))
-        frontier.grow(fids, totals, best, split_ok, layouts,
-                      ~split_ok & (rng.random(len(fids)) < 0.5))
+        frontier.grow(fids, totals, best, split_ok, layouts)
     table, fid = frontier.table()
     assert compile_tree(table.to_tree()).structure_digest == \
         table.structure_digest

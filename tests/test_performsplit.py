@@ -41,13 +41,12 @@ BACKENDS = [b for b in ("thread", "process", "tcp")
             if b in available_backends()]
 PROC_COUNTS = [1, 2, 3, 5]
 
-#: (id, Quest function, records, seed, config): F2 with the node-table
-#: update in rounds of at most eight pairs per rank; F5 grows categorical
-#: winners (13 of its 178 serial nodes at 300 records)
+#: (id, Quest function, records, seed, update-round size): F2 with the
+#: node-table update in rounds of at most eight pairs per rank; F5 grows
+#: categorical winners (13 of its 178 serial nodes at 300 records)
 CASES = [
-    ("F2-blocked", "F2", 300, 7,
-     InductionConfig(max_update_block=8)),
-    ("F5-categorical", "F5", 300, 7, InductionConfig()),
+    ("F2-blocked", "F2", 300, 7, 8),
+    ("F5-categorical", "F5", 300, 7, None),
 ]
 
 
@@ -84,8 +83,11 @@ def _assert_same_run(got, ref, what: str) -> None:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nprocs", PROC_COUNTS)
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
-def test_performsplit_in_place_matches_reference(case, nprocs, backend):
-    name, fn, n, seed, config = case
+def test_performsplit_in_place_matches_reference(case, nprocs, backend,
+                                                monkeypatch):
+    name, fn, n, seed, max_block = case
+    monkeypatch.setattr(DistributedNodeTable, "max_block", max_block)
+    config = InductionConfig()
     ds = generate_quest(n, fn, seed=seed)
     got = _fit(nprocs, backend, ds, config, ScalParCSplitPhase)
     ref = _fit(nprocs, backend, ds, config, ReferenceSplitPhase)

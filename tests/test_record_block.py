@@ -80,9 +80,9 @@ class _Checking:
         super().restore_state(comm, states)
         self.seen = [("restore", comm.size)]
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         self.seen.append(("in", _block_of(lists)))
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
         self.seen.append(("out", _block_of(lists)))
 
 
@@ -225,13 +225,13 @@ class PrivateCopies(ScalParCSplitPhase):
     the block before every level: private copies of its rids, labels and
     offsets, and its own entry_nodes cache."""
 
-    def execute(self, comm, lists, decisions, config):
+    def execute(self, comm, lists, decisions):
         alist = [a for a in lists if not a.spec.is_continuous][-1]
         alist.rids, alist.labels, alist.offsets = (
             alist.rids.copy(), alist.labels.copy(), alist.offsets.copy())
         alist._nodes = [None]
         assert len(set(block_leaders(lists))) == len(lists) - 1
-        super().execute(comm, lists, decisions, config)
+        super().execute(comm, lists, decisions)
 
 
 def _fit(comm, data, config, phase_cls, checkpoint=None):

@@ -141,7 +141,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InductionConfig(criterion="mse")
     with pytest.raises(ValueError):
-        InductionConfig(max_update_block=0)
+        InductionConfig(split_mode="histogram")
 
 
 def test_deep_tree_no_recursion_limit():

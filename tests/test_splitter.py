@@ -1,12 +1,11 @@
 """PerformSplitI/II internals: list regrouping via the node table,
-blocked update configuration."""
+blocked update rounds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import InductionConfig
 from repro.core.attribute_lists import build_local_lists
 from repro.core.splitter import (
     LevelDecisions,
@@ -14,6 +13,7 @@ from repro.core.splitter import (
     SplitPhase,
 )
 from repro.datagen import make_dataset
+from repro.hashing import DistributedNodeTable
 from repro.runtime import run_spmd
 
 
@@ -40,17 +40,19 @@ def _split_on_x(threshold=3.5):
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("blocked", [False, True])
-def test_perform_split_routes_all_lists_consistently(size, blocked):
+def test_perform_split_routes_all_lists_consistently(size, blocked,
+                                                     monkeypatch):
     ds = _two_attr_dataset()
     # blocked: the node-table update in one-pair rounds (§3.3.2), else
     # in the default rounds of ⌈N/p⌉ pairs
-    config = InductionConfig(max_update_block=1 if blocked else None)
+    if blocked:
+        monkeypatch.setattr(DistributedNodeTable, "max_block", 1)
 
     def worker(comm):
         lists, n_total = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
         phase.setup(comm, n_total)
-        phase.execute(comm, lists, _split_on_x(), config)
+        phase.execute(comm, lists, _split_on_x())
         return [
             (alist.spec.name, alist.rids.copy(), alist.offsets.copy())
             for alist in lists
@@ -85,7 +87,7 @@ def test_leaf_entries_dropped(size):
             child_base=np.array([0]),
             n_next=0,
         )
-        phase.execute(comm, lists, decisions, InductionConfig())
+        phase.execute(comm, lists, decisions)
         return [alist.n_local for alist in lists]
 
     for sizes in run_spmd(size, worker):
@@ -107,7 +109,7 @@ def test_categorical_winner_split():
         lists, n_total = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
         phase.setup(comm, n_total)
-        phase.execute(comm, lists, decisions, InductionConfig())
+        phase.execute(comm, lists, decisions)
         x = lists[0]
         return (x.rids[x.offsets[0]:x.offsets[1]].tolist(),
                 x.rids[x.offsets[1]:x.offsets[2]].tolist())
@@ -126,7 +128,7 @@ def test_continuous_sorted_order_survives_split():
         lists, n_total = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
         phase.setup(comm, n_total)
-        phase.execute(comm, lists, _split_on_x(), InductionConfig())
+        phase.execute(comm, lists, _split_on_x())
         return lists[0].values.copy(), lists[0].offsets.copy()
 
     results = run_spmd(2, worker)
@@ -142,7 +144,7 @@ def test_split_phase_base_class_is_abstract():
     with pytest.raises(NotImplementedError):
         phase.setup(None, 0)
     with pytest.raises(NotImplementedError):
-        phase.execute(None, [], None, None)
+        phase.execute(None, [], None)
 
 
 def test_scalparc_phase_requires_setup():
@@ -151,7 +153,7 @@ def test_scalparc_phase_requires_setup():
     def worker(comm):
         lists, _ = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
-        phase.execute(comm, lists, _split_on_x(), InductionConfig())
+        phase.execute(comm, lists, _split_on_x())
 
     from repro.runtime import SpmdWorkerError
 
@@ -160,15 +162,15 @@ def test_scalparc_phase_requires_setup():
 
 
 @pytest.mark.parametrize("max_block", [1, 2, 100])
-def test_blocked_configuration_same_result(max_block):
+def test_blocked_configuration_same_result(max_block, monkeypatch):
     ds = _two_attr_dataset()
-    config = InductionConfig(max_update_block=max_block)
+    monkeypatch.setattr(DistributedNodeTable, "max_block", max_block)
 
     def worker(comm):
         lists, n_total = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
         phase.setup(comm, n_total)
-        phase.execute(comm, lists, _split_on_x(), config)
+        phase.execute(comm, lists, _split_on_x())
         return sorted(lists[1].rids.tolist())
 
     for rids in run_spmd(2, worker):
@@ -178,8 +180,13 @@ def test_blocked_configuration_same_result(max_block):
         lists, n_total = build_local_lists(comm, ds)
         phase = ScalParCSplitPhase()
         phase.setup(comm, n_total)
-        phase.execute(comm, lists, _split_on_x(), config)
-        return lists[1].rids.tolist()
+        update, rounds = phase.table.update, []
+        phase.table.update = lambda *args: rounds.append(update(*args))
+        phase.execute(comm, lists, _split_on_x())
+        return lists[1].rids.tolist(), rounds
 
-    all_rids = sorted(sum(run_spmd(2, gather_worker), []))
+    results = run_spmd(2, gather_worker)
+    all_rids = sorted(sum((rids for rids, _ in results), []))
     assert all_rids == [0, 1, 2, 3, 4, 5]
+    # each rank writes its three winner entries in rounds of max_block
+    assert [rounds for _, rounds in results] == [[-(-3 // max_block)]] * 2

@@ -1,12 +1,12 @@
 """Streaming (chunked-ingest) induction: sketches, equivalence, resume.
 
-The load-bearing oracle: with finalize-only growth and lossless sketches
-(every (node, attribute) pair's distinct values fit the sketch capacity),
-a streamed fit is **bit-identical** to batch ScalParC on the same
-records — any chunking, any world size, any backend.  On top of that:
-epoch cuts resume exactly (mid-stream kill → identical continuation,
-including on a different world size), ``partial_fit`` folds segments
-into one tree, and lossy sketches degrade gracefully.
+The load-bearing oracle: with lossless sketches (every (node, attribute)
+pair's distinct values fit the sketch capacity), a streamed fit is
+**bit-identical** to batch ScalParC on the same records — any chunking,
+any world size, any backend.  On top of that: epoch cuts resume exactly
+(mid-stream kill → identical continuation, lossy sketches and a
+different world size included), ``partial_fit`` folds segments into one
+tree, and lossy sketches degrade gracefully.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ from repro.runtime import (
     payload_nbytes,
     run_spmd,
 )
-from repro.runtime.checkpoint import CheckpointError, LoadedCheckpoint
+from repro.runtime.checkpoint import (
+    CheckpointError,
+    LoadedCheckpoint,
+    latest_manifest,
+)
 from repro.streaming import (
     ChunkSource,
     build_sketch,
@@ -60,9 +64,9 @@ from tests.conftest import assert_trees_equal
 
 _FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
-#: lossless streaming config: generous sketch capacity, growth only at
-#: finalize — the settings under which streamed == batch, bit for bit
-LOSSLESS = dict(max_depth=6, sketch_size=8192, stream_grow_records=0)
+#: lossless streaming config: generous sketch capacity — the settings
+#: under which streamed == batch, bit for bit
+LOSSLESS = dict(max_depth=6, sketch_size=8192)
 
 
 def _stream_cfg(**over) -> InductionConfig:
@@ -362,9 +366,9 @@ def _exact_cubes(source, fids):
 @given(seed=st.integers(0, 2 ** 31 - 1), nprocs=st.integers(1, 3),
        chunk=st.integers(40, 400), n_classes=st.integers(2, 3),
        n_values=st.lists(st.integers(2, 40), min_size=1, max_size=3),
-       eager=st.booleans(), subsets=st.booleans())
+       subsets=st.booleans())
 def test_folded_count_rows_are_exact_counts(seed, nprocs, chunk, n_classes,
-                                            n_values, eager, subsets):
+                                            n_values, subsets):
     """On every scorer, every pass's folded count rows equal the
     ``np.add.at`` counts of the node's records summed over the ranks —
     any world size, chunking, class count, and category counts beyond
@@ -383,7 +387,6 @@ def test_folded_count_rows_are_exact_counts(seed, nprocs, chunk, n_classes,
     ds = Dataset(schema=schema, columns=columns, labels=labels, name="cats")
     config = _stream_cfg(max_depth=4, sketch_size=16,
                          stream_chunk_records=chunk,
-                         stream_grow_records=120 if eager else 0,
                          categorical_binary_subsets=subsets)
     seen: dict[int, list] = {}
     real = induction._sketches_to_scorers
@@ -434,28 +437,27 @@ def test_folded_count_rows_are_exact_counts(seed, nprocs, chunk, n_classes,
 @pytest.mark.parametrize("sketch_size", [16, 4096])
 def test_grow_rounds_child_sketches_match_build_sketch(sketch_size,
                                                        monkeypatch):
-    """Every local sketch block a rank builds — from the presort a split
-    regrouped, from a fresh lexsort, or over an ingested chunk — equals
+    """Every local sketch block a rank builds — from a fresh lexsort at
+    the root, from the presort a split regrouped below it — equals
     ``build_sketch`` of each node's records (trimmed to the block's rows)
-    for every continuous attribute, over several eager split passes and
-    the finalize, in the lossless and in the overflowing regime; the
-    count rows built beside them are each node's exact class counts per
-    categorical value (``car`` has 20 values: more than 16 slots)."""
+    for every continuous attribute, over every pass of the finalize, in
+    the lossless and in the overflowing regime; the count rows built
+    beside them are each node's exact class counts per categorical value
+    (``car`` has 20 values: more than 16 slots)."""
     ds = paper_dataset(1600, "F5", seed=7)
-    cfg = _stream_cfg(sketch_size=sketch_size, stream_chunk_records=400,
-                      stream_grow_records=150)
+    cfg = _stream_cfg(sketch_size=sketch_size, stream_chunk_records=400)
     built, regrouped = [], []
     build = induction._SketchSource._local_sketches
     regroup = induction.kernels.stable_regroup
 
-    def checked(self, fids, caps, lo=0):
-        runs = build(self, fids, caps, lo)
+    def checked(self, fids, caps):
+        runs = build(self, fids, caps)
         schema = self.frontier.schema
         continuous = [a for a, spec in enumerate(schema)
                       if spec.is_continuous]
         for run, block, counts in runs:
             for fid, sketches, row in zip(run.tolist(), block, counts):
-                mine = lo + np.flatnonzero(self.node_of[lo:] == fid)
+                mine = np.flatnonzero(self.node_of == fid)
                 for k, a in enumerate(continuous):
                     np.testing.assert_array_equal(sketches[k], build_sketch(
                         self.columns[a][mine], self.labels[mine],
@@ -495,8 +497,9 @@ def test_lossless_stream_matches_batch_exactly(function):
 
 @pytest.mark.parametrize("chunk", [150, 512, 5000])
 def test_tree_is_invariant_to_chunking(chunk):
-    """Finalize-only growth makes the epoch boundaries invisible: any
-    chunk size (including one bigger than the stream) gives one tree."""
+    """Growth at the end of the stream makes the epoch boundaries
+    invisible: any chunk size (including one bigger than the stream)
+    gives one tree."""
     ds = paper_dataset(1500, "F5", seed=3)
     ref = ScalParC(3, InductionConfig(max_depth=6), machine=None).fit(ds)
     got = ScalParC(3, _stream_cfg(stream_chunk_records=chunk),
@@ -544,16 +547,19 @@ def test_priced_stream_attributes_stream_phases():
 
 
 def test_midstream_kill_and_resume_matches_one_shot(tmp_path):
+    """A resume builds every node's statistics from the cut's retained
+    records, as the uninterrupted stream does at its end — so the trees
+    are equal even where the sketches are lossy (the continuous
+    attributes' values overflow 16 slots)."""
     ds = paper_dataset(2000, "F5", seed=7)
-    cfg = _stream_cfg()
+    cfg = _stream_cfg(sketch_size=16)
     one_shot = ScalParC(4, cfg, machine=None).fit_stream(ds)
 
     clf = ScalParC(4, cfg, machine=None)
     killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path)), max_epochs=3)
-    # the killed fit stopped at a sealed cut: frontier open, not final
-    assert killed.tree.n_leaves < \
-        one_shot.tree.n_leaves
+    # the killed fit stopped at a sealed cut: an open root, not final
+    assert killed.tree.n_leaves == 1 < one_shot.tree.n_leaves
     resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
         dir=str(tmp_path), resume=True))
     assert_trees_equal(one_shot.tree, resumed.tree,
@@ -588,6 +594,26 @@ def test_partial_fit_segments_match_one_shot(tmp_path):
                                                        resume=True))
     assert_trees_equal(one_shot.tree, final.tree,
                        "two partial_fit segments + finalize")
+
+
+def test_partial_fit_onto_a_finalized_cut_is_refused(tmp_path):
+    """A finalized stream's last cut holds no open node, so records
+    folded into it could never change its tree: ``partial_fit`` there is
+    refused, typed, naming the cut, on every rank — and the cut still
+    finalizes to its tree when nothing is left to ingest."""
+    ds = paper_dataset(900, "F2", seed=1)
+    clf = ScalParC(2, _stream_cfg(), machine=None, backend="thread")
+    done = clf.fit_stream(ds, checkpoint=CheckpointConfig(dir=str(tmp_path)))
+    manifest = latest_manifest(str(tmp_path))
+    with pytest.raises(SpmdWorkerError) as err:
+        clf.partial_fit(ds.take(np.arange(300)), checkpoint=str(tmp_path))
+    assert len(err.value.failures) == 2
+    for exc in err.value.failures.values():
+        assert isinstance(exc, CheckpointError)
+        assert manifest in str(exc) and "finalized" in str(exc)
+    again = clf.fit_stream(ds, checkpoint=CheckpointConfig(
+        dir=str(tmp_path), resume=True))
+    assert_trees_equal(done.tree, again.tree, "finalized cut, nothing new")
 
 
 def test_partial_fit_requires_checkpoint():
@@ -635,7 +661,7 @@ def test_resume_refuses_the_committed_node_graph_cut(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# lossy sketches and eager growth: graceful degradation
+# lossy sketches: graceful degradation
 # ----------------------------------------------------------------------
 
 
@@ -647,66 +673,23 @@ def test_lossy_sketch_still_classifies_well():
     assert accuracy > 0.80
 
 
-def test_eager_growth_splits_before_end_of_stream(tmp_path):
-    """With a grow threshold, the frontier must already hold real splits
-    at a mid-stream cut (growth is no longer finalize-only)."""
-    ds = paper_dataset(2000, "F5", seed=7)
-    cfg = _stream_cfg(stream_grow_records=300, sketch_size=64)
-    clf = ScalParC(4, cfg, machine=None)
-    killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
-        dir=str(tmp_path)), max_epochs=3)
-    assert killed.tree.n_leaves > 1
-    resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
-        dir=str(tmp_path), resume=True))
-    accuracy = float((resumed.tree.predict(ds) == ds.labels).mean())
-    assert accuracy > 0.80
-
-
-def _drift_stream() -> Dataset:
-    """600 records labelled ``x > 0.5``, then 1200 labelled
-    ``(x > 0.5) xor (y > 0.5)``: leaves that closed pure on the first
-    concept drift past the reopen threshold on the second."""
-    rng = np.random.default_rng(3)
-    n_before, n = 600, 1800
-    x, y = rng.random(n).round(3), rng.random(n).round(3)
-    labels = (x > 0.5).astype(np.int64)
-    labels[n_before:] ^= y[n_before:] > 0.5
-    schema = Schema(attributes=(
-        AttributeSpec("x", CONTINUOUS), AttributeSpec("y", CONTINUOUS),
-        AttributeSpec("g", CATEGORICAL, 3)), n_classes=2)
-    return Dataset(schema=schema,
-                   columns=[x, y, rng.integers(0, 3, n).astype(np.int32)],
-                   labels=labels, name="drift")
-
-
 #: scenario → (dataset, config, structure digest per world size).  The
-#: eager and drift digests were recorded from the per-node grow loop the
-#: batched rounds replaced, so they pin today's loop to it bit for bit.
-#: The lossy ones were recorded once leaves took their counts from exact
-#: class totals instead of their parent's sketch (the lossy tree's counts
-#: and close decisions moved; see the leaf-count test below), and again
-#: at p = 1 and 2 once categorical statistics became exact count rows
-#: (``car`` has 20 values, more than the 16 slots a sketch held: the
-#: first node that differs is a ``car`` split whose sketch had merged
-#: codes into bins).  Lossless scenarios are world-size independent;
-#: lossy sketches compress per rank, so their tree legitimately depends
-#: on p.
+#: lossy digests were recorded once leaves took their counts from exact
+#: class totals instead of their parent's sketch (see the leaf-count
+#: test below), again at p = 1 and 2 once categorical statistics became
+#: exact count rows (``car`` has 20 values, more than the 16 slots a
+#: sketch held), and again at every p once the root's statistics were
+#: built at the end of the stream from the retained records instead of
+#: merged chunk by chunk (the root is the first node that differs).
+#: Lossy sketches compress per rank, so the tree legitimately depends on
+#: p.
 _MODES = {
-    "eager": (
-        lambda: paper_dataset(2000, "F5", seed=7),
-        dict(stream_grow_records=500),
-        dict.fromkeys((1, 2, 3), "45272adfd2f47d9e6456458ee19dd3ce")),
     "lossy": (
         lambda: paper_dataset(2000, "F5", seed=7),
         dict(sketch_size=16),
-        {1: "1a3a8815f46e6b61d0d9ca05cf581524",
-         2: "025c7138d8c5793c8dd14cf160e18e31",
-         3: "e108c891ec6e09511df10cc2290c16cc"}),
-    "drift": (
-        _drift_stream,
-        dict(max_depth=5, sketch_size=2048, stream_chunk_records=150,
-             stream_grow_records=100, stream_reopen_delta=0.1),
-        dict.fromkeys((1, 2, 3), "6f56a76cba5d366a5408c4a505644c74")),
+        {1: "f8a6365918cad47c47c940b7b419afc7",
+         2: "ef19f548f63123b7ac151a38b20f3739",
+         3: "f40637c40a9bd71bd1a40c1927ed4866"}),
 }
 
 
@@ -722,54 +705,13 @@ def test_eager_lossy_and_drift_trees_are_pinned(mode, nprocs, backend):
         (mode, nprocs, backend)
 
 
-def test_drift_stream_reopens_and_resplits(monkeypatch):
-    """The drift scenario is not vacuous: leaves do reopen, a reopened
-    leaf splits again, and its sketches are built in a pass whose presort
-    does not hold its records (the pass must sort them afresh)."""
-    seen = {"reopened": set(), "resplit": 0, "uncovered": 0}
-    totals = induction._SketchSource.class_totals
-    build = induction._SketchSource._local_sketches
-    grow = LevelFrontier.grow
-
-    def spy_totals(self, level, fids):
-        before = self.frontier.open_.copy()
-        out = totals(self, level, fids)
-        seen["reopened"] |= set(
-            np.flatnonzero(self.frontier.open_ & ~before).tolist())
-        return out
-
-    def spy_build(self, fids, caps, lo=0):
-        held = set() if self.presort is None else \
-            set(self.node_of[self.presort[0]].tolist())
-        if not lo and seen["reopened"] & (set(fids.tolist()) - held):
-            seen["uncovered"] += 1
-        return build(self, fids, caps, lo)
-
-    def spy_grow(self, fids, level_totals, best, split_ok, *rest):
-        seen["resplit"] += len(seen["reopened"]
-                               & set(fids[split_ok].tolist()))
-        return grow(self, fids, level_totals, best, split_ok, *rest)
-
-    monkeypatch.setattr(induction._SketchSource, "class_totals", spy_totals)
-    monkeypatch.setattr(induction._SketchSource, "_local_sketches",
-                        spy_build)
-    monkeypatch.setattr(LevelFrontier, "grow", spy_grow)
-    make, over, _ = _MODES["drift"]
-    ScalParC(1, _stream_cfg(**over), machine=None,
-             backend="thread").fit_stream(make())
-    assert seen["reopened"] and seen["resplit"] and seen["uncovered"], seen
-
-
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
 @pytest.mark.parametrize("mode", sorted(_MODES))
 def test_leaf_counts_match_the_records_routed_to_them(mode, nprocs):
     """Route the training set through the streamed tree's table: every
     leaf's class counts are those of the records that reach it, lossy
     sketches included — a child's counts are the next pass's exact class
-    totals, never an estimate from its parent's sketch.  One exception
-    is by design: a leaf closed mid-stream keeps the counts it closed
-    with until its records' class distribution moves more than
-    ``stream_reopen_delta`` from them (which reopens it)."""
+    totals, never an estimate from its parent's sketch."""
     make, over, _ = _MODES[mode]
     ds, cfg = make(), _stream_cfg(**over)
     table = ScalParC(nprocs, cfg, machine=None).fit_stream(ds).tree.compiled()
@@ -779,12 +721,7 @@ def test_leaf_counts_match_the_records_routed_to_them(mode, nprocs):
         minlength=table.n_nodes * c).reshape(-1, c)
     stale = (table.kind == KIND_LEAF) & (
         routed != table.class_counts).any(axis=1)
-    if cfg.stream_grow_records == 0:
-        assert not stale.any(), np.flatnonzero(stale)
-    shift = 0.5 * np.abs(
-        routed[stale] / routed[stale].sum(axis=1, keepdims=True)
-        - table.class_counts[stale] / table.n_records[stale, None]).sum(axis=1)
-    assert (shift <= cfg.stream_reopen_delta).all()
+    assert not stale.any(), np.flatnonzero(stale)
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
@@ -821,12 +758,11 @@ def _streamed_on_rank(comm, ds, cfg, ckpt_dir):
         comm, ds, cfg, checkpoint=CheckpointConfig(dir=ckpt_dir)))
 
 
-@pytest.mark.parametrize("mode", ["eager", "drift"])
-def test_streamed_trees_and_cuts_hold_no_node_objects(mode, tmp_path):
+def test_streamed_trees_and_cuts_hold_no_node_objects(tmp_path):
     """The streaming tree is table rows end to end: neither a rank's
-    pickled tree nor an epoch cut's shared payload (read as written)
-    names a node class."""
-    make, over, digests = _MODES[mode]
+    pickled tree nor the finalized cut's shared payload (read as
+    written) names a node class."""
+    make, over, digests = _MODES["lossy"]
     results = run_spmd(2, _streamed_on_rank, backend="process", args=(
         make(), _stream_cfg(**over), str(tmp_path)))
     cut = LoadedCheckpoint.open(str(tmp_path))
@@ -841,10 +777,10 @@ def test_streamed_trees_and_cuts_hold_no_node_objects(mode, tmp_path):
 
 def _traced_stream_digests(backend: str) -> list:
     """Per rank, ``(op, phase, level, payload digest, result digest)`` of
-    every Stream.* collective of one eager streamed fit; the trace must
-    pass the conformance checker."""
+    every Stream.* collective of one streamed fit; the trace must pass
+    the conformance checker."""
     ds = paper_dataset(1500, "F5", seed=9)
-    cfg = _stream_cfg(sketch_size=64, stream_grow_records=400)
+    cfg = _stream_cfg(sketch_size=64)
     collector = TraceCollector()
     ScalParC(2, cfg, machine=None, backend=backend).fit_stream(
         ds, trace=collector)
@@ -971,23 +907,6 @@ def test_sketches_cross_the_transport_once_to_their_scorer(backend, nprocs,
     assert max(scored) - min(scored) <= rounds
 
 
-def test_midgrow_kill_and_resume_matches_one_shot(tmp_path):
-    """Eager growth (lossless sketches): a cut taken while the tree is
-    half grown resumes into exactly the one-shot tree."""
-    ds = paper_dataset(2000, "F5", seed=7)
-    cfg = _stream_cfg(stream_grow_records=500)
-    one_shot = ScalParC(3, cfg, machine=None).fit_stream(ds)
-    clf = ScalParC(3, cfg, machine=None)
-    killed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
-        dir=str(tmp_path)), max_epochs=4)
-    assert 1 < killed.tree.n_leaves < \
-        one_shot.tree.n_leaves
-    resumed = clf.fit_stream(ds, checkpoint=CheckpointConfig(
-        dir=str(tmp_path), resume=True))
-    assert_trees_equal(one_shot.tree, resumed.tree,
-                       "eager: kill at epoch 4 + resume")
-
-
 # ----------------------------------------------------------------------
 # config plumbing and env parity
 # ----------------------------------------------------------------------
@@ -1011,8 +930,6 @@ def test_stream_knob_env_parity(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"stream_chunk_records": 0},
     {"sketch_size": 4},
-    {"stream_grow_records": -1},
-    {"stream_reopen_delta": 1.5},
 ])
 def test_stream_knob_validation(bad):
     with pytest.raises(ValueError):
