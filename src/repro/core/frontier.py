@@ -113,7 +113,8 @@ class LevelFrontier:
     rewrites its node's row and appends the children as consecutive fids,
     each labelled with its parent's majority class until records of its
     own say otherwise — the label an empty child keeps.  :meth:`table`
-    numbers the fids breadth-first; a batch inducer creates its nodes
+    numbers the fids breadth-first; a batch fit and a stream (which
+    grows from its root once the stream ends) both create their nodes
     level by level, so there the fids already are that order.  Plain
     arrays throughout: :meth:`rows` is a checkpoint cut's payload and
     :meth:`from_rows` grows on from it."""

@@ -44,10 +44,6 @@ class InvalidRankError(SpmdError, ValueError):
     """A rank argument was outside ``[0, size)``."""
 
 
-class MessageTruncatedError(SpmdError):
-    """A receive buffer was too small for the matched message."""
-
-
 class WorkerCrashError(SpmdError):
     """A worker rank died without raising a transferable exception (its
     process exited hard, or its exception could not be pickled home)."""

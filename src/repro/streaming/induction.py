@@ -2,29 +2,31 @@
 
 Records arrive in per-epoch chunks instead of being presorted up front
 (pdsCART, arXiv:2505.11780; stream-split estimators, arXiv:2403.19867).
-Each rank retains the records it has ingested and the class counts of
-its leaves; the tree grows once, when the stream ends, by the batch
-drivers' loop, :func:`~repro.core.frontier.grow_levels`, over the same
-per-node :class:`~repro.core.frontier.LevelFrontier`.  Only the split
-statistics differ, through :class:`_SketchSource`: a node's are built
-once, from the retained records, when it is first scored — a quantile
-sketch per continuous attribute (see :mod:`repro.streaming.sketch`) and,
-per categorical attribute, the exact class counts per value, batch
+Until the stream ends each rank only retains the records it has
+ingested; the tree grows once, at finalize, by the batch drivers' loop,
+:func:`~repro.core.frontier.grow_levels`, over the same per-node
+:class:`~repro.core.frontier.LevelFrontier`, so a stream's fids are
+created level by level as a batch fit's are.  Only the split statistics
+differ, through :class:`_SketchSource`: a node's are built once, from
+the retained records, when it is first scored — a quantile sketch per
+continuous attribute (see :mod:`repro.streaming.sketch`) and, per
+categorical attribute, the exact class counts per value, batch
 ScalParC's count matrix::
 
     do while (records remain in the stream)
-        Stream.ingest   — route this epoch's chunk, retain it
-        Stream.sketch   — the epoch heartbeat: the class totals alone
+        Stream.ingest   — append this epoch's block to the retained set
         checkpoint cut  — every epoch boundary is a sealed resume point
     end do
-    finalize            — grow_levels: the batch rules
+    finalize            — grow_levels from the root: the batch rules
 
-A resume rebuilds the same state from a cut's retained records, so a
-killed and resumed stream grows the uninterrupted one's tree, lossy
-sketches included.  One pass sends a node's statistics where ScalParC
-sends a level's count matrices — to the rank that scores them::
+Ingest is silent: no collective runs before finalize (a call that stops
+mid-stream settles its open root with one class-totals allreduce).  A
+resume reloads a cut's retained records, so a killed and resumed stream
+grows the uninterrupted one's tree, lossy sketches included.  One pass
+sends a node's statistics where ScalParC sends a level's count matrices
+— to the rank that scores them::
 
-    Stream.sketch   — class totals (SUM allreduce)
+    Stream.sketch   — class totals of the visited nodes (SUM allreduce)
     Stream.grow     — build the candidates' statistics
     Stream.sketch   — each candidate's local sketches and count rows to
                       its scorer (one alltoallv), folded there (sketches
@@ -71,7 +73,7 @@ from ..runtime.reduction import SUM
 from ..tree.compile import KIND_CONTINUOUS
 from ..tree.model import DecisionTree
 from .sketch import build_sketch_stack, merge_stacks
-from .source import ChunkSource
+from .source import rank_block
 
 __all__ = ["stream_induce_worker"]
 
@@ -263,17 +265,17 @@ def _score_nodes(stack: np.ndarray, counts: np.ndarray, totals: np.ndarray,
 class _SketchSource(LevelSource):
     """One rank's streaming state, read by :func:`grow_levels`.
 
-    The retained records (``columns``, ``labels`` and ``node_of``, each
-    record's fid), this rank's class counts per fid and the local
-    statistics of the pass's candidates: ``sketches[fid]`` is ``(stack,
-    row)``, the continuous attributes' sketches (``(n_continuous, cap,
-    1+c)``, ``cap`` the node's transport capacity) and the categorical
-    attributes' class counts per value (a flat ``row_width`` row,
-    :func:`_row_starts`' layout, float64 like a sketch's counts), built
-    from the retained records when the pass scores the node and dropped
-    when it ends.  ``presort`` is the record order of the last build —
-    per continuous attribute, records sorted by (node, value) — which a
-    split only regroups (stable, so value order survives).
+    The retained records (``columns`` and ``labels``, appended epoch by
+    epoch; ``node_of``, each record's fid, from finalize on) and the
+    local statistics of the pass's candidates: ``sketches[fid]`` is
+    ``(stack, row)``, the continuous attributes' sketches (``(n_continuous,
+    cap, 1+c)``, ``cap`` the node's transport capacity) and the
+    categorical attributes' class counts per value (a flat ``row_width``
+    row, :func:`_row_starts`' layout, float64 like a sketch's counts),
+    built from the retained records when the pass scores the node and
+    dropped when it ends.  ``presort`` is the record order of the last
+    build — per continuous attribute, records sorted by (node, value) —
+    which a split only regroups (stable, so value order survives).
     """
 
     def __init__(self, comm: Communicator, frontier: LevelFrontier,
@@ -287,8 +289,6 @@ class _SketchSource(LevelSource):
             for spec in schema]
         self.labels = np.empty(0, dtype=np.int64)
         self.node_of = np.empty(0, dtype=np.int64)
-        self.local_counts = np.zeros((len(frontier.kind), self.n_classes),
-                                     dtype=np.int64)
         self.continuous = [a for a, spec in enumerate(schema)
                            if spec.is_continuous]
         self.categorical = [a for a, spec in enumerate(schema)
@@ -303,14 +303,15 @@ class _SketchSource(LevelSource):
     # -- the level loop's side ---------------------------------------
 
     def class_totals(self, level: int, fids: np.ndarray) -> np.ndarray:
-        frontier = self.frontier
+        c = self.n_classes
+        node = self._node_index(fids)
+        held = node >= 0
+        local = np.bincount(node[held] * c + self.labels[held],
+                            minlength=len(fids) * c).reshape(len(fids), c)
         with timed_phase(self.comm, STREAM_SKETCH):
-            g = self.comm.allreduce(self.local_counts, SUM)
-        with timed_phase(self.comm, STREAM_GROW):
-            live = np.flatnonzero(frontier.open_)
-            frontier.settle(live, g[live])
+            totals = self.comm.allreduce(local, SUM)
         self.fids = fids
-        return g[fids]
+        return totals
 
     def best_splits(self, totals: np.ndarray, candidates: np.ndarray
                     ) -> tuple[np.ndarray, CatState]:
@@ -336,11 +337,9 @@ class _SketchSource(LevelSource):
     def partition(self, decisions: LevelDecisions) -> None:
         """Move the retained records of the splitting nodes to their
         children, read off the rows the pass just wrote."""
-        frontier, c = self.frontier, self.n_classes
+        frontier = self.frontier
         split = self.fids[decisions.splitting]
-        index = np.full(len(self.local_counts), -1, dtype=np.int64)
-        index[split] = np.arange(len(split))
-        node = index[self.node_of]
+        node = self._node_index(split)
         recs = np.flatnonzero(node >= 0)
         parent = split[node[recs]]
         feature = frontier.feature[parent]
@@ -351,14 +350,8 @@ class _SketchSource(LevelSource):
         slot = np.where(frontier.kind[parent] == KIND_CONTINUOUS,
                         values >= frontier.threshold[parent], values)
         child = frontier.slots[parent, slot.astype(np.int64)]
-        child = frontier.first_child[parent] + np.where(
+        self.node_of[recs] = frontier.first_child[parent] + np.where(
             child < 0, frontier.default_child[parent], child)
-        self.node_of[recs] = child
-        self.local_counts = np.concatenate([self.local_counts, np.zeros(
-            (len(frontier.kind) - len(self.local_counts), c), np.int64)])
-        self.local_counts += np.bincount(
-            child * c + self.labels[recs], minlength=self.local_counts.size,
-        ).reshape(self.local_counts.shape)
 
     def end_level(self, level: int, frontier: LevelFrontier,
                   n_active: int) -> None:
@@ -367,6 +360,12 @@ class _SketchSource(LevelSource):
         self.sketches = {}
 
     # -- the stream's side -------------------------------------------
+
+    def _node_index(self, fids: np.ndarray) -> np.ndarray:
+        """Each retained record's position in ``fids``, −1 outside."""
+        key = np.full(len(self.frontier.kind), -1, dtype=np.int64)
+        key[fids] = np.arange(len(fids))
+        return key[self.node_of]
 
     def gather(self, fids: np.ndarray, cap: int
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -381,25 +380,22 @@ class _SketchSource(LevelSource):
         ``(fids, block, rows)`` per run of equal ``caps``, the continuous
         sketches ``(n, n_continuous, cap, 1+c)`` and the count rows ``(n,
         row_width)``.  Each node's records come in value order from the
-        presort where it holds them all, from a lexsort otherwise; the
-        count rows of every node are one ``bincount`` over (node, value
-        offset + code, class)."""
+        last build's, which holds them all, regrouped by node (the root
+        pass, the first build, sorts every record by value); the count
+        rows of every node are one ``bincount`` over (node, value offset
+        + code, class)."""
         by_cap = np.argsort(caps, kind="stable")
         fids, caps = fids[by_cap], caps[by_cap]
-        key = np.full(len(self.local_counts), -1, dtype=np.int64)
-        key[fids] = np.arange(len(fids))
-        node = key[self.node_of]
+        node = self._node_index(fids)
         held = np.flatnonzero(node >= 0)
         held_node = node[held]
         sizes = np.bincount(held_node, minlength=len(fids))
-        if self.presort and np.count_nonzero(
-                node[self.presort[0]] >= 0) == len(held):
-            recs = [order[kernels.stable_regroup(node[order], len(fids))[0]]
-                    for order in self.presort]
-        else:
-            recs = [held[np.lexsort((self.columns[a][held], held_node))]
-                    for a in self.continuous]
-        self.presort = recs
+        if self.presort is None:
+            self.presort = [np.argsort(self.columns[a], kind="stable")
+                            for a in self.continuous]
+        self.presort = recs = [
+            order[kernels.stable_regroup(node[order], len(fids))[0]]
+            for order in self.presort]
         c, base = self.n_classes, held_node * self.n_values
         rows = np.bincount(np.concatenate([np.empty(0, np.int64)] + [
             (base + self.value_starts[a] + self.columns[a][held]) * c
@@ -420,21 +416,11 @@ class _SketchSource(LevelSource):
         return runs
 
     def ingest(self, block: Dataset) -> None:
-        """Route one epoch block to its leaves through the tree's table
-        and append it to the retained set and the per-fid local
-        counts."""
-        if block.n_records == 0:
-            return
-        table, fid_of = self.frontier.table()
-        fids = fid_of[table.apply(np.column_stack(block.columns))]
-        labels = block.labels.astype(np.int64)
-        self.local_counts += np.bincount(
-            fids * self.n_classes + labels, minlength=self.local_counts.size,
-        ).reshape(self.local_counts.shape)
+        """Append one epoch block to the retained records."""
         self.columns = [np.concatenate([col, new])
                         for col, new in zip(self.columns, block.columns)]
-        self.labels = np.concatenate([self.labels, labels])
-        self.node_of = np.concatenate([self.node_of, fids])
+        self.labels = np.concatenate([self.labels,
+                                      block.labels.astype(np.int64)])
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +434,6 @@ def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
     rank_payload = {
         "columns": [col.copy() for col in source.columns],
         "labels": source.labels.copy(),
-        "node_of": source.node_of.copy(),
-        "local_counts": source.local_counts.copy(),
         **rank_extras(comm),
     }
     shared_payload = {
@@ -471,7 +455,8 @@ def _resume_cut(comm: Communicator, path: str, schema: Schema,
 
     Works on the original world size or any other — retained records are
     re-blocked contiguously in old-rank order; statistics are built from
-    them at finalize, as in an uninterrupted stream.
+    them at finalize, as in an uninterrupted stream.  A cut's per-record
+    fids and per-fid counts, which older versions wrote, are not read.
     """
     loaded = LoadedCheckpoint.open(path)
     shared = loaded.expect(
@@ -489,12 +474,9 @@ def _resume_cut(comm: Communicator, path: str, schema: Schema,
         mine = payloads[comm.rank]
         source.columns = [np.asarray(col) for col in mine["columns"]]
         source.labels = np.asarray(mine["labels"])
-        source.node_of = np.asarray(mine["node_of"])
-        source.local_counts = np.asarray(mine["local_counts"])
         restore_rank_extras(comm, mine)
     else:
         all_labels = np.concatenate([p["labels"] for p in payloads])
-        all_node_of = np.concatenate([p["node_of"] for p in payloads])
         n_ret = len(all_labels)
         blk = -(-n_ret // comm.size) if n_ret else 0
         lo = min(comm.rank * blk, n_ret)
@@ -504,11 +486,6 @@ def _resume_cut(comm: Communicator, path: str, schema: Schema,
             for a in range(len(schema))
         ]
         source.labels = all_labels[lo:hi]
-        source.node_of = all_node_of[lo:hi]
-        source.local_counts = np.bincount(
-            source.node_of * schema.n_classes + source.labels,
-            minlength=len(source.frontier.kind) * schema.n_classes,
-        ).reshape(len(source.frontier.kind), schema.n_classes)
     return loaded.level, int(shared["cursor"]), int(shared["n_seen"])
 
 
@@ -530,7 +507,8 @@ def stream_induce_worker(
 
     ``max_epochs`` caps how many chunks this call ingests (a capped call
     skips finalize growth — the tree stays an open root for the next
-    resume).  ``finalize=False`` likewise leaves the root open (the
+    resume, settled with the ingested records' class counts).
+    ``finalize=False`` likewise leaves the root open (the
     ``partial_fit`` mode).  ``fresh_cursor=True`` treats ``dataset`` as a
     brand-new stream segment appended to a resumed stream (cursor
     restarts at 0) instead of a continuation of the checkpointed stream.
@@ -549,14 +527,14 @@ def stream_induce_worker(
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 
     source = _SketchSource(comm, LevelFrontier(schema), config)
-    stream = ChunkSource(dataset, config.stream_chunk_records)
+    chunk, n_records = config.stream_chunk_records, dataset.n_records
     epoch, cursor, n_seen = 0, 0, 0
     if resume_src is not None:
         epoch, cursor, n_seen = _resume_cut(comm, resume_src, schema, config,
                                             source)
         if fresh_cursor:
             cursor = 0
-        if cursor < stream.n_records and not source.frontier.open_.any():
+        if cursor < n_records and not source.frontier.open_.any():
             raise CheckpointError(
                 f"checkpoint {resume_src!r} holds a finalized tree (no open "
                 "node): records ingested into it could never change it; "
@@ -565,18 +543,15 @@ def stream_induce_worker(
 
     epochs_run = 0
     last_saved_epoch = epoch if resume_src is not None else None
-    while cursor < stream.n_records and (
+    while cursor < n_records and (
             max_epochs is None or epochs_run < max_epochs):
         comm.level = epoch
-        block = stream.rank_block(cursor, comm.rank, comm.size)
+        block = rank_block(dataset, chunk, cursor, comm.rank, comm.size)
         with timed_phase(comm, STREAM_INGEST):
             source.ingest(block)
-        hi = min(cursor + config.stream_chunk_records, stream.n_records)
+        hi = min(cursor + chunk, n_records)
         n_seen += hi - cursor
         cursor = hi
-        # the epoch heartbeat reduces just the class totals (the open
-        # root's refresh); statistics wait for the end of the stream
-        source.class_totals(epoch, np.empty(0, dtype=np.int64))
         epoch += 1
         epochs_run += 1
         comm.perf.mark_level(epoch - 1)
@@ -584,10 +559,16 @@ def stream_induce_worker(
             _save_cut(comm, ckpt, epoch, source, cursor, n_seen, config)
             last_saved_epoch = epoch
 
+    # every retained record starts at the root
+    source.node_of = np.zeros(len(source.labels), dtype=np.int64)
     tree = None
-    if finalize and cursor >= stream.n_records:
+    if finalize and cursor >= n_records:
         comm.level = epoch
         tree = grow_levels(source.frontier, config, source, epoch)
+    else:
+        # stopping mid-stream: the open root takes the ingested totals
+        root = np.zeros(1, dtype=np.int64)
+        source.frontier.settle(root, source.class_totals(epoch, root))
 
     if ckpt is not None:
         if tree is not None or last_saved_epoch != epoch:

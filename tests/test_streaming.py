@@ -48,7 +48,6 @@ from repro.runtime.checkpoint import (
     latest_manifest,
 )
 from repro.streaming import (
-    ChunkSource,
     build_sketch,
     empty_sketch,
     merge_sketches,
@@ -58,6 +57,7 @@ from repro.streaming import (
 )
 from repro.streaming import induction, sketch
 from repro.streaming.sketch import build_sketch_stack
+from repro.streaming.source import rank_block
 from repro.tree.compile import KIND_LEAF
 
 from tests.conftest import assert_trees_equal
@@ -147,13 +147,13 @@ def test_merge_stacks_merges_cell_by_cell(seed, n_contribs, capacity):
 
 
 def test_chunk_source_partitions_in_record_order():
+    """On one rank the blocks are the chunks: the stream in record
+    order, the tail chunk short."""
     ds = paper_dataset(1000, "F2", seed=1)
-    src = ChunkSource(ds, 300)
-    assert src.n_epochs() == 4
-    assert src.n_epochs(offset=600) == 2
-    sizes = [src.chunk(off).n_records for off in (0, 300, 600, 900)]
-    assert sizes == [300, 300, 300, 100]
-    np.testing.assert_array_equal(src.chunk(300).labels, ds.labels[300:600])
+    blocks = [rank_block(ds, 300, off, 0, 1) for off in (0, 300, 600, 900)]
+    assert [b.n_records for b in blocks] == [300, 300, 300, 100]
+    np.testing.assert_array_equal(
+        np.concatenate([b.labels for b in blocks]), ds.labels)
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
@@ -162,12 +162,11 @@ def test_rank_blocks_tile_the_chunk(size):
     chunk, then slice" blocks — including the short tail chunk and ranks
     that get nothing."""
     ds = paper_dataset(1000, "F2", seed=1)
-    src = ChunkSource(ds, 300)
     for offset in (0, 300, 900, 1000):
-        whole = src.chunk(offset)
+        whole = ds.take(np.arange(offset, min(offset + 300, 1000)))
         for rank in range(size):
             want = whole.block(rank, size)
-            got = src.rank_block(offset, rank, size)
+            got = rank_block(ds, 300, offset, rank, size)
             np.testing.assert_array_equal(got.labels, want.labels)
             for a, b in zip(got.columns, want.columns):
                 np.testing.assert_array_equal(a, b)
@@ -596,6 +595,76 @@ def test_partial_fit_segments_match_one_shot(tmp_path):
                        "two partial_fit segments + finalize")
 
 
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+def test_unfinished_stream_returns_its_settled_root(nprocs, backend,
+                                                     tmp_path):
+    """A call that stops before the stream ends — a capped
+    ``fit_stream`` or a ``partial_fit`` — returns one open leaf holding
+    the class counts, record count and majority label of the prefix it
+    ingested."""
+    ds = paper_dataset(3000, "F2", seed=1)
+    clf = ScalParC(nprocs, _stream_cfg(stream_chunk_records=500,
+                                       sketch_size=32),
+                   machine=None, backend=backend)
+    capped = clf.fit_stream(ds, max_epochs=2).tree
+    segment = ds.take(np.arange(700))
+    partial = clf.partial_fit(segment, checkpoint=str(tmp_path)).tree
+    for tree, labels in ((capped, ds.labels[:1000]),
+                         (partial, segment.labels)):
+        table = tree.compiled()
+        counts = np.bincount(labels, minlength=ds.schema.n_classes)
+        assert table.n_nodes == 1 and table.kind[0] == KIND_LEAF
+        np.testing.assert_array_equal(table.class_counts[0], counts)
+        assert table.n_records[0] == len(labels)
+        assert table.leaf_label[0] == np.argmax(counts)
+
+
+def test_ingest_runs_no_collective():
+    """Until the stream ends a rank only appends what it ingests: a
+    finalizing fit traces no collective at an epoch's level, and a
+    capped one only the allreduce that settles its open root."""
+    ds = paper_dataset(3000, "F2", seed=1)
+    cfg = _stream_cfg(stream_chunk_records=500, sketch_size=32)
+    for max_epochs, epochs, early in ((None, 6, []),
+                                      (2, 2, ["allreduce(op=sum)"])):
+        collector = TraceCollector()
+        ScalParC(2, cfg, machine=None).fit_stream(
+            ds, trace=collector, max_epochs=max_epochs)
+        for rank in range(2):
+            events = collector.events_of(rank)
+            assert [ev.op for ev in events if ev.level < epochs] == early
+            assert max_epochs or len(events) > len(early)
+
+
+#: structure digest of the tree grown from the committed table-row cut,
+#: per world size, by the version that wrote it
+_TABLE_ROW_CUT_TREES = {2: "4e2a49e2eaf4b75671a8324b04ae0e71",
+                        3: "e16f52179cedbb55bb7c7058e27230be"}
+
+
+@pytest.mark.parametrize("nprocs", sorted(_TABLE_ROW_CUT_TREES))
+def test_committed_table_row_cut_resumes(nprocs, tmp_path):
+    """``tests/fixtures/stream_cut_table_rows`` is an epoch cut written by
+    the version that routed ingest through the tree, with each record's
+    fid and per-fid class counts in its rank payloads (F5, 3 000
+    records, seed 7, chunk 400, sketch 16 — lossy —, depth 6, p = 2,
+    thread backend, cut at epoch 3).  Resumed, it grows the tree that
+    version grew from it: at p = 2 the uninterrupted stream's, and at
+    p = 3, re-blocked, the same tree as before."""
+    ds = paper_dataset(3000, "F5", seed=7)
+    cfg = _stream_cfg(stream_chunk_records=400, sketch_size=16)
+    shutil.copytree(_FIXTURES / "stream_cut_table_rows", tmp_path / "cut")
+    resumed = ScalParC(nprocs, cfg, machine=None).fit_stream(
+        ds, checkpoint=CheckpointConfig(dir=str(tmp_path / "cut"),
+                                        resume=True)).tree
+    assert resumed.compiled().structure_digest \
+        == _TABLE_ROW_CUT_TREES[nprocs]
+    if nprocs == 2:
+        one_shot = ScalParC(2, cfg, machine=None).fit_stream(ds).tree
+        assert_trees_equal(one_shot, resumed, "committed cut, resumed")
+
+
 def test_partial_fit_onto_a_finalized_cut_is_refused(tmp_path):
     """A finalized stream's last cut holds no open node, so records
     folded into it could never change its tree: ``partial_fit`` there is
@@ -737,8 +806,10 @@ def test_sketches_travel_at_a_capacity_covering_their_node(mode, nprocs,
 
     def spy(comm, source, caps, shares):
         pos = np.concatenate(shares)
+        local = np.bincount(source.node_of,
+                            minlength=len(source.frontier.kind))
         calls.setdefault(comm.rank, []).append(
-            (caps[pos], source.local_counts[source.fids[pos]].sum(axis=1)))
+            (caps[pos], local[source.fids[pos]]))
         return real(comm, source, caps, shares)
 
     monkeypatch.setattr(induction, "_sketches_to_scorers", spy)
