@@ -205,7 +205,6 @@ def price(ledgers: Sequence[RankTracker],
         level_marks=tuple(ranks[0].level_marks),
         transport_pickled_bytes=sum(
             t.transport_pickled_bytes for t in ledgers),
-        transport_shared_bytes=sum(t.transport_shared_bytes for t in ledgers),
     )
 
 

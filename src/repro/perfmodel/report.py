@@ -71,12 +71,8 @@ class SimulatedRunStats:
     #: per-level (label, end_clock) marks from rank 0
     level_marks: tuple = ()
     #: *measured* bytes actually serialized onto an engine transport
-    #: (sum over ranks; nonzero only on the process backend)
+    #: (sum over ranks; nonzero on the process and tcp backends)
     transport_pickled_bytes: int = 0
-    #: *measured* bytes that moved through shared-memory segments instead
-    #: of being serialized (sum over ranks; nonzero only when the process
-    #: backend's data plane is enabled)
-    transport_shared_bytes: int = 0
 
     def level_durations(self) -> list[tuple[object, float]]:
         """Per-level durations derived from rank 0's level marks."""
@@ -104,8 +100,8 @@ class SimulatedRunStats:
                 > sum(self.collective_counts.values()) else ""
             ),
         ]
-        # the measured transport counters (transport_pickled_bytes /
-        # transport_shared_bytes) are deliberately NOT in this block: it
+        # the measured transport counter (transport_pickled_bytes) is
+        # deliberately NOT in this block: it
         # reports the simulated machine, which is engine-independent and
         # byte-identical across backends; measured transport lives in the
         # stats fields and the benchmark JSON

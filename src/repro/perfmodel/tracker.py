@@ -20,7 +20,7 @@ therefore a *position* — the row count — which is all
 :func:`~repro.core.phases.timed_phase` needs to say which rows a phase
 covered.
 
-One thing is measured rather than replayed, and kept as two counters:
+One thing is measured rather than replayed, and kept as a counter:
 the transport traffic an engine really moved (``add_transport``).  The
 collective trace (:mod:`repro.runtime.tracing`) feeds nothing here, so a
 traced run books the same ledger as an untraced one; per-phase bytes
@@ -55,11 +55,9 @@ class RankTracker:
     rows: list = field(default_factory=list)
 
     # actual transport accounting (measured, not simulated): bytes this
-    # rank really serialized onto an engine transport vs. bytes that moved
-    # through shared-memory segments instead of being copied.  Zero on
-    # backends with no physical transport (thread ranks share a heap).
+    # rank really serialized onto an engine transport.  Zero on backends
+    # with no physical transport (thread ranks share a heap).
     transport_pickled_bytes: int = 0
-    transport_shared_bytes: int = 0
 
     @property
     def clock(self) -> int:
@@ -121,9 +119,9 @@ class RankTracker:
 
     def add_transport(self, pickled: int, shared: int) -> None:
         """Record *actual* transport traffic (engine callback): bytes
-        serialized onto a pipe vs. bytes moved via shared memory."""
+        serialized onto a channel.  ``shared`` is always 0 (no engine
+        moves bytes any other way) and is not kept."""
         self.transport_pickled_bytes += int(pickled)
-        self.transport_shared_bytes += int(shared)
 
     def merge_remote(self, remote: "RankTracker") -> None:
         """Take over the ledger a rank process shipped home: there is one

@@ -32,7 +32,7 @@ from .._lazy import lazy_exports
 #: submodule → the public names it defines (``reduction`` exports
 #: itself).  Names load on first use (PEP 562): a process that only
 #: frames messages or writes durable files (the serving stack) never
-#: imports the engines, the tracer or the shared-memory data plane.
+#: imports the engines or the tracer.
 _MODULES = {
     "checkpoint": (
         "CHECKPOINT_ENV", "CheckpointConfig", "CheckpointError",
@@ -59,11 +59,6 @@ _MODULES = {
     "fusion": ("FusedBatch", "FusedFuture", "FusionError"),
     "payload": ("payload_nbytes",),
     "reduction": ("ReduceOp", "make_op", "reduction"),
-    "shm": (
-        "DEFAULT_SHM_THRESHOLD", "SHM_THRESHOLD_ENV", "ShmAttachCache",
-        "ShmDescriptor", "ShmPool", "decode_payload", "encode_payload",
-        "resolve_shm_threshold",
-    ),
     "tracing": (
         "LogicalOp", "TraceCollector", "TraceConformanceError", "TraceEvent",
         "check_traces", "format_trace_report", "last_trace_collector",
@@ -73,6 +68,13 @@ _MODULES = {
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "resolve_shm_threshold"])
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+
+def resolve_shm_threshold() -> None:
+    """Always ``None``: there is no shared-memory data plane, every
+    payload is pickled onto its channel.  Kept for callers that record
+    the setting (the e2e harness's provenance)."""
+    return None

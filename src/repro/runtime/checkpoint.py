@@ -36,7 +36,7 @@ family as the collective trace's payload digests, so a checkpoint can
 be cross-checked against a traced run's records.
 
 ``resolve_checkpoint`` gives the knob the same env-var parity as the
-runtime's timeout/backend/trace/shm settings: ``REPRO_SPMD_CHECKPOINT``
+runtime's timeout/backend/trace settings: ``REPRO_SPMD_CHECKPOINT``
 set to a directory enables checkpointing for any worker that accepts it.
 """
 

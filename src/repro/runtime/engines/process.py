@@ -18,9 +18,11 @@ once.  Two hops (rank → router → rank), no rank ever holds another
 rank's contributions, and reduction operators are resolved by name in
 the router process, which therefore must know them (they must exist at
 import time, before the ranks fork).  The all-to-alls only move
-blocks, one receiver each, so those stay encoded end to end, and the
-block a rank addresses to itself never leaves it (a placeholder travels
-instead).
+blocks, one receiver each, and the block a rank addresses to itself
+never leaves it (a placeholder travels instead).
+
+One transport: every payload is pickled onto the rank's channel, on a
+pipe here as on a socket under tcp.
 
 Protocol discipline (deadlock freedom on the pipes): children write only
 requests, the router writes only *replies* to a request it has already
@@ -28,43 +30,26 @@ read — abort notifications included, which are delivered as the reply to
 each rank's pending or next request, never unsolicited.  Hence the two
 sides are never blocked writing to each other simultaneously.
 
-Shared-memory data plane (:mod:`repro.runtime.shm` has the full story):
-numpy payloads at or above ``REPRO_SPMD_SHM_THRESHOLD`` bytes travel as
-tiny descriptors of pooled shared segments.  The router is a
-data-plane participant too: it reads contribution descriptors in place
-(read-only views) and places large results through a pool of its own.
-Lease recycling rides the existing protocol — the router credits the
-contribution leases it consumed to their owners on the very result reply
-that ends the step; consumed result/ptp leases travel ahead of the
-receiver's next request (``shm_free``); an all-to-all block is such a
-result, read by its receiver straight from the sender's segment — and
-children announce new segments (``shm_new``) so the parent can unlink
-every one, its own included, when the job ends, normally or not, which
-covers aborts and hard-killed ranks.
-
 Perf model: nothing is priced here.  Each rank books its collectives
 and point-to-point messages on its own ledger (``comm.perf``), sized
-before any payload is encoded, so the ledger is the same with the data
-plane on or off; the ledger's ``add_transport`` hook separately records
-the *actual* pickled pipe bytes versus shared-segment bytes the rank
-moved.  A rank ships its ledger home once, on its final message, and
-when the whole job succeeded the parent's tracker takes it over
-(``merge_remote``) — so a failed attempt of a supervised retry leaves
-the caller's trackers as they were.
+before any payload is pickled, so the ledger is the same on every
+backend; the ledger's ``add_transport`` hook separately records the
+bytes the rank *actually* pickled onto its channel.  A rank ships its
+ledger home once, on its final message, and when the whole job
+succeeded the parent's tracker takes it over (``merge_remote``) — so a
+failed attempt of a supervised retry leaves the caller's trackers as
+they were.
 
 Start method: ``fork`` where available (workers and closures need no
 pickling), overridable via ``REPRO_SPMD_START_METHOD``.  Under ``spawn``
-the worker, its arguments and its return value must be picklable; the
-data plane itself is start-method-agnostic (attach is by name).
+the worker, its arguments and its return value must be picklable.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 import random
 import time
@@ -91,14 +76,6 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..framing import FrameError
-from ..shm import (
-    ShmAttachCache,
-    ShmPool,
-    decode_payload,
-    encode_payload,
-    resolve_shm_threshold,
-    unlink_segment,
-)
 from .base import SpmdEngine
 from .group import (
     Group,
@@ -123,13 +100,7 @@ START_METHOD_ENV = "REPRO_SPMD_START_METHOD"
 #: terminating them
 _ABORT_GRACE = 10.0
 
-#: the router's ``owner`` id in shm descriptors (ranks are 0 … size−1)
-_ROUTER = -1
-
 _log = logging.getLogger("repro.runtime")
-
-#: per-parent job counter, part of the shm segment name prefix
-_JOB_SEQ = itertools.count()
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -224,53 +195,18 @@ class PipeChannel(Channel):
 # ----------------------------------------------------------------------
 
 
-class _ShmState:
-    """One process's data-plane state: a rank's or the router's."""
-
-    __slots__ = ("owner", "prefix", "threshold", "pool", "cache",
-                 "pending_free")
-
-    def __init__(self, owner: int, prefix: str, threshold: int):
-        self.owner = owner
-        self.prefix = prefix
-        self.threshold = threshold
-        self.pool: ShmPool | None = None          # lazy: first large payload
-        self.cache: ShmAttachCache | None = None  # lazy: first descriptor read
-        #: (owner, token) leases of *other* ranks consumed since the last
-        #: request — shipped ahead of the next request as ``shm_free``
-        self.pending_free: list[tuple[int, int]] = []
-
-    def get_pool(self) -> ShmPool:
-        if self.pool is None:
-            self.pool = ShmPool(self.owner, self.prefix)
-        return self.pool
-
-    def get_cache(self) -> ShmAttachCache:
-        if self.cache is None:
-            self.cache = ShmAttachCache()
-        return self.cache
-
-    def shutdown(self) -> None:
-        """Close mappings (never unlink — the engine parent does that)."""
-        if self.cache is not None:
-            self.cache.close()
-        if self.pool is not None:
-            self.pool.close()
-
-
 class ProcessCommunicator(Communicator):
     """Rank-side communicator: one :class:`Channel` to the router (a pipe
     on the process backend, a framed socket on tcp)."""
 
     def __init__(self, conn: Channel, rank: int, size: int,
-                 perf: Any | None = None, shm: _ShmState | None = None):
+                 perf: Any | None = None):
         super().__init__(rank, size, perf=perf)
         self._conn = conn
-        self._shm = shm
 
     # -- channel IO (each transfer counted by perf.add_transport) -------
 
-    def _raw_send(self, msg: tuple) -> None:
+    def _send_msg(self, msg: tuple) -> None:
         try:
             nbytes = self._conn.send(msg)
         except ChannelClosedError as exc:
@@ -294,58 +230,6 @@ class ProcessCommunicator(Communicator):
         self.perf.add_transport(nbytes, 0)
         return msg
 
-    def _send_msg(self, msg: tuple) -> None:
-        """Send one request, preceded by any pending data-plane control
-        notices (fire-and-forget, so the pipe discipline is preserved)."""
-        shm = self._shm
-        if shm is not None:
-            if shm.pool is not None:
-                created = shm.pool.drain_created()
-                if created:
-                    self._raw_send(("shm_new", created))
-            if shm.pending_free:
-                freed, shm.pending_free = shm.pending_free, []
-                self._raw_send(("shm_free", freed))
-        self._raw_send(msg)
-
-    # -- data plane -----------------------------------------------------
-
-    def _encode(self, payload: Any) -> Any:
-        """Swap large arrays for shared-segment descriptors (no-op when
-        the data plane is off)."""
-        shm = self._shm
-        if shm is None:
-            return payload
-        shared = [0]
-
-        def on_place(desc):
-            shared[0] += desc.nbytes
-
-        enc = encode_payload(payload, shm.get_pool(), shm.threshold,
-                             on_place)
-        if shared[0]:
-            self.perf.add_transport(0, shared[0])
-        return enc
-
-    def _decode(self, obj: Any) -> Any:
-        """Materialize descriptors as private copies and settle their
-        leases: own ones go straight back to the pool, foreign ones ride
-        ahead of the next request for the router to credit their owners."""
-        shm = self._shm
-        if shm is None:
-            return obj
-        consumed: list = []
-        out = decode_payload(obj, shm.get_cache(), copy=True,
-                             consumed=consumed)
-        for desc in consumed:
-            if desc.owner == shm.owner:
-                shm.get_pool().release((desc.token,))
-            else:
-                shm.pending_free.append((desc.owner, desc.token))
-        if consumed:
-            self.perf.add_transport(0, sum(d.nbytes for d in consumed))
-        return out
-
     # -- request/reply core --------------------------------------------
 
     def _request(self, msg: tuple) -> Any:
@@ -353,10 +237,7 @@ class ProcessCommunicator(Communicator):
         reply = self._recv_msg()
         kind = reply[0]
         if kind == "result":
-            _, value, reclaim = reply
-            if reclaim:         # own leases the router saw consumed
-                self._shm.pool.release(reclaim)
-            return self._decode(value)
+            return reply[1]
         if kind == "mismatch":
             raise CollectiveMismatchError(reply[1])
         if kind == "abort":
@@ -376,7 +257,7 @@ class ProcessCommunicator(Communicator):
             # back in the same place
             own, payload = payload[self.rank], list(payload)
             payload[self.rank] = None
-        result = self._request(("coll", spec, self._encode(payload)))
+        result = self._request(("coll", spec, payload))
         if spec.transposes:
             result[self.rank] = own
         return result
@@ -385,7 +266,7 @@ class ProcessCommunicator(Communicator):
         self._check_peer(dest, "dest")
         self.perf.add_send(dest, obj)
         # fire-and-forget: buffered send, no reply expected
-        self._send_msg(("send", dest, tag, self._encode(obj)))
+        self._send_msg(("send", dest, tag, obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "source")
@@ -433,24 +314,19 @@ def _run_worker(conn: Channel, comm: ProcessCommunicator, worker: Callable,
 
 def _child_main(conn: Any, rank: int, size: int, worker: Callable,
                 args: tuple, kwargs: dict, perf: Any | None,
-                trace_on: bool = False,
-                shm_cfg: tuple[str, int] | None = None) -> None:
-    shm = _ShmState(rank, shm_cfg[0], shm_cfg[1]) if shm_cfg else None
+                trace_on: bool = False) -> None:
     conn = PipeChannel(conn)
-    comm = ProcessCommunicator(conn, rank, size, perf=perf, shm=shm)
+    comm = ProcessCommunicator(conn, rank, size, perf=perf)
     try:
         _run_worker(conn, comm, worker, args, kwargs, perf, trace_on)
     finally:
-        if shm is not None:
-            shm.shutdown()
         conn.close()
 
 
 def _child_main_fork(child_ends: list, parent_ends: list, rank: int,
                      size: int, worker: Callable, args: tuple,
                      kwargs: dict, perf: Any | None,
-                     trace_on: bool = False,
-                     shm_cfg: tuple[str, int] | None = None) -> None:
+                     trace_on: bool = False) -> None:
     # under fork every child inherits every pipe end; close all but ours so
     # the router sees EOF promptly when any single rank dies
     for r, (c, p) in enumerate(zip(child_ends, parent_ends)):
@@ -458,7 +334,7 @@ def _child_main_fork(child_ends: list, parent_ends: list, rank: int,
         if r != rank:
             c.close()
     _child_main(child_ends[rank], rank, size, worker, args, kwargs, perf,
-                trace_on, shm_cfg)
+                trace_on)
 
 
 # ----------------------------------------------------------------------
@@ -483,14 +359,14 @@ class _Pending:
 class _Router:
     """Single-threaded event loop serving requests from rank channels.
     Matching is the shared :class:`~.group.Group` core; here live the
-    request/reply protocol around it, the job-wide abort, deadlines, and
-    the shm piggybacking."""
+    request/reply protocol around it, the job-wide abort and the
+    deadlines."""
 
     #: longest the loop may sleep between ticks (None: until a deadline)
     tick_interval: float | None = None
 
     def __init__(self, size: int, conns: list, procs: list,
-                 timeout: float, shm_cfg: tuple[str, int] | None = None):
+                 timeout: float):
         self.size = size
         self.conns = conns              # rank -> Channel
         #: channels watched for EOF only (no rank behind them)
@@ -510,15 +386,6 @@ class _Router:
         self.error: CollectiveAbortedError | None = None
         self.error_tb: str = ""
         self.kill_deadline: float | None = None
-        #: the router's own data-plane state (None: plane off): it reads
-        #: contributions in place and places large results itself
-        self.shm = _ShmState(_ROUTER, *shm_cfg) if shm_cfg else None
-        #: shm segments announced by each rank (rank -> names); the parent
-        #: unlinks every one of these, and the router's own, at job end
-        self.shm_owned: dict[int, set[str]] = {}
-        #: lease tokens consumed by peers, awaiting piggyback delivery to
-        #: their owner on its next reply
-        self.shm_reclaim: dict[int, list[int]] = {}
 
     # -- replies --------------------------------------------------------
 
@@ -530,7 +397,7 @@ class _Router:
 
     def _reply_result(self, rank: int, value: Any) -> None:
         self.pending.pop(rank, None)
-        self._reply(rank, ("result", value, self.shm_reclaim.pop(rank, [])))
+        self._reply(rank, ("result", value))
 
     def _reply_abort(self, rank: int) -> None:
         self.pending.pop(rank, None)
@@ -582,26 +449,12 @@ class _Router:
         if not last:
             return
         _, contribs, _ = world.take_step()
-        # all-to-all blocks pass through still encoded, one receiver
-        # each; everything else is read in place and re-placed from here
-        shm = None if spec.transposes else self.shm
-        consumed: list = []
         try:
-            if shm is not None:
-                contribs = decode_payload(contribs, shm.get_cache(),
-                                          copy=False, consumed=consumed)
             results = spec.finish(contribs)
-            if shm is not None:
-                results = [encode_payload(r, shm.get_pool(), shm.threshold)
-                           for r in results]
         except Exception as exc:        # a job-wide typed abort
             self._set_error(str(finish_error(op, rank, exc)), rank,
                             traceback.format_exc())
             return
-        # results hold no view of a contribution any more, so each owner
-        # gets its lease back on the very reply that ends its step
-        for desc in consumed:
-            self.shm_reclaim.setdefault(desc.owner, []).append(desc.token)
         for member, result in enumerate(results):
             self._reply_result(member, result)
 
@@ -675,14 +528,6 @@ class _Router:
             self._on_send(rank, msg)
         elif kind == "recv":
             self._on_recv(rank, msg)
-        elif kind == "shm_new":
-            self.shm_owned.setdefault(rank, set()).update(msg[1])
-        elif kind == "shm_free":
-            for owner, token in msg[1]:
-                if owner == _ROUTER:
-                    self.shm.get_pool().release((token,))
-                else:
-                    self.shm_reclaim.setdefault(owner, []).append(token)
         elif kind in ("done", "aborted", "error"):
             self._on_final(rank, msg)
         elif kind == "hb":
@@ -758,17 +603,6 @@ class _Router:
                         self._handle(rank, msg)
             self._tick()
 
-    def close_shm(self) -> list[str]:
-        """Close the router's own mappings; every segment name of the
-        job — the ranks' announced ones and the router's — for the engine
-        to unlink."""
-        names = {n for owned in self.shm_owned.values() for n in owned}
-        if self.shm is not None:
-            if self.shm.pool is not None:
-                names.update(self.shm.pool.segment_names())
-            self.shm.shutdown()
-        return sorted(names)
-
     def outcome(self, trace: Any | None,
                 rank_perf: Sequence[Any] | None) -> list:
         """After :meth:`run`: deliver the traces, then the per-rank
@@ -821,10 +655,6 @@ class ProcessEngine(SpmdEngine):
 
     name = "process"
     detects_deadlock = False
-
-    #: diagnostic: shm segment names of the most recent job on this engine
-    #: (all unlinked by the time ``run`` returns); tests assert cleanup here
-    last_shm_segments: tuple[str, ...] = ()
 
     #: diagnostic: (attempt, size) of every run the most recent job made
     last_attempts: tuple[tuple[int, int], ...] = ()
@@ -895,20 +725,6 @@ class ProcessEngine(SpmdEngine):
     def _route(self, size: int, worker: Callable[..., Any], args: tuple,
                kwargs: dict, rank_perf: Sequence[Any] | None,
                timeout: float, trace_on: bool) -> _Router:
-        threshold = resolve_shm_threshold()
-        shm_cfg = None
-        if threshold is not None:
-            # short prefix: POSIX shm names are length-limited (macOS: 31)
-            shm_cfg = (f"rp{os.getpid()}j{next(_JOB_SEQ)}", threshold)
-            # start the resource tracker *before* forking so every child
-            # shares it; with one tracker, segment registrations balance
-            # against the parent's final unlink and shutdown stays quiet
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-            except Exception:
-                pass
-
         ctx = _mp_context()
         fork = ctx.get_start_method() == "fork"
         pipes = [ctx.Pipe(duplex=True) for _ in range(size)]
@@ -921,12 +737,12 @@ class ProcessEngine(SpmdEngine):
             if fork:
                 target, pargs = _child_main_fork, (
                     child_ends, parent_ends, rank, size,
-                    worker, args, kwargs, perf, trace_on, shm_cfg,
+                    worker, args, kwargs, perf, trace_on,
                 )
             else:
                 target, pargs = _child_main, (
                     child_ends[rank], rank, size,
-                    worker, args, kwargs, perf, trace_on, shm_cfg,
+                    worker, args, kwargs, perf, trace_on,
                 )
             procs.append(ctx.Process(
                 target=target, args=pargs,
@@ -938,19 +754,11 @@ class ProcessEngine(SpmdEngine):
             c.close()
 
         chans = [PipeChannel(p) for p in parent_ends]
-        router = _Router(size, chans, procs, timeout, shm_cfg)
+        router = _Router(size, chans, procs, timeout)
         try:
             router.run()
         finally:
             _join_or_terminate(procs)
             for c in chans:
                 c.close()
-            # guaranteed data-plane cleanup: owners only closed their
-            # mappings, so the parent unlinks every announced segment —
-            # including those of ranks that died without a finally block
-            # — and the router's own
-            segments = router.close_shm()
-            for name in segments:
-                unlink_segment(name)
-            type(self).last_shm_segments = tuple(segments)
         return router

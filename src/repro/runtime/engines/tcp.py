@@ -27,11 +27,10 @@ collective step finished inside it by the step's own
 — and ranks speak to it through the same
 :class:`~.process.ProcessCommunicator`; only the
 :class:`~.process.Channel` differs (:class:`SocketChannel` here, a pipe
-there).  The shared-memory data plane is deliberately *off* — hosts
-model separate machines, so every payload honestly crosses the socket
-and ``transport_pickled_bytes`` measures true wire bytes (header
-included), while the simulated cost model keeps pricing logical payload
-sizes exactly as on every other backend.
+there).  Every payload is pickled onto the socket, as on the pipes, so
+``transport_pickled_bytes`` measures true wire bytes (header included),
+while the simulated cost model keeps pricing logical payload sizes
+exactly as on every other backend.
 
 Failure detection is two-tiered (``docs/runtime.md`` "TCP engine" has
 the long form).  **EOF**: a dying rank closes its socket and the router
@@ -376,9 +375,8 @@ def _rank_main(addr: tuple[int, tuple], job_id: str, rank: int, size: int,
         conn.send(("hello", job_id, rank, os.getpid()))
         obj, _ = conn.recv()            # blocks until the world assembled
         _expect_welcome(obj, job_id, size)
-        # no shm data plane: on a multi-host transport every payload
-        # must actually travel, and transport accounting counts whole
-        # frames (header included) — the bytes that really hit the wire
+        # transport accounting counts whole frames (header included) —
+        # the bytes that really hit the wire
         comm = ProcessCommunicator(conn, rank, size, perf=perf)
         hb = _Heartbeat(conn, hb_interval)
         comm._heartbeat = hb            # the world communicator's only

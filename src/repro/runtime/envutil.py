@@ -1,9 +1,8 @@
 """Shared helpers for parsing environment variables.
 
 Several runtime knobs (collective timeouts, TCP host grouping, heartbeat
-intervals, frame limits, sketch sizes, the shm threshold; backend,
-split-mode and start-method names; the trace switch and
-the checkpoint directory) are read from environment variables.  Parsing
+intervals, frame limits, sketch sizes; backend, split-mode and
+start-method names; the trace switch and the checkpoint directory) are read from environment variables.  Parsing
 them with a bare ``int(raw)`` / ``float(raw)`` / membership test
 surfaces a cryptic ``ValueError`` deep inside the engine that never says
 which variable was bad — or, for an on/off switch, silently reads a typo

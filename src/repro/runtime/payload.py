@@ -7,19 +7,11 @@ exactly (``nbytes``); small control-plane Python objects (split
 descriptions, node metadata) are estimated structurally, which is more
 than accurate enough given they are O(nodes-per-level) bytes against
 O(N/p) data traffic.
-
-A shared-memory descriptor (see :mod:`repro.runtime.shm`) counts as its
-control size — the ~:data:`~repro.runtime.shm.SHM_DESCRIPTOR_NBYTES`
-bytes that actually cross a pipe; the array bytes it points at were
-never copied, and the tracker's ``shared_bytes`` counter accounts them
-separately.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .shm import SHM_DESCRIPTOR_NBYTES, ShmDescriptor
 
 __all__ = ["payload_nbytes"]
 
@@ -32,8 +24,6 @@ def payload_nbytes(obj: object) -> int:
 
     Exact for numpy arrays / scalars / bytes; structural estimate for
     builtin containers; a pointer-sized constant for everything else.
-    Shared-memory descriptors count as their control bytes only — the
-    array they reference did not move with the message.
 
     The common exact types (arrays, ints, floats, lists, tuples, dicts)
     dispatch on ``type`` first: a level's control payloads are nested
@@ -55,14 +45,12 @@ def payload_nbytes(obj: object) -> int:
 
 def _other_nbytes(obj: object) -> int:
     """:func:`payload_nbytes` of every object without an exact-type fast
-    path (``None``, ``bool``, numpy scalars, descriptors, bytes, strings,
+    path (``None``, ``bool``, numpy scalars, bytes, strings,
     sets, subclasses and arbitrary objects)."""
     if obj is None:
         return 0
     if isinstance(obj, (np.ndarray, np.generic)):
         return int(obj.nbytes)
-    if isinstance(obj, ShmDescriptor):
-        return SHM_DESCRIPTOR_NBYTES
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
     if isinstance(obj, str):

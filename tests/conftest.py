@@ -74,7 +74,7 @@ def assert_trees_equal(a, b, context: str = "") -> None:
 
 
 #: stats fields measured on the host (they depend on the transport)
-_MEASURED_STATS = ("transport_pickled_bytes", "transport_shared_bytes")
+_MEASURED_STATS = ("transport_pickled_bytes",)
 
 
 def _canonical(value):

@@ -35,6 +35,7 @@ STRAY = {
     "REPRO_STREAM_CHUNK_RECORDS": "777",
     "REPRO_STREAM_GROW_RECORDS": "500",
     "REPRO_STREAM_REOPEN_DELTA": "0.1",
+    "REPRO_SPMD_SHM_THRESHOLD": "lots",
 }
 
 #: the fields that shape the induced tree
@@ -139,4 +140,4 @@ def test_env_literals_in_src_match_runtime_table():
     table = _table_names(_ROOT / "docs" / "runtime.md",
                          "## Environment variables")
     assert in_src == table
-    assert len(in_src) == 10
+    assert len(in_src) == 9

@@ -67,43 +67,6 @@ def test_backend_matches_serial_reference(references, workload, nprocs,
     assert all(len(collector.events_of(r)) > 0 for r in range(nprocs))
 
 
-@pytest.mark.skipif("process" not in BACKENDS,
-                    reason="process backend unavailable")
-@pytest.mark.parametrize("nprocs", [2, 3, 5])
-@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w[0])
-def test_shm_dataplane_on_off_traces_identical(monkeypatch, references,
-                                               workload, nprocs):
-    """The shared-memory data plane is a pure transport optimization: a
-    traced run with the plane forced on (aggressively low threshold) must
-    be event-for-event digest-identical to one with the plane off, and
-    both must still match the serial reference tree."""
-    ds, ref_tree, _ref_pred = references[workload]
-
-    def run(threshold: str):
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", threshold)
-        tc = TraceCollector()
-        result = ScalParC(n_processors=nprocs, machine=None,
-                          backend="process").fit(ds, trace=tc)
-        return tc, result
-
-    tc_on, res_on = run("4096")
-    tc_off, res_off = run("off")
-
-    assert_trees_equal(res_on.tree, ref_tree,
-                       f"plane on ({workload[0]} p={nprocs})")
-    assert_trees_equal(res_off.tree, ref_tree,
-                       f"plane off ({workload[0]} p={nprocs})")
-    for rank in range(nprocs):
-        on_events = tc_on.events_of(rank)
-        off_events = tc_off.events_of(rank)
-        assert len(on_events) == len(off_events)
-        for a, b in zip(on_events, off_events):
-            assert (a.op, a.payload_digest, a.result_digest, a.phase,
-                    a.level) == \
-                   (b.op, b.payload_digest, b.result_digest, b.phase,
-                    b.level)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backends_produce_identical_traces(backend):
     """Beyond tree equality: the per-rank collective *sequence* of a run

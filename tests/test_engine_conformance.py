@@ -10,10 +10,10 @@ perf-model fidelity, and end-to-end induction equivalence.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from repro.runtime import (
     run_spmd,
 )
 from repro.runtime.engines.base import DEFAULT_TIMEOUT, TIMEOUT_ENV
-from repro.runtime.engines.process import ProcessEngine, _Router
+from repro.runtime.engines.process import _Router
 from repro.runtime.tracing.events import payload_digest
 
 from tests.conftest import assert_trees_equal
@@ -140,7 +140,7 @@ def _timeout_echo_worker(comm):
 
 
 def _alltoall_blocks_worker(comm):
-    """Empty, small, above-shm-threshold and large blocks in one ragged
+    """Empty, small, above-32-KiB and large blocks in one ragged
     ``alltoallv``, then objects — with an own block no transport could
     carry, so it must come back without ever having been shipped."""
     rank, size = comm.rank, comm.size
@@ -463,7 +463,7 @@ def test_alltoallv_block_crosses_the_transport_once(backend):
                        backend=backend, rank_perf=ledgers)
     assert results == [[0.0, 1.0]] * size
     stats = price(ledgers, CRAY_T3D)
-    moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
+    moved = stats.transport_pickled_bytes
     away = size * (size - 1) * rounds * n * 8
     assert stats.total_bytes == away
     if backend in ("process", "tcp"):
@@ -495,7 +495,7 @@ def test_collective_crosses_the_transport_once(backend, kind, monkeypatch):
                          args=(kind, rounds, n), backend="thread")
     assert results == reference
     stats = price(ledgers, CRAY_T3D)
-    moved = stats.transport_pickled_bytes + stats.transport_shared_bytes
+    moved = stats.transport_pickled_bytes
     up = sum(r[0] for r in results)
     down = sum(r[1] for r in results)
     if backend in ("process", "tcp"):
@@ -529,8 +529,7 @@ def test_operator_created_after_the_fork_fails_typed(backend):
 def test_failing_finish_is_a_job_wide_typed_abort(backend):
     """A ``finish`` that raises — here an allreduce over contributions of
     different lengths — aborts every rank with the same typed error, its
-    origin and the traceback of where it was raised; no shm lease
-    outlives it."""
+    origin and the traceback of where it was raised."""
     with pytest.raises(SpmdWorkerError) as exc_info:
         run_spmd(3, _misshaped_allreduce_worker, backend=backend,
                  timeout=30.0)
@@ -545,9 +544,44 @@ def test_failing_finish_is_a_job_wide_typed_abort(backend):
     tracebacks = exc_info.value.tracebacks
     assert set(tracebacks) == {0, 1, 2}
     assert all("in _allreduce" in tb for tb in tracebacks.values())
-    if backend == "process":
-        segments = ProcessEngine.last_shm_segments
-        assert any("r-1s" in name for name in segments)   # the router's
-        for name in segments:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+
+
+# ----------------------------------------------------------------------
+# large payloads, and the spawn start method
+# ----------------------------------------------------------------------
+
+
+def _large_payloads_worker(comm):
+    """Collectives and a point-to-point message well above 32 KiB."""
+    big = np.full(30_000, float(comm.rank), dtype=np.float64)
+    total = comm.allreduce(big, reduction.SUM)
+    gathered = comm.allgatherv(np.arange(10_000, dtype=np.int64) + comm.rank)
+    if comm.rank == 0:
+        comm.send(big * 3, dest=comm.size - 1, tag=5)
+    peer = None
+    if comm.rank == comm.size - 1:
+        peer = float(comm.recv(source=0, tag=5)[0])
+    return float(total[0]), int(sum(a.sum() for a in gathered)), peer
+
+
+def test_large_payloads_match_thread(backend):
+    got = run_spmd(4, _large_payloads_worker, backend=backend)
+    assert got == run_spmd(4, _large_payloads_worker, backend="thread")
+
+
+@pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(),
+    reason="spawn start method unavailable",
+)
+def test_spawn_smoke_fit(backend, monkeypatch):
+    """End-to-end ScalParC fit with ranks started under ``spawn`` (the
+    thread engine ignores the start method)."""
+    from repro.baselines import induce_serial
+    from repro.core import ScalParC
+    from repro.datagen import generate_quest
+
+    monkeypatch.setenv("REPRO_SPMD_START_METHOD", "spawn")
+    ds = generate_quest(200, "F2", seed=5)
+    result = ScalParC(n_processors=2, machine=None,
+                      backend=backend).fit(ds)
+    assert result.tree.structurally_equal(induce_serial(ds))

@@ -34,7 +34,6 @@ from repro.runtime.envutil import (
     env_str,
 )
 from repro.runtime.framing import MAX_FRAME_ENV, resolve_max_frame
-from repro.runtime.shm import SHM_THRESHOLD_ENV, resolve_shm_threshold
 from repro.runtime.tracing import TRACE_ENV, trace_enabled
 
 
@@ -120,16 +119,6 @@ def test_trace_switch_rejects_a_typo_instead_of_reading_off(monkeypatch):
     monkeypatch.setenv(TRACE_ENV, "ture")
     with pytest.raises(EnvVarError, match=f"{TRACE_ENV}='ture'"):
         trace_enabled()
-
-
-def test_shm_threshold_resolver_reports_variable(monkeypatch):
-    monkeypatch.setenv(SHM_THRESHOLD_ENV, "lots")
-    with pytest.raises(EnvVarError, match=f"{SHM_THRESHOLD_ENV}='lots'"):
-        resolve_shm_threshold()
-    monkeypatch.setenv(SHM_THRESHOLD_ENV, " Disable ")       # words still work
-    assert resolve_shm_threshold() is None
-    monkeypatch.setenv(SHM_THRESHOLD_ENV, "1e6")
-    assert resolve_shm_threshold() == 1_000_000
 
 
 def test_checkpoint_dir_is_read_through_envutil(monkeypatch):

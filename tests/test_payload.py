@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 
 from repro.perfmodel import RankTracker
 from repro.runtime import payload_nbytes, reduction, run_spmd
-from repro.runtime.shm import (
-    SHM_DESCRIPTOR_NBYTES,
-    SHM_THRESHOLD_ENV,
-    ShmDescriptor,
-)
 
 
 def test_none_is_free():
@@ -55,42 +50,19 @@ def test_opaque_object_has_constant_cost():
     assert payload_nbytes(object()) > 0
 
 
-def _descriptor(nbytes: int = 80_000) -> ShmDescriptor:
-    return ShmDescriptor(segment="rp1j0r0s0", offset=0, dtype="<f8",
-                         shape=(nbytes // 8,), nbytes=nbytes,
-                         owner=0, token=3)
-
-
-def test_descriptor_priced_as_control_bytes():
-    """A shm descriptor crossing a pipe costs its control record, not the
-    array it points at — those bytes never moved with the message."""
-    desc = _descriptor()
-    assert payload_nbytes(desc) == SHM_DESCRIPTOR_NBYTES
-    assert payload_nbytes(desc) < desc.nbytes
-
-
 def _allreduce_big(comm):
     comm.allreduce(np.zeros(10_000, dtype=np.float64), reduction.SUM)
 
 
-def test_descriptor_logical_size_is_the_array(monkeypatch):
+def test_ledger_books_the_logical_size_not_the_pickle():
     """The simulated machine model prices the *logical* message: a rank
-    books the array's size on its ledger before the engine swaps the
-    array for a shared-memory descriptor, so the transport never shows."""
-    monkeypatch.setenv(SHM_THRESHOLD_ENV, "4096")
+    books the array's size on its ledger before the engine pickles it,
+    so the transport's framing never shows."""
     ledgers = [RankTracker() for _ in range(2)]
     run_spmd(2, _allreduce_big, backend="process", rank_perf=ledgers)
     for ledger in ledgers:
-        assert ledger.transport_shared_bytes > 0    # it went by segment
+        assert ledger.transport_pickled_bytes > 2 * 80_000  # up and down
         assert ledger.rows == [("collective", "allreduce(op=sum)", 80_000)]
-
-
-def test_descriptor_pricing_recurses_through_containers():
-    desc = _descriptor(64_000)
-    arr = np.zeros(10, dtype=np.int64)
-    msg = {"contribs": [desc, arr], "meta": (1, "x")}
-    bare = {"contribs": [None, arr], "meta": (1, "x")}
-    assert payload_nbytes(msg) - payload_nbytes(bare) == SHM_DESCRIPTOR_NBYTES
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +76,6 @@ def _payload_nbytes_reference(obj: object) -> int:
         return 0
     if isinstance(obj, (np.ndarray, np.generic)):
         return int(obj.nbytes)
-    if isinstance(obj, ShmDescriptor):
-        return SHM_DESCRIPTOR_NBYTES
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
     if isinstance(obj, str):
@@ -147,7 +117,6 @@ _leaves = st.one_of(
     st.floats(width=32).map(np.float32),
     st.integers(0, 6).map(lambda n: np.arange(n, dtype=np.int32)),
     st.integers(0, 6).map(lambda n: np.zeros(n).view(_IntArray)),
-    st.integers(8, 4096).map(lambda n: _descriptor(8 * n)),
     st.just(object()),
 )
 _hashable = st.one_of(st.integers(-9, 9), st.text(max_size=3),
@@ -171,8 +140,8 @@ _payloads = st.recursive(
 @given(_payloads)
 def test_payload_nbytes_matches_the_isinstance_chain(obj):
     """Every size is the old chain's: bools stay 1 byte, numpy scalar
-    keys their width, descriptors their control bytes, subclasses of the
-    fast-path types go the long way."""
+    keys their width, subclasses of the fast-path types go the long
+    way."""
     assert payload_nbytes(obj) == _payload_nbytes_reference(obj)
 
 
